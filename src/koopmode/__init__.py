@@ -7,21 +7,13 @@ from .dmd import (
     DecompositionResult,
     ModeStats,
     SvdFactors,
-    Vandermonde,
     exact_dmd,
     mode_stats,
     optimal_amplitudes,
     truncated_svd,
     vandermonde,
 )
-from .rom import (
-    KoopmanTuple,
-    ReducedOrderModel,
-    forecast,
-    mode_magnitude_grid,
-    reconstruct,
-    temporal_dynamics,
-)
+from .rom import forecast, reconstruct, spatial_grids, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
     SnapshotPair,
@@ -33,6 +25,7 @@ from .snapshots import (
     stack_cycles,
     subtract_mean,
     unstack_cycles,
+    write_csv,
 )
 from .spdmd import (
     AdmmParams,
@@ -51,15 +44,14 @@ from .spdmd import (
 
 __all__ = [
     "__version__",
-    "AdmmParams", "CompanionModel", "DecompositionResult", "KoopmanTuple",
-    "ModeStats", "ParetoPoint", "QuadraticForm", "ReducedOrderModel",
-    "SnapshotMatrix", "SnapshotPair", "SparseSolution", "SvdFactors",
-    "Vandermonde",
+    "AdmmParams", "CompanionModel", "DecompositionResult", "ModeStats",
+    "ParetoPoint", "QuadraticForm", "SnapshotMatrix", "SnapshotPair",
+    "SparseSolution", "SvdFactors",
     "admm_solve", "apply_mask", "build_pairs", "companion_dmd", "exact_dmd",
     "fit_companion", "forecast", "gamma_sweep", "load_mask", "load_matrix",
-    "log_gamma_grid", "mode_magnitude_grid", "mode_stats", "optimal_amplitudes",
+    "log_gamma_grid", "mode_stats", "optimal_amplitudes",
     "performance_loss", "polish", "quadratic_form", "reconstruct",
-    "save_matrix", "select_modes", "solve_at_gamma", "stack_cycles",
-    "subtract_mean", "temporal_dynamics", "truncated_svd",
-    "unit_circle_deviation", "unstack_cycles", "vandermonde",
+    "save_matrix", "select_modes", "solve_at_gamma", "spatial_grids",
+    "stack_cycles", "subtract_mean", "temporal_dynamics", "truncated_svd",
+    "unit_circle_deviation", "unstack_cycles", "vandermonde", "write_csv",
 ]

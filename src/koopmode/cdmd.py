@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT, optimal_amplitudes, vandermonde
+from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT
 from .snapshots import SnapshotMatrix
 
 LSTSQ_RCOND = 1e-10
@@ -50,26 +50,22 @@ def fit_companion(X: SnapshotMatrix) -> CompanionModel:
 
 def companion_dmd(X: SnapshotMatrix) -> DecompositionResult:
     """Companion-operator decomposition: eigenvalues of the (N-1)x(N-1) companion
-    matrix, modes as Krylov-basis combinations, amplitudes by least squares."""
+    matrix and modes as Krylov-basis combinations, in eigensolver order.
+    Amplitudes are left unset; fit them against X.data[:, :-1]."""
     model = fit_companion(X)
     C = companion_matrix(model.coefficients)
     evals, T = np.linalg.eig(C)
     cond = np.linalg.cond(T)
     if cond > EIGENBASIS_COND_LIMIT:
         warnings.warn(f"near-defective companion eigenbasis, condition {cond:.3e}")
-    K = X.data[:, :-1]
-    modes = K @ T
-    vand = vandermonde(evals, K.shape[1])
-    b = optimal_amplitudes(K, modes, vand)
-    result = DecompositionResult(
+    return DecompositionResult(
         eigenvalues=evals,
-        modes=modes,
+        modes=X.data[:, :-1] @ T,
         amplitudes=None,
         rank=evals.size,
         method="cdmd",
         dt_label=X.dt_label,
     )
-    return result.with_amplitudes(b)
 
 
 def unit_circle_deviation(eigenvalues: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Command-line pipelines: ingest-info, decompose, sweep, reconstruct, heatmap.
 
-All artifacts are plain CSV/JSON with 17-significant-digit floats, written
-atomically (a failed run leaves no partial files) and byte-stable across runs.
+All artifacts are plain CSV/JSON with 17-significant-digit floats and
+byte-stable across runs. Each run publishes its output directory as a whole:
+a failed run leaves no partial files, and a rerun leaves no file of the last.
 """
 from __future__ import annotations
 
@@ -20,24 +21,39 @@ import numpy as np
 from . import __version__
 from .cdmd import companion_dmd
 from .dmd import DecompositionResult, exact_dmd, mode_stats, optimal_amplitudes, vandermonde
-from .rom import KoopmanTuple, ReducedOrderModel, forecast, reconstruct, temporal_dynamics
+from .rom import forecast, reconstruct, spatial_grids, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
     apply_mask,
     build_pairs,
-    format_float,
     load_mask,
     load_matrix,
     stack_cycles,
     subtract_mean,
+    write_csv,
 )
-from .spdmd import AdmmParams, gamma_sweep, log_gamma_grid, quadratic_form, select_modes, solve_at_gamma
+from .spdmd import (
+    AdmmParams,
+    QuadraticForm,
+    gamma_sweep,
+    log_gamma_grid,
+    performance_loss,
+    quadratic_form,
+    select_modes,
+    solve_at_gamma,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 NAN_COLOR = (255, 0, 255)
+FLOAT = "%.17g"  # lossless for float64
+# Names the subcommands write into an output directory; an existing directory
+# holding anything else is not replaced.
+ARTIFACT_NAMES = ("eigenvalues.csv", "modes_matrix.csv", "modes", "temporal.csv",
+                  "summary.json", "sweep.csv", "pareto.csv", "recon_*.csv",
+                  "forecast.csv", "recon_report.json")
 
 
 @dataclass
@@ -78,6 +94,8 @@ class RunConfig:
             raise UsageError("gamma-min must not exceed gamma-max")
         if self.cycles < 1:
             raise UsageError("cycles must be >= 1")
+        if self.method == "cdmd" and self.rank is not None:
+            raise UsageError("--rank does not apply to method cdmd, whose order is N-1")
 
     def admm_params(self) -> AdmmParams:
         return AdmmParams(rho=self.rho, eps_abs=self.eps_abs, eps_rel=self.eps_rel,
@@ -96,35 +114,28 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _staged_output(outdir: str | Path):
-    """Write artifacts into a staging directory, publish only on success."""
-    outdir = Path(outdir)
+    """Write artifacts into a staging directory; on success it replaces the
+    output directory as a whole, so no file of an earlier run survives."""
+    outdir = Path(outdir).resolve()
+    if outdir.exists() and not (outdir.is_dir() and all(
+            any(child.match(name) for name in ARTIFACT_NAMES) for child in outdir.iterdir())):
+        raise UsageError(f"refusing to replace {outdir}: not a koopmode output directory")
     outdir.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=".stage-", dir=outdir.parent))
+    holder = Path(tempfile.mkdtemp(prefix=".stage-", dir=outdir.parent))
     try:
+        stage = holder / "new"
+        stage.mkdir()
         yield stage
-    except BaseException:
-        shutil.rmtree(stage, ignore_errors=True)
-        raise
-    outdir.mkdir(parents=True, exist_ok=True)
-    for child in sorted(stage.iterdir()):
-        dest = outdir / child.name
-        if dest.is_dir():
-            shutil.rmtree(dest)
-        os.replace(child, dest)
-    stage.rmdir()
+        if outdir.exists():
+            os.replace(outdir, holder / "old")
+        os.replace(stage, outdir)
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
 
 
-def _write_csv(path: Path, header: list[str] | None, rows) -> None:
-    with open(path, "w") as fh:
-        if header:
-            fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else format_float(v) for v in row)
-                     + "\n")
-
-
-def _write_grid_csv(path: Path, grid: np.ndarray) -> None:
-    _write_csv(path, None, np.atleast_2d(grid))
+def _float_csv(path: Path, rows: np.ndarray, header: str | None = None) -> None:
+    rows = np.atleast_2d(rows)
+    write_csv(path, rows, ",".join([FLOAT] * rows.shape[1]), header)
 
 
 def _load_input(cfg: RunConfig) -> SnapshotMatrix:
@@ -141,81 +152,45 @@ def _load_input(cfg: RunConfig) -> SnapshotMatrix:
     return X
 
 
-def _fit(cfg: RunConfig, X: SnapshotMatrix):
-    """Run the selected decomposition and the amplitude fit against Y.
-
-    Returns (result_sorted_by_amplitude, fit_matrix Y, quadratic form).
-    """
-    pair = build_pairs(X)
+def _decompose(cfg: RunConfig, X: SnapshotMatrix) -> tuple[DecompositionResult, QuadraticForm]:
+    """The selected decomposition, amplitudes unset, and the quadratic form of
+    its amplitude fit against the zero-lag snapshots, in the same column order."""
     if cfg.method == "cdmd":
-        result = companion_dmd(X)
-        Y = X.data[:, :-1]
-        vand = vandermonde(result.eigenvalues, Y.shape[1])
-        form = quadratic_form(Y, result.modes, vand)
-        return result, Y, form
-    base = exact_dmd(pair, rank=cfg.rank, mode_style=cfg.mode_style)
-    Y = pair.Y
-    vand = vandermonde(base.eigenvalues, Y.shape[1])
-    form = quadratic_form(Y, base.modes, vand)
+        base, Y = companion_dmd(X), X.data[:, :-1]
+    else:
+        pair = build_pairs(X)
+        base, Y = exact_dmd(pair, rank=cfg.rank, mode_style=cfg.mode_style), pair.Y
+    return base, quadratic_form(Y, base.modes, vandermonde(base.eigenvalues, Y.shape[1]))
+
+
+def _fit(cfg: RunConfig, X: SnapshotMatrix) -> tuple[DecompositionResult, float]:
+    """Decompose and fit amplitudes; returns the result sorted by amplitude and
+    the loss of the fit as a percentage of the data norm."""
+    base, form = _decompose(cfg, X)
     if cfg.method == "spdmd":
         solution, _ = solve_at_gamma(form, cfg.gamma, cfg.admm_params())
         result = select_modes(base, solution)
         if result.rank == 0:
             raise ValueError(f"gamma={cfg.gamma} zeroed out every amplitude")
-        return result, Y, form
-    b = optimal_amplitudes(Y, base.modes, vand)
-    return base.with_amplitudes(b), Y, form
-
-
-def _full_fit_loss(form, result: DecompositionResult) -> float:
-    b_full = np.zeros(form.size, dtype=complex)
-    # undo the amplitude sort so b lines up with the form's column order
-    pos = {int(idx): j for j, idx in enumerate(result.original_indices)}
-    for i in range(form.size):
-        if i in pos:
-            b_full[i] = result.amplitudes[pos[i]]
-    cost = form.objective(b_full)
-    return 100.0 * float(np.sqrt(cost / form.s)) if form.s > 0 else 0.0
-
-
-def _mode_to_grids(vec: np.ndarray, grid_shape, mask, cycles: int) -> np.ndarray:
-    """Reshape one spatial vector onto (cycles, n_lat, n_lon), NaN at masked cells."""
-    n_lat, n_lon = grid_shape
-    full = n_lat * n_lon
-    base = int(mask.sum()) if mask is not None else full
-    grids = np.full((cycles, full), np.nan)
-    for c in range(cycles):
-        chunk = vec[c * base:(c + 1) * base]
-        if mask is not None:
-            grids[c, mask] = chunk
-        else:
-            grids[c] = chunk
-    return grids.reshape(cycles, n_lat, n_lon)
+        b = solution.b_polished
+    else:
+        b = optimal_amplitudes(form)
+        result = base.with_amplitudes(b)
+    return result, performance_loss(form.objective(b), form.s)
 
 
 def _write_decomposition(stage: Path, cfg: RunConfig, X: SnapshotMatrix,
-                         result: DecompositionResult, Y: np.ndarray,
-                         full_loss: float) -> None:
-    rows = []
-    for j in range(result.rank):
-        lam = result.eigenvalues[j]
-        b = result.amplitudes[j]
-        stats = mode_stats(lam, result.dt_label)
-        rows.append([
-            str(int(result.original_indices[j])),
-            lam.real, lam.imag, stats.magnitude, stats.e_folding, stats.period,
-            b.real, b.imag, abs(b),
-        ])
-    _write_csv(stage / "eigenvalues.csv",
-               ["index", "re", "im", "magnitude", "e_folding", "period",
-                "amp_re", "amp_im", "amp_abs"], rows)
-
-    _write_csv(
-        stage / "modes_matrix.csv", None,
-        [[v for j in range(result.rank)
-          for v in (result.modes[i, j].real, result.modes[i, j].imag)]
-         for i in range(result.modes.shape[0])],
-    )
+                         result: DecompositionResult, full_loss: float) -> None:
+    write_csv(stage / "eigenvalues.csv",
+              ((int(idx), lam.real, lam.imag, *mode_stats(lam, result.dt_label),
+                b.real, b.imag, abs(b))
+               for idx, lam, b in zip(result.original_indices, result.eigenvalues,
+                                      result.amplitudes)),
+              "%d" + f",{FLOAT}" * 8,
+              "index,re,im,magnitude,e_folding,period,amp_re,amp_im,amp_abs")
+    # complex128 viewed as float64 interleaves re, im per mode
+    _float_csv(stage / "modes_matrix.csv",
+               np.ascontiguousarray(result.modes, dtype=complex).view(float))
 
     grid_shape = cfg.grid_shape if cfg.grid_shape is not None else (1, X.p // cfg.cycles)
     n_export = result.rank if cfg.top_modes is None else min(cfg.top_modes, result.rank)
@@ -225,15 +200,13 @@ def _write_decomposition(stage: Path, cfg: RunConfig, X: SnapshotMatrix,
         idx = int(result.original_indices[j])
         col = result.modes[:, j]
         for tag, values in (("real", col.real), ("imag", col.imag), ("abs", np.abs(col))):
-            grids = _mode_to_grids(values, grid_shape, X.mask, cfg.cycles)
-            _write_grid_csv(modes_dir / f"{idx}_{tag}.csv", grids.mean(axis=0))
+            grids = spatial_grids(values, grid_shape, X.mask, cfg.cycles)
+            _float_csv(modes_dir / f"{idx}_{tag}.csv", grids.mean(axis=0))
 
-    model = ReducedOrderModel.from_result(result)
-    ts = np.arange(Y.shape[1])
-    dyn = temporal_dynamics(model, ts, collapse_pairs=cfg.pair_collapse)
-    header = ["t"] + [f"mode{int(i)}" for i in range(dyn.shape[0])]
-    _write_csv(stage / "temporal.csv", header,
-               [[float(t)] + list(dyn[:, k]) for k, t in enumerate(ts)])
+    ts = np.arange(X.n_steps - 1)
+    dyn = temporal_dynamics(result, ts, collapse_pairs=cfg.pair_collapse)
+    _float_csv(stage / "temporal.csv", np.column_stack([ts, dyn.T]),
+               ",".join(["t"] + [f"mode{i}" for i in range(dyn.shape[0])]))
 
     summary = {
         "toolkit_version": __version__,
@@ -253,9 +226,9 @@ def _write_decomposition(stage: Path, cfg: RunConfig, X: SnapshotMatrix,
 def cmd_decompose(cfg: RunConfig) -> int:
     cfg.validate()
     X = _load_input(cfg)
-    result, Y, form = _fit(cfg, X)
+    result, full_loss = _fit(cfg, X)
     with _staged_output(cfg.out) as stage:
-        _write_decomposition(stage, cfg, X, result, Y, _full_fit_loss(form, result))
+        _write_decomposition(stage, cfg, X, result, full_loss)
     return EXIT_OK
 
 
@@ -263,51 +236,37 @@ def cmd_sweep(cfg: RunConfig) -> int:
     cfg.validate()
     if cfg.method != "spdmd":
         raise UsageError("sweep requires method spdmd")
-    X = _load_input(cfg)
-    pair = build_pairs(X)
-    base = exact_dmd(pair, rank=cfg.rank, mode_style=cfg.mode_style)
-    vand = vandermonde(base.eigenvalues, pair.Y.shape[1])
-    form = quadratic_form(pair.Y, base.modes, vand)
+    _, form = _decompose(cfg, _load_input(cfg))
     gammas = log_gamma_grid(cfg.gamma_min, cfg.gamma_max, cfg.gamma_count)
-    points, solutions = gamma_sweep(form, gammas, cfg.admm_params())
+    _, solutions = gamma_sweep(form, gammas, cfg.admm_params())
+    best: dict[int, int] = {}
+    for i, s in enumerate(solutions):
+        if s.cardinality not in best or s.loss_percent < solutions[best[s.cardinality]].loss_percent:
+            best[s.cardinality] = i
     with _staged_output(cfg.out) as stage:
-        header = ["gamma", "cardinality", "cost", "loss_percent", "iterations", "converged"]
-        _write_csv(stage / "sweep.csv", header,
-                   [[s.gamma, float(s.cardinality), s.cost, s.loss_percent,
-                     float(s.iterations), "true" if s.converged else "false"]
-                    for s in solutions])
-        best: dict[int, int] = {}
-        for i, s in enumerate(solutions):
-            if s.cardinality not in best or s.loss_percent < solutions[best[s.cardinality]].loss_percent:
-                best[s.cardinality] = i
-        chosen = sorted(best.values())
-        _write_csv(stage / "pareto.csv", header,
-                   [[solutions[i].gamma, float(solutions[i].cardinality),
-                     solutions[i].cost, solutions[i].loss_percent,
-                     float(solutions[i].iterations),
-                     "true" if solutions[i].converged else "false"]
-                    for i in chosen])
+        for name, chosen in (("sweep.csv", solutions),
+                             ("pareto.csv", [solutions[i] for i in sorted(best.values())])):
+            write_csv(stage / name,
+                      ((s.gamma, s.cardinality, s.cost, s.loss_percent, s.iterations,
+                        "true" if s.converged else "false") for s in chosen),
+                      f"{FLOAT},%d,{FLOAT},{FLOAT},%d,%s",
+                      "gamma,cardinality,cost,loss_percent,iterations,converged")
     return EXIT_OK
 
 
-def _load_model(artifacts: Path) -> tuple[ReducedOrderModel, dict]:
+def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
     summary = json.loads((artifacts / "summary.json").read_text())
     eig = np.loadtxt(artifacts / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
     modes_flat = np.loadtxt(artifacts / "modes_matrix.csv", delimiter=",", ndmin=2)
-    rank = eig.shape[0]
-    modes = modes_flat[:, 0::2] + 1j * modes_flat[:, 1::2]
-    tuples = tuple(
-        KoopmanTuple.build(
-            eigenvalue=complex(eig[j, 1], eig[j, 2]),
-            mode=modes[:, j],
-            amplitude=complex(eig[j, 6], eig[j, 7]),
-            original_index=int(eig[j, 0]),
-            dt_label=summary["dt_label"],
-        )
-        for j in range(rank)
+    model = DecompositionResult(
+        eigenvalues=eig[:, 1] + 1j * eig[:, 2],
+        modes=modes_flat[:, 0::2] + 1j * modes_flat[:, 1::2],
+        amplitudes=eig[:, 6] + 1j * eig[:, 7],
+        rank=eig.shape[0],
+        method=summary["method"],
+        dt_label=summary["dt_label"],
+        original_indices=eig[:, 0].astype(int),
     )
-    model = ReducedOrderModel(tuples=tuples, spatial_dim=modes.shape[0],
-                              dt_label=summary["dt_label"])
     return model, summary
 
 
@@ -318,6 +277,8 @@ def cmd_reconstruct(artifacts: str, out: str, at: list[int], horizon: int | None
     if horizon is None and not at:
         raise UsageError("nothing to do: need --at indices or --horizon >= 1")
     art = Path(artifacts)
+    if Path(out).resolve() == art.resolve():
+        raise UsageError("--out must differ from --artifacts, which it would replace")
     for needed in ("summary.json", "eigenvalues.csv", "modes_matrix.csv"):
         if not (art / needed).exists():
             raise FileNotFoundError(f"missing artifact {art / needed}")
@@ -328,18 +289,18 @@ def cmd_reconstruct(artifacts: str, out: str, at: list[int], horizon: int | None
         cfg = input_cfg or RunConfig()
         cfg.input = input_path
         reference = _load_input(cfg)
-        if reference.p != model.spatial_dim:
+        if reference.p != model.modes.shape[0]:
             raise ValueError(
-                f"input has p={reference.p}, model expects {model.spatial_dim}"
+                f"input has p={reference.p}, model expects {model.modes.shape[0]}"
             )
-    report: dict = {"indices": list(map(int, at)), "horizon": int(horizon),
+    report: dict = {"indices": list(map(int, at)), "horizon": horizon,
                     "relative_errors": {}, "imag_residuals": {}}
     with _staged_output(out) as stage:
         for k in at:
             if k < 0:
                 raise UsageError("reconstruction indices must be nonnegative")
             vec, resid = reconstruct(model, k, return_residual=True)
-            _write_csv(stage / f"recon_{k}.csv", None, [[v] for v in vec])
+            _float_csv(stage / f"recon_{k}.csv", vec[:, None])
             report["imag_residuals"][str(k)] = resid
             if reference is not None and k < reference.n_steps:
                 col = reference.data[:, k]
@@ -349,7 +310,7 @@ def cmd_reconstruct(artifacts: str, out: str, at: list[int], horizon: int | None
                 )
         if horizon is not None:
             fc = forecast(model, horizon, n_train)
-            _write_csv(stage / "forecast.csv", None, fc)
+            _float_csv(stage / "forecast.csv", fc)
         (stage / "recon_report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -375,20 +336,16 @@ def read_grid_csv(path: str | Path) -> np.ndarray:
 def render_heatmap(grid: np.ndarray) -> bytes:
     """Binary PPM: linear grayscale from grid min to max, NaN in a fixed color."""
     h, w = grid.shape
-    finite = grid[np.isfinite(grid)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 0.0
+    finite = np.isfinite(grid)
+    values = grid[finite]
+    lo = float(values.min()) if values.size else 0.0
+    hi = float(values.max()) if values.size else 0.0
     span = hi - lo
-    pixels = bytearray()
-    for i in range(h):
-        for j in range(w):
-            v = grid[i, j]
-            if not np.isfinite(v):
-                pixels.extend(NAN_COLOR)
-            else:
-                g = 0 if span == 0 else int(round(255.0 * (v - lo) / span))
-                pixels.extend((g, g, g))
-    return f"P6\n{w} {h}\n255\n".encode() + bytes(pixels)
+    pixels = np.empty((h, w, 3), dtype=np.uint8)
+    pixels[:] = NAN_COLOR
+    # np.round, like round(), takes halves to even
+    pixels[finite] = 0 if span == 0 else np.round(255.0 * (values - lo) / span)[:, None]
+    return f"P6\n{w} {h}\n255\n".encode() + pixels.tobytes()
 
 
 def cmd_heatmap(grid_path: str, out_path: str) -> int:
@@ -396,9 +353,12 @@ def cmd_heatmap(grid_path: str, out_path: str) -> int:
     data = render_heatmap(grid)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_suffix(out.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, out)
+    holder = Path(tempfile.mkdtemp(prefix=".stage-", dir=out.parent))
+    try:
+        (holder / out.name).write_bytes(data)
+        os.replace(holder / out.name, out)
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
     return EXIT_OK
 
 

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .snapshots import SnapshotPair
+
+if TYPE_CHECKING:
+    from .spdmd import QuadraticForm
 
 RANK_TOL = 1e-10
 EIGENBASIS_COND_LIMIT = 1e12
@@ -27,7 +30,8 @@ class SvdFactors:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Eigenvalues, spatial modes, and amplitudes of one decomposition run.
+    """The Koopman tuples (eigenvalue, spatial mode, amplitude) of one
+    decomposition, one column each; snapshot k is Re(modes @ (amplitudes * eigenvalues**k)).
 
     amplitudes is None until fitted; original_indices tracks each column's
     position in the decomposition before any amplitude re-sorting.
@@ -63,17 +67,6 @@ class DecompositionResult:
             amplitudes=b[order],
             original_indices=self.original_indices[order],
         )
-
-
-@dataclass(frozen=True)
-class Vandermonde:
-    """r x M matrix of eigenvalue powers, entry (i, k) = lambda_i^k."""
-
-    data: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.data.shape[1]
 
 
 class ModeStats(NamedTuple):
@@ -132,8 +125,9 @@ def exact_dmd(
     )
 
 
-def vandermonde(eigenvalues: np.ndarray, n_steps: int) -> Vandermonde:
-    """Powers by repeated multiplication; subnormal underflow clamps to zero."""
+def vandermonde(eigenvalues: np.ndarray, n_steps: int) -> np.ndarray:
+    """r x n_steps matrix with entry (i, k) = lambda_i^k, by repeated
+    multiplication; subnormal underflow clamps to zero."""
     if n_steps < 1:
         raise ValueError("need at least one column")
     lam = np.asarray(eigenvalues, dtype=complex).reshape(-1)
@@ -144,14 +138,12 @@ def vandermonde(eigenvalues: np.ndarray, n_steps: int) -> Vandermonde:
         out[:, k] = col
         col = col * lam
         col[np.abs(col) < tiny] = 0.0
-    return Vandermonde(out)
+    return out
 
 
-def optimal_amplitudes(Y: np.ndarray, modes: np.ndarray, vand: Vandermonde) -> np.ndarray:
-    """Least-squares amplitudes for Y ~ modes diag(b) vand via the normal system."""
-    from .spdmd import quadratic_form
-
-    form = quadratic_form(Y, modes, vand)
+def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
+    """Least-squares amplitudes minimizing the quadratic form (P, q, s), in the
+    form's column order, via the normal system P b = q."""
     b, _, rank, sv = np.linalg.lstsq(form.P, form.q, rcond=None)
     if rank < form.q.size or (sv[0] > 0 and sv[0] / sv[-1] > NORMAL_COND_LIMIT):
         warnings.warn("near-singular amplitude system, using minimum-norm solution")

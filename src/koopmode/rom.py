@@ -1,94 +1,36 @@
-"""Reduced-order reconstruction and temporal dynamics from selected mode tuples."""
+"""Reduced-order reconstruction and temporal dynamics of a fitted decomposition."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dmd import DecompositionResult, ModeStats, mode_stats
+from .dmd import DecompositionResult
 
 CONJUGATE_TOL = 1e-8
 IMAG_RESIDUAL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class KoopmanTuple:
-    """One (eigenvalue, spatial mode, amplitude) triple with derived statistics."""
-
-    eigenvalue: complex
-    mode: np.ndarray
-    amplitude: complex
-    magnitude: float
-    e_folding: float
-    period: float
-    original_index: int
-
-    @classmethod
-    def build(cls, eigenvalue: complex, mode: np.ndarray, amplitude: complex,
-              original_index: int, dt_label: str = "step") -> "KoopmanTuple":
-        stats = mode_stats(eigenvalue, dt_label)
-        return cls(eigenvalue=complex(eigenvalue), mode=np.asarray(mode, dtype=complex),
-                   amplitude=complex(amplitude), magnitude=stats.magnitude,
-                   e_folding=stats.e_folding, period=stats.period,
-                   original_index=int(original_index))
-
-    @property
-    def stats(self) -> ModeStats:
-        return ModeStats(self.magnitude, self.e_folding, self.period)
+def _weighted_powers(result: DecompositionResult, ks: np.ndarray) -> np.ndarray:
+    """r x len(ks) matrix with entry (j, i) = eigenvalue_j^ks[i] * amplitude_j."""
+    if result.amplitudes is None:
+        raise ValueError("decomposition has no amplitudes yet")
+    if result.rank == 0:
+        raise ValueError("decomposition has no modes")
+    return result.eigenvalues[:, None] ** ks * result.amplitudes[:, None]
 
 
-@dataclass(frozen=True)
-class ReducedOrderModel:
-    """Selected tuples, sorted by |amplitude| descending."""
-
-    tuples: tuple[KoopmanTuple, ...]
-    spatial_dim: int
-    dt_label: str = "step"
-
-    def __post_init__(self) -> None:
-        if not self.tuples:
-            raise ValueError("model needs at least one tuple")
-        for t in self.tuples:
-            if t.mode.shape[0] != self.spatial_dim:
-                raise ValueError("mode length inconsistent with spatial_dim")
-        order = sorted(
-            range(len(self.tuples)),
-            key=lambda i: (-abs(self.tuples[i].amplitude), self.tuples[i].original_index),
-        )
-        object.__setattr__(self, "tuples", tuple(self.tuples[i] for i in order))
-
-    @classmethod
-    def from_result(cls, result: DecompositionResult) -> "ReducedOrderModel":
-        if result.amplitudes is None:
-            raise ValueError("decomposition has no amplitudes yet")
-        tuples = tuple(
-            KoopmanTuple.build(result.eigenvalues[j], result.modes[:, j],
-                               result.amplitudes[j], result.original_indices[j],
-                               result.dt_label)
-            for j in range(result.rank)
-        )
-        return cls(tuples=tuples, spatial_dim=result.modes.shape[0],
-                   dt_label=result.dt_label)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.tuples)
-
-
-def reconstruct(model: ReducedOrderModel, k: int,
+def reconstruct(result: DecompositionResult, k: int,
                 return_residual: bool = False) -> np.ndarray | tuple[np.ndarray, float]:
-    """Real part of sum_j mode_j * eigenvalue_j^k * amplitude_j at time index k.
+    """Real part of modes @ (amplitudes * eigenvalues^k), the snapshot at time index k.
 
     The relative imaginary residual is a diagnostic; it should vanish for
     conjugate-complete models and triggers a warning when it does not.
     """
     if k < 0:
         raise ValueError("time index must be nonnegative")
-    acc = np.zeros(model.spatial_dim, dtype=complex)
-    for t in model.tuples:
-        acc += t.mode * (np.complex128(t.eigenvalue) ** k * np.complex128(t.amplitude))
+    acc = result.modes @ _weighted_powers(result, np.array([k]))[:, 0]
     real = np.real(acc)
     denom = max(float(np.linalg.norm(real)), np.finfo(float).tiny)
     residual = float(np.linalg.norm(np.imag(acc))) / denom
@@ -99,78 +41,65 @@ def reconstruct(model: ReducedOrderModel, k: int,
     return real
 
 
-def _conjugate_representatives(model: ReducedOrderModel) -> list[int]:
+def _conjugate_representatives(eigenvalues: np.ndarray) -> list[int]:
     """Indices keeping one member of each conjugate pair (the one with
-    nonnegative imaginary eigenvalue part)."""
+    nonnegative imaginary part)."""
     keep: list[int] = []
-    used = [False] * model.n_modes
-    for i, t in enumerate(model.tuples):
+    used = [False] * eigenvalues.size
+    for i, lam in enumerate(eigenvalues):
         if used[i]:
             continue
         partner = None
-        scale = max(abs(t.eigenvalue), 1.0)
-        for j in range(i + 1, model.n_modes):
+        scale = max(abs(lam), 1.0)
+        for j in range(i + 1, eigenvalues.size):
             if used[j]:
                 continue
-            other = model.tuples[j]
-            if (abs(other.eigenvalue - np.conj(t.eigenvalue)) <= CONJUGATE_TOL * scale
-                    and abs(t.eigenvalue.imag) > CONJUGATE_TOL * scale):
+            if (abs(eigenvalues[j] - np.conj(lam)) <= CONJUGATE_TOL * scale
+                    and abs(lam.imag) > CONJUGATE_TOL * scale):
                 partner = j
                 break
         if partner is not None:
             used[partner] = True
-            rep = i if t.eigenvalue.imag >= 0 else partner
-            keep.append(rep)
+            keep.append(i if lam.imag >= 0 else partner)
         else:
             keep.append(i)
         used[i] = True
     return keep
 
 
-def temporal_dynamics(model: ReducedOrderModel, t_range: Iterable[int],
+def temporal_dynamics(result: DecompositionResult, t_range: Iterable[int],
                       collapse_pairs: bool = False) -> np.ndarray:
     """Rows of Re(eigenvalue^t * amplitude) over t_range; with collapse_pairs
     only one representative row per conjugate pair is emitted."""
     ts = np.asarray(list(t_range))
     if ts.size == 0:
         raise ValueError("empty time range")
-    rows = (list(range(model.n_modes)) if not collapse_pairs
-            else _conjugate_representatives(model))
-    out = np.empty((len(rows), ts.size))
-    for row, j in enumerate(rows):
-        t = model.tuples[j]
-        out[row] = np.real(t.eigenvalue ** ts.astype(complex) * t.amplitude)
-    return out
+    dyn = np.real(_weighted_powers(result, ts.astype(complex)))
+    return dyn[_conjugate_representatives(result.eigenvalues)] if collapse_pairs else dyn
 
 
-def forecast(model: ReducedOrderModel, horizon: int, n_train: int) -> np.ndarray:
-    """Extrapolate the linear surrogate past the training window; growing modes
-    may saturate at the float limit (warned, values still returned)."""
+def forecast(result: DecompositionResult, horizon: int, n_train: int) -> np.ndarray:
+    """Extrapolate the linear surrogate past the training window, one column
+    per step; growing modes may saturate at the float limit (warned, values
+    still returned)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if n_train < 0:
         raise ValueError("n_train must be nonnegative")
-    out = np.empty((model.spatial_dim, horizon))
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(horizon):
-            out[:, step] = reconstruct(model, n_train + step)
+        out = np.real(result.modes @ _weighted_powers(result, n_train + np.arange(horizon)))
     if not np.all(np.isfinite(out)):
         warnings.warn("forecast overflowed for growing modes; saturating values")
         out = np.nan_to_num(out, posinf=np.finfo(float).max, neginf=-np.finfo(float).max)
     return out
 
 
-def mode_magnitude_grid(
-    tup: KoopmanTuple,
-    grid_shape: Sequence[int],
-    mask: np.ndarray | None = None,
-    cycles: int = 1,
-    reduce: str | None = None,
-) -> np.ndarray:
-    """Element-wise mode magnitude on the (n_lat, n_lon) grid, NaN at masked points.
+def spatial_grids(vec: np.ndarray, grid_shape: Sequence[int],
+                  mask: np.ndarray | None = None, cycles: int = 1) -> np.ndarray:
+    """Map a real spatial vector onto (cycles, n_lat, n_lon) grids, NaN at masked points.
 
-    Cycle-stacked modes (length base*cycles) yield one grid per intra-cycle slot,
-    or their mean with reduce="mean".
+    A cycle-stacked vector (length base*cycles) gives one grid per
+    intra-cycle slot.
     """
     n_lat, n_lon = int(grid_shape[0]), int(grid_shape[1])
     full = n_lat * n_lon
@@ -181,21 +110,11 @@ def mode_magnitude_grid(
         base = int(mask.sum())
     else:
         base = full
-    if base * cycles != tup.mode.shape[0]:
+    vec = np.asarray(vec)
+    if base * cycles != vec.shape[0]:
         raise ValueError(
-            f"mode length {tup.mode.shape[0]} != {base} grid points x {cycles} cycles"
+            f"mode length {vec.shape[0]} != {base} grid points x {cycles} cycles"
         )
-    mag = np.abs(tup.mode)
     grids = np.full((cycles, full), np.nan)
-    for c in range(cycles):
-        chunk = mag[c * base:(c + 1) * base]
-        if mask is not None:
-            grids[c, mask] = chunk
-        else:
-            grids[c] = chunk
-    grids = grids.reshape(cycles, n_lat, n_lon)
-    if reduce == "mean":
-        return grids.mean(axis=0)
-    if reduce is not None:
-        raise ValueError(f"unknown reduce {reduce!r}")
-    return grids[0] if cycles == 1 else grids
+    grids[:, mask if mask is not None else slice(None)] = vec.reshape(cycles, base)
+    return grids.reshape(cycles, n_lat, n_lon)

@@ -111,9 +111,7 @@ def save_matrix(X: SnapshotMatrix, path: str | Path, format: str = "csv") -> Non
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     if format == "csv":
-        with open(path, "w") as fh:
-            for row in X.data:
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+        write_csv(path, X.data, ",".join(["%.17g"] * X.n_steps))
     else:
         sidecar = path.with_suffix(path.suffix + ".json")
         sidecar.write_text(
@@ -122,13 +120,17 @@ def save_matrix(X: SnapshotMatrix, path: str | Path, format: str = "csv") -> Non
         np.asfortranarray(X.data).astype("<f8").ravel(order="F").tofile(path)
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit text, lossless for float64; lowercase inf/nan."""
-    if np.isnan(x):
-        return "nan"
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
+def write_csv(path: str | Path, rows, fmt: str, header: str | None = None) -> None:
+    """Write each row of a 2-D array or iterable of sequences as the line
+    `fmt % tuple(row)`, streaming, after an optional header line. "%.17g" is
+    lossless for float64 and writes nan, inf and -inf in lowercase."""
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)  # Python floats format faster
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(fmt % tuple(row) + "\n")
 
 
 def load_mask(path: str | Path, grid_shape: tuple[int, int]) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dmd import DecompositionResult, Vandermonde
+from .dmd import DecompositionResult
 
 ZERO_REL_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
@@ -87,9 +87,10 @@ class AdmmResult:
     u: np.ndarray = field(repr=False, default=None)
 
 
-def quadratic_form(Y: np.ndarray, modes: np.ndarray, vand: Vandermonde | np.ndarray) -> QuadraticForm:
-    """Reduce the Frobenius objective over amplitudes to (P, q, s)."""
-    xi = vand.data if isinstance(vand, Vandermonde) else np.asarray(vand)
+def quadratic_form(Y: np.ndarray, modes: np.ndarray, vand: np.ndarray) -> QuadraticForm:
+    """Reduce the Frobenius objective over amplitudes to (P, q, s), for the
+    Vandermonde matrix vand of the modes' eigenvalues."""
+    xi = np.asarray(vand)
     Y = np.asarray(Y)
     if modes.shape[0] != Y.shape[0] or xi.shape[1] != Y.shape[1] or modes.shape[1] != xi.shape[0]:
         raise ValueError(
@@ -100,7 +101,9 @@ def quadratic_form(Y: np.ndarray, modes: np.ndarray, vand: Vandermonde | np.ndar
     P = G * H.conj()
     P = 0.5 * (P + P.conj().T)
     q = np.conj(np.diag(xi @ Y.conj().T @ modes))
-    s = float(np.real(np.trace(Y.conj().T @ Y)))
+    # ||Y||_F^2 as column sums, then a pairwise sum: as accurate as trace(Y* Y)
+    # without forming the M x M Gram matrix
+    s = float(np.einsum("ij,ij->j", Y.conj(), Y).sum().real)
     return QuadraticForm(P=P, q=q, s=s)
 
 

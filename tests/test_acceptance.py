@@ -66,7 +66,7 @@ def test_criterion_2_quadratic_form_oracle():
         Y = rng.standard_normal((p, M))
         form = quadratic_form(Y, modes, vand)
         b = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        direct = np.linalg.norm(Y - modes @ np.diag(b) @ vand.data, "fro") ** 2
+        direct = np.linalg.norm(Y - modes @ np.diag(b) @ vand, "fro") ** 2
         if abs(form.objective(b) - direct) > 1e-6 * max(1.0, direct):
             ok = False
             break
@@ -116,7 +116,7 @@ def _planted_sparse_form(rng, r=10, active=(0, 3, 7), amps=(100.0, 70.0, 40.0),
     b_true = np.zeros(r, dtype=complex)
     for i, a in zip(active, amps):
         b_true[i] = a * np.exp(2j * np.pi * rng.random())
-    Y = modes @ np.diag(b_true) @ vand.data
+    Y = modes @ np.diag(b_true) @ vand
     return quadratic_form(Y, modes, vand), np.array(sorted(active))
 
 
@@ -151,8 +151,8 @@ def test_criterion_6_reconstruction_identity():
     pair = build_pairs(SnapshotMatrix(Y))
     result = exact_dmd(pair, rank=3)
     vand = vandermonde(result.eigenvalues, pair.Y.shape[1])
-    b = optimal_amplitudes(pair.Y, result.modes, vand)
-    recon = np.real(result.modes @ np.diag(b) @ vand.data)
+    b = optimal_amplitudes(quadratic_form(pair.Y, result.modes, vand))
+    recon = np.real(result.modes @ np.diag(b) @ vand)
     ok = True
     for k in range(pair.Y.shape[1]):
         err = np.linalg.norm(recon[:, k] - pair.Y[:, k]) / np.linalg.norm(pair.Y[:, k])
@@ -165,11 +165,11 @@ def test_criterion_6_reconstruction_identity():
     pair4 = build_pairs(SnapshotMatrix(Y4))
     r4 = exact_dmd(pair4, rank=3)
     vand4 = vandermonde(r4.eigenvalues, pair4.Y.shape[1])
-    b4 = optimal_amplitudes(pair4.Y, r4.modes, vand4)
     form = quadratic_form(pair4.Y, r4.modes, vand4)
+    b4 = optimal_amplitudes(form)
     via_formula = performance_loss(form.objective(b4), form.s)
     direct = 100.0 * np.linalg.norm(
-        pair4.Y - r4.modes @ np.diag(b4) @ vand4.data, "fro"
+        pair4.Y - r4.modes @ np.diag(b4) @ vand4, "fro"
     ) / np.linalg.norm(pair4.Y, "fro")
     ok = ok and abs(via_formula - direct) <= 1e-8 * max(1.0, direct)
     report("6 reconstruction identity", ok)

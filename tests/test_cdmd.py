@@ -9,7 +9,10 @@ from koopmode import (
     companion_dmd,
     exact_dmd,
     fit_companion,
+    optimal_amplitudes,
+    quadratic_form,
     unit_circle_deviation,
+    vandermonde,
 )
 from koopmode.cdmd import companion_matrix
 from conftest import planted_matrix
@@ -68,7 +71,7 @@ class TestCompanionDmd:
         result = companion_dmd(SnapshotMatrix(data))
         assert result.rank == 11
         assert result.method == "cdmd"
-        assert result.amplitudes is not None
+        assert result.amplitudes is None  # fitted by the caller, as for exact_dmd
 
     def test_krylov_exactness_one_step_prediction(self):
         X = periodic_matrix(4, 9, 6, seed=5)
@@ -81,9 +84,11 @@ class TestCompanionDmd:
         assert rel <= 1e-8
 
     def test_sorted_by_amplitude(self, rng):
-        data = rng.standard_normal((6, 10))
-        result = companion_dmd(SnapshotMatrix(data))
-        mags = np.abs(result.amplitudes)
+        X = SnapshotMatrix(rng.standard_normal((6, 10)))
+        result = companion_dmd(X)
+        K = X.data[:, :-1]
+        form = quadratic_form(K, result.modes, vandermonde(result.eigenvalues, K.shape[1]))
+        mags = np.abs(result.with_amplitudes(optimal_amplitudes(form)).amplitudes)
         assert np.all(np.diff(mags) <= 1e-12)
 
 

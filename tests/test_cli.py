@@ -83,6 +83,37 @@ class TestDecompose:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["method"] == "cdmd"
         assert summary["rank"] == 49
+        # the companion fit reproduces the training window
+        assert summary["full_fit_loss_percent"] <= 1e-5
+
+    def test_cdmd_rejects_rank(self, tmp_path, planted_csv):
+        path, _ = planted_csv
+        out = tmp_path / "art"
+        assert run("decompose", path, "--method", "cdmd", "--rank", 3, "--out", out) == 1
+        assert not out.exists()
+
+    def test_rerun_replaces_the_whole_directory(self, tmp_path, planted_csv):
+        path, _ = planted_csv
+        art, rec = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        assert run("decompose", path, "--rank", 3, "--top-modes", 1, "--out", art) == 0
+        assert len(list((art / "modes").iterdir())) == 3  # one mode, three grids
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--at", 5,
+                   "--horizon", 2, "--out", rec) == 0
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--out", rec) == 0
+        assert sorted(p.name for p in rec.iterdir()) == ["recon_0.csv", "recon_report.json"]
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--out", art) == 1
+        assert (art / "summary.json").exists()
+        assert not list(tmp_path.glob(".stage-*"))
+
+    def test_foreign_output_directory_is_kept(self, tmp_path, planted_csv):
+        path, _ = planted_csv
+        keep = tmp_path / "notes.txt"
+        keep.write_text("mine\n")
+        assert run("decompose", path, "--rank", 3, "--out", tmp_path) == 1
+        assert run("decompose", path, "--rank", 3, "--out", keep) == 1
+        assert keep.read_text() == "mine\n"
+        assert not (tmp_path / "summary.json").exists()
 
     def test_failed_run_leaves_no_artifacts(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -150,6 +181,15 @@ class TestReconstruct:
         assert (out / "recon_7.csv").exists()
         fc = np.loadtxt(out / "forecast.csv", delimiter=",", ndmin=2)
         assert fc.shape == (12, 5)
+
+    def test_indices_without_horizon(self, tmp_path, planted_csv):
+        path, _ = planted_csv
+        art, out = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        assert run("reconstruct", "--artifacts", art, "--at", 3, "--out", out) == 0
+        report = json.loads((out / "recon_report.json").read_text())
+        assert report["horizon"] is None and report["indices"] == [3]
+        assert (out / "recon_3.csv").exists() and not (out / "forecast.csv").exists()
 
     def test_zero_horizon_rejected(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -223,6 +263,15 @@ class TestHeatmap:
         assert run("heatmap", grid, tmp_path / "g.ppm") == 2
         with pytest.raises(ValueError, match="ragged"):
             read_grid_csv(grid)
+
+    def test_other_writers_temp_file_untouched(self, tmp_path):
+        grid = tmp_path / "g.csv"
+        grid.write_text("0,1\n")
+        other = tmp_path / "g.ppm.tmp"  # e.g. a concurrent run's temporary file
+        other.write_bytes(b"other")
+        assert run("heatmap", grid, tmp_path / "g.ppm") == 0
+        assert other.read_bytes() == b"other"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "g.ppm", "g.ppm.tmp"]
 
     def test_render_deterministic(self, rng):
         grid = rng.standard_normal((4, 5))

@@ -4,38 +4,42 @@ import numpy as np
 import pytest
 
 from koopmode import (
-    KoopmanTuple,
-    ReducedOrderModel,
+    DecompositionResult,
     build_pairs,
     exact_dmd,
     forecast,
-    mode_magnitude_grid,
     mode_stats,
     optimal_amplitudes,
+    quadratic_form,
     reconstruct,
+    spatial_grids,
     temporal_dynamics,
     vandermonde,
 )
 from conftest import planted_matrix
 
 
-def single_mode_model(lam, mode, amp) -> ReducedOrderModel:
-    tup = KoopmanTuple.build(lam, np.asarray(mode, dtype=complex), amp, 0)
-    return ReducedOrderModel(tuples=(tup,), spatial_dim=len(mode))
+def decomposition(lams, modes, amps) -> DecompositionResult:
+    """A fitted decomposition with the given columns, in the given order."""
+    modes = np.asarray(modes, dtype=complex).reshape(len(lams), -1).T
+    return DecompositionResult(eigenvalues=np.asarray(lams, dtype=complex), modes=modes,
+                               amplitudes=np.asarray(amps, dtype=complex),
+                               rank=len(lams), method="test")
 
 
-def pair_model(lam, mode, amp, p) -> ReducedOrderModel:
-    a = KoopmanTuple.build(lam, mode, amp, 0)
-    b = KoopmanTuple.build(np.conj(lam), np.conj(mode), np.conj(amp), 1)
-    return ReducedOrderModel(tuples=(a, b), spatial_dim=p)
+def single_mode_model(lam, mode, amp) -> DecompositionResult:
+    return decomposition([lam], [mode], [amp])
 
 
-def fitted_model(X) -> ReducedOrderModel:
+def pair_model(lam, mode, amp) -> DecompositionResult:
+    return decomposition([lam, np.conj(lam)], [mode, np.conj(mode)], [amp, np.conj(amp)])
+
+
+def fitted_model(X) -> DecompositionResult:
     pair = build_pairs(X)
     result = exact_dmd(pair)
-    vand = vandermonde(result.eigenvalues, pair.Y.shape[1])
-    b = optimal_amplitudes(pair.Y, result.modes, vand)
-    return ReducedOrderModel.from_result(result.with_amplitudes(b))
+    form = quadratic_form(pair.Y, result.modes, vandermonde(result.eigenvalues, pair.Y.shape[1]))
+    return result.with_amplitudes(optimal_amplitudes(form))
 
 
 class TestReconstruct:
@@ -43,7 +47,7 @@ class TestReconstruct:
         X, _ = planted_matrix(8, 30, [0.95 * np.exp(0.4j)], [1.5], seed=2)
         model = fitted_model(X)
         got = reconstruct(model, 0)
-        want = np.real(sum(t.mode * t.amplitude for t in model.tuples))
+        want = np.real(sum(model.modes[:, j] * model.amplitudes[j] for j in range(model.rank)))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_stationary_single_tuple(self, rng):
@@ -64,14 +68,38 @@ class TestReconstruct:
     def test_imag_residual_small_for_conjugate_complete(self, rng):
         lam = 0.9 * np.exp(0.8j)
         w = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        model = pair_model(lam, w, 1.3 + 0.2j, 7)
+        model = pair_model(lam, w, 1.3 + 0.2j)
         _, resid = reconstruct(model, 5, return_residual=True)
         assert resid <= 1e-6
 
     def test_negative_index(self, rng):
-        model = single_mode_model(1.0, rng.standard_normal(3), 1.0)
+        one = single_mode_model(1.0, rng.standard_normal(3), 1.0)
         with pytest.raises(ValueError):
-            reconstruct(model, -1)
+            reconstruct(one, -1)
+
+    def test_needs_amplitudes_and_modes(self, rng):
+        one = single_mode_model(1.0, rng.standard_normal(3), 1.0)
+        unfitted = DecompositionResult(one.eigenvalues, one.modes, None, 1, "test")
+        with pytest.raises(ValueError, match="amplitudes"):
+            reconstruct(unfitted, 0)
+        empty = DecompositionResult(np.zeros(0, complex), np.zeros((3, 0), complex),
+                                    np.zeros(0, complex), 0, "test")
+        with pytest.raises(ValueError, match="no modes"):
+            forecast(empty, 2, 0)
+
+    def test_matches_per_mode_sum_oracle(self):
+        # the loop over (eigenvalue, mode, amplitude) tuples that the single
+        # matrix product replaced, within a tolerance for summation order
+        X, _ = planted_matrix(10, 25, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
+        fitted = fitted_model(X)
+        fc = forecast(fitted, 61, 0)
+        for k in (0, 7, 24, 60):
+            want = np.zeros(10, dtype=complex)
+            for j in range(fitted.rank):
+                want += fitted.modes[:, j] * (fitted.eigenvalues[j] ** k * fitted.amplitudes[j])
+            tol = 1e-13 * np.linalg.norm(want)
+            assert np.linalg.norm(reconstruct(fitted, k) - want.real) <= tol
+            assert np.linalg.norm(fc[:, k] - want.real) <= tol
 
 
 class TestTemporalDynamics:
@@ -89,7 +117,7 @@ class TestTemporalDynamics:
         lam = 0.9 * np.exp(1j * np.pi / 4)
         b = 1.4 * np.exp(0.3j)
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        model = pair_model(lam, w, b, 5)
+        model = pair_model(lam, w, b)
         ts = np.arange(20)
         rows = temporal_dynamics(model, ts, collapse_pairs=True)
         assert rows.shape == (1, 20)
@@ -99,7 +127,7 @@ class TestTemporalDynamics:
     def test_pair_collapse_halves_rows(self, rng):
         lam = 0.9 * np.exp(1j * np.pi / 4)
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        model = pair_model(lam, w, 1.0 + 0.5j, 5)
+        model = pair_model(lam, w, 1.0 + 0.5j)
         assert temporal_dynamics(model, range(5)).shape == (2, 5)
         assert temporal_dynamics(model, range(5), collapse_pairs=True).shape == (1, 5)
 
@@ -152,22 +180,18 @@ class TestForecast:
 class TestModeMagnitudeGrid:
     def test_full_grid_no_stacking(self, rng):
         mode = rng.standard_normal(600) + 1j * rng.standard_normal(600)
-        tup = KoopmanTuple.build(0.9, mode, 1.0, 0)
-        grid = mode_magnitude_grid(tup, (10, 60))
-        assert grid.shape == (10, 60)
-        np.testing.assert_allclose(grid.reshape(-1), np.abs(mode))
+        grids = spatial_grids(np.abs(mode), (10, 60))
+        assert grids.shape == (1, 10, 60)
+        np.testing.assert_allclose(grids[0].reshape(-1), np.abs(mode))
 
     def test_uniform_mode(self):
-        tup = KoopmanTuple.build(1.0, np.ones(6), 1.0, 0)
-        grid = mode_magnitude_grid(tup, (2, 3))
-        np.testing.assert_array_equal(grid, np.ones((2, 3)))
+        grids = spatial_grids(np.ones(6), (2, 3))
+        np.testing.assert_array_equal(grids, np.ones((1, 2, 3)))
 
     def test_masked_index_bookkeeping_oracle(self, rng):
         mask = np.array([True, False, True, True, False, True])
         mode = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        tup = KoopmanTuple.build(0.8, mode, 1.0, 0)
-        grid = mode_magnitude_grid(tup, (2, 3), mask=mask)
-        flat = grid.reshape(-1)
+        flat = spatial_grids(np.abs(mode), (2, 3), mask=mask).reshape(-1)
         # oracle: walk the full grid in row-major order, consuming mode entries
         pos = 0
         for i in range(6):
@@ -179,33 +203,40 @@ class TestModeMagnitudeGrid:
 
     def test_cycle_stacked_slots_and_mean(self, rng):
         mode = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        tup = KoopmanTuple.build(0.8, mode, 1.0, 0)
-        grids = mode_magnitude_grid(tup, (2, 3), cycles=2)
+        mask = np.array([True, True, False, True, True, True])
+        grids = spatial_grids(np.abs(mode[:10]), (2, 3), mask=mask, cycles=2)
         assert grids.shape == (2, 2, 3)
+        np.testing.assert_allclose(grids[1].reshape(-1)[mask], np.abs(mode[5:10]))
+        assert np.isnan(grids[:, 0, 2]).all()
+        grids = spatial_grids(np.abs(mode), (2, 3), cycles=2)
         np.testing.assert_allclose(grids[1].reshape(-1), np.abs(mode[6:]))
-        mean = mode_magnitude_grid(tup, (2, 3), cycles=2, reduce="mean")
-        np.testing.assert_allclose(mean, grids.mean(axis=0))
+        np.testing.assert_allclose(grids.mean(axis=0).reshape(-1),
+                                   (np.abs(mode[:6]) + np.abs(mode[6:])) / 2)
 
     def test_length_mismatch(self, rng):
-        tup = KoopmanTuple.build(0.8, np.ones(5), 1.0, 0)
         with pytest.raises(ValueError, match="mode length"):
-            mode_magnitude_grid(tup, (2, 3))
+            spatial_grids(np.ones(5), (2, 3))
+        with pytest.raises(ValueError, match="mask length"):
+            spatial_grids(np.ones(5), (2, 3), mask=np.ones(5, dtype=bool))
 
 
 class TestModelInvariants:
-    def test_stats_consistency(self):
+    def test_stats_consistency(self, tmp_path):
+        # the statistics the CLI writes per mode are mode_stats of its eigenvalue
+        from koopmode import save_matrix
+        from koopmode.cli import main
         X, _ = planted_matrix(8, 30, [0.95 * np.exp(0.4j), 0.9], [1.0, 0.5], seed=4)
-        model = fitted_model(X)
-        for t in model.tuples:
-            stats = mode_stats(t.eigenvalue)
-            assert t.magnitude == stats.magnitude
-            assert t.e_folding == stats.e_folding
-            assert t.period == stats.period
+        save_matrix(X, tmp_path / "x.csv")
+        assert main(["decompose", str(tmp_path / "x.csv"), "--out", str(tmp_path / "art")]) == 0
+        rows = np.loadtxt(tmp_path / "art" / "eigenvalues.csv", delimiter=",", skiprows=1,
+                          ndmin=2)
+        assert rows.shape[0] == fitted_model(X).rank
+        for row in rows:
+            assert tuple(row[3:6]) == tuple(mode_stats(complex(row[1], row[2])))
 
     def test_sorted_by_amplitude(self):
         X, _ = planted_matrix(8, 30, [0.95 * np.exp(0.4j), 0.9], [1.0, 0.5], seed=4)
-        model = fitted_model(X)
-        mags = [abs(t.amplitude) for t in model.tuples]
+        mags = np.abs(fitted_model(X).amplitudes)
         assert all(m1 >= m2 for m1, m2 in zip(mags, mags[1:]))
 
     def test_top_subset_minimizes_k0_error_for_orthogonal_modes(self, rng):
@@ -214,20 +245,17 @@ class TestModelInvariants:
         from itertools import combinations
         p, r = 8, 4
         Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-        amps = np.array([5.0, 3.0, 2.0, 0.5])
-        tuples = tuple(
-            KoopmanTuple.build(0.9, Q[:, j].astype(complex), amps[j], j)
-            for j in range(r)
-        )
-        model = ReducedOrderModel(tuples=tuples, spatial_dim=p)
-        target = reconstruct(model, 0)
+        amps = np.array([5.0, 3.0, 2.0, 0.5])  # already amplitude-sorted
+        full = decomposition([0.9] * r, Q[:, :r].T, amps)
+        target = reconstruct(full, 0)
 
         def sub_error(idx):
-            sub = ReducedOrderModel(
-                tuples=tuple(model.tuples[i] for i in idx), spatial_dim=p)
+            idx = list(idx)
+            sub = decomposition(full.eigenvalues[idx], full.modes[:, idx].T,
+                                full.amplitudes[idx])
             return np.linalg.norm(reconstruct(sub, 0) - target)
 
         for m in (1, 2, 3):
-            best = sub_error(tuple(range(m)))  # tuples already amplitude-sorted
+            best = sub_error(range(m))
             for idx in combinations(range(r), m):
                 assert best <= sub_error(idx) + 1e-10

@@ -13,6 +13,7 @@ from koopmode import (
     stack_cycles,
     subtract_mean,
     unstack_cycles,
+    write_csv,
 )
 
 
@@ -216,3 +217,23 @@ def test_csv_roundtrip_tolerance(tmp_path, rng):
     save_matrix(SnapshotMatrix(data), path, "csv")
     back = load_matrix(path)
     assert np.max(np.abs(back.data - data)) <= 1e-12 * np.max(np.abs(data))
+
+
+def test_write_csv_formats_special_values(tmp_path):
+    path = tmp_path / "w.csv"
+    write_csv(path, np.array([[-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0]]),
+              ",".join(["%.17g"] * 6), header="a,b,c,d,e,f")
+    assert path.read_text() == "a,b,c,d,e,f\n-0,nan,inf,-inf,4.9406564584124654e-324,1\n"
+    write_csv(path, [(3, 0.5, "true")], "%d,%.17g,%s")
+    assert path.read_text() == "3,0.5,true\n"
+
+
+def test_write_csv_roundtrip_bit_exact(tmp_path, rng):
+    # random bit patterns cover every exponent, subnormals and signed zeros
+    bits = rng.integers(0, 2**64, size=(50, 40), dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = -0.0
+    path = tmp_path / "w.csv"
+    write_csv(path, values, ",".join(["%.17g"] * 40))
+    back = np.loadtxt(path, delimiter=",")
+    assert back.tobytes() == values.tobytes()

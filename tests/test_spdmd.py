@@ -33,7 +33,7 @@ def random_instance(rng, p=6, r=3, M=10):
 
 
 def direct_objective(Y, modes, vand, b):
-    return np.linalg.norm(Y - modes @ np.diag(b) @ vand.data, "fro") ** 2
+    return np.linalg.norm(Y - modes @ np.diag(b) @ vand, "fro") ** 2
 
 
 def planted_form(rng, r=10, n_active=3, M=200, p=40, amp_scale=None):
@@ -46,7 +46,7 @@ def planted_form(rng, r=10, n_active=3, M=200, p=40, amp_scale=None):
     active = list(range(n_active))
     for i, a in zip(active, scale):
         b_true[i] = a * np.exp(2j * np.pi * rng.random())
-    Y = modes @ np.diag(b_true) @ vand.data
+    Y = modes @ np.diag(b_true) @ vand
     return quadratic_form(Y, modes, vand), b_true, np.array(active)
 
 
@@ -258,7 +258,7 @@ class TestGammaSweep:
         form = quadratic_form(Y, modes, vand)
         sol, _ = solve_at_gamma(form, 0.5)
         direct = 100.0 * np.linalg.norm(
-            Y - modes @ np.diag(sol.b_polished) @ vand.data, "fro"
+            Y - modes @ np.diag(sol.b_polished) @ vand, "fro"
         ) / np.linalg.norm(Y, "fro")
         assert abs(sol.loss_percent - direct) <= 1e-8 * max(1.0, direct)
 
