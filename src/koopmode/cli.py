@@ -192,7 +192,7 @@ def _write_decomposition(stage: Path, cfg: RunConfig, X: SnapshotMatrix,
     _float_csv(stage / "modes_matrix.csv",
                np.ascontiguousarray(result.modes, dtype=complex).view(float))
 
-    grid_shape = cfg.grid_shape if cfg.grid_shape is not None else (1, X.p // cfg.cycles)
+    grid_shape = cfg.grid_shape if cfg.grid_shape is not None else (1, X.p // X.cycles)
     n_export = result.rank if cfg.top_modes is None else min(cfg.top_modes, result.rank)
     modes_dir = stage / "modes"
     modes_dir.mkdir()
@@ -200,7 +200,7 @@ def _write_decomposition(stage: Path, cfg: RunConfig, X: SnapshotMatrix,
         idx = int(result.original_indices[j])
         col = result.modes[:, j]
         for tag, values in (("real", col.real), ("imag", col.imag), ("abs", np.abs(col))):
-            grids = spatial_grids(values, grid_shape, X.mask, cfg.cycles)
+            grids = spatial_grids(values, grid_shape, X.mask, X.cycles)
             _float_csv(modes_dir / f"{idx}_{tag}.csv", grids.mean(axis=0))
 
     ts = np.arange(X.n_steps - 1)

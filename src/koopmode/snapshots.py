@@ -19,6 +19,7 @@ class SnapshotMatrix:
     grid_shape: tuple[int, int] | None = None
     mask: np.ndarray | None = None
     dt_label: str = "step"
+    cycles: int = 1  # snapshots stacked per column; grid and mask describe one of them
 
     def __post_init__(self) -> None:
         data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
@@ -28,7 +29,10 @@ class SnapshotMatrix:
             raise ValueError(f"need at least 2 snapshots, got N={data.shape[1]}")
         if not np.all(np.isfinite(data)):
             raise ValueError("snapshot data contains NaN/Inf after masking")
+        if self.cycles < 1 or data.shape[0] % self.cycles:
+            raise ValueError(f"p={data.shape[0]} does not split into {self.cycles} cycles")
         object.__setattr__(self, "data", data)
+        rows = data.shape[0] // self.cycles
         if self.mask is not None:
             mask = np.asarray(self.mask, dtype=bool).reshape(-1)
             object.__setattr__(self, "mask", mask)
@@ -38,16 +42,13 @@ class SnapshotMatrix:
                     raise ValueError(
                         f"mask length {mask.size} does not match grid {n_lat}x{n_lon}"
                     )
-                if int(mask.sum()) != data.shape[0]:
-                    raise ValueError(
-                        f"mask keeps {int(mask.sum())} points but data has p={data.shape[0]} rows"
-                    )
+                if int(mask.sum()) != rows:
+                    raise ValueError(f"mask keeps {int(mask.sum())} points but data has "
+                                     f"{rows} rows per cycle")
         if self.grid_shape is not None and self.mask is None:
             n_lat, n_lon = self.grid_shape
-            if n_lat * n_lon < data.shape[0]:
-                raise ValueError(
-                    f"grid {n_lat}x{n_lon} smaller than p={data.shape[0]}"
-                )
+            if n_lat * n_lon < rows:
+                raise ValueError(f"grid {n_lat}x{n_lon} smaller than {rows} rows per cycle")
 
     @property
     def p(self) -> int:
@@ -183,7 +184,8 @@ def stack_cycles(X: SnapshotMatrix, c: int, dt_label: str | None = None) -> Snap
     stacked = X.data[:, : n_out * c].reshape(X.p, n_out, c)
     stacked = np.ascontiguousarray(stacked.transpose(2, 0, 1)).reshape(X.p * c, n_out)
     return SnapshotMatrix(stacked, grid_shape=X.grid_shape, mask=X.mask,
-                          dt_label=dt_label if dt_label is not None else X.dt_label)
+                          dt_label=dt_label if dt_label is not None else X.dt_label,
+                          cycles=X.cycles * c)
 
 
 def unstack_cycles(X: SnapshotMatrix, c: int) -> np.ndarray:

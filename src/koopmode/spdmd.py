@@ -1,8 +1,10 @@
 """Sparsity-promoting amplitude selection via operator splitting and polishing."""
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -12,6 +14,7 @@ from .dmd import DecompositionResult
 ZERO_REL_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -21,6 +24,7 @@ class QuadraticForm:
     P: np.ndarray
     q: np.ndarray
     s: float
+    _x_updates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=complex)
@@ -42,6 +46,23 @@ class QuadraticForm:
         b = np.asarray(b, dtype=complex).reshape(-1)
         val = np.real(np.vdot(b, self.P @ b)) - 2.0 * np.real(np.vdot(self.q, b)) + self.s
         return max(val, 0.0)
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.P)
+
+    def x_update(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A, c) with (2P + rho I)^-1 (2q + rho v) = c + A v for every v.
+
+        Built from one eigendecomposition P = Q diag(lam) Q* per form and kept
+        per rho, so every gamma of a sweep reuses it.
+        """
+        if rho not in self._x_updates:
+            lam, Q = self._eigh
+            Qh = Q.conj().T
+            inv = 1.0 / (2.0 * lam + rho)
+            self._x_updates[rho] = ((Q * (rho * inv)) @ Qh, Q @ (2.0 * inv * (Qh @ self.q)))
+        return self._x_updates[rho]
 
 
 @dataclass(frozen=True)
@@ -107,10 +128,15 @@ def quadratic_form(Y: np.ndarray, modes: np.ndarray, vand: np.ndarray) -> Quadra
     return QuadraticForm(P=P, q=q, s=s)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, without np.linalg.norm's dispatch."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
     """Complex shrinkage: reduce magnitude by kappa, preserve phase."""
     mag = np.abs(v)
-    scale = np.maximum(1.0 - kappa / np.maximum(mag, np.finfo(float).tiny), 0.0)
+    scale = np.maximum(1.0 - kappa / np.maximum(mag, _TINY), 0.0)
     return scale * v
 
 
@@ -123,8 +149,9 @@ def admm_solve(
 ) -> AdmmResult:
     """Minimize the l1-regularized amplitude objective by alternating directions.
 
-    x-update solves (2P + rho I) x = 2q + rho (z - u); z-update soft-thresholds
-    at gamma/rho. gamma = 0 short-circuits to the minimum-norm normal solve.
+    x-update solves (2P + rho I) x = 2q + rho (z - u) as one product with the
+    form's cached x_update operator; z-update soft-thresholds at gamma/rho.
+    gamma = 0 short-circuits to the minimum-norm normal solve.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -137,29 +164,21 @@ def admm_solve(
                           primal_residual=0.0, dual_residual=0.0, z=b.copy(),
                           u=np.zeros(r, dtype=complex))
     rho = params.rho
-    M = 2.0 * form.P + rho * np.eye(r)
-    try:
-        cho = scipy.linalg.cho_factor(M)
-    except np.linalg.LinAlgError:
-        ridge = 1e-12 * np.real(np.trace(form.P)) / r
-        cho = scipy.linalg.cho_factor(M + ridge * np.eye(r))
+    A, c = form.x_update(rho)
     z = np.zeros(r, dtype=complex) if z0 is None else z0.astype(complex).copy()
     u = np.zeros(r, dtype=complex) if u0 is None else u0.astype(complex).copy()
     kappa = gamma / rho
     sqrt_r = np.sqrt(r)
-    x = z.copy()
     prim = dual = np.inf
     for it in range(1, params.max_iter + 1):
-        x = scipy.linalg.cho_solve(cho, 2.0 * form.q + rho * (z - u))
+        x = c + A @ (z - u)
         z_old = z
         z = soft_threshold(x + u, kappa)
         u = u + x - z
-        prim = float(np.linalg.norm(x - z))
-        dual = float(rho * np.linalg.norm(z - z_old))
-        eps_prim = params.eps_abs * sqrt_r + params.eps_rel * max(
-            np.linalg.norm(x), np.linalg.norm(z)
-        )
-        eps_dual = params.eps_abs * sqrt_r + params.eps_rel * rho * np.linalg.norm(u)
+        prim = _norm(x - z)
+        dual = rho * _norm(z - z_old)
+        eps_prim = params.eps_abs * sqrt_r + params.eps_rel * max(_norm(x), _norm(z))
+        eps_dual = params.eps_abs * sqrt_r + params.eps_rel * rho * _norm(u)
         if prim <= eps_prim and dual <= eps_dual:
             return AdmmResult(b=z, iterations=it, converged=True,
                               primal_residual=prim, dual_residual=dual, z=z, u=u)
@@ -181,8 +200,8 @@ def detect_support(b: np.ndarray, rel_tol: float = ZERO_REL_TOL) -> np.ndarray:
 
 
 def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
-    """Re-optimize amplitudes with the sparsity pattern fixed, via the KKT system
-    that pins the complement of the support to zero."""
+    """Re-optimize amplitudes with the sparsity pattern fixed: b is zero off the
+    support and solves P[S,S] b_S = q_S on it (Cholesky, else minimum norm)."""
     r = form.size
     support = np.asarray(support, dtype=int)
     if support.size and (support.min() < 0 or support.max() >= r):
@@ -190,21 +209,12 @@ def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     b = np.zeros(r, dtype=complex)
     if support.size == 0:
         return b
-    comp = np.setdiff1d(np.arange(r), support)
-    if comp.size == 0:
-        sol, *_ = np.linalg.lstsq(2.0 * form.P, 2.0 * form.q, rcond=None)
-        return sol
-    E = np.eye(r, dtype=complex)[comp]
-    kkt = np.block([
-        [2.0 * form.P, E.conj().T],
-        [E, np.zeros((comp.size, comp.size), dtype=complex)],
-    ])
-    rhs = np.concatenate([2.0 * form.q, np.zeros(comp.size, dtype=complex)])
-    sol, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    if rank < kkt.shape[0]:
+    P_s, q_s = form.P[np.ix_(support, support)], form.q[support]
+    try:
+        b[support] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(P_s), q_s)
+    except np.linalg.LinAlgError:
         warnings.warn("singular polishing system, using minimum-norm solution")
-    b = sol[:r]
-    b[comp] = 0.0
+        b[support] = np.linalg.lstsq(P_s, q_s, rcond=None)[0]
     return b
 
 
@@ -270,19 +280,13 @@ def gamma_sweep(
         raise ValueError("gamma grid is empty")
     if np.any(gammas < 0):
         raise ValueError("gammas must be nonnegative")
-    order = np.argsort(gammas, kind="stable")
-    solutions: list[SparseSolution] = [None] * gammas.size
+    solutions: list[SparseSolution] = []
     z0 = u0 = None
-    for idx in order:
-        sol, admm = solve_at_gamma(
-            form, gammas[idx], params,
-            z0=z0 if params.warm_start else None,
-            u0=u0 if params.warm_start else None,
-        )
-        solutions[idx] = sol
+    for gamma in np.sort(gammas, kind="stable"):
+        sol, admm = solve_at_gamma(form, gamma, params, z0=z0, u0=u0)
+        solutions.append(sol)
         if params.warm_start:
             z0, u0 = admm.z, admm.u
-    solutions = [solutions[i] for i in order]
     points = [
         ParetoPoint(gamma=s.gamma, cardinality=s.cardinality,
                     cost=s.cost, loss_percent=s.loss_percent)
@@ -300,15 +304,6 @@ def select_modes(result: DecompositionResult, solution: SparseSolution) -> Decom
     support = solution.support
     if support.size == 0:
         warnings.warn("empty support, returning empty decomposition")
-        return DecompositionResult(
-            eigenvalues=np.zeros(0, dtype=complex),
-            modes=np.zeros((result.modes.shape[0], 0), dtype=complex),
-            amplitudes=np.zeros(0, dtype=complex),
-            rank=0,
-            method="spdmd",
-            dt_label=result.dt_label,
-            original_indices=np.zeros(0, dtype=int),
-        )
     restricted = DecompositionResult(
         eigenvalues=result.eigenvalues[support],
         modes=result.modes[:, support],

@@ -115,6 +115,29 @@ class TestDecompose:
         assert keep.read_text() == "mine\n"
         assert not (tmp_path / "summary.json").exists()
 
+    def test_cycles_with_grid_shape(self, tmp_path, rng):
+        path = tmp_path / "small.csv"
+        save_matrix(SnapshotMatrix(rng.standard_normal((12, 30))), path, "csv")
+        out = tmp_path / "art"
+        assert run("decompose", path, "--grid-shape", 3, 4, "--cycles", 3, "--out", out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["data_shape"] == [36, 10]
+        grid = read_grid_csv(out / "modes" / "0_abs.csv")
+        assert grid.shape == (3, 4) and np.all(np.isfinite(grid))
+
+    def test_cycles_with_mask(self, tmp_path, rng):
+        path = tmp_path / "small.csv"
+        save_matrix(SnapshotMatrix(rng.standard_normal((12, 30))), path, "csv")
+        mask = tmp_path / "mask.csv"
+        mask.write_text("1,1,1,1\n1,0,1,1\n1,1,1,0\n")
+        out = tmp_path / "art"
+        assert run("decompose", path, "--mask", mask, "--grid-shape", 3, 4,
+                   "--cycles", 3, "--out", out) == 0
+        assert json.loads((out / "summary.json").read_text())["data_shape"] == [30, 10]
+        grid = read_grid_csv(out / "modes" / "0_abs.csv")
+        np.testing.assert_array_equal(np.isnan(grid).reshape(-1),
+                                      [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1])
+
     def test_failed_run_leaves_no_artifacts(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,oops\n")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from koopmode import (
     AdmmParams,
@@ -17,6 +18,7 @@ from koopmode import (
     solve_at_gamma,
     vandermonde,
 )
+from koopmode import spdmd
 from koopmode.dmd import DecompositionResult
 from koopmode.spdmd import detect_support, soft_threshold
 from conftest import random_unitary
@@ -48,6 +50,55 @@ def planted_form(rng, r=10, n_active=3, M=200, p=40, amp_scale=None):
         b_true[i] = a * np.exp(2j * np.pi * rng.random())
     Y = modes @ np.diag(b_true) @ vand
     return quadratic_form(Y, modes, vand), b_true, np.array(active)
+
+
+def cholesky_admm(form, gamma, params=AdmmParams(), z0=None, u0=None):
+    """Reference splitting loop: one Cholesky factorization of 2P + rho I per
+    solve and one triangular solve per x-update. Returns (z, u, iterations)."""
+    r, rho = form.size, params.rho
+    cho = scipy.linalg.cho_factor(2.0 * form.P + rho * np.eye(r))
+    z = np.zeros(r, dtype=complex) if z0 is None else z0.astype(complex).copy()
+    u = np.zeros(r, dtype=complex) if u0 is None else u0.astype(complex).copy()
+    for it in range(1, params.max_iter + 1):
+        x = scipy.linalg.cho_solve(cho, 2.0 * form.q + rho * (z - u))
+        z_old = z
+        z = soft_threshold(x + u, gamma / rho)
+        u = u + x - z
+        prim = np.linalg.norm(x - z)
+        dual = rho * np.linalg.norm(z - z_old)
+        eps_prim = params.eps_abs * np.sqrt(r) + params.eps_rel * max(
+            np.linalg.norm(x), np.linalg.norm(z))
+        eps_dual = params.eps_abs * np.sqrt(r) + params.eps_rel * rho * np.linalg.norm(u)
+        if prim <= eps_prim and dual <= eps_dual:
+            break
+    return z, u, it
+
+
+def kkt_polish(form, support):
+    """Reference polish: least squares on the (r + |S^c|)-sized KKT system
+    that pins the complement of the support to zero."""
+    r = form.size
+    comp = np.setdiff1d(np.arange(r), support)
+    E = np.eye(r, dtype=complex)[comp]
+    kkt = np.block([[2.0 * form.P, E.conj().T],
+                    [E, np.zeros((comp.size, comp.size), dtype=complex)]])
+    rhs = np.concatenate([2.0 * form.q, np.zeros(comp.size, dtype=complex)])
+    b = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:r]
+    b[comp] = 0.0
+    return b
+
+
+def random_psd_form(rng, r, rank=None):
+    """QuadraticForm with P = B B* of the given rank and q in the range of P."""
+    k = r if rank is None else rank
+    B = (rng.standard_normal((r, k)) + 1j * rng.standard_normal((r, k))) / np.sqrt(k)
+    P = B @ B.conj().T
+    w = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    return QuadraticForm(P=0.5 * (P + P.conj().T), q=P @ w, s=1.0)
+
+
+def assert_close(a, b, rtol):
+    assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
 
 
 class TestQuadraticForm:
@@ -155,6 +206,47 @@ class TestAdmmSolve:
             admm_solve(form, 1.0, AdmmParams(rho=0.0))
 
 
+class TestAdmmMatchesCholeskyReference:
+    @pytest.mark.parametrize("rank", [None, 5])
+    def test_single_solve(self, rng, rank):
+        for _ in range(5):
+            form = random_psd_form(rng, 12, rank)
+            gamma = 0.3 * 2.0 * np.max(np.abs(form.q))
+            z, u, iterations = cholesky_admm(form, gamma)
+            res = admm_solve(form, gamma)
+            assert res.iterations == iterations
+            assert_close(res.z, z, 1e-10)
+            assert_close(res.u, u, 1e-10)
+
+    def test_warm_started_two_gamma_sweep(self, rng):
+        form = random_psd_form(rng, 15)
+        gammas = 2.0 * np.max(np.abs(form.q)) * np.array([0.1, 0.4])
+        z1, u1, it1 = cholesky_admm(form, gammas[0])
+        z2, u2, it2 = cholesky_admm(form, gammas[1], z0=z1, u0=u1)
+        res1 = admm_solve(form, gammas[0])
+        res2 = admm_solve(form, gammas[1], z0=res1.z, u0=res1.u)
+        assert (res1.iterations, res2.iterations) == (it1, it2)
+        for got, want in ((res1.z, z1), (res1.u, u1), (res2.z, z2), (res2.u, u2)):
+            assert_close(got, want, 1e-10)
+        _, solutions = gamma_sweep(form, gammas)
+        assert [s.iterations for s in solutions] == [it1, it2]
+
+    def test_sweep_eigendecomposes_once(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(spdmd.np.linalg, "eigh", counting_eigh)
+        form, _, _ = planted_form(rng, r=10, n_active=3, M=100, p=20)
+        gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 10))
+        assert calls == [(10, 10)]
+        gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 10))
+        assert len(calls) == 1
+
+
 class TestPolish:
     def test_full_support_equals_unconstrained(self, rng):
         Y, modes, vand = random_instance(rng)
@@ -183,6 +275,24 @@ class TestPolish:
             b_oracle[support] = sub
             assert abs(form.objective(b) - form.objective(b_oracle)) <= 1e-8 * max(
                 1.0, form.objective(b_oracle))
+
+    def test_kkt_stationarity_on_random_supports(self, rng):
+        for _ in range(20):
+            form = random_psd_form(rng, 10)
+            support = np.sort(rng.choice(10, size=rng.integers(1, 11), replace=False))
+            b = polish(form, support)
+            grad = 2.0 * (form.P @ b - form.q)
+            assert np.max(np.abs(grad[support])) <= 1e-10 * max(1.0, np.linalg.norm(form.q))
+            off = np.setdiff1d(np.arange(10), support)
+            assert np.all(b[off] == 0.0)
+            assert_close(b, kkt_polish(form, support), 1e-10)
+
+    def test_singular_support_block_gives_minimum_norm(self):
+        P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
+        form = QuadraticForm(P=P, q=np.array([1.0, 1.0, 1.0]), s=10.0)
+        with pytest.warns(UserWarning, match="singular polishing system"):
+            b = polish(form, np.array([0, 1]))
+        np.testing.assert_allclose(b, [0.5, 0.5, 0.0], atol=1e-12)
 
     def test_out_of_range_support(self, rng):
         Y, modes, vand = random_instance(rng)
