@@ -29,7 +29,6 @@ from .snapshots import (
 )
 from .spdmd import (
     AdmmParams,
-    ParetoPoint,
     QuadraticForm,
     SparseSolution,
     admm_solve,
@@ -45,7 +44,7 @@ from .spdmd import (
 __all__ = [
     "__version__",
     "AdmmParams", "CompanionModel", "DecompositionResult", "ModeStats",
-    "ParetoPoint", "QuadraticForm", "SnapshotMatrix", "SnapshotPair",
+    "QuadraticForm", "SnapshotMatrix", "SnapshotPair",
     "SparseSolution", "SvdFactors",
     "admm_solve", "apply_mask", "build_pairs", "companion_dmd", "exact_dmd",
     "fit_companion", "forecast", "gamma_sweep", "load_mask", "load_matrix",

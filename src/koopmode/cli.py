@@ -13,7 +13,6 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,52 +53,8 @@ FLOAT = "%.17g"  # lossless for float64
 ARTIFACT_NAMES = ("eigenvalues.csv", "modes_matrix.csv", "modes", "temporal.csv",
                   "summary.json", "sweep.csv", "pareto.csv", "recon_*.csv",
                   "forecast.csv", "recon_report.json")
-
-
-@dataclass
-class RunConfig:
-    """Parameters of one pipeline run; flags mirror the CLI one-to-one."""
-
-    input: str = ""
-    format: str = "csv"
-    grid_shape: tuple[int, int] | None = None
-    mask: str | None = None
-    cycles: int = 1
-    method: str = "dmd"
-    rank: int | None = None
-    mode_style: str = "exact"
-    gamma: float = 0.0
-    gamma_min: float = 1e-3
-    gamma_max: float = 1e3
-    gamma_count: int = 50
-    rho: float = 1.0
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-4
-    max_iter: int = 10000
-    warm_start: bool = True
-    out: str = "out"
-    dt_label: str = "step"
-    subtract_mean: bool = False
-    transpose: bool = False
-    header: bool = False
-    pair_collapse: bool = False
-    top_modes: int | None = None
-
-    def validate(self) -> None:
-        if self.method not in ("dmd", "cdmd", "spdmd"):
-            raise UsageError(f"unknown method {self.method!r}")
-        if self.gamma_count > 1 and self.gamma_min <= 0:
-            raise UsageError("gamma-min must be positive for a log-spaced grid")
-        if self.gamma_min > self.gamma_max:
-            raise UsageError("gamma-min must not exceed gamma-max")
-        if self.cycles < 1:
-            raise UsageError("cycles must be >= 1")
-        if self.method == "cdmd" and self.rank is not None:
-            raise UsageError("--rank does not apply to method cdmd, whose order is N-1")
-
-    def admm_params(self) -> AdmmParams:
-        return AdmmParams(rho=self.rho, eps_abs=self.eps_abs, eps_rel=self.eps_rel,
-                          max_iter=self.max_iter, warm_start=self.warm_start)
+# AdmmParams fields set by the solver flags; their defaults are AdmmParams'.
+ADMM_FLAGS = ("rho", "eps_abs", "eps_rel", "max_iter")
 
 
 class UsageError(Exception):
@@ -138,40 +93,64 @@ def _float_csv(path: Path, rows: np.ndarray, header: str | None = None) -> None:
     write_csv(path, rows, ",".join([FLOAT] * rows.shape[1]), header)
 
 
-def _load_input(cfg: RunConfig) -> SnapshotMatrix:
-    X = load_matrix(cfg.input, format=cfg.format, grid_shape=cfg.grid_shape,
-                    header=cfg.header, transpose=cfg.transpose, dt_label=cfg.dt_label)
-    if cfg.mask is not None:
-        if cfg.grid_shape is None:
+def _load_input(args: argparse.Namespace) -> SnapshotMatrix:
+    # reconstruct loads its --input without a --dt-label
+    X = load_matrix(args.input, format=args.format, grid_shape=args.grid_shape,
+                    header=args.header, transpose=args.transpose,
+                    **({"dt_label": args.dt_label} if "dt_label" in args else {}))
+    if args.mask is not None:
+        if args.grid_shape is None:
             raise UsageError("--mask requires --grid-shape")
-        X = apply_mask(X, load_mask(cfg.mask, cfg.grid_shape))
-    if cfg.cycles > 1:
-        X = stack_cycles(X, cfg.cycles)
-    if cfg.subtract_mean:
+        X = apply_mask(X, load_mask(args.mask, args.grid_shape))
+    if args.cycles > 1:
+        X = stack_cycles(X, args.cycles)
+    if args.subtract_mean:
         X, _ = subtract_mean(X)
     return X
 
 
-def _decompose(cfg: RunConfig, X: SnapshotMatrix) -> tuple[DecompositionResult, QuadraticForm]:
+def _admm_params(args: argparse.Namespace, **extra) -> AdmmParams:
+    return AdmmParams(**{name: getattr(args, name) for name in ADMM_FLAGS}, **extra)
+
+
+def _reject_ignored_flags(args: argparse.Namespace) -> None:
+    """A decompose flag that the chosen method would not read is a usage error."""
+    ignored = []
+    if args.method == "cdmd":  # companion_dmd has order N-1 and one mode style
+        if args.rank is not None:
+            ignored.append("--rank")
+        if args.mode_style != "exact":
+            ignored.append("--mode-style")
+    if args.method != "spdmd":
+        if args.gamma != 0:
+            ignored.append("--gamma")
+        ignored += ["--" + name.replace("_", "-") for name in ADMM_FLAGS
+                    if getattr(args, name) != getattr(AdmmParams, name)]
+    if ignored:
+        raise UsageError(f"method {args.method} does not read {', '.join(ignored)}")
+
+
+def _decompose(args: argparse.Namespace,
+               X: SnapshotMatrix) -> tuple[DecompositionResult, QuadraticForm]:
     """The selected decomposition, amplitudes unset, and the quadratic form of
     its amplitude fit against the zero-lag snapshots, in the same column order."""
-    if cfg.method == "cdmd":
+    if args.method == "cdmd":
         base, Y = companion_dmd(X), X.data[:, :-1]
     else:
         pair = build_pairs(X)
-        base, Y = exact_dmd(pair, rank=cfg.rank, mode_style=cfg.mode_style), pair.Y
+        base, Y = exact_dmd(pair, rank=args.rank, mode_style=args.mode_style), pair.Y
     return base, quadratic_form(Y, base.modes, vandermonde(base.eigenvalues, Y.shape[1]))
 
 
-def _fit(cfg: RunConfig, X: SnapshotMatrix) -> tuple[DecompositionResult, float]:
+def _fit(args: argparse.Namespace, X: SnapshotMatrix) -> tuple[DecompositionResult, float]:
     """Decompose and fit amplitudes; returns the result sorted by amplitude and
     the loss of the fit as a percentage of the data norm."""
-    base, form = _decompose(cfg, X)
-    if cfg.method == "spdmd":
-        solution, _ = solve_at_gamma(form, cfg.gamma, cfg.admm_params())
+    base, form = _decompose(args, X)
+    if args.method == "spdmd":
+        solution, _ = solve_at_gamma(form, args.gamma, _admm_params(args))
         result = select_modes(base, solution)
         if result.rank == 0:
-            raise ValueError(f"gamma={cfg.gamma} zeroed out every amplitude")
+            raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
         b = solution.b_polished
     else:
         b = optimal_amplitudes(form)
@@ -179,7 +158,7 @@ def _fit(cfg: RunConfig, X: SnapshotMatrix) -> tuple[DecompositionResult, float]
     return result, performance_loss(form.objective(b), form.s)
 
 
-def _write_decomposition(stage: Path, cfg: RunConfig, X: SnapshotMatrix,
+def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatrix,
                          result: DecompositionResult, full_loss: float) -> None:
     write_csv(stage / "eigenvalues.csv",
               ((int(idx), lam.real, lam.imag, *mode_stats(lam, result.dt_label),
@@ -192,8 +171,8 @@ def _write_decomposition(stage: Path, cfg: RunConfig, X: SnapshotMatrix,
     _float_csv(stage / "modes_matrix.csv",
                np.ascontiguousarray(result.modes, dtype=complex).view(float))
 
-    grid_shape = cfg.grid_shape if cfg.grid_shape is not None else (1, X.p // X.cycles)
-    n_export = result.rank if cfg.top_modes is None else min(cfg.top_modes, result.rank)
+    grid_shape = args.grid_shape if args.grid_shape is not None else (1, X.p // X.cycles)
+    n_export = result.rank if args.top_modes is None else min(args.top_modes, result.rank)
     modes_dir = stage / "modes"
     modes_dir.mkdir()
     for j in range(n_export):
@@ -204,7 +183,7 @@ def _write_decomposition(stage: Path, cfg: RunConfig, X: SnapshotMatrix,
             _float_csv(modes_dir / f"{idx}_{tag}.csv", grids.mean(axis=0))
 
     ts = np.arange(X.n_steps - 1)
-    dyn = temporal_dynamics(result, ts, collapse_pairs=cfg.pair_collapse)
+    dyn = temporal_dynamics(result, ts, collapse_pairs=args.pair_collapse)
     _float_csv(stage / "temporal.csv", np.column_stack([ts, dyn.T]),
                ",".join(["t"] + [f"mode{i}" for i in range(dyn.shape[0])]))
 
@@ -214,36 +193,37 @@ def _write_decomposition(stage: Path, cfg: RunConfig, X: SnapshotMatrix,
         "rank": int(result.rank),
         "data_shape": [int(X.p), int(X.n_steps)],
         "grid_shape": list(grid_shape),
-        "cycles": int(cfg.cycles),
+        "cycles": int(args.cycles),
         "dt_label": result.dt_label,
         "full_fit_loss_percent": full_loss,
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(cfg).items()},
+        "config": {k: v for k, v in vars(args).items() if k not in ("command", "run")},
     }
     (stage / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    cfg.validate()
-    X = _load_input(cfg)
-    result, full_loss = _fit(cfg, X)
-    with _staged_output(cfg.out) as stage:
-        _write_decomposition(stage, cfg, X, result, full_loss)
+def cmd_decompose(args: argparse.Namespace) -> int:
+    _reject_ignored_flags(args)
+    X = _load_input(args)
+    result, full_loss = _fit(args, X)
+    with _staged_output(args.out) as stage:
+        _write_decomposition(stage, args, X, result, full_loss)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    cfg.validate()
-    if cfg.method != "spdmd":
-        raise UsageError("sweep requires method spdmd")
-    _, form = _decompose(cfg, _load_input(cfg))
-    gammas = log_gamma_grid(cfg.gamma_min, cfg.gamma_max, cfg.gamma_count)
-    _, solutions = gamma_sweep(form, gammas, cfg.admm_params())
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.gamma_count > 1 and args.gamma_min <= 0:
+        raise UsageError("gamma-min must be positive for a log-spaced grid")
+    if args.gamma_min > args.gamma_max:
+        raise UsageError("gamma-min must not exceed gamma-max")
+    _, form = _decompose(args, _load_input(args))
+    gammas = log_gamma_grid(args.gamma_min, args.gamma_max, args.gamma_count)
+    solutions = gamma_sweep(form, gammas,
+                            _admm_params(args, warm_start=not args.no_warm_start))
     best: dict[int, int] = {}
     for i, s in enumerate(solutions):
         if s.cardinality not in best or s.loss_percent < solutions[best[s.cardinality]].loss_percent:
             best[s.cardinality] = i
-    with _staged_output(cfg.out) as stage:
+    with _staged_output(args.out) as stage:
         for name, chosen in (("sweep.csv", solutions),
                              ("pareto.csv", [solutions[i] for i in sorted(best.values())])):
             write_csv(stage / name,
@@ -270,14 +250,11 @@ def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
     return model, summary
 
 
-def cmd_reconstruct(artifacts: str, out: str, at: list[int], horizon: int | None,
-                    input_path: str | None = None, input_cfg: RunConfig | None = None) -> int:
-    if horizon is not None and horizon < 1:
-        raise UsageError("horizon must be >= 1 when given")
-    if horizon is None and not at:
+def cmd_reconstruct(args: argparse.Namespace) -> int:
+    if args.horizon is None and not args.at:
         raise UsageError("nothing to do: need --at indices or --horizon >= 1")
-    art = Path(artifacts)
-    if Path(out).resolve() == art.resolve():
+    art = Path(args.artifacts)
+    if Path(args.out).resolve() == art.resolve():
         raise UsageError("--out must differ from --artifacts, which it would replace")
     for needed in ("summary.json", "eigenvalues.csv", "modes_matrix.csv"):
         if not (art / needed).exists():
@@ -285,20 +262,16 @@ def cmd_reconstruct(artifacts: str, out: str, at: list[int], horizon: int | None
     model, summary = _load_model(art)
     n_train = int(summary["data_shape"][1]) - 1
     reference = None
-    if input_path is not None:
-        cfg = input_cfg or RunConfig()
-        cfg.input = input_path
-        reference = _load_input(cfg)
+    if args.input is not None:
+        reference = _load_input(args)
         if reference.p != model.modes.shape[0]:
             raise ValueError(
                 f"input has p={reference.p}, model expects {model.modes.shape[0]}"
             )
-    report: dict = {"indices": list(map(int, at)), "horizon": horizon,
+    report: dict = {"indices": args.at, "horizon": args.horizon,
                     "relative_errors": {}, "imag_residuals": {}}
-    with _staged_output(out) as stage:
-        for k in at:
-            if k < 0:
-                raise UsageError("reconstruction indices must be nonnegative")
+    with _staged_output(args.out) as stage:
+        for k in args.at:
             vec, resid = reconstruct(model, k, return_residual=True)
             _float_csv(stage / f"recon_{k}.csv", vec[:, None])
             report["imag_residuals"][str(k)] = resid
@@ -308,8 +281,8 @@ def cmd_reconstruct(artifacts: str, out: str, at: list[int], horizon: int | None
                 report["relative_errors"][str(k)] = float(
                     np.linalg.norm(vec - col) / denom
                 )
-        if horizon is not None:
-            fc = forecast(model, horizon, n_train)
+        if args.horizon is not None:
+            fc = forecast(model, args.horizon, n_train)
             _float_csv(stage / "forecast.csv", fc)
         (stage / "recon_report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -348,10 +321,10 @@ def render_heatmap(grid: np.ndarray) -> bytes:
     return f"P6\n{w} {h}\n255\n".encode() + pixels.tobytes()
 
 
-def cmd_heatmap(grid_path: str, out_path: str) -> int:
-    grid = read_grid_csv(grid_path)
+def cmd_heatmap(args: argparse.Namespace) -> int:
+    grid = read_grid_csv(args.grid)
     data = render_heatmap(grid)
-    out = Path(out_path)
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     holder = Path(tempfile.mkdtemp(prefix=".stage-", dir=out.parent))
     try:
@@ -362,9 +335,8 @@ def cmd_heatmap(grid_path: str, out_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_ingest_info(cfg: RunConfig) -> int:
-    cfg.validate()
-    X = _load_input(cfg)
+def cmd_ingest_info(args: argparse.Namespace) -> int:
+    X = _load_input(args)
     info = {
         "p": X.p,
         "n_steps": X.n_steps,
@@ -379,38 +351,43 @@ def cmd_ingest_info(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_input_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("input", help="snapshot matrix file")
+def _bounded(cast: type, low: float, strict: bool = False):
+    """argparse type: cast(text), rejected below low (and at low if strict)."""
+    def parse(text: str):
+        value = cast(text)
+        if not (value > low if strict else value >= low):  # also rejects nan
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _add_load_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "raw-float64"), default="csv")
     sub.add_argument("--header", action="store_true", help="skip one CSV header line")
     sub.add_argument("--transpose", action="store_true",
                      help="input is time x space instead of space x time")
     sub.add_argument("--grid-shape", nargs=2, type=int, metavar=("NLAT", "NLON"))
     sub.add_argument("--mask", help="0/1 CSV mask over the full grid")
-    sub.add_argument("--cycles", type=int, default=1,
+    sub.add_argument("--cycles", type=_bounded(int, 1), default=1,
                      help="stack this many consecutive snapshots per column")
     sub.add_argument("--subtract-mean", action="store_true")
+
+
+def _add_input_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("input", help="snapshot matrix file")
+    _add_load_args(sub)
     sub.add_argument("--dt-label", default="step")
 
 
-def _add_solver_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rho", type=float, default=1.0)
-    sub.add_argument("--eps-abs", type=float, default=1e-6)
-    sub.add_argument("--eps-rel", type=float, default=1e-4)
-    sub.add_argument("--max-iter", type=int, default=10000)
-    sub.add_argument("--no-warm-start", action="store_true")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "grid_shape", None):
-        cfg.grid_shape = (args.grid_shape[0], args.grid_shape[1])
-    if getattr(args, "no_warm_start", False):
-        cfg.warm_start = False
-    return cfg
+def _add_dmd_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--rank", type=_bounded(int, 1), default=None)
+    sub.add_argument("--mode-style", choices=("exact", "projected"), default="exact")
+    sub.add_argument("--rho", type=_bounded(float, 0, strict=True), default=AdmmParams.rho)
+    sub.add_argument("--eps-abs", type=_bounded(float, 0), default=AdmmParams.eps_abs)
+    sub.add_argument("--eps-rel", type=_bounded(float, 0), default=AdmmParams.eps_rel)
+    sub.add_argument("--max-iter", type=_bounded(int, 1), default=AdmmParams.max_iter)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,51 +397,48 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("ingest-info", help="load and summarize a snapshot matrix")
+    p.set_defaults(run=cmd_ingest_info)
     _add_input_args(p)
 
-    p = subs.add_parser("decompose", help="run a decomposition and export artifacts")
-    _add_input_args(p)
-    p.add_argument("--method", choices=("dmd", "cdmd", "spdmd"), default="dmd")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--mode-style", choices=("exact", "projected"), default="exact")
-    p.add_argument("--gamma", type=float, default=0.0,
-                   help="sparsity weight (method spdmd only)")
-    p.add_argument("--pair-collapse", action="store_true",
-                   help="emit one temporal row per conjugate pair")
-    p.add_argument("--top-modes", type=int, default=None,
-                   help="limit how many mode grids are exported")
-    p.add_argument("--out", default="out")
-    _add_solver_args(p)
+    decompose = subs.add_parser("decompose", help="run a decomposition and export artifacts")
+    decompose.set_defaults(run=cmd_decompose)
+    _add_input_args(decompose)
+    decompose.add_argument("--method", choices=("dmd", "cdmd", "spdmd"), default="dmd")
+    decompose.add_argument("--gamma", type=_bounded(float, 0), default=0.0,
+                           help="sparsity weight (method spdmd only)")
+    decompose.add_argument("--pair-collapse", action="store_true",
+                           help="emit one temporal row per conjugate pair")
+    decompose.add_argument("--top-modes", type=_bounded(int, 0), default=None,
+                           help="limit how many mode grids are exported")
 
-    p = subs.add_parser("sweep", help="trade accuracy against mode count over gamma")
-    _add_input_args(p)
-    p.add_argument("--method", choices=("spdmd",), default="spdmd")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--mode-style", choices=("exact", "projected"), default="exact")
-    p.add_argument("--gamma-min", type=float, default=1e-3)
-    p.add_argument("--gamma-max", type=float, default=1e3)
-    p.add_argument("--gamma-count", type=int, default=50)
-    p.add_argument("--out", default="out")
-    _add_solver_args(p)
+    sweep = subs.add_parser("sweep", help="trade accuracy against mode count over gamma")
+    sweep.set_defaults(run=cmd_sweep, method="spdmd")
+    _add_input_args(sweep)
+    sweep.add_argument("--gamma-min", type=_bounded(float, 0), default=1e-3)
+    sweep.add_argument("--gamma-max", type=_bounded(float, 0), default=1e3)
+    sweep.add_argument("--gamma-count", type=_bounded(int, 1), default=50)
+    sweep.add_argument("--no-warm-start", action="store_true",
+                       help="start each gamma's solve from zero")
+    for p in (decompose, sweep):
+        _add_dmd_args(p)
 
-    p = subs.add_parser("reconstruct", help="rebuild snapshots and forecast from artifacts")
-    p.add_argument("--artifacts", required=True, help="decompose output directory")
-    p.add_argument("--at", type=int, action="append", default=[],
-                   help="time index to reconstruct (repeatable)")
-    p.add_argument("--horizon", type=int, default=None,
-                   help="forecast this many steps past the training window")
-    p.add_argument("--input", default=None,
-                   help="original data file for per-column error reporting")
-    p.add_argument("--format", choices=("csv", "raw-float64"), default="csv")
-    p.add_argument("--header", action="store_true")
-    p.add_argument("--transpose", action="store_true")
-    p.add_argument("--grid-shape", nargs=2, type=int, metavar=("NLAT", "NLON"))
-    p.add_argument("--mask", default=None)
-    p.add_argument("--cycles", type=int, default=1)
-    p.add_argument("--subtract-mean", action="store_true")
-    p.add_argument("--out", default="out")
+    reconstruct = subs.add_parser("reconstruct",
+                                  help="rebuild snapshots and forecast from artifacts")
+    reconstruct.set_defaults(run=cmd_reconstruct)
+    reconstruct.add_argument("--artifacts", required=True, help="decompose output directory")
+    reconstruct.add_argument("--at", type=_bounded(int, 0), action="append", default=[],
+                             help="time index to reconstruct (repeatable)")
+    reconstruct.add_argument("--horizon", type=_bounded(int, 1), default=None,
+                             help="forecast this many steps past the training window")
+    reconstruct.add_argument("--input", default=None,
+                             help="original data file for per-column error reporting")
+    _add_load_args(reconstruct)
+
+    for p in (decompose, sweep, reconstruct):
+        p.add_argument("--out", default="out", help="output directory, replaced as a whole")
 
     p = subs.add_parser("heatmap", help="render a grid CSV as a grayscale PPM image")
+    p.set_defaults(run=cmd_heatmap)
     p.add_argument("grid", help="grid CSV (NaN sentinel allowed)")
     p.add_argument("out", help="output .ppm path")
 
@@ -475,21 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "ingest-info":
-            return cmd_ingest_info(_config_from_args(args))
-        if args.command == "decompose":
-            return cmd_decompose(_config_from_args(args))
-        if args.command == "sweep":
-            cfg = _config_from_args(args)
-            cfg.method = "spdmd"
-            return cmd_sweep(cfg)
-        if args.command == "reconstruct":
-            input_cfg = _config_from_args(args) if args.input else None
-            return cmd_reconstruct(args.artifacts, args.out, args.at, args.horizon,
-                                   input_path=args.input, input_cfg=input_cfg)
-        if args.command == "heatmap":
-            return cmd_heatmap(args.grid, args.out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -77,6 +77,8 @@ class ModeStats(NamedTuple):
 
 def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
     """Rank-r SVD; default rank keeps singular values above 1e-10 * sigma_1."""
+    if rank is not None and rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     Y = np.asarray(Y)
     if Y.size == 0:
         raise ValueError("empty matrix")

@@ -81,14 +81,6 @@ class SparseSolution:
 
 
 @dataclass(frozen=True)
-class ParetoPoint:
-    gamma: float
-    cardinality: int
-    cost: float
-    loss_percent: float
-
-
-@dataclass(frozen=True)
 class AdmmParams:
     rho: float = 1.0
     eps_abs: float = 1e-6
@@ -272,7 +264,7 @@ def gamma_sweep(
     form: QuadraticForm,
     gammas: np.ndarray,
     params: AdmmParams = AdmmParams(),
-) -> tuple[list[ParetoPoint], list[SparseSolution]]:
+) -> list[SparseSolution]:
     """Solve ascending in gamma, warm-starting each solve from the previous one
     (disable via params.warm_start for independent evaluation)."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
@@ -287,12 +279,7 @@ def gamma_sweep(
         solutions.append(sol)
         if params.warm_start:
             z0, u0 = admm.z, admm.u
-    points = [
-        ParetoPoint(gamma=s.gamma, cardinality=s.cardinality,
-                    cost=s.cost, loss_percent=s.loss_percent)
-        for s in solutions
-    ]
-    return points, solutions
+    return solutions
 
 
 def select_modes(result: DecompositionResult, solution: SparseSolution) -> DecompositionResult:

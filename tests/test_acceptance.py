@@ -124,7 +124,7 @@ def test_criterion_4_planted_support_recovery():
     rng = np.random.default_rng(404)
     # amplitude gap >= 10x between active and absent modes (absent are zero)
     form, active = _planted_sparse_form(rng)
-    _, solutions = gamma_sweep(form, log_gamma_grid(1e-2, 1e6, 60))
+    solutions = gamma_sweep(form, log_gamma_grid(1e-2, 1e6, 60))
     plateau = [s for s in solutions if s.cardinality == 3]
     ok = bool(plateau) and all(
         np.array_equal(np.sort(s.support), active) for s in plateau)
@@ -136,7 +136,7 @@ def test_criterion_5_sweep_shape():
     form, _ = _planted_sparse_form(
         rng, r=10, active=tuple(range(10)),
         amps=(100, 70, 50, 35, 25, 18, 12, 8, 5, 3))
-    points, _ = gamma_sweep(form, log_gamma_grid(1e-2, 1e6, 80))
+    points = gamma_sweep(form, log_gamma_grid(1e-2, 1e6, 80))
     cards = [pt.cardinality for pt in points]
     losses = [pt.loss_percent for pt in points]
     ok = (all(c1 >= c2 for c1, c2 in zip(cards, cards[1:]))
@@ -240,7 +240,7 @@ def test_criterion_10_real_dataset_regressions():
     base = exact_dmd(pair, rank=600)
     vand = vandermonde(base.eigenvalues, pair.Y.shape[1])
     form = quadratic_form(pair.Y, base.modes, vand)
-    points, _ = gamma_sweep(form, log_gamma_grid(1e-3, 1e3, 350))
+    points = gamma_sweep(form, log_gamma_grid(1e-3, 1e3, 350))
     max_loss = max(pt.loss_percent for pt in points)
     ok = abs(max_loss - 5.034) <= 1.0
 
@@ -250,7 +250,7 @@ def test_criterion_10_real_dataset_regressions():
     base_s = exact_dmd(pair_s)
     vand_s = vandermonde(base_s.eigenvalues, pair_s.Y.shape[1])
     form_s = quadratic_form(pair_s.Y, base_s.modes, vand_s)
-    pts, _ = gamma_sweep(form_s, np.array([1e-4, 16000.0]))
+    pts = gamma_sweep(form_s, np.array([1e-4, 16000.0]))
     lo, hi = pts
     ok = ok and abs(lo.loss_percent - 0.6010) <= 0.5
     ok = ok and abs(lo.cardinality - 511) <= 0.1 * 511

@@ -153,6 +153,50 @@ class TestDecompose:
         path, _ = planted_csv
         assert run("decompose", path, "--method", "bogus") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--rank", 0), ("--rank", -1), ("--top-modes", -1), ("--cycles", 0),
+        ("--method", "spdmd", "--rho", 0), ("--method", "spdmd", "--max-iter", 0),
+        ("--method", "spdmd", "--gamma", -1), ("--method", "spdmd", "--rho", "nan"),
+    ])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, planted_csv, capsys, flags):
+        path, _ = planted_csv
+        out = tmp_path / "art"
+        assert run("decompose", path, *flags, "--out", out) == 1
+        assert f"argument {flags[-2]}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--gamma", 5), ("--method", "cdmd", "--gamma", 5),
+        ("--method", "cdmd", "--mode-style", "projected"),
+        ("--rho", 2), ("--eps-abs", 1e-8), ("--eps-rel", 1e-3), ("--max-iter", 50),
+        ("--method", "cdmd", "--rho", 2), ("--no-warm-start",),
+    ])
+    def test_flag_the_method_ignores_is_rejected(self, tmp_path, planted_csv, flags):
+        path, _ = planted_csv
+        out = tmp_path / "art"
+        assert run("decompose", path, *flags, "--out", out) == 1
+        assert not out.exists()
+
+    def test_method_flags_accepted_where_read(self, tmp_path, planted_csv):
+        path, _ = planted_csv
+        assert run("decompose", path, "--method", "spdmd", "--gamma", 0.5, "--rho", 2,
+                   "--eps-abs", 1e-8, "--max-iter", 500, "--out", tmp_path / "a") == 0
+        assert run("decompose", path, "--mode-style", "projected", "--rho", 1.0,
+                   "--gamma", 0, "--out", tmp_path / "b") == 0
+
+    def test_config_block_holds_the_parsed_flags(self, tmp_path, rng):
+        path = tmp_path / "small.csv"
+        save_matrix(SnapshotMatrix(rng.standard_normal((12, 30))), path, "csv")
+        out = tmp_path / "art"
+        assert run("decompose", path, "--grid-shape", 3, 4, "--rank", 2, "--out", out) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert sorted(config) == [
+            "cycles", "dt_label", "eps_abs", "eps_rel", "format", "gamma", "grid_shape",
+            "header", "input", "mask", "max_iter", "method", "mode_style", "out",
+            "pair_collapse", "rank", "rho", "subtract_mean", "top_modes", "transpose"]
+        assert config["grid_shape"] == [3, 4] and config["rank"] == 2
+        assert config["input"] == str(path) and config["rho"] == 1.0
+
 
 class TestSweep:
     def test_single_gamma_zero(self, tmp_path, planted_csv):
@@ -189,6 +233,21 @@ class TestSweep:
         assert run("sweep", path, "--gamma-min", 0, "--gamma-count", 5,
                    "--out", tmp_path / "sw") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--gamma-count", 0), ("--rho", 0), ("--rho", -1), ("--max-iter", 0),
+        ("--eps-abs", -0.001), ("--gamma-min", -1, "--gamma-count", 1), ("--rank", 0),
+        ("--gamma-min", 10, "--gamma-max", 1),
+    ])
+    def test_out_of_range_value_is_usage_error(self, planted_csv, tmp_path, flags):
+        path, _ = planted_csv
+        out = tmp_path / "sw"
+        assert run("sweep", path, *flags, "--out", out) == 1
+        assert not out.exists()
+
+    def test_takes_no_method_flag(self, planted_csv, tmp_path):
+        path, _ = planted_csv
+        assert run("sweep", path, "--method", "spdmd", "--out", tmp_path / "sw") == 1
+
 
 class TestReconstruct:
     def test_full_model_reconstruction_error(self, tmp_path, planted_csv):
@@ -204,6 +263,28 @@ class TestReconstruct:
         assert (out / "recon_7.csv").exists()
         fc = np.loadtxt(out / "forecast.csv", delimiter=",", ndmin=2)
         assert fc.shape == (12, 5)
+
+    def test_input_with_cycles_mask_and_grid_shape(self, tmp_path):
+        X, _ = planted_matrix(12, 60, [0.95 * np.exp(0.4j), 0.9], [2.0, 1.0], seed=13)
+        path, mask = tmp_path / "data.csv", tmp_path / "mask.csv"
+        save_matrix(X, path, "csv")
+        mask.write_text("1,1,1,1\n1,0,1,1\n1,1,1,0\n")
+        load = ("--mask", mask, "--grid-shape", 3, 4, "--cycles", 3)
+        art, out = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, *load, "--rank", 3, "--out", art) == 0
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--at", 10, "--at", 18,
+                   "--input", path, *load, "--out", out) == 0
+        report = json.loads((out / "recon_report.json").read_text())
+        assert sorted(report["relative_errors"]) == ["0", "10", "18"]
+        assert max(report["relative_errors"].values()) <= 1e-8
+        assert np.loadtxt(out / "recon_0.csv").shape == (30,)
+
+    def test_negative_index_rejected(self, tmp_path, planted_csv):
+        path, _ = planted_csv
+        art, out = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        assert run("reconstruct", "--artifacts", art, "--at", -1, "--out", out) == 1
+        assert not out.exists()
 
     def test_indices_without_horizon(self, tmp_path, planted_csv):
         path, _ = planted_csv

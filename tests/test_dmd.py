@@ -51,6 +51,11 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError):
             truncated_svd(rng.standard_normal((4, 3)), rank=4)
 
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one(self, rng, rank):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            truncated_svd(rng.standard_normal((4, 3)), rank=rank)
+
 
 class TestExactDmd:
     def test_single_geometric_sequence(self, rng):

@@ -228,7 +228,7 @@ class TestAdmmMatchesCholeskyReference:
         assert (res1.iterations, res2.iterations) == (it1, it2)
         for got, want in ((res1.z, z1), (res1.u, u1), (res2.z, z2), (res2.u, u2)):
             assert_close(got, want, 1e-10)
-        _, solutions = gamma_sweep(form, gammas)
+        solutions = gamma_sweep(form, gammas)
         assert [s.iterations for s in solutions] == [it1, it2]
 
     def test_sweep_eigendecomposes_once(self, rng, monkeypatch):
@@ -324,7 +324,7 @@ class TestGammaSweep:
             rng, r=10, n_active=10, M=200, p=40,
             amp_scale=[100, 70, 50, 35, 25, 18, 12, 8, 5, 3])
         gammas = log_gamma_grid(1e-2, 1e6, 40)
-        points, _ = gamma_sweep(form, gammas)
+        points = gamma_sweep(form, gammas)
         cards = [pt.cardinality for pt in points]
         losses = [pt.loss_percent for pt in points]
         assert all(c1 >= c2 for c1, c2 in zip(cards, cards[1:]))
@@ -333,14 +333,14 @@ class TestGammaSweep:
     def test_single_gamma_zero(self, rng):
         form, b_true, active = planted_form(rng, n_active=10, r=10,
                                             amp_scale=np.linspace(50, 5, 10))
-        points, solutions = gamma_sweep(form, np.array([0.0]))
-        assert len(points) == 1
-        assert points[0].cardinality == 10
+        solutions = gamma_sweep(form, np.array([0.0]))
+        assert len(solutions) == 1
+        assert solutions[0].cardinality == 10
         assert solutions[0].loss_percent <= 1e-5
 
     def test_planted_support_plateau(self, rng):
         form, b_true, active = planted_form(rng, r=10, n_active=3, M=200)
-        points, solutions = gamma_sweep(form, log_gamma_grid(1e-2, 1e5, 50))
+        solutions = gamma_sweep(form, log_gamma_grid(1e-2, 1e5, 50))
         hits = [s for s in solutions if s.cardinality == 3]
         assert hits, "no cardinality-3 plateau found"
         for s in hits:
@@ -350,8 +350,8 @@ class TestGammaSweep:
         form, _, _ = planted_form(rng, r=6, n_active=3, M=100, p=20,
                                   amp_scale=[50, 20, 8])
         gammas = log_gamma_grid(1e-1, 1e4, 12)
-        warm_pts, _ = gamma_sweep(form, gammas, AdmmParams(warm_start=True))
-        cold_pts, _ = gamma_sweep(form, gammas, AdmmParams(warm_start=False))
+        warm_pts = gamma_sweep(form, gammas, AdmmParams(warm_start=True))
+        cold_pts = gamma_sweep(form, gammas, AdmmParams(warm_start=False))
         for w, c in zip(warm_pts, cold_pts):
             assert w.cardinality == c.cardinality
             assert abs(w.loss_percent - c.loss_percent) <= 1e-4
@@ -403,7 +403,7 @@ class TestSelectModes:
 
     def test_planted_two_mode_recovery(self, rng):
         result, form, active = self._result_and_form(rng)
-        points, solutions = gamma_sweep(form, log_gamma_grid(1e-1, 1e5, 30))
+        solutions = gamma_sweep(form, log_gamma_grid(1e-1, 1e5, 30))
         hits = [s for s in solutions if s.cardinality == 2]
         assert hits
         selected = select_modes(result, hits[0])
