@@ -215,6 +215,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("gamma-min must be positive for a log-spaced grid")
     if args.gamma_min > args.gamma_max:
         raise UsageError("gamma-min must not exceed gamma-max")
+    if args.gamma_count == 1 and args.gamma_min != args.gamma_max:
+        raise UsageError("--gamma-count 1 needs --gamma-min equal to --gamma-max")
     _, form = _decompose(args, _load_input(args))
     gammas = log_gamma_grid(args.gamma_min, args.gamma_max, args.gamma_count)
     solutions = gamma_sweep(form, gammas,

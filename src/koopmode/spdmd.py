@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .dmd import DecompositionResult
 
@@ -203,10 +202,12 @@ def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
         return b
     P_s, q_s = form.P[np.ix_(support, support)], form.q[support]
     try:
-        b[support] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(P_s), q_s)
+        L = np.linalg.cholesky(P_s)
     except np.linalg.LinAlgError:
         warnings.warn("singular polishing system, using minimum-norm solution")
         b[support] = np.linalg.lstsq(P_s, q_s, rcond=None)[0]
+    else:
+        b[support] = np.linalg.solve(L.conj().T, np.linalg.solve(L, q_s))
     return b
 
 
@@ -248,15 +249,17 @@ def solve_at_gamma(
 
 
 def log_gamma_grid(gamma_min: float, gamma_max: float, count: int) -> np.ndarray:
-    """Geometric grid inclusive of both endpoints."""
+    """Geometric grid inclusive of both endpoints; one point needs equal endpoints."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if gamma_min > gamma_max:
+        raise ValueError("gamma_min must not exceed gamma_max")
     if count == 1:
+        if gamma_min != gamma_max:
+            raise ValueError("a one-point grid needs gamma_min == gamma_max")
         return np.array([float(gamma_min)])
     if gamma_min <= 0:
         raise ValueError("gamma_min must be positive for a log-spaced grid")
-    if gamma_min > gamma_max:
-        raise ValueError("gamma_min must not exceed gamma_max")
     return np.geomspace(gamma_min, gamma_max, count)
 
 

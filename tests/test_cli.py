@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +241,7 @@ class TestSweep:
         ("--gamma-count", 0), ("--rho", 0), ("--rho", -1), ("--max-iter", 0),
         ("--eps-abs", -0.001), ("--gamma-min", -1, "--gamma-count", 1), ("--rank", 0),
         ("--gamma-min", 10, "--gamma-max", 1),
+        ("--gamma-min", 0.5, "--gamma-max", 1e9, "--gamma-count", 1),
     ])
     def test_out_of_range_value_is_usage_error(self, planted_csv, tmp_path, flags):
         path, _ = planted_csv
@@ -413,3 +418,24 @@ class TestIngestInfo:
 
 def test_version_flag(capsys):
     assert run("--version") == 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+class TestRuntimeImports:
+    def test_cli_import_loads_no_scipy(self):
+        proc = _run_python("-c", "import sys, koopmode, koopmode.cli; print(sorted(m for m in "
+                                 "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_module_version_exits_zero(self):
+        proc = _run_python("-m", "koopmode", "--version")
+        assert proc.returncode == 0, proc.stderr

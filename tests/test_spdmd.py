@@ -287,6 +287,14 @@ class TestPolish:
             assert np.all(b[off] == 0.0)
             assert_close(b, kkt_polish(form, support), 1e-10)
 
+    def test_matches_scipy_cholesky_on_random_supports(self, rng):
+        form = random_psd_form(rng, 10)
+        for _ in range(20):
+            support = np.sort(rng.choice(10, size=rng.integers(1, 11), replace=False))
+            P_s = form.P[np.ix_(support, support)]
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(P_s), form.q[support])
+            assert_close(polish(form, support)[support], want, 1e-12)
+
     def test_singular_support_block_gives_minimum_norm(self):
         P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
         form = QuadraticForm(P=P, q=np.array([1.0, 1.0, 1.0]), s=10.0)
@@ -388,6 +396,14 @@ class TestGammaSweep:
             gamma_sweep(form, np.array([-1.0]))
         with pytest.raises(ValueError):
             log_gamma_grid(0.0, 1.0, 5)
+
+    def test_one_point_grid_needs_equal_endpoints(self):
+        with pytest.raises(ValueError, match="gamma_min == gamma_max"):
+            log_gamma_grid(0.5, 1e9, 1)
+        with pytest.raises(ValueError, match="must not exceed"):
+            log_gamma_grid(2.0, 1.0, 1)
+        assert log_gamma_grid(0.5, 0.5, 1).tolist() == [0.5]
+        assert log_gamma_grid(0.0, 0.0, 1).tolist() == [0.0]
 
 
 class TestSelectModes:
