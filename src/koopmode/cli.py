@@ -230,9 +230,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              ("pareto.csv", [solutions[i] for i in sorted(best.values())])):
             write_csv(stage / name,
                       ((s.gamma, s.cardinality, s.cost, s.loss_percent, s.iterations,
-                        "true" if s.converged else "false") for s in chosen),
-                      f"{FLOAT},%d,{FLOAT},{FLOAT},%d,%s",
-                      "gamma,cardinality,cost,loss_percent,iterations,converged")
+                        "true" if s.converged else "false", s.rho) for s in chosen),
+                      f"{FLOAT},%d,{FLOAT},{FLOAT},%d,%s,{FLOAT}",
+                      "gamma,cardinality,cost,loss_percent,iterations,converged,rho")
     return EXIT_OK
 
 

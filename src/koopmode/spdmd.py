@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -14,6 +14,15 @@ ZERO_REL_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
 _TINY = np.finfo(float).tiny
+# Residual balancing (He, Yang & Wang 2000; Boyd et al. 2011, section 3.4.1):
+# every RHO_CHECK_EVERY iterations, scale rho by RHO_TAU towards the larger
+# residual when it exceeds RHO_MU times the other, at most RHO_MAX_CHANGES
+# times per solve, after which rho stays fixed and fixed-rho convergence holds
+# (RHO_MAX_CHANGES = 0 keeps rho fixed throughout).
+RHO_MU = 10.0
+RHO_TAU = 2.0
+RHO_CHECK_EVERY = 10
+RHO_MAX_CHANGES = 20
 
 
 @dataclass(frozen=True)
@@ -23,7 +32,7 @@ class QuadraticForm:
     P: np.ndarray
     q: np.ndarray
     s: float
-    _x_updates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _x_update: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=complex)
@@ -53,15 +62,17 @@ class QuadraticForm:
     def x_update(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
         """(A, c) with (2P + rho I)^-1 (2q + rho v) = c + A v for every v.
 
-        Built from one eigendecomposition P = Q diag(lam) Q* per form and kept
-        per rho, so every gamma of a sweep reuses it.
+        Built from one eigendecomposition P = Q diag(lam) Q* per form. Only the
+        last rho's operator is kept: solves at one rho build it once, and a new
+        rho replaces it, so the form holds a single r x r operator at a time.
         """
-        if rho not in self._x_updates:
+        if self._x_update is None or self._x_update[0] != rho:
             lam, Q = self._eigh
             Qh = Q.conj().T
             inv = 1.0 / (2.0 * lam + rho)
-            self._x_updates[rho] = ((Q * (rho * inv)) @ Qh, Q @ (2.0 * inv * (Qh @ self.q)))
-        return self._x_updates[rho]
+            object.__setattr__(self, "_x_update",
+                               (rho, (Q * (rho * inv)) @ Qh, Q @ (2.0 * inv * (Qh @ self.q))))
+        return self._x_update[1:]
 
 
 @dataclass(frozen=True)
@@ -77,11 +88,12 @@ class SparseSolution:
     loss_percent: float
     iterations: int
     converged: bool
+    rho: float
 
 
 @dataclass(frozen=True)
 class AdmmParams:
-    rho: float = 1.0
+    rho: float = 1.0  # the starting rho; residual balancing moves it
     eps_abs: float = 1e-6
     eps_rel: float = 1e-4
     max_iter: int = 10000
@@ -95,6 +107,7 @@ class AdmmResult:
     converged: bool
     primal_residual: float
     dual_residual: float
+    rho: float
     z: np.ndarray = field(repr=False, default=None)
     u: np.ndarray = field(repr=False, default=None)
 
@@ -142,7 +155,9 @@ def admm_solve(
 
     x-update solves (2P + rho I) x = 2q + rho (z - u) as one product with the
     form's cached x_update operator; z-update soft-thresholds at gamma/rho.
-    gamma = 0 short-circuits to the minimum-norm normal solve.
+    rho starts at params.rho, the rho that u0 is scaled by, and moves by
+    residual balancing; the result holds the final rho. gamma = 0
+    short-circuits to the minimum-norm normal solve.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -151,8 +166,8 @@ def admm_solve(
     r = form.size
     if gamma == 0.0:
         b, *_ = np.linalg.lstsq(form.P, form.q, rcond=None)
-        return AdmmResult(b=b, iterations=0, converged=True,
-                          primal_residual=0.0, dual_residual=0.0, z=b.copy(),
+        return AdmmResult(b=b, iterations=0, converged=True, primal_residual=0.0,
+                          dual_residual=0.0, rho=params.rho, z=b.copy(),
                           u=np.zeros(r, dtype=complex))
     rho = params.rho
     A, c = form.x_update(rho)
@@ -161,6 +176,7 @@ def admm_solve(
     kappa = gamma / rho
     sqrt_r = np.sqrt(r)
     prim = dual = np.inf
+    changes_left = RHO_MAX_CHANGES
     for it in range(1, params.max_iter + 1):
         x = c + A @ (z - u)
         z_old = z
@@ -171,14 +187,22 @@ def admm_solve(
         eps_prim = params.eps_abs * sqrt_r + params.eps_rel * max(_norm(x), _norm(z))
         eps_dual = params.eps_abs * sqrt_r + params.eps_rel * rho * _norm(u)
         if prim <= eps_prim and dual <= eps_dual:
-            return AdmmResult(b=z, iterations=it, converged=True,
-                              primal_residual=prim, dual_residual=dual, z=z, u=u)
+            return AdmmResult(b=z, iterations=it, converged=True, primal_residual=prim,
+                              dual_residual=dual, rho=rho, z=z, u=u)
+        if (changes_left and it % RHO_CHECK_EVERY == 0
+                and max(prim, dual) > RHO_MU * min(prim, dual)):
+            scale = RHO_TAU if prim > dual else 1.0 / RHO_TAU
+            rho *= scale
+            u = u / scale  # u is the multiplier over rho: keep rho * u unchanged
+            kappa = gamma / rho
+            A, c = form.x_update(rho)
+            changes_left -= 1
     warnings.warn(
         f"splitting did not converge in {params.max_iter} iterations "
         f"(primal {prim:.3e}, dual {dual:.3e})"
     )
-    return AdmmResult(b=z, iterations=params.max_iter, converged=False,
-                      primal_residual=prim, dual_residual=dual, z=z, u=u)
+    return AdmmResult(b=z, iterations=params.max_iter, converged=False, primal_residual=prim,
+                      dual_residual=dual, rho=rho, z=z, u=u)
 
 
 def detect_support(b: np.ndarray, rel_tol: float = ZERO_REL_TOL) -> np.ndarray:
@@ -244,6 +268,7 @@ def solve_at_gamma(
         loss_percent=performance_loss(cost, form.s),
         iterations=admm.iterations,
         converged=admm.converged,
+        rho=admm.rho,
     )
     return solution, admm
 
@@ -268,8 +293,9 @@ def gamma_sweep(
     gammas: np.ndarray,
     params: AdmmParams = AdmmParams(),
 ) -> list[SparseSolution]:
-    """Solve ascending in gamma, warm-starting each solve from the previous one
-    (disable via params.warm_start for independent evaluation)."""
+    """Solve ascending in gamma, warm-starting each solve from the previous one's
+    z, u and final rho (disable via params.warm_start for independent
+    evaluation, every solve then starting at params.rho)."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if gammas.size == 0:
         raise ValueError("gamma grid is empty")
@@ -281,7 +307,7 @@ def gamma_sweep(
         sol, admm = solve_at_gamma(form, gamma, params, z0=z0, u0=u0)
         solutions.append(sol)
         if params.warm_start:
-            z0, u0 = admm.z, admm.u
+            z0, u0, params = admm.z, admm.u, replace(params, rho=admm.rho)
     return solutions
 
 

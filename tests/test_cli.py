@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopmode import SnapshotMatrix, save_matrix
+from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, exact_dmd, gamma_sweep,
+                      load_matrix, log_gamma_grid, quadratic_form, save_matrix, vandermonde)
+from koopmode import spdmd
 from koopmode.cli import main, read_grid_csv, render_heatmap
 from conftest import planted_matrix
 
@@ -252,6 +256,68 @@ class TestSweep:
     def test_takes_no_method_flag(self, planted_csv, tmp_path):
         path, _ = planted_csv
         assert run("sweep", path, "--method", "spdmd", "--out", tmp_path / "sw") == 1
+
+
+FIVE_MODE_RANK = 9  # four conjugate pairs and one real eigenvalue
+
+
+@pytest.fixture
+def five_mode_csv(tmp_path):
+    lams = [0.99 * np.exp(0.3j), 0.97 * np.exp(0.9j), 0.9 * np.exp(1.7j), 0.8,
+            0.6 * np.exp(2.5j)]
+    X, _ = planted_matrix(20, 60, lams, [5.0, 2.0, 1.0, 0.5, 0.3], seed=13)
+    path = tmp_path / "five.csv"
+    save_matrix(X, path, "csv")
+    return path
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def fixed_rho_sweep(path, gammas):
+    """The library's sweep on a CSV with rho held at 1 (no rho changes),
+    converged well inside its cap."""
+    pair = build_pairs(load_matrix(path))
+    result = exact_dmd(pair, rank=FIVE_MODE_RANK)
+    form = quadratic_form(pair.Y, result.modes, vandermonde(result.eigenvalues, pair.Y.shape[1]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spdmd, "RHO_MAX_CHANGES", 0)
+        solutions = gamma_sweep(form, gammas, AdmmParams(max_iter=100000))
+    assert all(s.converged for s in solutions)
+    return solutions
+
+
+class TestBalancedSplitting:
+    """At --max-iter 100, fixed rho = 1 stops short on the three largest gammas
+    (it needs 154 to 337 iterations) and, cold at gamma 1000, keeps no mode
+    of the two the optimum keeps; residual balancing converges everywhere."""
+
+    def test_sweep_converges_where_fixed_rho_stops_at_the_cap(self, tmp_path, five_mode_csv):
+        out = tmp_path / "sw"
+        assert run("sweep", five_mode_csv, "--rank", FIVE_MODE_RANK, "--gamma-min", 1e-2,
+                   "--gamma-max", 1e3, "--gamma-count", 16, "--max-iter", 100,
+                   "--out", out) == 0
+        sweep, pareto = read_rows(out / "sweep.csv"), read_rows(out / "pareto.csv")
+        assert [row["converged"] for row in sweep + pareto] == ["true"] * (16 + len(pareto))
+        reference = fixed_rho_sweep(five_mode_csv, log_gamma_grid(1e-2, 1e3, 16))
+        assert [int(row["cardinality"]) for row in sweep] == [s.cardinality for s in reference]
+        assert list(sweep[0]) == ["gamma", "cardinality", "cost", "loss_percent",
+                                  "iterations", "converged", "rho"]
+        # rho starts at --rho 1 and stays on its powers of two
+        assert all(math.log2(float(row["rho"])).is_integer() for row in sweep + pareto)
+
+    def test_decompose_amplitudes_match_the_fixed_rho_optimum(self, tmp_path, five_mode_csv):
+        out = tmp_path / "art"
+        assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method", "spdmd",
+                   "--gamma", 1000, "--max-iter", 100, "--out", out) == 0
+        rows = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
+        (optimum,) = fixed_rho_sweep(five_mode_csv, np.array([1000.0]))
+        assert optimum.cardinality == 2
+        assert sorted(rows[:, 0].astype(int)) == optimum.support.tolist()
+        want = optimum.b_polished[rows[:, 0].astype(int)]
+        np.testing.assert_allclose(rows[:, 6] + 1j * rows[:, 7], want, rtol=1e-10, atol=0)
 
 
 class TestReconstruct:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -54,8 +57,12 @@ def planted_form(rng, r=10, n_active=3, M=200, p=40, amp_scale=None):
 
 def cholesky_admm(form, gamma, params=AdmmParams(), z0=None, u0=None):
     """Reference splitting loop: one Cholesky factorization of 2P + rho I per
-    solve and one triangular solve per x-update. Returns (z, u, iterations)."""
+    rho and one triangular solve per x-update. Every 10 iterations rho doubles
+    (halves) when the primal (dual) residual exceeds 10 times the other, at
+    most spdmd.RHO_MAX_CHANGES times, so patching that to 0 gives the fixed-rho
+    loop. Returns (z, u, iterations)."""
     r, rho = form.size, params.rho
+    changes = 0
     cho = scipy.linalg.cho_factor(2.0 * form.P + rho * np.eye(r))
     z = np.zeros(r, dtype=complex) if z0 is None else z0.astype(complex).copy()
     u = np.zeros(r, dtype=complex) if u0 is None else u0.astype(complex).copy()
@@ -71,6 +78,15 @@ def cholesky_admm(form, gamma, params=AdmmParams(), z0=None, u0=None):
         eps_dual = params.eps_abs * np.sqrt(r) + params.eps_rel * rho * np.linalg.norm(u)
         if prim <= eps_prim and dual <= eps_dual:
             break
+        if changes < spdmd.RHO_MAX_CHANGES and it % 10 == 0:
+            if prim > 10.0 * dual:
+                scale = 2.0
+            elif dual > 10.0 * prim:
+                scale = 0.5
+            else:
+                continue
+            rho, u, changes = rho * scale, u / scale, changes + 1
+            cho = scipy.linalg.cho_factor(2.0 * form.P + rho * np.eye(r))
     return z, u, it
 
 
@@ -245,6 +261,119 @@ class TestAdmmMatchesCholeskyReference:
         assert calls == [(10, 10)]
         gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 10))
         assert len(calls) == 1
+
+
+class TestResidualBalancing:
+    @staticmethod
+    def record_rhos(monkeypatch):
+        """One list per admm_solve call: the rho of each operator it fetched,
+        so [0] is the starting rho and [-1] the final one."""
+        visits = []
+        solve, x_update = spdmd.admm_solve, QuadraticForm.x_update
+
+        def recording_solve(*args, **kwargs):
+            visits.append([])
+            return solve(*args, **kwargs)
+
+        def recording_x_update(form, rho):
+            visits[-1].append(rho)
+            return x_update(form, rho)
+
+        monkeypatch.setattr(spdmd, "admm_solve", recording_solve)
+        monkeypatch.setattr(QuadraticForm, "x_update", recording_x_update)
+        return visits
+
+    @pytest.mark.parametrize("max_changes", [0, spdmd.RHO_MAX_CHANGES])
+    def test_matches_cholesky_reference(self, rng, monkeypatch, max_changes):
+        monkeypatch.setattr(spdmd, "RHO_MAX_CHANGES", max_changes)
+        forms = [random_psd_form(rng, 12) for _ in range(3)]
+        forms += [planted_form(rng, r=10, n_active=n)[0] for n in (3, 5)]
+        for form in forms:
+            for params in (AdmmParams(), AdmmParams(rho=1e4)):
+                gamma = 0.3 * 2.0 * np.max(np.abs(form.q))
+                z, u, iterations = cholesky_admm(form, gamma, params)
+                res = admm_solve(form, gamma, params)
+                assert res.iterations == iterations
+                assert_close(res.z, z, 1e-10)
+                assert_close(res.u, u, 1e-10)
+
+    def test_same_optimum_as_fixed_rho(self, rng, monkeypatch):
+        forms = [random_psd_form(rng, 12) for _ in range(3)]
+        forms += [planted_form(rng, r=10, n_active=n)[0] for n in (3, 5)]
+        cases = [(form, frac * 2.0 * np.max(np.abs(form.q)))
+                 for form in forms for frac in (0.05, 0.3, 0.7)]
+        balanced = [solve_at_gamma(form, gamma, TIGHT)[0] for form, gamma in cases]
+        monkeypatch.setattr(spdmd, "RHO_MAX_CHANGES", 0)
+        fixed = [solve_at_gamma(form, gamma, TIGHT)[0] for form, gamma in cases]
+        for got, want in zip(balanced, fixed):
+            assert got.converged and want.converged
+            assert want.rho == TIGHT.rho
+            np.testing.assert_array_equal(got.support, want.support)
+            assert_close(got.b_polished, want.b_polished, 1e-10)
+            assert_close(got.b_sparse, want.b_sparse, 1e-9)
+        assert sum(got.rho != TIGHT.rho for got in balanced) >= 5
+
+    def test_rho_stays_on_the_doubling_grid_and_changes_at_most_the_cap(self, rng,
+                                                                        monkeypatch):
+        visits = self.record_rhos(monkeypatch)
+        form, _, _ = planted_form(rng, r=10, n_active=3)
+        gamma = 0.3 * 2.0 * np.max(np.abs(form.q))
+        # the first settles at 192; the others start 2^26 and 2^34 away from it
+        for rho in (3.0, 3e12, 3e-6):
+            params = AdmmParams(rho=rho, max_iter=1000)
+            with warnings.catch_warnings():  # far starts may stop at max_iter
+                warnings.simplefilter("ignore")
+                res = spdmd.admm_solve(form, gamma, params)
+            assert res.rho == visits[-1][-1]
+            assert all(math.log2(v / rho).is_integer() for v in visits[-1])
+        changes = [len(v) - 1 for v in visits]
+        assert changes[0] > 0 and changes[1:] == [spdmd.RHO_MAX_CHANGES] * 2
+        gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 30))
+        assert max(len(v) - 1 for v in visits) <= spdmd.RHO_MAX_CHANGES
+
+    def test_warm_sweep_carries_rho_and_cold_sweep_restarts(self, rng, monkeypatch):
+        visits = self.record_rhos(monkeypatch)
+        form, _, _ = planted_form(rng, r=10, n_active=3)
+        gammas = log_gamma_grid(1e-1, 1e4, 12)
+        warm = gamma_sweep(form, gammas, AdmmParams(rho=0.5))
+        assert visits[0][0] == 0.5
+        assert len({rho for v in visits for rho in v}) > 2
+        for k in range(1, len(gammas)):
+            assert visits[k][0] == visits[k - 1][-1] == warm[k - 1].rho
+        del visits[:]
+        cold = gamma_sweep(form, gammas, AdmmParams(rho=0.5, warm_start=False))
+        assert [v[0] for v in visits] == [0.5] * len(gammas)
+        assert [s.rho for s in cold] == [v[-1] for v in visits]
+
+    def test_form_holds_one_operator(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(spdmd.np.linalg, "eigh", counting_eigh)
+        form, _, _ = planted_form(rng, r=10, n_active=3)
+        solutions = gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 12))
+        assert len({s.rho for s in solutions}) > 1
+        assert calls == [(10, 10)]
+
+        def square_arrays(value):
+            if isinstance(value, np.ndarray):
+                return int(value.shape == (10, 10))
+            if isinstance(value, (tuple, list)):
+                return sum(map(square_arrays, value))
+            if isinstance(value, dict):
+                return sum(map(square_arrays, value.values()))
+            return 0
+
+        # P, the eigenvectors of P, and one x-update operator
+        assert square_arrays(vars(form)) == 3
+
+    def test_gamma_zero_keeps_the_starting_rho(self, rng):
+        form = random_psd_form(rng, 8)
+        assert admm_solve(form, 0.0, AdmmParams(rho=4.0)).rho == 4.0
 
 
 class TestPolish:
