@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,11 @@ class CompanionModel:
 
     coefficients: np.ndarray
     residual_norm: float
-    companion_eigenvalues: np.ndarray
+
+    @cached_property
+    def companion_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the companion matrix, computed on first use."""
+        return np.linalg.eigvals(companion_matrix(self.coefficients))
 
 
 def companion_matrix(coefficients: np.ndarray) -> np.ndarray:
@@ -42,10 +47,7 @@ def fit_companion(X: SnapshotMatrix) -> CompanionModel:
             f"rank-deficient Krylov sequence (rank {rank} of {K.shape[1]}), "
             "using minimum-norm coefficients"
         )
-    residual = float(np.linalg.norm(target - K @ c))
-    evals = np.linalg.eigvals(companion_matrix(c))
-    return CompanionModel(coefficients=c, residual_norm=residual,
-                          companion_eigenvalues=evals)
+    return CompanionModel(coefficients=c, residual_norm=float(np.linalg.norm(target - K @ c)))
 
 
 def companion_dmd(X: SnapshotMatrix) -> DecompositionResult:

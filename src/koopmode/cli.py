@@ -1,8 +1,9 @@
 """Command-line pipelines: ingest-info, decompose, sweep, reconstruct, heatmap.
 
-All artifacts are plain CSV/JSON with 17-significant-digit floats and
-byte-stable across runs. Each run publishes its output directory as a whole:
-a failed run leaves no partial files, and a rerun leaves no file of the last.
+Artifacts are CSV/JSON with 17-significant-digit floats, except the modes
+matrix, a NumPy .npy file; all are byte-stable across runs. Each run publishes
+its output directory as a whole: a failed run leaves no partial files, and a
+rerun leaves no file of the last.
 """
 from __future__ import annotations
 
@@ -49,10 +50,11 @@ EXIT_RUNTIME = 2
 NAN_COLOR = (255, 0, 255)
 FLOAT = "%.17g"  # lossless for float64
 # Names the subcommands write into an output directory; an existing directory
-# holding anything else is not replaced.
-ARTIFACT_NAMES = ("eigenvalues.csv", "modes_matrix.csv", "modes", "temporal.csv",
+# holding anything else is not replaced. modes_matrix.csv is the name older
+# versions gave the modes matrix, so their output directories can be replaced.
+ARTIFACT_NAMES = ("eigenvalues.csv", "modes_matrix.npy", "modes", "temporal.csv",
                   "summary.json", "sweep.csv", "pareto.csv", "recon_*.csv",
-                  "forecast.csv", "recon_report.json")
+                  "forecast.csv", "recon_report.json", "modes_matrix.csv")
 # AdmmParams fields set by the solver flags; their defaults are AdmmParams'.
 ADMM_FLAGS = ("rho", "eps_abs", "eps_rel", "max_iter")
 
@@ -142,24 +144,30 @@ def _decompose(args: argparse.Namespace,
     return base, quadratic_form(Y, base.modes, vandermonde(base.eigenvalues, Y.shape[1]))
 
 
-def _fit(args: argparse.Namespace, X: SnapshotMatrix) -> tuple[DecompositionResult, float]:
-    """Decompose and fit amplitudes; returns the result sorted by amplitude and
-    the loss of the fit as a percentage of the data norm."""
+def _fit(args: argparse.Namespace,
+         X: SnapshotMatrix) -> tuple[DecompositionResult, float, dict | None]:
+    """Decompose and fit amplitudes; returns the result sorted by amplitude,
+    the loss of the fit as a percentage of the data norm, and for spdmd what
+    the splitting did (iterations, convergence, final rho)."""
     base, form = _decompose(args, X)
-    if args.method == "spdmd":
-        solution, _ = solve_at_gamma(form, args.gamma, _admm_params(args))
-        result = select_modes(base, solution)
-        if result.rank == 0:
-            raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
-        b = solution.b_polished
-    else:
+    if args.method != "spdmd":
         b = optimal_amplitudes(form)
-        result = base.with_amplitudes(b)
-    return result, performance_loss(form.objective(b), form.s)
+        return base.with_amplitudes(b), performance_loss(form.objective(b), form.s), None
+    solution, _ = solve_at_gamma(form, args.gamma, _admm_params(args))
+    result = select_modes(base, solution)
+    if result.rank == 0:
+        if not solution.converged:
+            raise ValueError(f"the splitting stopped at --max-iter {args.max_iter} without "
+                             f"converging, with no amplitude left at gamma={args.gamma}")
+        raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
+    admm = {"iterations": int(solution.iterations), "converged": bool(solution.converged),
+            "rho": float(solution.rho)}
+    return result, performance_loss(form.objective(solution.b_polished), form.s), admm
 
 
 def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatrix,
-                         result: DecompositionResult, full_loss: float) -> None:
+                         result: DecompositionResult, full_loss: float,
+                         admm: dict | None) -> None:
     write_csv(stage / "eigenvalues.csv",
               ((int(idx), lam.real, lam.imag, *mode_stats(lam, result.dt_label),
                 b.real, b.imag, abs(b))
@@ -167,9 +175,7 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
                                       result.amplitudes)),
               "%d" + f",{FLOAT}" * 8,
               "index,re,im,magnitude,e_folding,period,amp_re,amp_im,amp_abs")
-    # complex128 viewed as float64 interleaves re, im per mode
-    _float_csv(stage / "modes_matrix.csv",
-               np.ascontiguousarray(result.modes, dtype=complex).view(float))
+    np.save(stage / "modes_matrix.npy", np.ascontiguousarray(result.modes, dtype=complex))
 
     grid_shape = args.grid_shape if args.grid_shape is not None else (1, X.p // X.cycles)
     n_export = result.rank if args.top_modes is None else min(args.top_modes, result.rank)
@@ -198,15 +204,17 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
         "full_fit_loss_percent": full_loss,
         "config": {k: v for k, v in vars(args).items() if k not in ("command", "run")},
     }
+    if admm is not None:
+        summary["admm"] = admm
     (stage / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     _reject_ignored_flags(args)
     X = _load_input(args)
-    result, full_loss = _fit(args, X)
+    result, full_loss, admm = _fit(args, X)
     with _staged_output(args.out) as stage:
-        _write_decomposition(stage, args, X, result, full_loss)
+        _write_decomposition(stage, args, X, result, full_loss, admm)
     return EXIT_OK
 
 
@@ -239,10 +247,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
     summary = json.loads((artifacts / "summary.json").read_text())
     eig = np.loadtxt(artifacts / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
-    modes_flat = np.loadtxt(artifacts / "modes_matrix.csv", delimiter=",", ndmin=2)
+    modes = np.load(artifacts / "modes_matrix.npy", allow_pickle=False)
+    if modes.dtype != np.complex128 or modes.ndim != 2 or modes.shape[1] != eig.shape[0]:
+        raise ValueError(f"modes_matrix.npy holds {modes.dtype} {modes.shape}, expected a "
+                         f"complex128 matrix with {eig.shape[0]} columns, one per eigenvalue")
     model = DecompositionResult(
         eigenvalues=eig[:, 1] + 1j * eig[:, 2],
-        modes=modes_flat[:, 0::2] + 1j * modes_flat[:, 1::2],
+        modes=modes,
         amplitudes=eig[:, 6] + 1j * eig[:, 7],
         rank=eig.shape[0],
         method=summary["method"],
@@ -258,7 +269,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     art = Path(args.artifacts)
     if Path(args.out).resolve() == art.resolve():
         raise UsageError("--out must differ from --artifacts, which it would replace")
-    for needed in ("summary.json", "eigenvalues.csv", "modes_matrix.csv"):
+    for needed in ("summary.json", "eigenvalues.csv", "modes_matrix.npy"):
         if not (art / needed).exists():
             raise FileNotFoundError(f"missing artifact {art / needed}")
     model, summary = _load_model(art)

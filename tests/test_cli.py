@@ -4,8 +4,10 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, exact_dmd, gamma_sweep,
                       load_matrix, log_gamma_grid, quadratic_form, save_matrix, vandermonde)
-from koopmode import spdmd
+from koopmode import cli, spdmd
 from koopmode.cli import main, read_grid_csv, render_heatmap
 from conftest import planted_matrix
 
@@ -37,6 +39,14 @@ def read_tree(root):
         if path.is_file():
             out[str(path.relative_to(root))] = path.read_bytes()
     return out
+
+
+def make_pre_npy(art):
+    """Rewrite a decompose output directory in the layout of versions before
+    modes_matrix.npy: the modes as interleaved re/im %.17g CSV columns."""
+    modes = np.load(art / "modes_matrix.npy")
+    np.savetxt(art / "modes_matrix.csv", modes.view(float), fmt="%.17g", delimiter=",")
+    (art / "modes_matrix.npy").unlink()
 
 
 class TestDecompose:
@@ -64,17 +74,52 @@ class TestDecompose:
         path, _ = planted_csv
         out = tmp_path / "art"
         assert run("decompose", path, "--rank", 3, "--out", out) == 0
-        for name in ("eigenvalues.csv", "modes_matrix.csv", "temporal.csv",
+        for name in ("eigenvalues.csv", "modes_matrix.npy", "temporal.csv",
                      "summary.json"):
             assert (out / name).exists()
+        assert not (out / "modes_matrix.csv").exists()
         assert (out / "modes").is_dir()
         summary = json.loads((out / "summary.json").read_text())
         for key in ("toolkit_version", "method", "rank", "data_shape",
                     "full_fit_loss_percent", "config"):
             assert key in summary
+        assert "admm" not in summary  # spdmd only
         assert summary["rank"] == 3
         assert summary["data_shape"] == [12, 50]
         assert summary["full_fit_loss_percent"] <= 1e-5
+        modes = np.load(out / "modes_matrix.npy", allow_pickle=False)
+        assert modes.dtype == np.complex128 and modes.shape == (12, 3)
+
+    def test_modes_matrix_round_trips_bit_exact(self, tmp_path, planted_csv, monkeypatch):
+        specials = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
+                             5e-324, -2.5e-310, 1.0 / 3.0, -1e308])
+        rng = np.random.default_rng(5)
+        written = []
+        fit = cli._fit
+
+        def fit_with_special_modes(args, X):
+            result, loss, admm = fit(args, X)
+            modes = np.empty(result.modes.shape, dtype=complex)
+            modes.real = rng.choice(specials, modes.shape)
+            modes.imag = rng.choice(specials, modes.shape)
+            written.append(modes)
+            return replace(result, modes=modes), loss, admm
+
+        monkeypatch.setattr(cli, "_fit", fit_with_special_modes)
+        path, _ = planted_csv
+        art = tmp_path / "art"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        model, _ = cli._load_model(art)
+        assert model.modes.view(np.uint64).tolist() == written[0].view(np.uint64).tolist()
+
+    def test_rerun_replaces_a_pre_npy_directory(self, tmp_path, planted_csv):
+        path, _ = planted_csv
+        art = tmp_path / "art"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        make_pre_npy(art)
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        assert (art / "modes_matrix.npy").exists()
+        assert not (art / "modes_matrix.csv").exists()
 
     def test_spdmd_method_selects_sparse_modes(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -289,6 +334,30 @@ def fixed_rho_sweep(path, gammas):
     return solutions
 
 
+class TestSpdmdSplittingReport:
+    """decompose --method spdmd records what its splitting did, and an empty
+    support from a solve cut short names --max-iter, not gamma."""
+
+    def test_summary_records_the_splitting(self, tmp_path, five_mode_csv):
+        out = tmp_path / "art"
+        for max_iter, want_converged in ((20, False), (10000, True)):
+            assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method",
+                       "spdmd", "--gamma", 100, "--max-iter", max_iter, "--out", out) == 0
+            admm = json.loads((out / "summary.json").read_text())["admm"]
+            assert sorted(admm) == ["converged", "iterations", "rho"]
+            assert admm["converged"] is want_converged
+            assert (admm["iterations"] < max_iter) is want_converged
+            assert math.log2(admm["rho"]).is_integer()
+
+    def test_unconverged_empty_support_names_max_iter(self, tmp_path, five_mode_csv, capsys):
+        out = tmp_path / "art"
+        assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method", "spdmd",
+                   "--gamma", 1000, "--max-iter", 20, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "--max-iter 20" in err and "zeroed out" not in err
+        assert not out.exists()
+
+
 class TestBalancedSplitting:
     """At --max-iter 100, fixed rho = 1 stops short on the three largest gammas
     (it needs 154 to 337 iterations) and, cold at gamma 1000, keeps no mode
@@ -390,6 +459,31 @@ class TestReconstruct:
     def test_missing_artifacts(self, tmp_path):
         assert run("reconstruct", "--artifacts", tmp_path / "ghost",
                    "--horizon", 2, "--out", tmp_path / "rec") == 2
+
+    def test_pre_npy_artifacts_are_missing_the_modes(self, tmp_path, planted_csv, capsys):
+        path, _ = planted_csv
+        art, out = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        make_pre_npy(art)
+        capsys.readouterr()
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--out", out) == 2
+        assert re.search(r"missing artifact \S*modes_matrix\.npy", capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([1, "a"], dtype=object), "Object arrays cannot be loaded"),
+        (np.arange(12.0), r"holds float64 \(12,\)"),
+        (np.ones((12, 2), dtype=complex), r"holds complex128 \(12, 2\).* 3 columns"),
+    ], ids=["object-dtype", "real-1d", "rank-mismatch"])
+    def test_malformed_modes_matrix_rejected(self, tmp_path, planted_csv, capsys, bad, message):
+        path, _ = planted_csv
+        art, out = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        np.save(art / "modes_matrix.npy", bad, allow_pickle=True)
+        capsys.readouterr()
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--out", out) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestHeatmap:

@@ -87,6 +87,22 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="no modes"):
             forecast(empty, 2, 0)
 
+    @pytest.mark.filterwarnings("ignore:reconstruction imaginary residual")
+    def test_matches_vandermonde_product_on_random_models(self):
+        # Re(Phi diag(b) lambda^k) for models without conjugate symmetry
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            p, r = int(rng.integers(1, 12)), int(rng.integers(1, 8))
+            lams = rng.uniform(0.5, 1.05, r) * np.exp(1j * rng.uniform(-np.pi, np.pi, r))
+            modes = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
+            amps = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+            model = DecompositionResult(lams, modes, amps, r, "test")
+            for k in rng.integers(0, 80, 4).tolist():
+                want = np.real(modes @ np.diag(amps) @ lams ** k)
+                scale = np.abs(modes) @ np.abs(amps * lams ** k)
+                np.testing.assert_allclose(reconstruct(model, k), want, rtol=0,
+                                           atol=1e-13 * scale.max())
+
     def test_matches_per_mode_sum_oracle(self):
         # the loop over (eigenvalue, mode, amplitude) tuples that the single
         # matrix product replaced, within a tolerance for summation order

@@ -164,6 +164,17 @@ class TestStackCycles:
             stacked = stack_cycles(X, 2)
         np.testing.assert_array_equal(unstack_cycles(stacked, 2), data[:, :8])
 
+    @pytest.mark.filterwarnings("ignore:dropping")  # trailing columns not filling a cycle
+    def test_unstack_inverts_stack_over_random_shapes(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            p, n = int(rng.integers(1, 9)), int(rng.integers(4, 40))
+            c = int(rng.integers(1, n // 2 + 1))  # at least two stacked snapshots
+            data = rng.standard_normal((p, n))
+            stacked = stack_cycles(SnapshotMatrix(data), c)
+            assert stacked.data.shape == (p * c, n // c)
+            np.testing.assert_array_equal(unstack_cycles(stacked, c), data[:, : n // c * c])
+
     def test_invalid_cycle_counts(self):
         X = SnapshotMatrix(np.ones((2, 4)))
         with pytest.raises(ValueError):
