@@ -162,7 +162,7 @@ def _fit(args: argparse.Namespace,
         raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
     admm = {"iterations": int(solution.iterations), "converged": bool(solution.converged),
             "rho": float(solution.rho)}
-    return result, performance_loss(form.objective(solution.b_polished), form.s), admm
+    return result, solution.loss_percent, admm
 
 
 def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatrix,
@@ -219,14 +219,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.gamma_count > 1 and args.gamma_min <= 0:
-        raise UsageError("gamma-min must be positive for a log-spaced grid")
-    if args.gamma_min > args.gamma_max:
-        raise UsageError("gamma-min must not exceed gamma-max")
-    if args.gamma_count == 1 and args.gamma_min != args.gamma_max:
-        raise UsageError("--gamma-count 1 needs --gamma-min equal to --gamma-max")
+    try:
+        gammas = log_gamma_grid(args.gamma_min, args.gamma_max, args.gamma_count)
+    except ValueError as exc:
+        raise UsageError(f"gamma grid: {exc}") from None
     _, form = _decompose(args, _load_input(args))
-    gammas = log_gamma_grid(args.gamma_min, args.gamma_max, args.gamma_count)
     solutions = gamma_sweep(form, gammas,
                             _admm_params(args, warm_start=not args.no_warm_start))
     best: dict[int, int] = {}

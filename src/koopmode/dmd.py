@@ -145,11 +145,15 @@ def vandermonde(eigenvalues: np.ndarray, n_steps: int) -> np.ndarray:
 
 def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
     """Least-squares amplitudes minimizing the quadratic form (P, q, s), in the
-    form's column order, via the normal system P b = q."""
-    b, _, rank, sv = np.linalg.lstsq(form.P, form.q, rcond=None)
-    if rank < form.q.size or (sv[0] > 0 and sv[0] / sv[-1] > NORMAL_COND_LIMIT):
+    form's column order: the minimum-norm solution of P b = q from the form's
+    P = Q diag(lam) Q*, dropping lam <= eps r lam_max, numpy's default
+    least-squares cutoff."""
+    lam, Q = form.eigh
+    keep = lam > np.finfo(float).eps * lam.size * lam[-1]
+    if not keep.all() or lam[-1] > NORMAL_COND_LIMIT * lam[0]:
         warnings.warn("near-singular amplitude system, using minimum-norm solution")
-    return b
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    return Q @ (inv * (Q.conj().T @ form.q))
 
 
 def mode_stats(eigenvalue: complex, dt_label: str = "step") -> ModeStats:

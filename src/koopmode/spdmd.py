@@ -4,11 +4,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .dmd import DecompositionResult
+from .dmd import DecompositionResult, optimal_amplitudes
 
 ZERO_REL_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
@@ -27,21 +26,24 @@ RHO_MAX_CHANGES = 20
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """(P, q, s) with ||Y - Phi diag(b) Xi||_F^2 = b*Pb - q*b - b*q + s."""
+    """(P, q, s) with ||Y - Phi diag(b) Xi||_F^2 = b*Pb - q*b - b*q + s. eigh = (lam, Q),
+    P = Q diag(lam) Q*, is P's one factorization: PSD check, x-update, amplitudes."""
 
     P: np.ndarray
     q: np.ndarray
     s: float
+    eigh: tuple = field(init=False, repr=False, compare=False)
     _x_update: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=complex)
         if np.max(np.abs(P - P.conj().T)) > HERMITIAN_TOL * max(1.0, np.abs(P).max()):
             raise ValueError("P is not Hermitian")
-        evals = np.linalg.eigvalsh(P)
-        if evals[0] < -PSD_REL_TOL * max(evals[-1], 1.0):
-            raise ValueError(f"P is not positive semidefinite (min eig {evals[0]:.3e})")
+        lam, Q = np.linalg.eigh(P)
+        if lam[0] < -PSD_REL_TOL * max(lam[-1], 1.0):
+            raise ValueError(f"P is not positive semidefinite (min eig {lam[0]:.3e})")
         object.__setattr__(self, "P", P)
+        object.__setattr__(self, "eigh", (lam, Q))
         object.__setattr__(self, "q", np.asarray(self.q, dtype=complex).reshape(-1))
         object.__setattr__(self, "s", float(self.s))
 
@@ -55,19 +57,15 @@ class QuadraticForm:
         val = np.real(np.vdot(b, self.P @ b)) - 2.0 * np.real(np.vdot(self.q, b)) + self.s
         return max(val, 0.0)
 
-    @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.P)
-
     def x_update(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
         """(A, c) with (2P + rho I)^-1 (2q + rho v) = c + A v for every v.
 
-        Built from one eigendecomposition P = Q diag(lam) Q* per form. Only the
+        Built from the form's eigendecomposition P = Q diag(lam) Q*. Only the
         last rho's operator is kept: solves at one rho build it once, and a new
         rho replaces it, so the form holds a single r x r operator at a time.
         """
         if self._x_update is None or self._x_update[0] != rho:
-            lam, Q = self._eigh
+            lam, Q = self.eigh
             Qh = Q.conj().T
             inv = 1.0 / (2.0 * lam + rho)
             object.__setattr__(self, "_x_update",
@@ -102,13 +100,12 @@ class AdmmParams:
 
 @dataclass
 class AdmmResult:
-    b: np.ndarray
+    z: np.ndarray  # the amplitudes: the sparse iterate, or at gamma = 0 the least-squares optimum
     iterations: int
     converged: bool
     primal_residual: float
     dual_residual: float
     rho: float
-    z: np.ndarray = field(repr=False, default=None)
     u: np.ndarray = field(repr=False, default=None)
 
 
@@ -157,7 +154,7 @@ def admm_solve(
     form's cached x_update operator; z-update soft-thresholds at gamma/rho.
     rho starts at params.rho, the rho that u0 is scaled by, and moves by
     residual balancing; the result holds the final rho. gamma = 0
-    short-circuits to the minimum-norm normal solve.
+    short-circuits to the minimum-norm least-squares amplitudes.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -165,9 +162,8 @@ def admm_solve(
         raise ValueError("rho must be positive")
     r = form.size
     if gamma == 0.0:
-        b, *_ = np.linalg.lstsq(form.P, form.q, rcond=None)
-        return AdmmResult(b=b, iterations=0, converged=True, primal_residual=0.0,
-                          dual_residual=0.0, rho=params.rho, z=b.copy(),
+        return AdmmResult(z=optimal_amplitudes(form), iterations=0, converged=True,
+                          primal_residual=0.0, dual_residual=0.0, rho=params.rho,
                           u=np.zeros(r, dtype=complex))
     rho = params.rho
     A, c = form.x_update(rho)
@@ -187,8 +183,8 @@ def admm_solve(
         eps_prim = params.eps_abs * sqrt_r + params.eps_rel * max(_norm(x), _norm(z))
         eps_dual = params.eps_abs * sqrt_r + params.eps_rel * rho * _norm(u)
         if prim <= eps_prim and dual <= eps_dual:
-            return AdmmResult(b=z, iterations=it, converged=True, primal_residual=prim,
-                              dual_residual=dual, rho=rho, z=z, u=u)
+            return AdmmResult(z=z, iterations=it, converged=True, primal_residual=prim,
+                              dual_residual=dual, rho=rho, u=u)
         if (changes_left and it % RHO_CHECK_EVERY == 0
                 and max(prim, dual) > RHO_MU * min(prim, dual)):
             scale = RHO_TAU if prim > dual else 1.0 / RHO_TAU
@@ -201,8 +197,8 @@ def admm_solve(
         f"splitting did not converge in {params.max_iter} iterations "
         f"(primal {prim:.3e}, dual {dual:.3e})"
     )
-    return AdmmResult(b=z, iterations=params.max_iter, converged=False, primal_residual=prim,
-                      dual_residual=dual, rho=rho, z=z, u=u)
+    return AdmmResult(z=z, iterations=params.max_iter, converged=False, primal_residual=prim,
+                      dual_residual=dual, rho=rho, u=u)
 
 
 def detect_support(b: np.ndarray, rel_tol: float = ZERO_REL_TOL) -> np.ndarray:
@@ -253,8 +249,8 @@ def solve_at_gamma(
 ) -> tuple[SparseSolution, AdmmResult]:
     """One sweep entry: split, detect support, polish, score."""
     admm = admm_solve(form, gamma, params, z0=z0, u0=u0)
-    support = detect_support(admm.b)
-    b_sparse = admm.b.copy()
+    support = detect_support(admm.z)
+    b_sparse = admm.z.copy()
     b_sparse[np.setdiff1d(np.arange(form.size), support)] = 0.0
     b_pol = polish(form, support)
     cost = form.objective(b_pol)

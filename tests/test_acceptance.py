@@ -86,17 +86,17 @@ def test_criterion_3_spdmd_optimality():
         Y = rng.standard_normal((p, M))
         form = quadratic_form(Y, modes, vand)
         # gamma = 0 matches the normal-equation solution
-        b0 = admm_solve(form, 0.0).b
+        b0 = admm_solve(form, 0.0).z
         want, *_ = np.linalg.lstsq(form.P, form.q, rcond=None)
         if np.max(np.abs(b0 - want)) > 1e-6 * max(1.0, np.max(np.abs(want))):
             ok = False
         # gamma above the shutdown bound forces exact zero
         shutdown = 2.0 * np.max(np.abs(form.q)) * 1.1
-        if np.any(admm_solve(form, shutdown).b != 0.0):
+        if np.any(admm_solve(form, shutdown).z != 0.0):
             ok = False
         # subgradient optimality at an intermediate gamma
         gamma = 0.4 * 2.0 * np.max(np.abs(form.q))
-        b = admm_solve(form, gamma, tight).b
+        b = admm_solve(form, gamma, tight).z
         tol = 1e-4 * (1 + np.linalg.norm(form.q))
         grad = 2.0 * (form.P @ b - form.q)
         for i in range(r):

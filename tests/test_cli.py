@@ -191,6 +191,25 @@ class TestDecompose:
         np.testing.assert_array_equal(np.isnan(grid).reshape(-1),
                                       [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1])
 
+    @pytest.mark.parametrize("flags", [
+        ("--rank", 3), ("--method", "cdmd"),
+        ("--method", "spdmd", "--rank", 3), ("--method", "spdmd", "--rank", 3, "--gamma", 0.5),
+    ])
+    def test_fit_factors_the_amplitude_system_once(self, tmp_path, planted_csv, monkeypatch,
+                                                   flags):
+        calls = []
+        for name in ("eigh", "eigvalsh", "lstsq"):
+            def counting(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, a.shape))
+                return _f(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        path, _ = planted_csv
+        assert run("decompose", path, *flags, "--out", tmp_path / "art") == 0
+        if "cdmd" in flags:  # the companion fit's own least squares, not on P
+            calls = [c for c in calls if c[0] != "lstsq"]
+        (name, shape), = calls
+        assert name == "eigh" and shape[0] == shape[1]
+
     def test_failed_run_leaves_no_artifacts(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,oops\n")

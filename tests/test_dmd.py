@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from koopmode import (
+    DecompositionResult,
     SnapshotMatrix,
+    admm_solve,
     build_pairs,
     exact_dmd,
     mode_stats,
@@ -171,6 +176,80 @@ class TestOptimalAmplitudes:
         recon = result.modes @ np.diag(b) @ vand
         rel = np.linalg.norm(pair.Y - recon, "fro") / np.linalg.norm(pair.Y, "fro")
         assert rel <= 1e-8
+
+
+def duplicated_mode_form(rng):
+    """Five columns, the fifth a copy of the second's mode and eigenvalue,
+    so P is singular."""
+    modes = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    lam = 0.95 * np.exp(2j * np.pi * rng.random(4))
+    modes, lam = np.column_stack([modes, modes[:, 1]]), np.append(lam, lam[1])
+    vand = vandermonde(lam, 20)
+    return quadratic_form(rng.standard_normal((8, 20)), modes, vand)
+
+
+def weak_mode_form(rng, weak=5e-8):
+    """Four unit-norm modes but the last, which has norm `weak`, lives on rows
+    no other mode touches and meets data as weak as itself there. P is then
+    block diagonal with cond(P) ~ 1/weak^2, above NORMAL_COND_LIMIT but below
+    the eigenvalue cutoff, and every amplitude is O(1)."""
+    modes = np.zeros((8, 4), dtype=complex)
+    modes[:6, :3] = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    modes[6:, 3] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    modes /= np.linalg.norm(modes, axis=0) / np.array([1.0, 1.0, 1.0, weak])
+    vand = vandermonde(0.95 * np.exp(2j * np.pi * rng.random(4)), 20)
+    Y = rng.standard_normal((8, 20))
+    Y[6:] *= weak
+    return quadratic_form(Y, modes, vand)
+
+
+class TestNearSingularAmplitudes:
+    @pytest.mark.parametrize("build", [duplicated_mode_form, weak_mode_form])
+    def test_minimum_norm_solution_warns_and_matches_lstsq(self, rng, build):
+        for _ in range(5):
+            form = build(rng)
+            lam = np.linalg.eigvalsh(form.P)
+            assert lam[-1] > 1e14 * lam[0]
+            want = np.linalg.lstsq(form.P, form.q, rcond=None)[0]
+            with pytest.warns(UserWarning, match="near-singular amplitude system"):
+                b = optimal_amplitudes(form)
+            assert np.linalg.norm(b - want) <= 1e-12 * np.linalg.norm(want)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                z = admm_solve(form, 0.0).z
+            np.testing.assert_array_equal(z, b)
+
+    def test_duplicated_mode_shares_its_amplitude(self, rng):
+        form = duplicated_mode_form(rng)
+        with pytest.warns(UserWarning, match="near-singular"):
+            b = optimal_amplitudes(form)
+        assert abs(b[1] - b[4]) <= 1e-12 * abs(b[1])
+
+
+class TestWithAmplitudes:
+    def test_invariant_under_column_permutation(self, rng):
+        """Sorting by |b| descending, ties by original index, leaves nothing to
+        the incoming column order; the loop plants ties in |b| on purpose."""
+        for _ in range(200):
+            r = int(rng.integers(1, 9))
+            mags = rng.choice([0.0, 0.5, 1.0, 2.0], size=r)
+            base = DecompositionResult(
+                eigenvalues=rng.standard_normal(r) + 1j * rng.standard_normal(r),
+                modes=rng.standard_normal((3, r)) + 1j * rng.standard_normal((3, r)),
+                amplitudes=None,
+                rank=r,
+                method="exact-dmd",
+                original_indices=rng.permutation(r),
+            )
+            b = mags * np.exp(2j * np.pi * rng.random(r))
+            want = base.with_amplitudes(b)
+            perm = rng.permutation(r)
+            shuffled = replace(base, eigenvalues=base.eigenvalues[perm], modes=base.modes[:, perm],
+                               original_indices=base.original_indices[perm])
+            got = shuffled.with_amplitudes(b[perm])
+            for name in ("eigenvalues", "modes", "amplitudes", "original_indices"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert np.all(np.diff(np.abs(got.amplitudes)) <= 0)
 
 
 class TestModeStats:

@@ -14,6 +14,7 @@ from koopmode import (
     exact_dmd,
     gamma_sweep,
     log_gamma_grid,
+    optimal_amplitudes,
     performance_loss,
     polish,
     quadratic_form,
@@ -169,15 +170,15 @@ class TestAdmmSolve:
         form = quadratic_form(Y, modes, vand)
         res = admm_solve(form, 0.0)
         want, *_ = np.linalg.lstsq(form.P, form.q, rcond=None)
-        assert np.max(np.abs(res.b - want)) <= 1e-8
-        assert np.linalg.norm(2 * form.P @ res.b - 2 * form.q) <= 1e-6 * (1 + np.linalg.norm(form.q))
+        assert np.max(np.abs(res.z - want)) <= 1e-8
+        assert np.linalg.norm(2 * form.P @ res.z - 2 * form.q) <= 1e-6 * (1 + np.linalg.norm(form.q))
 
     def test_analytic_shutdown(self, rng):
         Y, modes, vand = random_instance(rng)
         form = quadratic_form(Y, modes, vand)
         gamma = 2.0 * np.max(np.abs(form.q)) * 1.05
         res = admm_solve(form, gamma)
-        assert np.all(res.b == 0.0)
+        assert np.all(res.z == 0.0)
         assert res.converged
 
     def test_diagonal_closed_form_oracle(self, rng):
@@ -187,7 +188,7 @@ class TestAdmmSolve:
         gamma = 2.5
         res = admm_solve(form, gamma, TIGHT)
         want = (q / np.abs(q)) * np.maximum(np.abs(q) - gamma / 2.0, 0.0) / np.diag(P).real
-        assert np.max(np.abs(res.b - want)) <= 1e-8
+        assert np.max(np.abs(res.z - want)) <= 1e-8
 
     def test_kkt_subgradient_conditions(self, rng):
         for trial in range(10):
@@ -197,10 +198,10 @@ class TestAdmmSolve:
             res = admm_solve(form, gamma, TIGHT)
             assert res.converged
             tol = 1e-4 * (1 + np.linalg.norm(form.q))
-            grad = 2.0 * (form.P @ res.b - form.q)
+            grad = 2.0 * (form.P @ res.z - form.q)
             for i in range(form.size):
-                if res.b[i] != 0:
-                    assert abs(grad[i] + gamma * res.b[i] / abs(res.b[i])) <= tol
+                if res.z[i] != 0:
+                    assert abs(grad[i] + gamma * res.z[i] / abs(res.z[i])) <= tol
                 else:
                     assert abs(grad[i]) <= gamma + tol
 
@@ -260,6 +261,8 @@ class TestAdmmMatchesCholeskyReference:
         gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 10))
         assert calls == [(10, 10)]
         gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 10))
+        optimal_amplitudes(form)
+        admm_solve(form, 0.0)
         assert len(calls) == 1
 
 
