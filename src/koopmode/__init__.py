@@ -7,6 +7,7 @@ from .dmd import (
     DecompositionResult,
     ModeStats,
     SvdFactors,
+    conjugate_pairs,
     exact_dmd,
     mode_stats,
     optimal_amplitudes,
@@ -46,7 +47,8 @@ __all__ = [
     "AdmmParams", "CompanionModel", "DecompositionResult", "ModeStats",
     "QuadraticForm", "SnapshotMatrix", "SnapshotPair",
     "SparseSolution", "SvdFactors",
-    "admm_solve", "apply_mask", "build_pairs", "companion_dmd", "exact_dmd",
+    "admm_solve", "apply_mask", "build_pairs", "companion_dmd", "conjugate_pairs",
+    "exact_dmd",
     "fit_companion", "forecast", "gamma_sweep", "load_mask", "load_matrix",
     "log_gamma_grid", "mode_stats", "optimal_amplitudes",
     "performance_loss", "polish", "quadratic_form", "reconstruct",

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT
+from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT, real_matmul
 from .snapshots import SnapshotMatrix
 
 LSTSQ_RCOND = 1e-10
@@ -62,7 +62,7 @@ def companion_dmd(X: SnapshotMatrix) -> DecompositionResult:
         warnings.warn(f"near-defective companion eigenbasis, condition {cond:.3e}")
     return DecompositionResult(
         eigenvalues=evals,
-        modes=X.data[:, :-1] @ T,
+        modes=real_matmul(X.data[:, :-1], T),
         amplitudes=None,
         rank=evals.size,
         method="cdmd",

@@ -285,12 +285,13 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             vec, resid = reconstruct(model, k, return_residual=True)
             _float_csv(stage / f"recon_{k}.csv", vec[:, None])
             report["imag_residuals"][str(k)] = resid
-            if reference is not None and k < reference.n_steps:
-                col = reference.data[:, k]
-                denom = max(float(np.linalg.norm(col)), np.finfo(float).tiny)
-                report["relative_errors"][str(k)] = float(
-                    np.linalg.norm(vec - col) / denom
-                )
+            if reference is not None:  # null past the input's last column
+                err = None
+                if k < reference.n_steps:
+                    col = reference.data[:, k]
+                    denom = max(float(np.linalg.norm(col)), np.finfo(float).tiny)
+                    err = float(np.linalg.norm(vec - col) / denom)
+                report["relative_errors"][str(k)] = err
         if args.horizon is not None:
             fc = forecast(model, args.horizon, n_train)
             _float_csv(stage / "forecast.csv", fc)

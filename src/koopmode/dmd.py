@@ -15,6 +15,7 @@ if TYPE_CHECKING:
 RANK_TOL = 1e-10
 EIGENBASIS_COND_LIMIT = 1e12
 NORMAL_COND_LIMIT = 1e14
+CONJUGATE_TOL = 1e-8
 MODE_STYLES = ("exact", "projected")
 
 
@@ -54,12 +55,15 @@ class DecompositionResult:
             object.__setattr__(self, "original_indices", np.arange(self.rank))
 
     def with_amplitudes(self, b: np.ndarray) -> "DecompositionResult":
-        """Attach amplitudes and re-sort columns by |b| descending
-        (ties broken by ascending original index)."""
+        """Attach amplitudes and re-sort columns by |b| descending; both members
+        of a conjugate pair sort by the pair's larger |b|, so roundoff between
+        them does not decide (ties broken by ascending original index)."""
         b = np.asarray(b, dtype=complex)
         if b.shape[0] != self.rank:
             raise ValueError("amplitude vector length mismatch")
-        order = np.lexsort((self.original_indices, -np.abs(b)))
+        mag = np.abs(b)
+        key = np.maximum(mag, mag[conjugate_pairs(self.eigenvalues)])
+        order = np.lexsort((self.original_indices, -key))
         return replace(
             self,
             eigenvalues=self.eigenvalues[order],
@@ -95,6 +99,35 @@ def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
     return SvdFactors(U=U[:, :rank], S=s[:rank], V=Vh[:rank].conj().T, rank=rank)
 
 
+def conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:
+    """partner[i] = j when eigenvalues i and j are a conjugate pair, else i.
+
+    A pair is two eigenvalues off the real axis by more than CONJUGATE_TOL *
+    max(|lam|, 1), each the other's nearest conjugate, within that tolerance.
+    """
+    lam = np.asarray(eigenvalues, dtype=complex).reshape(-1)
+    tol = CONJUGATE_TOL * np.maximum(np.abs(lam), 1.0)
+    partner = np.arange(lam.size)
+    upper, lower = np.flatnonzero(lam.imag > tol), np.flatnonzero(lam.imag < -tol)
+    if upper.size and lower.size:
+        dist = np.abs(lam[lower] - lam[upper, None].conj())
+        nearest = dist.argmin(axis=1)
+        rows = np.arange(upper.size)
+        ok = (dist.argmin(axis=0)[nearest] == rows) & (dist[rows, nearest] <= tol[upper])
+        partner[upper[ok]], partner[lower[nearest[ok]]] = lower[nearest[ok]], upper[ok]
+    return partner
+
+
+def real_matmul(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """A @ Z as a complex array. Real A is not cast to complex: it multiplies
+    Z's interleaved re/im columns in one real product, half the flops."""
+    if np.iscomplexobj(A):
+        return A @ Z
+    # eig returns float64 eigenvectors for an all-real spectrum: cast before the view
+    Z = np.ascontiguousarray(Z, dtype=complex)
+    return (A @ Z.view(np.float64)).view(complex)
+
+
 def exact_dmd(
     pair: SnapshotPair,
     rank: int | None = None,
@@ -115,7 +148,7 @@ def exact_dmd(
     cond = np.linalg.cond(W)
     if cond > EIGENBASIS_COND_LIMIT:
         warnings.warn(f"near-defective eigenbasis, condition {cond:.3e}")
-    modes = propagate @ W if mode_style == "exact" else f.U @ W
+    modes = real_matmul(propagate if mode_style == "exact" else f.U, W)
     order = np.lexsort((np.arange(evals.size), -np.abs(evals)))
     return DecompositionResult(
         eigenvalues=evals[order],

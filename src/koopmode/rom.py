@@ -6,9 +6,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dmd import DecompositionResult
+from .dmd import DecompositionResult, conjugate_pairs
 
-CONJUGATE_TOL = 1e-8
 IMAG_RESIDUAL_TOL = 1e-6
 
 
@@ -41,32 +40,6 @@ def reconstruct(result: DecompositionResult, k: int,
     return real
 
 
-def _conjugate_representatives(eigenvalues: np.ndarray) -> list[int]:
-    """Indices keeping one member of each conjugate pair (the one with
-    nonnegative imaginary part)."""
-    keep: list[int] = []
-    used = [False] * eigenvalues.size
-    for i, lam in enumerate(eigenvalues):
-        if used[i]:
-            continue
-        partner = None
-        scale = max(abs(lam), 1.0)
-        for j in range(i + 1, eigenvalues.size):
-            if used[j]:
-                continue
-            if (abs(eigenvalues[j] - np.conj(lam)) <= CONJUGATE_TOL * scale
-                    and abs(lam.imag) > CONJUGATE_TOL * scale):
-                partner = j
-                break
-        if partner is not None:
-            used[partner] = True
-            keep.append(i if lam.imag >= 0 else partner)
-        else:
-            keep.append(i)
-        used[i] = True
-    return keep
-
-
 def temporal_dynamics(result: DecompositionResult, t_range: Iterable[int],
                       collapse_pairs: bool = False) -> np.ndarray:
     """Rows of Re(eigenvalue^t * amplitude) over t_range; with collapse_pairs
@@ -75,7 +48,12 @@ def temporal_dynamics(result: DecompositionResult, t_range: Iterable[int],
     if ts.size == 0:
         raise ValueError("empty time range")
     dyn = np.real(_weighted_powers(result, ts.astype(complex)))
-    return dyn[_conjugate_representatives(result.eigenvalues)] if collapse_pairs else dyn
+    if not collapse_pairs:
+        return dyn
+    # one row per pair, at the pair's first column: its nonnegative-imaginary member
+    partner = conjugate_pairs(result.eigenvalues)
+    first = np.flatnonzero(partner >= np.arange(partner.size))
+    return dyn[np.where(result.eigenvalues[first].imag < 0, partner[first], first)]
 
 
 def forecast(result: DecompositionResult, horizon: int, n_train: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dmd import DecompositionResult, optimal_amplitudes
+from .dmd import DecompositionResult, optimal_amplitudes, real_matmul
 
 ZERO_REL_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
@@ -122,10 +122,12 @@ def quadratic_form(Y: np.ndarray, modes: np.ndarray, vand: np.ndarray) -> Quadra
     H = xi @ xi.conj().T
     P = G * H.conj()
     P = 0.5 * (P + P.conj().T)
-    q = np.conj(np.diag(xi @ Y.conj().T @ modes))
+    Yc = Y.conj() if np.iscomplexobj(Y) else Y  # conj of a real array is a copy
+    # q_j = conj(xi_j . (Y* modes)_:j), the diagonal of xi Y* modes without the rest
+    q = np.conj(np.einsum("jk,kj->j", xi, real_matmul(Yc.T, modes)))
     # ||Y||_F^2 as column sums, then a pairwise sum: as accurate as trace(Y* Y)
     # without forming the M x M Gram matrix
-    s = float(np.einsum("ij,ij->j", Y.conj(), Y).sum().real)
+    s = float(np.einsum("ij,ij->j", Yc, Y).sum().real)
     return QuadraticForm(P=P, q=q, s=s)
 
 

@@ -1,6 +1,8 @@
 """Shared synthetic-data builders used as forward-construction oracles."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,24 @@ def random_unitary(n: int, rng) -> np.ndarray:
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(Z)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def real_exponentials(rng, p: int, lams, n_steps: int) -> SnapshotMatrix:
+    """Data whose every eigenvalue is real: y_k = sum_j a_j lam_j^k, random real a_j.
+    np.linalg.eig returns float64 eigenvectors for such a spectrum."""
+    lams = np.asarray(lams, dtype=float)
+    return SnapshotMatrix(rng.standard_normal((p, lams.size)) @ lams[:, None] ** np.arange(n_steps))
+
+
+def allocation_peak(fn, *args):
+    """(fn(*args), peak bytes that numpy and Python allocated during the call)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from koopmode import (
     vandermonde,
 )
 from koopmode.cdmd import companion_matrix
-from conftest import planted_matrix
+from conftest import allocation_peak, planted_matrix, real_exponentials
 
 
 def periodic_matrix(period: int, n_steps: int, p: int, seed: int = 0) -> SnapshotMatrix:
@@ -90,6 +90,22 @@ class TestCompanionDmd:
         form = quadratic_form(K, result.modes, vandermonde(result.eigenvalues, K.shape[1]))
         mags = np.abs(result.with_amplitudes(optimal_amplitudes(form)).amplitudes)
         assert np.all(np.diff(mags) <= 1e-12)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_real_spectrum_modes_equal_the_complex_product(self, rng, r):
+        """Real companion eigenvectors at odd and even order give the modes of
+        the complex product K @ T."""
+        X = real_exponentials(rng, 10, [0.95, 0.8, -0.6, 0.4][:r], r + 1)
+        _, T = np.linalg.eig(companion_matrix(fit_companion(X).coefficients))
+        assert T.dtype == np.float64
+        want = X.data[:, :-1].astype(complex) @ T
+        got = companion_dmd(X).modes
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_modes_need_no_complex_copy_of_the_data(self, rng):
+        X = SnapshotMatrix(rng.standard_normal((900, 300)))
+        result, peak = allocation_peak(companion_dmd, X)
+        assert peak < 2 * result.modes.nbytes
 
 
 class TestUnitCircleDeviation:

@@ -438,6 +438,18 @@ class TestReconstruct:
         assert max(report["relative_errors"].values()) <= 1e-8
         assert np.loadtxt(out / "recon_0.csv").shape == (30,)
 
+    def test_index_past_the_input_has_a_null_error(self, tmp_path):
+        X, _ = planted_matrix(12, 40, [0.95 * np.exp(0.4j), 0.9], [2.0, 1.0], seed=13)
+        path, art, out = tmp_path / "data.csv", tmp_path / "art", tmp_path / "rec"
+        save_matrix(X, path, "csv")
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--at", 60,
+                   "--input", path, "--out", out) == 0
+        errors = json.loads((out / "recon_report.json").read_text())["relative_errors"]
+        assert sorted(errors) == ["0", "60"]
+        assert errors["0"] <= 1e-8 and errors["60"] is None
+        assert (out / "recon_60.csv").exists()
+
     def test_negative_index_rejected(self, tmp_path, planted_csv):
         path, _ = planted_csv
         art, out = tmp_path / "art", tmp_path / "rec"

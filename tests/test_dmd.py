@@ -18,7 +18,8 @@ from koopmode import (
     truncated_svd,
     vandermonde,
 )
-from conftest import planted_matrix
+from koopmode.dmd import MODE_STYLES
+from conftest import planted_matrix, real_exponentials
 
 
 class TestTruncatedSvd:
@@ -226,6 +227,24 @@ class TestNearSingularAmplitudes:
         assert abs(b[1] - b[4]) <= 1e-12 * abs(b[1])
 
 
+class TestRealSpectrum:
+    @pytest.mark.parametrize("mode_style", MODE_STYLES)
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_modes_equal_the_complex_product(self, rng, r, mode_style):
+        """Real eigenvectors (an all-real spectrum) at odd and even rank give the
+        modes of the complex product basis @ W."""
+        pair = build_pairs(real_exponentials(rng, 10, [0.95, 0.8, -0.6, 0.4][:r], 20))
+        f = truncated_svd(pair.Y, r)
+        propagate = pair.Yplus @ (f.V / f.S)
+        evals, W = np.linalg.eig(f.U.T @ propagate)
+        assert W.dtype == np.float64
+        basis = propagate if mode_style == "exact" else f.U
+        want = basis.astype(complex) @ (W / np.linalg.norm(W, axis=0))
+        want = want[:, np.argsort(-np.abs(evals), kind="stable")]
+        got = exact_dmd(pair, rank=r, mode_style=mode_style).modes
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 class TestWithAmplitudes:
     def test_invariant_under_column_permutation(self, rng):
         """Sorting by |b| descending, ties by original index, leaves nothing to
@@ -250,6 +269,27 @@ class TestWithAmplitudes:
             for name in ("eigenvalues", "modes", "amplitudes", "original_indices"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
             assert np.all(np.diff(np.abs(got.amplitudes)) <= 0)
+
+    def test_conjugate_pair_order_ignores_roundoff(self, rng):
+        """The two members of a conjugate pair have equal |b| up to roundoff;
+        perturbing each member by 1e-9 relative must not reorder the columns."""
+        for _ in range(50):
+            n_pairs, n_real = int(rng.integers(1, 7)), int(rng.integers(0, 3))
+            lam = rng.uniform(0.5, 1.0, n_pairs) * np.exp(1j * rng.uniform(0.1, 3.0, n_pairs))
+            evals = np.concatenate([np.column_stack([lam, lam.conj()]).ravel(),
+                                    rng.uniform(-1.0, 1.0, n_real)])
+            amps = np.exp(rng.uniform(-3, 3, n_pairs)) * np.exp(2j * np.pi * rng.random(n_pairs))
+            b = np.concatenate([np.column_stack([amps, amps.conj()]).ravel(),
+                                rng.uniform(0.1, 10.0, n_real)])
+            r = evals.size
+            perm = rng.permutation(r)
+            base = DecompositionResult(eigenvalues=evals[perm], modes=np.eye(r, dtype=complex),
+                                       amplitudes=None, rank=r, method="exact-dmd")
+            want = base.with_amplitudes(b[perm]).original_indices
+            for _ in range(4):
+                wobble = 1.0 + 1e-9 * rng.choice([-1.0, 1.0], size=r)
+                got = base.with_amplitudes((b * wobble)[perm]).original_indices
+                np.testing.assert_array_equal(got, want)
 
 
 class TestModeStats:

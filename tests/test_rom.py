@@ -6,6 +6,7 @@ import pytest
 from koopmode import (
     DecompositionResult,
     build_pairs,
+    conjugate_pairs,
     exact_dmd,
     forecast,
     mode_stats,
@@ -116,6 +117,63 @@ class TestReconstruct:
             tol = 1e-13 * np.linalg.norm(want)
             assert np.linalg.norm(reconstruct(fitted, k) - want.real) <= tol
             assert np.linalg.norm(fc[:, k] - want.real) <= tol
+
+
+def conjugate_representatives_loop(eigenvalues: np.ndarray) -> list[int]:
+    """The pairwise loop conjugate_pairs replaced, kept as its oracle: one index
+    per conjugate pair (its nonnegative-imaginary member) or unpaired mode."""
+    tol = 1e-8
+    keep: list[int] = []
+    used = [False] * eigenvalues.size
+    for i, lam in enumerate(eigenvalues):
+        if used[i]:
+            continue
+        partner = None
+        scale = max(abs(lam), 1.0)
+        for j in range(i + 1, eigenvalues.size):
+            if used[j]:
+                continue
+            if (abs(eigenvalues[j] - np.conj(lam)) <= tol * scale
+                    and abs(lam.imag) > tol * scale):
+                partner = j
+                break
+        if partner is not None:
+            used[partner] = True
+            keep.append(i if lam.imag >= 0 else partner)
+        else:
+            keep.append(i)
+        used[i] = True
+    return keep
+
+
+def mixed_spectrum(rng) -> np.ndarray:
+    """Eigenvalues of a random real matrix (exact conjugate pairs and real
+    values), some partners nudged by 1e-12 relative, some unpaired complex
+    values, in random order."""
+    lam = np.linalg.eigvals(rng.standard_normal((int(rng.integers(1, 13)),) * 2)).astype(complex)
+    nudge = rng.random(lam.size) < 0.3
+    lam[nudge] *= 1.0 + 1e-12 * rng.standard_normal(int(nudge.sum()))
+    extra = rng.standard_normal(int(rng.integers(0, 3))) * (1.0 + 1j)
+    return rng.permutation(np.concatenate([lam, extra]))
+
+
+class TestConjugatePairs:
+    def test_pairs_are_mutual_conjugates(self, rng):
+        for _ in range(200):
+            lam = mixed_spectrum(rng)
+            partner = conjugate_pairs(lam)
+            np.testing.assert_array_equal(partner[partner], np.arange(lam.size))
+            paired = partner != np.arange(lam.size)
+            assert np.all(np.abs(lam[partner] - lam.conj())[paired] <= 1e-8 * np.abs(lam[paired]))
+
+    def test_pair_collapse_matches_the_pairwise_loop(self, rng):
+        ts = np.arange(6)
+        for _ in range(200):
+            lam = mixed_spectrum(rng)
+            model = decomposition(lam, np.ones((lam.size, 2)), rng.standard_normal(lam.size)
+                                  + 1j * rng.standard_normal(lam.size))
+            want = temporal_dynamics(model, ts)[conjugate_representatives_loop(lam)]
+            np.testing.assert_array_equal(temporal_dynamics(model, ts, collapse_pairs=True), want)
 
 
 class TestTemporalDynamics:
@@ -251,9 +309,13 @@ class TestModelInvariants:
             assert tuple(row[3:6]) == tuple(mode_stats(complex(row[1], row[2])))
 
     def test_sorted_by_amplitude(self):
+        # a conjugate pair sorts by its larger |b|; its members' |b| agree to roundoff
         X, _ = planted_matrix(8, 30, [0.95 * np.exp(0.4j), 0.9], [1.0, 0.5], seed=4)
-        mags = np.abs(fitted_model(X).amplitudes)
-        assert all(m1 >= m2 for m1, m2 in zip(mags, mags[1:]))
+        model = fitted_model(X)
+        mags = np.abs(model.amplitudes)
+        key = np.maximum(mags, mags[conjugate_pairs(model.eigenvalues)])
+        assert all(k1 >= k2 for k1, k2 in zip(key, key[1:]))
+        np.testing.assert_allclose(mags, key, rtol=1e-12)
 
     def test_top_subset_minimizes_k0_error_for_orthogonal_modes(self, rng):
         # orthogonal spatial directions: truncating to the largest amplitudes

@@ -25,7 +25,7 @@ from koopmode import (
 from koopmode import spdmd
 from koopmode.dmd import DecompositionResult
 from koopmode.spdmd import detect_support, soft_threshold
-from conftest import random_unitary
+from conftest import allocation_peak, random_unitary
 
 TIGHT = AdmmParams(eps_abs=1e-11, eps_rel=1e-11, max_iter=100000)
 
@@ -139,6 +139,22 @@ class TestQuadraticForm:
             b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             want = direct_objective(Y, modes, vand, b)
             assert abs(form.objective(b) - want) <= 1e-8 * max(1.0, want)
+
+    @pytest.mark.parametrize("real_modes", [False, True])
+    def test_real_data_matches_its_complex_copy(self, rng, real_modes):
+        Y, modes, vand = random_instance(rng, p=30, r=5, M=40)
+        if real_modes:  # eigenvectors of an all-real spectrum come back as float64
+            modes = modes.real.copy()
+        got, want = quadratic_form(Y, modes, vand), quadratic_form(Y.astype(complex), modes, vand)
+        assert np.isrealobj(Y)
+        for name in ("P", "q", "s"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b), name
+
+    def test_real_data_needs_no_complex_copy(self, rng):
+        Y, modes, vand = random_instance(rng, p=900, r=40, M=400)
+        _, peak = allocation_peak(quadratic_form, Y, modes, vand)
+        assert peak < Y.nbytes
 
     def test_hermitian_and_psd_enforced(self):
         with pytest.raises(ValueError, match="Hermitian"):
