@@ -80,13 +80,19 @@ class ModeStats(NamedTuple):
 
 
 def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
-    """Rank-r SVD; default rank keeps singular values above 1e-10 * sigma_1."""
+    """Rank-r SVD; default rank keeps singular values above 1e-10 * sigma_1.
+    A wide Y is factored as Y*, whose tall SVD (LAPACK's QR path) is faster."""
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     Y = np.asarray(Y)
     if Y.size == 0:
         raise ValueError("empty matrix")
-    U, s, Vh = np.linalg.svd(Y, full_matrices=False)
+    if Y.shape[0] < Y.shape[1]:  # Y* = V diag(s) U*
+        V, s, Uh = np.linalg.svd(Y.conj().T, full_matrices=False)
+        U = Uh.conj().T
+    else:
+        U, s, Vh = np.linalg.svd(Y, full_matrices=False)
+        V = Vh.conj().T
     if s[0] <= 0:
         raise ValueError("matrix has no positive singular values")
     if rank is None:
@@ -96,7 +102,7 @@ def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
             raise ValueError(f"rank {rank} exceeds min(p, M)={min(Y.shape)}")
         if s[rank - 1] <= 0:
             raise ValueError(f"zero singular value inside requested rank {rank}")
-    return SvdFactors(U=U[:, :rank], S=s[:rank], V=Vh[:rank].conj().T, rank=rank)
+    return SvdFactors(U=U[:, :rank], S=s[:rank], V=V[:, :rank], rank=rank)
 
 
 def conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:
@@ -179,14 +185,14 @@ def vandermonde(eigenvalues: np.ndarray, n_steps: int) -> np.ndarray:
 def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
     """Least-squares amplitudes minimizing the quadratic form (P, q, s), in the
     form's column order: the minimum-norm solution of P b = q from the form's
-    P = Q diag(lam) Q*, dropping lam <= eps r lam_max, numpy's default
-    least-squares cutoff."""
+    eigendecomposition Q diag(lam) Q* in its basis, dropping lam <= eps r lam_max,
+    numpy's default least-squares cutoff."""
     lam, Q = form.eigh
     keep = lam > np.finfo(float).eps * lam.size * lam[-1]
     if not keep.all() or lam[-1] > NORMAL_COND_LIMIT * lam[0]:
         warnings.warn("near-singular amplitude system, using minimum-norm solution")
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-    return Q @ (inv * (Q.conj().T @ form.q))
+    return form.from_basis(Q @ (inv * (Q.conj().T @ form.basis_form[1])))
 
 
 def mode_stats(eigenvalue: complex, dt_label: str = "step") -> ModeStats:

@@ -7,12 +7,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dmd import DecompositionResult, optimal_amplitudes, real_matmul
+from .dmd import DecompositionResult, conjugate_pairs, optimal_amplitudes, real_matmul
 
 ZERO_REL_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
 _TINY = np.finfo(float).tiny
+SQRT_HALF = math.sqrt(0.5)
 # Residual balancing (He, Yang & Wang 2000; Boyd et al. 2011, section 3.4.1):
 # every RHO_CHECK_EVERY iterations, scale rho by RHO_TAU towards the larger
 # residual when it exceeds RHO_MU times the other, at most RHO_MAX_CHANGES
@@ -26,30 +27,93 @@ RHO_MAX_CHANGES = 20
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """(P, q, s) with ||Y - Phi diag(b) Xi||_F^2 = b*Pb - q*b - b*q + s. eigh = (lam, Q),
-    P = Q diag(lam) Q*, is P's one factorization: PSD check, x-update, amplitudes."""
+    """(P, q, s) with ||Y - Phi diag(b) Xi||_F^2 = b*Pb - q*b - b*q + s.
+
+    partner pairs columns whose amplitudes are conjugate (dmd.conjugate_pairs).
+    When P and q are pair-symmetric under it, conj(P) = Pi P Pi and
+    conj(q) = Pi q (real data), the optimum is conjugate-paired and the solvers
+    work in the unitary pair basis b = T y: y_i = sqrt2 Re b_i and
+    y_j = sqrt2 Im b_i for a pair i < j, y_k = b_k for an unpaired k. There the
+    form (T*PT, T*q) is real. Otherwise partner is None and the basis is the
+    identity. eigh = (lam, Q), the form in its basis = Q diag(lam) Q*, is the
+    one factorization: PSD check, x-update, amplitudes.
+    """
 
     P: np.ndarray
     q: np.ndarray
     s: float
+    partner: np.ndarray | None = field(default=None, compare=False)
     eigh: tuple = field(init=False, repr=False, compare=False)
+    _paired: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _x_update: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=complex)
         if np.max(np.abs(P - P.conj().T)) > HERMITIAN_TOL * max(1.0, np.abs(P).max()):
             raise ValueError("P is not Hermitian")
-        lam, Q = np.linalg.eigh(P)
+        q = np.asarray(self.q, dtype=complex).reshape(-1)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "s", float(self.s))
+        if self.partner is not None:
+            partner, index = np.asarray(self.partner, dtype=int).reshape(-1), np.arange(q.size)
+            if not (np.array_equal(np.sort(partner), index)
+                    and np.array_equal(partner[partner], index)):
+                raise ValueError("partner must pair each column with itself or one other")
+            object.__setattr__(self, "partner", partner)
+            object.__setattr__(self, "_paired", self._pair_basis_form())
+            if self._paired is None:
+                object.__setattr__(self, "partner", None)
+        lam, Q = np.linalg.eigh(self.basis_form[0])
         if lam[0] < -PSD_REL_TOL * max(lam[-1], 1.0):
             raise ValueError(f"P is not positive semidefinite (min eig {lam[0]:.3e})")
-        object.__setattr__(self, "P", P)
         object.__setattr__(self, "eigh", (lam, Q))
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=complex).reshape(-1))
-        object.__setattr__(self, "s", float(self.s))
+
+    def _pair_basis_form(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(T*PT, T*q) as real arrays, or None when their imaginary parts are
+        more than roundoff, which is when P and q are not pair-symmetric."""
+        first, second = self._pairs()
+        Pt = self.P.copy()
+        _pair_combine(Pt, first, second, -1j)  # rows: T* P
+        _pair_combine(Pt.T, first, second, 1j)  # columns: (T* P) T
+        qt = self.q.copy()
+        _pair_combine(qt, first, second, -1j)
+        if any(np.abs(a.imag).max() > HERMITIAN_TOL * np.abs(a).max() for a in (Pt, qt)):
+            return None
+        return Pt.real.copy(), qt.real.copy()
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j) of the pairs, i < j."""
+        first = np.flatnonzero(self.partner > np.arange(self.partner.size))
+        return first, self.partner[first]
 
     @property
     def size(self) -> int:
         return self.q.shape[0]
+
+    @property
+    def basis_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, q) in the solvers' basis: real in the pair basis, else the complex P and q."""
+        return self._paired if self._paired is not None else (self.P, self.q)
+
+    def to_basis(self, b: np.ndarray) -> np.ndarray:
+        """Coordinates of amplitudes b in the form's basis. In the pair basis
+        these are Re(T* b), b's projection on the conjugate-paired amplitudes."""
+        y = np.array(b, dtype=complex).reshape(-1)
+        if self.partner is None:
+            return y
+        _pair_combine(y, *self._pairs(), -1j)
+        return y.real.copy()
+
+    def from_basis(self, y: np.ndarray) -> np.ndarray:
+        """Amplitudes b = T y of coordinates y in the form's basis."""
+        if self.partner is None:
+            return y
+        first, second = self._pairs()
+        b = y.astype(complex)
+        b[first] = SQRT_HALF * (y[first] + 1j * y[second])
+        b[second] = b[first].conj()
+        return b
 
     def objective(self, b: np.ndarray) -> float:
         """Value of the reconstruction objective at amplitude vector b."""
@@ -58,19 +122,30 @@ class QuadraticForm:
         return max(val, 0.0)
 
     def x_update(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
-        """(A, c) with (2P + rho I)^-1 (2q + rho v) = c + A v for every v.
+        """(A, c) with (2P + rho I)^-1 (2q + rho v) = c + A v for every v, in
+        the form's basis.
 
-        Built from the form's eigendecomposition P = Q diag(lam) Q*. Only the
-        last rho's operator is kept: solves at one rho build it once, and a new
-        rho replaces it, so the form holds a single r x r operator at a time.
+        Built from the form's eigendecomposition. Only the last rho's operator
+        is kept: solves at one rho build it once, and a new rho replaces it, so
+        the form holds a single r x r operator at a time.
         """
         if self._x_update is None or self._x_update[0] != rho:
             lam, Q = self.eigh
             Qh = Q.conj().T
             inv = 1.0 / (2.0 * lam + rho)
+            q = self.basis_form[1]
             object.__setattr__(self, "_x_update",
-                               (rho, (Q * (rho * inv)) @ Qh, Q @ (2.0 * inv * (Qh @ self.q))))
+                               (rho, (Q * (rho * inv)) @ Qh, Q @ (2.0 * inv * (Qh @ q))))
         return self._x_update[1:]
+
+
+def _pair_combine(M: np.ndarray, first: np.ndarray, second: np.ndarray,
+                  phase: complex) -> None:
+    """In place along M's first axis: rows (M_i, M_j) of each pair become
+    (M_i + M_j) / sqrt2 and phase (M_i - M_j) / sqrt2."""
+    a, b = M[first], M[second]
+    M[first] = SQRT_HALF * (a + b)
+    M[second] = (phase * SQRT_HALF) * (a - b)
 
 
 @dataclass(frozen=True)
@@ -111,7 +186,8 @@ class AdmmResult:
 
 def quadratic_form(Y: np.ndarray, modes: np.ndarray, vand: np.ndarray) -> QuadraticForm:
     """Reduce the Frobenius objective over amplitudes to (P, q, s), for the
-    Vandermonde matrix vand of the modes' eigenvalues."""
+    Vandermonde matrix vand of the modes' eigenvalues. Real Y gives the form
+    its conjugate pairing, which it keeps when (P, q) is pair-symmetric."""
     xi = np.asarray(vand)
     Y = np.asarray(Y)
     if modes.shape[0] != Y.shape[0] or xi.shape[1] != Y.shape[1] or modes.shape[1] != xi.shape[0]:
@@ -128,7 +204,9 @@ def quadratic_form(Y: np.ndarray, modes: np.ndarray, vand: np.ndarray) -> Quadra
     # ||Y||_F^2 as column sums, then a pairwise sum: as accurate as trace(Y* Y)
     # without forming the M x M Gram matrix
     s = float(np.einsum("ij,ij->j", Yc, Y).sum().real)
-    return QuadraticForm(P=P, q=q, s=s)
+    # real data: pair each eigenvalue (column 1 of vand) with its conjugate
+    partner = None if np.iscomplexobj(Y) or xi.shape[1] < 2 else conjugate_pairs(xi[:, 1])
+    return QuadraticForm(P=P, q=q, s=s, partner=partner)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -143,6 +221,13 @@ def soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
     return scale * v
 
 
+def _pair_threshold(v: np.ndarray, kappa: float, partner: np.ndarray) -> np.ndarray:
+    """soft_threshold of the amplitudes T v, for real v in the pair basis: a
+    pair's two coordinates shrink together, by sqrt2 kappa in their 2-norm."""
+    mag = np.hypot(v, v[partner])  # sqrt2 |b_k|, for paired and unpaired k alike
+    return np.maximum(1.0 - (kappa / SQRT_HALF) / np.maximum(mag, _TINY), 0.0) * v
+
+
 def admm_solve(
     form: QuadraticForm,
     gamma: float,
@@ -154,6 +239,8 @@ def admm_solve(
 
     x-update solves (2P + rho I) x = 2q + rho (z - u) as one product with the
     form's cached x_update operator; z-update soft-thresholds at gamma/rho.
+    Both run in the form's basis, in real arithmetic in the pair basis; z0 and
+    u0 are amplitudes, and so are the result's z and u.
     rho starts at params.rho, the rho that u0 is scaled by, and moves by
     residual balancing; the result holds the final rho. gamma = 0
     short-circuits to the minimum-norm least-squares amplitudes.
@@ -169,8 +256,9 @@ def admm_solve(
                           u=np.zeros(r, dtype=complex))
     rho = params.rho
     A, c = form.x_update(rho)
-    z = np.zeros(r, dtype=complex) if z0 is None else z0.astype(complex).copy()
-    u = np.zeros(r, dtype=complex) if u0 is None else u0.astype(complex).copy()
+    z = np.zeros(r, dtype=c.dtype) if z0 is None else form.to_basis(z0)
+    u = np.zeros(r, dtype=c.dtype) if u0 is None else form.to_basis(u0)
+    partner = form.partner
     kappa = gamma / rho
     sqrt_r = np.sqrt(r)
     prim = dual = np.inf
@@ -178,15 +266,17 @@ def admm_solve(
     for it in range(1, params.max_iter + 1):
         x = c + A @ (z - u)
         z_old = z
-        z = soft_threshold(x + u, kappa)
+        z = (soft_threshold(x + u, kappa) if partner is None
+             else _pair_threshold(x + u, kappa, partner))
         u = u + x - z
         prim = _norm(x - z)
         dual = rho * _norm(z - z_old)
         eps_prim = params.eps_abs * sqrt_r + params.eps_rel * max(_norm(x), _norm(z))
         eps_dual = params.eps_abs * sqrt_r + params.eps_rel * rho * _norm(u)
         if prim <= eps_prim and dual <= eps_dual:
-            return AdmmResult(z=z, iterations=it, converged=True, primal_residual=prim,
-                              dual_residual=dual, rho=rho, u=u)
+            return AdmmResult(z=form.from_basis(z), iterations=it, converged=True,
+                              primal_residual=prim, dual_residual=dual, rho=rho,
+                              u=form.from_basis(u))
         if (changes_left and it % RHO_CHECK_EVERY == 0
                 and max(prim, dual) > RHO_MU * min(prim, dual)):
             scale = RHO_TAU if prim > dual else 1.0 / RHO_TAU
@@ -199,8 +289,8 @@ def admm_solve(
         f"splitting did not converge in {params.max_iter} iterations "
         f"(primal {prim:.3e}, dual {dual:.3e})"
     )
-    return AdmmResult(z=z, iterations=params.max_iter, converged=False, primal_residual=prim,
-                      dual_residual=dual, rho=rho, u=u)
+    return AdmmResult(z=form.from_basis(z), iterations=params.max_iter, converged=False,
+                      primal_residual=prim, dual_residual=dual, rho=rho, u=form.from_basis(u))
 
 
 def detect_support(b: np.ndarray, rel_tol: float = ZERO_REL_TOL) -> np.ndarray:
@@ -214,23 +304,27 @@ def detect_support(b: np.ndarray, rel_tol: float = ZERO_REL_TOL) -> np.ndarray:
 
 def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     """Re-optimize amplitudes with the sparsity pattern fixed: b is zero off the
-    support and solves P[S,S] b_S = q_S on it (Cholesky, else minimum norm)."""
+    support and solves P[S,S] b_S = q_S on it (Cholesky, else minimum norm).
+    A support closed under the form's pairing is solved in its basis, where a
+    pair keeps its two indices: in real arithmetic in the pair basis."""
     r = form.size
     support = np.asarray(support, dtype=int)
     if support.size and (support.min() < 0 or support.max() >= r):
         raise ValueError("support indices out of range")
-    b = np.zeros(r, dtype=complex)
     if support.size == 0:
-        return b
-    P_s, q_s = form.P[np.ix_(support, support)], form.q[support]
+        return np.zeros(r, dtype=complex)
+    in_basis = form.partner is None or np.isin(form.partner[support], support).all()
+    P, q = form.basis_form if in_basis else (form.P, form.q)
+    P_s, q_s = P[np.ix_(support, support)], q[support]
+    x = np.zeros(r, dtype=P.dtype)
     try:
         L = np.linalg.cholesky(P_s)
     except np.linalg.LinAlgError:
         warnings.warn("singular polishing system, using minimum-norm solution")
-        b[support] = np.linalg.lstsq(P_s, q_s, rcond=None)[0]
+        x[support] = np.linalg.lstsq(P_s, q_s, rcond=None)[0]
     else:
-        b[support] = np.linalg.solve(L.conj().T, np.linalg.solve(L, q_s))
-    return b
+        x[support] = np.linalg.solve(L.conj().T, np.linalg.solve(L, q_s))
+    return form.from_basis(x) if in_basis else x
 
 
 def performance_loss(cost: float, s: float) -> float:

@@ -15,7 +15,7 @@ import pytest
 
 from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, exact_dmd, gamma_sweep,
                       load_matrix, log_gamma_grid, quadratic_form, save_matrix, vandermonde)
-from koopmode import cli, spdmd
+from koopmode import __main__ as entry, cli, spdmd
 from koopmode.cli import main, read_grid_csv, render_heatmap
 from conftest import planted_matrix
 
@@ -630,3 +630,25 @@ class TestRuntimeImports:
     def test_module_version_exits_zero(self):
         proc = _run_python("-m", "koopmode", "--version")
         assert proc.returncode == 0, proc.stderr
+
+    def test_package_import_loads_no_numpy_and_sets_no_thread_count(self, monkeypatch):
+        for name in entry.THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        proc = _run_python("-c", "import json, os, sys, koopmode; print(json.dumps(["
+                                 "'numpy' in sys.modules, sorted(n for n in os.environ "
+                                 "if n.endswith('_NUM_THREADS'))]))")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, []]
+
+    @pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"},
+                                        {"OMP_NUM_THREADS": "4"}])
+    def test_entry_sets_one_blas_thread_unless_the_caller_set_one(self, monkeypatch, preset):
+        for name in entry.THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)  # also restores them afterwards
+        for name, value in preset.items():
+            monkeypatch.setenv(name, value)
+        seen = {}
+        monkeypatch.setattr(cli, "main", lambda: seen.update(
+            (name, os.environ[name]) for name in entry.THREAD_VARS if name in os.environ) or 0)
+        assert entry.main() == 0
+        assert seen == (preset or dict.fromkeys(entry.THREAD_VARS, "1"))

@@ -35,19 +35,27 @@ class TestTruncatedSvd:
         assert f.rank == 1
         np.testing.assert_allclose(f.S, [7.0], atol=1e-10)
 
+    @staticmethod
+    def tall_and_wide(rng, p, M):
+        """Real and complex matrices, tall and wide: a wide one is factored as Y*."""
+        return [rng.standard_normal(shape) + z * rng.standard_normal(shape)
+                for shape in ((p, M), (M, p)) for z in (0, 1j)]
+
     def test_tail_energy_against_full_svd_oracle(self, rng):
-        Y = rng.standard_normal((20, 10))
-        f = truncated_svd(Y, rank=5)
-        err = np.linalg.norm(Y - f.U @ (f.S[:, None] * f.V.conj().T), "fro")
-        tail = np.sqrt(np.sum(np.linalg.svd(Y, compute_uv=False)[5:] ** 2))
-        assert abs(err - tail) <= 1e-8
+        for Y in self.tall_and_wide(rng, 20, 10):
+            f = truncated_svd(Y, rank=5)
+            assert f.U.shape == (Y.shape[0], 5) and f.V.shape == (Y.shape[1], 5)
+            err = np.linalg.norm(Y - f.U @ (f.S[:, None] * f.V.conj().T), "fro")
+            sigma = np.linalg.svd(Y, compute_uv=False)
+            assert np.max(np.abs(f.S - sigma[:5])) <= 1e-12 * sigma[0]
+            assert abs(err - np.sqrt(np.sum(sigma[5:] ** 2))) <= 1e-8
 
     def test_orthonormal_factors(self, rng):
-        Y = rng.standard_normal((15, 8))
-        f = truncated_svd(Y, rank=4)
-        assert np.max(np.abs(f.U.conj().T @ f.U - np.eye(4))) <= 1e-10
-        assert np.max(np.abs(f.V.conj().T @ f.V - np.eye(4))) <= 1e-10
-        assert np.all(np.diff(f.S) <= 0) and np.all(f.S > 0)
+        for Y in self.tall_and_wide(rng, 15, 8):
+            f = truncated_svd(Y, rank=4)
+            assert np.max(np.abs(f.U.conj().T @ f.U - np.eye(4))) <= 1e-10
+            assert np.max(np.abs(f.V.conj().T @ f.V - np.eye(4))) <= 1e-10
+            assert np.all(np.diff(f.S) <= 0) and np.all(f.S > 0)
 
     def test_all_zero_matrix(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,9 @@ import scipy.linalg
 from koopmode import (
     AdmmParams,
     QuadraticForm,
+    SnapshotMatrix,
     admm_solve,
+    build_pairs,
     exact_dmd,
     gamma_sweep,
     log_gamma_grid,
@@ -25,7 +27,7 @@ from koopmode import (
 from koopmode import spdmd
 from koopmode.dmd import DecompositionResult
 from koopmode.spdmd import detect_support, soft_threshold
-from conftest import allocation_peak, random_unitary
+from conftest import allocation_peak, planted_snapshots, random_unitary
 
 TIGHT = AdmmParams(eps_abs=1e-11, eps_rel=1e-11, max_iter=100000)
 
@@ -54,6 +56,17 @@ def planted_form(rng, r=10, n_active=3, M=200, p=40, amp_scale=None):
         b_true[i] = a * np.exp(2j * np.pi * rng.random())
     Y = modes @ np.diag(b_true) @ vand
     return quadratic_form(Y, modes, vand), b_true, np.array(active)
+
+
+def real_dmd_instance(rng, rank=9, p=30, M=80):
+    """(Y, modes, vand) of exact DMD on seeded real data: four damped
+    oscillations and one decay plus noise, so rank 9 holds four conjugate
+    pairs and one real eigenvalue."""
+    lams = [0.97 * np.exp(1j * w) for w in (0.3, 0.7, 1.3, 2.1)] + [0.9]
+    Y, _ = planted_snapshots(p, M + 1, lams, [5.0, 3.0, 2.0, 1.0, 4.0], rng)
+    pair = build_pairs(SnapshotMatrix(Y + 1e-3 * rng.standard_normal(Y.shape)))
+    result = exact_dmd(pair, rank=rank)
+    return pair.Y, result.modes, vandermonde(result.eigenvalues, M)
 
 
 def cholesky_admm(form, gamma, params=AdmmParams(), z0=None, u0=None):
@@ -162,6 +175,12 @@ class TestQuadraticForm:
         with pytest.raises(ValueError, match="semidefinite"):
             QuadraticForm(P=np.array([[-1.0 + 0j]]), q=np.zeros(1), s=0.0)
 
+    def test_partner_must_be_an_involution(self, rng):
+        form = random_psd_form(rng, 4)
+        for partner in ([1, 1, 2, 3], [1, 2, 0, 3], [1, 0, 2], [0, 1, 2, 4]):
+            with pytest.raises(ValueError, match="partner"):
+                QuadraticForm(P=form.P, q=form.q, s=form.s, partner=partner)
+
     def test_dimension_mismatch(self, rng):
         Y, modes, vand = random_instance(rng)
         with pytest.raises(ValueError, match="incompatible"):
@@ -263,6 +282,65 @@ class TestAdmmMatchesCholeskyReference:
             assert_close(got, want, 1e-10)
         solutions = gamma_sweep(form, gammas)
         assert [s.iterations for s in solutions] == [it1, it2]
+
+    @pytest.mark.parametrize("max_changes", [0, spdmd.RHO_MAX_CHANGES])
+    def test_pair_basis_matches_the_complex_iterates(self, rng, monkeypatch, max_changes):
+        """Real data: the real, conjugate-paired ADMM runs the complex ADMM's
+        iterates in the unitary pair basis, with fixed and with balanced rho."""
+        monkeypatch.setattr(spdmd, "RHO_MAX_CHANGES", max_changes)
+        for _ in range(3):
+            form = quadratic_form(*real_dmd_instance(rng))
+            assert form.partner is not None and form.eigh[1].dtype == np.float64
+            first = np.flatnonzero(form.partner > np.arange(form.size))
+            assert first.size == 4
+            for params in (AdmmParams(), AdmmParams(rho=1e3)):
+                z = u = res = None
+                for frac in (0.05, 0.3):  # the second warm-started from the first
+                    gamma = frac * 2.0 * np.max(np.abs(form.q))
+                    z, u, iterations = cholesky_admm(form, gamma, params, z0=z, u0=u)
+                    res = admm_solve(form, gamma, params, *((res.z, res.u) if res else ()))
+                    assert res.iterations == iterations
+                    assert_close(res.z, z, 1e-10)
+                    assert_close(res.u, u, 1e-10)
+                    np.testing.assert_array_equal(np.abs(res.z[first]),
+                                                  np.abs(res.z[form.partner[first]]))
+
+    def test_pair_basis_polish_and_amplitudes_match_the_complex_solves(self, rng):
+        for _ in range(3):
+            form = quadratic_form(*real_dmd_instance(rng))
+            reference = QuadraticForm(P=form.P, q=form.q, s=form.s)
+            assert reference.partner is None
+            assert_close(optimal_amplitudes(form), optimal_amplitudes(reference), 1e-10)
+            # a pair-closed support takes or leaves each pair whole
+            groups = [np.unique([i, j]) for i, j in enumerate(form.partner) if i <= j]
+            for _ in range(10):
+                taken = rng.choice(len(groups), size=rng.integers(1, len(groups) + 1),
+                                   replace=False)
+                support = np.sort(np.concatenate([groups[k] for k in taken]))
+                assert_close(polish(form, support), polish(reference, support), 1e-10)
+            split = np.flatnonzero(form.partner > np.arange(form.size))[:1]
+            assert_close(polish(form, split), polish(reference, split), 1e-12)
+
+    def test_pair_check_failure_takes_the_identity_basis(self, rng):
+        Y, modes, vand = real_dmd_instance(rng)
+        form = quadratic_form(Y, modes, vand)
+        (a, b), (c, d) = [(i, form.partner[i])
+                          for i in np.flatnonzero(form.partner > np.arange(form.size))[:2]]
+        wrong = form.partner.copy()
+        wrong[[a, b, c, d]] = [c, d, a, b]
+        broken_q = form.q.copy()
+        broken_q[a] *= 1.01
+        noisy = Y + 1e-3j * rng.standard_normal(Y.shape)
+        for candidate in (QuadraticForm(P=form.P, q=broken_q, s=form.s, partner=form.partner),
+                          QuadraticForm(P=form.P, q=form.q, s=form.s, partner=wrong),
+                          quadratic_form(noisy, modes, vand)):
+            assert candidate.partner is None and candidate.eigh[1].dtype == complex
+            gamma = 0.3 * 2.0 * np.max(np.abs(candidate.q))
+            z, u, iterations = cholesky_admm(candidate, gamma)
+            res = admm_solve(candidate, gamma)
+            assert res.iterations == iterations
+            assert_close(res.z, z, 1e-10)
+            assert_close(res.u, u, 1e-10)
 
     def test_sweep_eigendecomposes_once(self, rng, monkeypatch):
         calls = []
@@ -372,23 +450,28 @@ class TestResidualBalancing:
             calls.append(a.shape)
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(spdmd.np.linalg, "eigh", counting_eigh)
-        form, _, _ = planted_form(rng, r=10, n_active=3)
-        solutions = gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 12))
-        assert len({s.rho for s in solutions}) > 1
-        assert calls == [(10, 10)]
-
-        def square_arrays(value):
+        def square_arrays(value, dtype):
             if isinstance(value, np.ndarray):
-                return int(value.shape == (10, 10))
+                return int(value.shape == (r, r) and value.dtype == dtype)
             if isinstance(value, (tuple, list)):
-                return sum(map(square_arrays, value))
+                return sum(square_arrays(v, dtype) for v in value)
             if isinstance(value, dict):
-                return sum(map(square_arrays, value.values()))
+                return sum(square_arrays(v, dtype) for v in value.values())
             return 0
 
-        # P, the eigenvectors of P, and one x-update operator
-        assert square_arrays(vars(form)) == 3
+        monkeypatch.setattr(spdmd.np.linalg, "eigh", counting_eigh)
+        for paired in (False, True):
+            del calls[:]
+            form = (quadratic_form(*real_dmd_instance(rng)) if paired
+                    else planted_form(rng, r=10, n_active=3)[0])
+            r = form.size
+            solutions = gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 12))
+            assert len({s.rho for s in solutions}) > 1
+            assert calls == [(r, r)]
+            # P, the eigenvectors of P, and one x-update operator; the pair
+            # basis adds the real form and keeps only P complex
+            assert square_arrays(vars(form), complex) == (1 if paired else 3)
+            assert square_arrays(vars(form), float) == (3 if paired else 0)
 
     def test_gamma_zero_keeps_the_starting_rho(self, rng):
         form = random_psd_form(rng, 8)
