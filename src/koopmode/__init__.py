@@ -9,8 +9,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cdmd": ("CompanionModel", "companion_dmd", "fit_companion", "unit_circle_deviation"),
-    "dmd": ("DecompositionResult", "ModeStats", "SvdFactors", "conjugate_pairs", "exact_dmd",
-            "mode_stats", "optimal_amplitudes", "truncated_svd", "vandermonde"),
+    "dmd": ("DecompositionResult", "ModeStats", "SvdFactors", "conjugate_pairs",
+            "conjugate_representatives", "exact_dmd", "mode_stats", "optimal_amplitudes",
+            "truncated_svd", "vandermonde"),
     "rom": ("forecast", "reconstruct", "spatial_grids", "temporal_dynamics"),
     "snapshots": ("SnapshotMatrix", "SnapshotPair", "apply_mask", "build_pairs", "load_mask",
                   "load_matrix", "save_matrix", "stack_cycles", "subtract_mean",

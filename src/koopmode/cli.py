@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .cdmd import companion_dmd
-from .dmd import DecompositionResult, exact_dmd, mode_stats, optimal_amplitudes, vandermonde
+from .dmd import (DecompositionResult, conjugate_representatives, exact_dmd, mode_stats,
+                  optimal_amplitudes, vandermonde)
 from .rom import forecast, reconstruct, spatial_grids, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
@@ -177,11 +178,11 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
               "index,re,im,magnitude,e_folding,period,amp_re,amp_im,amp_abs")
     np.save(stage / "modes_matrix.npy", np.ascontiguousarray(result.modes, dtype=complex))
 
+    shown = conjugate_representatives(result.eigenvalues)
     grid_shape = args.grid_shape if args.grid_shape is not None else (1, X.p // X.cycles)
-    n_export = result.rank if args.top_modes is None else min(args.top_modes, result.rank)
     modes_dir = stage / "modes"
     modes_dir.mkdir()
-    for j in range(n_export):
+    for j in shown[:args.top_modes]:
         idx = int(result.original_indices[j])
         col = result.modes[:, j]
         for tag, values in (("real", col.real), ("imag", col.imag), ("abs", np.abs(col))):
@@ -189,9 +190,9 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
             _float_csv(modes_dir / f"{idx}_{tag}.csv", grids.mean(axis=0))
 
     ts = np.arange(X.n_steps - 1)
-    dyn = temporal_dynamics(result, ts, collapse_pairs=args.pair_collapse)
+    dyn = temporal_dynamics(result, ts)[shown]
     _float_csv(stage / "temporal.csv", np.column_stack([ts, dyn.T]),
-               ",".join(["t"] + [f"mode{i}" for i in range(dyn.shape[0])]))
+               ",".join(["t"] + [f"mode{i}" for i in result.original_indices[shown]]))
 
     summary = {
         "toolkit_version": __version__,
@@ -417,10 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     decompose.add_argument("--method", choices=("dmd", "cdmd", "spdmd"), default="dmd")
     decompose.add_argument("--gamma", type=_bounded(float, 0), default=0.0,
                            help="sparsity weight (method spdmd only)")
-    decompose.add_argument("--pair-collapse", action="store_true",
-                           help="emit one temporal row per conjugate pair")
     decompose.add_argument("--top-modes", type=_bounded(int, 0), default=None,
-                           help="limit how many mode grids are exported")
+                           help="export grids of this many modes, a conjugate pair counting once")
 
     sweep = subs.add_parser("sweep", help="trade accuracy against mode count over gamma")
     sweep.set_defaults(run=cmd_sweep, method="spdmd")

@@ -124,6 +124,14 @@ def conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:
     return partner
 
 
+def conjugate_representatives(eigenvalues: np.ndarray) -> np.ndarray:
+    """Indices, in order of each pair's first index, of each conjugate pair's
+    nonnegative-imaginary member (its partner is its conjugate) and each unpaired one."""
+    partner = conjugate_pairs(eigenvalues)
+    first = np.flatnonzero(partner >= np.arange(partner.size))
+    return np.where(np.asarray(eigenvalues)[first].imag < 0, partner[first], first)
+
+
 def real_matmul(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """A @ Z as a complex array. Real A is not cast to complex: it multiplies
     Z's interleaved re/im columns in one real product, half the flops."""
@@ -197,9 +205,9 @@ def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
 
 def mode_stats(eigenvalue: complex, dt_label: str = "step") -> ModeStats:
     """Magnitude, e-folding time 1/|Re(log lam)|, and signed period 2pi/Im(log lam),
-    in multiples of dt_label."""
+    in multiples of dt_label; lam = 0 gives the limits as lam -> 0 (0, 0, inf)."""
     if eigenvalue == 0:
-        raise ValueError("eigenvalue must be nonzero")
+        return ModeStats(magnitude=0.0, e_folding=0.0, period=np.inf)
     log = np.log(complex(eigenvalue))
     e_fold = np.inf if abs(log.real) < 1e-12 else 1.0 / abs(log.real)
     period = np.inf if abs(log.imag) < 1e-12 else 2.0 * np.pi / log.imag

@@ -6,7 +6,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dmd import DecompositionResult, conjugate_pairs
+from .dmd import DecompositionResult
 
 IMAG_RESIDUAL_TOL = 1e-6
 
@@ -40,20 +40,12 @@ def reconstruct(result: DecompositionResult, k: int,
     return real
 
 
-def temporal_dynamics(result: DecompositionResult, t_range: Iterable[int],
-                      collapse_pairs: bool = False) -> np.ndarray:
-    """Rows of Re(eigenvalue^t * amplitude) over t_range; with collapse_pairs
-    only one representative row per conjugate pair is emitted."""
+def temporal_dynamics(result: DecompositionResult, t_range: Iterable[int]) -> np.ndarray:
+    """Rows of Re(eigenvalue^t * amplitude) over t_range, one per mode."""
     ts = np.asarray(list(t_range))
     if ts.size == 0:
         raise ValueError("empty time range")
-    dyn = np.real(_weighted_powers(result, ts.astype(complex)))
-    if not collapse_pairs:
-        return dyn
-    # one row per pair, at the pair's first column: its nonnegative-imaginary member
-    partner = conjugate_pairs(result.eigenvalues)
-    first = np.flatnonzero(partner >= np.arange(partner.size))
-    return dyn[np.where(result.eigenvalues[first].imag < 0, partner[first], first)]
+    return np.real(_weighted_powers(result, ts.astype(complex)))
 
 
 def forecast(result: DecompositionResult, horizon: int, n_train: int) -> np.ndarray:

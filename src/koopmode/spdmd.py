@@ -318,12 +318,12 @@ def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     P_s, q_s = P[np.ix_(support, support)], q[support]
     x = np.zeros(r, dtype=P.dtype)
     try:
-        L = np.linalg.cholesky(P_s)
+        np.linalg.cholesky(P_s)  # tests positive definiteness; one solve beats two on L, L*
     except np.linalg.LinAlgError:
         warnings.warn("singular polishing system, using minimum-norm solution")
         x[support] = np.linalg.lstsq(P_s, q_s, rcond=None)[0]
     else:
-        x[support] = np.linalg.solve(L.conj().T, np.linalg.solve(L, q_s))
+        x[support] = np.linalg.solve(P_s, q_s)
     return form.from_basis(x) if in_basis else x
 
 

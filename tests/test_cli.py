@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, exact_dmd, gamma_sweep,
-                      load_matrix, log_gamma_grid, quadratic_form, save_matrix, vandermonde)
+from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, conjugate_pairs, exact_dmd,
+                      gamma_sweep, load_matrix, log_gamma_grid, quadratic_form, save_matrix,
+                      vandermonde)
 from koopmode import __main__ as entry, cli, spdmd
 from koopmode.cli import main, read_grid_csv, render_heatmap
 from conftest import planted_matrix
@@ -145,6 +146,43 @@ class TestDecompose:
         assert run("decompose", path, "--method", "cdmd", "--rank", 3, "--out", out) == 1
         assert not out.exists()
 
+    def test_each_conjugate_pair_is_written_once(self, tmp_path, planted_csv):
+        path, _ = planted_csv
+        art = tmp_path / "art"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
+        index, lam = rows[:, 0].astype(int), rows[:, 1] + 1j * rows[:, 2]
+        partner = conjugate_pairs(lam)
+        shown = [j for j in range(lam.size) if partner[j] == j or lam[j].imag >= 0]
+        assert len(shown) == 2  # the planted pair and the real mode
+        assert sorted(p.name for p in (art / "modes").iterdir()) == sorted(
+            f"{index[j]}_{tag}.csv" for j in shown for tag in ("real", "imag", "abs"))
+        modes = np.load(art / "modes_matrix.npy")
+        assert modes.shape[1] == 3  # the matrix keeps every mode
+        for j in shown:
+            scale = np.linalg.norm(modes[:, j])
+            assert np.linalg.norm(modes[:, partner[j]] - modes[:, j].conj()) <= 1e-12 * scale
+        header = (art / "temporal.csv").read_text().splitlines()[0]
+        assert header == ",".join(["t"] + [f"mode{index[j]}" for j in shown])
+        assert lam[0].imag != 0  # the pair leads, and counts once
+        assert run("decompose", path, "--rank", 3, "--top-modes", 1, "--out", art) == 0
+        assert len(list((art / "modes").iterdir())) == 3
+        assert run("decompose", path, "--rank", 3, "--pair-collapse", "--out", art) == 1
+
+    def test_cdmd_exports_an_exact_zero_eigenvalue(self, tmp_path, rng):
+        # a zero first snapshot makes the minimum-norm companion fit set c_0 = 0 exactly
+        X = rng.standard_normal((12, 10))
+        X[:, 0] = 0.0
+        path, art, rec = tmp_path / "zero.csv", tmp_path / "art", tmp_path / "rec"
+        save_matrix(SnapshotMatrix(X), path, "csv")
+        assert run("decompose", path, "--method", "cdmd", "--out", art) == 0
+        rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.any((rows[:, 1] == 0) & (rows[:, 2] == 0))
+        assert run("reconstruct", "--artifacts", art, "--input", path, "--at", 3,
+                   "--out", rec) == 0
+        report = json.loads((rec / "recon_report.json").read_text())
+        assert report["relative_errors"]["3"] <= 1e-8
+
     def test_rerun_replaces_the_whole_directory(self, tmp_path, planted_csv):
         path, _ = planted_csv
         art, rec = tmp_path / "art", tmp_path / "rec"
@@ -265,7 +303,7 @@ class TestDecompose:
         assert sorted(config) == [
             "cycles", "dt_label", "eps_abs", "eps_rel", "format", "gamma", "grid_shape",
             "header", "input", "mask", "max_iter", "method", "mode_style", "out",
-            "pair_collapse", "rank", "rho", "subtract_mean", "top_modes", "transpose"]
+            "rank", "rho", "subtract_mean", "top_modes", "transpose"]
         assert config["grid_shape"] == [3, 4] and config["rank"] == 2
         assert config["input"] == str(path) and config["rho"] == 1.0
 

@@ -318,8 +318,8 @@ class TestModeStats:
         assert np.isinf(stats.period)
 
     def test_zero_eigenvalue(self):
-        with pytest.raises(ValueError):
-            mode_stats(0.0)
+        # the limits as lam -> 0: no magnitude, an instant e-folding, no period
+        assert mode_stats(0.0) == (0.0, 0.0, np.inf)
 
 
 def test_planted_spectrum_recovery_property(rng):

@@ -7,6 +7,7 @@ from koopmode import (
     DecompositionResult,
     build_pairs,
     conjugate_pairs,
+    conjugate_representatives,
     exact_dmd,
     forecast,
     mode_stats,
@@ -167,13 +168,10 @@ class TestConjugatePairs:
             assert np.all(np.abs(lam[partner] - lam.conj())[paired] <= 1e-8 * np.abs(lam[paired]))
 
     def test_pair_collapse_matches_the_pairwise_loop(self, rng):
-        ts = np.arange(6)
         for _ in range(200):
             lam = mixed_spectrum(rng)
-            model = decomposition(lam, np.ones((lam.size, 2)), rng.standard_normal(lam.size)
-                                  + 1j * rng.standard_normal(lam.size))
-            want = temporal_dynamics(model, ts)[conjugate_representatives_loop(lam)]
-            np.testing.assert_array_equal(temporal_dynamics(model, ts, collapse_pairs=True), want)
+            np.testing.assert_array_equal(conjugate_representatives(lam),
+                                          conjugate_representatives_loop(lam))
 
 
 class TestTemporalDynamics:
@@ -193,7 +191,7 @@ class TestTemporalDynamics:
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         model = pair_model(lam, w, b)
         ts = np.arange(20)
-        rows = temporal_dynamics(model, ts, collapse_pairs=True)
+        rows = temporal_dynamics(model, ts)[conjugate_representatives(model.eigenvalues)]
         assert rows.shape == (1, 20)
         want = abs(b) * 0.9 ** ts * np.cos(np.pi * ts / 4 + np.angle(b))
         np.testing.assert_allclose(rows[0], want, atol=1e-10)
@@ -203,7 +201,8 @@ class TestTemporalDynamics:
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         model = pair_model(lam, w, 1.0 + 0.5j)
         assert temporal_dynamics(model, range(5)).shape == (2, 5)
-        assert temporal_dynamics(model, range(5), collapse_pairs=True).shape == (1, 5)
+        shown = conjugate_representatives(model.eigenvalues)
+        assert temporal_dynamics(model, range(5))[shown].shape == (1, 5)
 
     def test_empty_range(self, rng):
         model = single_mode_model(1.0, rng.standard_normal(2), 1.0)
