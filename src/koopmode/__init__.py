@@ -12,7 +12,8 @@ _EXPORTS = {
     "dmd": ("DecompositionResult", "ModeStats", "SvdFactors", "conjugate_pairs",
             "conjugate_representatives", "exact_dmd", "mode_stats", "optimal_amplitudes",
             "truncated_svd", "vandermonde"),
-    "rom": ("forecast", "reconstruct", "spatial_grids", "temporal_dynamics"),
+    "rom": ("fit_loss_percent", "forecast", "reconstruct", "spatial_grids",
+            "temporal_dynamics"),
     "snapshots": ("SnapshotMatrix", "SnapshotPair", "apply_mask", "build_pairs", "load_mask",
                   "load_matrix", "save_matrix", "stack_cycles", "subtract_mean",
                   "unstack_cycles", "write_csv"),

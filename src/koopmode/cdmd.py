@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT, real_matmul
+from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT
 from .snapshots import SnapshotMatrix
 
 LSTSQ_RCOND = 1e-10
@@ -52,8 +52,9 @@ def fit_companion(X: SnapshotMatrix) -> CompanionModel:
 
 def companion_dmd(X: SnapshotMatrix) -> DecompositionResult:
     """Companion-operator decomposition: eigenvalues of the (N-1)x(N-1) companion
-    matrix and modes as Krylov-basis combinations, in eigensolver order.
-    Amplitudes are left unset; fit them against X.data[:, :-1]."""
+    matrix and modes K T, held as the Krylov basis K = X.data[:, :-1] and the
+    eigenvectors T, in eigensolver order. Amplitudes are left unset; fit them
+    against K."""
     model = fit_companion(X)
     C = companion_matrix(model.coefficients)
     evals, T = np.linalg.eig(C)
@@ -62,7 +63,8 @@ def companion_dmd(X: SnapshotMatrix) -> DecompositionResult:
         warnings.warn(f"near-defective companion eigenbasis, condition {cond:.3e}")
     return DecompositionResult(
         eigenvalues=evals,
-        modes=real_matmul(X.data[:, :-1], T),
+        basis=X.data[:, :-1],
+        coefficients=T,
         amplitudes=None,
         rank=evals.size,
         method="cdmd",

@@ -22,7 +22,7 @@ from . import __version__
 from .cdmd import companion_dmd
 from .dmd import (DecompositionResult, conjugate_representatives, exact_dmd, mode_stats,
                   optimal_amplitudes, vandermonde)
-from .rom import forecast, reconstruct, spatial_grids, temporal_dynamics
+from .rom import fit_loss_percent, forecast, reconstruct, spatial_grids, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
     apply_mask,
@@ -38,7 +38,6 @@ from .spdmd import (
     QuadraticForm,
     gamma_sweep,
     log_gamma_grid,
-    performance_loss,
     quadratic_form,
     select_modes,
     solve_at_gamma,
@@ -134,36 +133,40 @@ def _reject_ignored_flags(args: argparse.Namespace) -> None:
 
 
 def _decompose(args: argparse.Namespace,
-               X: SnapshotMatrix) -> tuple[DecompositionResult, QuadraticForm]:
-    """The selected decomposition, amplitudes unset, and the quadratic form of
-    its amplitude fit against the zero-lag snapshots, in the same column order."""
+               X: SnapshotMatrix) -> tuple[DecompositionResult, np.ndarray, QuadraticForm]:
+    """The selected decomposition, amplitudes unset; the zero-lag snapshots Y
+    its amplitudes are fitted against; and the quadratic form of that fit, in
+    the same column order, built from the modes' factors without forming them."""
     if args.method == "cdmd":
         base, Y = companion_dmd(X), X.data[:, :-1]
     else:
         pair = build_pairs(X)
         base, Y = exact_dmd(pair, rank=args.rank, mode_style=args.mode_style), pair.Y
-    return base, quadratic_form(Y, base.modes, vandermonde(base.eigenvalues, Y.shape[1]))
+    vand = vandermonde(base.eigenvalues, Y.shape[1])
+    return base, Y, quadratic_form(Y, base.basis, base.coefficients, vand)
 
 
 def _fit(args: argparse.Namespace,
          X: SnapshotMatrix) -> tuple[DecompositionResult, float, dict | None]:
     """Decompose and fit amplitudes; returns the result sorted by amplitude,
-    the loss of the fit as a percentage of the data norm, and for spdmd what
-    the splitting did (iterations, convergence, final rho)."""
-    base, form = _decompose(args, X)
+    the loss of the fit as a percentage of the data norm, from its residual,
+    and for spdmd what the splitting did (iterations, convergence, final rho).
+    The result's modes are formed on first use, once, in its final order."""
+    base, Y, form = _decompose(args, X)
+    admm = None
     if args.method != "spdmd":
-        b = optimal_amplitudes(form)
-        return base.with_amplitudes(b), performance_loss(form.objective(b), form.s), None
-    solution, _ = solve_at_gamma(form, args.gamma, _admm_params(args))
-    result = select_modes(base, solution)
-    if result.rank == 0:
-        if not solution.converged:
-            raise ValueError(f"the splitting stopped at --max-iter {args.max_iter} without "
-                             f"converging, with no amplitude left at gamma={args.gamma}")
-        raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
-    admm = {"iterations": int(solution.iterations), "converged": bool(solution.converged),
-            "rho": float(solution.rho)}
-    return result, solution.loss_percent, admm
+        result = base.with_amplitudes(optimal_amplitudes(form))
+    else:
+        solution, _ = solve_at_gamma(form, args.gamma, _admm_params(args))
+        result = select_modes(base, solution)
+        if result.rank == 0:
+            if not solution.converged:
+                raise ValueError(f"the splitting stopped at --max-iter {args.max_iter} without "
+                                 f"converging, with no amplitude left at gamma={args.gamma}")
+            raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
+        admm = {"iterations": int(solution.iterations), "converged": bool(solution.converged),
+                "rho": float(solution.rho)}
+    return result, fit_loss_percent(result, Y), admm
 
 
 def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatrix,
@@ -190,7 +193,7 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
             _float_csv(modes_dir / f"{idx}_{tag}.csv", grids.mean(axis=0))
 
     ts = np.arange(X.n_steps - 1)
-    dyn = temporal_dynamics(result, ts)[shown]
+    dyn = temporal_dynamics(result, ts, rows=shown)
     _float_csv(stage / "temporal.csv", np.column_stack([ts, dyn.T]),
                ",".join(["t"] + [f"mode{i}" for i in result.original_indices[shown]]))
 
@@ -224,7 +227,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gammas = log_gamma_grid(args.gamma_min, args.gamma_max, args.gamma_count)
     except ValueError as exc:
         raise UsageError(f"gamma grid: {exc}") from None
-    _, form = _decompose(args, _load_input(args))
+    _, _, form = _decompose(args, _load_input(args))
     solutions = gamma_sweep(form, gammas,
                             _admm_params(args, warm_start=not args.no_warm_start))
     best: dict[int, int] = {}
@@ -251,7 +254,8 @@ def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
                          f"complex128 matrix with {eig.shape[0]} columns, one per eigenvalue")
     model = DecompositionResult(
         eigenvalues=eig[:, 1] + 1j * eig[:, 2],
-        modes=modes,
+        basis=modes,
+        coefficients=np.eye(eig.shape[0]),
         amplitudes=eig[:, 6] + 1j * eig[:, 7],
         rank=eig.shape[0],
         method=summary["method"],
@@ -275,9 +279,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     reference = None
     if args.input is not None:
         reference = _load_input(args)
-        if reference.p != model.modes.shape[0]:
+        if reference.p != model.basis.shape[0]:
             raise ValueError(
-                f"input has p={reference.p}, model expects {model.modes.shape[0]}"
+                f"input has p={reference.p}, model expects {model.basis.shape[0]}"
             )
     report: dict = {"indices": args.at, "horizon": args.horizon,
                     "relative_errors": {}, "imag_residuals": {}}

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -34,12 +35,19 @@ class DecompositionResult:
     """The Koopman tuples (eigenvalue, spatial mode, amplitude) of one
     decomposition, one column each; snapshot k is Re(modes @ (amplitudes * eigenvalues**k)).
 
+    The modes are held as factors, modes = basis @ coefficients: a p x k
+    basis and a k x r coefficient matrix, each real or complex (a caller
+    holding the modes passes them as the basis, with identity coefficients).
+    Re-sorting and selecting columns moves coefficient columns only; `modes`
+    forms the p x r product on first use.
+
     amplitudes is None until fitted; original_indices tracks each column's
     position in the decomposition before any amplitude re-sorting.
     """
 
     eigenvalues: np.ndarray
-    modes: np.ndarray
+    basis: np.ndarray
+    coefficients: np.ndarray
     amplitudes: np.ndarray | None
     rank: int
     method: str
@@ -47,12 +55,18 @@ class DecompositionResult:
     original_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.modes.shape[1] != self.rank or self.eigenvalues.shape[0] != self.rank:
-            raise ValueError("modes/eigenvalues inconsistent with rank")
+        if (self.coefficients.shape != (self.basis.shape[1], self.rank)
+                or self.eigenvalues.shape[0] != self.rank):
+            raise ValueError("basis/coefficients/eigenvalues inconsistent with rank")
         if self.amplitudes is not None and self.amplitudes.shape[0] != self.rank:
             raise ValueError("amplitudes length inconsistent with rank")
         if self.original_indices is None:
             object.__setattr__(self, "original_indices", np.arange(self.rank))
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """The p x r complex mode matrix basis @ coefficients."""
+        return real_matmul(self.basis, self.coefficients)
 
     def with_amplitudes(self, b: np.ndarray) -> "DecompositionResult":
         """Attach amplitudes and re-sort columns by |b| descending; both members
@@ -67,7 +81,7 @@ class DecompositionResult:
         return replace(
             self,
             eigenvalues=self.eigenvalues[order],
-            modes=self.modes[:, order],
+            coefficients=self.coefficients[:, order],
             amplitudes=b[order],
             original_indices=self.original_indices[order],
         )
@@ -142,6 +156,14 @@ def real_matmul(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return (A @ Z.view(np.float64)).view(complex)
 
 
+def adjoint_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A* B. A real A is neither conjugated nor copied to complex (see
+    real_matmul), and A* A of a real A is one symmetric product."""
+    if np.isrealobj(A):
+        return A.T @ B if np.isrealobj(B) else real_matmul(A.T, B)
+    return A.conj().T @ B
+
+
 def exact_dmd(
     pair: SnapshotPair,
     rank: int | None = None,
@@ -149,24 +171,25 @@ def exact_dmd(
 ) -> DecompositionResult:
     """Eigendecompose the compressed one-step operator U* Yplus V S^-1.
 
-    Modes are Yplus V S^-1 W ("exact") or U W ("projected"); eigenvector
-    columns are normalized to unit 2-norm. Amplitudes are left unset.
+    Modes are Yplus V S^-1 W ("exact") or U W ("projected"), held as that
+    basis and the eigenvectors W, with columns normalized to unit 2-norm and
+    sorted by |eigenvalue| descending. Amplitudes are left unset.
     """
     if mode_style not in MODE_STYLES:
         raise ValueError(f"mode_style must be one of {MODE_STYLES}")
     f = truncated_svd(pair.Y, rank)
     propagate = pair.Yplus @ (f.V / f.S)
-    atilde = f.U.conj().T @ propagate
+    atilde = adjoint_matmul(f.U, propagate)
     evals, W = np.linalg.eig(atilde)
     W = W / np.linalg.norm(W, axis=0)
     cond = np.linalg.cond(W)
     if cond > EIGENBASIS_COND_LIMIT:
         warnings.warn(f"near-defective eigenbasis, condition {cond:.3e}")
-    modes = real_matmul(propagate if mode_style == "exact" else f.U, W)
     order = np.lexsort((np.arange(evals.size), -np.abs(evals)))
     return DecompositionResult(
         eigenvalues=evals[order],
-        modes=modes[:, order],
+        basis=propagate if mode_style == "exact" else f.U,
+        coefficients=W[:, order],
         amplitudes=None,
         rank=f.rank,
         method=f"{mode_style}-dmd",

@@ -1,23 +1,31 @@
 """Reduced-order reconstruction and temporal dynamics of a fitted decomposition."""
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dmd import DecompositionResult
+from .dmd import DecompositionResult, real_matmul
 
 IMAG_RESIDUAL_TOL = 1e-6
+LOSS_BLOCK = 16  # snapshot columns per block of fit_loss_percent
 
 
-def _weighted_powers(result: DecompositionResult, ks: np.ndarray) -> np.ndarray:
-    """r x len(ks) matrix with entry (j, i) = eigenvalue_j^ks[i] * amplitude_j."""
+def _weighted_powers(result: DecompositionResult, ks: np.ndarray,
+                     rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """Matrix with entry (j, i) = eigenvalue_j^ks[i] * amplitude_j, for the given rows."""
     if result.amplitudes is None:
         raise ValueError("decomposition has no amplitudes yet")
     if result.rank == 0:
         raise ValueError("decomposition has no modes")
-    return result.eigenvalues[:, None] ** ks * result.amplitudes[:, None]
+    return result.eigenvalues[rows, None] ** ks * result.amplitudes[rows, None]
+
+
+def _combine(result: DecompositionResult, weights: np.ndarray) -> np.ndarray:
+    """modes @ weights, as basis @ (coefficients @ weights): the modes are not formed."""
+    return real_matmul(result.basis, result.coefficients @ weights)
 
 
 def reconstruct(result: DecompositionResult, k: int,
@@ -29,7 +37,7 @@ def reconstruct(result: DecompositionResult, k: int,
     """
     if k < 0:
         raise ValueError("time index must be nonnegative")
-    acc = result.modes @ _weighted_powers(result, np.array([k]))[:, 0]
+    acc = _combine(result, _weighted_powers(result, np.array([k])))[:, 0]
     real = np.real(acc)
     denom = max(float(np.linalg.norm(real)), np.finfo(float).tiny)
     residual = float(np.linalg.norm(np.imag(acc))) / denom
@@ -40,12 +48,38 @@ def reconstruct(result: DecompositionResult, k: int,
     return real
 
 
-def temporal_dynamics(result: DecompositionResult, t_range: Iterable[int]) -> np.ndarray:
-    """Rows of Re(eigenvalue^t * amplitude) over t_range, one per mode."""
+def fit_loss_percent(result: DecompositionResult, Y: np.ndarray) -> float:
+    """100 ||Y - Re(modes diag(amplitudes) Xi)||_F / ||Y||_F, for real
+    snapshots Y at time indices 0..M-1 and Xi their Vandermonde matrix: the
+    loss of the fit from its residual. Unlike the expansion
+    b*Pb - 2 Re(q*b) + s, this does not cancel when the fit is close. Runs
+    over LOSS_BLOCK columns at a time from the modes' factors, so no p x M
+    array and no modes are formed."""
+    Y = np.asarray(Y)
+    resid_sq = data_sq = 0.0
+    for start in range(0, Y.shape[1], LOSS_BLOCK):
+        cols = Y[:, start:start + LOSS_BLOCK]
+        weights = result.coefficients @ _weighted_powers(
+            result, np.arange(start, start + cols.shape[1]))
+        # Re(basis @ weights); a real basis needs only the weights' real part
+        resid = (result.basis @ weights.real if np.isrealobj(result.basis)
+                 else np.real(result.basis @ weights))
+        resid -= cols
+        resid_sq += np.vdot(resid, resid)
+        data_sq += np.einsum("ij,ij->", cols, cols)  # vdot would copy a strided block
+    if data_sq <= 0:
+        raise ValueError("data has zero norm")
+    return 100.0 * math.sqrt(resid_sq / data_sq)
+
+
+def temporal_dynamics(result: DecompositionResult, t_range: Iterable[int],
+                      rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """Rows of Re(eigenvalue^t * amplitude) over t_range, one per mode in rows
+    (default: every mode)."""
     ts = np.asarray(list(t_range))
     if ts.size == 0:
         raise ValueError("empty time range")
-    return np.real(_weighted_powers(result, ts.astype(complex)))
+    return np.real(_weighted_powers(result, ts.astype(complex), rows))
 
 
 def forecast(result: DecompositionResult, horizon: int, n_train: int) -> np.ndarray:
@@ -57,7 +91,7 @@ def forecast(result: DecompositionResult, horizon: int, n_train: int) -> np.ndar
     if n_train < 0:
         raise ValueError("n_train must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.real(result.modes @ _weighted_powers(result, n_train + np.arange(horizon)))
+        out = np.real(_combine(result, _weighted_powers(result, n_train + np.arange(horizon))))
     if not np.all(np.isfinite(out)):
         warnings.warn("forecast overflowed for growing modes; saturating values")
         out = np.nan_to_num(out, posinf=np.finfo(float).max, neginf=-np.finfo(float).max)

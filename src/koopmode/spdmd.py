@@ -7,11 +7,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dmd import DecompositionResult, conjugate_pairs, optimal_amplitudes, real_matmul
+from .dmd import (DecompositionResult, adjoint_matmul, conjugate_pairs, optimal_amplitudes,
+                  real_matmul)
 
 ZERO_REL_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
+Q_BLOCK = 64  # snapshot columns per block of quadratic_form's H and q
 _TINY = np.finfo(float).tiny
 SQRT_HALF = math.sqrt(0.5)
 # Residual balancing (He, Yang & Wang 2000; Boyd et al. 2011, section 3.4.1):
@@ -184,25 +186,35 @@ class AdmmResult:
     u: np.ndarray = field(repr=False, default=None)
 
 
-def quadratic_form(Y: np.ndarray, modes: np.ndarray, vand: np.ndarray) -> QuadraticForm:
+def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
+                   vand: np.ndarray) -> QuadraticForm:
     """Reduce the Frobenius objective over amplitudes to (P, q, s), for the
-    Vandermonde matrix vand of the modes' eigenvalues. Real Y gives the form
-    its conjugate pairing, which it keeps when (P, q) is pair-symmetric."""
+    modes B W (B = basis, W = coefficients) and the Vandermonde matrix vand of
+    their eigenvalues, without forming the modes: their Gram matrix is
+    W* (B* B) W. A caller holding the modes passes them as B with W = I.
+    Real Y gives the form its conjugate pairing, which it keeps when (P, q)
+    is pair-symmetric."""
     xi = np.asarray(vand)
     Y = np.asarray(Y)
-    if modes.shape[0] != Y.shape[0] or xi.shape[1] != Y.shape[1] or modes.shape[1] != xi.shape[0]:
-        raise ValueError(
-            f"incompatible shapes Y{Y.shape}, modes{modes.shape}, vandermonde{xi.shape}"
-        )
-    G = modes.conj().T @ modes
-    H = xi @ xi.conj().T
-    P = G * H.conj()
+    W = np.asarray(coefficients, dtype=complex)
+    if (basis.shape[0] != Y.shape[0] or basis.shape[1] != W.shape[0]
+            or xi.shape != (W.shape[1], Y.shape[1])):
+        raise ValueError(f"incompatible shapes Y{Y.shape}, basis{basis.shape}, "
+                         f"coefficients{W.shape}, vandermonde{xi.shape}")
+    # H = xi xi* and q_j = conj(xi_j . (Y* B W)_:j), the diagonal of xi Y* B W
+    # without the rest, over Q_BLOCK snapshots at a time: no M x r array is formed
+    r = W.shape[1]
+    H, q = np.zeros((r, r), dtype=complex), np.zeros(r, dtype=complex)
+    for start in range(0, Y.shape[1], Q_BLOCK):
+        cols = slice(start, start + Q_BLOCK)
+        H += xi[:, cols] @ xi[:, cols].conj().T
+        q += np.einsum("jk,kj->j", xi[:, cols], real_matmul(adjoint_matmul(Y[:, cols], basis), W))
+    q = q.conj()
+    P = (W.conj().T @ real_matmul(adjoint_matmul(basis, basis), W)) * H.conj()
     P = 0.5 * (P + P.conj().T)
-    Yc = Y.conj() if np.iscomplexobj(Y) else Y  # conj of a real array is a copy
-    # q_j = conj(xi_j . (Y* modes)_:j), the diagonal of xi Y* modes without the rest
-    q = np.conj(np.einsum("jk,kj->j", xi, real_matmul(Yc.T, modes)))
     # ||Y||_F^2 as column sums, then a pairwise sum: as accurate as trace(Y* Y)
     # without forming the M x M Gram matrix
+    Yc = Y.conj() if np.iscomplexobj(Y) else Y  # conj of a real array is a copy
     s = float(np.einsum("ij,ij->j", Yc, Y).sum().real)
     # real data: pair each eigenvalue (column 1 of vand) with its conjugate
     partner = None if np.iscomplexobj(Y) or xi.shape[1] < 2 else conjugate_pairs(xi[:, 1])
@@ -346,8 +358,9 @@ def solve_at_gamma(
     """One sweep entry: split, detect support, polish, score."""
     admm = admm_solve(form, gamma, params, z0=z0, u0=u0)
     support = detect_support(admm.z)
-    b_sparse = admm.z.copy()
-    b_sparse[np.setdiff1d(np.arange(form.size), support)] = 0.0
+    on_support = np.zeros(form.size, dtype=bool)
+    on_support[support] = True
+    b_sparse = np.where(on_support, admm.z, 0.0)
     b_pol = polish(form, support)
     cost = form.objective(b_pol)
     solution = SparseSolution(
@@ -404,7 +417,8 @@ def gamma_sweep(
 
 
 def select_modes(result: DecompositionResult, solution: SparseSolution) -> DecompositionResult:
-    """Restrict a decomposition to the nonzero amplitudes of a sparse solution.
+    """Restrict a decomposition to the nonzero amplitudes of a sparse solution,
+    moving only the r-sized data and coefficient columns.
 
     The solution's support indexes the column order of `result` at the time the
     quadratic form was built; `result` must not have been re-sorted since.
@@ -412,13 +426,13 @@ def select_modes(result: DecompositionResult, solution: SparseSolution) -> Decom
     support = solution.support
     if support.size == 0:
         warnings.warn("empty support, returning empty decomposition")
-    restricted = DecompositionResult(
+    restricted = replace(
+        result,
         eigenvalues=result.eigenvalues[support],
-        modes=result.modes[:, support],
+        coefficients=result.coefficients[:, support],
         amplitudes=None,
         rank=int(support.size),
         method="spdmd",
-        dt_label=result.dt_label,
         original_indices=result.original_indices[support],
     )
     return restricted.with_amplitudes(solution.b_polished[support])

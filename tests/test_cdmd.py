@@ -87,7 +87,8 @@ class TestCompanionDmd:
         X = SnapshotMatrix(rng.standard_normal((6, 10)))
         result = companion_dmd(X)
         K = X.data[:, :-1]
-        form = quadratic_form(K, result.modes, vandermonde(result.eigenvalues, K.shape[1]))
+        form = quadratic_form(K, result.basis, result.coefficients,
+                              vandermonde(result.eigenvalues, K.shape[1]))
         mags = np.abs(result.with_amplitudes(optimal_amplitudes(form)).amplitudes)
         assert np.all(np.diff(mags) <= 1e-12)
 

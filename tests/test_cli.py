@@ -15,10 +15,10 @@ import pytest
 
 from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, conjugate_pairs, exact_dmd,
                       gamma_sweep, load_matrix, log_gamma_grid, quadratic_form, save_matrix,
-                      vandermonde)
-from koopmode import __main__ as entry, cli, spdmd
+                      truncated_svd, vandermonde)
+from koopmode import __main__ as entry, cli, dmd, spdmd
 from koopmode.cli import main, read_grid_csv, render_heatmap
-from conftest import planted_matrix
+from conftest import allocation_peak, planted_matrix
 
 
 @pytest.fixture
@@ -104,14 +104,18 @@ class TestDecompose:
             modes.real = rng.choice(specials, modes.shape)
             modes.imag = rng.choice(specials, modes.shape)
             written.append(modes)
-            return replace(result, modes=modes), loss, admm
+            special = replace(result, basis=modes, coefficients=np.eye(result.rank))
+            # write these modes as they are: the product with the identity
+            # coefficients would turn the infinities and NaN payloads into NaN
+            vars(special)["modes"] = modes
+            return special, loss, admm
 
         monkeypatch.setattr(cli, "_fit", fit_with_special_modes)
         path, _ = planted_csv
         art = tmp_path / "art"
         assert run("decompose", path, "--rank", 3, "--out", art) == 0
         model, _ = cli._load_model(art)
-        assert model.modes.view(np.uint64).tolist() == written[0].view(np.uint64).tolist()
+        assert model.basis.view(np.uint64).tolist() == written[0].view(np.uint64).tolist()
 
     def test_rerun_replaces_a_pre_npy_directory(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -308,6 +312,69 @@ class TestDecompose:
         assert config["input"] == str(path) and config["rho"] == 1.0
 
 
+class TestModesFormedOnce:
+    """The amplitude problem is built from the modes' factors B W: sweep never
+    forms the p x r complex modes, and decompose forms them once, in their
+    final order. The SVD is computed up front, since its own factors are not
+    what these tests measure."""
+
+    P, M, RANK = 4000, 60, 20
+
+    @pytest.fixture
+    def tall(self, rng, monkeypatch):
+        X = SnapshotMatrix(rng.standard_normal((self.P, self.M)))
+        svd = truncated_svd(build_pairs(X).Y, self.RANK)
+        monkeypatch.setattr(dmd, "truncated_svd", lambda Y, rank=None: svd)
+        return X, 16 * self.P * self.RANK  # the bytes of one p x r complex array
+
+    def test_sweep_allocates_no_complex_modes(self, tall):
+        X, modes_bytes = tall
+        args = cli.build_parser().parse_args(["sweep", "in.csv", "--rank", str(self.RANK)])
+        _, peak = allocation_peak(cli._decompose, args, X)
+        assert peak < modes_bytes
+
+    @pytest.mark.parametrize("flags", [(), ("--method", "spdmd", "--gamma", "1")])
+    def test_decompose_forms_the_modes_once(self, tall, flags):
+        X, modes_bytes = tall
+        args = cli.build_parser().parse_args(
+            ["decompose", "in.csv", "--rank", str(self.RANK), *flags])
+
+        def fit_and_form():
+            result, _, _ = cli._fit(args, X)
+            return result, result.modes
+
+        (result, modes), peak = allocation_peak(fit_and_form)
+        assert modes.shape == (self.P, result.rank) and modes.dtype == complex
+        assert peak < 2 * modes_bytes  # never a second p x r complex array
+        assert result.modes is modes  # formed once, then kept
+
+
+class TestFullFitLoss:
+    """summary.json's full_fit_loss_percent is the written model's residual,
+    100 ||Y - Re(Phi diag(b) Xi)||_F / ||Y||_F, which does not cancel when the
+    fit is close, as the expansion b*Pb - 2 Re(q*b) + s does."""
+
+    @pytest.mark.parametrize("flags", [("--rank", 9),
+                                       ("--method", "spdmd", "--rank", 9, "--gamma", 1e-6)])
+    def test_matches_a_residual_oracle(self, tmp_path, rng, flags):
+        lams = [0.99 * np.exp(0.3j), 0.97 * np.exp(0.9j), 0.9 * np.exp(1.7j), 0.8,
+                0.6 * np.exp(2.5j)]
+        X, _ = planted_matrix(20, 60, lams, [5.0, 2.0, 1.0, 0.5, 0.3], seed=13)
+        data = X.data + 1e-9 * rng.standard_normal(X.data.shape)
+        path, art = tmp_path / "data.csv", tmp_path / "art"
+        save_matrix(SnapshotMatrix(data), path, "csv")
+        assert run("decompose", path, *flags, "--out", art) == 0
+        loss = json.loads((art / "summary.json").read_text())["full_fit_loss_percent"]
+        rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
+        lam, b = rows[:, 1] + 1j * rows[:, 2], rows[:, 6] + 1j * rows[:, 7]
+        modes = np.load(art / "modes_matrix.npy")
+        Y = data[:, :-1]
+        fit = np.real((modes * b) @ lam[:, None] ** np.arange(Y.shape[1]))
+        oracle = 100 * np.linalg.norm(Y - fit) / np.linalg.norm(Y)
+        assert 0 < oracle < 1e-5  # a close fit, where the expansion cancels
+        assert abs(loss - oracle) <= 1e-6 * oracle
+
+
 class TestSweep:
     def test_single_gamma_zero(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -383,7 +450,8 @@ def fixed_rho_sweep(path, gammas):
     converged well inside its cap."""
     pair = build_pairs(load_matrix(path))
     result = exact_dmd(pair, rank=FIVE_MODE_RANK)
-    form = quadratic_form(pair.Y, result.modes, vandermonde(result.eigenvalues, pair.Y.shape[1]))
+    form = quadratic_form(pair.Y, result.basis, result.coefficients,
+                          vandermonde(result.eigenvalues, pair.Y.shape[1]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spdmd, "RHO_MAX_CHANGES", 0)
         solutions = gamma_sweep(form, gammas, AdmmParams(max_iter=100000))

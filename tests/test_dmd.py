@@ -160,20 +160,21 @@ class TestOptimalAmplitudes:
         vand = vandermonde(lam, M)
         b0 = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         Y = modes @ np.diag(b0) @ vand
-        b = optimal_amplitudes(quadratic_form(Y, modes, vand))
+        b = optimal_amplitudes(quadratic_form(Y, modes, np.eye(modes.shape[1]), vand))
         assert np.max(np.abs(b - b0)) <= 1e-8
 
     def test_zero_data(self, rng):
         modes = rng.standard_normal((4, 2)) + 0j
         vand = vandermonde(np.array([0.9, 0.8]), 6)
-        b = optimal_amplitudes(quadratic_form(np.zeros((4, 6)), modes, vand))
+        b = optimal_amplitudes(quadratic_form(np.zeros((4, 6)), modes, np.eye(modes.shape[1]),
+                                              vand))
         assert np.max(np.abs(b)) <= 1e-12
 
     def test_scalar_least_squares(self):
         modes = np.array([[1.0], [0.0]], dtype=complex)
         vand = vandermonde(np.array([1.0]), 2)
         Y = np.array([[2.0, 2.0], [0.0, 0.0]])
-        b = optimal_amplitudes(quadratic_form(Y, modes, vand))
+        b = optimal_amplitudes(quadratic_form(Y, modes, np.eye(modes.shape[1]), vand))
         np.testing.assert_allclose(b, [2.0], atol=1e-12)
 
     def test_reconstruction_identity_on_exact_rank_data(self):
@@ -181,7 +182,7 @@ class TestOptimalAmplitudes:
         pair = build_pairs(X)
         result = exact_dmd(pair, rank=3)
         vand = vandermonde(result.eigenvalues, pair.Y.shape[1])
-        b = optimal_amplitudes(quadratic_form(pair.Y, result.modes, vand))
+        b = optimal_amplitudes(quadratic_form(pair.Y, result.basis, result.coefficients, vand))
         recon = result.modes @ np.diag(b) @ vand
         rel = np.linalg.norm(pair.Y - recon, "fro") / np.linalg.norm(pair.Y, "fro")
         assert rel <= 1e-8
@@ -194,7 +195,7 @@ def duplicated_mode_form(rng):
     lam = 0.95 * np.exp(2j * np.pi * rng.random(4))
     modes, lam = np.column_stack([modes, modes[:, 1]]), np.append(lam, lam[1])
     vand = vandermonde(lam, 20)
-    return quadratic_form(rng.standard_normal((8, 20)), modes, vand)
+    return quadratic_form(rng.standard_normal((8, 20)), modes, np.eye(modes.shape[1]), vand)
 
 
 def weak_mode_form(rng, weak=5e-8):
@@ -209,7 +210,7 @@ def weak_mode_form(rng, weak=5e-8):
     vand = vandermonde(0.95 * np.exp(2j * np.pi * rng.random(4)), 20)
     Y = rng.standard_normal((8, 20))
     Y[6:] *= weak
-    return quadratic_form(Y, modes, vand)
+    return quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
 
 
 class TestNearSingularAmplitudes:
@@ -262,7 +263,8 @@ class TestWithAmplitudes:
             mags = rng.choice([0.0, 0.5, 1.0, 2.0], size=r)
             base = DecompositionResult(
                 eigenvalues=rng.standard_normal(r) + 1j * rng.standard_normal(r),
-                modes=rng.standard_normal((3, r)) + 1j * rng.standard_normal((3, r)),
+                basis=rng.standard_normal((3, r)) + 1j * rng.standard_normal((3, r)),
+                coefficients=np.eye(r),
                 amplitudes=None,
                 rank=r,
                 method="exact-dmd",
@@ -271,7 +273,8 @@ class TestWithAmplitudes:
             b = mags * np.exp(2j * np.pi * rng.random(r))
             want = base.with_amplitudes(b)
             perm = rng.permutation(r)
-            shuffled = replace(base, eigenvalues=base.eigenvalues[perm], modes=base.modes[:, perm],
+            shuffled = replace(base, eigenvalues=base.eigenvalues[perm],
+                               coefficients=base.coefficients[:, perm],
                                original_indices=base.original_indices[perm])
             got = shuffled.with_amplitudes(b[perm])
             for name in ("eigenvalues", "modes", "amplitudes", "original_indices"):
@@ -291,7 +294,8 @@ class TestWithAmplitudes:
                                 rng.uniform(0.1, 10.0, n_real)])
             r = evals.size
             perm = rng.permutation(r)
-            base = DecompositionResult(eigenvalues=evals[perm], modes=np.eye(r, dtype=complex),
+            base = DecompositionResult(eigenvalues=evals[perm], basis=np.eye(r),
+                                       coefficients=np.eye(r),
                                        amplitudes=None, rank=r, method="exact-dmd")
             want = base.with_amplitudes(b[perm]).original_indices
             for _ in range(4):

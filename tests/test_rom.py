@@ -5,10 +5,12 @@ import pytest
 
 from koopmode import (
     DecompositionResult,
+    SnapshotMatrix,
     build_pairs,
     conjugate_pairs,
     conjugate_representatives,
     exact_dmd,
+    fit_loss_percent,
     forecast,
     mode_stats,
     optimal_amplitudes,
@@ -24,7 +26,8 @@ from conftest import planted_matrix
 def decomposition(lams, modes, amps) -> DecompositionResult:
     """A fitted decomposition with the given columns, in the given order."""
     modes = np.asarray(modes, dtype=complex).reshape(len(lams), -1).T
-    return DecompositionResult(eigenvalues=np.asarray(lams, dtype=complex), modes=modes,
+    return DecompositionResult(eigenvalues=np.asarray(lams, dtype=complex), basis=modes,
+                               coefficients=np.eye(len(lams)),
                                amplitudes=np.asarray(amps, dtype=complex),
                                rank=len(lams), method="test")
 
@@ -40,7 +43,8 @@ def pair_model(lam, mode, amp) -> DecompositionResult:
 def fitted_model(X) -> DecompositionResult:
     pair = build_pairs(X)
     result = exact_dmd(pair)
-    form = quadratic_form(pair.Y, result.modes, vandermonde(result.eigenvalues, pair.Y.shape[1]))
+    form = quadratic_form(pair.Y, result.basis, result.coefficients,
+                          vandermonde(result.eigenvalues, pair.Y.shape[1]))
     return result.with_amplitudes(optimal_amplitudes(form))
 
 
@@ -81,10 +85,11 @@ class TestReconstruct:
 
     def test_needs_amplitudes_and_modes(self, rng):
         one = single_mode_model(1.0, rng.standard_normal(3), 1.0)
-        unfitted = DecompositionResult(one.eigenvalues, one.modes, None, 1, "test")
+        unfitted = DecompositionResult(one.eigenvalues, one.basis, one.coefficients, None, 1,
+                                       "test")
         with pytest.raises(ValueError, match="amplitudes"):
             reconstruct(unfitted, 0)
-        empty = DecompositionResult(np.zeros(0, complex), np.zeros((3, 0), complex),
+        empty = DecompositionResult(np.zeros(0, complex), np.zeros((3, 0)), np.zeros((0, 0)),
                                     np.zeros(0, complex), 0, "test")
         with pytest.raises(ValueError, match="no modes"):
             forecast(empty, 2, 0)
@@ -98,7 +103,7 @@ class TestReconstruct:
             lams = rng.uniform(0.5, 1.05, r) * np.exp(1j * rng.uniform(-np.pi, np.pi, r))
             modes = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
             amps = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            model = DecompositionResult(lams, modes, amps, r, "test")
+            model = DecompositionResult(lams, modes, np.eye(r), amps, r, "test")
             for k in rng.integers(0, 80, 4).tolist():
                 want = np.real(modes @ np.diag(amps) @ lams ** k)
                 scale = np.abs(modes) @ np.abs(amps * lams ** k)
@@ -174,6 +179,26 @@ class TestConjugatePairs:
                                           conjugate_representatives_loop(lam))
 
 
+class TestFitLoss:
+    def test_matches_the_residual_of_the_formed_model(self, rng):
+        X, _ = planted_matrix(10, 70, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
+        data = X.data + 1e-4 * rng.standard_normal(X.data.shape)
+        model = fitted_model(SnapshotMatrix(data))
+        Y = data[:, :-1]  # 69 columns: whole blocks and a partial one
+        xi = model.eigenvalues[:, None] ** np.arange(Y.shape[1])
+        want = 100 * np.linalg.norm(Y - np.real(model.modes @ (model.amplitudes[:, None] * xi)))
+        want /= np.linalg.norm(Y)
+        assert abs(fit_loss_percent(model, Y) - want) <= 1e-10 * want
+        formed = DecompositionResult(model.eigenvalues, model.modes, np.eye(model.rank),
+                                     model.amplitudes, model.rank, "test")
+        assert abs(fit_loss_percent(formed, Y) - want) <= 1e-10 * want
+
+    def test_zero_data_rejected(self, rng):
+        model = single_mode_model(1.0, rng.standard_normal(3), 1.0)
+        with pytest.raises(ValueError, match="zero norm"):
+            fit_loss_percent(model, np.zeros((3, 4)))
+
+
 class TestTemporalDynamics:
     def test_constant_row(self):
         model = single_mode_model(1.0, np.ones(2), 5.0)
@@ -203,6 +228,16 @@ class TestTemporalDynamics:
         assert temporal_dynamics(model, range(5)).shape == (2, 5)
         shown = conjugate_representatives(model.eigenvalues)
         assert temporal_dynamics(model, range(5))[shown].shape == (1, 5)
+
+    def test_rows_are_the_full_matrix_rows_bit_for_bit(self, rng):
+        lams = [0.9 * np.exp(0.7j), 0.9 * np.exp(-0.7j), 0.5, 1.01 * np.exp(2.1j),
+                1.01 * np.exp(-2.1j)]
+        model = decomposition(lams, rng.standard_normal((5, 3)),
+                              rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        shown = conjugate_representatives(model.eigenvalues)
+        ts = np.arange(300)
+        np.testing.assert_array_equal(temporal_dynamics(model, ts, rows=shown),
+                                      temporal_dynamics(model, ts)[shown])
 
     def test_empty_range(self, rng):
         model = single_mode_model(1.0, rng.standard_normal(2), 1.0)

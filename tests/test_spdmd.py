@@ -11,8 +11,10 @@ from koopmode import (
     AdmmParams,
     QuadraticForm,
     SnapshotMatrix,
+    SnapshotPair,
     admm_solve,
     build_pairs,
+    companion_dmd,
     exact_dmd,
     gamma_sweep,
     log_gamma_grid,
@@ -55,18 +57,18 @@ def planted_form(rng, r=10, n_active=3, M=200, p=40, amp_scale=None):
     for i, a in zip(active, scale):
         b_true[i] = a * np.exp(2j * np.pi * rng.random())
     Y = modes @ np.diag(b_true) @ vand
-    return quadratic_form(Y, modes, vand), b_true, np.array(active)
+    return quadratic_form(Y, modes, np.eye(modes.shape[1]), vand), b_true, np.array(active)
 
 
 def real_dmd_instance(rng, rank=9, p=30, M=80):
-    """(Y, modes, vand) of exact DMD on seeded real data: four damped
+    """(Y, basis, coefficients, vand) of exact DMD on seeded real data: four damped
     oscillations and one decay plus noise, so rank 9 holds four conjugate
     pairs and one real eigenvalue."""
     lams = [0.97 * np.exp(1j * w) for w in (0.3, 0.7, 1.3, 2.1)] + [0.9]
     Y, _ = planted_snapshots(p, M + 1, lams, [5.0, 3.0, 2.0, 1.0, 4.0], rng)
     pair = build_pairs(SnapshotMatrix(Y + 1e-3 * rng.standard_normal(Y.shape)))
     result = exact_dmd(pair, rank=rank)
-    return pair.Y, result.modes, vandermonde(result.eigenvalues, M)
+    return pair.Y, result.basis, result.coefficients, vandermonde(result.eigenvalues, M)
 
 
 def cholesky_admm(form, gamma, params=AdmmParams(), z0=None, u0=None):
@@ -134,11 +136,11 @@ def assert_close(a, b, rtol):
 class TestQuadraticForm:
     def test_zero_amplitudes_give_data_energy(self, rng):
         Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         assert abs(form.objective(np.zeros(3)) - np.linalg.norm(Y, "fro") ** 2) <= 1e-8
 
     def test_scalar_algebra(self):
-        form = quadratic_form(np.array([[12.0]]), np.array([[2.0 + 0j]]),
+        form = quadratic_form(np.array([[12.0]]), np.array([[2.0 + 0j]]), np.eye(1),
                               np.array([[3.0 + 0j]]))
         assert abs(form.P[0, 0] - 36.0) <= 1e-12
         assert abs(form.q[0] - 72.0) <= 1e-12
@@ -147,7 +149,7 @@ class TestQuadraticForm:
 
     def test_matches_direct_frobenius_objective(self, rng):
         Y, modes, vand = random_instance(rng, p=6, r=3, M=10)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         for _ in range(20):
             b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             want = direct_objective(Y, modes, vand, b)
@@ -158,7 +160,9 @@ class TestQuadraticForm:
         Y, modes, vand = random_instance(rng, p=30, r=5, M=40)
         if real_modes:  # eigenvectors of an all-real spectrum come back as float64
             modes = modes.real.copy()
-        got, want = quadratic_form(Y, modes, vand), quadratic_form(Y.astype(complex), modes, vand)
+        eye = np.eye(modes.shape[1])
+        got = quadratic_form(Y, modes, eye, vand)
+        want = quadratic_form(Y.astype(complex), modes, eye, vand)
         assert np.isrealobj(Y)
         for name in ("P", "q", "s"):
             a, b = getattr(got, name), getattr(want, name)
@@ -166,8 +170,47 @@ class TestQuadraticForm:
 
     def test_real_data_needs_no_complex_copy(self, rng):
         Y, modes, vand = random_instance(rng, p=900, r=40, M=400)
-        _, peak = allocation_peak(quadratic_form, Y, modes, vand)
+        _, peak = allocation_peak(quadratic_form, Y, modes, np.eye(modes.shape[1]), vand)
         assert peak < Y.nbytes
+
+    @pytest.mark.parametrize("case", ["paired-real", "complex", "projected", "cdmd"])
+    def test_factored_form_matches_the_modes_construction(self, rng, case):
+        """(P, q, s) from the factors equal the construction from the formed
+        modes Phi = B W: P = (Phi* Phi) o conj(Xi Xi*), q = conj(diag(Xi Y* Phi))."""
+        lams = [0.97 * np.exp(0.4j), 0.9 * np.exp(1.1j), 0.8]
+        X, _ = planted_snapshots(60, 41, lams, [3.0, 2.0, 1.0], rng)
+        X = X + 1e-3 * rng.standard_normal(X.shape)
+        if case == "complex":
+            X = X + 1j * rng.standard_normal(X.shape)
+            pair = SnapshotPair(Y=X[:, :-1], Yplus=X[:, 1:])
+        else:
+            pair = build_pairs(SnapshotMatrix(X))
+        if case == "cdmd":
+            base, Y = companion_dmd(SnapshotMatrix(X)), pair.Y
+        else:
+            mode_style = "projected" if case == "projected" else "exact"
+            base, Y = exact_dmd(pair, rank=8, mode_style=mode_style), pair.Y
+        assert np.iscomplexobj(base.basis) == (case == "complex")
+        vand = vandermonde(base.eigenvalues, Y.shape[1])
+        form = quadratic_form(Y, base.basis, base.coefficients, vand)
+        modes = base.basis @ base.coefficients
+        P = (modes.conj().T @ modes) * (vand @ vand.conj().T).conj()
+        q = np.diag(vand @ (Y.conj().T @ modes)).conj()
+        assert_close(form.P, 0.5 * (P + P.conj().T), 1e-12)
+        assert_close(form.q, q, 1e-12)
+        assert abs(form.s - np.linalg.norm(Y) ** 2) <= 1e-12 * form.s
+        assert (form.partner is None) == (case == "complex")
+
+    @pytest.mark.parametrize("p, M, r", [(4000, 60, 20), (300, 2000, 200)])
+    def test_factored_form_allocates_no_complex_modes(self, rng, p, M, r):
+        """On real input the form holds no p x r complex array (the modes) and
+        no M x r one (Y* modes or a conjugate of vand): the modes' Gram matrix
+        comes from B*B and W, and xi xi* and q from blocks of snapshots."""
+        pair = build_pairs(SnapshotMatrix(rng.standard_normal((p, M))))
+        base = exact_dmd(pair, rank=r)
+        vand = vandermonde(base.eigenvalues, M - 1)
+        _, peak = allocation_peak(quadratic_form, pair.Y, base.basis, base.coefficients, vand)
+        assert peak < 16 * r * max(p, M - 1)  # the larger of the two
 
     def test_hermitian_and_psd_enforced(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -184,7 +227,7 @@ class TestQuadraticForm:
     def test_dimension_mismatch(self, rng):
         Y, modes, vand = random_instance(rng)
         with pytest.raises(ValueError, match="incompatible"):
-            quadratic_form(Y[:, :-1], modes, vand)
+            quadratic_form(Y[:, :-1], modes, np.eye(modes.shape[1]), vand)
 
 
 class TestSoftThreshold:
@@ -202,7 +245,7 @@ class TestSoftThreshold:
 class TestAdmmSolve:
     def test_gamma_zero_matches_normal_equations(self, rng):
         Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         res = admm_solve(form, 0.0)
         want, *_ = np.linalg.lstsq(form.P, form.q, rcond=None)
         assert np.max(np.abs(res.z - want)) <= 1e-8
@@ -210,7 +253,7 @@ class TestAdmmSolve:
 
     def test_analytic_shutdown(self, rng):
         Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         gamma = 2.0 * np.max(np.abs(form.q)) * 1.05
         res = admm_solve(form, gamma)
         assert np.all(res.z == 0.0)
@@ -228,7 +271,7 @@ class TestAdmmSolve:
     def test_kkt_subgradient_conditions(self, rng):
         for trial in range(10):
             Y, modes, vand = random_instance(rng, p=7, r=4, M=12)
-            form = quadratic_form(Y, modes, vand)
+            form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
             gamma = 0.3 * 2.0 * np.max(np.abs(form.q))
             res = admm_solve(form, gamma, TIGHT)
             assert res.converged
@@ -242,7 +285,7 @@ class TestAdmmSolve:
 
     def test_non_convergence_is_flagged_not_raised(self, rng):
         Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         params = AdmmParams(max_iter=2, eps_abs=1e-15, eps_rel=1e-15)
         with pytest.warns(UserWarning, match="did not converge"):
             res = admm_solve(form, 1.0, params)
@@ -251,7 +294,7 @@ class TestAdmmSolve:
 
     def test_invalid_params(self, rng):
         Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         with pytest.raises(ValueError):
             admm_solve(form, -1.0)
         with pytest.raises(ValueError):
@@ -322,8 +365,8 @@ class TestAdmmMatchesCholeskyReference:
             assert_close(polish(form, split), polish(reference, split), 1e-12)
 
     def test_pair_check_failure_takes_the_identity_basis(self, rng):
-        Y, modes, vand = real_dmd_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        Y, basis, W, vand = real_dmd_instance(rng)
+        form = quadratic_form(Y, basis, W, vand)
         (a, b), (c, d) = [(i, form.partner[i])
                           for i in np.flatnonzero(form.partner > np.arange(form.size))[:2]]
         wrong = form.partner.copy()
@@ -333,7 +376,7 @@ class TestAdmmMatchesCholeskyReference:
         noisy = Y + 1e-3j * rng.standard_normal(Y.shape)
         for candidate in (QuadraticForm(P=form.P, q=broken_q, s=form.s, partner=form.partner),
                           QuadraticForm(P=form.P, q=form.q, s=form.s, partner=wrong),
-                          quadratic_form(noisy, modes, vand)):
+                          quadratic_form(noisy, basis, W, vand)):
             assert candidate.partner is None and candidate.eigh[1].dtype == complex
             gamma = 0.3 * 2.0 * np.max(np.abs(candidate.q))
             z, u, iterations = cholesky_admm(candidate, gamma)
@@ -481,14 +524,14 @@ class TestResidualBalancing:
 class TestPolish:
     def test_full_support_equals_unconstrained(self, rng):
         Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         b = polish(form, np.arange(3))
         want, *_ = np.linalg.lstsq(form.P, form.q, rcond=None)
         assert np.max(np.abs(b - want)) <= 1e-8
 
     def test_empty_support(self, rng):
         Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         b = polish(form, np.array([], dtype=int))
         assert np.all(b == 0.0)
         assert abs(form.objective(b) - form.s) <= 1e-10
@@ -496,7 +539,7 @@ class TestPolish:
     def test_against_column_deletion_oracle(self, rng):
         for _ in range(10):
             Y, modes, vand = random_instance(rng, p=8, r=6, M=14)
-            form = quadratic_form(Y, modes, vand)
+            form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
             support = np.sort(rng.choice(6, size=3, replace=False))
             b = polish(form, support)
             assert np.all(b[np.setdiff1d(np.arange(6), support)] == 0.0)
@@ -535,7 +578,7 @@ class TestPolish:
 
     def test_out_of_range_support(self, rng):
         Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         with pytest.raises(ValueError, match="out of range"):
             polish(form, np.array([5]))
 
@@ -597,14 +640,14 @@ class TestGammaSweep:
 
     def test_polishing_never_hurts(self, rng):
         Y, modes, vand = random_instance(rng, p=8, r=5, M=16)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         for gamma in (0.1, 1.0, 10.0):
             sol, _ = solve_at_gamma(form, gamma)
             assert form.objective(sol.b_polished) <= form.objective(sol.b_sparse) + 1e-10
 
     def test_loss_identity_two_ways(self, rng):
         Y, modes, vand = random_instance(rng, p=8, r=4, M=12)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         sol, _ = solve_at_gamma(form, 0.5)
         direct = 100.0 * np.linalg.norm(
             Y - modes @ np.diag(sol.b_polished) @ vand, "fro"
@@ -613,14 +656,14 @@ class TestGammaSweep:
 
     def test_loss_consistent_with_cost(self, rng):
         Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         sol, _ = solve_at_gamma(form, 1.0)
         assert abs(sol.loss_percent - 100.0 * np.sqrt(sol.cost / form.s)) \
             <= 1e-10 * max(1.0, sol.loss_percent)
 
     def test_empty_and_invalid_grids(self, rng):
         Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         with pytest.raises(ValueError):
             gamma_sweep(form, np.array([]))
         with pytest.raises(ValueError):
@@ -644,8 +687,8 @@ class TestSelectModes:
             amp_scale=[80.0, 40.0][:n_active])
         lam = np.exp(2j * np.pi * (np.arange(r) + 0.5) / (r + 3))
         modes = random_unitary(20, rng)[:, :r]
-        result = DecompositionResult(eigenvalues=lam, modes=modes, amplitudes=None,
-                                     rank=r, method="exact-dmd")
+        result = DecompositionResult(eigenvalues=lam, basis=modes, coefficients=np.eye(r),
+                                     amplitudes=None, rank=r, method="exact-dmd")
         return result, form, active
 
     def test_planted_two_mode_recovery(self, rng):
@@ -660,10 +703,10 @@ class TestSelectModes:
 
     def test_full_support_is_permutation(self, rng):
         Y, modes, vand = random_instance(rng, p=8, r=4, M=12)
-        form = quadratic_form(Y, modes, vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
         lam = np.exp(2j * np.pi * np.arange(4) / 7)
-        result = DecompositionResult(eigenvalues=lam, modes=modes, amplitudes=None,
-                                     rank=4, method="exact-dmd")
+        result = DecompositionResult(eigenvalues=lam, basis=modes, coefficients=np.eye(4),
+                                     amplitudes=None, rank=4, method="exact-dmd")
         sol, _ = solve_at_gamma(form, 0.0)
         assert sol.cardinality == 4
         selected = select_modes(result, sol)
