@@ -66,7 +66,6 @@ def companion_dmd(X: SnapshotMatrix) -> DecompositionResult:
         basis=X.data[:, :-1],
         coefficients=T,
         amplitudes=None,
-        rank=evals.size,
         method="cdmd",
         dt_label=X.dt_label,
     )

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .cdmd import companion_dmd
 from .dmd import (DecompositionResult, conjugate_representatives, exact_dmd, mode_stats,
-                  optimal_amplitudes, vandermonde)
+                  optimal_amplitudes)
 from .rom import fit_loss_percent, forecast, reconstruct, spatial_grids, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
@@ -142,8 +142,7 @@ def _decompose(args: argparse.Namespace,
     else:
         pair = build_pairs(X)
         base, Y = exact_dmd(pair, rank=args.rank, mode_style=args.mode_style), pair.Y
-    vand = vandermonde(base.eigenvalues, Y.shape[1])
-    return base, Y, quadratic_form(Y, base.basis, base.coefficients, vand)
+    return base, Y, quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
 
 
 def _fit(args: argparse.Namespace,
@@ -173,7 +172,7 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
                          result: DecompositionResult, full_loss: float,
                          admm: dict | None) -> None:
     write_csv(stage / "eigenvalues.csv",
-              ((int(idx), lam.real, lam.imag, *mode_stats(lam, result.dt_label),
+              ((int(idx), lam.real, lam.imag, *mode_stats(lam),
                 b.real, b.imag, abs(b))
                for idx, lam, b in zip(result.original_indices, result.eigenvalues,
                                       result.amplitudes)),
@@ -192,9 +191,9 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
             grids = spatial_grids(values, grid_shape, X.mask, X.cycles)
             _float_csv(modes_dir / f"{idx}_{tag}.csv", grids.mean(axis=0))
 
-    ts = np.arange(X.n_steps - 1)
-    dyn = temporal_dynamics(result, ts, rows=shown)
-    _float_csv(stage / "temporal.csv", np.column_stack([ts, dyn.T]),
+    n_steps = X.n_steps - 1
+    dyn = temporal_dynamics(result, n_steps, rows=shown)
+    _float_csv(stage / "temporal.csv", np.column_stack([np.arange(n_steps), dyn.T]),
                ",".join(["t"] + [f"mode{i}" for i in result.original_indices[shown]]))
 
     summary = {
@@ -257,7 +256,6 @@ def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
         basis=modes,
         coefficients=np.eye(eig.shape[0]),
         amplitudes=eig[:, 6] + 1j * eig[:, 7],
-        rank=eig.shape[0],
         method=summary["method"],
         dt_label=summary["dt_label"],
         original_indices=eig[:, 0].astype(int),

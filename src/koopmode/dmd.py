@@ -49,19 +49,22 @@ class DecompositionResult:
     basis: np.ndarray
     coefficients: np.ndarray
     amplitudes: np.ndarray | None
-    rank: int
     method: str
     dt_label: str = "step"
     original_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if (self.coefficients.shape != (self.basis.shape[1], self.rank)
-                or self.eigenvalues.shape[0] != self.rank):
-            raise ValueError("basis/coefficients/eigenvalues inconsistent with rank")
+        if self.coefficients.shape != (self.basis.shape[1], self.rank):
+            raise ValueError("basis/coefficients inconsistent with the eigenvalues")
         if self.amplitudes is not None and self.amplitudes.shape[0] != self.rank:
             raise ValueError("amplitudes length inconsistent with rank")
         if self.original_indices is None:
             object.__setattr__(self, "original_indices", np.arange(self.rank))
+
+    @property
+    def rank(self) -> int:
+        """One mode per eigenvalue."""
+        return self.eigenvalues.shape[0]
 
     @cached_property
     def modes(self) -> np.ndarray:
@@ -173,7 +176,8 @@ def exact_dmd(
 
     Modes are Yplus V S^-1 W ("exact") or U W ("projected"), held as that
     basis and the eigenvectors W, with columns normalized to unit 2-norm and
-    sorted by |eigenvalue| descending. Amplitudes are left unset.
+    sorted by |eigenvalue| descending (a projected basis copies U's kept
+    columns, not holding all of U). Amplitudes are left unset.
     """
     if mode_style not in MODE_STYLES:
         raise ValueError(f"mode_style must be one of {MODE_STYLES}")
@@ -188,28 +192,28 @@ def exact_dmd(
     order = np.lexsort((np.arange(evals.size), -np.abs(evals)))
     return DecompositionResult(
         eigenvalues=evals[order],
-        basis=propagate if mode_style == "exact" else f.U,
+        basis=propagate if mode_style == "exact" else np.ascontiguousarray(f.U),
         coefficients=W[:, order],
         amplitudes=None,
-        rank=f.rank,
         method=f"{mode_style}-dmd",
         dt_label=pair.dt_label,
     )
 
 
-def vandermonde(eigenvalues: np.ndarray, n_steps: int) -> np.ndarray:
-    """r x n_steps matrix with entry (i, k) = lambda_i^k, by repeated
-    multiplication; subnormal underflow clamps to zero."""
+def vandermonde(eigenvalues: np.ndarray, n_steps: int, start: int = 0) -> np.ndarray:
+    """r x n_steps matrix with entry (i, k) = lambda_i^(start + k), by repeated
+    multiplication from lambda^start; subnormal underflow clamps to zero. The
+    one source of eigenvalue powers: the fit, dynamics and forecast share it."""
     if n_steps < 1:
         raise ValueError("need at least one column")
     lam = np.asarray(eigenvalues, dtype=complex).reshape(-1)
     out = np.empty((lam.size, n_steps), dtype=complex)
-    col = np.ones(lam.size, dtype=complex)
+    col = lam ** start
     tiny = np.finfo(float).tiny
     for k in range(n_steps):
+        col[np.abs(col) < tiny] = 0.0
         out[:, k] = col
         col = col * lam
-        col[np.abs(col) < tiny] = 0.0
     return out
 
 
@@ -226,9 +230,9 @@ def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
     return form.from_basis(Q @ (inv * (Q.conj().T @ form.basis_form[1])))
 
 
-def mode_stats(eigenvalue: complex, dt_label: str = "step") -> ModeStats:
+def mode_stats(eigenvalue: complex) -> ModeStats:
     """Magnitude, e-folding time 1/|Re(log lam)|, and signed period 2pi/Im(log lam),
-    in multiples of dt_label; lam = 0 gives the limits as lam -> 0 (0, 0, inf)."""
+    in time steps; lam = 0 gives the limits as lam -> 0 (0, 0, inf)."""
     if eigenvalue == 0:
         return ModeStats(magnitude=0.0, e_folding=0.0, period=np.inf)
     log = np.log(complex(eigenvalue))

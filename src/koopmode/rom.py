@@ -3,24 +3,25 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dmd import DecompositionResult, real_matmul
+from .dmd import DecompositionResult, real_matmul, vandermonde
 
 IMAG_RESIDUAL_TOL = 1e-6
 LOSS_BLOCK = 16  # snapshot columns per block of fit_loss_percent
 
 
-def _weighted_powers(result: DecompositionResult, ks: np.ndarray,
+def _weighted_powers(result: DecompositionResult, start: int, n_steps: int,
                      rows: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """Matrix with entry (j, i) = eigenvalue_j^ks[i] * amplitude_j, for the given rows."""
+    """Matrix with entry (j, k) = eigenvalue_j^(start + k) * amplitude_j, for
+    k < n_steps and the given rows."""
     if result.amplitudes is None:
         raise ValueError("decomposition has no amplitudes yet")
     if result.rank == 0:
         raise ValueError("decomposition has no modes")
-    return result.eigenvalues[rows, None] ** ks * result.amplitudes[rows, None]
+    return vandermonde(result.eigenvalues[rows], n_steps, start) * result.amplitudes[rows, None]
 
 
 def _combine(result: DecompositionResult, weights: np.ndarray) -> np.ndarray:
@@ -37,7 +38,7 @@ def reconstruct(result: DecompositionResult, k: int,
     """
     if k < 0:
         raise ValueError("time index must be nonnegative")
-    acc = _combine(result, _weighted_powers(result, np.array([k])))[:, 0]
+    acc = _combine(result, _weighted_powers(result, k, 1))[:, 0]
     real = np.real(acc)
     denom = max(float(np.linalg.norm(real)), np.finfo(float).tiny)
     residual = float(np.linalg.norm(np.imag(acc))) / denom
@@ -59,8 +60,7 @@ def fit_loss_percent(result: DecompositionResult, Y: np.ndarray) -> float:
     resid_sq = data_sq = 0.0
     for start in range(0, Y.shape[1], LOSS_BLOCK):
         cols = Y[:, start:start + LOSS_BLOCK]
-        weights = result.coefficients @ _weighted_powers(
-            result, np.arange(start, start + cols.shape[1]))
+        weights = result.coefficients @ _weighted_powers(result, start, cols.shape[1])
         # Re(basis @ weights); a real basis needs only the weights' real part
         resid = (result.basis @ weights.real if np.isrealobj(result.basis)
                  else np.real(result.basis @ weights))
@@ -72,14 +72,11 @@ def fit_loss_percent(result: DecompositionResult, Y: np.ndarray) -> float:
     return 100.0 * math.sqrt(resid_sq / data_sq)
 
 
-def temporal_dynamics(result: DecompositionResult, t_range: Iterable[int],
+def temporal_dynamics(result: DecompositionResult, n_steps: int,
                       rows: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """Rows of Re(eigenvalue^t * amplitude) over t_range, one per mode in rows
-    (default: every mode)."""
-    ts = np.asarray(list(t_range))
-    if ts.size == 0:
-        raise ValueError("empty time range")
-    return np.real(_weighted_powers(result, ts.astype(complex), rows))
+    """Rows of Re(eigenvalue^t * amplitude) for t = 0..n_steps-1, one per mode
+    in rows (default: every mode)."""
+    return np.real(_weighted_powers(result, 0, n_steps, rows))
 
 
 def forecast(result: DecompositionResult, horizon: int, n_train: int) -> np.ndarray:
@@ -91,7 +88,7 @@ def forecast(result: DecompositionResult, horizon: int, n_train: int) -> np.ndar
     if n_train < 0:
         raise ValueError("n_train must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.real(_combine(result, _weighted_powers(result, n_train + np.arange(horizon))))
+        out = np.real(_combine(result, _weighted_powers(result, n_train, horizon)))
     if not np.all(np.isfinite(out)):
         warnings.warn("forecast overflowed for growing modes; saturating values")
         out = np.nan_to_num(out, posinf=np.finfo(float).max, neginf=-np.finfo(float).max)

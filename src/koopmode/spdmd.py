@@ -8,12 +8,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dmd import (DecompositionResult, adjoint_matmul, conjugate_pairs, optimal_amplitudes,
-                  real_matmul)
+                  real_matmul, vandermonde)
 
 ZERO_REL_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
-Q_BLOCK = 64  # snapshot columns per block of quadratic_form's H and q
+Q_BLOCK = 64  # snapshot columns per block of quadratic_form's xi, H and q
 _TINY = np.finfo(float).tiny
 SQRT_HALF = math.sqrt(0.5)
 # Residual balancing (He, Yang & Wang 2000; Boyd et al. 2011, section 3.4.1):
@@ -187,28 +187,30 @@ class AdmmResult:
 
 
 def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
-                   vand: np.ndarray) -> QuadraticForm:
+                   eigenvalues: np.ndarray) -> QuadraticForm:
     """Reduce the Frobenius objective over amplitudes to (P, q, s), for the
-    modes B W (B = basis, W = coefficients) and the Vandermonde matrix vand of
-    their eigenvalues, without forming the modes: their Gram matrix is
-    W* (B* B) W. A caller holding the modes passes them as B with W = I.
-    Real Y gives the form its conjugate pairing, which it keeps when (P, q)
-    is pair-symmetric."""
-    xi = np.asarray(vand)
+    modes B W (B = basis, W = coefficients) with the given eigenvalues and Y's
+    columns at time indices 0..M-1, without forming the modes: their Gram
+    matrix is W* (B* B) W. A caller holding the modes passes them as B with
+    W = I. Real Y gives the form the eigenvalues' conjugate pairing, which it
+    keeps when (P, q) is pair-symmetric."""
+    lam = np.asarray(eigenvalues, dtype=complex).reshape(-1)
     Y = np.asarray(Y)
     W = np.asarray(coefficients, dtype=complex)
     if (basis.shape[0] != Y.shape[0] or basis.shape[1] != W.shape[0]
-            or xi.shape != (W.shape[1], Y.shape[1])):
+            or lam.shape[0] != W.shape[1]):
         raise ValueError(f"incompatible shapes Y{Y.shape}, basis{basis.shape}, "
-                         f"coefficients{W.shape}, vandermonde{xi.shape}")
+                         f"coefficients{W.shape}, eigenvalues{lam.shape}")
     # H = xi xi* and q_j = conj(xi_j . (Y* B W)_:j), the diagonal of xi Y* B W
-    # without the rest, over Q_BLOCK snapshots at a time: no M x r array is formed
+    # without the rest, for the Vandermonde matrix xi of the eigenvalues, built
+    # Q_BLOCK snapshots at a time: no r x M or M x r array is formed
     r = W.shape[1]
     H, q = np.zeros((r, r), dtype=complex), np.zeros(r, dtype=complex)
     for start in range(0, Y.shape[1], Q_BLOCK):
-        cols = slice(start, start + Q_BLOCK)
-        H += xi[:, cols] @ xi[:, cols].conj().T
-        q += np.einsum("jk,kj->j", xi[:, cols], real_matmul(adjoint_matmul(Y[:, cols], basis), W))
+        cols = Y[:, start:start + Q_BLOCK]
+        xi = vandermonde(lam, cols.shape[1], start)
+        H += xi @ xi.conj().T
+        q += np.einsum("jk,kj->j", xi, real_matmul(adjoint_matmul(cols, basis), W))
     q = q.conj()
     P = (W.conj().T @ real_matmul(adjoint_matmul(basis, basis), W)) * H.conj()
     P = 0.5 * (P + P.conj().T)
@@ -216,8 +218,7 @@ def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
     # without forming the M x M Gram matrix
     Yc = Y.conj() if np.iscomplexobj(Y) else Y  # conj of a real array is a copy
     s = float(np.einsum("ij,ij->j", Yc, Y).sum().real)
-    # real data: pair each eigenvalue (column 1 of vand) with its conjugate
-    partner = None if np.iscomplexobj(Y) or xi.shape[1] < 2 else conjugate_pairs(xi[:, 1])
+    partner = None if np.iscomplexobj(Y) else conjugate_pairs(lam)
     return QuadraticForm(P=P, q=q, s=s, partner=partner)
 
 
@@ -305,13 +306,13 @@ def admm_solve(
                       primal_residual=prim, dual_residual=dual, rho=rho, u=form.from_basis(u))
 
 
-def detect_support(b: np.ndarray, rel_tol: float = ZERO_REL_TOL) -> np.ndarray:
-    """Indices with |b_i| above rel_tol times the largest magnitude."""
+def detect_support(b: np.ndarray) -> np.ndarray:
+    """Indices with |b_i| above ZERO_REL_TOL times the largest magnitude."""
     mag = np.abs(np.asarray(b))
     peak = mag.max(initial=0.0)
     if peak == 0.0:
         return np.array([], dtype=int)
-    return np.flatnonzero(mag > rel_tol * peak)
+    return np.flatnonzero(mag > ZERO_REL_TOL * peak)
 
 
 def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
@@ -431,7 +432,6 @@ def select_modes(result: DecompositionResult, solution: SparseSolution) -> Decom
         eigenvalues=result.eigenvalues[support],
         coefficients=result.coefficients[:, support],
         amplitudes=None,
-        rank=int(support.size),
         method="spdmd",
         original_indices=result.original_indices[support],
     )

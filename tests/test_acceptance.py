@@ -64,7 +64,7 @@ def test_criterion_2_quadratic_form_oracle():
         lam = rng.random(r) * np.exp(2j * np.pi * rng.random(r))
         vand = vandermonde(lam, M)
         Y = rng.standard_normal((p, M))
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         b = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         direct = np.linalg.norm(Y - modes @ np.diag(b) @ vand, "fro") ** 2
         if abs(form.objective(b) - direct) > 1e-6 * max(1.0, direct):
@@ -82,9 +82,8 @@ def test_criterion_3_spdmd_optimality():
         p, r, M = 8, 4, 14
         modes = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
         lam = rng.random(r) * np.exp(2j * np.pi * rng.random(r))
-        vand = vandermonde(lam, M)
         Y = rng.standard_normal((p, M))
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         # gamma = 0 matches the normal-equation solution
         b0 = admm_solve(form, 0.0).z
         want, *_ = np.linalg.lstsq(form.P, form.q, rcond=None)
@@ -117,7 +116,7 @@ def _planted_sparse_form(rng, r=10, active=(0, 3, 7), amps=(100.0, 70.0, 40.0),
     for i, a in zip(active, amps):
         b_true[i] = a * np.exp(2j * np.pi * rng.random())
     Y = modes @ np.diag(b_true) @ vand
-    return quadratic_form(Y, modes, np.eye(modes.shape[1]), vand), np.array(sorted(active))
+    return quadratic_form(Y, modes, np.eye(modes.shape[1]), lam), np.array(sorted(active))
 
 
 def test_criterion_4_planted_support_recovery():
@@ -151,7 +150,8 @@ def test_criterion_6_reconstruction_identity():
     pair = build_pairs(SnapshotMatrix(Y))
     result = exact_dmd(pair, rank=3)
     vand = vandermonde(result.eigenvalues, pair.Y.shape[1])
-    b = optimal_amplitudes(quadratic_form(pair.Y, result.basis, result.coefficients, vand))
+    b = optimal_amplitudes(quadratic_form(pair.Y, result.basis, result.coefficients,
+                                          result.eigenvalues))
     recon = np.real(result.modes @ np.diag(b) @ vand)
     ok = True
     for k in range(pair.Y.shape[1]):
@@ -165,7 +165,7 @@ def test_criterion_6_reconstruction_identity():
     pair4 = build_pairs(SnapshotMatrix(Y4))
     r4 = exact_dmd(pair4, rank=3)
     vand4 = vandermonde(r4.eigenvalues, pair4.Y.shape[1])
-    form = quadratic_form(pair4.Y, r4.basis, r4.coefficients, vand4)
+    form = quadratic_form(pair4.Y, r4.basis, r4.coefficients, r4.eigenvalues)
     b4 = optimal_amplitudes(form)
     via_formula = performance_loss(form.objective(b4), form.s)
     direct = 100.0 * np.linalg.norm(
@@ -238,8 +238,7 @@ def test_criterion_10_real_dataset_regressions():
     # monthly sweep: maximum loss within +/- 1.0 points of 5.034%
     pair = build_pairs(X)
     base = exact_dmd(pair, rank=600)
-    vand = vandermonde(base.eigenvalues, pair.Y.shape[1])
-    form = quadratic_form(pair.Y, base.basis, base.coefficients, vand)
+    form = quadratic_form(pair.Y, base.basis, base.coefficients, base.eigenvalues)
     points = gamma_sweep(form, log_gamma_grid(1e-3, 1e3, 350))
     max_loss = max(pt.loss_percent for pt in points)
     ok = abs(max_loss - 5.034) <= 1.0
@@ -248,8 +247,7 @@ def test_criterion_10_real_dataset_regressions():
     Xs = stack_cycles(X, 3, dt_label="season")
     pair_s = build_pairs(Xs)
     base_s = exact_dmd(pair_s)
-    vand_s = vandermonde(base_s.eigenvalues, pair_s.Y.shape[1])
-    form_s = quadratic_form(pair_s.Y, base_s.basis, base_s.coefficients, vand_s)
+    form_s = quadratic_form(pair_s.Y, base_s.basis, base_s.coefficients, base_s.eigenvalues)
     pts = gamma_sweep(form_s, np.array([1e-4, 16000.0]))
     lo, hi = pts
     ok = ok and abs(lo.loss_percent - 0.6010) <= 0.5

@@ -12,7 +12,6 @@ from koopmode import (
     optimal_amplitudes,
     quadratic_form,
     unit_circle_deviation,
-    vandermonde,
 )
 from koopmode.cdmd import companion_matrix
 from conftest import allocation_peak, planted_matrix, real_exponentials
@@ -87,8 +86,7 @@ class TestCompanionDmd:
         X = SnapshotMatrix(rng.standard_normal((6, 10)))
         result = companion_dmd(X)
         K = X.data[:, :-1]
-        form = quadratic_form(K, result.basis, result.coefficients,
-                              vandermonde(result.eigenvalues, K.shape[1]))
+        form = quadratic_form(K, result.basis, result.coefficients, result.eigenvalues)
         mags = np.abs(result.with_amplitudes(optimal_amplitudes(form)).amplitudes)
         assert np.all(np.diff(mags) <= 1e-12)
 

@@ -15,7 +15,7 @@ import pytest
 
 from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, conjugate_pairs, exact_dmd,
                       gamma_sweep, load_matrix, log_gamma_grid, quadratic_form, save_matrix,
-                      truncated_svd, vandermonde)
+                      truncated_svd)
 from koopmode import __main__ as entry, cli, dmd, spdmd
 from koopmode.cli import main, read_grid_csv, render_heatmap
 from conftest import allocation_peak, planted_matrix
@@ -450,8 +450,7 @@ def fixed_rho_sweep(path, gammas):
     converged well inside its cap."""
     pair = build_pairs(load_matrix(path))
     result = exact_dmd(pair, rank=FIVE_MODE_RANK)
-    form = quadratic_form(pair.Y, result.basis, result.coefficients,
-                          vandermonde(result.eigenvalues, pair.Y.shape[1]))
+    form = quadratic_form(pair.Y, result.basis, result.coefficients, result.eigenvalues)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spdmd, "RHO_MAX_CHANGES", 0)
         solutions = gamma_sweep(form, gammas, AdmmParams(max_iter=100000))

@@ -117,6 +117,14 @@ class TestExactDmd:
         angles = np.linalg.svd(Qe.conj().T @ Qp, compute_uv=False)
         assert np.max(np.abs(angles - 1.0)) <= 1e-8
 
+    def test_projected_basis_holds_only_the_kept_columns(self, rng):
+        """A projected result's basis is its own p x r array, not a view that
+        keeps the SVD's whole p x min(p, M) U alive."""
+        pair = build_pairs(SnapshotMatrix(rng.standard_normal((4000, 60))))
+        basis = exact_dmd(pair, rank=4, mode_style="projected").basis
+        owner = basis if basis.base is None else basis.base
+        assert basis.shape == (4000, 4) and owner.nbytes <= 4000 * 4 * 8
+
     def test_bad_mode_style(self, rng):
         pair = build_pairs(SnapshotMatrix(rng.standard_normal((4, 6))))
         with pytest.raises(ValueError, match="mode_style"):
@@ -151,6 +159,35 @@ class TestVandermonde:
         v = vandermonde(np.array([1e-200]), 3)
         assert v[0, 2] == 0.0  # 1e-400 underflows to exact zero
 
+    def test_start_against_pow_oracle(self, rng):
+        """Columns start..start+n-1 agree with lam ** (start + k), the seed
+        included, for the offsets the fit, the loss and the forecast use."""
+        lam = rng.uniform(0.2, 1.05, 6) * np.exp(2j * np.pi * rng.random(6))
+        for start in (1, 16, 64, 773, 1547):
+            v = vandermonde(lam, 40, start)
+            want = lam[:, None] ** (start + np.arange(40.0))
+            assert np.all(np.abs(v - want) <= 1e-12 * np.abs(want))
+
+    def test_start_zero_is_the_plain_recurrence(self, rng):
+        """start=0 is bit-for-bit the recurrence seeded with ones, clamped after
+        each product, subnormals included."""
+        lam = np.concatenate([rng.random(5) * np.exp(2j * np.pi * rng.random(5)),
+                              [1e-100, 3e-155j, 0.0, 1.0, -1.0]])
+        want = np.empty((lam.size, 30), dtype=complex)
+        col = np.ones(lam.size, dtype=complex)
+        for k in range(30):
+            want[:, k] = col
+            col = col * lam
+            col[np.abs(col) < np.finfo(float).tiny] = 0.0
+        got = vandermonde(lam, 30)
+        assert got.tobytes() == want.tobytes()
+
+    def test_subnormal_seed_clamps(self):
+        """A subnormal lam^start is zero from the first column on."""
+        v = vandermonde(np.array([1e-160, 0.5]), 3, start=2)
+        assert np.all(v[0] == 0.0)  # 1e-320 is subnormal
+        np.testing.assert_array_equal(v[1], [0.25, 0.125, 0.0625])
+
 
 class TestOptimalAmplitudes:
     def test_forward_construct_then_invert(self, rng):
@@ -160,21 +197,19 @@ class TestOptimalAmplitudes:
         vand = vandermonde(lam, M)
         b0 = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         Y = modes @ np.diag(b0) @ vand
-        b = optimal_amplitudes(quadratic_form(Y, modes, np.eye(modes.shape[1]), vand))
+        b = optimal_amplitudes(quadratic_form(Y, modes, np.eye(modes.shape[1]), lam))
         assert np.max(np.abs(b - b0)) <= 1e-8
 
     def test_zero_data(self, rng):
         modes = rng.standard_normal((4, 2)) + 0j
-        vand = vandermonde(np.array([0.9, 0.8]), 6)
         b = optimal_amplitudes(quadratic_form(np.zeros((4, 6)), modes, np.eye(modes.shape[1]),
-                                              vand))
+                                              np.array([0.9, 0.8])))
         assert np.max(np.abs(b)) <= 1e-12
 
     def test_scalar_least_squares(self):
         modes = np.array([[1.0], [0.0]], dtype=complex)
-        vand = vandermonde(np.array([1.0]), 2)
         Y = np.array([[2.0, 2.0], [0.0, 0.0]])
-        b = optimal_amplitudes(quadratic_form(Y, modes, np.eye(modes.shape[1]), vand))
+        b = optimal_amplitudes(quadratic_form(Y, modes, np.eye(modes.shape[1]), np.array([1.0])))
         np.testing.assert_allclose(b, [2.0], atol=1e-12)
 
     def test_reconstruction_identity_on_exact_rank_data(self):
@@ -182,7 +217,8 @@ class TestOptimalAmplitudes:
         pair = build_pairs(X)
         result = exact_dmd(pair, rank=3)
         vand = vandermonde(result.eigenvalues, pair.Y.shape[1])
-        b = optimal_amplitudes(quadratic_form(pair.Y, result.basis, result.coefficients, vand))
+        b = optimal_amplitudes(quadratic_form(pair.Y, result.basis, result.coefficients,
+                                              result.eigenvalues))
         recon = result.modes @ np.diag(b) @ vand
         rel = np.linalg.norm(pair.Y - recon, "fro") / np.linalg.norm(pair.Y, "fro")
         assert rel <= 1e-8
@@ -194,8 +230,7 @@ def duplicated_mode_form(rng):
     modes = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
     lam = 0.95 * np.exp(2j * np.pi * rng.random(4))
     modes, lam = np.column_stack([modes, modes[:, 1]]), np.append(lam, lam[1])
-    vand = vandermonde(lam, 20)
-    return quadratic_form(rng.standard_normal((8, 20)), modes, np.eye(modes.shape[1]), vand)
+    return quadratic_form(rng.standard_normal((8, 20)), modes, np.eye(modes.shape[1]), lam)
 
 
 def weak_mode_form(rng, weak=5e-8):
@@ -207,10 +242,10 @@ def weak_mode_form(rng, weak=5e-8):
     modes[:6, :3] = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     modes[6:, 3] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     modes /= np.linalg.norm(modes, axis=0) / np.array([1.0, 1.0, 1.0, weak])
-    vand = vandermonde(0.95 * np.exp(2j * np.pi * rng.random(4)), 20)
+    lam = 0.95 * np.exp(2j * np.pi * rng.random(4))
     Y = rng.standard_normal((8, 20))
     Y[6:] *= weak
-    return quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+    return quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
 
 
 class TestNearSingularAmplitudes:
@@ -266,7 +301,6 @@ class TestWithAmplitudes:
                 basis=rng.standard_normal((3, r)) + 1j * rng.standard_normal((3, r)),
                 coefficients=np.eye(r),
                 amplitudes=None,
-                rank=r,
                 method="exact-dmd",
                 original_indices=rng.permutation(r),
             )
@@ -296,7 +330,7 @@ class TestWithAmplitudes:
             perm = rng.permutation(r)
             base = DecompositionResult(eigenvalues=evals[perm], basis=np.eye(r),
                                        coefficients=np.eye(r),
-                                       amplitudes=None, rank=r, method="exact-dmd")
+                                       amplitudes=None, method="exact-dmd")
             want = base.with_amplitudes(b[perm]).original_indices
             for _ in range(4):
                 wobble = 1.0 + 1e-9 * rng.choice([-1.0, 1.0], size=r)
@@ -332,3 +366,18 @@ def test_planted_spectrum_recovery_property(rng):
     result = exact_dmd(build_pairs(X), rank=5)
     for lam in full:
         assert np.min(np.abs(result.eigenvalues - lam)) <= 1e-8
+
+
+def test_rank_is_derived_from_the_eigenvalues(rng):
+    """rank is the number of eigenvalues, kept in step by every column move,
+    and no constructor takes it."""
+    result = exact_dmd(build_pairs(SnapshotMatrix(rng.standard_normal((6, 12)))), rank=4)
+    assert result.rank == result.eigenvalues.shape[0] == 4
+    kept = replace(result, eigenvalues=result.eigenvalues[:2],
+                   coefficients=result.coefficients[:, :2], original_indices=None)
+    assert kept.rank == 2 and kept.original_indices.tolist() == [0, 1]
+    with pytest.raises(TypeError):
+        DecompositionResult(result.eigenvalues, result.basis, result.coefficients, None,
+                            rank=4, method="exact-dmd")
+    with pytest.raises(ValueError, match="inconsistent"):
+        replace(result, eigenvalues=result.eigenvalues[:3])

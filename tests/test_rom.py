@@ -28,8 +28,7 @@ def decomposition(lams, modes, amps) -> DecompositionResult:
     modes = np.asarray(modes, dtype=complex).reshape(len(lams), -1).T
     return DecompositionResult(eigenvalues=np.asarray(lams, dtype=complex), basis=modes,
                                coefficients=np.eye(len(lams)),
-                               amplitudes=np.asarray(amps, dtype=complex),
-                               rank=len(lams), method="test")
+                               amplitudes=np.asarray(amps, dtype=complex), method="test")
 
 
 def single_mode_model(lam, mode, amp) -> DecompositionResult:
@@ -43,8 +42,7 @@ def pair_model(lam, mode, amp) -> DecompositionResult:
 def fitted_model(X) -> DecompositionResult:
     pair = build_pairs(X)
     result = exact_dmd(pair)
-    form = quadratic_form(pair.Y, result.basis, result.coefficients,
-                          vandermonde(result.eigenvalues, pair.Y.shape[1]))
+    form = quadratic_form(pair.Y, result.basis, result.coefficients, result.eigenvalues)
     return result.with_amplitudes(optimal_amplitudes(form))
 
 
@@ -85,12 +83,11 @@ class TestReconstruct:
 
     def test_needs_amplitudes_and_modes(self, rng):
         one = single_mode_model(1.0, rng.standard_normal(3), 1.0)
-        unfitted = DecompositionResult(one.eigenvalues, one.basis, one.coefficients, None, 1,
-                                       "test")
+        unfitted = DecompositionResult(one.eigenvalues, one.basis, one.coefficients, None, "test")
         with pytest.raises(ValueError, match="amplitudes"):
             reconstruct(unfitted, 0)
         empty = DecompositionResult(np.zeros(0, complex), np.zeros((3, 0)), np.zeros((0, 0)),
-                                    np.zeros(0, complex), 0, "test")
+                                    np.zeros(0, complex), "test")
         with pytest.raises(ValueError, match="no modes"):
             forecast(empty, 2, 0)
 
@@ -103,7 +100,7 @@ class TestReconstruct:
             lams = rng.uniform(0.5, 1.05, r) * np.exp(1j * rng.uniform(-np.pi, np.pi, r))
             modes = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
             amps = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            model = DecompositionResult(lams, modes, np.eye(r), amps, r, "test")
+            model = DecompositionResult(lams, modes, np.eye(r), amps, "test")
             for k in rng.integers(0, 80, 4).tolist():
                 want = np.real(modes @ np.diag(amps) @ lams ** k)
                 scale = np.abs(modes) @ np.abs(amps * lams ** k)
@@ -190,7 +187,7 @@ class TestFitLoss:
         want /= np.linalg.norm(Y)
         assert abs(fit_loss_percent(model, Y) - want) <= 1e-10 * want
         formed = DecompositionResult(model.eigenvalues, model.modes, np.eye(model.rank),
-                                     model.amplitudes, model.rank, "test")
+                                     model.amplitudes, "test")
         assert abs(fit_loss_percent(formed, Y) - want) <= 1e-10 * want
 
     def test_zero_data_rejected(self, rng):
@@ -202,12 +199,12 @@ class TestFitLoss:
 class TestTemporalDynamics:
     def test_constant_row(self):
         model = single_mode_model(1.0, np.ones(2), 5.0)
-        row = temporal_dynamics(model, range(4))
+        row = temporal_dynamics(model, 4)
         np.testing.assert_allclose(row, [[5.0, 5.0, 5.0, 5.0]], atol=1e-12)
 
     def test_quarter_rotation(self):
         model = single_mode_model(1j, np.ones(2), 1.0)
-        row = temporal_dynamics(model, range(4))
+        row = temporal_dynamics(model, 4)
         np.testing.assert_allclose(row, [[1.0, 0.0, -1.0, 0.0]], atol=1e-12)
 
     def test_damped_pair_cosine_oracle(self, rng):
@@ -216,7 +213,7 @@ class TestTemporalDynamics:
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         model = pair_model(lam, w, b)
         ts = np.arange(20)
-        rows = temporal_dynamics(model, ts)[conjugate_representatives(model.eigenvalues)]
+        rows = temporal_dynamics(model, ts.size)[conjugate_representatives(model.eigenvalues)]
         assert rows.shape == (1, 20)
         want = abs(b) * 0.9 ** ts * np.cos(np.pi * ts / 4 + np.angle(b))
         np.testing.assert_allclose(rows[0], want, atol=1e-10)
@@ -225,9 +222,9 @@ class TestTemporalDynamics:
         lam = 0.9 * np.exp(1j * np.pi / 4)
         w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         model = pair_model(lam, w, 1.0 + 0.5j)
-        assert temporal_dynamics(model, range(5)).shape == (2, 5)
+        assert temporal_dynamics(model, 5).shape == (2, 5)
         shown = conjugate_representatives(model.eigenvalues)
-        assert temporal_dynamics(model, range(5))[shown].shape == (1, 5)
+        assert temporal_dynamics(model, 5)[shown].shape == (1, 5)
 
     def test_rows_are_the_full_matrix_rows_bit_for_bit(self, rng):
         lams = [0.9 * np.exp(0.7j), 0.9 * np.exp(-0.7j), 0.5, 1.01 * np.exp(2.1j),
@@ -235,14 +232,24 @@ class TestTemporalDynamics:
         model = decomposition(lams, rng.standard_normal((5, 3)),
                               rng.standard_normal(5) + 1j * rng.standard_normal(5))
         shown = conjugate_representatives(model.eigenvalues)
-        ts = np.arange(300)
-        np.testing.assert_array_equal(temporal_dynamics(model, ts, rows=shown),
-                                      temporal_dynamics(model, ts)[shown])
+        np.testing.assert_array_equal(temporal_dynamics(model, 300, rows=shown),
+                                      temporal_dynamics(model, 300)[shown])
+
+    def test_rows_are_the_weighted_vandermonde_bit_for_bit(self, rng):
+        """The dynamics come from the Vandermonde matrix the fit uses, so they
+        agree with it to the last bit, and with lam ** t to roundoff."""
+        lams = 0.99 * np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
+        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        model = decomposition(lams, rng.standard_normal((4, 3)), amps)
+        got = temporal_dynamics(model, 200)
+        assert got.tobytes() == np.real(vandermonde(lams, 200) * amps[:, None]).tobytes()
+        want = np.real(lams[:, None] ** np.arange(200.0) * amps[:, None])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(amps).max()
 
     def test_empty_range(self, rng):
         model = single_mode_model(1.0, rng.standard_normal(2), 1.0)
         with pytest.raises(ValueError):
-            temporal_dynamics(model, [])
+            temporal_dynamics(model, 0)
 
 
 class TestForecast:

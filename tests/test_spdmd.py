@@ -37,13 +37,12 @@ TIGHT = AdmmParams(eps_abs=1e-11, eps_rel=1e-11, max_iter=100000)
 def random_instance(rng, p=6, r=3, M=10):
     modes = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
     lam = rng.random(r) * np.exp(2j * np.pi * rng.random(r))
-    vand = vandermonde(lam, M)
     Y = rng.standard_normal((p, M))
-    return Y, modes, vand
+    return Y, modes, lam
 
 
-def direct_objective(Y, modes, vand, b):
-    return np.linalg.norm(Y - modes @ np.diag(b) @ vand, "fro") ** 2
+def direct_objective(Y, modes, lam, b):
+    return np.linalg.norm(Y - modes @ np.diag(b) @ vandermonde(lam, Y.shape[1]), "fro") ** 2
 
 
 def planted_form(rng, r=10, n_active=3, M=200, p=40, amp_scale=None):
@@ -57,18 +56,18 @@ def planted_form(rng, r=10, n_active=3, M=200, p=40, amp_scale=None):
     for i, a in zip(active, scale):
         b_true[i] = a * np.exp(2j * np.pi * rng.random())
     Y = modes @ np.diag(b_true) @ vand
-    return quadratic_form(Y, modes, np.eye(modes.shape[1]), vand), b_true, np.array(active)
+    return quadratic_form(Y, modes, np.eye(modes.shape[1]), lam), b_true, np.array(active)
 
 
 def real_dmd_instance(rng, rank=9, p=30, M=80):
-    """(Y, basis, coefficients, vand) of exact DMD on seeded real data: four damped
+    """(Y, basis, coefficients, eigenvalues) of exact DMD on seeded real data: four damped
     oscillations and one decay plus noise, so rank 9 holds four conjugate
     pairs and one real eigenvalue."""
     lams = [0.97 * np.exp(1j * w) for w in (0.3, 0.7, 1.3, 2.1)] + [0.9]
     Y, _ = planted_snapshots(p, M + 1, lams, [5.0, 3.0, 2.0, 1.0, 4.0], rng)
     pair = build_pairs(SnapshotMatrix(Y + 1e-3 * rng.standard_normal(Y.shape)))
     result = exact_dmd(pair, rank=rank)
-    return pair.Y, result.basis, result.coefficients, vandermonde(result.eigenvalues, M)
+    return pair.Y, result.basis, result.coefficients, result.eigenvalues
 
 
 def cholesky_admm(form, gamma, params=AdmmParams(), z0=None, u0=None):
@@ -135,42 +134,45 @@ def assert_close(a, b, rtol):
 
 class TestQuadraticForm:
     def test_zero_amplitudes_give_data_energy(self, rng):
-        Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         assert abs(form.objective(np.zeros(3)) - np.linalg.norm(Y, "fro") ** 2) <= 1e-8
 
     def test_scalar_algebra(self):
+        """One snapshot, so xi = [[lam^0]] = [[1]] whatever lam is: P = |2|^2,
+        q = 2 * 12, s = 12^2, and ||12 - 2 b||^2 vanishes at b = 6."""
         form = quadratic_form(np.array([[12.0]]), np.array([[2.0 + 0j]]), np.eye(1),
-                              np.array([[3.0 + 0j]]))
-        assert abs(form.P[0, 0] - 36.0) <= 1e-12
-        assert abs(form.q[0] - 72.0) <= 1e-12
+                              np.array([3.0 + 0j]))
+        assert abs(form.P[0, 0] - 4.0) <= 1e-12
+        assert abs(form.q[0] - 24.0) <= 1e-12
         assert abs(form.s - 144.0) <= 1e-12
-        assert form.objective(np.array([2.0])) <= 1e-10
+        assert form.objective(np.array([6.0])) <= 1e-10
+        assert abs(form.objective(np.array([2.0])) - 64.0) <= 1e-12
 
     def test_matches_direct_frobenius_objective(self, rng):
-        Y, modes, vand = random_instance(rng, p=6, r=3, M=10)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng, p=6, r=3, M=10)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         for _ in range(20):
             b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            want = direct_objective(Y, modes, vand, b)
+            want = direct_objective(Y, modes, lam, b)
             assert abs(form.objective(b) - want) <= 1e-8 * max(1.0, want)
 
     @pytest.mark.parametrize("real_modes", [False, True])
     def test_real_data_matches_its_complex_copy(self, rng, real_modes):
-        Y, modes, vand = random_instance(rng, p=30, r=5, M=40)
+        Y, modes, lam = random_instance(rng, p=30, r=5, M=40)
         if real_modes:  # eigenvectors of an all-real spectrum come back as float64
             modes = modes.real.copy()
         eye = np.eye(modes.shape[1])
-        got = quadratic_form(Y, modes, eye, vand)
-        want = quadratic_form(Y.astype(complex), modes, eye, vand)
+        got = quadratic_form(Y, modes, eye, lam)
+        want = quadratic_form(Y.astype(complex), modes, eye, lam)
         assert np.isrealobj(Y)
         for name in ("P", "q", "s"):
             a, b = getattr(got, name), getattr(want, name)
             assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b), name
 
     def test_real_data_needs_no_complex_copy(self, rng):
-        Y, modes, vand = random_instance(rng, p=900, r=40, M=400)
-        _, peak = allocation_peak(quadratic_form, Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng, p=900, r=40, M=400)
+        _, peak = allocation_peak(quadratic_form, Y, modes, np.eye(modes.shape[1]), lam)
         assert peak < Y.nbytes
 
     @pytest.mark.parametrize("case", ["paired-real", "complex", "projected", "cdmd"])
@@ -192,7 +194,7 @@ class TestQuadraticForm:
             base, Y = exact_dmd(pair, rank=8, mode_style=mode_style), pair.Y
         assert np.iscomplexobj(base.basis) == (case == "complex")
         vand = vandermonde(base.eigenvalues, Y.shape[1])
-        form = quadratic_form(Y, base.basis, base.coefficients, vand)
+        form = quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
         modes = base.basis @ base.coefficients
         P = (modes.conj().T @ modes) * (vand @ vand.conj().T).conj()
         q = np.diag(vand @ (Y.conj().T @ modes)).conj()
@@ -201,15 +203,30 @@ class TestQuadraticForm:
         assert abs(form.s - np.linalg.norm(Y) ** 2) <= 1e-12 * form.s
         assert (form.partner is None) == (case == "complex")
 
+    def test_blocks_match_the_one_piece_vandermonde(self, rng):
+        """Xi built Q_BLOCK snapshots at a time, each block seeded at lam^start,
+        gives the form of the whole Vandermonde matrix: growing, decaying and
+        unit-modulus eigenvalues, over several blocks and a partial one."""
+        M = 3 * spdmd.Q_BLOCK + 5
+        lam = np.array([1.004 * np.exp(0.3j), 1.004 * np.exp(-0.3j), 0.97, np.exp(2.2j), 0.5j])
+        modes = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+        Y = rng.standard_normal((9, M))
+        form = quadratic_form(Y, modes, np.eye(5), lam)
+        vand = vandermonde(lam, M)
+        P = (modes.conj().T @ modes) * (vand @ vand.conj().T).conj()
+        assert_close(form.P, 0.5 * (P + P.conj().T), 1e-12)
+        assert_close(form.q, np.diag(vand @ (Y.T @ modes)).conj(), 1e-12)
+
     @pytest.mark.parametrize("p, M, r", [(4000, 60, 20), (300, 2000, 200)])
     def test_factored_form_allocates_no_complex_modes(self, rng, p, M, r):
-        """On real input the form holds no p x r complex array (the modes) and
-        no M x r one (Y* modes or a conjugate of vand): the modes' Gram matrix
-        comes from B*B and W, and xi xi* and q from blocks of snapshots."""
+        """On real input the form holds no p x r complex array (the modes), no
+        M x r one (Y* modes) and no r x M one (the Vandermonde matrix xi): the
+        modes' Gram matrix comes from B*B and W, and xi, xi xi* and q from
+        blocks of snapshots."""
         pair = build_pairs(SnapshotMatrix(rng.standard_normal((p, M))))
         base = exact_dmd(pair, rank=r)
-        vand = vandermonde(base.eigenvalues, M - 1)
-        _, peak = allocation_peak(quadratic_form, pair.Y, base.basis, base.coefficients, vand)
+        _, peak = allocation_peak(quadratic_form, pair.Y, base.basis, base.coefficients,
+                                  base.eigenvalues)
         assert peak < 16 * r * max(p, M - 1)  # the larger of the two
 
     def test_hermitian_and_psd_enforced(self):
@@ -225,9 +242,11 @@ class TestQuadraticForm:
                 QuadraticForm(P=form.P, q=form.q, s=form.s, partner=partner)
 
     def test_dimension_mismatch(self, rng):
-        Y, modes, vand = random_instance(rng)
+        Y, modes, lam = random_instance(rng)
         with pytest.raises(ValueError, match="incompatible"):
-            quadratic_form(Y[:, :-1], modes, np.eye(modes.shape[1]), vand)
+            quadratic_form(Y, modes, np.eye(modes.shape[1]), lam[:-1])
+        with pytest.raises(ValueError, match="incompatible"):
+            quadratic_form(Y[:-1], modes, np.eye(modes.shape[1]), lam)
 
 
 class TestSoftThreshold:
@@ -244,16 +263,16 @@ class TestSoftThreshold:
 
 class TestAdmmSolve:
     def test_gamma_zero_matches_normal_equations(self, rng):
-        Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         res = admm_solve(form, 0.0)
         want, *_ = np.linalg.lstsq(form.P, form.q, rcond=None)
         assert np.max(np.abs(res.z - want)) <= 1e-8
         assert np.linalg.norm(2 * form.P @ res.z - 2 * form.q) <= 1e-6 * (1 + np.linalg.norm(form.q))
 
     def test_analytic_shutdown(self, rng):
-        Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         gamma = 2.0 * np.max(np.abs(form.q)) * 1.05
         res = admm_solve(form, gamma)
         assert np.all(res.z == 0.0)
@@ -270,8 +289,8 @@ class TestAdmmSolve:
 
     def test_kkt_subgradient_conditions(self, rng):
         for trial in range(10):
-            Y, modes, vand = random_instance(rng, p=7, r=4, M=12)
-            form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+            Y, modes, lam = random_instance(rng, p=7, r=4, M=12)
+            form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
             gamma = 0.3 * 2.0 * np.max(np.abs(form.q))
             res = admm_solve(form, gamma, TIGHT)
             assert res.converged
@@ -284,8 +303,8 @@ class TestAdmmSolve:
                     assert abs(grad[i]) <= gamma + tol
 
     def test_non_convergence_is_flagged_not_raised(self, rng):
-        Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         params = AdmmParams(max_iter=2, eps_abs=1e-15, eps_rel=1e-15)
         with pytest.warns(UserWarning, match="did not converge"):
             res = admm_solve(form, 1.0, params)
@@ -293,8 +312,8 @@ class TestAdmmSolve:
         assert res.iterations == 2
 
     def test_invalid_params(self, rng):
-        Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         with pytest.raises(ValueError):
             admm_solve(form, -1.0)
         with pytest.raises(ValueError):
@@ -365,8 +384,8 @@ class TestAdmmMatchesCholeskyReference:
             assert_close(polish(form, split), polish(reference, split), 1e-12)
 
     def test_pair_check_failure_takes_the_identity_basis(self, rng):
-        Y, basis, W, vand = real_dmd_instance(rng)
-        form = quadratic_form(Y, basis, W, vand)
+        Y, basis, W, lam = real_dmd_instance(rng)
+        form = quadratic_form(Y, basis, W, lam)
         (a, b), (c, d) = [(i, form.partner[i])
                           for i in np.flatnonzero(form.partner > np.arange(form.size))[:2]]
         wrong = form.partner.copy()
@@ -376,7 +395,7 @@ class TestAdmmMatchesCholeskyReference:
         noisy = Y + 1e-3j * rng.standard_normal(Y.shape)
         for candidate in (QuadraticForm(P=form.P, q=broken_q, s=form.s, partner=form.partner),
                           QuadraticForm(P=form.P, q=form.q, s=form.s, partner=wrong),
-                          quadratic_form(noisy, basis, W, vand)):
+                          quadratic_form(noisy, basis, W, lam)):
             assert candidate.partner is None and candidate.eigh[1].dtype == complex
             gamma = 0.3 * 2.0 * np.max(np.abs(candidate.q))
             z, u, iterations = cholesky_admm(candidate, gamma)
@@ -523,23 +542,23 @@ class TestResidualBalancing:
 
 class TestPolish:
     def test_full_support_equals_unconstrained(self, rng):
-        Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         b = polish(form, np.arange(3))
         want, *_ = np.linalg.lstsq(form.P, form.q, rcond=None)
         assert np.max(np.abs(b - want)) <= 1e-8
 
     def test_empty_support(self, rng):
-        Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         b = polish(form, np.array([], dtype=int))
         assert np.all(b == 0.0)
         assert abs(form.objective(b) - form.s) <= 1e-10
 
     def test_against_column_deletion_oracle(self, rng):
         for _ in range(10):
-            Y, modes, vand = random_instance(rng, p=8, r=6, M=14)
-            form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+            Y, modes, lam = random_instance(rng, p=8, r=6, M=14)
+            form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
             support = np.sort(rng.choice(6, size=3, replace=False))
             b = polish(form, support)
             assert np.all(b[np.setdiff1d(np.arange(6), support)] == 0.0)
@@ -577,8 +596,8 @@ class TestPolish:
         np.testing.assert_allclose(b, [0.5, 0.5, 0.0], atol=1e-12)
 
     def test_out_of_range_support(self, rng):
-        Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         with pytest.raises(ValueError, match="out of range"):
             polish(form, np.array([5]))
 
@@ -639,31 +658,31 @@ class TestGammaSweep:
             assert abs(w.loss_percent - c.loss_percent) <= 1e-4
 
     def test_polishing_never_hurts(self, rng):
-        Y, modes, vand = random_instance(rng, p=8, r=5, M=16)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng, p=8, r=5, M=16)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         for gamma in (0.1, 1.0, 10.0):
             sol, _ = solve_at_gamma(form, gamma)
             assert form.objective(sol.b_polished) <= form.objective(sol.b_sparse) + 1e-10
 
     def test_loss_identity_two_ways(self, rng):
-        Y, modes, vand = random_instance(rng, p=8, r=4, M=12)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng, p=8, r=4, M=12)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         sol, _ = solve_at_gamma(form, 0.5)
         direct = 100.0 * np.linalg.norm(
-            Y - modes @ np.diag(sol.b_polished) @ vand, "fro"
+            Y - modes @ np.diag(sol.b_polished) @ vandermonde(lam, Y.shape[1]), "fro"
         ) / np.linalg.norm(Y, "fro")
         assert abs(sol.loss_percent - direct) <= 1e-8 * max(1.0, direct)
 
     def test_loss_consistent_with_cost(self, rng):
-        Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         sol, _ = solve_at_gamma(form, 1.0)
         assert abs(sol.loss_percent - 100.0 * np.sqrt(sol.cost / form.s)) \
             <= 1e-10 * max(1.0, sol.loss_percent)
 
     def test_empty_and_invalid_grids(self, rng):
-        Y, modes, vand = random_instance(rng)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         with pytest.raises(ValueError):
             gamma_sweep(form, np.array([]))
         with pytest.raises(ValueError):
@@ -688,7 +707,7 @@ class TestSelectModes:
         lam = np.exp(2j * np.pi * (np.arange(r) + 0.5) / (r + 3))
         modes = random_unitary(20, rng)[:, :r]
         result = DecompositionResult(eigenvalues=lam, basis=modes, coefficients=np.eye(r),
-                                     amplitudes=None, rank=r, method="exact-dmd")
+                                     amplitudes=None, method="exact-dmd")
         return result, form, active
 
     def test_planted_two_mode_recovery(self, rng):
@@ -702,11 +721,11 @@ class TestSelectModes:
         assert selected.rank == 2
 
     def test_full_support_is_permutation(self, rng):
-        Y, modes, vand = random_instance(rng, p=8, r=4, M=12)
-        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), vand)
+        Y, modes, lam = random_instance(rng, p=8, r=4, M=12)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         lam = np.exp(2j * np.pi * np.arange(4) / 7)
         result = DecompositionResult(eigenvalues=lam, basis=modes, coefficients=np.eye(4),
-                                     amplitudes=None, rank=4, method="exact-dmd")
+                                     amplitudes=None, method="exact-dmd")
         sol, _ = solve_at_gamma(form, 0.0)
         assert sol.cardinality == 4
         selected = select_modes(result, sol)
