@@ -10,16 +10,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cdmd": ("CompanionModel", "companion_dmd", "fit_companion", "unit_circle_deviation"),
     "dmd": ("DecompositionResult", "ModeStats", "SvdFactors", "conjugate_pairs",
-            "conjugate_representatives", "exact_dmd", "mode_stats", "optimal_amplitudes",
-            "truncated_svd", "vandermonde"),
+            "conjugate_representatives", "exact_dmd", "mode_stats", "truncated_svd",
+            "vandermonde"),
     "rom": ("fit_loss_percent", "forecast", "reconstruct", "spatial_grids",
             "temporal_dynamics"),
     "snapshots": ("SnapshotMatrix", "SnapshotPair", "apply_mask", "build_pairs", "load_mask",
                   "load_matrix", "save_matrix", "stack_cycles", "subtract_mean",
                   "unstack_cycles", "write_csv"),
     "spdmd": ("AdmmParams", "QuadraticForm", "SparseSolution", "admm_solve", "gamma_sweep",
-              "log_gamma_grid", "performance_loss", "polish", "quadratic_form",
-              "select_modes", "solve_at_gamma"),
+              "log_gamma_grid", "optimal_amplitudes", "performance_loss", "polish",
+              "quadratic_form", "select_modes", "solve_at_gamma"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

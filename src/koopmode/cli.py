@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
 import tempfile
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -20,8 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cdmd import companion_dmd
-from .dmd import (DecompositionResult, conjugate_representatives, exact_dmd, mode_stats,
-                  optimal_amplitudes)
+from .dmd import DecompositionResult, conjugate_representatives, exact_dmd, mode_stats
 from .rom import fit_loss_percent, forecast, reconstruct, spatial_grids, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
@@ -38,6 +39,7 @@ from .spdmd import (
     QuadraticForm,
     gamma_sweep,
     log_gamma_grid,
+    optimal_amplitudes,
     quadratic_form,
     select_modes,
     solve_at_gamma,
@@ -305,19 +307,16 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def read_grid_csv(path: str | Path) -> np.ndarray:
     """Rectangular numeric grid, NaN sentinel allowed; ragged rows are an error."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
+        try:
+            grid = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"ragged rows or non-numeric cells in grid file {path}: "
+                             f"{exc}") from None
+    if grid.size == 0:
         raise ValueError(f"empty grid file {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"ragged rows in grid file {path}")
-    return np.asarray(rows)
+    return grid
 
 
 def render_heatmap(grid: np.ndarray) -> bytes:
@@ -366,12 +365,12 @@ def cmd_ingest_info(args: argparse.Namespace) -> int:
 
 
 def _bounded(cast: type, low: float, strict: bool = False):
-    """argparse type: cast(text), rejected below low (and at low if strict)."""
+    """argparse type: cast(text), rejected if not finite or below low (and at low if strict)."""
     def parse(text: str):
         value = cast(text)
-        if not (value > low if strict else value >= low):  # also rejects nan
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
             raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {low}, got {text}")
+                f"must be finite and {'>' if strict else '>='} {low}, got {text}")
         return value
     parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
     return parse

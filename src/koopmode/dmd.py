@@ -1,21 +1,17 @@
-"""Exact DMD: truncated SVD, compressed operator, modes, Vandermonde, amplitudes."""
+"""Exact DMD: truncated SVD, compressed operator, modes, Vandermonde."""
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .snapshots import SnapshotPair
 
-if TYPE_CHECKING:
-    from .spdmd import QuadraticForm
-
 RANK_TOL = 1e-10
 EIGENBASIS_COND_LIMIT = 1e12
-NORMAL_COND_LIMIT = 1e14
 CONJUGATE_TOL = 1e-8
 MODE_STYLES = ("exact", "projected")
 
@@ -215,19 +211,6 @@ def vandermonde(eigenvalues: np.ndarray, n_steps: int, start: int = 0) -> np.nda
         out[:, k] = col
         col = col * lam
     return out
-
-
-def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
-    """Least-squares amplitudes minimizing the quadratic form (P, q, s), in the
-    form's column order: the minimum-norm solution of P b = q from the form's
-    eigendecomposition Q diag(lam) Q* in its basis, dropping lam <= eps r lam_max,
-    numpy's default least-squares cutoff."""
-    lam, Q = form.eigh
-    keep = lam > np.finfo(float).eps * lam.size * lam[-1]
-    if not keep.all() or lam[-1] > NORMAL_COND_LIMIT * lam[0]:
-        warnings.warn("near-singular amplitude system, using minimum-norm solution")
-    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-    return form.from_basis(Q @ (inv * (Q.conj().T @ form.basis_form[1])))
 
 
 def mode_stats(eigenvalue: complex) -> ModeStats:

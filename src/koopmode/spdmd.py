@@ -7,12 +7,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dmd import (DecompositionResult, adjoint_matmul, conjugate_pairs, optimal_amplitudes,
-                  real_matmul, vandermonde)
+from .dmd import DecompositionResult, adjoint_matmul, conjugate_pairs, real_matmul, vandermonde
 
 ZERO_REL_TOL = 1e-12
 HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
+NORMAL_COND_LIMIT = 1e14
 Q_BLOCK = 64  # snapshot columns per block of quadratic_form's xi, H and q
 _TINY = np.finfo(float).tiny
 SQRT_HALF = math.sqrt(0.5)
@@ -152,9 +152,8 @@ def _pair_combine(M: np.ndarray, first: np.ndarray, second: np.ndarray,
 
 @dataclass(frozen=True)
 class SparseSolution:
-    """One regularized solve: splitting iterate, polished optimum, and summary."""
+    """One regularized solve: support, polished optimum, and summary."""
 
-    b_sparse: np.ndarray
     b_polished: np.ndarray
     support: np.ndarray
     gamma: float
@@ -315,29 +314,47 @@ def detect_support(b: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mag > ZERO_REL_TOL * peak)
 
 
+def _min_norm(lam: np.ndarray, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of Q diag(lam) Q* x = q (lam ascending), dropping
+    lam <= eps k lam_max, numpy's default least-squares cutoff; warns when it
+    drops one or lam_max / lam_min exceeds NORMAL_COND_LIMIT."""
+    keep = lam > np.finfo(float).eps * lam.size * lam[-1]
+    if not keep.all() or lam[-1] > NORMAL_COND_LIMIT * lam[0]:
+        warnings.warn("near-singular amplitude system, using minimum-norm solution")
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    return Q @ (inv * (Q.conj().T @ q))
+
+
+def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
+    """Least-squares amplitudes minimizing the quadratic form (P, q, s), in the
+    form's column order: the minimum-norm solution of P b = q from the form's
+    eigendecomposition in its basis."""
+    return form.from_basis(_min_norm(*form.eigh, form.basis_form[1]))
+
+
 def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     """Re-optimize amplitudes with the sparsity pattern fixed: b is zero off the
-    support and solves P[S,S] b_S = q_S on it (Cholesky, else minimum norm).
-    A support closed under the form's pairing is solved in its basis, where a
-    pair keeps its two indices: in real arithmetic in the pair basis."""
+    support and solves P[S,S] b_S = q_S on it, in the form's basis (Cholesky,
+    else minimum norm). On a paired form the support must take or leave each
+    conjugate pair whole, as the pair threshold does."""
     r = form.size
     support = np.asarray(support, dtype=int)
     if support.size and (support.min() < 0 or support.max() >= r):
         raise ValueError("support indices out of range")
+    if form.partner is not None and not np.isin(form.partner[support], support).all():
+        raise ValueError("support splits a conjugate pair")
     if support.size == 0:
         return np.zeros(r, dtype=complex)
-    in_basis = form.partner is None or np.isin(form.partner[support], support).all()
-    P, q = form.basis_form if in_basis else (form.P, form.q)
+    P, q = form.basis_form
     P_s, q_s = P[np.ix_(support, support)], q[support]
     x = np.zeros(r, dtype=P.dtype)
     try:
         np.linalg.cholesky(P_s)  # tests positive definiteness; one solve beats two on L, L*
     except np.linalg.LinAlgError:
-        warnings.warn("singular polishing system, using minimum-norm solution")
-        x[support] = np.linalg.lstsq(P_s, q_s, rcond=None)[0]
+        x[support] = _min_norm(*np.linalg.eigh(P_s), q_s)
     else:
         x[support] = np.linalg.solve(P_s, q_s)
-    return form.from_basis(x) if in_basis else x
+    return form.from_basis(x)
 
 
 def performance_loss(cost: float, s: float) -> float:
@@ -359,13 +376,9 @@ def solve_at_gamma(
     """One sweep entry: split, detect support, polish, score."""
     admm = admm_solve(form, gamma, params, z0=z0, u0=u0)
     support = detect_support(admm.z)
-    on_support = np.zeros(form.size, dtype=bool)
-    on_support[support] = True
-    b_sparse = np.where(on_support, admm.z, 0.0)
     b_pol = polish(form, support)
     cost = form.objective(b_pol)
     solution = SparseSolution(
-        b_sparse=b_sparse,
         b_polished=b_pol,
         support=support,
         gamma=float(gamma),

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -271,6 +272,8 @@ class TestDecompose:
         ("--rank", 0), ("--rank", -1), ("--top-modes", -1), ("--cycles", 0),
         ("--method", "spdmd", "--rho", 0), ("--method", "spdmd", "--max-iter", 0),
         ("--method", "spdmd", "--gamma", -1), ("--method", "spdmd", "--rho", "nan"),
+        ("--method", "spdmd", "--gamma", "inf"), ("--method", "spdmd", "--rho", "inf"),
+        ("--method", "spdmd", "--eps-abs", "inf"),
     ])
     def test_out_of_range_value_is_usage_error(self, tmp_path, planted_csv, capsys, flags):
         path, _ = planted_csv
@@ -415,6 +418,7 @@ class TestSweep:
         ("--eps-abs", -0.001), ("--gamma-min", -1, "--gamma-count", 1), ("--rank", 0),
         ("--gamma-min", 10, "--gamma-max", 1),
         ("--gamma-min", 0.5, "--gamma-max", 1e9, "--gamma-count", 1),
+        ("--gamma-max", "inf"),
     ])
     def test_out_of_range_value_is_usage_error(self, planted_csv, tmp_path, flags):
         path, _ = planted_csv
@@ -668,6 +672,23 @@ class TestHeatmap:
         assert run("heatmap", grid, tmp_path / "g.ppm") == 2
         with pytest.raises(ValueError, match="ragged"):
             read_grid_csv(grid)
+
+    def test_non_numeric_cell_rejected(self, tmp_path):
+        grid = tmp_path / "g.csv"
+        grid.write_text("1,2\n3,oops\n")
+        assert run("heatmap", grid, tmp_path / "g.ppm") == 2
+        assert not (tmp_path / "g.ppm").exists()
+        with pytest.raises(ValueError, match="non-numeric cells in grid file"):
+            read_grid_csv(grid)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_grid_rejected(self, tmp_path, text):
+        grid = tmp_path / "g.csv"
+        grid.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty grid file"):
+                read_grid_csv(grid)
 
     def test_other_writers_temp_file_untouched(self, tmp_path):
         grid = tmp_path / "g.csv"

@@ -381,7 +381,10 @@ class TestAdmmMatchesCholeskyReference:
                 support = np.sort(np.concatenate([groups[k] for k in taken]))
                 assert_close(polish(form, support), polish(reference, support), 1e-10)
             split = np.flatnonzero(form.partner > np.arange(form.size))[:1]
-            assert_close(polish(form, split), polish(reference, split), 1e-12)
+            with pytest.raises(ValueError, match="support splits a conjugate pair"):
+                polish(form, split)
+            want = np.linalg.solve(reference.P[np.ix_(split, split)], reference.q[split])
+            assert_close(polish(reference, split)[split], want, 1e-12)
 
     def test_pair_check_failure_takes_the_identity_basis(self, rng):
         Y, basis, W, lam = real_dmd_instance(rng)
@@ -461,16 +464,16 @@ class TestResidualBalancing:
         forms += [planted_form(rng, r=10, n_active=n)[0] for n in (3, 5)]
         cases = [(form, frac * 2.0 * np.max(np.abs(form.q)))
                  for form in forms for frac in (0.05, 0.3, 0.7)]
-        balanced = [solve_at_gamma(form, gamma, TIGHT)[0] for form, gamma in cases]
+        balanced = [solve_at_gamma(form, gamma, TIGHT) for form, gamma in cases]
         monkeypatch.setattr(spdmd, "RHO_MAX_CHANGES", 0)
-        fixed = [solve_at_gamma(form, gamma, TIGHT)[0] for form, gamma in cases]
-        for got, want in zip(balanced, fixed):
+        fixed = [solve_at_gamma(form, gamma, TIGHT) for form, gamma in cases]
+        for (got, got_admm), (want, want_admm) in zip(balanced, fixed):
             assert got.converged and want.converged
             assert want.rho == TIGHT.rho
             np.testing.assert_array_equal(got.support, want.support)
             assert_close(got.b_polished, want.b_polished, 1e-10)
-            assert_close(got.b_sparse, want.b_sparse, 1e-9)
-        assert sum(got.rho != TIGHT.rho for got in balanced) >= 5
+            assert_close(got_admm.z, want_admm.z, 1e-9)
+        assert sum(got.rho != TIGHT.rho for got, _ in balanced) >= 5
 
     def test_rho_stays_on_the_doubling_grid_and_changes_at_most_the_cap(self, rng,
                                                                         monkeypatch):
@@ -591,9 +594,29 @@ class TestPolish:
     def test_singular_support_block_gives_minimum_norm(self):
         P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
         form = QuadraticForm(P=P, q=np.array([1.0, 1.0, 1.0]), s=10.0)
-        with pytest.warns(UserWarning, match="singular polishing system"):
+        with pytest.warns(UserWarning, match="near-singular amplitude system"):
             b = polish(form, np.array([0, 1]))
         np.testing.assert_allclose(b, [0.5, 0.5, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("block", [
+        [[4, 2, 2], [2, 1, 1], [2, 1, 3]],  # rank 2: the second Cholesky pivot is 0
+        [[1, 1j, 0], [-1j, 1, 0], [0, 0, 2]],  # complex Hermitian, rank 2
+        [[2, 1, 0], [1, 2, 0], [0, 0, 0]],  # a mode that meets nothing
+    ])
+    def test_singular_block_matches_the_pseudoinverse(self, rng, block):
+        """A rank-deficient support block falls back to the minimum-norm
+        solution, pinv(P_s) q_s, under the one near-singular warning."""
+        P = np.zeros((5, 5), dtype=complex)
+        support = np.array([0, 2, 4])
+        P[np.ix_(support, support)] = block
+        P[[1, 3], [1, 3]] = 5.0
+        q = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        form = QuadraticForm(P=P, q=q, s=100.0)
+        with pytest.warns(UserWarning, match="near-singular amplitude system"):
+            b = polish(form, support)
+        want = np.linalg.pinv(P[np.ix_(support, support)]) @ q[support]
+        assert_close(b[support], want, 1e-12)
+        assert np.all(b[[1, 3]] == 0.0)
 
     def test_out_of_range_support(self, rng):
         Y, modes, lam = random_instance(rng)
@@ -661,8 +684,8 @@ class TestGammaSweep:
         Y, modes, lam = random_instance(rng, p=8, r=5, M=16)
         form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         for gamma in (0.1, 1.0, 10.0):
-            sol, _ = solve_at_gamma(form, gamma)
-            assert form.objective(sol.b_polished) <= form.objective(sol.b_sparse) + 1e-10
+            sol, admm = solve_at_gamma(form, gamma)
+            assert form.objective(sol.b_polished) <= form.objective(admm.z) + 1e-10
 
     def test_loss_identity_two_ways(self, rng):
         Y, modes, lam = random_instance(rng, p=8, r=4, M=12)
