@@ -72,24 +72,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
+def _published(target: Path):
+    """Yield a staging path next to target, a file's or a directory's; on
+    success it replaces target as a whole, so no file of an earlier run survives."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    holder = Path(tempfile.mkdtemp(prefix=".stage-", dir=target.parent))
+    try:
+        stage = holder / "new"
+        yield stage
+        if stage.is_dir() and target.exists():  # os.replace fails onto a non-empty directory
+            os.replace(target, holder / "old")
+        os.replace(stage, target)
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
+
+
+@contextmanager
 def _staged_output(outdir: str | Path):
-    """Write artifacts into a staging directory; on success it replaces the
-    output directory as a whole, so no file of an earlier run survives."""
+    """Stage the artifacts in a directory that replaces outdir as a whole."""
     outdir = Path(outdir).resolve()
     if outdir.exists() and not (outdir.is_dir() and all(
             any(child.match(name) for name in ARTIFACT_NAMES) for child in outdir.iterdir())):
         raise UsageError(f"refusing to replace {outdir}: not a koopmode output directory")
-    outdir.parent.mkdir(parents=True, exist_ok=True)
-    holder = Path(tempfile.mkdtemp(prefix=".stage-", dir=outdir.parent))
-    try:
-        stage = holder / "new"
+    with _published(outdir) as stage:
         stage.mkdir()
         yield stage
-        if outdir.exists():
-            os.replace(outdir, holder / "old")
-        os.replace(stage, outdir)
-    finally:
-        shutil.rmtree(holder, ignore_errors=True)
 
 
 def _float_csv(path: Path, rows: np.ndarray, header: str | None = None) -> None:
@@ -337,14 +344,8 @@ def render_heatmap(grid: np.ndarray) -> bytes:
 def cmd_heatmap(args: argparse.Namespace) -> int:
     grid = read_grid_csv(args.grid)
     data = render_heatmap(grid)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    holder = Path(tempfile.mkdtemp(prefix=".stage-", dir=out.parent))
-    try:
-        (holder / out.name).write_bytes(data)
-        os.replace(holder / out.name, out)
-    finally:
-        shutil.rmtree(holder, ignore_errors=True)
+    with _published(Path(args.out)) as stage:
+        stage.write_bytes(data)
     return EXIT_OK
 
 

@@ -29,16 +29,15 @@ RHO_MAX_CHANGES = 20
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """(P, q, s) with ||Y - Phi diag(b) Xi||_F^2 = b*Pb - q*b - b*q + s.
+    """(P, q, s) with ||Y - Phi diag(b) Xi||_F^2 = y*Py - q*y - y*q + s at the
+    coordinates y = T* b of amplitudes b in the form's basis.
 
-    partner pairs columns whose amplitudes are conjugate (dmd.conjugate_pairs).
-    When P and q are pair-symmetric under it, conj(P) = Pi P Pi and
-    conj(q) = Pi q (real data), the optimum is conjugate-paired and the solvers
-    work in the unitary pair basis b = T y: y_i = sqrt2 Re b_i and
-    y_j = sqrt2 Im b_i for a pair i < j, y_k = b_k for an unpaired k. There the
-    form (T*PT, T*q) is real. Otherwise partner is None and the basis is the
-    identity. eigh = (lam, Q), the form in its basis = Q diag(lam) Q*, is the
-    one factorization: PSD check, x-update, amplitudes.
+    partner pairs columns whose amplitudes are conjugate (dmd.conjugate_pairs);
+    the default, np.arange(r), pairs nothing. T is the unitary pair basis
+    b = T y: y_i = sqrt2 Re b_i and y_j = sqrt2 Im b_i for a pair i < j,
+    y_k = b_k for an unpaired k. A form with pairs is real (paired_form).
+    eigh = (lam, Q), P = Q diag(lam) Q*, is the one factorization: PSD check,
+    x-update, amplitudes.
     """
 
     P: np.ndarray
@@ -46,81 +45,56 @@ class QuadraticForm:
     s: float
     partner: np.ndarray | None = field(default=None, compare=False)
     eigh: tuple = field(init=False, repr=False, compare=False)
-    _paired: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _x_update: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        P = np.asarray(self.P, dtype=complex)
+        dtype = complex if np.iscomplexobj(self.P) or np.iscomplexobj(self.q) else float
+        P = np.asarray(self.P, dtype=dtype)
+        q = np.asarray(self.q, dtype=dtype).reshape(-1)
+        index = np.arange(q.size)
+        partner = (np.asarray(self.partner, dtype=int).reshape(-1)
+                   if self.partner is not None else index)
+        if not (np.array_equal(np.sort(partner), index)
+                and np.array_equal(partner[partner], index)):
+            raise ValueError("partner must pair each column with itself or one other")
+        if dtype is complex and not np.array_equal(partner, index):
+            raise ValueError("a form with conjugate pairs must be real")
         if np.max(np.abs(P - P.conj().T)) > HERMITIAN_TOL * max(1.0, np.abs(P).max()):
             raise ValueError("P is not Hermitian")
-        q = np.asarray(self.q, dtype=complex).reshape(-1)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", float(self.s))
-        if self.partner is not None:
-            partner, index = np.asarray(self.partner, dtype=int).reshape(-1), np.arange(q.size)
-            if not (np.array_equal(np.sort(partner), index)
-                    and np.array_equal(partner[partner], index)):
-                raise ValueError("partner must pair each column with itself or one other")
-            object.__setattr__(self, "partner", partner)
-            object.__setattr__(self, "_paired", self._pair_basis_form())
-            if self._paired is None:
-                object.__setattr__(self, "partner", None)
-        lam, Q = np.linalg.eigh(self.basis_form[0])
+        object.__setattr__(self, "partner", partner)
+        lam, Q = np.linalg.eigh(P)
         if lam[0] < -PSD_REL_TOL * max(lam[-1], 1.0):
             raise ValueError(f"P is not positive semidefinite (min eig {lam[0]:.3e})")
         object.__setattr__(self, "eigh", (lam, Q))
-
-    def _pair_basis_form(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(T*PT, T*q) as real arrays, or None when their imaginary parts are
-        more than roundoff, which is when P and q are not pair-symmetric."""
-        first, second = self._pairs()
-        Pt = self.P.copy()
-        _pair_combine(Pt, first, second, -1j)  # rows: T* P
-        _pair_combine(Pt.T, first, second, 1j)  # columns: (T* P) T
-        qt = self.q.copy()
-        _pair_combine(qt, first, second, -1j)
-        if any(np.abs(a.imag).max() > HERMITIAN_TOL * np.abs(a).max() for a in (Pt, qt)):
-            return None
-        return Pt.real.copy(), qt.real.copy()
-
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (i, j) of the pairs, i < j."""
-        first = np.flatnonzero(self.partner > np.arange(self.partner.size))
-        return first, self.partner[first]
 
     @property
     def size(self) -> int:
         return self.q.shape[0]
 
-    @property
-    def basis_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P, q) in the solvers' basis: real in the pair basis, else the complex P and q."""
-        return self._paired if self._paired is not None else (self.P, self.q)
-
-    def to_basis(self, b: np.ndarray) -> np.ndarray:
-        """Coordinates of amplitudes b in the form's basis. In the pair basis
-        these are Re(T* b), b's projection on the conjugate-paired amplitudes."""
+    def to_basis(self, b: np.ndarray, keep_imag: bool = False) -> np.ndarray:
+        """Coordinates T* b of amplitudes b. On a real form, unless keep_imag,
+        their real part: b's projection on the conjugate-paired amplitudes."""
         y = np.array(b, dtype=complex).reshape(-1)
-        if self.partner is None:
-            return y
-        _pair_combine(y, *self._pairs(), -1j)
-        return y.real.copy()
+        _pair_combine(y, *_pairs(self.partner), -1j)
+        return y if keep_imag or np.iscomplexobj(self.P) else y.real.copy()
 
     def from_basis(self, y: np.ndarray) -> np.ndarray:
         """Amplitudes b = T y of coordinates y in the form's basis."""
-        if self.partner is None:
-            return y
-        first, second = self._pairs()
+        first, second = _pairs(self.partner)
         b = y.astype(complex)
         b[first] = SQRT_HALF * (y[first] + 1j * y[second])
         b[second] = b[first].conj()
         return b
 
     def objective(self, b: np.ndarray) -> float:
-        """Value of the reconstruction objective at amplitude vector b."""
-        b = np.asarray(b, dtype=complex).reshape(-1)
-        val = np.real(np.vdot(b, self.P @ b)) - 2.0 * np.real(np.vdot(self.q, b)) + self.s
+        """Value of the reconstruction objective at amplitude vector b, from
+        its coordinates T* b: exact for any b, conjugate-paired or not."""
+        y = self.to_basis(b, keep_imag=True)
+        Py = real_matmul(self.P, y[:, None])[:, 0]  # a real P is not cast to complex
+        val = np.real(np.vdot(y, Py)) - 2.0 * np.real(np.vdot(self.q, y)) + self.s
         return max(val, 0.0)
 
     def x_update(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +109,15 @@ class QuadraticForm:
             lam, Q = self.eigh
             Qh = Q.conj().T
             inv = 1.0 / (2.0 * lam + rho)
-            q = self.basis_form[1]
             object.__setattr__(self, "_x_update",
-                               (rho, (Q * (rho * inv)) @ Qh, Q @ (2.0 * inv * (Qh @ q))))
+                               (rho, (Q * (rho * inv)) @ Qh, Q @ (2.0 * inv * (Qh @ self.q))))
         return self._x_update[1:]
+
+
+def _pairs(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs, i < j."""
+    first = np.flatnonzero(partner > np.arange(partner.size))
+    return first, partner[first]
 
 
 def _pair_combine(M: np.ndarray, first: np.ndarray, second: np.ndarray,
@@ -148,6 +127,24 @@ def _pair_combine(M: np.ndarray, first: np.ndarray, second: np.ndarray,
     a, b = M[first], M[second]
     M[first] = SQRT_HALF * (a + b)
     M[second] = (phase * SQRT_HALF) * (a - b)
+
+
+def paired_form(P: np.ndarray, q: np.ndarray, s: float, partner: np.ndarray) -> QuadraticForm:
+    """The amplitude form (P, q, s) in the pair basis of partner, an involution
+    as dmd.conjugate_pairs returns: the real QuadraticForm(T*PT, T*q, s,
+    partner) when (P, q) is pair-symmetric, conj(P) = Pi P Pi and
+    conj(q) = Pi q (real data), to within HERMITIAN_TOL of the largest entry;
+    otherwise the complex (P, q, s) under the identity pairing."""
+    first, second = _pairs(np.asarray(partner))
+    Pt = np.array(P, dtype=complex)
+    _pair_combine(Pt, first, second, -1j)  # rows: T* P
+    _pair_combine(Pt.T, first, second, 1j)  # columns: (T* P) T
+    qt = np.array(q, dtype=complex).reshape(-1)
+    _pair_combine(qt, first, second, -1j)
+    if any(np.abs(a.imag).max() > HERMITIAN_TOL * np.abs(a).max() for a in (Pt, qt)):
+        return QuadraticForm(P=P, q=q, s=s)
+    Pt, qt = Pt.real.copy(), qt.real.copy()  # the complex copies go before the form is built
+    return QuadraticForm(P=Pt, q=qt, s=s, partner=partner)
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,9 @@ def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
     modes B W (B = basis, W = coefficients) with the given eigenvalues and Y's
     columns at time indices 0..M-1, without forming the modes: their Gram
     matrix is W* (B* B) W. A caller holding the modes passes them as B with
-    W = I. Real Y gives the form the eigenvalues' conjugate pairing, which it
-    keeps when (P, q) is pair-symmetric."""
+    W = I. Real Y gives the form in the pair basis of the eigenvalues'
+    conjugate pairing when (P, q) is pair-symmetric (paired_form); complex Y
+    gives the complex form."""
     lam = np.asarray(eigenvalues, dtype=complex).reshape(-1)
     Y = np.asarray(Y)
     W = np.asarray(coefficients, dtype=complex)
@@ -217,8 +215,9 @@ def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
     # without forming the M x M Gram matrix
     Yc = Y.conj() if np.iscomplexobj(Y) else Y  # conj of a real array is a copy
     s = float(np.einsum("ij,ij->j", Yc, Y).sum().real)
-    partner = None if np.iscomplexobj(Y) else conjugate_pairs(lam)
-    return QuadraticForm(P=P, q=q, s=s, partner=partner)
+    if np.iscomplexobj(Y):
+        return QuadraticForm(P=P, q=q, s=s)
+    return paired_form(P, q, s, conjugate_pairs(lam))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -226,17 +225,13 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def soft_threshold(v: np.ndarray, kappa: float) -> np.ndarray:
-    """Complex shrinkage: reduce magnitude by kappa, preserve phase."""
+def soft_threshold(v: np.ndarray, kappa: float, partner: np.ndarray) -> np.ndarray:
+    """Shrinkage of the amplitudes T v by kappa in modulus, phase kept, for
+    coordinates v in the pair basis of partner: a pair's two coordinates
+    shrink together, by sqrt2 kappa in their 2-norm. Under the identity
+    pairing this is complex shrinkage of v itself."""
     mag = np.abs(v)
-    scale = np.maximum(1.0 - kappa / np.maximum(mag, _TINY), 0.0)
-    return scale * v
-
-
-def _pair_threshold(v: np.ndarray, kappa: float, partner: np.ndarray) -> np.ndarray:
-    """soft_threshold of the amplitudes T v, for real v in the pair basis: a
-    pair's two coordinates shrink together, by sqrt2 kappa in their 2-norm."""
-    mag = np.hypot(v, v[partner])  # sqrt2 |b_k|, for paired and unpaired k alike
+    mag = np.hypot(mag, mag[partner])  # sqrt2 |b_k|, for paired and unpaired k alike
     return np.maximum(1.0 - (kappa / SQRT_HALF) / np.maximum(mag, _TINY), 0.0) * v
 
 
@@ -251,7 +246,7 @@ def admm_solve(
 
     x-update solves (2P + rho I) x = 2q + rho (z - u) as one product with the
     form's cached x_update operator; z-update soft-thresholds at gamma/rho.
-    Both run in the form's basis, in real arithmetic in the pair basis; z0 and
+    Both run in the form's basis, in real arithmetic on a real form; z0 and
     u0 are amplitudes, and so are the result's z and u.
     rho starts at params.rho, the rho that u0 is scaled by, and moves by
     residual balancing; the result holds the final rho. gamma = 0
@@ -270,7 +265,6 @@ def admm_solve(
     A, c = form.x_update(rho)
     z = np.zeros(r, dtype=c.dtype) if z0 is None else form.to_basis(z0)
     u = np.zeros(r, dtype=c.dtype) if u0 is None else form.to_basis(u0)
-    partner = form.partner
     kappa = gamma / rho
     sqrt_r = np.sqrt(r)
     prim = dual = np.inf
@@ -278,8 +272,7 @@ def admm_solve(
     for it in range(1, params.max_iter + 1):
         x = c + A @ (z - u)
         z_old = z
-        z = (soft_threshold(x + u, kappa) if partner is None
-             else _pair_threshold(x + u, kappa, partner))
+        z = soft_threshold(x + u, kappa, form.partner)
         u = u + x - z
         prim = _norm(x - z)
         dual = rho * _norm(z - z_old)
@@ -329,31 +322,35 @@ def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
     """Least-squares amplitudes minimizing the quadratic form (P, q, s), in the
     form's column order: the minimum-norm solution of P b = q from the form's
     eigendecomposition in its basis."""
-    return form.from_basis(_min_norm(*form.eigh, form.basis_form[1]))
+    return form.from_basis(_min_norm(*form.eigh, form.q))
 
 
 def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     """Re-optimize amplitudes with the sparsity pattern fixed: b is zero off the
-    support and solves P[S,S] b_S = q_S on it, in the form's basis (Cholesky,
-    else minimum norm). On a paired form the support must take or leave each
-    conjugate pair whole, as the pair threshold does."""
+    support and solves P[S,S] b_S = q_S on it, in the form's basis (a solve
+    when P[S,S] is safely positive definite, else minimum norm). The support
+    must take or leave each conjugate pair whole, as the soft-threshold does."""
     r = form.size
     support = np.asarray(support, dtype=int)
     if support.size and (support.min() < 0 or support.max() >= r):
         raise ValueError("support indices out of range")
-    if form.partner is not None and not np.isin(form.partner[support], support).all():
+    if not np.isin(form.partner[support], support).all():
         raise ValueError("support splits a conjugate pair")
     if support.size == 0:
         return np.zeros(r, dtype=complex)
-    P, q = form.basis_form
-    P_s, q_s = P[np.ix_(support, support)], q[support]
-    x = np.zeros(r, dtype=P.dtype)
+    P_s, q_s = form.P[np.ix_(support, support)], form.q[support]
+    x = np.zeros(r, dtype=form.P.dtype)
+    # Cholesky pivots |L_ii|^2 lie between P_s's extreme eigenvalues: one at or
+    # below _min_norm's cutoff, eps k max |L_ii|^2, marks a block it calls singular
     try:
-        np.linalg.cholesky(P_s)  # tests positive definiteness; one solve beats two on L, L*
+        pivots = np.abs(np.linalg.cholesky(P_s).diagonal()) ** 2
+        definite = pivots.min() > np.finfo(float).eps * pivots.size * pivots.max()
     except np.linalg.LinAlgError:
-        x[support] = _min_norm(*np.linalg.eigh(P_s), q_s)
-    else:
+        definite = False
+    if definite:  # one solve beats two triangular ones on L, L*
         x[support] = np.linalg.solve(P_s, q_s)
+    else:
+        x[support] = _min_norm(*np.linalg.eigh(P_s), q_s)
     return form.from_basis(x)
 
 

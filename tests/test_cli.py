@@ -699,6 +699,16 @@ class TestHeatmap:
         assert other.read_bytes() == b"other"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "g.ppm", "g.ppm.tmp"]
 
+    def test_rerun_replaces_the_image_and_leaves_no_stage(self, tmp_path):
+        grid, out = tmp_path / "g.csv", tmp_path / "g.ppm"
+        grid.write_text("0.0\n")
+        assert run("heatmap", grid, out) == 0
+        grid.write_text("0,1\n")
+        assert run("heatmap", grid, out) == 0
+        assert out.read_bytes() == b"P6\n2 1\n255\n" + b"\x00" * 3 + b"\xff" * 3
+        assert not list(tmp_path.glob(".stage-*"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "g.ppm"]
+
     def test_render_deterministic(self, rng):
         grid = rng.standard_normal((4, 5))
         assert render_heatmap(grid) == render_heatmap(grid)

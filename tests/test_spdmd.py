@@ -28,7 +28,7 @@ from koopmode import (
 )
 from koopmode import spdmd
 from koopmode.dmd import DecompositionResult
-from koopmode.spdmd import detect_support, soft_threshold
+from koopmode.spdmd import detect_support, paired_form, soft_threshold
 from conftest import allocation_peak, planted_snapshots, random_unitary
 
 TIGHT = AdmmParams(eps_abs=1e-11, eps_rel=1e-11, max_iter=100000)
@@ -70,9 +70,33 @@ def real_dmd_instance(rng, rank=9, p=30, M=80):
     return pair.Y, result.basis, result.coefficients, result.eigenvalues
 
 
+def shrink(v, kappa):
+    """Complex shrinkage: |v_k| reduced by kappa, phase kept."""
+    return np.maximum(1.0 - kappa / np.maximum(np.abs(v), 1e-300), 0.0) * v
+
+
+def pair_basis_matrix(partner):
+    """The unitary T of the pair basis b = T y as a dense matrix: for a pair
+    i < j, b_i = (y_i + i y_j) / sqrt2 and b_j = (y_i - i y_j) / sqrt2."""
+    T = np.eye(partner.size, dtype=complex)
+    for i in np.flatnonzero(partner > np.arange(partner.size)):
+        j = partner[i]
+        T[np.ix_([i, j], [i, j])] = np.array([[1.0, 1j], [1.0, -1j]]) / np.sqrt(2.0)
+    return T
+
+
+def amplitude_form(Y, basis, W, lam):
+    """The complex form of real data in amplitude space: the identity basis."""
+    form = quadratic_form(Y.astype(complex), basis, W, lam)
+    assert np.iscomplexobj(form.P)
+    np.testing.assert_array_equal(form.partner, np.arange(form.size))
+    return form
+
+
 def cholesky_admm(form, gamma, params=AdmmParams(), z0=None, u0=None):
-    """Reference splitting loop: one Cholesky factorization of 2P + rho I per
-    rho and one triangular solve per x-update. Every 10 iterations rho doubles
+    """Reference splitting loop on a complex form: one Cholesky factorization
+    of 2P + rho I per rho and one triangular solve per x-update, and complex
+    shrinkage of the amplitudes. Every 10 iterations rho doubles
     (halves) when the primal (dual) residual exceeds 10 times the other, at
     most spdmd.RHO_MAX_CHANGES times, so patching that to 0 gives the fixed-rho
     loop. Returns (z, u, iterations)."""
@@ -84,7 +108,7 @@ def cholesky_admm(form, gamma, params=AdmmParams(), z0=None, u0=None):
     for it in range(1, params.max_iter + 1):
         x = scipy.linalg.cho_solve(cho, 2.0 * form.q + rho * (z - u))
         z_old = z
-        z = soft_threshold(x + u, gamma / rho)
+        z = shrink(x + u, gamma / rho)
         u = u + x - z
         prim = np.linalg.norm(x - z)
         dual = rho * np.linalg.norm(z - z_old)
@@ -198,10 +222,13 @@ class TestQuadraticForm:
         modes = base.basis @ base.coefficients
         P = (modes.conj().T @ modes) * (vand @ vand.conj().T).conj()
         q = np.diag(vand @ (Y.conj().T @ modes)).conj()
-        assert_close(form.P, 0.5 * (P + P.conj().T), 1e-12)
-        assert_close(form.q, q, 1e-12)
+        # real data: the form in the pair basis, (T* P T, T* q), real
+        paired = (form.partner != np.arange(form.size)).any()
+        assert paired == (case != "complex") and np.iscomplexobj(form.P) == (not paired)
+        T = pair_basis_matrix(form.partner)
+        assert_close(form.P, T.conj().T @ (0.5 * (P + P.conj().T)) @ T, 1e-12)
+        assert_close(form.q, T.conj().T @ q, 1e-12)
         assert abs(form.s - np.linalg.norm(Y) ** 2) <= 1e-12 * form.s
-        assert (form.partner is None) == (case == "complex")
 
     def test_blocks_match_the_one_piece_vandermonde(self, rng):
         """Xi built Q_BLOCK snapshots at a time, each block seeded at lam^start,
@@ -241,6 +268,24 @@ class TestQuadraticForm:
             with pytest.raises(ValueError, match="partner"):
                 QuadraticForm(P=form.P, q=form.q, s=form.s, partner=partner)
 
+    def test_a_paired_form_is_real(self, rng):
+        form = random_psd_form(rng, 4)
+        np.testing.assert_array_equal(form.partner, np.arange(4))
+        with pytest.raises(ValueError, match="must be real"):
+            QuadraticForm(P=form.P, q=form.q, s=form.s, partner=[1, 0, 2, 3])
+        real = QuadraticForm(P=form.P.real, q=form.q.real, s=form.s, partner=[1, 0, 2, 3])
+        assert real.eigh[1].dtype == np.float64
+
+    def test_objective_is_exact_off_the_paired_amplitudes(self, rng):
+        """A paired form scores any b, conjugate-paired or not, as its
+        amplitude-space form does."""
+        inputs = real_dmd_instance(rng)
+        form, reference = quadratic_form(*inputs), amplitude_form(*inputs)
+        for _ in range(5):
+            b = 10.0 * (rng.standard_normal(form.size) + 1j * rng.standard_normal(form.size))
+            want = reference.objective(b)
+            assert abs(form.objective(b) - want) <= 1e-10 * want
+
     def test_dimension_mismatch(self, rng):
         Y, modes, lam = random_instance(rng)
         with pytest.raises(ValueError, match="incompatible"):
@@ -252,13 +297,27 @@ class TestQuadraticForm:
 class TestSoftThreshold:
     def test_preserves_phase(self):
         v = np.array([3.0 * np.exp(0.7j)])
-        out = soft_threshold(v, 1.0)
+        out = soft_threshold(v, 1.0, np.arange(1))
         assert abs(abs(out[0]) - 2.0) <= 1e-12
         assert abs(np.angle(out[0]) - 0.7) <= 1e-12
 
     def test_exact_zero_below_threshold(self):
-        out = soft_threshold(np.array([0.5 + 0.2j]), 1.0)
+        out = soft_threshold(np.array([0.5 + 0.2j]), 1.0, np.arange(1))
         assert out[0] == 0.0
+
+    def test_pairs_shrink_their_amplitudes_together(self, rng):
+        """On real pair-basis coordinates it shrinks the amplitudes T v: the pair
+        (0, 2) holds b = (3 + 4i) / sqrt2, |b| = 5 / sqrt2, which kappa =
+        2.5 / sqrt2 halves; the unpaired 1 and 3 shrink alone, 1 to zero."""
+        partner = np.array([2, 1, 0, 3])
+        v = np.array([3.0, 1.0, 4.0, -8.0])
+        kappa = 2.5 / np.sqrt(2.0)
+        out = soft_threshold(v, kappa, partner)
+        np.testing.assert_allclose(out, [1.5, 0.0, 2.0, -8.0 + kappa], rtol=1e-15)
+        T = pair_basis_matrix(partner)
+        for _ in range(10):
+            v = rng.standard_normal(4)
+            assert_close(T @ soft_threshold(v, 0.5, partner), shrink(T @ v, 0.5), 1e-15)
 
 
 class TestAdmmSolve:
@@ -351,15 +410,16 @@ class TestAdmmMatchesCholeskyReference:
         iterates in the unitary pair basis, with fixed and with balanced rho."""
         monkeypatch.setattr(spdmd, "RHO_MAX_CHANGES", max_changes)
         for _ in range(3):
-            form = quadratic_form(*real_dmd_instance(rng))
-            assert form.partner is not None and form.eigh[1].dtype == np.float64
+            inputs = real_dmd_instance(rng)
+            form, reference = quadratic_form(*inputs), amplitude_form(*inputs)
+            assert form.eigh[1].dtype == np.float64
             first = np.flatnonzero(form.partner > np.arange(form.size))
             assert first.size == 4
             for params in (AdmmParams(), AdmmParams(rho=1e3)):
                 z = u = res = None
                 for frac in (0.05, 0.3):  # the second warm-started from the first
-                    gamma = frac * 2.0 * np.max(np.abs(form.q))
-                    z, u, iterations = cholesky_admm(form, gamma, params, z0=z, u0=u)
+                    gamma = frac * 2.0 * np.max(np.abs(reference.q))
+                    z, u, iterations = cholesky_admm(reference, gamma, params, z0=z, u0=u)
                     res = admm_solve(form, gamma, params, *((res.z, res.u) if res else ()))
                     assert res.iterations == iterations
                     assert_close(res.z, z, 1e-10)
@@ -369,9 +429,8 @@ class TestAdmmMatchesCholeskyReference:
 
     def test_pair_basis_polish_and_amplitudes_match_the_complex_solves(self, rng):
         for _ in range(3):
-            form = quadratic_form(*real_dmd_instance(rng))
-            reference = QuadraticForm(P=form.P, q=form.q, s=form.s)
-            assert reference.partner is None
+            inputs = real_dmd_instance(rng)
+            form, reference = quadratic_form(*inputs), amplitude_form(*inputs)
             assert_close(optimal_amplitudes(form), optimal_amplitudes(reference), 1e-10)
             # a pair-closed support takes or leaves each pair whole
             groups = [np.unique([i, j]) for i, j in enumerate(form.partner) if i <= j]
@@ -388,18 +447,20 @@ class TestAdmmMatchesCholeskyReference:
 
     def test_pair_check_failure_takes_the_identity_basis(self, rng):
         Y, basis, W, lam = real_dmd_instance(rng)
-        form = quadratic_form(Y, basis, W, lam)
+        form, amp = quadratic_form(Y, basis, W, lam), amplitude_form(Y, basis, W, lam)
         (a, b), (c, d) = [(i, form.partner[i])
                           for i in np.flatnonzero(form.partner > np.arange(form.size))[:2]]
         wrong = form.partner.copy()
         wrong[[a, b, c, d]] = [c, d, a, b]
-        broken_q = form.q.copy()
+        broken_q = amp.q.copy()
         broken_q[a] *= 1.01
         noisy = Y + 1e-3j * rng.standard_normal(Y.shape)
-        for candidate in (QuadraticForm(P=form.P, q=broken_q, s=form.s, partner=form.partner),
-                          QuadraticForm(P=form.P, q=form.q, s=form.s, partner=wrong),
+        assert paired_form(amp.P, amp.q, amp.s, form.partner).eigh[1].dtype == np.float64
+        for candidate in (paired_form(amp.P, broken_q, amp.s, form.partner),
+                          paired_form(amp.P, amp.q, amp.s, wrong),
                           quadratic_form(noisy, basis, W, lam)):
-            assert candidate.partner is None and candidate.eigh[1].dtype == complex
+            np.testing.assert_array_equal(candidate.partner, np.arange(candidate.size))
+            assert candidate.eigh[1].dtype == complex
             gamma = 0.3 * 2.0 * np.max(np.abs(candidate.q))
             z, u, iterations = cholesky_admm(candidate, gamma)
             res = admm_solve(candidate, gamma)
@@ -533,9 +594,9 @@ class TestResidualBalancing:
             solutions = gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 12))
             assert len({s.rho for s in solutions}) > 1
             assert calls == [(r, r)]
-            # P, the eigenvectors of P, and one x-update operator; the pair
-            # basis adds the real form and keeps only P complex
-            assert square_arrays(vars(form), complex) == (1 if paired else 3)
+            # P, the eigenvectors of P, and one x-update operator, all real in
+            # the pair basis: no complex copy of P stays behind
+            assert square_arrays(vars(form), complex) == (0 if paired else 3)
             assert square_arrays(vars(form), float) == (3 if paired else 0)
 
     def test_gamma_zero_keeps_the_starting_rho(self, rng):
@@ -617,6 +678,27 @@ class TestPolish:
         want = np.linalg.pinv(P[np.ix_(support, support)]) @ q[support]
         assert_close(b[support], want, 1e-12)
         assert np.all(b[[1, 3]] == 0.0)
+
+    def test_roundoff_sized_cholesky_pivots_give_minimum_norm(self):
+        """Rank-3 6x6 Hermitian P = G G* on which Cholesky succeeds by roundoff:
+        its trailing pivots are ~eps of the largest, so polish takes the
+        minimum-norm solution, not a solve with the near-null block."""
+        rng = np.random.default_rng(0)
+        caught = 0
+        for _ in range(200):
+            G = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+            P = G @ G.conj().T
+            q = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            try:
+                np.linalg.cholesky(P)
+            except np.linalg.LinAlgError:
+                continue
+            caught += 1
+            form = QuadraticForm(P=P, q=q, s=1.0)
+            with pytest.warns(UserWarning, match="near-singular amplitude system"):
+                b = polish(form, np.arange(6))
+            assert_close(b, np.linalg.pinv(P) @ q, 1e-10)
+        assert caught > 0
 
     def test_out_of_range_support(self, rng):
         Y, modes, lam = random_instance(rng)
