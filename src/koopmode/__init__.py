@@ -8,12 +8,11 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cdmd": ("CompanionModel", "companion_dmd", "fit_companion", "unit_circle_deviation"),
+    "cdmd": ("companion_dmd", "fit_companion", "unit_circle_deviation"),
     "dmd": ("DecompositionResult", "ModeStats", "SvdFactors", "conjugate_pairs",
             "conjugate_representatives", "exact_dmd", "mode_stats", "truncated_svd",
             "vandermonde"),
-    "rom": ("fit_loss_percent", "forecast", "reconstruct", "spatial_grids",
-            "temporal_dynamics"),
+    "rom": ("forecast", "reconstruct", "spatial_grids", "temporal_dynamics"),
     "snapshots": ("SnapshotMatrix", "SnapshotPair", "apply_mask", "build_pairs", "load_mask",
                   "load_matrix", "save_matrix", "stack_cycles", "subtract_mean",
                   "unstack_cycles", "write_csv"),

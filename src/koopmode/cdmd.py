@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -11,19 +9,6 @@ from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT
 from .snapshots import SnapshotMatrix
 
 LSTSQ_RCOND = 1e-10
-
-
-@dataclass(frozen=True)
-class CompanionModel:
-    """Last-column coefficients of the least-squares companion matrix."""
-
-    coefficients: np.ndarray
-    residual_norm: float
-
-    @cached_property
-    def companion_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the companion matrix, computed on first use."""
-        return np.linalg.eigvals(companion_matrix(self.coefficients))
 
 
 def companion_matrix(coefficients: np.ndarray) -> np.ndarray:
@@ -35,8 +20,9 @@ def companion_matrix(coefficients: np.ndarray) -> np.ndarray:
     return C
 
 
-def fit_companion(X: SnapshotMatrix) -> CompanionModel:
-    """Minimum-norm least-squares fit of the final snapshot on its predecessors."""
+def fit_companion(X: SnapshotMatrix) -> np.ndarray:
+    """Last-column coefficients of the companion matrix: the minimum-norm
+    least-squares fit of the final snapshot on its predecessors."""
     if X.n_steps < 3:
         raise ValueError(f"companion fit needs N >= 3, got N={X.n_steps}")
     K = X.data[:, :-1]
@@ -47,7 +33,7 @@ def fit_companion(X: SnapshotMatrix) -> CompanionModel:
             f"rank-deficient Krylov sequence (rank {rank} of {K.shape[1]}), "
             "using minimum-norm coefficients"
         )
-    return CompanionModel(coefficients=c, residual_norm=float(np.linalg.norm(target - K @ c)))
+    return c
 
 
 def companion_dmd(X: SnapshotMatrix) -> DecompositionResult:
@@ -55,9 +41,7 @@ def companion_dmd(X: SnapshotMatrix) -> DecompositionResult:
     matrix and modes K T, held as the Krylov basis K = X.data[:, :-1] and the
     eigenvectors T, in eigensolver order. Amplitudes are left unset; fit them
     against K."""
-    model = fit_companion(X)
-    C = companion_matrix(model.coefficients)
-    evals, T = np.linalg.eig(C)
+    evals, T = np.linalg.eig(companion_matrix(fit_companion(X)))
     cond = np.linalg.cond(T)
     if cond > EIGENBASIS_COND_LIMIT:
         warnings.warn(f"near-defective companion eigenbasis, condition {cond:.3e}")

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .cdmd import companion_dmd
 from .dmd import DecompositionResult, conjugate_representatives, exact_dmd, mode_stats
-from .rom import fit_loss_percent, forecast, reconstruct, spatial_grids, temporal_dynamics
+from .rom import forecast, reconstruct, spatial_grids, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
     apply_mask,
@@ -40,6 +40,7 @@ from .spdmd import (
     gamma_sweep,
     log_gamma_grid,
     optimal_amplitudes,
+    performance_loss,
     quadratic_form,
     select_modes,
     solve_at_gamma,
@@ -142,39 +143,38 @@ def _reject_ignored_flags(args: argparse.Namespace) -> None:
 
 
 def _decompose(args: argparse.Namespace,
-               X: SnapshotMatrix) -> tuple[DecompositionResult, np.ndarray, QuadraticForm]:
-    """The selected decomposition, amplitudes unset; the zero-lag snapshots Y
-    its amplitudes are fitted against; and the quadratic form of that fit, in
-    the same column order, built from the modes' factors without forming them."""
+               X: SnapshotMatrix) -> tuple[DecompositionResult, QuadraticForm]:
+    """The selected decomposition, amplitudes unset, and the quadratic form of
+    its fit against the zero-lag snapshots, in the same column order, built
+    from the modes' factors without forming them."""
     if args.method == "cdmd":
         base, Y = companion_dmd(X), X.data[:, :-1]
     else:
         pair = build_pairs(X)
         base, Y = exact_dmd(pair, rank=args.rank, mode_style=args.mode_style), pair.Y
-    return base, Y, quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
+    return base, quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
 
 
 def _fit(args: argparse.Namespace,
          X: SnapshotMatrix) -> tuple[DecompositionResult, float, dict | None]:
     """Decompose and fit amplitudes; returns the result sorted by amplitude,
-    the loss of the fit as a percentage of the data norm, from its residual,
-    and for spdmd what the splitting did (iterations, convergence, final rho).
-    The result's modes are formed on first use, once, in its final order."""
-    base, Y, form = _decompose(args, X)
-    admm = None
+    the loss of the fit as a percentage of the data norm, as the form scores
+    it, and for spdmd what the splitting did (iterations, convergence, final
+    rho). The result's modes are formed on first use, once, in its final order."""
+    base, form = _decompose(args, X)
     if args.method != "spdmd":
-        result = base.with_amplitudes(optimal_amplitudes(form))
-    else:
-        solution, _ = solve_at_gamma(form, args.gamma, _admm_params(args))
-        result = select_modes(base, solution)
-        if result.rank == 0:
-            if not solution.converged:
-                raise ValueError(f"the splitting stopped at --max-iter {args.max_iter} without "
-                                 f"converging, with no amplitude left at gamma={args.gamma}")
-            raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
-        admm = {"iterations": int(solution.iterations), "converged": bool(solution.converged),
-                "rho": float(solution.rho)}
-    return result, fit_loss_percent(result, Y), admm
+        return (base.with_amplitudes(optimal_amplitudes(form)),
+                performance_loss(form.floor, form.s), None)
+    solution, _ = solve_at_gamma(form, args.gamma, _admm_params(args))
+    result = select_modes(base, solution)
+    if result.rank == 0:
+        if not solution.converged:
+            raise ValueError(f"the splitting stopped at --max-iter {args.max_iter} without "
+                             f"converging, with no amplitude left at gamma={args.gamma}")
+        raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
+    return result, solution.loss_percent, {"iterations": int(solution.iterations),
+                                           "converged": bool(solution.converged),
+                                           "rho": float(solution.rho)}
 
 
 def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatrix,
@@ -235,7 +235,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gammas = log_gamma_grid(args.gamma_min, args.gamma_max, args.gamma_count)
     except ValueError as exc:
         raise UsageError(f"gamma grid: {exc}") from None
-    _, _, form = _decompose(args, _load_input(args))
+    _, form = _decompose(args, _load_input(args))
     solutions = gamma_sweep(form, gammas,
                             _admm_params(args, warm_start=not args.no_warm_start))
     best: dict[int, int] = {}

@@ -1,7 +1,6 @@
 """Reduced-order reconstruction and temporal dynamics of a fitted decomposition."""
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Sequence
 
@@ -10,7 +9,6 @@ import numpy as np
 from .dmd import DecompositionResult, real_matmul, vandermonde
 
 IMAG_RESIDUAL_TOL = 1e-6
-LOSS_BLOCK = 16  # snapshot columns per block of fit_loss_percent
 
 
 def _weighted_powers(result: DecompositionResult, start: int, n_steps: int,
@@ -47,29 +45,6 @@ def reconstruct(result: DecompositionResult, k: int,
     if return_residual:
         return real, residual
     return real
-
-
-def fit_loss_percent(result: DecompositionResult, Y: np.ndarray) -> float:
-    """100 ||Y - Re(modes diag(amplitudes) Xi)||_F / ||Y||_F, for real
-    snapshots Y at time indices 0..M-1 and Xi their Vandermonde matrix: the
-    loss of the fit from its residual. Unlike the expansion
-    b*Pb - 2 Re(q*b) + s, this does not cancel when the fit is close. Runs
-    over LOSS_BLOCK columns at a time from the modes' factors, so no p x M
-    array and no modes are formed."""
-    Y = np.asarray(Y)
-    resid_sq = data_sq = 0.0
-    for start in range(0, Y.shape[1], LOSS_BLOCK):
-        cols = Y[:, start:start + LOSS_BLOCK]
-        weights = result.coefficients @ _weighted_powers(result, start, cols.shape[1])
-        # Re(basis @ weights); a real basis needs only the weights' real part
-        resid = (result.basis @ weights.real if np.isrealobj(result.basis)
-                 else np.real(result.basis @ weights))
-        resid -= cols
-        resid_sq += np.vdot(resid, resid)
-        data_sq += np.einsum("ij,ij->", cols, cols)  # vdot would copy a strided block
-    if data_sq <= 0:
-        raise ValueError("data has zero norm")
-    return 100.0 * math.sqrt(resid_sq / data_sq)
 
 
 def temporal_dynamics(result: DecompositionResult, n_steps: int,

@@ -14,6 +14,7 @@ HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
 NORMAL_COND_LIMIT = 1e14
 Q_BLOCK = 64  # snapshot columns per block of quadratic_form's xi, H and q
+RESIDUAL_BLOCK = 8  # snapshot columns per block of quadratic_form's residual
 _TINY = np.finfo(float).tiny
 SQRT_HALF = math.sqrt(0.5)
 # Residual balancing (He, Yang & Wang 2000; Boyd et al. 2011, section 3.4.1):
@@ -37,7 +38,11 @@ class QuadraticForm:
     b = T y: y_i = sqrt2 Re b_i and y_j = sqrt2 Im b_i for a pair i < j,
     y_k = b_k for an unpaired k. A form with pairs is real (paired_form).
     eigh = (lam, Q), P = Q diag(lam) Q*, is the one factorization: PSD check,
-    x-update, amplitudes.
+    x-update, and the minimum-norm optimum y* of P y = q, with g = q - P y*.
+    objective splits at y*, floor + d*Pd - 2 Re(g*d) at d = y - y*, exact for
+    every y and singular P. floor is the expansion's value at y*,
+    s - Re((q + g)* y*), but quadratic_form sets it from the fit's residual,
+    which does not cancel when the fit is close.
     """
 
     P: np.ndarray
@@ -45,6 +50,9 @@ class QuadraticForm:
     s: float
     partner: np.ndarray | None = field(default=None, compare=False)
     eigh: tuple = field(init=False, repr=False, compare=False)
+    optimum: np.ndarray = field(init=False, repr=False, compare=False)
+    normal_residual: np.ndarray = field(init=False, repr=False, compare=False)
+    floor: float = field(init=False, repr=False, compare=False)
     _x_update: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -69,6 +77,11 @@ class QuadraticForm:
         if lam[0] < -PSD_REL_TOL * max(lam[-1], 1.0):
             raise ValueError(f"P is not positive semidefinite (min eig {lam[0]:.3e})")
         object.__setattr__(self, "eigh", (lam, Q))
+        y = _min_norm(lam, Q, q, warn=False)
+        g = q - P @ y
+        object.__setattr__(self, "optimum", y)
+        object.__setattr__(self, "normal_residual", g)
+        object.__setattr__(self, "floor", self.s - float(np.vdot(q + g, y).real))
 
     @property
     def size(self) -> int:
@@ -90,11 +103,13 @@ class QuadraticForm:
         return b
 
     def objective(self, b: np.ndarray) -> float:
-        """Value of the reconstruction objective at amplitude vector b, from
-        its coordinates T* b: exact for any b, conjugate-paired or not."""
-        y = self.to_basis(b, keep_imag=True)
-        Py = real_matmul(self.P, y[:, None])[:, 0]  # a real P is not cast to complex
-        val = np.real(np.vdot(y, Py)) - 2.0 * np.real(np.vdot(self.q, y)) + self.s
+        """Value of the reconstruction objective at amplitude vector b, split
+        at the optimum from b's coordinates T* b: exact for any b,
+        conjugate-paired or not."""
+        d = self.to_basis(b, keep_imag=True) - self.optimum
+        Pd = real_matmul(self.P, d[:, None])[:, 0]  # a real P is not cast to complex
+        val = (self.floor + np.real(np.vdot(d, Pd))
+               - 2.0 * np.real(np.vdot(self.normal_residual, d)))
         return max(val, 0.0)
 
     def x_update(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
@@ -213,11 +228,26 @@ def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
     P = 0.5 * (P + P.conj().T)
     # ||Y||_F^2 as column sums, then a pairwise sum: as accurate as trace(Y* Y)
     # without forming the M x M Gram matrix
-    Yc = Y.conj() if np.iscomplexobj(Y) else Y  # conj of a real array is a copy
-    s = float(np.einsum("ij,ij->j", Yc, Y).sum().real)
-    if np.iscomplexobj(Y):
-        return QuadraticForm(P=P, q=q, s=s)
-    return paired_form(P, q, s, conjugate_pairs(lam))
+    s = float(np.einsum("ij,ij->j", Y.conj(), Y).sum().real)
+    form = (QuadraticForm(P=P, q=q, s=s) if np.iscomplexobj(Y)
+            else paired_form(P, q, s, conjugate_pairs(lam)))
+    # the floor, ||Y - B W diag(b*) xi||_F^2 at the optimum b* (a real model on
+    # a paired form), RESIDUAL_BLOCK snapshots at a time: no p x M array, and
+    # einsum, unlike vdot, does not copy the strided last block
+    b = form.from_basis(form.optimum)
+    paired = np.isrealobj(form.P)
+    resid_sq = 0.0
+    for start in range(0, Y.shape[1], RESIDUAL_BLOCK):
+        cols = Y[:, start:start + RESIDUAL_BLOCK]
+        weights = W @ (vandermonde(lam, cols.shape[1], start) * b[:, None])
+        if paired:  # Re(B w), from w's real part when B is real
+            resid = basis @ weights.real if np.isrealobj(basis) else np.real(basis @ weights)
+        else:
+            resid = real_matmul(basis, weights)
+        resid -= cols
+        resid_sq += np.einsum("ij,ij->", resid.conj(), resid).real
+    object.__setattr__(form, "floor", float(resid_sq))  # the form is frozen
+    return form
 
 
 def _norm(v: np.ndarray) -> float:
@@ -307,12 +337,12 @@ def detect_support(b: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mag > ZERO_REL_TOL * peak)
 
 
-def _min_norm(lam: np.ndarray, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _min_norm(lam: np.ndarray, Q: np.ndarray, q: np.ndarray, warn: bool = True) -> np.ndarray:
     """Minimum-norm solution of Q diag(lam) Q* x = q (lam ascending), dropping
-    lam <= eps k lam_max, numpy's default least-squares cutoff; warns when it
-    drops one or lam_max / lam_min exceeds NORMAL_COND_LIMIT."""
+    lam <= eps k lam_max, numpy's default least-squares cutoff; if warn, warns
+    when it drops one or lam_max / lam_min exceeds NORMAL_COND_LIMIT."""
     keep = lam > np.finfo(float).eps * lam.size * lam[-1]
-    if not keep.all() or lam[-1] > NORMAL_COND_LIMIT * lam[0]:
+    if warn and (not keep.all() or lam[-1] > NORMAL_COND_LIMIT * lam[0]):
         warnings.warn("near-singular amplitude system, using minimum-norm solution")
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     return Q @ (inv * (Q.conj().T @ q))
@@ -321,7 +351,8 @@ def _min_norm(lam: np.ndarray, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
 def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
     """Least-squares amplitudes minimizing the quadratic form (P, q, s), in the
     form's column order: the minimum-norm solution of P b = q from the form's
-    eigendecomposition in its basis."""
+    eigendecomposition in its basis, as form.optimum holds it, with the
+    near-singular warning that the form's own solve leaves out."""
     return form.from_basis(_min_norm(*form.eigh, form.q))
 
 

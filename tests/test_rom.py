@@ -5,12 +5,10 @@ import pytest
 
 from koopmode import (
     DecompositionResult,
-    SnapshotMatrix,
     build_pairs,
     conjugate_pairs,
     conjugate_representatives,
     exact_dmd,
-    fit_loss_percent,
     forecast,
     mode_stats,
     optimal_amplitudes,
@@ -174,26 +172,6 @@ class TestConjugatePairs:
             lam = mixed_spectrum(rng)
             np.testing.assert_array_equal(conjugate_representatives(lam),
                                           conjugate_representatives_loop(lam))
-
-
-class TestFitLoss:
-    def test_matches_the_residual_of_the_formed_model(self, rng):
-        X, _ = planted_matrix(10, 70, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
-        data = X.data + 1e-4 * rng.standard_normal(X.data.shape)
-        model = fitted_model(SnapshotMatrix(data))
-        Y = data[:, :-1]  # 69 columns: whole blocks and a partial one
-        xi = model.eigenvalues[:, None] ** np.arange(Y.shape[1])
-        want = 100 * np.linalg.norm(Y - np.real(model.modes @ (model.amplitudes[:, None] * xi)))
-        want /= np.linalg.norm(Y)
-        assert abs(fit_loss_percent(model, Y) - want) <= 1e-10 * want
-        formed = DecompositionResult(model.eigenvalues, model.modes, np.eye(model.rank),
-                                     model.amplitudes, "test")
-        assert abs(fit_loss_percent(formed, Y) - want) <= 1e-10 * want
-
-    def test_zero_data_rejected(self, rng):
-        model = single_mode_model(1.0, rng.standard_normal(3), 1.0)
-        with pytest.raises(ValueError, match="zero norm"):
-            fit_loss_percent(model, np.zeros((3, 4)))
 
 
 class TestTemporalDynamics:

@@ -29,7 +29,7 @@ from koopmode import (
 from koopmode import spdmd
 from koopmode.dmd import DecompositionResult
 from koopmode.spdmd import detect_support, paired_form, soft_threshold
-from conftest import allocation_peak, planted_snapshots, random_unitary
+from conftest import allocation_peak, planted_matrix, planted_snapshots, random_unitary
 
 TIGHT = AdmmParams(eps_abs=1e-11, eps_rel=1e-11, max_iter=100000)
 
@@ -68,6 +68,21 @@ def real_dmd_instance(rng, rank=9, p=30, M=80):
     pair = build_pairs(SnapshotMatrix(Y + 1e-3 * rng.standard_normal(Y.shape)))
     result = exact_dmd(pair, rank=rank)
     return pair.Y, result.basis, result.coefficients, result.eigenvalues
+
+
+def smoke_matrix(n_steps=40):
+    """Six rows of two damped oscillations, a rank-4 signal: the input of the
+    command-line smoke runs in CI, at 40 snapshots."""
+    t = np.arange(n_steps)
+    return np.array([np.cos(0.3 * t + k) * 0.97 ** t + np.cos(1.1 * t + 2 * k) * 0.9 ** t
+                     for k in range(6)])
+
+
+def formed_residual(Y, result, b):
+    """||Y - Re(Phi diag(b) Xi)||_F^2 from the formed modes Phi and the powers
+    of result's eigenvalues."""
+    xi = result.eigenvalues[:, None] ** np.arange(Y.shape[1])
+    return np.linalg.norm(Y - np.real(result.modes @ (b[:, None] * xi))) ** 2
 
 
 def shrink(v, kappa):
@@ -722,6 +737,64 @@ class TestPerformanceLoss:
             performance_loss(1.0, 0.0)
         with pytest.raises(ValueError):
             performance_loss(-1.0, 1.0)
+
+
+class TestFitLoss:
+    """The form scores a fit from its residual at the optimum, split exactly,
+    so its cost matches the formed model's residual even where the expansion
+    b*Pb - 2 Re(q*b) + s cancels."""
+
+    def test_matches_the_residual_of_the_formed_model(self, rng):
+        X, _ = planted_matrix(10, 70, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
+        data = X.data + 1e-4 * rng.standard_normal(X.data.shape)
+        pair = build_pairs(SnapshotMatrix(data))
+        Y = pair.Y  # 69 columns: whole blocks and a partial one
+        base = exact_dmd(pair)
+        factored = quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
+        model = base.with_amplitudes(optimal_amplitudes(factored))
+        xi = model.eigenvalues[:, None] ** np.arange(Y.shape[1])
+        want = 100 * np.linalg.norm(Y - np.real(model.modes @ (model.amplitudes[:, None] * xi)))
+        want /= np.linalg.norm(Y)
+        formed = quadratic_form(Y, model.modes, np.eye(model.rank), model.eigenvalues)
+        for form in (factored, formed):
+            got = performance_loss(form.objective(optimal_amplitudes(form)), form.s)
+            assert abs(got - want) <= 1e-10 * want
+
+    def test_zero_data_rejected(self, rng):
+        form = quadratic_form(np.zeros((3, 4)), rng.standard_normal((3, 1)) + 0j, np.eye(1),
+                              np.array([1.0]))
+        with pytest.raises(ValueError, match="data energy"):
+            performance_loss(form.objective(optimal_amplitudes(form)), form.s)
+
+    def test_near_exact_fit(self, rng):
+        """At rank 4 the smoke input plus 1e-7 noise leaves a residual of
+        ~4e-14 of the data energy: the expansion loses it to cancellation."""
+        data = smoke_matrix() + 1e-7 * rng.standard_normal((6, 40))
+        pair = build_pairs(SnapshotMatrix(data))
+        base = exact_dmd(pair, rank=4)
+        form = quadratic_form(pair.Y, base.basis, base.coefficients, base.eigenvalues)
+        solution, _ = solve_at_gamma(form, 1e-3)
+        want = formed_residual(pair.Y, base, solution.b_polished)
+        assert want <= 1e-11 * form.s
+        assert abs(solution.cost - want) <= 1e-8 * want
+
+    def test_singular_cdmd_form(self):
+        """CDMD of the smoke signal over 80 snapshots: a rank-4 Krylov basis of
+        79 columns, so P is singular and the optimum drops 75 eigenvalues. At
+        two modes and at none, the cost is the residual to roundoff; without
+        the g term it is off by ~1e-11 relative."""
+        X = SnapshotMatrix(smoke_matrix(80))
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            base = companion_dmd(X)
+        Y = X.data[:, :-1]
+        form = quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
+        lam = form.eigh[0]
+        assert lam[0] <= np.finfo(float).eps * lam.size * lam[-1]
+        for gamma, cardinality in ((1.0, 2), (100.0, 0)):
+            solution, _ = solve_at_gamma(form, gamma)
+            assert solution.cardinality == cardinality
+            want = formed_residual(Y, base, solution.b_polished)
+            assert abs(solution.cost - want) <= 1e-13 * want
 
 
 class TestGammaSweep:
