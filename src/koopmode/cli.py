@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .cdmd import companion_dmd
 from .dmd import DecompositionResult, conjugate_representatives, exact_dmd, mode_stats
-from .rom import forecast, reconstruct, spatial_grids, temporal_dynamics
+from .rom import forecast, reconstruct, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
     apply_mask,
@@ -57,7 +57,7 @@ FLOAT = "%.17g"  # lossless for float64
 # versions gave the modes matrix, so their output directories can be replaced.
 ARTIFACT_NAMES = ("eigenvalues.csv", "modes_matrix.npy", "modes", "temporal.csv",
                   "summary.json", "sweep.csv", "pareto.csv", "recon_*.csv",
-                  "forecast.csv", "recon_report.json", "modes_matrix.csv")
+                  "forecast.csv", "recon_report.json", "mean.csv", "modes_matrix.csv")
 # AdmmParams fields set by the solver flags; their defaults are AdmmParams'.
 ADMM_FLAGS = ("rho", "eps_abs", "eps_rel", "max_iter")
 
@@ -105,7 +105,9 @@ def _float_csv(path: Path, rows: np.ndarray, header: str | None = None) -> None:
     write_csv(path, rows, ",".join([FLOAT] * rows.shape[1]), header)
 
 
-def _load_input(args: argparse.Namespace) -> SnapshotMatrix:
+def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | None]:
+    """The input as the flags lay it out, and with --subtract-mean the row
+    means it subtracted, else None."""
     # reconstruct loads its --input without a --dt-label
     X = load_matrix(args.input, format=args.format, grid_shape=args.grid_shape,
                     header=args.header, transpose=args.transpose,
@@ -117,8 +119,8 @@ def _load_input(args: argparse.Namespace) -> SnapshotMatrix:
     if args.cycles > 1:
         X = stack_cycles(X, args.cycles)
     if args.subtract_mean:
-        X, _ = subtract_mean(X)
-    return X
+        return subtract_mean(X)
+    return X, None
 
 
 def _admm_params(args: argparse.Namespace, **extra) -> AdmmParams:
@@ -190,15 +192,13 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
     np.save(stage / "modes_matrix.npy", np.ascontiguousarray(result.modes, dtype=complex))
 
     shown = conjugate_representatives(result.eigenvalues)
-    grid_shape = args.grid_shape if args.grid_shape is not None else (1, X.p // X.cycles)
     modes_dir = stage / "modes"
     modes_dir.mkdir()
     for j in shown[:args.top_modes]:
         idx = int(result.original_indices[j])
         col = result.modes[:, j]
         for tag, values in (("real", col.real), ("imag", col.imag), ("abs", np.abs(col))):
-            grids = spatial_grids(values, grid_shape, X.mask, X.cycles)
-            _float_csv(modes_dir / f"{idx}_{tag}.csv", grids.mean(axis=0))
+            _float_csv(modes_dir / f"{idx}_{tag}.csv", X.grids(values).mean(axis=0))
 
     n_steps = X.n_steps - 1
     dyn = temporal_dynamics(result, n_steps, rows=shown)
@@ -210,7 +210,7 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
         "method": result.method,
         "rank": int(result.rank),
         "data_shape": [int(X.p), int(X.n_steps)],
-        "grid_shape": list(grid_shape),
+        "grid_shape": list(X.grid),
         "cycles": int(args.cycles),
         "dt_label": result.dt_label,
         "full_fit_loss_percent": full_loss,
@@ -223,10 +223,12 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     _reject_ignored_flags(args)
-    X = _load_input(args)
+    X, mean = _load_input(args)
     result, full_loss, admm = _fit(args, X)
     with _staged_output(args.out) as stage:
         _write_decomposition(stage, args, X, result, full_loss, admm)
+        if mean is not None:
+            _float_csv(stage / "mean.csv", mean[:, None])
     return EXIT_OK
 
 
@@ -235,7 +237,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gammas = log_gamma_grid(args.gamma_min, args.gamma_max, args.gamma_count)
     except ValueError as exc:
         raise UsageError(f"gamma grid: {exc}") from None
-    _, form = _decompose(args, _load_input(args))
+    _, form = _decompose(args, _load_input(args)[0])
     solutions = gamma_sweep(form, gammas,
                             _admm_params(args, warm_start=not args.no_warm_start))
     best: dict[int, int] = {}
@@ -285,7 +287,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     n_train = int(summary["data_shape"][1]) - 1
     reference = None
     if args.input is not None:
-        reference = _load_input(args)
+        reference, _ = _load_input(args)
         if reference.p != model.basis.shape[0]:
             raise ValueError(
                 f"input has p={reference.p}, model expects {model.basis.shape[0]}"
@@ -350,7 +352,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest_info(args: argparse.Namespace) -> int:
-    X = _load_input(args)
+    X, _ = _load_input(args)
     info = {
         "p": X.p,
         "n_steps": X.n_steps,

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
 
 import numpy as np
 
@@ -69,28 +68,3 @@ def forecast(result: DecompositionResult, horizon: int, n_train: int) -> np.ndar
         out = np.nan_to_num(out, posinf=np.finfo(float).max, neginf=-np.finfo(float).max)
     return out
 
-
-def spatial_grids(vec: np.ndarray, grid_shape: Sequence[int],
-                  mask: np.ndarray | None = None, cycles: int = 1) -> np.ndarray:
-    """Map a real spatial vector onto (cycles, n_lat, n_lon) grids, NaN at masked points.
-
-    A cycle-stacked vector (length base*cycles) gives one grid per
-    intra-cycle slot.
-    """
-    n_lat, n_lon = int(grid_shape[0]), int(grid_shape[1])
-    full = n_lat * n_lon
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
-        if mask.size != full:
-            raise ValueError(f"mask length {mask.size} != grid size {full}")
-        base = int(mask.sum())
-    else:
-        base = full
-    vec = np.asarray(vec)
-    if base * cycles != vec.shape[0]:
-        raise ValueError(
-            f"mode length {vec.shape[0]} != {base} grid points x {cycles} cycles"
-        )
-    grids = np.full((cycles, full), np.nan)
-    grids[:, mask if mask is not None else slice(None)] = vec.reshape(cycles, base)
-    return grids.reshape(cycles, n_lat, n_lon)

@@ -36,19 +36,36 @@ class SnapshotMatrix:
         if self.mask is not None:
             mask = np.asarray(self.mask, dtype=bool).reshape(-1)
             object.__setattr__(self, "mask", mask)
-            if self.grid_shape is not None:
-                n_lat, n_lon = self.grid_shape
-                if mask.size != n_lat * n_lon:
-                    raise ValueError(
-                        f"mask length {mask.size} does not match grid {n_lat}x{n_lon}"
-                    )
-                if int(mask.sum()) != rows:
-                    raise ValueError(f"mask keeps {int(mask.sum())} points but data has "
-                                     f"{rows} rows per cycle")
-        if self.grid_shape is not None and self.mask is None:
+            if int(mask.sum()) != rows:
+                raise ValueError(f"mask keeps {int(mask.sum())} points but data has "
+                                 f"{rows} rows per cycle")
+        if self.grid_shape is not None:  # the grid holds exactly one cycle's points
             n_lat, n_lon = self.grid_shape
-            if n_lat * n_lon < rows:
-                raise ValueError(f"grid {n_lat}x{n_lon} smaller than {rows} rows per cycle")
+            points, what = ((rows, "rows per cycle") if self.mask is None
+                            else (self.mask.size, "mask entries"))
+            if n_lat * n_lon != points:
+                raise ValueError(f"grid {n_lat}x{n_lon} holds {n_lat * n_lon} points, "
+                                 f"not the {points} {what}")
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        """The (n_lat, n_lon) grid one cycle's rows lie on: grid_shape, else
+        one row of the mask's points, else of the rows per cycle."""
+        if self.grid_shape is not None:
+            return int(self.grid_shape[0]), int(self.grid_shape[1])
+        return 1, self.mask.size if self.mask is not None else self.p // self.cycles
+
+    def grids(self, vec: np.ndarray) -> np.ndarray:
+        """Map a vector over the rows onto (cycles, n_lat, n_lon) grids, one
+        per slot of a cycle, NaN off the mask."""
+        vec = np.asarray(vec)
+        if vec.shape != (self.p,):
+            raise ValueError(f"vector shape {vec.shape} does not match p={self.p} rows")
+        n_lat, n_lon = self.grid
+        grids = np.full((self.cycles, n_lat * n_lon), np.nan)
+        grids[:, self.mask if self.mask is not None else slice(None)] = \
+            vec.reshape(self.cycles, -1)
+        return grids.reshape(self.cycles, n_lat, n_lon)
 
     @property
     def p(self) -> int:

@@ -14,7 +14,7 @@ HERMITIAN_TOL = 1e-10
 PSD_REL_TOL = 1e-8
 NORMAL_COND_LIMIT = 1e14
 Q_BLOCK = 64  # snapshot columns per block of quadratic_form's xi, H and q
-RESIDUAL_BLOCK = 8  # snapshot columns per block of quadratic_form's residual
+RESIDUAL_BYTES = 256 * 1024  # float64 bytes per block of quadratic_form's residual
 _TINY = np.finfo(float).tiny
 SQRT_HALF = math.sqrt(0.5)
 # Residual balancing (He, Yang & Wang 2000; Boyd et al. 2011, section 3.4.1):
@@ -232,13 +232,15 @@ def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
     form = (QuadraticForm(P=P, q=q, s=s) if np.iscomplexobj(Y)
             else paired_form(P, q, s, conjugate_pairs(lam)))
     # the floor, ||Y - B W diag(b*) xi||_F^2 at the optimum b* (a real model on
-    # a paired form), RESIDUAL_BLOCK snapshots at a time: no p x M array, and
-    # einsum, unlike vdot, does not copy the strided last block
+    # a paired form), in blocks of at most RESIDUAL_BYTES and Q_BLOCK snapshots:
+    # no p x M array, one pass over the basis per block, and einsum, unlike
+    # vdot, does not copy the strided last block
     b = form.from_basis(form.optimum)
     paired = np.isrealobj(form.P)
+    width = max(1, min(Q_BLOCK, RESIDUAL_BYTES // (8 * max(1, Y.shape[0]))))
     resid_sq = 0.0
-    for start in range(0, Y.shape[1], RESIDUAL_BLOCK):
-        cols = Y[:, start:start + RESIDUAL_BLOCK]
+    for start in range(0, Y.shape[1], width):
+        cols = Y[:, start:start + width]
         weights = W @ (vandermonde(lam, cols.shape[1], start) * b[:, None])
         if paired:  # Re(B w), from w's real part when B is real
             resid = basis @ weights.real if np.isrealobj(basis) else np.real(basis @ weights)

@@ -16,7 +16,7 @@ import pytest
 
 from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, conjugate_pairs, exact_dmd,
                       gamma_sweep, load_matrix, log_gamma_grid, quadratic_form, save_matrix,
-                      truncated_svd)
+                      stack_cycles, truncated_svd)
 from koopmode import __main__ as entry, cli, dmd, spdmd
 from koopmode.cli import main, read_grid_csv, render_heatmap
 from conftest import allocation_peak, planted_matrix
@@ -313,6 +313,56 @@ class TestDecompose:
             "rank", "rho", "subtract_mean", "top_modes", "transpose"]
         assert config["grid_shape"] == [3, 4] and config["rank"] == 2
         assert config["input"] == str(path) and config["rho"] == 1.0
+
+
+class TestGridLayout:
+    """The grid holds exactly one cycle's rows, or the mask's points: a
+    mismatch is an error when the input loads, before any fit."""
+
+    @pytest.mark.parametrize("command", [
+        ("decompose", "--rank", 2), ("sweep", "--rank", 2, "--gamma-count", 2),
+        ("ingest-info",), ("reconstruct", "--at", 0),
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("grid", [(2, 4), (1, 5)], ids=["2x4", "1x5"])
+    def test_mismatch_exits_2_at_load(self, tmp_path, rng, monkeypatch, capsys, command,
+                                      grid):
+        path, art, out = tmp_path / "six.csv", tmp_path / "art", tmp_path / "out"
+        save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path, "csv")
+        assert run("decompose", path, "--rank", 2, "--out", art) == 0
+        fits = []
+        monkeypatch.setattr(cli, "exact_dmd", lambda *args, **kwargs: fits.append(args))
+        name, *flags = command
+        args = ((name, "--artifacts", art, "--input", path) if name == "reconstruct"
+                else (name, path))
+        if name != "ingest-info":
+            flags += ["--out", out]
+        assert run(*args, *flags, "--grid-shape", *grid) == 2
+        n_lat, n_lon = grid
+        assert (f"grid {n_lat}x{n_lon} holds {n_lat * n_lon} points, not the 6 rows per "
+                f"cycle") in capsys.readouterr().err
+        assert fits == [] and not out.exists()
+
+    def test_matching_grid_is_summarized(self, tmp_path, rng):
+        path, out = tmp_path / "six.csv", tmp_path / "art"
+        save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path, "csv")
+        assert run("decompose", path, "--rank", 2, "--grid-shape", 2, 3, "--out", out) == 0
+        assert json.loads((out / "summary.json").read_text())["grid_shape"] == [2, 3]
+        assert read_grid_csv(out / "modes" / "0_abs.csv").shape == (2, 3)
+        assert run("decompose", path, "--rank", 2, "--cycles", 2, "--out", out) == 0
+        assert json.loads((out / "summary.json").read_text())["grid_shape"] == [1, 6]
+
+
+class TestSubtractMean:
+    def test_mean_csv_holds_the_subtracted_row_means(self, tmp_path, rng):
+        path, out = tmp_path / "small.csv", tmp_path / "art"
+        save_matrix(SnapshotMatrix(rng.standard_normal((4, 30)) + 5.0), path, "csv")
+        flags = ("--cycles", 3, "--rank", 2, "--out", out)
+        assert run("decompose", path, *flags, "--subtract-mean") == 0
+        mean = np.loadtxt(out / "mean.csv", ndmin=1)
+        expected = stack_cycles(load_matrix(path), 3).data.mean(axis=1)
+        assert mean.shape == (12,) and mean.tobytes() == expected.tobytes()
+        assert run("decompose", path, *flags) == 0  # replaces the directory
+        assert not (out / "mean.csv").exists()
 
 
 class TestModesFormedOnce:

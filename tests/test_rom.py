@@ -5,6 +5,7 @@ import pytest
 
 from koopmode import (
     DecompositionResult,
+    SnapshotMatrix,
     build_pairs,
     conjugate_pairs,
     conjugate_representatives,
@@ -14,7 +15,6 @@ from koopmode import (
     optimal_amplitudes,
     quadratic_form,
     reconstruct,
-    spatial_grids,
     temporal_dynamics,
     vandermonde,
 )
@@ -270,21 +270,32 @@ class TestForecast:
             forecast(model, 0, 5)
 
 
+def on_grid(vec, grid_shape, mask=None, cycles=1) -> np.ndarray:
+    """vec mapped onto its grids by a snapshot matrix of that layout."""
+    X = SnapshotMatrix(np.zeros((len(vec), 2)), grid_shape=grid_shape, mask=mask,
+                       cycles=cycles)
+    return X.grids(vec)
+
+
 class TestModeMagnitudeGrid:
     def test_full_grid_no_stacking(self, rng):
         mode = rng.standard_normal(600) + 1j * rng.standard_normal(600)
-        grids = spatial_grids(np.abs(mode), (10, 60))
+        grids = on_grid(np.abs(mode), (10, 60))
         assert grids.shape == (1, 10, 60)
         np.testing.assert_allclose(grids[0].reshape(-1), np.abs(mode))
 
     def test_uniform_mode(self):
-        grids = spatial_grids(np.ones(6), (2, 3))
+        grids = on_grid(np.ones(6), (2, 3))
         np.testing.assert_array_equal(grids, np.ones((1, 2, 3)))
+        # without a grid shape, one row of the points per cycle, or of the mask's
+        assert on_grid(np.ones(6), None, cycles=2).shape == (2, 1, 3)
+        flat = on_grid(np.ones(2), None, mask=[True, False, True]).reshape(-1)
+        np.testing.assert_array_equal(np.isnan(flat), [False, True, False])
 
     def test_masked_index_bookkeeping_oracle(self, rng):
         mask = np.array([True, False, True, True, False, True])
         mode = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        flat = spatial_grids(np.abs(mode), (2, 3), mask=mask).reshape(-1)
+        flat = on_grid(np.abs(mode), (2, 3), mask=mask).reshape(-1)
         # oracle: walk the full grid in row-major order, consuming mode entries
         pos = 0
         for i in range(6):
@@ -297,20 +308,26 @@ class TestModeMagnitudeGrid:
     def test_cycle_stacked_slots_and_mean(self, rng):
         mode = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         mask = np.array([True, True, False, True, True, True])
-        grids = spatial_grids(np.abs(mode[:10]), (2, 3), mask=mask, cycles=2)
+        grids = on_grid(np.abs(mode[:10]), (2, 3), mask=mask, cycles=2)
         assert grids.shape == (2, 2, 3)
         np.testing.assert_allclose(grids[1].reshape(-1)[mask], np.abs(mode[5:10]))
         assert np.isnan(grids[:, 0, 2]).all()
-        grids = spatial_grids(np.abs(mode), (2, 3), cycles=2)
+        grids = on_grid(np.abs(mode), (2, 3), cycles=2)
         np.testing.assert_allclose(grids[1].reshape(-1), np.abs(mode[6:]))
         np.testing.assert_allclose(grids.mean(axis=0).reshape(-1),
                                    (np.abs(mode[:6]) + np.abs(mode[6:])) / 2)
 
     def test_length_mismatch(self, rng):
-        with pytest.raises(ValueError, match="mode length"):
-            spatial_grids(np.ones(5), (2, 3))
-        with pytest.raises(ValueError, match="mask length"):
-            spatial_grids(np.ones(5), (2, 3), mask=np.ones(5, dtype=bool))
+        X = SnapshotMatrix(np.zeros((6, 2)), grid_shape=(2, 3))
+        with pytest.raises(ValueError, match="vector shape"):
+            X.grids(np.ones(5))
+        # the layout itself is checked when the matrix is built: exactly
+        with pytest.raises(ValueError, match="grid 2x3 holds 6 points, not the 5 rows"):
+            SnapshotMatrix(np.zeros((5, 2)), grid_shape=(2, 3))
+        with pytest.raises(ValueError, match="not the 5 mask entries"):
+            SnapshotMatrix(np.zeros((5, 2)), grid_shape=(2, 3), mask=np.ones(5, dtype=bool))
+        with pytest.raises(ValueError, match="mask keeps 6 points but data has 5 rows"):
+            SnapshotMatrix(np.zeros((5, 2)), mask=np.ones(6, dtype=bool))
 
 
 class TestModelInvariants:

@@ -760,6 +760,18 @@ class TestFitLoss:
             got = performance_loss(form.objective(optimal_amplitudes(form)), form.s)
             assert abs(got - want) <= 1e-10 * want
 
+    @pytest.mark.parametrize("budget", [8, 8 * 10 * 7])
+    def test_residual_blocks_follow_the_byte_budget(self, rng, monkeypatch, budget):
+        """At p = 10 the default budget gives 64-snapshot blocks; a budget of
+        one or seven columns of floats gives the same floor to roundoff."""
+        X, _ = planted_matrix(10, 70, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
+        pair = build_pairs(SnapshotMatrix(X.data + 1e-4 * rng.standard_normal(X.data.shape)))
+        base = exact_dmd(pair)
+        args = (pair.Y, base.basis, base.coefficients, base.eigenvalues)
+        want = quadratic_form(*args).floor
+        monkeypatch.setattr(spdmd, "RESIDUAL_BYTES", budget)
+        assert abs(quadratic_form(*args).floor - want) <= 1e-10 * want
+
     def test_zero_data_rejected(self, rng):
         form = quadratic_form(np.zeros((3, 4)), rng.standard_normal((3, 1)) + 0j, np.eye(1),
                               np.array([1.0]))
