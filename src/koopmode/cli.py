@@ -26,7 +26,6 @@ from .dmd import DecompositionResult, conjugate_representatives, exact_dmd, mode
 from .rom import forecast, reconstruct, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
-    apply_mask,
     build_pairs,
     load_mask,
     load_matrix,
@@ -108,14 +107,13 @@ def _float_csv(path: Path, rows: np.ndarray, header: str | None = None) -> None:
 def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | None]:
     """The input as the flags lay it out, and with --subtract-mean the row
     means it subtracted, else None."""
+    if args.mask is not None and args.grid_shape is None:
+        raise UsageError("--mask requires --grid-shape")
     # reconstruct loads its --input without a --dt-label
     X = load_matrix(args.input, format=args.format, grid_shape=args.grid_shape,
                     header=args.header, transpose=args.transpose,
+                    mask=None if args.mask is None else load_mask(args.mask),
                     **({"dt_label": args.dt_label} if "dt_label" in args else {}))
-    if args.mask is not None:
-        if args.grid_shape is None:
-            raise UsageError("--mask requires --grid-shape")
-        X = apply_mask(X, load_mask(args.mask, args.grid_shape))
     if args.cycles > 1:
         X = stack_cycles(X, args.cycles)
     if args.subtract_mean:
@@ -149,12 +147,10 @@ def _decompose(args: argparse.Namespace,
     """The selected decomposition, amplitudes unset, and the quadratic form of
     its fit against the zero-lag snapshots, in the same column order, built
     from the modes' factors without forming them."""
-    if args.method == "cdmd":
-        base, Y = companion_dmd(X), X.data[:, :-1]
-    else:
-        pair = build_pairs(X)
-        base, Y = exact_dmd(pair, rank=args.rank, mode_style=args.mode_style), pair.Y
-    return base, quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
+    pair = build_pairs(X)
+    base = (companion_dmd(X) if args.method == "cdmd"
+            else exact_dmd(pair, rank=args.rank, mode_style=args.mode_style))
+    return base, quadratic_form(pair.Y, base.basis, base.coefficients, base.eigenvalues)
 
 
 def _fit(args: argparse.Namespace,
@@ -357,7 +353,7 @@ def cmd_ingest_info(args: argparse.Namespace) -> int:
         "p": X.p,
         "n_steps": X.n_steps,
         "dt_label": X.dt_label,
-        "grid_shape": list(X.grid_shape) if X.grid_shape else None,
+        "grid_shape": list(X.grid),
         "masked_points": int(X.mask.sum()) if X.mask is not None else None,
         "min": float(X.data.min()),
         "max": float(X.data.max()),

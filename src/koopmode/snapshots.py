@@ -25,6 +25,8 @@ class SnapshotMatrix:
         data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
         if data.ndim != 2:
             raise ValueError(f"snapshot data must be 2-D, got shape {data.shape}")
+        if data.shape[0] == 0:
+            raise ValueError("snapshot data has zero rows")
         if data.shape[1] < 2:
             raise ValueError(f"need at least 2 snapshots, got N={data.shape[1]}")
         if not np.all(np.isfinite(data)):
@@ -97,8 +99,11 @@ def load_matrix(
     header: bool = False,
     transpose: bool = False,
     dt_label: str = "step",
+    mask: np.ndarray | None = None,
 ) -> SnapshotMatrix:
-    """Load a snapshot matrix from CSV or raw little-endian float64 + JSON sidecar."""
+    """Load a snapshot matrix from CSV or raw little-endian float64 + JSON sidecar.
+    With a mask, one boolean per row read, only the rows it flags true are
+    kept, so the rows it drops may hold NaN or inf."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
@@ -120,7 +125,12 @@ def load_matrix(
         data = payload.reshape((rows, cols), order="F")
     if transpose:
         data = data.T
-    return SnapshotMatrix(data, grid_shape=grid_shape, dt_label=dt_label)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool).reshape(-1)
+        if mask.size != data.shape[0]:
+            raise ValueError(f"mask has {mask.size} entries, data has {data.shape[0]} rows")
+        data = data[mask]
+    return SnapshotMatrix(data, grid_shape=grid_shape, mask=mask, dt_label=dt_label)
 
 
 def save_matrix(X: SnapshotMatrix, path: str | Path, format: str = "csv") -> None:
@@ -151,39 +161,12 @@ def write_csv(path: str | Path, rows, fmt: str, header: str | None = None) -> No
             fh.write(fmt % tuple(row) + "\n")
 
 
-def load_mask(path: str | Path, grid_shape: tuple[int, int]) -> np.ndarray:
-    """Read a 0/1 CSV mask, row-major over (lat, lon)."""
+def load_mask(path: str | Path) -> np.ndarray:
+    """Read a 0/1 CSV mask, row-major over (lat, lon); any other value is an error."""
     values = np.loadtxt(path, delimiter=",").reshape(-1)
-    n_lat, n_lon = grid_shape
-    if values.size != n_lat * n_lon:
-        raise ValueError(
-            f"mask has {values.size} entries, grid needs {n_lat * n_lon}"
-        )
-    return values.astype(bool)
-
-
-def apply_mask(X: SnapshotMatrix, mask: np.ndarray) -> SnapshotMatrix:
-    """Keep only the rows flagged true; remembers the mapping for grid export."""
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    if int(mask.sum()) == 0:
-        raise ValueError("mask keeps zero points")
-    if X.mask is None:
-        if mask.size != X.p:
-            raise ValueError(f"mask length {mask.size} != p={X.p}")
-        data = X.data[mask]
-        combined = mask
-    else:
-        if mask.size != X.mask.size:
-            raise ValueError(
-                f"mask length {mask.size} != stored grid size {X.mask.size}"
-            )
-        keep = mask[X.mask]
-        if int(keep.sum()) == 0:
-            raise ValueError("mask keeps zero of the retained points")
-        data = X.data[keep]
-        combined = X.mask & mask
-    return SnapshotMatrix(data, grid_shape=X.grid_shape, mask=combined,
-                          dt_label=X.dt_label)
+    if not np.all((values == 0) | (values == 1)):
+        raise ValueError(f"mask {path} holds a value other than 0 and 1")
+    return values == 1
 
 
 def stack_cycles(X: SnapshotMatrix, c: int, dt_label: str | None = None) -> SnapshotMatrix:

@@ -16,7 +16,7 @@ import pytest
 
 from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, conjugate_pairs, exact_dmd,
                       gamma_sweep, load_matrix, log_gamma_grid, quadratic_form, save_matrix,
-                      stack_cycles, truncated_svd)
+                      stack_cycles, truncated_svd, write_csv)
 from koopmode import __main__ as entry, cli, dmd, spdmd
 from koopmode.cli import main, read_grid_csv, render_heatmap
 from conftest import allocation_peak, planted_matrix
@@ -323,11 +323,17 @@ class TestGridLayout:
         ("decompose", "--rank", 2), ("sweep", "--rank", 2, "--gamma-count", 2),
         ("ingest-info",), ("reconstruct", "--at", 0),
     ], ids=lambda command: command[0])
-    @pytest.mark.parametrize("grid", [(2, 4), (1, 5)], ids=["2x4", "1x5"])
+    @pytest.mark.parametrize("grid, mask", [((2, 4), None), ((1, 5), None),
+                                            ((2, 4), "1,1,0\n1,1,1\n")],
+                             ids=["2x4", "1x5", "2x4-mask"])
     def test_mismatch_exits_2_at_load(self, tmp_path, rng, monkeypatch, capsys, command,
-                                      grid):
+                                      grid, mask):
         path, art, out = tmp_path / "six.csv", tmp_path / "art", tmp_path / "out"
         save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path, "csv")
+        load = ()
+        if mask is not None:  # the grid must hold the mask's 6 entries
+            (tmp_path / "mask.csv").write_text(mask)
+            load = ("--mask", tmp_path / "mask.csv")
         assert run("decompose", path, "--rank", 2, "--out", art) == 0
         fits = []
         monkeypatch.setattr(cli, "exact_dmd", lambda *args, **kwargs: fits.append(args))
@@ -336,10 +342,11 @@ class TestGridLayout:
                 else (name, path))
         if name != "ingest-info":
             flags += ["--out", out]
-        assert run(*args, *flags, "--grid-shape", *grid) == 2
+        assert run(*args, *flags, *load, "--grid-shape", *grid) == 2
         n_lat, n_lon = grid
-        assert (f"grid {n_lat}x{n_lon} holds {n_lat * n_lon} points, not the 6 rows per "
-                f"cycle") in capsys.readouterr().err
+        assert (f"grid {n_lat}x{n_lon} holds {n_lat * n_lon} points, not the 6 "
+                f"{'rows per cycle' if mask is None else 'mask entries'}"
+                ) in capsys.readouterr().err
         assert fits == [] and not out.exists()
 
     def test_matching_grid_is_summarized(self, tmp_path, rng):
@@ -350,6 +357,64 @@ class TestGridLayout:
         assert read_grid_csv(out / "modes" / "0_abs.csv").shape == (2, 3)
         assert run("decompose", path, "--rank", 2, "--cycles", 2, "--out", out) == 0
         assert json.loads((out / "summary.json").read_text())["grid_shape"] == [1, 6]
+
+
+class TestLandMask:
+    """--mask drops the rows it flags 0 before the input is checked, so land
+    cells may hold NaN or inf: the run is the one on the same input with
+    finite values there."""
+
+    MASK = "1,1,0\n1,0,1\n"  # rows 2 and 4 are land
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        X, _ = planted_matrix(6, 40, [0.95 * np.exp(0.4j), 0.9], [2.0, 1.0], seed=13)
+        land = X.data.copy()
+        land[2] = np.nan
+        land[4, ::2], land[4, 1::2] = np.inf, -np.inf
+        (tmp_path / "mask.csv").write_text(self.MASK)
+        return X.data, land
+
+    @pytest.mark.parametrize("command", [
+        ("decompose", "--rank", 3, "--out"), ("decompose", "--method", "cdmd", "--out"),
+        ("sweep", "--rank", 3, "--gamma-count", 3, "--out"), ("ingest-info",),
+        ("reconstruct", "--at", 0, "--at", 5, "--horizon", 2, "--out"),
+    ], ids=lambda command: "-".join(map(str, command[:3])))
+    def test_non_finite_land_loads_as_its_finite_twin(self, tmp_path, inputs, capsys,
+                                                     command):
+        path, out, art = tmp_path / "data.csv", tmp_path / "out", tmp_path / "art"
+        load = ("--mask", tmp_path / "mask.csv", "--grid-shape", 2, 3)
+        name, *flags = command
+        if name == "reconstruct":
+            save_matrix(SnapshotMatrix(inputs[0]), path, "csv")
+            assert run("decompose", path, *load, "--rank", 3, "--out", art) == 0
+        reports = []
+        for data in inputs:  # the same path and --out, so the bytes can be compared
+            write_csv(path, data, ",".join(["%.17g"] * data.shape[1]))
+            args = (("reconstruct", "--artifacts", art, "--input", path) if name == "reconstruct"
+                    else (name, path))
+            assert run(*args, *flags, *([out] if flags[-1:] == ["--out"] else []),
+                       *load) == 0
+            reports.append((capsys.readouterr().out, read_tree(out) if out.exists() else {}))
+        assert b"nan" in path.read_bytes() and b"-inf" in path.read_bytes()
+        assert reports[0] == reports[1] and any(reports[0])
+        if name == "decompose":
+            grid = read_grid_csv(out / "modes" / "0_abs.csv")
+            np.testing.assert_array_equal(np.isnan(grid), [[0, 0, 1], [0, 1, 0]])
+
+    @pytest.mark.parametrize("mask, status", [("1,2,0\n1,1,1\n", 2), ("1,0.5,0\n1,1,1\n", 2),
+                                              ("1,nan,0\n1,1,1\n", 2), (None, 1)])
+    def test_bad_mask_leaves_no_output(self, tmp_path, inputs, mask, status):
+        path, out = tmp_path / "data.csv", tmp_path / "out"
+        save_matrix(SnapshotMatrix(inputs[0]), path, "csv")
+        if mask is None:  # --mask without --grid-shape is a usage error
+            (tmp_path / "mask.csv").write_text("1,1,1\n1,1,1\n")
+            load = ("--mask", tmp_path / "mask.csv")
+        else:
+            (tmp_path / "mask.csv").write_text(mask)
+            load = ("--mask", tmp_path / "mask.csv", "--grid-shape", 2, 3)
+        assert run("decompose", path, *load, "--out", out) == status
+        assert not out.exists()
 
 
 class TestSubtractMean:
@@ -791,6 +856,18 @@ class TestIngestInfo:
         assert run("ingest-info", path, "--cycles", 5) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["p"] == 60 and info["n_steps"] == 10
+
+    @pytest.mark.parametrize("flags", [(), ("--cycles", 2), ("--grid-shape", 2, 3),
+                                       ("--grid-shape", 2, 3, "--cycles", 2)])
+    def test_grid_shape_is_the_one_decompose_reports(self, tmp_path, rng, capsys, flags):
+        path, out = tmp_path / "six.csv", tmp_path / "art"
+        save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path, "csv")
+        assert run("ingest-info", path, *flags) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert run("decompose", path, "--rank", 2, *flags, "--out", out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert info["grid_shape"] == summary["grid_shape"]
+        assert info["grid_shape"] == ([2, 3] if "--grid-shape" in flags else [1, 6])
 
 
 def test_version_flag(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from koopmode import (
     SnapshotMatrix,
-    apply_mask,
     build_pairs,
     load_mask,
     load_matrix,
@@ -78,49 +77,71 @@ class TestLoadMatrix:
 
 
 class TestApplyMask:
-    def test_direct_selection(self):
-        X = SnapshotMatrix(np.arange(8.0).reshape(4, 2))
-        out = apply_mask(X, np.array([True, False, True, False]))
-        np.testing.assert_array_equal(out.data, X.data[[0, 2]])
+    """load_matrix keeps the rows a mask flags true before the matrix is
+    checked, so the rows it drops may hold anything; the mask's grid and
+    point count are checked by SnapshotMatrix."""
 
-    def test_all_true_identity(self):
-        X = SnapshotMatrix(np.arange(8.0).reshape(4, 2))
-        out = apply_mask(X, np.ones(4, dtype=bool))
-        np.testing.assert_array_equal(out.data, X.data)
+    @staticmethod
+    def masked(tmp_path, data, mask, **kwargs):
+        path = tmp_path / "data.csv"
+        np.savetxt(path, data, delimiter=",")
+        return load_matrix(path, mask=mask, **kwargs)
 
-    def test_random_against_row_filter_oracle(self, rng):
+    def test_direct_selection(self, tmp_path):
+        data = np.arange(8.0).reshape(4, 2)
+        out = self.masked(tmp_path, data, np.array([True, False, True, False]))
+        np.testing.assert_array_equal(out.data, data[[0, 2]])
+        np.testing.assert_array_equal(out.mask, [True, False, True, False])
+
+    def test_all_true_identity(self, tmp_path):
+        data = np.arange(8.0).reshape(4, 2)
+        out = self.masked(tmp_path, data, np.ones(4, dtype=bool))
+        np.testing.assert_array_equal(out.data, data)
+
+    def test_random_against_row_filter_oracle(self, tmp_path, rng):
         data = rng.standard_normal((10, 3))
         mask = rng.random(10) > 0.4
         mask[0] = True  # keep at least one row
-        X = SnapshotMatrix(data)
-        out = apply_mask(X, mask)
+        out = self.masked(tmp_path, data, mask)
         oracle = np.stack([row for row, keep in zip(data, mask) if keep])
         np.testing.assert_array_equal(out.data, oracle)
 
-    def test_remask_already_masked(self):
-        X = SnapshotMatrix(np.arange(8.0).reshape(4, 2))
-        first = apply_mask(X, np.array([True, True, False, True]))
-        second = apply_mask(first, np.array([True, False, False, True]))
-        np.testing.assert_array_equal(second.data, X.data[[0, 3]])
-        np.testing.assert_array_equal(second.mask, [True, False, False, True])
+    def test_mask_indexes_the_rows_after_transpose(self, tmp_path):
+        data = np.arange(8.0).reshape(2, 4)  # time x space
+        out = self.masked(tmp_path, data, [False, True, True, False], transpose=True)
+        np.testing.assert_array_equal(out.data, data.T[[1, 2]])
 
-    def test_length_mismatch(self):
-        X = SnapshotMatrix(np.ones((4, 2)))
-        with pytest.raises(ValueError, match="length"):
-            apply_mask(X, np.ones(5, dtype=bool))
+    def test_non_finite_masked_out_rows_load(self, tmp_path):
+        data = np.array([[1.0, 2.0], [np.nan, np.nan], [3.0, np.inf], [4.0, 5.0]])
+        out = self.masked(tmp_path, data, np.array([True, False, False, True]),
+                          grid_shape=(2, 2))
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [4.0, 5.0]])
+        with pytest.raises(ValueError, match="NaN"):  # a kept row is still checked
+            self.masked(tmp_path, data, np.array([True, True, False, True]))
 
-    def test_zero_true_entries(self):
-        X = SnapshotMatrix(np.ones((4, 2)))
-        with pytest.raises(ValueError, match="zero"):
-            apply_mask(X, np.zeros(4, dtype=bool))
+    def test_length_mismatch(self, tmp_path):
+        with pytest.raises(ValueError, match="mask has 5 entries, data has 4 rows"):
+            self.masked(tmp_path, np.ones((4, 2)), np.ones(5, dtype=bool))
+
+    def test_zero_true_entries(self, tmp_path):
+        with pytest.raises(ValueError, match="zero rows"):
+            self.masked(tmp_path, np.ones((4, 2)), np.zeros(4, dtype=bool))
+        with pytest.raises(ValueError, match="zero rows"):
+            SnapshotMatrix(np.zeros((0, 5)))
 
     def test_load_mask_file(self, tmp_path):
         path = tmp_path / "mask.csv"
         path.write_text("1,0,1\n0,1,0\n")
-        mask = load_mask(path, (2, 3))
+        mask = load_mask(path)
+        assert mask.dtype == bool
         np.testing.assert_array_equal(mask, [True, False, True, False, True, False])
-        with pytest.raises(ValueError, match="entries"):
-            load_mask(path, (2, 4))
+
+    @pytest.mark.parametrize("cell", ["2", "0.5", "nan", "-1", "inf"])
+    def test_load_mask_rejects_values_other_than_0_and_1(self, tmp_path, cell):
+        path = tmp_path / "mask.csv"
+        path.write_text(f"1,{cell},0\n1,0,1\n")
+        with pytest.raises(ValueError, match="other than 0 and 1"):
+            load_mask(path)
 
 
 class TestStackCycles:
