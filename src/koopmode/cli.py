@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .cdmd import companion_dmd
-from .dmd import DecompositionResult, conjugate_representatives, exact_dmd, mode_stats
+from .dmd import (DecompositionResult, conjugate_pairs, conjugate_representatives,
+                  exact_dmd, mode_stats, real_matmul)
 from .rom import forecast, reconstruct, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
@@ -116,7 +117,7 @@ def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | 
                     **({"dt_label": args.dt_label} if "dt_label" in args else {}))
     if args.cycles > 1:
         X = stack_cycles(X, args.cycles)
-    if args.subtract_mean:
+    if getattr(args, "subtract_mean", False):  # reconstruct compares its --input raw
         return subtract_mean(X)
     return X, None
 
@@ -185,16 +186,14 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
                                       result.amplitudes)),
               "%d" + f",{FLOAT}" * 8,
               "index,re,im,magnitude,e_folding,period,amp_re,amp_im,amp_abs")
-    np.save(stage / "modes_matrix.npy", np.ascontiguousarray(result.modes, dtype=complex))
-
     shown = conjugate_representatives(result.eigenvalues)
+    modes = real_matmul(result.basis, result.coefficients[:, shown])  # a partner is conjugate
+    np.save(stage / "modes_matrix.npy", modes)
     modes_dir = stage / "modes"
     modes_dir.mkdir()
-    for j in shown[:args.top_modes]:
-        idx = int(result.original_indices[j])
-        col = result.modes[:, j]
+    for idx, col in zip(result.original_indices[shown[:args.top_modes]], modes.T):
         for tag, values in (("real", col.real), ("imag", col.imag), ("abs", np.abs(col))):
-            _float_csv(modes_dir / f"{idx}_{tag}.csv", X.grids(values).mean(axis=0))
+            _float_csv(modes_dir / f"{int(idx)}_{tag}.csv", X.grids(values).mean(axis=0))
 
     n_steps = X.n_steps - 1
     dyn = temporal_dynamics(result, n_steps, rows=shown)
@@ -254,14 +253,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
     summary = json.loads((artifacts / "summary.json").read_text())
     eig = np.loadtxt(artifacts / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
+    lam = eig[:, 1] + 1j * eig[:, 2]  # %.17g round-trips, so the pairing is decompose's
+    shown = conjugate_representatives(lam)
     modes = np.load(artifacts / "modes_matrix.npy", allow_pickle=False)
-    if modes.dtype != np.complex128 or modes.ndim != 2 or modes.shape[1] != eig.shape[0]:
-        raise ValueError(f"modes_matrix.npy holds {modes.dtype} {modes.shape}, expected a "
-                         f"complex128 matrix with {eig.shape[0]} columns, one per eigenvalue")
+    if modes.dtype != np.complex128 or modes.ndim != 2 or modes.shape[1] != shown.size:
+        raise ValueError(f"modes_matrix.npy holds {modes.dtype} {modes.shape}, expected "
+                         f"complex128 with {shown.size} columns, one per conjugate pair or "
+                         "unpaired mode (an older layout: decompose again)")
+    # the fitted form: stored column c is real basis columns 2c (re) and 2c + 1 (im)
+    coefficients = np.zeros((shown.size, 2, lam.size), dtype=complex)
+    coefficients[np.arange(shown.size), :, conjugate_pairs(lam)[shown]] = (1, -1j)  # re - i im
+    coefficients[np.arange(shown.size), :, shown] = (1, 1j)  # last: unpaired is its own partner
     model = DecompositionResult(
-        eigenvalues=eig[:, 1] + 1j * eig[:, 2],
-        basis=modes,
-        coefficients=np.eye(eig.shape[0]),
+        eigenvalues=lam,
+        basis=np.ascontiguousarray(modes).view(np.float64),
+        coefficients=coefficients.reshape(-1, lam.size),
         amplitudes=eig[:, 6] + 1j * eig[:, 7],
         method=summary["method"],
         dt_label=summary["dt_label"],
@@ -273,6 +279,10 @@ def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.horizon is None and not args.at:
         raise UsageError("nothing to do: need --at indices or --horizon >= 1")
+    defaults = vars(_add_load_args(argparse.ArgumentParser()).parse_args([]))
+    given = ["--" + k.replace("_", "-") for k, v in defaults.items() if getattr(args, k) != v]
+    if given and args.input is None:
+        raise UsageError(f"{', '.join(given)} without --input: load flags lay out only --input")
     art = Path(args.artifacts)
     if Path(args.out).resolve() == art.resolve():
         raise UsageError("--out must differ from --artifacts, which it would replace")
@@ -281,18 +291,22 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             raise FileNotFoundError(f"missing artifact {art / needed}")
     model, summary = _load_model(art)
     n_train = int(summary["data_shape"][1]) - 1
+    p = model.basis.shape[0]
+    subtracted = summary["config"]["subtract_mean"]  # the model fits anomalies: add means back
+    mean = np.loadtxt(art / "mean.csv", ndmin=1) if subtracted else np.zeros(p)
+    if mean.shape != (p,):
+        raise ValueError(f"mean.csv holds {mean.size} values, the model has p={p}")
     reference = None
     if args.input is not None:
         reference, _ = _load_input(args)
-        if reference.p != model.basis.shape[0]:
-            raise ValueError(
-                f"input has p={reference.p}, model expects {model.basis.shape[0]}"
-            )
+        if reference.p != p:
+            raise ValueError(f"input has p={reference.p}, model expects {p}")
     report: dict = {"indices": args.at, "horizon": args.horizon,
                     "relative_errors": {}, "imag_residuals": {}}
     with _staged_output(args.out) as stage:
         for k in args.at:
-            vec, resid = reconstruct(model, k, return_residual=True)
+            vec, resid = reconstruct(model, k)
+            vec += mean
             _float_csv(stage / f"recon_{k}.csv", vec[:, None])
             report["imag_residuals"][str(k)] = resid
             if reference is not None:  # null past the input's last column
@@ -303,7 +317,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                     err = float(np.linalg.norm(vec - col) / denom)
                 report["relative_errors"][str(k)] = err
         if args.horizon is not None:
-            fc = forecast(model, args.horizon, n_train)
+            fc = forecast(model, args.horizon, n_train) + mean[:, None]
             _float_csv(stage / "forecast.csv", fc)
         (stage / "recon_report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -375,7 +389,7 @@ def _bounded(cast: type, low: float, strict: bool = False):
     return parse
 
 
-def _add_load_args(sub: argparse.ArgumentParser) -> None:
+def _add_load_args(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
     sub.add_argument("--format", choices=("csv", "raw-float64"), default="csv")
     sub.add_argument("--header", action="store_true", help="skip one CSV header line")
     sub.add_argument("--transpose", action="store_true",
@@ -384,12 +398,13 @@ def _add_load_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mask", help="0/1 CSV mask over the full grid")
     sub.add_argument("--cycles", type=_bounded(int, 1), default=1,
                      help="stack this many consecutive snapshots per column")
-    sub.add_argument("--subtract-mean", action="store_true")
+    return sub
 
 
 def _add_input_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="snapshot matrix file")
     _add_load_args(sub)
+    sub.add_argument("--subtract-mean", action="store_true")
     sub.add_argument("--dt-label", default="step")
 
 

@@ -26,13 +26,10 @@ def _combine(result: DecompositionResult, weights: np.ndarray) -> np.ndarray:
     return real_matmul(result.basis, result.coefficients @ weights)
 
 
-def reconstruct(result: DecompositionResult, k: int,
-                return_residual: bool = False) -> np.ndarray | tuple[np.ndarray, float]:
-    """Real part of modes @ (amplitudes * eigenvalues^k), the snapshot at time index k.
-
-    The relative imaginary residual is a diagnostic; it should vanish for
-    conjugate-complete models and triggers a warning when it does not.
-    """
+def reconstruct(result: DecompositionResult, k: int) -> tuple[np.ndarray, float]:
+    """Real part of modes @ (amplitudes * eigenvalues^k), the snapshot at time
+    index k, and its relative imaginary residual: a diagnostic that should
+    vanish for conjugate-complete models, and warns when it does not."""
     if k < 0:
         raise ValueError("time index must be nonnegative")
     acc = _combine(result, _weighted_powers(result, k, 1))[:, 0]
@@ -41,9 +38,7 @@ def reconstruct(result: DecompositionResult, k: int,
     residual = float(np.linalg.norm(np.imag(acc))) / denom
     if residual > IMAG_RESIDUAL_TOL and np.linalg.norm(acc) > 0:
         warnings.warn(f"reconstruction imaginary residual {residual:.3e}")
-    if return_residual:
-        return real, residual
-    return real
+    return real, residual
 
 
 def temporal_dynamics(result: DecompositionResult, n_steps: int,

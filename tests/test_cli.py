@@ -8,15 +8,16 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, conjugate_pairs, exact_dmd,
-                      gamma_sweep, load_matrix, log_gamma_grid, quadratic_form, save_matrix,
-                      stack_cycles, truncated_svd, write_csv)
+from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, conjugate_pairs,
+                      conjugate_representatives, exact_dmd, forecast, gamma_sweep, load_matrix,
+                      log_gamma_grid, quadratic_form, save_matrix, stack_cycles,
+                      truncated_svd, write_csv)
+from koopmode.dmd import real_matmul
 from koopmode import __main__ as entry, cli, dmd, spdmd
 from koopmode.cli import main, read_grid_csv, render_heatmap
 from conftest import allocation_peak, planted_matrix
@@ -49,6 +50,20 @@ def make_pre_npy(art):
     modes = np.load(art / "modes_matrix.npy")
     np.savetxt(art / "modes_matrix.csv", modes.view(float), fmt="%.17g", delimiter=",")
     (art / "modes_matrix.npy").unlink()
+
+
+def every_mode(art):
+    """The p x r modes of a decompose output directory, each conjugate partner
+    rebuilt as the conjugate of its pair's one stored column."""
+    rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
+    lam = rows[:, 1] + 1j * rows[:, 2]
+    shown = conjugate_representatives(lam)
+    stored = np.load(art / "modes_matrix.npy", allow_pickle=False)
+    assert stored.shape[1] == shown.size  # one column per pair or unpaired mode
+    modes = np.empty((stored.shape[0], lam.size), dtype=complex)
+    modes[:, conjugate_pairs(lam)[shown]] = stored.conj()
+    modes[:, shown] = stored  # an unpaired mode is its own partner
+    return modes
 
 
 class TestDecompose:
@@ -90,33 +105,37 @@ class TestDecompose:
         assert summary["data_shape"] == [12, 50]
         assert summary["full_fit_loss_percent"] <= 1e-5
         modes = np.load(out / "modes_matrix.npy", allow_pickle=False)
-        assert modes.dtype == np.complex128 and modes.shape == (12, 3)
+        # one column for the planted pair, one for the real mode
+        assert modes.dtype == np.complex128 and modes.shape == (12, 2)
 
     def test_modes_matrix_round_trips_bit_exact(self, tmp_path, planted_csv, monkeypatch):
-        specials = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
-                             5e-324, -2.5e-310, 1.0 / 3.0, -1e308])
-        rng = np.random.default_rng(5)
-        written = []
+        fitted = []
         fit = cli._fit
 
-        def fit_with_special_modes(args, X):
-            result, loss, admm = fit(args, X)
-            modes = np.empty(result.modes.shape, dtype=complex)
-            modes.real = rng.choice(specials, modes.shape)
-            modes.imag = rng.choice(specials, modes.shape)
-            written.append(modes)
-            special = replace(result, basis=modes, coefficients=np.eye(result.rank))
-            # write these modes as they are: the product with the identity
-            # coefficients would turn the infinities and NaN payloads into NaN
-            vars(special)["modes"] = modes
-            return special, loss, admm
+        def fit_and_keep(args, X):
+            fitted.append(fit(args, X))
+            return fitted[-1]
 
-        monkeypatch.setattr(cli, "_fit", fit_with_special_modes)
+        monkeypatch.setattr(cli, "_fit", fit_and_keep)
         path, _ = planted_csv
         art = tmp_path / "art"
         assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        result = fitted[0][0]
+        shown = conjugate_representatives(result.eigenvalues)
+        want = real_matmul(result.basis, result.coefficients[:, shown])
+        assert np.load(art / "modes_matrix.npy").tobytes() == want.tobytes()
+
+        # the loaded basis holds the stored bits, NaN payloads, infinities and -0 included
+        specials = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
+                             5e-324, -2.5e-310, 1.0 / 3.0, -1e308])
+        rng = np.random.default_rng(5)
+        modes = np.empty(want.shape, dtype=complex)
+        modes.real = rng.choice(specials, modes.shape)
+        modes.imag = rng.choice(specials, modes.shape)
+        np.save(art / "modes_matrix.npy", modes)
         model, _ = cli._load_model(art)
-        assert model.basis.view(np.uint64).tolist() == written[0].view(np.uint64).tolist()
+        assert np.isrealobj(model.basis)
+        assert model.basis.view(complex).view(np.uint64).tolist() == modes.view(np.uint64).tolist()
 
     def test_rerun_replaces_a_pre_npy_directory(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -162,11 +181,14 @@ class TestDecompose:
         assert len(shown) == 2  # the planted pair and the real mode
         assert sorted(p.name for p in (art / "modes").iterdir()) == sorted(
             f"{index[j]}_{tag}.csv" for j in shown for tag in ("real", "imag", "abs"))
-        modes = np.load(art / "modes_matrix.npy")
-        assert modes.shape[1] == 3  # the matrix keeps every mode
-        for j in shown:
-            scale = np.linalg.norm(modes[:, j])
-            assert np.linalg.norm(modes[:, partner[j]] - modes[:, j].conj()) <= 1e-12 * scale
+        assert np.load(art / "modes_matrix.npy").shape[1] == len(shown)
+        # the stored columns and their conjugates are the fitted modes, partners included;
+        # index names each column's place in the fit before the amplitude sort
+        fit = exact_dmd(build_pairs(load_matrix(path)), rank=3).modes[:, index]
+        modes = every_mode(art)
+        for j in range(lam.size):
+            scale = np.linalg.norm(fit[:, j])
+            assert np.linalg.norm(modes[:, j] - fit[:, j]) <= 1e-12 * scale
         header = (art / "temporal.csv").read_text().splitlines()[0]
         assert header == ",".join(["t"] + [f"mode{index[j]}" for j in shown])
         assert lam[0].imag != 0  # the pair leads, and counts once
@@ -429,6 +451,50 @@ class TestSubtractMean:
         assert run("decompose", path, *flags) == 0  # replaces the directory
         assert not (out / "mean.csv").exists()
 
+    @pytest.fixture
+    def anomaly_model(self, tmp_path, rng):
+        """decompose --subtract-mean, masked and cycle-stacked, of two planted
+        oscillations on row offsets far from zero: the input, its load flags
+        and the artifacts."""
+        # whole periods of the stacked steps (20 of them), so the row means are the
+        # offsets and the anomalies are the two planted pairs: the fit is exact
+        lams = [np.exp(2j * np.pi / 10), np.exp(2j * np.pi / 20)]
+        X, _ = planted_matrix(12, 60, lams, [2.0, 1.0], seed=13)
+        path, mask, art = tmp_path / "data.csv", tmp_path / "mask.csv", tmp_path / "art"
+        save_matrix(SnapshotMatrix(X.data + rng.uniform(5.0, 10.0, (12, 1))), path, "csv")
+        mask.write_text("1,1,1,1\n1,0,1,1\n1,1,1,0\n")
+        load = ("--mask", mask, "--grid-shape", 3, 4, "--cycles", 3)
+        assert run("decompose", path, *load, "--rank", 4, "--subtract-mean", "--out", art) == 0
+        return path, load, art
+
+    def test_reconstruct_adds_the_mean_back(self, tmp_path, anomaly_model):
+        path, load, art = anomaly_model
+        out = tmp_path / "rec"
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--at", 10, "--at", 18,
+                   "--horizon", 4, "--input", path, *load, "--out", out) == 0
+        # the raw input, not its anomalies: without the mean each error would be about 1
+        errors = json.loads((out / "recon_report.json").read_text())["relative_errors"]
+        assert sorted(errors) == ["0", "10", "18"] and max(errors.values()) <= 1e-8
+        mean = np.loadtxt(art / "mean.csv", ndmin=1)
+        model, summary = cli._load_model(art)
+        anomaly = forecast(model, 4, summary["data_shape"][1] - 1)
+        written = np.loadtxt(out / "forecast.csv", delimiter=",", ndmin=2)
+        assert written.tobytes() == (anomaly + mean[:, None]).tobytes()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda mean_csv: mean_csv.unlink(), r"mean\.csv not found"),
+        (lambda mean_csv: np.savetxt(mean_csv, np.loadtxt(mean_csv)[:-1], fmt="%.17g"),
+         r"mean\.csv holds 29 values, the model has p=30"),
+    ], ids=["missing", "wrong-length"])
+    def test_unusable_mean_exits_2(self, tmp_path, anomaly_model, capsys, damage, message):
+        _, _, art = anomaly_model
+        damage(art / "mean.csv")
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        assert run("reconstruct", "--artifacts", art, "--horizon", 2, "--out", out) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestModesFormedOnce:
     """The amplitude problem is built from the modes' factors B W: sweep never
@@ -466,6 +532,34 @@ class TestModesFormedOnce:
         assert peak < 2 * modes_bytes  # never a second p x r complex array
         assert result.modes is modes  # formed once, then kept
 
+    @pytest.fixture
+    def written(self, tall, tmp_path):
+        """A fitted result, and the artifacts _write_decomposition wrote of it
+        with the peak bytes it allocated doing so. The grid writes one short
+        line per latitude, as a map does, not one p-wide line."""
+        X = SnapshotMatrix(tall[0].data, grid_shape=(40, self.P // 40))
+        args = cli.build_parser().parse_args(["decompose", "in.csv", "--rank", str(self.RANK)])
+        result, loss, admm = cli._fit(args, X)
+        art = tmp_path / "art"
+        art.mkdir()
+        _, peak = allocation_peak(cli._write_decomposition, art, args, X, result, loss, admm)
+        return result, art, peak
+
+    def test_write_allocates_no_complex_modes(self, tall, written):
+        _, modes_bytes = tall
+        result, art, peak = written
+        stored = np.load(art / "modes_matrix.npy")
+        assert stored.shape == (self.P, conjugate_representatives(result.eigenvalues).size)
+        assert peak < modes_bytes
+        assert "modes" not in vars(result)  # the cached p x r product was never formed
+
+    def test_load_allocates_no_complex_modes(self, tall, written):
+        _, modes_bytes = tall
+        _, art, _ = written
+        (model, _), peak = allocation_peak(cli._load_model, art)
+        assert peak < modes_bytes
+        assert np.isrealobj(model.basis) and model.basis.shape[1] < 2 * self.RANK
+
 
 class TestFullFitLoss:
     """summary.json's full_fit_loss_percent is the written model's residual,
@@ -485,9 +579,8 @@ class TestFullFitLoss:
         loss = json.loads((art / "summary.json").read_text())["full_fit_loss_percent"]
         rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
         lam, b = rows[:, 1] + 1j * rows[:, 2], rows[:, 6] + 1j * rows[:, 7]
-        modes = np.load(art / "modes_matrix.npy")
         Y = data[:, :-1]
-        fit = np.real((modes * b) @ lam[:, None] ** np.arange(Y.shape[1]))
+        fit = np.real((every_mode(art) * b) @ lam[:, None] ** np.arange(Y.shape[1]))
         oracle = 100 * np.linalg.norm(Y - fit) / np.linalg.norm(Y)
         assert 0 < oracle < 1e-5  # a close fit, where the expansion cancels
         assert abs(loss - oracle) <= 1e-6 * oracle
@@ -711,6 +804,28 @@ class TestReconstruct:
         for step in range(1, 4):
             np.testing.assert_allclose(fc[:, step], fc[:, 0], atol=1e-9)
 
+    @pytest.mark.parametrize("flags", [("--cycles", 3), ("--grid-shape", 3, 4),
+                                       ("--mask", "mask.csv"), ("--format", "raw-float64"),
+                                       ("--header",), ("--transpose",)],
+                             ids=lambda flags: flags[0])
+    def test_load_flag_without_input_is_usage_error(self, tmp_path, planted_csv, capsys,
+                                                    flags):
+        path, _ = planted_csv
+        art, out = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        capsys.readouterr()
+        assert run("reconstruct", "--artifacts", art, "--at", 0, *flags, "--out", out) == 1
+        assert f"{flags[0]} without --input" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_takes_no_subtract_mean_flag(self, tmp_path, planted_csv):
+        path, _ = planted_csv
+        art, out = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--input", path,
+                   "--subtract-mean", "--out", out) == 1
+        assert not out.exists()
+
     def test_missing_artifacts(self, tmp_path):
         assert run("reconstruct", "--artifacts", tmp_path / "ghost",
                    "--horizon", 2, "--out", tmp_path / "rec") == 2
@@ -728,7 +843,8 @@ class TestReconstruct:
     @pytest.mark.parametrize("bad, message", [
         (np.array([1, "a"], dtype=object), "Object arrays cannot be loaded"),
         (np.arange(12.0), r"holds float64 \(12,\)"),
-        (np.ones((12, 2), dtype=complex), r"holds complex128 \(12, 2\).* 3 columns"),
+        # the layout before one column per conjugate pair: a column per eigenvalue
+        (np.ones((12, 3), dtype=complex), r"holds complex128 \(12, 3\).* 2 columns"),
     ], ids=["object-dtype", "real-1d", "rank-mismatch"])
     def test_malformed_modes_matrix_rejected(self, tmp_path, planted_csv, capsys, bad, message):
         path, _ = planted_csv

@@ -48,7 +48,7 @@ class TestReconstruct:
     def test_k_zero_is_mode_amplitude_sum(self, rng):
         X, _ = planted_matrix(8, 30, [0.95 * np.exp(0.4j)], [1.5], seed=2)
         model = fitted_model(X)
-        got = reconstruct(model, 0)
+        got = reconstruct(model, 0)[0]
         want = np.real(sum(model.modes[:, j] * model.amplitudes[j] for j in range(model.rank)))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -56,7 +56,7 @@ class TestReconstruct:
         v = rng.standard_normal(6)
         model = single_mode_model(1.0, v, 1.0)
         for k in (0, 3, 17):
-            np.testing.assert_allclose(reconstruct(model, k), v, atol=1e-12)
+            np.testing.assert_allclose(reconstruct(model, k)[0], v, atol=1e-12)
 
     def test_exact_rank3_training_match(self):
         X, _ = planted_matrix(10, 25, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
@@ -64,14 +64,14 @@ class TestReconstruct:
         pair = build_pairs(X)
         for k in range(pair.Y.shape[1]):
             col = pair.Y[:, k]
-            err = np.linalg.norm(reconstruct(model, k) - col) / np.linalg.norm(col)
+            err = np.linalg.norm(reconstruct(model, k)[0] - col) / np.linalg.norm(col)
             assert err <= 1e-8
 
     def test_imag_residual_small_for_conjugate_complete(self, rng):
         lam = 0.9 * np.exp(0.8j)
         w = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         model = pair_model(lam, w, 1.3 + 0.2j)
-        _, resid = reconstruct(model, 5, return_residual=True)
+        _, resid = reconstruct(model, 5)
         assert resid <= 1e-6
 
     def test_negative_index(self, rng):
@@ -102,7 +102,7 @@ class TestReconstruct:
             for k in rng.integers(0, 80, 4).tolist():
                 want = np.real(modes @ np.diag(amps) @ lams ** k)
                 scale = np.abs(modes) @ np.abs(amps * lams ** k)
-                np.testing.assert_allclose(reconstruct(model, k), want, rtol=0,
+                np.testing.assert_allclose(reconstruct(model, k)[0], want, rtol=0,
                                            atol=1e-13 * scale.max())
 
     def test_matches_per_mode_sum_oracle(self):
@@ -116,7 +116,7 @@ class TestReconstruct:
             for j in range(fitted.rank):
                 want += fitted.modes[:, j] * (fitted.eigenvalues[j] ** k * fitted.amplitudes[j])
             tol = 1e-13 * np.linalg.norm(want)
-            assert np.linalg.norm(reconstruct(fitted, k) - want.real) <= tol
+            assert np.linalg.norm(reconstruct(fitted, k)[0] - want.real) <= tol
             assert np.linalg.norm(fc[:, k] - want.real) <= tol
 
 
@@ -361,13 +361,13 @@ class TestModelInvariants:
         Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
         amps = np.array([5.0, 3.0, 2.0, 0.5])  # already amplitude-sorted
         full = decomposition([0.9] * r, Q[:, :r].T, amps)
-        target = reconstruct(full, 0)
+        target = reconstruct(full, 0)[0]
 
         def sub_error(idx):
             idx = list(idx)
             sub = decomposition(full.eigenvalues[idx], full.modes[:, idx].T,
                                 full.amplitudes[idx])
-            return np.linalg.norm(reconstruct(sub, 0) - target)
+            return np.linalg.norm(reconstruct(sub, 0)[0] - target)
 
         for m in (1, 2, 3):
             best = sub_error(range(m))
