@@ -12,7 +12,7 @@ _EXPORTS = {
     "dmd": ("DecompositionResult", "ModeStats", "SvdFactors", "conjugate_pairs",
             "conjugate_representatives", "exact_dmd", "mode_stats", "truncated_svd",
             "vandermonde"),
-    "rom": ("forecast", "reconstruct", "temporal_dynamics"),
+    "rom": ("reconstruct", "temporal_dynamics"),
     "snapshots": ("SnapshotMatrix", "SnapshotPair", "build_pairs", "load_mask", "load_matrix",
                   "save_matrix", "stack_cycles", "subtract_mean", "unstack_cycles",
                   "write_csv"),

@@ -51,7 +51,6 @@ def companion_dmd(X: SnapshotMatrix) -> DecompositionResult:
         coefficients=T,
         amplitudes=None,
         method="cdmd",
-        dt_label=X.dt_label,
     )
 
 

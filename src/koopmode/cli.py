@@ -24,7 +24,7 @@ from . import __version__
 from .cdmd import companion_dmd
 from .dmd import (DecompositionResult, conjugate_pairs, conjugate_representatives,
                   exact_dmd, mode_stats, real_matmul)
-from .rom import forecast, reconstruct, temporal_dynamics
+from .rom import reconstruct, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
     build_pairs,
@@ -110,11 +110,9 @@ def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | 
     means it subtracted, else None."""
     if args.mask is not None and args.grid_shape is None:
         raise UsageError("--mask requires --grid-shape")
-    # reconstruct loads its --input without a --dt-label
     X = load_matrix(args.input, format=args.format, grid_shape=args.grid_shape,
                     header=args.header, transpose=args.transpose,
-                    mask=None if args.mask is None else load_mask(args.mask),
-                    **({"dt_label": args.dt_label} if "dt_label" in args else {}))
+                    mask=None if args.mask is None else load_mask(args.mask))
     if args.cycles > 1:
         X = stack_cycles(X, args.cycles)
     if getattr(args, "subtract_mean", False):  # reconstruct compares its --input raw
@@ -207,7 +205,7 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
         "data_shape": [int(X.p), int(X.n_steps)],
         "grid_shape": list(X.grid),
         "cycles": int(args.cycles),
-        "dt_label": result.dt_label,
+        "dt_label": args.dt_label,
         "full_fit_loss_percent": full_loss,
         "config": {k: v for k, v in vars(args).items() if k not in ("command", "run")},
     }
@@ -270,7 +268,6 @@ def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
         coefficients=coefficients.reshape(-1, lam.size),
         amplitudes=eig[:, 6] + 1j * eig[:, 7],
         method=summary["method"],
-        dt_label=summary["dt_label"],
         original_indices=eig[:, 0].astype(int),
     )
     return model, summary
@@ -305,10 +302,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                     "relative_errors": {}, "imag_residuals": {}}
     with _staged_output(args.out) as stage:
         for k in args.at:
-            vec, resid = reconstruct(model, k)
-            vec += mean
+            snapshot, resid = reconstruct(model, k, 1)
+            vec = snapshot[:, 0] + mean
             _float_csv(stage / f"recon_{k}.csv", vec[:, None])
-            report["imag_residuals"][str(k)] = resid
+            report["imag_residuals"][str(k)] = float(resid[0])
             if reference is not None:  # null past the input's last column
                 err = None
                 if k < reference.n_steps:
@@ -317,8 +314,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                     err = float(np.linalg.norm(vec - col) / denom)
                 report["relative_errors"][str(k)] = err
         if args.horizon is not None:
-            fc = forecast(model, args.horizon, n_train) + mean[:, None]
-            _float_csv(stage / "forecast.csv", fc)
+            _float_csv(stage / "forecast.csv",
+                       reconstruct(model, n_train, args.horizon)[0] + mean[:, None])
         (stage / "recon_report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -366,7 +363,7 @@ def cmd_ingest_info(args: argparse.Namespace) -> int:
     info = {
         "p": X.p,
         "n_steps": X.n_steps,
-        "dt_label": X.dt_label,
+        "dt_label": args.dt_label,
         "grid_shape": list(X.grid),
         "masked_points": int(X.mask.sum()) if X.mask is not None else None,
         "min": float(X.data.min()),

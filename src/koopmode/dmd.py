@@ -46,7 +46,6 @@ class DecompositionResult:
     coefficients: np.ndarray
     amplitudes: np.ndarray | None
     method: str
-    dt_label: str = "step"
     original_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -192,14 +191,13 @@ def exact_dmd(
         coefficients=W[:, order],
         amplitudes=None,
         method=f"{mode_style}-dmd",
-        dt_label=pair.dt_label,
     )
 
 
 def vandermonde(eigenvalues: np.ndarray, n_steps: int, start: int = 0) -> np.ndarray:
     """r x n_steps matrix with entry (i, k) = lambda_i^(start + k), by repeated
     multiplication from lambda^start; subnormal underflow clamps to zero. The
-    one source of eigenvalue powers: the fit, dynamics and forecast share it."""
+    one source of eigenvalue powers: the fit, the dynamics and reconstruct share it."""
     if n_steps < 1:
         raise ValueError("need at least one column")
     lam = np.asarray(eigenvalues, dtype=complex).reshape(-1)

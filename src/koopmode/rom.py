@@ -21,24 +21,31 @@ def _weighted_powers(result: DecompositionResult, start: int, n_steps: int,
     return vandermonde(result.eigenvalues[rows], n_steps, start) * result.amplitudes[rows, None]
 
 
-def _combine(result: DecompositionResult, weights: np.ndarray) -> np.ndarray:
-    """modes @ weights, as basis @ (coefficients @ weights): the modes are not formed."""
-    return real_matmul(result.basis, result.coefficients @ weights)
-
-
-def reconstruct(result: DecompositionResult, k: int) -> tuple[np.ndarray, float]:
-    """Real part of modes @ (amplitudes * eigenvalues^k), the snapshot at time
-    index k, and its relative imaginary residual: a diagnostic that should
-    vanish for conjugate-complete models, and warns when it does not."""
-    if k < 0:
+def reconstruct(result: DecompositionResult, start: int,
+                n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model's snapshots at steps start .. start + n_steps - 1, one column
+    each, Re(modes @ (amplitudes * eigenvalues^k)) formed as basis @
+    (coefficients @ weights) without the modes, and each column's relative
+    imaginary residual: a diagnostic that should vanish for conjugate-complete
+    models, and warns when it does not. A snapshot whose 2-norm is not finite
+    raises ValueError naming its step: a growing mode far out, whose sum of
+    squares overflows float64 once entries pass about 1e154."""
+    if start < 0:
         raise ValueError("time index must be nonnegative")
-    acc = _combine(result, _weighted_powers(result, k, 1))[:, 0]
-    real = np.real(acc)
-    denom = max(float(np.linalg.norm(real)), np.finfo(float).tiny)
-    residual = float(np.linalg.norm(np.imag(acc))) / denom
-    if residual > IMAG_RESIDUAL_TOL and np.linalg.norm(acc) > 0:
-        warnings.warn(f"reconstruction imaginary residual {residual:.3e}")
-    return real, residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = real_matmul(result.basis,
+                          result.coefficients @ _weighted_powers(result, start, n_steps))
+        norms = np.array([[np.linalg.norm(part[:, k]) for part in (acc.real, acc.imag)]
+                          for k in range(n_steps)])
+    bad = np.flatnonzero(~np.isfinite(norms).all(axis=1))
+    if bad.size:
+        raise ValueError(f"the snapshot at step {start + bad[0]} overflows float64")
+    residuals = norms[:, 1] / np.maximum(norms[:, 0], np.finfo(float).tiny)
+    worst = int(np.argmax(residuals))
+    if residuals[worst] > IMAG_RESIDUAL_TOL:
+        warnings.warn(f"reconstruction imaginary residual {residuals[worst]:.3e} "
+                      f"at step {start + worst}")
+    return acc.real, residuals
 
 
 def temporal_dynamics(result: DecompositionResult, n_steps: int,
@@ -46,20 +53,3 @@ def temporal_dynamics(result: DecompositionResult, n_steps: int,
     """Rows of Re(eigenvalue^t * amplitude) for t = 0..n_steps-1, one per mode
     in rows (default: every mode)."""
     return np.real(_weighted_powers(result, 0, n_steps, rows))
-
-
-def forecast(result: DecompositionResult, horizon: int, n_train: int) -> np.ndarray:
-    """Extrapolate the linear surrogate past the training window, one column
-    per step; growing modes may saturate at the float limit (warned, values
-    still returned)."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if n_train < 0:
-        raise ValueError("n_train must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.real(_combine(result, _weighted_powers(result, n_train, horizon)))
-    if not np.all(np.isfinite(out)):
-        warnings.warn("forecast overflowed for growing modes; saturating values")
-        out = np.nan_to_num(out, posinf=np.finfo(float).max, neginf=-np.finfo(float).max)
-    return out
-

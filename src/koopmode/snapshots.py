@@ -18,7 +18,6 @@ class SnapshotMatrix:
     data: np.ndarray
     grid_shape: tuple[int, int] | None = None
     mask: np.ndarray | None = None
-    dt_label: str = "step"
     cycles: int = 1  # snapshots stacked per column; grid and mask describe one of them
 
     def __post_init__(self) -> None:
@@ -84,7 +83,6 @@ class SnapshotPair:
 
     Y: np.ndarray
     Yplus: np.ndarray
-    dt_label: str = "step"
 
     def __post_init__(self) -> None:
         if self.Y.shape != self.Yplus.shape:
@@ -98,7 +96,6 @@ def load_matrix(
     *,
     header: bool = False,
     transpose: bool = False,
-    dt_label: str = "step",
     mask: np.ndarray | None = None,
 ) -> SnapshotMatrix:
     """Load a snapshot matrix from CSV or raw little-endian float64 + JSON sidecar.
@@ -130,7 +127,7 @@ def load_matrix(
         if mask.size != data.shape[0]:
             raise ValueError(f"mask has {mask.size} entries, data has {data.shape[0]} rows")
         data = data[mask]
-    return SnapshotMatrix(data, grid_shape=grid_shape, mask=mask, dt_label=dt_label)
+    return SnapshotMatrix(data, grid_shape=grid_shape, mask=mask)
 
 
 def save_matrix(X: SnapshotMatrix, path: str | Path, format: str = "csv") -> None:
@@ -169,23 +166,21 @@ def load_mask(path: str | Path) -> np.ndarray:
     return values == 1
 
 
-def stack_cycles(X: SnapshotMatrix, c: int, dt_label: str | None = None) -> SnapshotMatrix:
+def stack_cycles(X: SnapshotMatrix, c: int) -> SnapshotMatrix:
     """Stack c consecutive snapshots into one tall column (seasonal c=3, annual c=12)."""
     if c < 1:
         raise ValueError(f"cycle length must be >= 1, got {c}")
     if c > X.n_steps:
         raise ValueError(f"cycle length {c} exceeds N={X.n_steps}")
     if c == 1:
-        return X if dt_label is None else replace(X, dt_label=dt_label)
+        return X
     n_out = X.n_steps // c
     dropped = X.n_steps - n_out * c
     if dropped:
         warnings.warn(f"dropping {dropped} trailing snapshot(s) not filling a cycle of {c}")
     stacked = X.data[:, : n_out * c].reshape(X.p, n_out, c)
     stacked = np.ascontiguousarray(stacked.transpose(2, 0, 1)).reshape(X.p * c, n_out)
-    return SnapshotMatrix(stacked, grid_shape=X.grid_shape, mask=X.mask,
-                          dt_label=dt_label if dt_label is not None else X.dt_label,
-                          cycles=X.cycles * c)
+    return SnapshotMatrix(stacked, grid_shape=X.grid_shape, mask=X.mask, cycles=X.cycles * c)
 
 
 def unstack_cycles(X: SnapshotMatrix, c: int) -> np.ndarray:
@@ -199,7 +194,7 @@ def unstack_cycles(X: SnapshotMatrix, c: int) -> np.ndarray:
 
 def build_pairs(X: SnapshotMatrix) -> SnapshotPair:
     """Split into the zero-lag matrix Y and its one-step-shifted copy Yplus."""
-    return SnapshotPair(Y=X.data[:, :-1], Yplus=X.data[:, 1:], dt_label=X.dt_label)
+    return SnapshotPair(Y=X.data[:, :-1], Yplus=X.data[:, 1:])
 
 
 def subtract_mean(X: SnapshotMatrix) -> tuple[SnapshotMatrix, np.ndarray]:

@@ -26,11 +26,11 @@ def planted_snapshots(p: int, n_steps: int, lams, coeffs, rng) -> tuple[np.ndarr
     return Y, full
 
 
-def planted_matrix(p: int, n_steps: int, lams, coeffs, seed: int = 0,
-                   dt_label: str = "step") -> tuple[SnapshotMatrix, list]:
+def planted_matrix(p: int, n_steps: int, lams, coeffs,
+                   seed: int = 0) -> tuple[SnapshotMatrix, list]:
     rng = np.random.default_rng(seed)
     Y, full = planted_snapshots(p, n_steps, lams, coeffs, rng)
-    return SnapshotMatrix(Y, dt_label=dt_label), full
+    return SnapshotMatrix(Y), full
 
 
 def random_unitary(n: int, rng) -> np.ndarray:

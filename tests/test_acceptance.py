@@ -244,7 +244,7 @@ def test_criterion_10_real_dataset_regressions():
     ok = abs(max_loss - 5.034) <= 1.0
 
     # seasonal sweep endpoints against the published table
-    Xs = stack_cycles(X, 3, dt_label="season")
+    Xs = stack_cycles(X, 3)
     pair_s = build_pairs(Xs)
     base_s = exact_dmd(pair_s)
     form_s = quadratic_form(pair_s.Y, base_s.basis, base_s.coefficients, base_s.eigenvalues)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, conjugate_pairs,
-                      conjugate_representatives, exact_dmd, forecast, gamma_sweep, load_matrix,
-                      log_gamma_grid, quadratic_form, save_matrix, stack_cycles,
+                      conjugate_representatives, exact_dmd, gamma_sweep, load_matrix,
+                      log_gamma_grid, quadratic_form, reconstruct, save_matrix, stack_cycles,
                       truncated_svd, write_csv)
 from koopmode.dmd import real_matmul
 from koopmode import __main__ as entry, cli, dmd, spdmd
@@ -477,7 +477,7 @@ class TestSubtractMean:
         assert sorted(errors) == ["0", "10", "18"] and max(errors.values()) <= 1e-8
         mean = np.loadtxt(art / "mean.csv", ndmin=1)
         model, summary = cli._load_model(art)
-        anomaly = forecast(model, 4, summary["data_shape"][1] - 1)
+        anomaly = reconstruct(model, summary["data_shape"][1] - 1, 4)[0]
         written = np.loadtxt(out / "forecast.csv", delimiter=",", ndmin=2)
         assert written.tobytes() == (anomaly + mean[:, None]).tobytes()
 
@@ -803,6 +803,22 @@ class TestReconstruct:
         fc = np.loadtxt(out / "forecast.csv", delimiter=",", ndmin=2)
         for step in range(1, 4):
             np.testing.assert_allclose(fc[:, step], fc[:, 0], atol=1e-9)
+
+    @pytest.mark.parametrize("request_flags", [("--horizon", 20000), ("--at", 20000)],
+                             ids=["horizon", "at"])
+    def test_overflowing_snapshot_exits_2(self, tmp_path, capsys, request_flags):
+        # a 1.05-growth mode: its snapshots' sum of squares overflows float64 near
+        # step 7,000, so neither request can be written
+        X, _ = planted_matrix(8, 40, [1.05, 0.9 * np.exp(0.5j)], [1.0, 1.0], seed=5)
+        path, art, out = tmp_path / "data.csv", tmp_path / "art", tmp_path / "rec"
+        save_matrix(X, path, "csv")
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        capsys.readouterr()
+        assert run("reconstruct", "--artifacts", art, "--at", 0, *request_flags,
+                   "--out", out) == 2
+        assert re.search(r"error: the snapshot at step \d+ overflows float64",
+                         capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [("--cycles", 3), ("--grid-shape", 3, 4),
                                        ("--mask", "mask.csv"), ("--format", "raw-float64"),

@@ -10,7 +10,6 @@ from koopmode import (
     conjugate_pairs,
     conjugate_representatives,
     exact_dmd,
-    forecast,
     mode_stats,
     optimal_amplitudes,
     quadratic_form,
@@ -48,7 +47,7 @@ class TestReconstruct:
     def test_k_zero_is_mode_amplitude_sum(self, rng):
         X, _ = planted_matrix(8, 30, [0.95 * np.exp(0.4j)], [1.5], seed=2)
         model = fitted_model(X)
-        got = reconstruct(model, 0)[0]
+        got = reconstruct(model, 0, 1)[0][:, 0]
         want = np.real(sum(model.modes[:, j] * model.amplitudes[j] for j in range(model.rank)))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -56,7 +55,7 @@ class TestReconstruct:
         v = rng.standard_normal(6)
         model = single_mode_model(1.0, v, 1.0)
         for k in (0, 3, 17):
-            np.testing.assert_allclose(reconstruct(model, k)[0], v, atol=1e-12)
+            np.testing.assert_allclose(reconstruct(model, k, 1)[0][:, 0], v, atol=1e-12)
 
     def test_exact_rank3_training_match(self):
         X, _ = planted_matrix(10, 25, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
@@ -64,30 +63,30 @@ class TestReconstruct:
         pair = build_pairs(X)
         for k in range(pair.Y.shape[1]):
             col = pair.Y[:, k]
-            err = np.linalg.norm(reconstruct(model, k)[0] - col) / np.linalg.norm(col)
+            err = np.linalg.norm(reconstruct(model, k, 1)[0][:, 0] - col) / np.linalg.norm(col)
             assert err <= 1e-8
 
     def test_imag_residual_small_for_conjugate_complete(self, rng):
         lam = 0.9 * np.exp(0.8j)
         w = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         model = pair_model(lam, w, 1.3 + 0.2j)
-        _, resid = reconstruct(model, 5)
+        _, (resid,) = reconstruct(model, 5, 1)
         assert resid <= 1e-6
 
     def test_negative_index(self, rng):
         one = single_mode_model(1.0, rng.standard_normal(3), 1.0)
         with pytest.raises(ValueError):
-            reconstruct(one, -1)
+            reconstruct(one, -1, 1)
 
     def test_needs_amplitudes_and_modes(self, rng):
         one = single_mode_model(1.0, rng.standard_normal(3), 1.0)
         unfitted = DecompositionResult(one.eigenvalues, one.basis, one.coefficients, None, "test")
         with pytest.raises(ValueError, match="amplitudes"):
-            reconstruct(unfitted, 0)
+            reconstruct(unfitted, 0, 1)
         empty = DecompositionResult(np.zeros(0, complex), np.zeros((3, 0)), np.zeros((0, 0)),
                                     np.zeros(0, complex), "test")
         with pytest.raises(ValueError, match="no modes"):
-            forecast(empty, 2, 0)
+            reconstruct(empty, 0, 2)
 
     @pytest.mark.filterwarnings("ignore:reconstruction imaginary residual")
     def test_matches_vandermonde_product_on_random_models(self):
@@ -102,7 +101,7 @@ class TestReconstruct:
             for k in rng.integers(0, 80, 4).tolist():
                 want = np.real(modes @ np.diag(amps) @ lams ** k)
                 scale = np.abs(modes) @ np.abs(amps * lams ** k)
-                np.testing.assert_allclose(reconstruct(model, k)[0], want, rtol=0,
+                np.testing.assert_allclose(reconstruct(model, k, 1)[0][:, 0], want, rtol=0,
                                            atol=1e-13 * scale.max())
 
     def test_matches_per_mode_sum_oracle(self):
@@ -110,14 +109,34 @@ class TestReconstruct:
         # matrix product replaced, within a tolerance for summation order
         X, _ = planted_matrix(10, 25, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
         fitted = fitted_model(X)
-        fc = forecast(fitted, 61, 0)
+        fc = reconstruct(fitted, 0, 61)[0]
         for k in (0, 7, 24, 60):
             want = np.zeros(10, dtype=complex)
             for j in range(fitted.rank):
                 want += fitted.modes[:, j] * (fitted.eigenvalues[j] ** k * fitted.amplitudes[j])
             tol = 1e-13 * np.linalg.norm(want)
-            assert np.linalg.norm(reconstruct(fitted, k)[0] - want.real) <= tol
+            assert np.linalg.norm(reconstruct(fitted, k, 1)[0][:, 0] - want.real) <= tol
             assert np.linalg.norm(fc[:, k] - want.real) <= tol
+
+    def test_window_columns_match_single_steps(self):
+        # each step of a window is the single-step call's snapshot, to roundoff:
+        # the window powers come by recurrence, a single step's from pow
+        X, _ = planted_matrix(10, 25, [1.02 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
+        fitted = fitted_model(X)
+        window, residuals = reconstruct(fitted, 7, 40)
+        assert window.shape == (10, 40) and residuals.shape == (40,)
+        for j in range(40):
+            single, (resid,) = reconstruct(fitted, 7 + j, 1)
+            np.testing.assert_allclose(window[:, j], single[:, 0], rtol=0,
+                                       atol=1e-12 * np.linalg.norm(single))
+            assert abs(residuals[j] - resid) <= 1e-12
+
+    def test_residual_warning_names_the_worst_step(self):
+        # without its conjugate partner, Re(i^k v) vanishes at odd k
+        model = single_mode_model(1j, np.ones(3), 1.0)
+        with pytest.warns(UserWarning, match="reconstruction imaginary residual .* at step 1$"):
+            _, residuals = reconstruct(model, 0, 4)
+        assert residuals[0] == residuals[2] == 0 and residuals[1] > 1e300
 
 
 def conjugate_representatives_loop(eigenvalues: np.ndarray) -> list[int]:
@@ -234,14 +253,14 @@ class TestForecast:
     def test_stationary_forecast_constant(self, rng):
         v = rng.standard_normal(4)
         model = single_mode_model(1.0, v, 2.0)
-        fc = forecast(model, 5, 10)
+        fc = reconstruct(model, 10, 5)[0]
         for step in range(5):
             np.testing.assert_allclose(fc[:, step], 2.0 * v, atol=1e-12)
 
     def test_geometric_decay(self, rng):
         v = rng.standard_normal(4)
         model = single_mode_model(0.5, v, 1.0)
-        fc = forecast(model, 50, 0)
+        fc = reconstruct(model, 0, 50)[0]
         norms = np.linalg.norm(fc, axis=0)
         ratios = norms[1:] / norms[:-1]
         assert np.max(np.abs(ratios - 0.5)) <= 1e-10
@@ -251,23 +270,51 @@ class TestForecast:
         train = X.data[:, :50]
         from koopmode import SnapshotMatrix
         model = fitted_model(SnapshotMatrix(train))
-        fc = forecast(model, 10, 50)
+        fc = reconstruct(model, 50, 10)[0]
         held_out = X.data[:, 50:60]
         for step in range(10):
             err = (np.linalg.norm(fc[:, step] - held_out[:, step])
                    / np.linalg.norm(held_out[:, step]))
             assert err <= 1e-6
 
-    def test_growing_mode_saturates_with_warning(self, rng):
-        model = single_mode_model(4.0, rng.standard_normal(3), 1.0)
-        with pytest.warns(UserWarning, match="overflow"):
-            fc = forecast(model, 3, 600)
-        assert np.all(np.isfinite(fc))
+    def test_growing_mode_overflow_raises(self, rng):
+        """A snapshot whose norm overflows is an error naming its step, not
+        zeros or NaN: past step 512 4**k overflows, and inf * 0 gives NaN."""
+        v = rng.standard_normal(3)
+        model = single_mode_model(4.0, v, 1.0)
+        with pytest.raises(ValueError, match="step 600 overflows"):
+            reconstruct(model, 600, 3)
+        # entries near 1e304 are finite, but their sum of squares is not
+        assert np.all(np.isfinite(4.0 ** 505 * v))
+        with pytest.raises(ValueError, match="step 505 overflows"):
+            reconstruct(model, 505, 1)
+        # a window names its first such step; each step scales the sum of squares
+        # by 16, so the window's roundoff cannot move the step the oracle finds
+        with np.errstate(over="ignore"):
+            first = next(k for k in range(200, 300)
+                         if not np.isfinite(np.linalg.norm(4.0 ** k * v)))
+        with pytest.raises(ValueError, match=f"step {first} overflows"):
+            reconstruct(model, 200, 100)
+        snapshot, _ = reconstruct(model, 200, 1)
+        assert np.all(np.isfinite(snapshot)) and np.all(snapshot != 0)
+        np.testing.assert_allclose(snapshot[:, 0], 4.0 ** 200 * v, rtol=1e-12)
+
+    def test_growing_pair_overflow_raises(self, rng):
+        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        model = pair_model(1.5 * np.exp(0.7j), w, 0.8 - 0.3j)
+        with pytest.raises(ValueError, match="step 2000 overflows"):
+            reconstruct(model, 2000, 2)
+        with pytest.raises(ValueError, match=r"step \d+ overflows") as info:
+            reconstruct(model, 0, 2000)
+        first = int(str(info.value).split("step ")[1].split()[0])
+        assert 800 < first < 1000  # 1.5**k * |w| * |b| near 1e154
+        snapshots, residuals = reconstruct(model, 0, first)  # the steps before it
+        assert np.all(np.isfinite(snapshots)) and residuals.max() <= 1e-12
 
     def test_invalid_horizon(self, rng):
         model = single_mode_model(1.0, rng.standard_normal(2), 1.0)
         with pytest.raises(ValueError):
-            forecast(model, 0, 5)
+            reconstruct(model, 5, 0)
 
 
 def on_grid(vec, grid_shape, mask=None, cycles=1) -> np.ndarray:
@@ -361,13 +408,13 @@ class TestModelInvariants:
         Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
         amps = np.array([5.0, 3.0, 2.0, 0.5])  # already amplitude-sorted
         full = decomposition([0.9] * r, Q[:, :r].T, amps)
-        target = reconstruct(full, 0)[0]
+        target = reconstruct(full, 0, 1)[0][:, 0]
 
         def sub_error(idx):
             idx = list(idx)
             sub = decomposition(full.eigenvalues[idx], full.modes[:, idx].T,
                                 full.amplitudes[idx])
-            return np.linalg.norm(reconstruct(sub, 0)[0] - target)
+            return np.linalg.norm(reconstruct(sub, 0, 1)[0][:, 0] - target)
 
         for m in (1, 2, 3):
             best = sub_error(range(m))
