@@ -13,9 +13,8 @@ _EXPORTS = {
             "conjugate_representatives", "exact_dmd", "mode_stats", "truncated_svd",
             "vandermonde"),
     "rom": ("reconstruct", "temporal_dynamics"),
-    "snapshots": ("SnapshotMatrix", "SnapshotPair", "build_pairs", "load_mask", "load_matrix",
-                  "save_matrix", "stack_cycles", "subtract_mean", "unstack_cycles",
-                  "write_csv"),
+    "snapshots": ("SnapshotMatrix", "load_mask", "load_matrix", "save_matrix", "stack_cycles",
+                  "subtract_mean", "unstack_cycles", "write_csv"),
     "spdmd": ("AdmmParams", "QuadraticForm", "SparseSolution", "admm_solve", "gamma_sweep",
               "log_gamma_grid", "optimal_amplitudes", "performance_loss", "polish",
               "quadratic_form", "select_modes", "solve_at_gamma"),

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 
 from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT
-from .snapshots import SnapshotMatrix
 
 LSTSQ_RCOND = 1e-10
 
@@ -20,14 +19,13 @@ def companion_matrix(coefficients: np.ndarray) -> np.ndarray:
     return C
 
 
-def fit_companion(X: SnapshotMatrix) -> np.ndarray:
+def fit_companion(data: np.ndarray) -> np.ndarray:
     """Last-column coefficients of the companion matrix: the minimum-norm
-    least-squares fit of the final snapshot on its predecessors."""
-    if X.n_steps < 3:
-        raise ValueError(f"companion fit needs N >= 3, got N={X.n_steps}")
-    K = X.data[:, :-1]
-    target = X.data[:, -1]
-    c, _, rank, _ = np.linalg.lstsq(K, target, rcond=LSTSQ_RCOND)
+    least-squares fit of the final snapshot of the p x N data on its predecessors."""
+    if data.shape[1] < 3:
+        raise ValueError(f"companion fit needs N >= 3, got N={data.shape[1]}")
+    K = data[:, :-1]
+    c, _, rank, _ = np.linalg.lstsq(K, data[:, -1], rcond=LSTSQ_RCOND)
     if rank < K.shape[1]:
         warnings.warn(
             f"rank-deficient Krylov sequence (rank {rank} of {K.shape[1]}), "
@@ -36,18 +34,18 @@ def fit_companion(X: SnapshotMatrix) -> np.ndarray:
     return c
 
 
-def companion_dmd(X: SnapshotMatrix) -> DecompositionResult:
-    """Companion-operator decomposition: eigenvalues of the (N-1)x(N-1) companion
-    matrix and modes K T, held as the Krylov basis K = X.data[:, :-1] and the
-    eigenvectors T, in eigensolver order. Amplitudes are left unset; fit them
-    against K."""
-    evals, T = np.linalg.eig(companion_matrix(fit_companion(X)))
+def companion_dmd(data: np.ndarray) -> DecompositionResult:
+    """Companion-operator decomposition of the p x N snapshots data: eigenvalues
+    of the (N-1)x(N-1) companion matrix and modes K T, held as the Krylov basis
+    K = data[:, :-1] and the eigenvectors T, in eigensolver order. Amplitudes
+    are left unset; fit them against K."""
+    evals, T = np.linalg.eig(companion_matrix(fit_companion(data)))
     cond = np.linalg.cond(T)
     if cond > EIGENBASIS_COND_LIMIT:
         warnings.warn(f"near-defective companion eigenbasis, condition {cond:.3e}")
     return DecompositionResult(
         eigenvalues=evals,
-        basis=X.data[:, :-1],
+        basis=data[:, :-1],
         coefficients=T,
         amplitudes=None,
         method="cdmd",

@@ -27,7 +27,6 @@ from .dmd import (DecompositionResult, conjugate_pairs, conjugate_representative
 from .rom import reconstruct, temporal_dynamics
 from .snapshots import (
     SnapshotMatrix,
-    build_pairs,
     load_mask,
     load_matrix,
     stack_cycles,
@@ -146,10 +145,9 @@ def _decompose(args: argparse.Namespace,
     """The selected decomposition, amplitudes unset, and the quadratic form of
     its fit against the zero-lag snapshots, in the same column order, built
     from the modes' factors without forming them."""
-    pair = build_pairs(X)
-    base = (companion_dmd(X) if args.method == "cdmd"
-            else exact_dmd(pair, rank=args.rank, mode_style=args.mode_style))
-    return base, quadratic_form(pair.Y, base.basis, base.coefficients, base.eigenvalues)
+    base = (companion_dmd(X.data) if args.method == "cdmd"
+            else exact_dmd(X.data, rank=args.rank, mode_style=args.mode_style))
+    return base, quadratic_form(X.data[:, :-1], base.basis, base.coefficients, base.eigenvalues)
 
 
 def _fit(args: argparse.Namespace,
@@ -388,7 +386,7 @@ def _bounded(cast: type, low: float, strict: bool = False):
 
 def _add_load_args(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
     sub.add_argument("--format", choices=("csv", "raw-float64"), default="csv")
-    sub.add_argument("--header", action="store_true", help="skip one CSV header line")
+    sub.add_argument("--header", action="store_true", help="skip one CSV header line (csv only)")
     sub.add_argument("--transpose", action="store_true",
                      help="input is time x space instead of space x time")
     sub.add_argument("--grid-shape", nargs=2, type=int, metavar=("NLAT", "NLON"))

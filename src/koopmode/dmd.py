@@ -8,8 +8,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .snapshots import SnapshotPair
-
 RANK_TOL = 1e-10
 EIGENBASIS_COND_LIMIT = 1e12
 CONJUGATE_TOL = 1e-8
@@ -163,11 +161,12 @@ def adjoint_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def exact_dmd(
-    pair: SnapshotPair,
+    data: np.ndarray,
     rank: int | None = None,
     mode_style: str = "exact",
 ) -> DecompositionResult:
-    """Eigendecompose the compressed one-step operator U* Yplus V S^-1.
+    """Eigendecompose the compressed one-step operator U* Yplus V S^-1 of the
+    p x N snapshots data, Y = data[:, :-1] = U S V* and Yplus = data[:, 1:].
 
     Modes are Yplus V S^-1 W ("exact") or U W ("projected"), held as that
     basis and the eigenvectors W, with columns normalized to unit 2-norm and
@@ -176,8 +175,8 @@ def exact_dmd(
     """
     if mode_style not in MODE_STYLES:
         raise ValueError(f"mode_style must be one of {MODE_STYLES}")
-    f = truncated_svd(pair.Y, rank)
-    propagate = pair.Yplus @ (f.V / f.S)
+    f = truncated_svd(data[:, :-1], rank)
+    propagate = data[:, 1:] @ (f.V / f.S)
     atilde = adjoint_matmul(f.U, propagate)
     evals, W = np.linalg.eig(atilde)
     W = W / np.linalg.norm(W, axis=0)

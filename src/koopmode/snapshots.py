@@ -1,4 +1,4 @@
-"""Snapshot ingestion: loading, masking, cycle stacking, and time-shift pairing."""
+"""Snapshot ingestion: loading, masking, and cycle stacking."""
 from __future__ import annotations
 
 import json
@@ -77,18 +77,6 @@ class SnapshotMatrix:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class SnapshotPair:
-    """Time-shifted copies: Yplus[:, k] is the successor of Y[:, k]."""
-
-    Y: np.ndarray
-    Yplus: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.Y.shape != self.Yplus.shape:
-            raise ValueError("Y and Yplus must have identical shapes")
-
-
 def load_matrix(
     path: str | Path,
     format: str = "csv",
@@ -99,13 +87,16 @@ def load_matrix(
     mask: np.ndarray | None = None,
 ) -> SnapshotMatrix:
     """Load a snapshot matrix from CSV or raw little-endian float64 + JSON sidecar.
-    With a mask, one boolean per row read, only the rows it flags true are
-    kept, so the rows it drops may hold NaN or inf."""
+    header skips one CSV line; raw input has no header line to skip. With a
+    mask, one boolean per row read, only the rows it flags true are kept, so
+    the rows it drops may hold NaN or inf."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    if header and format != "csv":
+        raise ValueError(f"header applies to csv input only, not {format}")
     if format == "csv":
         data = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
     else:
@@ -190,11 +181,6 @@ def unstack_cycles(X: SnapshotMatrix, c: int) -> np.ndarray:
     base = X.p // c
     cols = X.data.reshape(c, base, X.n_steps).transpose(1, 2, 0)
     return np.ascontiguousarray(cols).reshape(base, X.n_steps * c)
-
-
-def build_pairs(X: SnapshotMatrix) -> SnapshotPair:
-    """Split into the zero-lag matrix Y and its one-step-shifted copy Yplus."""
-    return SnapshotPair(Y=X.data[:, :-1], Yplus=X.data[:, 1:])
 
 
 def subtract_mean(X: SnapshotMatrix) -> tuple[SnapshotMatrix, np.ndarray]:

@@ -87,12 +87,12 @@ class QuadraticForm:
     def size(self) -> int:
         return self.q.shape[0]
 
-    def to_basis(self, b: np.ndarray, keep_imag: bool = False) -> np.ndarray:
-        """Coordinates T* b of amplitudes b. On a real form, unless keep_imag,
-        their real part: b's projection on the conjugate-paired amplitudes."""
+    def to_basis(self, b: np.ndarray) -> np.ndarray:
+        """Coordinates T* b of amplitudes b, complex: on a real form their
+        imaginary part is b's component off the conjugate-paired amplitudes."""
         y = np.array(b, dtype=complex).reshape(-1)
         _pair_combine(y, *_pairs(self.partner), -1j)
-        return y if keep_imag or np.iscomplexobj(self.P) else y.real.copy()
+        return y
 
     def from_basis(self, y: np.ndarray) -> np.ndarray:
         """Amplitudes b = T y of coordinates y in the form's basis."""
@@ -106,7 +106,7 @@ class QuadraticForm:
         """Value of the reconstruction objective at amplitude vector b, split
         at the optimum from b's coordinates T* b: exact for any b,
         conjugate-paired or not."""
-        d = self.to_basis(b, keep_imag=True) - self.optimum
+        d = self.to_basis(b) - self.optimum
         Pd = real_matmul(self.P, d[:, None])[:, 0]  # a real P is not cast to complex
         val = (self.floor + np.real(np.vdot(d, Pd))
                - 2.0 * np.real(np.vdot(self.normal_residual, d)))
@@ -188,13 +188,16 @@ class AdmmParams:
 
 @dataclass
 class AdmmResult:
-    z: np.ndarray  # the amplitudes: the sparse iterate, or at gamma = 0 the least-squares optimum
+    """The splitting's state, in the form's coordinates y = T* b: a later
+    solve started from it resumes at its z, u and rho."""
+
+    z: np.ndarray  # the sparse iterate, or at gamma = 0 the minimum-norm optimum
     iterations: int
     converged: bool
     primal_residual: float
     dual_residual: float
     rho: float
-    u: np.ndarray = field(repr=False, default=None)
+    u: np.ndarray = field(repr=False)  # the multiplier over rho
 
 
 def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
@@ -271,32 +274,31 @@ def admm_solve(
     form: QuadraticForm,
     gamma: float,
     params: AdmmParams = AdmmParams(),
-    z0: np.ndarray | None = None,
-    u0: np.ndarray | None = None,
+    start: AdmmResult | None = None,
 ) -> AdmmResult:
     """Minimize the l1-regularized amplitude objective by alternating directions.
 
     x-update solves (2P + rho I) x = 2q + rho (z - u) as one product with the
     form's cached x_update operator; z-update soft-thresholds at gamma/rho.
-    Both run in the form's basis, in real arithmetic on a real form; z0 and
-    u0 are amplitudes, and so are the result's z and u.
-    rho starts at params.rho, the rho that u0 is scaled by, and moves by
-    residual balancing; the result holds the final rho. gamma = 0
-    short-circuits to the minimum-norm least-squares amplitudes.
+    Both run in the form's coordinates, in real arithmetic on a real form,
+    and the result holds them: form.from_basis(z) gives the amplitudes.
+    The state (z, u, rho) starts at start's, else at zeros and params.rho;
+    rho moves by residual balancing, and the result holds the final rho.
+    gamma = 0 short-circuits to the minimum-norm least-squares optimum.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     if params.rho <= 0:
         raise ValueError("rho must be positive")
     r = form.size
+    rho = params.rho if start is None else start.rho
     if gamma == 0.0:
-        return AdmmResult(z=optimal_amplitudes(form), iterations=0, converged=True,
-                          primal_residual=0.0, dual_residual=0.0, rho=params.rho,
-                          u=np.zeros(r, dtype=complex))
-    rho = params.rho
+        return AdmmResult(z=_min_norm(*form.eigh, form.q), iterations=0, converged=True,
+                          primal_residual=0.0, dual_residual=0.0, rho=rho,
+                          u=np.zeros(r, dtype=form.q.dtype))
     A, c = form.x_update(rho)
-    z = np.zeros(r, dtype=c.dtype) if z0 is None else form.to_basis(z0)
-    u = np.zeros(r, dtype=c.dtype) if u0 is None else form.to_basis(u0)
+    zero = np.zeros(r, dtype=c.dtype)  # no iterate is updated in place
+    z, u = (zero, zero) if start is None else (start.z, start.u)
     kappa = gamma / rho
     sqrt_r = np.sqrt(r)
     prim = dual = np.inf
@@ -311,9 +313,8 @@ def admm_solve(
         eps_prim = params.eps_abs * sqrt_r + params.eps_rel * max(_norm(x), _norm(z))
         eps_dual = params.eps_abs * sqrt_r + params.eps_rel * rho * _norm(u)
         if prim <= eps_prim and dual <= eps_dual:
-            return AdmmResult(z=form.from_basis(z), iterations=it, converged=True,
-                              primal_residual=prim, dual_residual=dual, rho=rho,
-                              u=form.from_basis(u))
+            return AdmmResult(z=z, iterations=it, converged=True,
+                              primal_residual=prim, dual_residual=dual, rho=rho, u=u)
         if (changes_left and it % RHO_CHECK_EVERY == 0
                 and max(prim, dual) > RHO_MU * min(prim, dual)):
             scale = RHO_TAU if prim > dual else 1.0 / RHO_TAU
@@ -326,17 +327,17 @@ def admm_solve(
         f"splitting did not converge in {params.max_iter} iterations "
         f"(primal {prim:.3e}, dual {dual:.3e})"
     )
-    return AdmmResult(z=form.from_basis(z), iterations=params.max_iter, converged=False,
-                      primal_residual=prim, dual_residual=dual, rho=rho, u=form.from_basis(u))
+    return AdmmResult(z=z, iterations=params.max_iter, converged=False,
+                      primal_residual=prim, dual_residual=dual, rho=rho, u=u)
 
 
-def detect_support(b: np.ndarray) -> np.ndarray:
-    """Indices with |b_i| above ZERO_REL_TOL times the largest magnitude."""
-    mag = np.abs(np.asarray(b))
-    peak = mag.max(initial=0.0)
-    if peak == 0.0:
-        return np.array([], dtype=int)
-    return np.flatnonzero(mag > ZERO_REL_TOL * peak)
+def detect_support(v: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Indices of the coordinates v whose magnitude, grouped by partner as
+    soft_threshold groups it, is above ZERO_REL_TOL times the largest: a pair
+    is taken or left whole."""
+    mag = np.abs(v)
+    mag = np.hypot(mag, mag[partner])
+    return np.flatnonzero(mag > ZERO_REL_TOL * mag.max(initial=0.0))
 
 
 def _min_norm(lam: np.ndarray, Q: np.ndarray, q: np.ndarray, warn: bool = True) -> np.ndarray:
@@ -400,12 +401,12 @@ def solve_at_gamma(
     form: QuadraticForm,
     gamma: float,
     params: AdmmParams = AdmmParams(),
-    z0: np.ndarray | None = None,
-    u0: np.ndarray | None = None,
+    start: AdmmResult | None = None,
 ) -> tuple[SparseSolution, AdmmResult]:
-    """One sweep entry: split, detect support, polish, score."""
-    admm = admm_solve(form, gamma, params, z0=z0, u0=u0)
-    support = detect_support(admm.z)
+    """One sweep entry: split (from start, as admm_solve), detect support,
+    polish, score."""
+    admm = admm_solve(form, gamma, params, start)
+    support = detect_support(admm.z, form.partner)
     b_pol = polish(form, support)
     cost = form.objective(b_pol)
     solution = SparseSolution(
@@ -443,20 +444,19 @@ def gamma_sweep(
     params: AdmmParams = AdmmParams(),
 ) -> list[SparseSolution]:
     """Solve ascending in gamma, warm-starting each solve from the previous one's
-    z, u and final rho (disable via params.warm_start for independent
-    evaluation, every solve then starting at params.rho)."""
+    state: z, u and final rho (disable via params.warm_start for independent
+    evaluation, every solve then starting from zeros at params.rho)."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if gammas.size == 0:
         raise ValueError("gamma grid is empty")
     if np.any(gammas < 0):
         raise ValueError("gammas must be nonnegative")
     solutions: list[SparseSolution] = []
-    z0 = u0 = None
+    start = None
     for gamma in np.sort(gammas, kind="stable"):
-        sol, admm = solve_at_gamma(form, gamma, params, z0=z0, u0=u0)
+        sol, admm = solve_at_gamma(form, gamma, params, start)
         solutions.append(sol)
-        if params.warm_start:
-            z0, u0, params = admm.z, admm.u, replace(params, rho=admm.rho)
+        start = admm if params.warm_start else None
     return solutions
 
 

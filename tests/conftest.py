@@ -40,11 +40,11 @@ def random_unitary(n: int, rng) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-def real_exponentials(rng, p: int, lams, n_steps: int) -> SnapshotMatrix:
+def real_exponentials(rng, p: int, lams, n_steps: int) -> np.ndarray:
     """Data whose every eigenvalue is real: y_k = sum_j a_j lam_j^k, random real a_j.
     np.linalg.eig returns float64 eigenvectors for such a spectrum."""
     lams = np.asarray(lams, dtype=float)
-    return SnapshotMatrix(rng.standard_normal((p, lams.size)) @ lams[:, None] ** np.arange(n_steps))
+    return rng.standard_normal((p, lams.size)) @ lams[:, None] ** np.arange(n_steps)
 
 
 def allocation_peak(fn, *args):

@@ -16,7 +16,6 @@ from koopmode import (
     AdmmParams,
     SnapshotMatrix,
     admm_solve,
-    build_pairs,
     companion_dmd,
     exact_dmd,
     gamma_sweep,
@@ -47,7 +46,7 @@ def test_criterion_1_planted_spectrum_recovery():
     phases = np.pi * np.array([0.05, 0.2, 0.45, 0.7, 0.9])
     lams = mags * np.exp(1j * phases)
     Y, full = planted_snapshots(50, 200, lams, rng.uniform(0.5, 2.0, size=5), rng)
-    result = exact_dmd(build_pairs(SnapshotMatrix(Y)), rank=10)
+    result = exact_dmd(Y, rank=10)
     worst = max(np.min(np.abs(result.eigenvalues - lam)) for lam in full)
     elapsed = time.monotonic() - start
     report("1 planted-spectrum recovery", worst <= 1e-7 and elapsed < 1.0)
@@ -147,30 +146,30 @@ def test_criterion_6_reconstruction_identity():
     rng = np.random.default_rng(606)
     lams = [0.97 * np.exp(0.35j), 0.9]
     Y, _ = planted_snapshots(20, 60, lams, [2.0, 1.0], rng)
-    pair = build_pairs(SnapshotMatrix(Y))
-    result = exact_dmd(pair, rank=3)
-    vand = vandermonde(result.eigenvalues, pair.Y.shape[1])
-    b = optimal_amplitudes(quadratic_form(pair.Y, result.basis, result.coefficients,
+    result = exact_dmd(Y, rank=3)
+    Y = Y[:, :-1]
+    vand = vandermonde(result.eigenvalues, Y.shape[1])
+    b = optimal_amplitudes(quadratic_form(Y, result.basis, result.coefficients,
                                           result.eigenvalues))
     recon = np.real(result.modes @ np.diag(b) @ vand)
     ok = True
-    for k in range(pair.Y.shape[1]):
-        err = np.linalg.norm(recon[:, k] - pair.Y[:, k]) / np.linalg.norm(pair.Y[:, k])
+    for k in range(Y.shape[1]):
+        err = np.linalg.norm(recon[:, k] - Y[:, k]) / np.linalg.norm(Y[:, k])
         if err > 1e-8:
             ok = False
     # two-way loss agreement on a truncated fit, where the residual is O(1)
     # and the quadratic expansion of the cost is well conditioned
     lams4 = [0.97 * np.exp(0.35j), 0.9, 0.8 * np.exp(1.2j)]
     Y4, _ = planted_snapshots(20, 60, lams4, [2.0, 1.0, 0.3], rng)
-    pair4 = build_pairs(SnapshotMatrix(Y4))
-    r4 = exact_dmd(pair4, rank=3)
-    vand4 = vandermonde(r4.eigenvalues, pair4.Y.shape[1])
-    form = quadratic_form(pair4.Y, r4.basis, r4.coefficients, r4.eigenvalues)
+    r4 = exact_dmd(Y4, rank=3)
+    Y4 = Y4[:, :-1]
+    vand4 = vandermonde(r4.eigenvalues, Y4.shape[1])
+    form = quadratic_form(Y4, r4.basis, r4.coefficients, r4.eigenvalues)
     b4 = optimal_amplitudes(form)
     via_formula = performance_loss(form.objective(b4), form.s)
     direct = 100.0 * np.linalg.norm(
-        pair4.Y - r4.modes @ np.diag(b4) @ vand4, "fro"
-    ) / np.linalg.norm(pair4.Y, "fro")
+        Y4 - r4.modes @ np.diag(b4) @ vand4, "fro"
+    ) / np.linalg.norm(Y4, "fro")
     ok = ok and abs(via_formula - direct) <= 1e-8 * max(1.0, direct)
     report("6 reconstruction identity", ok)
 
@@ -181,15 +180,14 @@ def test_criterion_7_cdmd_spectrum():
     vs = rng.standard_normal((4, 6))
     data = np.column_stack([vs[k % 4] for k in range(9)])
     with pytest.warns(UserWarning):
-        cd = companion_dmd(SnapshotMatrix(data))
+        cd = companion_dmd(data)
     roots = np.exp(2j * np.pi * np.arange(4) / 4)
     ok = all(np.min(np.abs(cd.eigenvalues - r)) <= 1e-8 for r in roots)
     # damped data: companion spectrum hugs the unit circle more than DMD's
     lams = [0.85 * np.exp(0.7j), 0.8 * np.exp(1.9j), 0.75 * np.exp(2.6j)]
     Yd, _ = planted_snapshots(20, 30, lams, [1.0, 0.8, 0.6], rng)
-    noisy = SnapshotMatrix(Yd + 1e-8 * rng.standard_normal(Yd.shape))
-    dmd_dev = unit_circle_deviation(
-        exact_dmd(build_pairs(noisy), rank=6).eigenvalues).mean()
+    noisy = Yd + 1e-8 * rng.standard_normal(Yd.shape)
+    dmd_dev = unit_circle_deviation(exact_dmd(noisy, rank=6).eigenvalues).mean()
     cdmd_dev = unit_circle_deviation(companion_dmd(noisy).eigenvalues).mean()
     ok = ok and cdmd_dev <= dmd_dev
     report("7 cdmd spectrum", ok)
@@ -236,18 +234,17 @@ def test_criterion_10_real_dataset_regressions():
     assert X.p == 600 and X.n_steps == 1548
 
     # monthly sweep: maximum loss within +/- 1.0 points of 5.034%
-    pair = build_pairs(X)
-    base = exact_dmd(pair, rank=600)
-    form = quadratic_form(pair.Y, base.basis, base.coefficients, base.eigenvalues)
+    base = exact_dmd(X.data, rank=600)
+    form = quadratic_form(X.data[:, :-1], base.basis, base.coefficients, base.eigenvalues)
     points = gamma_sweep(form, log_gamma_grid(1e-3, 1e3, 350))
     max_loss = max(pt.loss_percent for pt in points)
     ok = abs(max_loss - 5.034) <= 1.0
 
     # seasonal sweep endpoints against the published table
     Xs = stack_cycles(X, 3)
-    pair_s = build_pairs(Xs)
-    base_s = exact_dmd(pair_s)
-    form_s = quadratic_form(pair_s.Y, base_s.basis, base_s.coefficients, base_s.eigenvalues)
+    base_s = exact_dmd(Xs.data)
+    form_s = quadratic_form(Xs.data[:, :-1], base_s.basis, base_s.coefficients,
+                            base_s.eigenvalues)
     pts = gamma_sweep(form_s, np.array([1e-4, 16000.0]))
     lo, hi = pts
     ok = ok and abs(lo.loss_percent - 0.6010) <= 0.5

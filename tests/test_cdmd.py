@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from koopmode import (
-    SnapshotMatrix,
-    build_pairs,
     companion_dmd,
     exact_dmd,
     fit_companion,
@@ -17,11 +15,10 @@ from koopmode.cdmd import companion_matrix
 from conftest import allocation_peak, planted_matrix, real_exponentials
 
 
-def periodic_matrix(period: int, n_steps: int, p: int, seed: int = 0) -> SnapshotMatrix:
+def periodic_matrix(period: int, n_steps: int, p: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     vs = rng.standard_normal((period, p))
-    data = np.column_stack([vs[k % period] for k in range(n_steps)])
-    return SnapshotMatrix(data)
+    return np.column_stack([vs[k % period] for k in range(n_steps)])
 
 
 class TestFitCompanion:
@@ -49,7 +46,7 @@ class TestFitCompanion:
         v = rng.standard_normal(5)
         data = np.column_stack([0.5 ** k * v for k in range(8)])
         with pytest.warns(UserWarning):
-            c = fit_companion(SnapshotMatrix(data))
+            c = fit_companion(data)
         assert np.linalg.norm(data[:, :-1] @ c - data[:, -1]) <= 1e-10
         assert np.min(np.abs(np.linalg.eigvals(companion_matrix(c)) - 0.5)) <= 1e-8
 
@@ -57,18 +54,18 @@ class TestFitCompanion:
         v = rng.standard_normal(4) + 3.0
         data = np.column_stack([v] * 6)
         with pytest.warns(UserWarning):
-            c = fit_companion(SnapshotMatrix(data))
+            c = fit_companion(data)
         assert np.min(np.abs(np.linalg.eigvals(companion_matrix(c)) - 1.0)) <= 1e-8
 
     def test_too_few_snapshots(self):
         with pytest.raises(ValueError, match="N >= 3"):
-            fit_companion(SnapshotMatrix(np.ones((2, 2))))
+            fit_companion(np.ones((2, 2)))
 
 
 class TestCompanionDmd:
     def test_eigenvalue_count_is_companion_dimension(self, rng):
         data = rng.standard_normal((7, 12))
-        result = companion_dmd(SnapshotMatrix(data))
+        result = companion_dmd(data)
         assert result.rank == 11
         assert result.method == "cdmd"
         assert result.amplitudes is None  # fitted by the caller, as for exact_dmd
@@ -77,15 +74,15 @@ class TestCompanionDmd:
         X = periodic_matrix(4, 9, 6, seed=5)
         with pytest.warns(UserWarning):
             C = companion_matrix(fit_companion(X))
-        K = X.data[:, :-1]
-        shifted = X.data[:, 1:]
+        K = X[:, :-1]
+        shifted = X[:, 1:]
         rel = np.linalg.norm(shifted - K @ C, "fro") / np.linalg.norm(shifted, "fro")
         assert rel <= 1e-8
 
     def test_sorted_by_amplitude(self, rng):
-        X = SnapshotMatrix(rng.standard_normal((6, 10)))
+        X = rng.standard_normal((6, 10))
         result = companion_dmd(X)
-        K = X.data[:, :-1]
+        K = X[:, :-1]
         form = quadratic_form(K, result.basis, result.coefficients, result.eigenvalues)
         mags = np.abs(result.with_amplitudes(optimal_amplitudes(form)).amplitudes)
         assert np.all(np.diff(mags) <= 1e-12)
@@ -97,12 +94,12 @@ class TestCompanionDmd:
         X = real_exponentials(rng, 10, [0.95, 0.8, -0.6, 0.4][:r], r + 1)
         _, T = np.linalg.eig(companion_matrix(fit_companion(X)))
         assert T.dtype == np.float64
-        want = X.data[:, :-1].astype(complex) @ T
+        want = X[:, :-1].astype(complex) @ T
         got = companion_dmd(X).modes
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_modes_need_no_complex_copy_of_the_data(self, rng):
-        X = SnapshotMatrix(rng.standard_normal((900, 300)))
+        X = rng.standard_normal((900, 300))
         result, peak = allocation_peak(companion_dmd, X)
         assert peak < 2 * result.modes.nbytes
 
@@ -124,9 +121,8 @@ class TestUnitCircleDeviation:
             [0.85 * np.exp(0.7j), 0.8 * np.exp(1.9j), 0.75 * np.exp(2.6j)],
             [1.0, 0.8, 0.6], seed=21)
         rng = np.random.default_rng(99)
-        data = X.data + 1e-8 * rng.standard_normal(X.data.shape)
-        noisy = SnapshotMatrix(data)
-        dmd_result = exact_dmd(build_pairs(noisy), rank=6)
+        noisy = X.data + 1e-8 * rng.standard_normal(X.data.shape)
+        dmd_result = exact_dmd(noisy, rank=6)
         cdmd_result = companion_dmd(noisy)
         dev_dmd = unit_circle_deviation(dmd_result.eigenvalues).mean()
         dev_cdmd = unit_circle_deviation(cdmd_result.eigenvalues).mean()

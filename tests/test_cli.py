@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopmode import (AdmmParams, SnapshotMatrix, build_pairs, conjugate_pairs,
+from koopmode import (AdmmParams, SnapshotMatrix, conjugate_pairs,
                       conjugate_representatives, exact_dmd, gamma_sweep, load_matrix,
                       log_gamma_grid, quadratic_form, reconstruct, save_matrix, stack_cycles,
                       truncated_svd, write_csv)
@@ -184,7 +184,7 @@ class TestDecompose:
         assert np.load(art / "modes_matrix.npy").shape[1] == len(shown)
         # the stored columns and their conjugates are the fitted modes, partners included;
         # index names each column's place in the fit before the amplitude sort
-        fit = exact_dmd(build_pairs(load_matrix(path)), rank=3).modes[:, index]
+        fit = exact_dmd(load_matrix(path).data, rank=3).modes[:, index]
         modes = every_mode(art)
         for j in range(lam.size):
             scale = np.linalg.norm(fit[:, j])
@@ -381,6 +381,34 @@ class TestGridLayout:
         assert json.loads((out / "summary.json").read_text())["grid_shape"] == [1, 6]
 
 
+class TestRawInputHeader:
+    """--header skips one CSV line. Raw input has none, so with raw-float64
+    the flag exits 2 in every subcommand that loads input, publishing nothing."""
+
+    @pytest.mark.parametrize("command", [
+        ("decompose", "--rank", 2), ("sweep", "--rank", 2, "--gamma-count", 2),
+        ("ingest-info",), ("reconstruct", "--at", 0),
+    ], ids=lambda command: command[0])
+    def test_exits_2_and_publishes_nothing(self, tmp_path, rng, capsys, command):
+        X = SnapshotMatrix(rng.standard_normal((6, 30)))
+        raw, art, out = tmp_path / "six.bin", tmp_path / "art", tmp_path / "out"
+        save_matrix(X, raw, "raw-float64")
+        name, *flags = command
+        args = (name, raw)
+        if name == "reconstruct":
+            save_matrix(X, tmp_path / "six.csv", "csv")
+            assert run("decompose", tmp_path / "six.csv", "--rank", 2, "--out", art) == 0
+            args = (name, "--artifacts", art, "--input", raw)
+        if name != "ingest-info":
+            flags += ["--out", out]
+        capsys.readouterr()
+        assert run(*args, *flags, "--format", "raw-float64", "--header") == 2
+        captured = capsys.readouterr()
+        assert "header applies to csv input only" in captured.err
+        assert captured.out == "" and not out.exists()
+        assert run(*args, *flags, "--format", "raw-float64") == 0  # the flag alone fails
+
+
 class TestLandMask:
     """--mask drops the rows it flags 0 before the input is checked, so land
     cells may hold NaN or inf: the run is the one on the same input with
@@ -507,7 +535,7 @@ class TestModesFormedOnce:
     @pytest.fixture
     def tall(self, rng, monkeypatch):
         X = SnapshotMatrix(rng.standard_normal((self.P, self.M)))
-        svd = truncated_svd(build_pairs(X).Y, self.RANK)
+        svd = truncated_svd(X.data[:, :-1], self.RANK)
         monkeypatch.setattr(dmd, "truncated_svd", lambda Y, rank=None: svd)
         return X, 16 * self.P * self.RANK  # the bytes of one p x r complex array
 
@@ -660,9 +688,9 @@ def read_rows(path):
 def fixed_rho_sweep(path, gammas):
     """The library's sweep on a CSV with rho held at 1 (no rho changes),
     converged well inside its cap."""
-    pair = build_pairs(load_matrix(path))
-    result = exact_dmd(pair, rank=FIVE_MODE_RANK)
-    form = quadratic_form(pair.Y, result.basis, result.coefficients, result.eigenvalues)
+    data = load_matrix(path).data
+    result = exact_dmd(data, rank=FIVE_MODE_RANK)
+    form = quadratic_form(data[:, :-1], result.basis, result.coefficients, result.eigenvalues)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spdmd, "RHO_MAX_CHANGES", 0)
         solutions = gamma_sweep(form, gammas, AdmmParams(max_iter=100000))
@@ -1021,6 +1049,14 @@ class TestRuntimeImports:
                                  "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_decompositions_load_no_snapshot_layer(self):
+        """The decompositions and the model take arrays: importing them loads
+        no koopmode.snapshots, which owns only the input's layout."""
+        proc = _run_python("-c", "import sys, koopmode.spdmd, koopmode.cdmd, koopmode.rom; "
+                                 "print('koopmode.snapshots' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_module_version_exits_zero(self):
         proc = _run_python("-m", "koopmode", "--version")

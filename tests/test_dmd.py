@@ -8,9 +8,7 @@ import pytest
 
 from koopmode import (
     DecompositionResult,
-    SnapshotMatrix,
     admm_solve,
-    build_pairs,
     exact_dmd,
     mode_stats,
     optimal_amplitudes,
@@ -75,20 +73,20 @@ class TestExactDmd:
     def test_single_geometric_sequence(self, rng):
         v = rng.standard_normal(5)
         data = np.column_stack([0.9 ** k * v for k in range(20)])
-        result = exact_dmd(build_pairs(SnapshotMatrix(data)), rank=1)
+        result = exact_dmd(data, rank=1)
         assert abs(result.eigenvalues[0] - 0.9) <= 1e-10
 
     def test_constant_field(self, rng):
         v = rng.standard_normal(5) + 2.0
         data = np.column_stack([v] * 10)
-        result = exact_dmd(build_pairs(SnapshotMatrix(data)), rank=1)
+        result = exact_dmd(data, rank=1)
         assert abs(result.eigenvalues[0] - 1.0) <= 1e-10
 
     def test_complex_pair_against_dense_eigensolver_oracle(self, rng):
         lam = 0.95 * np.exp(1j * np.pi / 6)
         w = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         data = np.column_stack([np.real(2.0 * lam ** k * w) for k in range(40)])
-        result = exact_dmd(build_pairs(SnapshotMatrix(data)), rank=2)
+        result = exact_dmd(data, rank=2)
         got = sorted(result.eigenvalues, key=lambda z: z.imag)
         want = sorted([lam, np.conj(lam)], key=lambda z: z.imag)
         assert max(abs(g - w_) for g, w_ in zip(got, want)) <= 1e-8
@@ -102,16 +100,15 @@ class TestExactDmd:
 
     def test_conjugate_symmetry_on_real_data(self, rng):
         data = rng.standard_normal((10, 25))
-        result = exact_dmd(build_pairs(SnapshotMatrix(data)), rank=6)
+        result = exact_dmd(data, rank=6)
         for lam in result.eigenvalues:
             assert np.min(np.abs(result.eigenvalues - np.conj(lam))) <= 1e-8
 
     def test_mode_style_span_equivalence(self):
         X, _ = planted_matrix(12, 30, [0.95 * np.exp(0.4j), 0.9 * np.exp(1.1j)],
                               [1.0, 0.7], seed=5)
-        pair = build_pairs(X)
-        exact = exact_dmd(pair, rank=4, mode_style="exact")
-        proj = exact_dmd(pair, rank=4, mode_style="projected")
+        exact = exact_dmd(X.data, rank=4, mode_style="exact")
+        proj = exact_dmd(X.data, rank=4, mode_style="projected")
         Qe, _ = np.linalg.qr(exact.modes)
         Qp, _ = np.linalg.qr(proj.modes)
         angles = np.linalg.svd(Qe.conj().T @ Qp, compute_uv=False)
@@ -120,15 +117,48 @@ class TestExactDmd:
     def test_projected_basis_holds_only_the_kept_columns(self, rng):
         """A projected result's basis is its own p x r array, not a view that
         keeps the SVD's whole p x min(p, M) U alive."""
-        pair = build_pairs(SnapshotMatrix(rng.standard_normal((4000, 60))))
-        basis = exact_dmd(pair, rank=4, mode_style="projected").basis
+        basis = exact_dmd(rng.standard_normal((4000, 60)), rank=4, mode_style="projected").basis
         owner = basis if basis.base is None else basis.base
         assert basis.shape == (4000, 4) and owner.nbytes <= 4000 * 4 * 8
 
     def test_bad_mode_style(self, rng):
-        pair = build_pairs(SnapshotMatrix(rng.standard_normal((4, 6))))
         with pytest.raises(ValueError, match="mode_style"):
-            exact_dmd(pair, mode_style="fancy")
+            exact_dmd(rng.standard_normal((4, 6)), mode_style="fancy")
+
+
+class TestExactDmdSplit:
+    """exact_dmd pairs each snapshot with its successor: Y = data[:, :-1]
+    and Yplus = data[:, 1:]."""
+
+    def test_definition(self, rng):
+        """The result is the construction from truncated_svd(Y) and Yplus."""
+        data = rng.standard_normal((9, 7))
+        f = truncated_svd(data[:, :-1], 4)
+        propagate = data[:, 1:] @ (f.V / f.S)
+        evals = np.linalg.eigvals(f.U.T @ propagate)
+        result = exact_dmd(data, rank=4)
+        np.testing.assert_array_equal(result.basis, propagate)
+        np.testing.assert_array_equal(np.sort_complex(result.eigenvalues), np.sort_complex(evals))
+
+    def test_minimal_two_columns(self):
+        """Y = [[1]] and Yplus = [[2]]: one eigenvalue, 2, and a mode of modulus 2."""
+        result = exact_dmd(np.array([[1.0, 2.0]]))
+        assert result.rank == 1
+        np.testing.assert_array_equal(result.eigenvalues, [2.0])
+        np.testing.assert_array_equal(np.abs(result.modes), [[2.0]])
+
+    def test_shift_index_oracle(self, rng):
+        """Snapshots of x_(k+1) = A x_k, built one step at a time: the split
+        recovers A's spectrum, where a reversed shift would give 1/lambda and
+        a two-step one lambda^2."""
+        A = rng.standard_normal((5, 5)) / 4.0
+        data = np.empty((5, 7))
+        data[:, 0] = rng.standard_normal(5)
+        for k in range(6):
+            data[:, k + 1] = A @ data[:, k]
+        got = exact_dmd(data, rank=5).eigenvalues
+        for lam in np.linalg.eigvals(A):
+            assert np.min(np.abs(got - lam)) <= 1e-8 * max(1.0, abs(lam))
 
 
 class TestVandermonde:
@@ -214,13 +244,13 @@ class TestOptimalAmplitudes:
 
     def test_reconstruction_identity_on_exact_rank_data(self):
         X, _ = planted_matrix(10, 40, [0.97 * np.exp(0.5j), 0.92], [1.0, 0.8], seed=7)
-        pair = build_pairs(X)
-        result = exact_dmd(pair, rank=3)
-        vand = vandermonde(result.eigenvalues, pair.Y.shape[1])
-        b = optimal_amplitudes(quadratic_form(pair.Y, result.basis, result.coefficients,
+        Y = X.data[:, :-1]
+        result = exact_dmd(X.data, rank=3)
+        vand = vandermonde(result.eigenvalues, Y.shape[1])
+        b = optimal_amplitudes(quadratic_form(Y, result.basis, result.coefficients,
                                               result.eigenvalues))
         recon = result.modes @ np.diag(b) @ vand
-        rel = np.linalg.norm(pair.Y - recon, "fro") / np.linalg.norm(pair.Y, "fro")
+        rel = np.linalg.norm(Y - recon, "fro") / np.linalg.norm(Y, "fro")
         assert rel <= 1e-8
 
 
@@ -261,8 +291,8 @@ class TestNearSingularAmplitudes:
             assert np.linalg.norm(b - want) <= 1e-12 * np.linalg.norm(want)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                z = admm_solve(form, 0.0).z
-            np.testing.assert_array_equal(z, b)
+                z = admm_solve(form, 0.0).z  # coordinates, the amplitudes on a complex form
+            np.testing.assert_array_equal(form.from_basis(z), b)
 
     def test_duplicated_mode_shares_its_amplitude(self, rng):
         form = duplicated_mode_form(rng)
@@ -277,15 +307,15 @@ class TestRealSpectrum:
     def test_modes_equal_the_complex_product(self, rng, r, mode_style):
         """Real eigenvectors (an all-real spectrum) at odd and even rank give the
         modes of the complex product basis @ W."""
-        pair = build_pairs(real_exponentials(rng, 10, [0.95, 0.8, -0.6, 0.4][:r], 20))
-        f = truncated_svd(pair.Y, r)
-        propagate = pair.Yplus @ (f.V / f.S)
+        data = real_exponentials(rng, 10, [0.95, 0.8, -0.6, 0.4][:r], 20)
+        f = truncated_svd(data[:, :-1], r)
+        propagate = data[:, 1:] @ (f.V / f.S)
         evals, W = np.linalg.eig(f.U.T @ propagate)
         assert W.dtype == np.float64
         basis = propagate if mode_style == "exact" else f.U
         want = basis.astype(complex) @ (W / np.linalg.norm(W, axis=0))
         want = want[:, np.argsort(-np.abs(evals), kind="stable")]
-        got = exact_dmd(pair, rank=r, mode_style=mode_style).modes
+        got = exact_dmd(data, rank=r, mode_style=mode_style).modes
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -363,7 +393,7 @@ class TestModeStats:
 def test_planted_spectrum_recovery_property(rng):
     lams = [0.95 * np.exp(0.3j), 0.9 * np.exp(0.9j), 0.85]
     X, full = planted_matrix(16, 80, lams, [2.0, 1.0, 0.5], seed=11)
-    result = exact_dmd(build_pairs(X), rank=5)
+    result = exact_dmd(X.data, rank=5)
     for lam in full:
         assert np.min(np.abs(result.eigenvalues - lam)) <= 1e-8
 
@@ -371,7 +401,7 @@ def test_planted_spectrum_recovery_property(rng):
 def test_rank_is_derived_from_the_eigenvalues(rng):
     """rank is the number of eigenvalues, kept in step by every column move,
     and no constructor takes it."""
-    result = exact_dmd(build_pairs(SnapshotMatrix(rng.standard_normal((6, 12)))), rank=4)
+    result = exact_dmd(rng.standard_normal((6, 12)), rank=4)
     assert result.rank == result.eigenvalues.shape[0] == 4
     kept = replace(result, eigenvalues=result.eigenvalues[:2],
                    coefficients=result.coefficients[:, :2], original_indices=None)

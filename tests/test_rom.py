@@ -6,7 +6,6 @@ import pytest
 from koopmode import (
     DecompositionResult,
     SnapshotMatrix,
-    build_pairs,
     conjugate_pairs,
     conjugate_representatives,
     exact_dmd,
@@ -37,9 +36,8 @@ def pair_model(lam, mode, amp) -> DecompositionResult:
 
 
 def fitted_model(X) -> DecompositionResult:
-    pair = build_pairs(X)
-    result = exact_dmd(pair)
-    form = quadratic_form(pair.Y, result.basis, result.coefficients, result.eigenvalues)
+    result = exact_dmd(X.data)
+    form = quadratic_form(X.data[:, :-1], result.basis, result.coefficients, result.eigenvalues)
     return result.with_amplitudes(optimal_amplitudes(form))
 
 
@@ -60,9 +58,8 @@ class TestReconstruct:
     def test_exact_rank3_training_match(self):
         X, _ = planted_matrix(10, 25, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
         model = fitted_model(X)
-        pair = build_pairs(X)
-        for k in range(pair.Y.shape[1]):
-            col = pair.Y[:, k]
+        for k in range(X.n_steps - 1):
+            col = X.data[:, k]
             err = np.linalg.norm(reconstruct(model, k, 1)[0][:, 0] - col) / np.linalg.norm(col)
             assert err <= 1e-8
 

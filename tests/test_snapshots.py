@@ -5,7 +5,6 @@ import pytest
 
 from koopmode import (
     SnapshotMatrix,
-    build_pairs,
     load_mask,
     load_matrix,
     save_matrix,
@@ -48,6 +47,13 @@ class TestLoadMatrix:
         path.with_suffix(".bin.json").write_text('{"rows": 4, "cols": 6}')
         with pytest.raises(ValueError, match="header"):
             load_matrix(path, format="raw-float64")
+
+    def test_header_with_raw_input_is_rejected(self, tmp_path):
+        """A raw payload has no header line to skip: the flag is an error, not ignored."""
+        path = tmp_path / "raw.bin"
+        save_matrix(SnapshotMatrix(np.ones((4, 5))), path, "raw-float64")
+        with pytest.raises(ValueError, match="header applies to csv input only"):
+            load_matrix(path, format="raw-float64", header=True)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -149,14 +155,13 @@ class TestStackCycles:
         X = SnapshotMatrix(np.zeros((600, 1548)) + 1.0)
         out = stack_cycles(X, 3)
         assert out.data.shape == (1800, 516)
-        pair = build_pairs(out)
-        assert pair.Y.shape == (1800, 515)
+        assert out.data[:, :-1].shape == (1800, 515)  # the fit's zero-lag snapshots
 
     def test_annual_dimensions(self):
         X = SnapshotMatrix(np.ones((600, 1548)))
         out = stack_cycles(X, 12)
         assert out.data.shape == (7200, 129)
-        assert build_pairs(out).Y.shape[1] == 128
+        assert out.data[:, :-1].shape[1] == 128
 
     def test_identity_cycle(self, rng):
         X = SnapshotMatrix(rng.standard_normal((5, 7)))
@@ -202,26 +207,6 @@ class TestStackCycles:
             stack_cycles(X, 0)
         with pytest.raises(ValueError):
             stack_cycles(X, 5)
-
-
-class TestBuildPairs:
-    def test_definition(self):
-        a, b, c = np.array([1.0]), np.array([2.0]), np.array([3.0])
-        X = SnapshotMatrix(np.column_stack([a, b, c]))
-        pair = build_pairs(X)
-        np.testing.assert_array_equal(pair.Y, [[1.0, 2.0]])
-        np.testing.assert_array_equal(pair.Yplus, [[2.0, 3.0]])
-
-    def test_minimal_two_columns(self):
-        pair = build_pairs(SnapshotMatrix(np.array([[1.0, 2.0]])))
-        assert pair.Y.shape == (1, 1) and pair.Yplus.shape == (1, 1)
-
-    def test_shift_index_oracle(self, rng):
-        data = rng.standard_normal((5, 7))
-        pair = build_pairs(SnapshotMatrix(data))
-        for k in range(6):
-            np.testing.assert_array_equal(pair.Y[:, k], data[:, k])
-            np.testing.assert_array_equal(pair.Yplus[:, k], data[:, k + 1])
 
 
 class TestSubtractMean:

@@ -10,10 +10,7 @@ import scipy.linalg
 from koopmode import (
     AdmmParams,
     QuadraticForm,
-    SnapshotMatrix,
-    SnapshotPair,
     admm_solve,
-    build_pairs,
     companion_dmd,
     exact_dmd,
     gamma_sweep,
@@ -65,9 +62,9 @@ def real_dmd_instance(rng, rank=9, p=30, M=80):
     pairs and one real eigenvalue."""
     lams = [0.97 * np.exp(1j * w) for w in (0.3, 0.7, 1.3, 2.1)] + [0.9]
     Y, _ = planted_snapshots(p, M + 1, lams, [5.0, 3.0, 2.0, 1.0, 4.0], rng)
-    pair = build_pairs(SnapshotMatrix(Y + 1e-3 * rng.standard_normal(Y.shape)))
-    result = exact_dmd(pair, rank=rank)
-    return pair.Y, result.basis, result.coefficients, result.eigenvalues
+    data = Y + 1e-3 * rng.standard_normal(Y.shape)
+    result = exact_dmd(data, rank=rank)
+    return data[:, :-1], result.basis, result.coefficients, result.eigenvalues
 
 
 def smoke_matrix(n_steps=40):
@@ -108,18 +105,20 @@ def amplitude_form(Y, basis, W, lam):
     return form
 
 
-def cholesky_admm(form, gamma, params=AdmmParams(), z0=None, u0=None):
+def cholesky_admm(form, gamma, params=AdmmParams(), start=None):
     """Reference splitting loop on a complex form: one Cholesky factorization
     of 2P + rho I per rho and one triangular solve per x-update, and complex
-    shrinkage of the amplitudes. Every 10 iterations rho doubles
+    shrinkage of the amplitudes. It starts from start = (z, u, rho), else
+    from zeros at params.rho. Every 10 iterations rho doubles
     (halves) when the primal (dual) residual exceeds 10 times the other, at
     most spdmd.RHO_MAX_CHANGES times, so patching that to 0 gives the fixed-rho
-    loop. Returns (z, u, iterations)."""
-    r, rho = form.size, params.rho
+    loop. Returns (z, u, iterations, rho), rho the final one."""
+    r = form.size
+    zero = np.zeros(r, dtype=complex)
+    z, u, rho = (zero, zero, params.rho) if start is None else start
+    z, u = z.astype(complex), u.astype(complex)
     changes = 0
     cho = scipy.linalg.cho_factor(2.0 * form.P + rho * np.eye(r))
-    z = np.zeros(r, dtype=complex) if z0 is None else z0.astype(complex).copy()
-    u = np.zeros(r, dtype=complex) if u0 is None else u0.astype(complex).copy()
     for it in range(1, params.max_iter + 1):
         x = scipy.linalg.cho_solve(cho, 2.0 * form.q + rho * (z - u))
         z_old = z
@@ -141,7 +140,7 @@ def cholesky_admm(form, gamma, params=AdmmParams(), z0=None, u0=None):
                 continue
             rho, u, changes = rho * scale, u / scale, changes + 1
             cho = scipy.linalg.cho_factor(2.0 * form.P + rho * np.eye(r))
-    return z, u, it
+    return z, u, it, rho
 
 
 def kkt_polish(form, support):
@@ -223,14 +222,11 @@ class TestQuadraticForm:
         X = X + 1e-3 * rng.standard_normal(X.shape)
         if case == "complex":
             X = X + 1j * rng.standard_normal(X.shape)
-            pair = SnapshotPair(Y=X[:, :-1], Yplus=X[:, 1:])
-        else:
-            pair = build_pairs(SnapshotMatrix(X))
         if case == "cdmd":
-            base, Y = companion_dmd(SnapshotMatrix(X)), pair.Y
+            base = companion_dmd(X)
         else:
-            mode_style = "projected" if case == "projected" else "exact"
-            base, Y = exact_dmd(pair, rank=8, mode_style=mode_style), pair.Y
+            base = exact_dmd(X, rank=8, mode_style="projected" if case == "projected" else "exact")
+        Y = X[:, :-1]
         assert np.iscomplexobj(base.basis) == (case == "complex")
         vand = vandermonde(base.eigenvalues, Y.shape[1])
         form = quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
@@ -265,9 +261,9 @@ class TestQuadraticForm:
         M x r one (Y* modes) and no r x M one (the Vandermonde matrix xi): the
         modes' Gram matrix comes from B*B and W, and xi, xi xi* and q from
         blocks of snapshots."""
-        pair = build_pairs(SnapshotMatrix(rng.standard_normal((p, M))))
-        base = exact_dmd(pair, rank=r)
-        _, peak = allocation_peak(quadratic_form, pair.Y, base.basis, base.coefficients,
+        data = rng.standard_normal((p, M))
+        base = exact_dmd(data, rank=r)
+        _, peak = allocation_peak(quadratic_form, data[:, :-1], base.basis, base.coefficients,
                                   base.eigenvalues)
         assert peak < 16 * r * max(p, M - 1)  # the larger of the two
 
@@ -400,7 +396,7 @@ class TestAdmmMatchesCholeskyReference:
         for _ in range(5):
             form = random_psd_form(rng, 12, rank)
             gamma = 0.3 * 2.0 * np.max(np.abs(form.q))
-            z, u, iterations = cholesky_admm(form, gamma)
+            z, u, iterations, _ = cholesky_admm(form, gamma)
             res = admm_solve(form, gamma)
             assert res.iterations == iterations
             assert_close(res.z, z, 1e-10)
@@ -409,11 +405,12 @@ class TestAdmmMatchesCholeskyReference:
     def test_warm_started_two_gamma_sweep(self, rng):
         form = random_psd_form(rng, 15)
         gammas = 2.0 * np.max(np.abs(form.q)) * np.array([0.1, 0.4])
-        z1, u1, it1 = cholesky_admm(form, gammas[0])
-        z2, u2, it2 = cholesky_admm(form, gammas[1], z0=z1, u0=u1)
+        z1, u1, it1, rho1 = cholesky_admm(form, gammas[0])
+        z2, u2, it2, rho2 = cholesky_admm(form, gammas[1], start=(z1, u1, rho1))
         res1 = admm_solve(form, gammas[0])
-        res2 = admm_solve(form, gammas[1], z0=res1.z, u0=res1.u)
+        res2 = admm_solve(form, gammas[1], start=res1)
         assert (res1.iterations, res2.iterations) == (it1, it2)
+        assert (res1.rho, res2.rho) == (rho1, rho2)
         for got, want in ((res1.z, z1), (res1.u, u1), (res2.z, z2), (res2.u, u2)):
             assert_close(got, want, 1e-10)
         solutions = gamma_sweep(form, gammas)
@@ -431,16 +428,17 @@ class TestAdmmMatchesCholeskyReference:
             first = np.flatnonzero(form.partner > np.arange(form.size))
             assert first.size == 4
             for params in (AdmmParams(), AdmmParams(rho=1e3)):
-                z = u = res = None
+                ref = res = None
                 for frac in (0.05, 0.3):  # the second warm-started from the first
                     gamma = frac * 2.0 * np.max(np.abs(reference.q))
-                    z, u, iterations = cholesky_admm(reference, gamma, params, z0=z, u0=u)
-                    res = admm_solve(form, gamma, params, *((res.z, res.u) if res else ()))
-                    assert res.iterations == iterations
-                    assert_close(res.z, z, 1e-10)
-                    assert_close(res.u, u, 1e-10)
-                    np.testing.assert_array_equal(np.abs(res.z[first]),
-                                                  np.abs(res.z[form.partner[first]]))
+                    z, u, iterations, rho = cholesky_admm(reference, gamma, params, ref)
+                    ref = (z, u, rho)
+                    res = admm_solve(form, gamma, params, start=res)
+                    assert res.iterations == iterations and res.rho == rho
+                    b = form.from_basis(res.z)  # the iterates are coordinates
+                    assert_close(b, z, 1e-10)
+                    assert_close(form.from_basis(res.u), u, 1e-10)
+                    np.testing.assert_array_equal(np.abs(b[first]), np.abs(b[form.partner[first]]))
 
     def test_pair_basis_polish_and_amplitudes_match_the_complex_solves(self, rng):
         for _ in range(3):
@@ -477,7 +475,7 @@ class TestAdmmMatchesCholeskyReference:
             np.testing.assert_array_equal(candidate.partner, np.arange(candidate.size))
             assert candidate.eigh[1].dtype == complex
             gamma = 0.3 * 2.0 * np.max(np.abs(candidate.q))
-            z, u, iterations = cholesky_admm(candidate, gamma)
+            z, u, iterations, _ = cholesky_admm(candidate, gamma)
             res = admm_solve(candidate, gamma)
             assert res.iterations == iterations
             assert_close(res.z, z, 1e-10)
@@ -529,7 +527,7 @@ class TestResidualBalancing:
         for form in forms:
             for params in (AdmmParams(), AdmmParams(rho=1e4)):
                 gamma = 0.3 * 2.0 * np.max(np.abs(form.q))
-                z, u, iterations = cholesky_admm(form, gamma, params)
+                z, u, iterations, _ = cholesky_admm(form, gamma, params)
                 res = admm_solve(form, gamma, params)
                 assert res.iterations == iterations
                 assert_close(res.z, z, 1e-10)
@@ -617,6 +615,22 @@ class TestResidualBalancing:
     def test_gamma_zero_keeps_the_starting_rho(self, rng):
         form = random_psd_form(rng, 8)
         assert admm_solve(form, 0.0, AdmmParams(rho=4.0)).rho == 4.0
+        start = admm_solve(form, 0.3 * 2.0 * np.max(np.abs(form.q)), AdmmParams(rho=1e4))
+        assert start.rho != 4.0
+        assert admm_solve(form, 0.0, AdmmParams(rho=4.0), start=start).rho == start.rho
+
+    def test_start_resumes_the_sweep_state(self, rng):
+        """A solve started from the last one's result is the sweep's next
+        entry, bit for bit: it resumes at that result's z, u and rho."""
+        form = quadratic_form(*real_dmd_instance(rng))
+        gammas = 2.0 * np.max(np.abs(form.q)) * np.array([0.05, 0.3])
+        params = AdmmParams(rho=1e3)
+        _, first = solve_at_gamma(form, gammas[0], params)
+        assert first.rho != params.rho  # balancing moved rho, so the start must carry it
+        got, _ = solve_at_gamma(form, gammas[1], params, start=first)
+        want = gamma_sweep(form, gammas, params)[1]
+        for name in ("support", "b_polished", "cost", "loss_percent", "iterations", "rho"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
 
 
 class TestPolish:
@@ -747,9 +761,8 @@ class TestFitLoss:
     def test_matches_the_residual_of_the_formed_model(self, rng):
         X, _ = planted_matrix(10, 70, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
         data = X.data + 1e-4 * rng.standard_normal(X.data.shape)
-        pair = build_pairs(SnapshotMatrix(data))
-        Y = pair.Y  # 69 columns: whole blocks and a partial one
-        base = exact_dmd(pair)
+        Y = data[:, :-1]  # 69 columns: whole blocks and a partial one
+        base = exact_dmd(data)
         factored = quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
         model = base.with_amplitudes(optimal_amplitudes(factored))
         xi = model.eigenvalues[:, None] ** np.arange(Y.shape[1])
@@ -765,9 +778,9 @@ class TestFitLoss:
         """At p = 10 the default budget gives 64-snapshot blocks; a budget of
         one or seven columns of floats gives the same floor to roundoff."""
         X, _ = planted_matrix(10, 70, [0.97 * np.exp(0.5j), 0.9], [2.0, 1.0], seed=3)
-        pair = build_pairs(SnapshotMatrix(X.data + 1e-4 * rng.standard_normal(X.data.shape)))
-        base = exact_dmd(pair)
-        args = (pair.Y, base.basis, base.coefficients, base.eigenvalues)
+        data = X.data + 1e-4 * rng.standard_normal(X.data.shape)
+        base = exact_dmd(data)
+        args = (data[:, :-1], base.basis, base.coefficients, base.eigenvalues)
         want = quadratic_form(*args).floor
         monkeypatch.setattr(spdmd, "RESIDUAL_BYTES", budget)
         assert abs(quadratic_form(*args).floor - want) <= 1e-10 * want
@@ -782,11 +795,10 @@ class TestFitLoss:
         """At rank 4 the smoke input plus 1e-7 noise leaves a residual of
         ~4e-14 of the data energy: the expansion loses it to cancellation."""
         data = smoke_matrix() + 1e-7 * rng.standard_normal((6, 40))
-        pair = build_pairs(SnapshotMatrix(data))
-        base = exact_dmd(pair, rank=4)
-        form = quadratic_form(pair.Y, base.basis, base.coefficients, base.eigenvalues)
+        base = exact_dmd(data, rank=4)
+        form = quadratic_form(data[:, :-1], base.basis, base.coefficients, base.eigenvalues)
         solution, _ = solve_at_gamma(form, 1e-3)
-        want = formed_residual(pair.Y, base, solution.b_polished)
+        want = formed_residual(data[:, :-1], base, solution.b_polished)
         assert want <= 1e-11 * form.s
         assert abs(solution.cost - want) <= 1e-8 * want
 
@@ -795,10 +807,10 @@ class TestFitLoss:
         79 columns, so P is singular and the optimum drops 75 eigenvalues. At
         two modes and at none, the cost is the residual to roundoff; without
         the g term it is off by ~1e-11 relative."""
-        X = SnapshotMatrix(smoke_matrix(80))
+        X = smoke_matrix(80)
         with pytest.warns(UserWarning, match="rank-deficient"):
             base = companion_dmd(X)
-        Y = X.data[:, :-1]
+        Y = X[:, :-1]
         form = quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
         lam = form.eigh[0]
         assert lam[0] <= np.finfo(float).eps * lam.size * lam[-1]
@@ -852,7 +864,8 @@ class TestGammaSweep:
         form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         for gamma in (0.1, 1.0, 10.0):
             sol, admm = solve_at_gamma(form, gamma)
-            assert form.objective(sol.b_polished) <= form.objective(admm.z) + 1e-10
+            b = form.from_basis(admm.z)
+            assert form.objective(sol.b_polished) <= form.objective(b) + 1e-10
 
     def test_loss_identity_two_ways(self, rng):
         Y, modes, lam = random_instance(rng, p=8, r=4, M=12)
@@ -932,4 +945,12 @@ class TestSelectModes:
 
 
 def test_detect_support_zero_vector():
-    assert detect_support(np.zeros(4)).size == 0
+    assert detect_support(np.zeros(4), np.arange(4)).size == 0
+
+
+def test_detect_support_keeps_a_pair_with_a_zero_coordinate():
+    """A pair's coordinates are grouped as soft_threshold groups them: the pair
+    (0, 1) with y_1 = 0, a real amplitude, is kept whole."""
+    v = np.array([3.0, 0.0, 0.0, 1e-20])
+    np.testing.assert_array_equal(detect_support(v, np.array([1, 0, 2, 3])), [0, 1])
+    np.testing.assert_array_equal(detect_support(v, np.arange(4)), [0])
