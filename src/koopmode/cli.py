@@ -160,16 +160,16 @@ def _fit(args: argparse.Namespace,
     if args.method != "spdmd":
         return (base.with_amplitudes(optimal_amplitudes(form)),
                 performance_loss(form.floor, form.s), None)
-    solution, _ = solve_at_gamma(form, args.gamma, _admm_params(args))
+    solution = solve_at_gamma(form, args.gamma, _admm_params(args))
     result = select_modes(base, solution)
     if result.rank == 0:
-        if not solution.converged:
+        if not solution.admm.converged:
             raise ValueError(f"the splitting stopped at --max-iter {args.max_iter} without "
                              f"converging, with no amplitude left at gamma={args.gamma}")
         raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
-    return result, solution.loss_percent, {"iterations": int(solution.iterations),
-                                           "converged": bool(solution.converged),
-                                           "rho": float(solution.rho)}
+    return result, solution.loss_percent, {"iterations": int(solution.admm.iterations),
+                                           "converged": bool(solution.admm.converged),
+                                           "rho": float(solution.admm.rho)}
 
 
 def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatrix,
@@ -239,8 +239,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for name, chosen in (("sweep.csv", solutions),
                              ("pareto.csv", [solutions[i] for i in sorted(best.values())])):
             write_csv(stage / name,
-                      ((s.gamma, s.cardinality, s.cost, s.loss_percent, s.iterations,
-                        "true" if s.converged else "false", s.rho) for s in chosen),
+                      ((s.gamma, s.cardinality, s.cost, s.loss_percent, s.admm.iterations,
+                        "true" if s.admm.converged else "false", s.admm.rho) for s in chosen),
                       f"{FLOAT},%d,{FLOAT},{FLOAT},%d,%s,{FLOAT}",
                       "gamma,cardinality,cost,loss_percent,iterations,converged,rho")
     return EXIT_OK
@@ -338,6 +338,9 @@ def render_heatmap(grid: np.ndarray) -> bytes:
     h, w = grid.shape
     finite = np.isfinite(grid)
     values = grid[finite]
+    # scaled by a power of two to magnitudes below 1: exact, and 255 (v - lo)
+    # stays finite where hi - lo would pass float64's range
+    values = np.ldexp(values, -np.frexp(np.abs(values).max(initial=0.0))[1])
     lo = float(values.min()) if values.size else 0.0
     hi = float(values.max()) if values.size else 0.0
     span = hi - lo
@@ -363,7 +366,7 @@ def cmd_ingest_info(args: argparse.Namespace) -> int:
         "n_steps": X.n_steps,
         "dt_label": args.dt_label,
         "grid_shape": list(X.grid),
-        "masked_points": int(X.mask.sum()) if X.mask is not None else None,
+        "masked_points": int(X.mask.size - X.mask.sum()) if X.mask is not None else None,
         "min": float(X.data.min()),
         "max": float(X.data.max()),
         "mean": float(X.data.mean()),
@@ -400,7 +403,6 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="snapshot matrix file")
     _add_load_args(sub)
     sub.add_argument("--subtract-mean", action="store_true")
-    sub.add_argument("--dt-label", default="step")
 
 
 def _add_dmd_args(sub: argparse.ArgumentParser) -> None:
@@ -418,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("ingest-info", help="load and summarize a snapshot matrix")
-    p.set_defaults(run=cmd_ingest_info)
-    _add_input_args(p)
+    info = subs.add_parser("ingest-info", help="load and summarize a snapshot matrix")
+    info.set_defaults(run=cmd_ingest_info)
+    _add_input_args(info)
 
     decompose = subs.add_parser("decompose", help="run a decomposition and export artifacts")
     decompose.set_defaults(run=cmd_decompose)
@@ -441,6 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="start each gamma's solve from zero")
     for p in (decompose, sweep):
         _add_dmd_args(p)
+    for p in (info, decompose):  # the two that report it: sweep has no summary to label
+        p.add_argument("--dt-label", default="step")
 
     reconstruct = subs.add_parser("reconstruct",
                                   help="rebuild snapshots and forecast from artifacts")

@@ -163,21 +163,6 @@ def paired_form(P: np.ndarray, q: np.ndarray, s: float, partner: np.ndarray) -> 
 
 
 @dataclass(frozen=True)
-class SparseSolution:
-    """One regularized solve: support, polished optimum, and summary."""
-
-    b_polished: np.ndarray
-    support: np.ndarray
-    gamma: float
-    cardinality: int
-    cost: float
-    loss_percent: float
-    iterations: int
-    converged: bool
-    rho: float
-
-
-@dataclass(frozen=True)
 class AdmmParams:
     rho: float = 1.0  # the starting rho; residual balancing moves it
     eps_abs: float = 1e-6
@@ -194,10 +179,25 @@ class AdmmResult:
     z: np.ndarray  # the sparse iterate, or at gamma = 0 the minimum-norm optimum
     iterations: int
     converged: bool
-    primal_residual: float
-    dual_residual: float
     rho: float
     u: np.ndarray = field(repr=False)  # the multiplier over rho
+
+
+@dataclass(frozen=True)
+class SparseSolution:
+    """One regularized solve: the splitting's final state, the support it
+    detected, the polished optimum on that support, and its score."""
+
+    gamma: float
+    admm: AdmmResult  # a later solve started from it resumes here
+    support: np.ndarray
+    b_polished: np.ndarray
+    cost: float
+    loss_percent: float
+
+    @property
+    def cardinality(self) -> int:
+        return self.support.size
 
 
 def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
@@ -294,8 +294,7 @@ def admm_solve(
     rho = params.rho if start is None else start.rho
     if gamma == 0.0:
         return AdmmResult(z=_min_norm(*form.eigh, form.q), iterations=0, converged=True,
-                          primal_residual=0.0, dual_residual=0.0, rho=rho,
-                          u=np.zeros(r, dtype=form.q.dtype))
+                          rho=rho, u=np.zeros(r, dtype=form.q.dtype))
     A, c = form.x_update(rho)
     zero = np.zeros(r, dtype=c.dtype)  # no iterate is updated in place
     z, u = (zero, zero) if start is None else (start.z, start.u)
@@ -313,8 +312,7 @@ def admm_solve(
         eps_prim = params.eps_abs * sqrt_r + params.eps_rel * max(_norm(x), _norm(z))
         eps_dual = params.eps_abs * sqrt_r + params.eps_rel * rho * _norm(u)
         if prim <= eps_prim and dual <= eps_dual:
-            return AdmmResult(z=z, iterations=it, converged=True,
-                              primal_residual=prim, dual_residual=dual, rho=rho, u=u)
+            return AdmmResult(z=z, iterations=it, converged=True, rho=rho, u=u)
         if (changes_left and it % RHO_CHECK_EVERY == 0
                 and max(prim, dual) > RHO_MU * min(prim, dual)):
             scale = RHO_TAU if prim > dual else 1.0 / RHO_TAU
@@ -327,8 +325,7 @@ def admm_solve(
         f"splitting did not converge in {params.max_iter} iterations "
         f"(primal {prim:.3e}, dual {dual:.3e})"
     )
-    return AdmmResult(z=z, iterations=params.max_iter, converged=False,
-                      primal_residual=prim, dual_residual=dual, rho=rho, u=u)
+    return AdmmResult(z=z, iterations=params.max_iter, converged=False, rho=rho, u=u)
 
 
 def detect_support(v: np.ndarray, partner: np.ndarray) -> np.ndarray:
@@ -402,25 +399,21 @@ def solve_at_gamma(
     gamma: float,
     params: AdmmParams = AdmmParams(),
     start: AdmmResult | None = None,
-) -> tuple[SparseSolution, AdmmResult]:
+) -> SparseSolution:
     """One sweep entry: split (from start, as admm_solve), detect support,
     polish, score."""
     admm = admm_solve(form, gamma, params, start)
     support = detect_support(admm.z, form.partner)
     b_pol = polish(form, support)
     cost = form.objective(b_pol)
-    solution = SparseSolution(
-        b_polished=b_pol,
-        support=support,
+    return SparseSolution(
         gamma=float(gamma),
-        cardinality=int(support.size),
+        admm=admm,
+        support=support,
+        b_polished=b_pol,
         cost=cost,
         loss_percent=performance_loss(cost, form.s),
-        iterations=admm.iterations,
-        converged=admm.converged,
-        rho=admm.rho,
     )
-    return solution, admm
 
 
 def log_gamma_grid(gamma_min: float, gamma_max: float, count: int) -> np.ndarray:
@@ -452,11 +445,9 @@ def gamma_sweep(
     if np.any(gammas < 0):
         raise ValueError("gammas must be nonnegative")
     solutions: list[SparseSolution] = []
-    start = None
     for gamma in np.sort(gammas, kind="stable"):
-        sol, admm = solve_at_gamma(form, gamma, params, start)
-        solutions.append(sol)
-        start = admm if params.warm_start else None
+        start = solutions[-1].admm if solutions and params.warm_start else None
+        solutions.append(solve_at_gamma(form, gamma, params, start))
     return solutions
 
 

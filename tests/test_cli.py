@@ -666,6 +666,15 @@ class TestSweep:
         path, _ = planted_csv
         assert run("sweep", path, "--method", "spdmd", "--out", tmp_path / "sw") == 1
 
+    def test_takes_no_dt_label_flag(self, planted_csv, tmp_path, capsys):
+        """sweep writes no summary.json, so it has no time unit to record."""
+        path, _ = planted_csv
+        out = tmp_path / "sw"
+        assert run("sweep", path, "--rank", 3, "--gamma-count", 3, "--dt-label", "month",
+                   "--out", out) == 1
+        assert "--dt-label" in capsys.readouterr().err
+        assert not out.exists()
+
 
 FIVE_MODE_RANK = 9  # four conjugate pairs and one real eigenvalue
 
@@ -694,7 +703,7 @@ def fixed_rho_sweep(path, gammas):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spdmd, "RHO_MAX_CHANGES", 0)
         solutions = gamma_sweep(form, gammas, AdmmParams(max_iter=100000))
-    assert all(s.converged for s in solutions)
+    assert all(s.admm.converged for s in solutions)
     return solutions
 
 
@@ -712,6 +721,14 @@ class TestSpdmdSplittingReport:
             assert admm["converged"] is want_converged
             assert (admm["iterations"] < max_iter) is want_converged
             assert math.log2(admm["rho"]).is_integer()
+
+    def test_converged_empty_support_names_gamma(self, tmp_path, five_mode_csv, capsys):
+        out = tmp_path / "art"
+        assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method", "spdmd",
+                   "--gamma", 1e9, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "gamma=1000000000.0 zeroed out every amplitude" in err and "--max-iter" not in err
+        assert not out.exists()
 
     def test_unconverged_empty_support_names_max_iter(self, tmp_path, five_mode_csv, capsys):
         out = tmp_path / "art"
@@ -810,6 +827,28 @@ class TestReconstruct:
         report = json.loads((out / "recon_report.json").read_text())
         assert report["horizon"] is None and report["indices"] == [3]
         assert (out / "recon_3.csv").exists() and not (out / "forecast.csv").exists()
+
+    def test_nothing_requested_is_usage_error(self, tmp_path, planted_csv, capsys):
+        path, _ = planted_csv
+        art, out = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        capsys.readouterr()
+        assert run("reconstruct", "--artifacts", art, "--input", path, "--out", out) == 1
+        assert "need --at indices or --horizon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_input_with_other_row_count_exits_2(self, tmp_path, rng, capsys):
+        path, short = tmp_path / "six.csv", tmp_path / "five.csv"
+        art, out = tmp_path / "art", tmp_path / "rec"
+        data = rng.standard_normal((6, 30))
+        save_matrix(SnapshotMatrix(data), path, "csv")
+        save_matrix(SnapshotMatrix(data[:5]), short, "csv")
+        assert run("decompose", path, "--rank", 2, "--out", art) == 0
+        capsys.readouterr()
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--input", short,
+                   "--out", out) == 2
+        assert "input has p=5, model expects 6" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_horizon_rejected(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -933,6 +972,22 @@ class TestHeatmap:
                 want = int(round(255.0 * (grid_vals[i, j] - lo) / (hi - lo)))
                 assert g == want
 
+    def test_power_of_two_scale_renders_the_same_image(self, rng):
+        """Also where hi - lo overflows, as for [1e308, -1e308, 0]: that grid
+        renders, without a warning, as its copy at 2^-1024 times its values.
+        Its middle cell is the tie 127.5, which 255 (v - lo) / (hi - lo)
+        rounds to 127 at that scale."""
+        grid = np.array([[1e308, -1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            image = render_heatmap(grid)
+        assert image[-9::3] == bytes([255, 0, 127])
+        assert image == render_heatmap(np.ldexp(grid, -1024))
+        grid = rng.standard_normal((6, 7)) * 3 + 1
+        grid[2, 3] = np.nan
+        for exponent in (-1000, -1, 7, 1000):
+            assert render_heatmap(np.ldexp(grid, exponent)) == render_heatmap(grid)
+
     def test_nan_sentinel_color(self, tmp_path):
         grid = tmp_path / "g.csv"
         grid.write_text("0.0,nan\n1.0,0.5\n")
@@ -1007,9 +1062,25 @@ class TestDeterminism:
 class TestIngestInfo:
     def test_reports_shape(self, planted_csv, capsys):
         path, _ = planted_csv
-        assert run("ingest-info", path) == 0
+        assert run("ingest-info", path, "--dt-label", "month") == 0
         info = json.loads(capsys.readouterr().out)
         assert info["p"] == 12 and info["n_steps"] == 50
+        assert info["dt_label"] == "month" and info["masked_points"] is None
+
+    def test_masked_points_counts_the_cells_the_mask_drops(self, tmp_path, rng, capsys):
+        data = rng.standard_normal((6, 30))
+        data[2] = np.nan
+        path, mask = tmp_path / "land.csv", tmp_path / "mask.csv"
+        write_csv(path, data, ",".join(["%.17g"] * data.shape[1]))
+        mask.write_text("1,1,0\n1,1,1\n")
+        load = ("--grid-shape", 2, 3, "--mask", mask)
+        assert run("ingest-info", path, *load) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert (info["masked_points"], info["p"]) == (1, 5)
+        # the mask describes one cycle's grid, so stacking leaves the count
+        assert run("ingest-info", path, *load, "--cycles", 2) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert (info["masked_points"], info["p"]) == (1, 10)
 
     def test_cycle_stacking_reported(self, planted_csv, capsys):
         path, _ = planted_csv

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -414,7 +415,7 @@ class TestAdmmMatchesCholeskyReference:
         for got, want in ((res1.z, z1), (res1.u, u1), (res2.z, z2), (res2.u, u2)):
             assert_close(got, want, 1e-10)
         solutions = gamma_sweep(form, gammas)
-        assert [s.iterations for s in solutions] == [it1, it2]
+        assert [s.admm.iterations for s in solutions] == [it1, it2]
 
     @pytest.mark.parametrize("max_changes", [0, spdmd.RHO_MAX_CHANGES])
     def test_pair_basis_matches_the_complex_iterates(self, rng, monkeypatch, max_changes):
@@ -541,13 +542,13 @@ class TestResidualBalancing:
         balanced = [solve_at_gamma(form, gamma, TIGHT) for form, gamma in cases]
         monkeypatch.setattr(spdmd, "RHO_MAX_CHANGES", 0)
         fixed = [solve_at_gamma(form, gamma, TIGHT) for form, gamma in cases]
-        for (got, got_admm), (want, want_admm) in zip(balanced, fixed):
-            assert got.converged and want.converged
-            assert want.rho == TIGHT.rho
+        for got, want in zip(balanced, fixed):
+            assert got.admm.converged and want.admm.converged
+            assert want.admm.rho == TIGHT.rho
             np.testing.assert_array_equal(got.support, want.support)
             assert_close(got.b_polished, want.b_polished, 1e-10)
-            assert_close(got_admm.z, want_admm.z, 1e-9)
-        assert sum(got.rho != TIGHT.rho for got, _ in balanced) >= 5
+            assert_close(got.admm.z, want.admm.z, 1e-9)
+        assert sum(got.admm.rho != TIGHT.rho for got in balanced) >= 5
 
     def test_rho_stays_on_the_doubling_grid_and_changes_at_most_the_cap(self, rng,
                                                                         monkeypatch):
@@ -575,11 +576,11 @@ class TestResidualBalancing:
         assert visits[0][0] == 0.5
         assert len({rho for v in visits for rho in v}) > 2
         for k in range(1, len(gammas)):
-            assert visits[k][0] == visits[k - 1][-1] == warm[k - 1].rho
+            assert visits[k][0] == visits[k - 1][-1] == warm[k - 1].admm.rho
         del visits[:]
         cold = gamma_sweep(form, gammas, AdmmParams(rho=0.5, warm_start=False))
         assert [v[0] for v in visits] == [0.5] * len(gammas)
-        assert [s.rho for s in cold] == [v[-1] for v in visits]
+        assert [s.admm.rho for s in cold] == [v[-1] for v in visits]
 
     def test_form_holds_one_operator(self, rng, monkeypatch):
         calls = []
@@ -605,7 +606,7 @@ class TestResidualBalancing:
                     else planted_form(rng, r=10, n_active=3)[0])
             r = form.size
             solutions = gamma_sweep(form, log_gamma_grid(1e-1, 1e4, 12))
-            assert len({s.rho for s in solutions}) > 1
+            assert len({s.admm.rho for s in solutions}) > 1
             assert calls == [(r, r)]
             # P, the eigenvectors of P, and one x-update operator, all real in
             # the pair basis: no complex copy of P stays behind
@@ -625,12 +626,15 @@ class TestResidualBalancing:
         form = quadratic_form(*real_dmd_instance(rng))
         gammas = 2.0 * np.max(np.abs(form.q)) * np.array([0.05, 0.3])
         params = AdmmParams(rho=1e3)
-        _, first = solve_at_gamma(form, gammas[0], params)
+        first = solve_at_gamma(form, gammas[0], params).admm
         assert first.rho != params.rho  # balancing moved rho, so the start must carry it
-        got, _ = solve_at_gamma(form, gammas[1], params, start=first)
+        got = solve_at_gamma(form, gammas[1], params, start=first)
         want = gamma_sweep(form, gammas, params)[1]
-        for name in ("support", "b_polished", "cost", "loss_percent", "iterations", "rho"):
+        for name in ("support", "b_polished", "cost", "loss_percent"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+        for name in ("z", "u", "iterations", "rho"):
+            np.testing.assert_array_equal(getattr(got.admm, name), getattr(want.admm, name),
+                                          name)
 
 
 class TestPolish:
@@ -797,7 +801,7 @@ class TestFitLoss:
         data = smoke_matrix() + 1e-7 * rng.standard_normal((6, 40))
         base = exact_dmd(data, rank=4)
         form = quadratic_form(data[:, :-1], base.basis, base.coefficients, base.eigenvalues)
-        solution, _ = solve_at_gamma(form, 1e-3)
+        solution = solve_at_gamma(form, 1e-3)
         want = formed_residual(data[:, :-1], base, solution.b_polished)
         assert want <= 1e-11 * form.s
         assert abs(solution.cost - want) <= 1e-8 * want
@@ -815,13 +819,25 @@ class TestFitLoss:
         lam = form.eigh[0]
         assert lam[0] <= np.finfo(float).eps * lam.size * lam[-1]
         for gamma, cardinality in ((1.0, 2), (100.0, 0)):
-            solution, _ = solve_at_gamma(form, gamma)
+            solution = solve_at_gamma(form, gamma)
             assert solution.cardinality == cardinality
             want = formed_residual(Y, base, solution.b_polished)
             assert abs(solution.cost - want) <= 1e-13 * want
 
 
 class TestGammaSweep:
+    def test_one_record_per_solve(self, rng):
+        """A solve holds each quantity once: the splitting's state in its admm
+        record, the cardinality read off the support."""
+        form, _, _ = planted_form(rng, r=8, n_active=3)
+        sol = solve_at_gamma(form, 1.0)
+        assert [f.name for f in dataclasses.fields(sol)] == [
+            "gamma", "admm", "support", "b_polished", "cost", "loss_percent"]
+        assert [f.name for f in dataclasses.fields(sol.admm)] == [
+            "z", "iterations", "converged", "rho", "u"]
+        assert sol.cardinality == sol.support.size
+        np.testing.assert_array_equal(sol.support, detect_support(sol.admm.z, form.partner))
+
     def test_monotone_tradeoff_on_planted_data(self, rng):
         form, b_true, active = planted_form(
             rng, r=10, n_active=10, M=200, p=40,
@@ -863,14 +879,14 @@ class TestGammaSweep:
         Y, modes, lam = random_instance(rng, p=8, r=5, M=16)
         form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         for gamma in (0.1, 1.0, 10.0):
-            sol, admm = solve_at_gamma(form, gamma)
-            b = form.from_basis(admm.z)
+            sol = solve_at_gamma(form, gamma)
+            b = form.from_basis(sol.admm.z)
             assert form.objective(sol.b_polished) <= form.objective(b) + 1e-10
 
     def test_loss_identity_two_ways(self, rng):
         Y, modes, lam = random_instance(rng, p=8, r=4, M=12)
         form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
-        sol, _ = solve_at_gamma(form, 0.5)
+        sol = solve_at_gamma(form, 0.5)
         direct = 100.0 * np.linalg.norm(
             Y - modes @ np.diag(sol.b_polished) @ vandermonde(lam, Y.shape[1]), "fro"
         ) / np.linalg.norm(Y, "fro")
@@ -879,7 +895,7 @@ class TestGammaSweep:
     def test_loss_consistent_with_cost(self, rng):
         Y, modes, lam = random_instance(rng)
         form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
-        sol, _ = solve_at_gamma(form, 1.0)
+        sol = solve_at_gamma(form, 1.0)
         assert abs(sol.loss_percent - 100.0 * np.sqrt(sol.cost / form.s)) \
             <= 1e-10 * max(1.0, sol.loss_percent)
 
@@ -929,7 +945,7 @@ class TestSelectModes:
         lam = np.exp(2j * np.pi * np.arange(4) / 7)
         result = DecompositionResult(eigenvalues=lam, basis=modes, coefficients=np.eye(4),
                                      amplitudes=None, method="exact-dmd")
-        sol, _ = solve_at_gamma(form, 0.0)
+        sol = solve_at_gamma(form, 0.0)
         assert sol.cardinality == 4
         selected = select_modes(result, sol)
         assert selected.rank == result.rank
@@ -937,7 +953,7 @@ class TestSelectModes:
 
     def test_empty_support_warns(self, rng):
         result, form, _ = self._result_and_form(rng)
-        sol, _ = solve_at_gamma(form, 2.0 * np.max(np.abs(form.q)) * 10)
+        sol = solve_at_gamma(form, 2.0 * np.max(np.abs(form.q)) * 10)
         assert sol.cardinality == 0
         with pytest.warns(UserWarning, match="empty support"):
             selected = select_modes(result, sol)
