@@ -87,6 +87,14 @@ def _published(target: Path):
         shutil.rmtree(holder, ignore_errors=True)
 
 
+def _check_out(args: argparse.Namespace) -> None:
+    """--out is replaced as a whole: it must not be or hold a path the run reads."""
+    out = Path(args.out).resolve()
+    for read in (getattr(args, name, None) for name in ("artifacts", "input", "mask")):
+        if read is not None and Path(read).resolve().is_relative_to(out):
+            raise UsageError(f"refusing to replace {out}: the run reads {read}")
+
+
 @contextmanager
 def _staged_output(outdir: str | Path):
     """Stage the artifacts in a directory that replaces outdir as a whole."""
@@ -214,6 +222,7 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     _reject_ignored_flags(args)
+    _check_out(args)
     X, mean = _load_input(args)
     result, full_loss, admm = _fit(args, X)
     with _staged_output(args.out) as stage:
@@ -228,6 +237,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gammas = log_gamma_grid(args.gamma_min, args.gamma_max, args.gamma_count)
     except ValueError as exc:
         raise UsageError(f"gamma grid: {exc}") from None
+    _check_out(args)
     _, form = _decompose(args, _load_input(args)[0])
     solutions = gamma_sweep(form, gammas,
                             _admm_params(args, warm_start=not args.no_warm_start))
@@ -278,9 +288,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     given = ["--" + k.replace("_", "-") for k, v in defaults.items() if getattr(args, k) != v]
     if given and args.input is None:
         raise UsageError(f"{', '.join(given)} without --input: load flags lay out only --input")
+    _check_out(args)
     art = Path(args.artifacts)
-    if Path(args.out).resolve() == art.resolve():
-        raise UsageError("--out must differ from --artifacts, which it would replace")
     for needed in ("summary.json", "eigenvalues.csv", "modes_matrix.npy"):
         if not (art / needed).exists():
             raise FileNotFoundError(f"missing artifact {art / needed}")

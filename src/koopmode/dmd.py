@@ -91,14 +91,21 @@ class ModeStats(NamedTuple):
 
 def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
     """Rank-r SVD; default rank keeps singular values above 1e-10 * sigma_1.
-    A wide Y is factored as Y*, whose tall SVD (LAPACK's QR path) is faster."""
+
+    A wide Y (p < M) is factored through the p x p R of Y* = QR, the step
+    LAPACK's SVD of Y* takes first once M >= 11p/6: U and S come from the SVD
+    of R, and only the kept columns V = Y* U / S are formed, each to about
+    eps sigma_1 / sigma_k. A tall or square Y takes one SVD."""
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     Y = np.asarray(Y)
     if Y.size == 0:
         raise ValueError("empty matrix")
-    if Y.shape[0] < Y.shape[1]:  # Y* = V diag(s) U*
-        V, s, Uh = np.linalg.svd(Y.conj().T, full_matrices=False)
+    if rank is not None and rank > min(Y.shape):
+        raise ValueError(f"rank {rank} exceeds min(p, M)={min(Y.shape)}")
+    wide = Y.shape[0] < Y.shape[1]
+    if wide:  # R = Z diag(s) U*, so Y = U diag(s) (Q Z)*
+        _, s, Uh = np.linalg.svd(np.linalg.qr(Y.conj().T, mode="r"))
         U = Uh.conj().T
     else:
         U, s, Vh = np.linalg.svd(Y, full_matrices=False)
@@ -107,12 +114,11 @@ def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
         raise ValueError("matrix has no positive singular values")
     if rank is None:
         rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    else:
-        if rank > min(Y.shape):
-            raise ValueError(f"rank {rank} exceeds min(p, M)={min(Y.shape)}")
-        if s[rank - 1] <= 0:
-            raise ValueError(f"zero singular value inside requested rank {rank}")
-    return SvdFactors(U=U[:, :rank], S=s[:rank], V=V[:, :rank], rank=rank)
+    elif s[rank - 1] <= 0:
+        raise ValueError(f"zero singular value inside requested rank {rank}")
+    U, s = U[:, :rank], s[:rank]
+    V = adjoint_matmul(Y, U / s) if wide else V[:, :rank]
+    return SvdFactors(U=U, S=s, V=V, rank=rank)
 
 
 def conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:

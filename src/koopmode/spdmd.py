@@ -399,11 +399,15 @@ def solve_at_gamma(
     gamma: float,
     params: AdmmParams = AdmmParams(),
     start: AdmmResult | None = None,
+    previous: SparseSolution | None = None,
 ) -> SparseSolution:
     """One sweep entry: split (from start, as admm_solve), detect support,
-    polish, score."""
+    polish, score. A support equal to that of previous, a solve of the same
+    form, takes previous's polish and score, which depend on the support alone."""
     admm = admm_solve(form, gamma, params, start)
     support = detect_support(admm.z, form.partner)
+    if previous is not None and np.array_equal(support, previous.support):
+        return replace(previous, gamma=float(gamma), admm=admm)
     b_pol = polish(form, support)
     cost = form.objective(b_pol)
     return SparseSolution(
@@ -438,7 +442,8 @@ def gamma_sweep(
 ) -> list[SparseSolution]:
     """Solve ascending in gamma, warm-starting each solve from the previous one's
     state: z, u and final rho (disable via params.warm_start for independent
-    evaluation, every solve then starting from zeros at params.rho)."""
+    evaluation, every solve then starting from zeros at params.rho). A solve
+    that detects the previous one's support reuses its polished optimum."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if gammas.size == 0:
         raise ValueError("gamma grid is empty")
@@ -446,8 +451,9 @@ def gamma_sweep(
         raise ValueError("gammas must be nonnegative")
     solutions: list[SparseSolution] = []
     for gamma in np.sort(gammas, kind="stable"):
-        start = solutions[-1].admm if solutions and params.warm_start else None
-        solutions.append(solve_at_gamma(form, gamma, params, start))
+        previous = solutions[-1] if solutions else None
+        start = previous.admm if previous is not None and params.warm_start else None
+        solutions.append(solve_at_gamma(form, gamma, params, start, previous))
     return solutions
 
 

@@ -224,6 +224,35 @@ class TestDecompose:
         assert (art / "summary.json").exists()
         assert not list(tmp_path.glob(".stage-*"))
 
+    @pytest.mark.parametrize("reads", ["artifacts", "input", "mask"])
+    def test_out_holding_a_path_the_run_reads_is_refused(self, tmp_path, planted_csv, reads):
+        """--out is replaced as a whole, so an --out that is or holds the
+        artifacts, the input or the mask exits 1 and leaves its tree as it was."""
+        path, _ = planted_csv
+        results = tmp_path / "results"
+        art = results / "modes"  # results' one child matches an artifact name
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        if reads == "artifacts":
+            runs = [("reconstruct", "--artifacts", art, "--at", 0, "--out", out)
+                    for out in (results, art)]
+        elif reads == "input":
+            inside, other = art / "data.csv", tmp_path / "other"
+            inside.write_bytes(path.read_bytes())
+            assert run("decompose", path, "--rank", 3, "--out", other) == 0
+            runs = [("decompose", inside, "--rank", 3, "--out", results),
+                    ("sweep", inside, "--rank", 3, "--gamma-count", 2, "--out", results),
+                    ("reconstruct", "--artifacts", other, "--input", inside,
+                     "--at", 0, "--out", results)]
+        else:
+            (art / "mask.csv").write_text("1,1,1,1\n1,1,1,1\n1,1,1,1\n")
+            runs = [("decompose", path, "--grid-shape", 3, 4, "--mask", art / "mask.csv",
+                     "--rank", 3, "--out", results)]
+        before = read_tree(results)
+        for args in runs:
+            assert run(*args) == 1, args
+            assert read_tree(results) == before
+        assert not list(tmp_path.rglob(".stage-*"))
+
     def test_foreign_output_directory_is_kept(self, tmp_path, planted_csv):
         path, _ = planted_csv
         keep = tmp_path / "notes.txt"

@@ -35,7 +35,8 @@ class TestTruncatedSvd:
 
     @staticmethod
     def tall_and_wide(rng, p, M):
-        """Real and complex matrices, tall and wide: a wide one is factored as Y*."""
+        """Real and complex matrices, tall and wide: a wide one is factored
+        through the R factor of Y*."""
         return [rng.standard_normal(shape) + z * rng.standard_normal(shape)
                 for shape in ((p, M), (M, p)) for z in (0, 1j)]
 
@@ -62,6 +63,59 @@ class TestTruncatedSvd:
     def test_rank_too_large(self, rng):
         with pytest.raises(ValueError):
             truncated_svd(rng.standard_normal((4, 3)), rank=4)
+
+    def test_rank_bound_is_checked_before_factoring(self, rng, monkeypatch):
+        def factor(*args, **kwargs):
+            raise AssertionError("factored before the rank bound was checked")
+
+        monkeypatch.setattr(np.linalg, "qr", factor)
+        monkeypatch.setattr(np.linalg, "svd", factor)
+        for shape in ((4, 6), (6, 4)):
+            with pytest.raises(ValueError, match=r"rank 5 exceeds min\(p, M\)=4"):
+                truncated_svd(rng.standard_normal(shape), rank=5)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_wide_route_matches_the_svd_of_the_adjoint(self, rng, complex_):
+        """At M >= 11p/6 LAPACK's SVD of Y* takes the same QR step first. A
+        formed column V_k is off by about eps sigma_1 / sigma_k, so the singular
+        values fall only to 1e-5 (V's orthonormality is then near 2e-11; at
+        1e-6 it reaches 3e-10)."""
+        p, M = 8, 30
+        U, V = (np.linalg.qr(rng.standard_normal(shape)
+                             + 1j * complex_ * rng.standard_normal(shape))[0]
+                for shape in ((p, p), (M, p)))
+        Y = (U * np.geomspace(1.0, 1e-5, p)) @ V.conj().T
+        _, s, Uh = np.linalg.svd(Y.conj().T, full_matrices=False)
+        for rank in (3, p):
+            f = truncated_svd(Y, rank=rank)
+            assert np.max(np.abs(f.S - s[:rank])) <= 1e-13 * s[0]
+            # U up to each column's sign, or unit phase when complex
+            ref = Uh[:rank].conj().T
+            phase = np.sum(ref.conj() * f.U, axis=0)
+            assert np.max(np.abs(f.U - ref * phase)) <= 1e-13
+            assert np.max(np.abs(f.V.conj().T @ f.V - np.eye(rank))) <= 1e-10
+        assert np.max(np.abs(Y - f.U @ (f.S[:, None] * f.V.conj().T))) <= 1e-12
+
+    def test_tall_route_is_one_svd(self, rng):
+        for Y in self.tall_and_wide(rng, 12, 5)[:2]:
+            U, s, Vh = np.linalg.svd(Y, full_matrices=False)
+            f = truncated_svd(Y, rank=3)
+            for got, want in ((f.U, U[:, :3]), (f.S, s[:3]), (f.V, Vh.conj().T[:, :3])):
+                assert np.array_equal(got, want)
+
+    def test_wide_route_factors_at_most_p_rows(self, rng, monkeypatch):
+        """The M-side factor is never formed whole: the SVD sees a p x p matrix."""
+        svd, shapes = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for Y in self.tall_and_wide(rng, 40, 7)[2:]:
+            f = truncated_svd(Y, rank=4)
+            assert f.V.shape == (40, 4)
+        assert shapes and all(rows <= 7 for rows, _ in shapes)
 
     @pytest.mark.parametrize("rank", [0, -1])
     def test_rank_below_one(self, rng, rank):

@@ -838,6 +838,34 @@ class TestGammaSweep:
         assert sol.cardinality == sol.support.size
         np.testing.assert_array_equal(sol.support, detect_support(sol.admm.z, form.partner))
 
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_repeated_support_reuses_the_polish(self, rng, monkeypatch, warm_start):
+        """One polish per run of equal consecutive supports; a row that reuses
+        it is bitwise the row a fresh polish and objective would give."""
+        form, _, _ = planted_form(rng, r=10, n_active=3, M=200)
+        calls = []
+
+        def spy(form, support):
+            calls.append(support)
+            return polish(form, support)
+
+        monkeypatch.setattr(spdmd, "polish", spy)
+        solutions = gamma_sweep(form, log_gamma_grid(1e-2, 1e5, 30),
+                                AdmmParams(warm_start=warm_start))
+        runs = 1 + sum(not np.array_equal(a.support, b.support)
+                       for a, b in zip(solutions, solutions[1:]))
+        assert len(calls) == runs < len(solutions)
+        for s in solutions:
+            fresh = polish(form, s.support)
+            assert np.array_equal(s.b_polished, fresh)
+            assert s.cost == form.objective(fresh)
+            assert s.loss_percent == performance_loss(s.cost, form.s)
+        # a previous solve on another support of the same size lends nothing
+        s = next(s for s in solutions if s.cardinality)
+        stranger = dataclasses.replace(s, support=s.support + 1, b_polished=0 * s.b_polished)
+        again = solve_at_gamma(form, s.gamma, start=s.admm, previous=stranger)
+        assert np.array_equal(again.b_polished, polish(form, again.support))
+
     def test_monotone_tradeoff_on_planted_data(self, rng):
         form, b_true, active = planted_form(
             rng, r=10, n_active=10, M=200, p=40,
