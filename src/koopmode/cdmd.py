@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 
-from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT
+from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT, canonical_phase
 
 LSTSQ_RCOND = 1e-10
 
@@ -37,9 +37,10 @@ def fit_companion(data: np.ndarray) -> np.ndarray:
 def companion_dmd(data: np.ndarray) -> DecompositionResult:
     """Companion-operator decomposition of the p x N snapshots data: eigenvalues
     of the (N-1)x(N-1) companion matrix and modes K T, held as the Krylov basis
-    K = data[:, :-1] and the eigenvectors T, in eigensolver order. Amplitudes
-    are left unset; fit them against K."""
+    K = data[:, :-1] and the unit eigenvectors T, rotated by canonical_phase,
+    in eigensolver order. Amplitudes are left unset; fit them against K."""
     evals, T = np.linalg.eig(companion_matrix(fit_companion(data)))
+    T = canonical_phase(T)
     cond = np.linalg.cond(T)
     if cond > EIGENBASIS_COND_LIMIT:
         warnings.warn(f"near-defective companion eigenbasis, condition {cond:.3e}")

@@ -342,21 +342,38 @@ def read_grid_csv(path: str | Path) -> np.ndarray:
     return grid
 
 
+def _grey_levels(values: np.ndarray) -> np.ndarray:
+    """round(255 (v - lo) / (hi - lo)) of each value, lo and hi the values' min
+    and max (0 where they are equal), taken half to even from the exact quotient."""
+    if values.size == 0 or values.min() == values.max():
+        return np.zeros(values.size)
+    # scaled by a power of two to magnitudes below 1: 255 (v - lo) stays finite
+    # where hi - lo would pass float64's range
+    scaled = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
+    lo, hi = scaled.min(), scaled.max()
+    levels = 255.0 * (scaled - lo) / (hi - lo)
+    # each level takes four roundings, so it lies within 4 ulps of the exact
+    # quotient: one within 8 ulps of a half is rounded from that, in rationals
+    half = np.floor(levels) + 0.5
+    near = np.flatnonzero(np.abs(levels - half) <= 8 * np.spacing(half))
+    levels = np.round(levels)
+    if near.size:
+        from fractions import Fraction  # only here: most grids never need it
+        lo = Fraction(values.min())
+        span = Fraction(values.max()) - lo
+        for i in near:
+            levels[i] = round(255 * (Fraction(values[i]) - lo) / span)
+    return levels
+
+
 def render_heatmap(grid: np.ndarray) -> bytes:
-    """Binary PPM: linear grayscale from grid min to max, NaN in a fixed color."""
+    """Binary PPM: linear grayscale from grid min to max (_grey_levels), NaN in
+    a fixed color."""
     h, w = grid.shape
     finite = np.isfinite(grid)
-    values = grid[finite]
-    # scaled by a power of two to magnitudes below 1: exact, and 255 (v - lo)
-    # stays finite where hi - lo would pass float64's range
-    values = np.ldexp(values, -np.frexp(np.abs(values).max(initial=0.0))[1])
-    lo = float(values.min()) if values.size else 0.0
-    hi = float(values.max()) if values.size else 0.0
-    span = hi - lo
     pixels = np.empty((h, w, 3), dtype=np.uint8)
     pixels[:] = NAN_COLOR
-    # np.round, like round(), takes halves to even
-    pixels[finite] = 0 if span == 0 else np.round(255.0 * (values - lo) / span)[:, None]
+    pixels[finite] = _grey_levels(grid[finite])[:, None]
     return f"P6\n{w} {h}\n255\n".encode() + pixels.tobytes()
 
 

@@ -148,6 +148,15 @@ def conjugate_representatives(eigenvalues: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(eigenvalues)[first].imag < 0, partner[first], first)
 
 
+def canonical_phase(W: np.ndarray) -> np.ndarray:
+    """W with each column rotated so that its largest-magnitude entry (the first
+    on a tie) is real and positive: the unit-modulus factor that LAPACK leaves
+    to arithmetic order, so that a rounding-level change could negate a mode,
+    comes from the vector. An exact conjugate pair of columns stays one."""
+    top = W[np.abs(W).argmax(axis=0), np.arange(W.shape[1])]
+    return W * (top.conj() / np.abs(top))
+
+
 def real_matmul(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """A @ Z as a complex array. Real A is not cast to complex: it multiplies
     Z's interleaved re/im columns in one real product, half the flops."""
@@ -175,9 +184,10 @@ def exact_dmd(
     p x N snapshots data, Y = data[:, :-1] = U S V* and Yplus = data[:, 1:].
 
     Modes are Yplus V S^-1 W ("exact") or U W ("projected"), held as that
-    basis and the eigenvectors W, with columns normalized to unit 2-norm and
-    sorted by |eigenvalue| descending (a projected basis copies U's kept
-    columns, not holding all of U). Amplitudes are left unset.
+    basis and the eigenvectors W, with columns normalized to unit 2-norm,
+    rotated by canonical_phase and sorted by |eigenvalue| descending (a
+    projected basis copies U's kept columns, not holding all of U). Amplitudes
+    are left unset.
     """
     if mode_style not in MODE_STYLES:
         raise ValueError(f"mode_style must be one of {MODE_STYLES}")
@@ -185,7 +195,7 @@ def exact_dmd(
     propagate = data[:, 1:] @ (f.V / f.S)
     atilde = adjoint_matmul(f.U, propagate)
     evals, W = np.linalg.eig(atilde)
-    W = W / np.linalg.norm(W, axis=0)
+    W = canonical_phase(W / np.linalg.norm(W, axis=0))
     cond = np.linalg.cond(W)
     if cond > EIGENBASIS_COND_LIMIT:
         warnings.warn(f"near-defective eigenbasis, condition {cond:.3e}")

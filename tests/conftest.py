@@ -47,6 +47,14 @@ def real_exponentials(rng, p: int, lams, n_steps: int) -> np.ndarray:
     return rng.standard_normal((p, lams.size)) @ lams[:, None] ** np.arange(n_steps)
 
 
+def smoke_matrix(n_steps: int = 40) -> np.ndarray:
+    """Six rows of two damped oscillations, a rank-4 signal: the smoke input of
+    the command-line tests, at 40 snapshots."""
+    t = np.arange(n_steps)
+    return np.array([np.cos(0.3 * t + k) * 0.97 ** t + np.cos(1.1 * t + 2 * k) * 0.9 ** t
+                     for k in range(6)])
+
+
 def allocation_peak(fn, *args):
     """(fn(*args), peak bytes that numpy and Python allocated during the call)."""
     tracemalloc.start()

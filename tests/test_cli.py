@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from koopmode import (AdmmParams, SnapshotMatrix, conjugate_pairs,
 from koopmode.dmd import real_matmul
 from koopmode import __main__ as entry, cli, dmd, spdmd
 from koopmode.cli import main, read_grid_csv, render_heatmap
-from conftest import allocation_peak, planted_matrix
+from conftest import allocation_peak, planted_matrix, real_exponentials, smoke_matrix
 
 
 @pytest.fixture
@@ -30,6 +31,13 @@ def planted_csv(tmp_path):
     path = tmp_path / "data.csv"
     save_matrix(X, path, "csv")
     return path, full
+
+
+@pytest.fixture
+def smoke_csv(tmp_path):
+    path = tmp_path / "smoke.csv"
+    save_matrix(SnapshotMatrix(smoke_matrix()), path, "csv")
+    return path
 
 
 def run(*args) -> int:
@@ -153,6 +161,16 @@ class TestDecompose:
                    "--gamma", 0.0, "--out", out) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["method"] == "spdmd"
+        # gamma = 0 keeps every mode, with the least-squares amplitudes of --method dmd
+        assert run("decompose", path, "--rank", 3, "--out", tmp_path / "dmd") == 0
+        amplitudes = []
+        for art in (out, tmp_path / "dmd"):
+            rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
+            rows = rows[np.argsort(rows[:, 0])]
+            amplitudes.append((rows[:, 0].tolist(), rows[:, 6] + 1j * rows[:, 7]))
+        (index, got), (dmd_index, want) = amplitudes
+        assert index == dmd_index == [0, 1, 2]
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_cdmd_method(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -191,6 +209,11 @@ class TestDecompose:
             assert np.linalg.norm(modes[:, j] - fit[:, j]) <= 1e-12 * scale
         header = (art / "temporal.csv").read_text().splitlines()[0]
         assert header == ",".join(["t"] + [f"mode{index[j]}" for j in shown])
+        # each temporal.csv column is Re(amp lam^t) of the row it names
+        table = np.loadtxt(art / "temporal.csv", delimiter=",", skiprows=1, ndmin=2)
+        b = rows[shown, 6] + 1j * rows[shown, 7]
+        want = np.real(b[:, None] * lam[shown, None] ** table[:, 0])
+        assert np.linalg.norm(table[:, 1:].T - want) <= 1e-10 * np.linalg.norm(want)
         assert lam[0].imag != 0  # the pair leads, and counts once
         assert run("decompose", path, "--rank", 3, "--top-modes", 1, "--out", art) == 0
         assert len(list((art / "modes").iterdir())) == 3
@@ -695,6 +718,22 @@ class TestSweep:
         path, _ = planted_csv
         assert run("sweep", path, "--method", "spdmd", "--out", tmp_path / "sw") == 1
 
+    def test_one_gamma_row_is_the_decompose_fit(self, tmp_path, smoke_csv):
+        """A one-gamma sweep solves what decompose --method spdmd solves at
+        that gamma: the same loss, splitting report and mode count."""
+        sw, art = tmp_path / "sw", tmp_path / "art"
+        assert run("sweep", smoke_csv, "--rank", 4, "--gamma-min", 1, "--gamma-max", 1,
+                   "--gamma-count", 1, "--out", sw) == 0
+        assert run("decompose", smoke_csv, "--rank", 4, "--method", "spdmd", "--gamma", 1,
+                   "--out", art) == 0
+        (row,) = read_rows(sw / "sweep.csv")
+        summary = json.loads((art / "summary.json").read_text())
+        admm = summary["admm"]
+        assert (float(row["loss_percent"]), int(row["iterations"]), float(row["rho"]),
+                row["converged"] == "true", int(row["cardinality"])) == (
+            summary["full_fit_loss_percent"], admm["iterations"], admm["rho"],
+            admm["converged"], summary["rank"])
+
     def test_takes_no_dt_label_flag(self, planted_csv, tmp_path, capsys):
         """sweep writes no summary.json, so it has no time unit to record."""
         path, _ = planted_csv
@@ -813,6 +852,26 @@ class TestReconstruct:
         assert (out / "recon_7.csv").exists()
         fc = np.loadtxt(out / "forecast.csv", delimiter=",", ndmin=2)
         assert fc.shape == (12, 5)
+
+    @pytest.mark.parametrize("signal, flags", [
+        ("smoke", ("--method", "spdmd", "--rank", 4, "--gamma", 1)),
+        ("smoke", ("--rank", 4, "--mode-style", "projected")),
+        ("smoke", ("--method", "cdmd", "--subtract-mean")),
+        ("real", ("--rank", 2)),
+    ], ids=["spdmd", "projected", "cdmd-mean", "real-spectrum"])
+    def test_exact_fit_rebuilds_the_raw_input(self, tmp_path, rng, signal, flags):
+        """Each fit here is exact, so the model the artifacts hold rebuilds the
+        first and last training snapshots of the raw input: from the modes SPDMD
+        keeps, from the SVD's U as the basis, with mean.csv added back, and from
+        the float64 eigenvectors of an all-real spectrum."""
+        data = smoke_matrix() if signal == "smoke" else real_exponentials(rng, 6, [0.9, 0.5], 40)
+        path, art, out = tmp_path / "data.csv", tmp_path / "art", tmp_path / "rec"
+        save_matrix(SnapshotMatrix(data), path, "csv")
+        assert run("decompose", path, *flags, "--out", art) == 0
+        assert run("reconstruct", "--artifacts", art, "--input", path, "--at", 0, "--at", 38,
+                   "--out", out) == 0
+        errors = json.loads((out / "recon_report.json").read_text())["relative_errors"]
+        assert sorted(errors) == ["0", "38"] and max(errors.values()) <= 1e-8
 
     def test_input_with_cycles_mask_and_grid_shape(self, tmp_path):
         X, _ = planted_matrix(12, 60, [0.95 * np.exp(0.4j), 0.9], [2.0, 1.0], seed=13)
@@ -1004,18 +1063,29 @@ class TestHeatmap:
     def test_power_of_two_scale_renders_the_same_image(self, rng):
         """Also where hi - lo overflows, as for [1e308, -1e308, 0]: that grid
         renders, without a warning, as its copy at 2^-1024 times its values.
-        Its middle cell is the tie 127.5, which 255 (v - lo) / (hi - lo)
-        rounds to 127 at that scale."""
+        Its middle cell is the exact tie 127.5, which rounds to even, 128."""
         grid = np.array([[1e308, -1e308, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             image = render_heatmap(grid)
-        assert image[-9::3] == bytes([255, 0, 127])
+        assert image[-9::3] == bytes([255, 0, 128])
         assert image == render_heatmap(np.ldexp(grid, -1024))
         grid = rng.standard_normal((6, 7)) * 3 + 1
         grid[2, 3] = np.nan
         for exponent in (-1000, -1, 7, 1000):
             assert render_heatmap(np.ldexp(grid, exponent)) == render_heatmap(grid)
+
+    @pytest.mark.parametrize("step", [1.0, 0.556, 0.1, 3.0 ** 0.5, 1e308 / 8, 1e-300, 5e-324])
+    def test_levels_round_the_exact_quotient(self, rng, step):
+        """Grids of small multiples of one step put many cells on exact ties,
+        where float arithmetic can land either side of the half. Each level is
+        255 (v - lo) / (hi - lo) in rationals, rounded half to even."""
+        for _ in range(40):
+            grid = rng.integers(-8, 9, size=(2, 5)) * step
+            lo, hi = Fraction(grid.min()), Fraction(grid.max())
+            want = [0 if hi == lo else round(255 * (Fraction(v) - lo) / (hi - lo))
+                    for v in grid.ravel()]
+            assert list(render_heatmap(grid).split(b"\n", 3)[3][::3]) == want
 
     def test_nan_sentinel_color(self, tmp_path):
         grid = tmp_path / "g.csv"
@@ -1137,8 +1207,8 @@ def test_version_flag(capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_python(*args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _run_python(*args, **env):
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
@@ -1183,3 +1253,55 @@ class TestRuntimeImports:
             (name, os.environ[name]) for name in entry.THREAD_VARS if name in os.environ) or 0)
         assert entry.main() == 0
         assert seen == (preset or dict.fromkeys(entry.THREAD_VARS, "1"))
+
+
+class TestBlasThreads:
+    """A caller's BLAS thread count does not change the artifacts: the bytes
+    where the arithmetic is the same, and within roundoff where it is not."""
+
+    @pytest.fixture
+    def run_at(self, monkeypatch):
+        for name in entry.THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+
+        def run_at(threads, *args):
+            proc = _run_python("-m", "koopmode", *map(str, args),
+                               OPENBLAS_NUM_THREADS=str(threads))
+            assert proc.returncode == 0, proc.stderr
+
+        return run_at
+
+    def test_smoke_artifacts_are_byte_identical(self, tmp_path, smoke_csv, run_at):
+        files = []
+        for threads in (1, 2):
+            sw, art = tmp_path / f"sweep{threads}", tmp_path / f"dmd{threads}"
+            run_at(threads, "sweep", smoke_csv, "--rank", 4, "--gamma-count", 5, "--out", sw)
+            run_at(threads, "decompose", smoke_csv, "--rank", 4, "--method", "dmd", "--out", art)
+            files.append([(sw / "sweep.csv").read_bytes(), (art / "eigenvalues.csv").read_bytes(),
+                          (art / "modes_matrix.npy").read_bytes()])
+        assert files[0] == files[1]
+
+    def test_decompose_agrees_across_thread_counts(self, tmp_path, run_at):
+        """On this 200 x 400 input, one and two threads round the rank-50
+        operator differently, and LAPACK returns one of its eigenvector pairs
+        negated. Each eigenvector's phase is taken from the vector, so the
+        amplitudes and modes still agree to TOL of their largest entry."""
+        TOL = 1e-9
+        rng = np.random.default_rng(0)  # its own seed: the sign LAPACK picks depends on the data
+        t = np.arange(400)
+        waves = np.array([np.cos(w * t + phase) * 0.99 ** t
+                          for w, phase in zip(rng.uniform(0.1, 3, 8), rng.uniform(0, 6, 8))])
+        data = rng.standard_normal((200, 8)) @ waves + 0.1 * rng.standard_normal((200, 400))
+        path = tmp_path / "data.csv"
+        save_matrix(SnapshotMatrix(data), path, "csv")
+        fits = []
+        for threads in (1, 2):
+            art = tmp_path / f"art{threads}"
+            run_at(threads, "decompose", path, "--rank", 50, "--out", art)
+            rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
+            fits.append((rows[:, 0], rows[:, 6] + 1j * rows[:, 7],
+                         np.load(art / "modes_matrix.npy")))
+        (index, b, modes), (index2, b2, modes2) = fits
+        np.testing.assert_array_equal(index2, index)
+        assert np.abs(b2 - b).max() <= TOL * np.abs(b).max()
+        assert np.abs(modes2 - modes).max() <= TOL * np.abs(modes).max()

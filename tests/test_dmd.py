@@ -9,6 +9,8 @@ import pytest
 from koopmode import (
     DecompositionResult,
     admm_solve,
+    companion_dmd,
+    conjugate_pairs,
     exact_dmd,
     mode_stats,
     optimal_amplitudes,
@@ -360,17 +362,52 @@ class TestRealSpectrum:
     @pytest.mark.parametrize("r", [3, 4])
     def test_modes_equal_the_complex_product(self, rng, r, mode_style):
         """Real eigenvectors (an all-real spectrum) at odd and even rank give the
-        modes of the complex product basis @ W."""
+        modes of the complex product basis @ W, each unit column of W signed
+        so that its largest-magnitude entry is positive."""
         data = real_exponentials(rng, 10, [0.95, 0.8, -0.6, 0.4][:r], 20)
         f = truncated_svd(data[:, :-1], r)
         propagate = data[:, 1:] @ (f.V / f.S)
         evals, W = np.linalg.eig(f.U.T @ propagate)
         assert W.dtype == np.float64
+        W = W / np.linalg.norm(W, axis=0)
+        W = W * np.sign(W[np.abs(W).argmax(axis=0), np.arange(r)])
         basis = propagate if mode_style == "exact" else f.U
-        want = basis.astype(complex) @ (W / np.linalg.norm(W, axis=0))
+        want = basis.astype(complex) @ W
         want = want[:, np.argsort(-np.abs(evals), kind="stable")]
         got = exact_dmd(data, rank=r, mode_style=mode_style).modes
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+class TestCanonicalPhase:
+    @pytest.mark.parametrize("decompose", [exact_dmd, companion_dmd], ids=["dmd", "cdmd"])
+    def test_eigenvector_phase_is_taken_from_the_vector(self, rng, monkeypatch, decompose):
+        """An eigenvector is fixed only up to a unit-modulus factor. Whatever
+        factors D eig returns, as long as conjugate partners stay conjugate
+        (a real eigenvector's factor is then +-1), the decomposition holds the
+        same columns: each rotated so its largest-magnitude entry is positive."""
+        eig = np.linalg.eig
+
+        def eig_times_d(A):
+            evals, W = eig(A)
+            index, partner = np.arange(evals.size), conjugate_pairs(evals)
+            d = np.exp(2j * np.pi * rng.random(evals.size))
+            d[partner == index] = rng.choice([-1.0, 1.0], np.count_nonzero(partner == index))
+            d[partner < index] = d[partner[partner < index]].conj()
+            return evals, W * d
+
+        for _ in range(5):
+            data = rng.standard_normal((12, 9))
+            want = decompose(data)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eig", eig_times_d)
+                got = decompose(data)
+            np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+            np.testing.assert_allclose(got.coefficients, want.coefficients, rtol=0, atol=1e-14)
+            partner = conjugate_pairs(got.eigenvalues)
+            assert np.any(partner != np.arange(partner.size))
+            np.testing.assert_array_equal(got.coefficients[:, partner], got.coefficients.conj())
+            top = np.abs(got.coefficients).argmax(axis=0)
+            assert np.all(got.coefficients[top, np.arange(got.rank)].real > 0)
 
 
 class TestWithAmplitudes:

@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from koopmode import (
     AdmmParams,
@@ -27,7 +26,8 @@ from koopmode import (
 from koopmode import spdmd
 from koopmode.dmd import DecompositionResult
 from koopmode.spdmd import detect_support, paired_form, soft_threshold
-from conftest import allocation_peak, planted_matrix, planted_snapshots, random_unitary
+from conftest import (allocation_peak, planted_matrix, planted_snapshots, random_unitary,
+                      smoke_matrix)
 
 TIGHT = AdmmParams(eps_abs=1e-11, eps_rel=1e-11, max_iter=100000)
 
@@ -68,14 +68,6 @@ def real_dmd_instance(rng, rank=9, p=30, M=80):
     return data[:, :-1], result.basis, result.coefficients, result.eigenvalues
 
 
-def smoke_matrix(n_steps=40):
-    """Six rows of two damped oscillations, a rank-4 signal: the input of the
-    command-line smoke runs in CI, at 40 snapshots."""
-    t = np.arange(n_steps)
-    return np.array([np.cos(0.3 * t + k) * 0.97 ** t + np.cos(1.1 * t + 2 * k) * 0.9 ** t
-                     for k in range(6)])
-
-
 def formed_residual(Y, result, b):
     """||Y - Re(Phi diag(b) Xi)||_F^2 from the formed modes Phi and the powers
     of result's eigenvalues."""
@@ -106,9 +98,16 @@ def amplitude_form(Y, basis, W, lam):
     return form
 
 
+def cholesky_solver(A):
+    """x -> A^-1 x for a Hermitian positive definite A = L L*: one Cholesky
+    factorization, then a solve with L and one with L*."""
+    L = np.linalg.cholesky(A)
+    return lambda b: np.linalg.solve(L.conj().T, np.linalg.solve(L, b))
+
+
 def cholesky_admm(form, gamma, params=AdmmParams(), start=None):
     """Reference splitting loop on a complex form: one Cholesky factorization
-    of 2P + rho I per rho and one triangular solve per x-update, and complex
+    of 2P + rho I per rho and its two triangular solves per x-update, and complex
     shrinkage of the amplitudes. It starts from start = (z, u, rho), else
     from zeros at params.rho. Every 10 iterations rho doubles
     (halves) when the primal (dual) residual exceeds 10 times the other, at
@@ -119,9 +118,9 @@ def cholesky_admm(form, gamma, params=AdmmParams(), start=None):
     z, u, rho = (zero, zero, params.rho) if start is None else start
     z, u = z.astype(complex), u.astype(complex)
     changes = 0
-    cho = scipy.linalg.cho_factor(2.0 * form.P + rho * np.eye(r))
+    solve = cholesky_solver(2.0 * form.P + rho * np.eye(r))
     for it in range(1, params.max_iter + 1):
-        x = scipy.linalg.cho_solve(cho, 2.0 * form.q + rho * (z - u))
+        x = solve(2.0 * form.q + rho * (z - u))
         z_old = z
         z = shrink(x + u, gamma / rho)
         u = u + x - z
@@ -140,7 +139,7 @@ def cholesky_admm(form, gamma, params=AdmmParams(), start=None):
             else:
                 continue
             rho, u, changes = rho * scale, u / scale, changes + 1
-            cho = scipy.linalg.cho_factor(2.0 * form.P + rho * np.eye(r))
+            solve = cholesky_solver(2.0 * form.P + rho * np.eye(r))
     return z, u, it, rho
 
 
@@ -677,12 +676,12 @@ class TestPolish:
             assert np.all(b[off] == 0.0)
             assert_close(b, kkt_polish(form, support), 1e-10)
 
-    def test_matches_scipy_cholesky_on_random_supports(self, rng):
+    def test_matches_a_cholesky_solve_on_random_supports(self, rng):
         form = random_psd_form(rng, 10)
         for _ in range(20):
             support = np.sort(rng.choice(10, size=rng.integers(1, 11), replace=False))
             P_s = form.P[np.ix_(support, support)]
-            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(P_s), form.q[support])
+            want = cholesky_solver(P_s)(form.q[support])
             assert_close(polish(form, support)[support], want, 1e-12)
 
     def test_singular_support_block_gives_minimum_norm(self):
