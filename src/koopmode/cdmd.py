@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 
-from .dmd import DecompositionResult, EIGENBASIS_COND_LIMIT, canonical_phase
+from .dmd import eigen_decomposition
 
 LSTSQ_RCOND = 1e-10
 
@@ -34,23 +34,12 @@ def fit_companion(data: np.ndarray) -> np.ndarray:
     return c
 
 
-def companion_dmd(data: np.ndarray) -> DecompositionResult:
-    """Companion-operator decomposition of the p x N snapshots data: eigenvalues
-    of the (N-1)x(N-1) companion matrix and modes K T, held as the Krylov basis
-    K = data[:, :-1] and the unit eigenvectors T, rotated by canonical_phase,
-    in eigensolver order. Amplitudes are left unset; fit them against K."""
-    evals, T = np.linalg.eig(companion_matrix(fit_companion(data)))
-    T = canonical_phase(T)
-    cond = np.linalg.cond(T)
-    if cond > EIGENBASIS_COND_LIMIT:
-        warnings.warn(f"near-defective companion eigenbasis, condition {cond:.3e}")
-    return DecompositionResult(
-        eigenvalues=evals,
-        basis=data[:, :-1],
-        coefficients=T,
-        amplitudes=None,
-        method="cdmd",
-    )
+def companion_dmd(data: np.ndarray):
+    """The DecompositionResult of the companion operator of the p x N snapshots
+    data: eigenvalues of the (N-1)x(N-1) companion matrix and modes K T, held as
+    the Krylov basis K = data[:, :-1] and the eigenvectors T of eigen_decomposition,
+    in |eigenvalue| order as exact_dmd's. Amplitudes are left unset; fit them against K."""
+    return eigen_decomposition(companion_matrix(fit_companion(data)), data[:, :-1], "cdmd")
 
 
 def unit_circle_deviation(eigenvalues: np.ndarray) -> np.ndarray:

@@ -90,7 +90,7 @@ def _published(target: Path):
 def _check_out(args: argparse.Namespace) -> None:
     """--out is replaced as a whole: it must not be or hold a path the run reads."""
     out = Path(args.out).resolve()
-    for read in (getattr(args, name, None) for name in ("artifacts", "input", "mask")):
+    for read in (getattr(args, name, None) for name in ("artifacts", "input", "mask", "grid")):
         if read is not None and Path(read).resolve().is_relative_to(out):
             raise UsageError(f"refusing to replace {out}: the run reads {read}")
 
@@ -163,7 +163,8 @@ def _fit(args: argparse.Namespace,
     """Decompose and fit amplitudes; returns the result sorted by amplitude,
     the loss of the fit as a percentage of the data norm, as the form scores
     it, and for spdmd what the splitting did (iterations, convergence, final
-    rho). The result's modes are formed on first use, once, in its final order."""
+    rho). The result's modes are not formed: writing them takes one column per
+    conjugate pair from its factors."""
     base, form = _decompose(args, X)
     if args.method != "spdmd":
         return (base.with_amplitudes(optimal_amplitudes(form)),
@@ -378,6 +379,7 @@ def render_heatmap(grid: np.ndarray) -> bytes:
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
+    _check_out(args)
     grid = read_grid_csv(args.grid)
     data = render_heatmap(grid)
     with _published(Path(args.out)) as stage:

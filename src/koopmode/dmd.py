@@ -21,7 +21,6 @@ class SvdFactors:
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
         raise ValueError(f"zero singular value inside requested rank {rank}")
     U, s = U[:, :rank], s[:rank]
     V = adjoint_matmul(Y, U / s) if wide else V[:, :rank]
-    return SvdFactors(U=U, S=s, V=V, rank=rank)
+    return SvdFactors(U=U, S=s, V=V)
 
 
 def conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:
@@ -175,6 +174,23 @@ def adjoint_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A.conj().T @ B
 
 
+def eigen_decomposition(operator: np.ndarray, basis: np.ndarray,
+                        method: str) -> DecompositionResult:
+    """The decomposition whose modes are basis @ W, W the eigenvectors of the
+    square operator: columns normalized to unit 2-norm, rotated by
+    canonical_phase and sorted by |eigenvalue| descending, ties in eig's
+    order. Warns when W is near-defective. Amplitudes are left unset."""
+    evals, W = np.linalg.eig(operator)
+    W /= np.linalg.norm(W, axis=0)
+    W = canonical_phase(W)
+    cond = np.linalg.cond(W)
+    if cond > EIGENBASIS_COND_LIMIT:
+        warnings.warn(f"near-defective eigenbasis, condition {cond:.3e}")
+    order = np.argsort(-np.abs(evals), kind="stable")
+    return DecompositionResult(eigenvalues=evals[order], basis=basis,
+                               coefficients=W[:, order], amplitudes=None, method=method)
+
+
 def exact_dmd(
     data: np.ndarray,
     rank: int | None = None,
@@ -184,29 +200,15 @@ def exact_dmd(
     p x N snapshots data, Y = data[:, :-1] = U S V* and Yplus = data[:, 1:].
 
     Modes are Yplus V S^-1 W ("exact") or U W ("projected"), held as that
-    basis and the eigenvectors W, with columns normalized to unit 2-norm,
-    rotated by canonical_phase and sorted by |eigenvalue| descending (a
-    projected basis copies U's kept columns, not holding all of U). Amplitudes
-    are left unset.
+    basis and the eigenvectors W of eigen_decomposition (a projected basis
+    copies U's kept columns, not holding all of U).
     """
     if mode_style not in MODE_STYLES:
         raise ValueError(f"mode_style must be one of {MODE_STYLES}")
     f = truncated_svd(data[:, :-1], rank)
     propagate = data[:, 1:] @ (f.V / f.S)
-    atilde = adjoint_matmul(f.U, propagate)
-    evals, W = np.linalg.eig(atilde)
-    W = canonical_phase(W / np.linalg.norm(W, axis=0))
-    cond = np.linalg.cond(W)
-    if cond > EIGENBASIS_COND_LIMIT:
-        warnings.warn(f"near-defective eigenbasis, condition {cond:.3e}")
-    order = np.lexsort((np.arange(evals.size), -np.abs(evals)))
-    return DecompositionResult(
-        eigenvalues=evals[order],
-        basis=propagate if mode_style == "exact" else np.ascontiguousarray(f.U),
-        coefficients=W[:, order],
-        amplitudes=None,
-        method=f"{mode_style}-dmd",
-    )
+    basis = propagate if mode_style == "exact" else np.ascontiguousarray(f.U)
+    return eigen_decomposition(adjoint_matmul(f.U, propagate), basis, f"{mode_style}-dmd")
 
 
 def vandermonde(eigenvalues: np.ndarray, n_steps: int, start: int = 0) -> np.ndarray:

@@ -21,6 +21,8 @@ class SnapshotMatrix:
     cycles: int = 1  # snapshots stacked per column; grid and mask describe one of them
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.data):
+            raise ValueError("snapshot data must be real, got complex values")
         data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
         if data.ndim != 2:
             raise ValueError(f"snapshot data must be 2-D, got shape {data.shape}")
@@ -105,12 +107,11 @@ def load_matrix(
             raise FileNotFoundError(f"missing sidecar header {sidecar}")
         head = json.loads(sidecar.read_text())
         rows, cols = int(head["rows"]), int(head["cols"])
-        payload = np.fromfile(path, dtype="<f8")
-        if payload.size != rows * cols:
-            raise ValueError(
-                f"payload holds {payload.size} values, header declares {rows}x{cols}"
-            )
-        data = payload.reshape((rows, cols), order="F")
+        size = path.stat().st_size
+        if size != 8 * rows * cols:
+            raise ValueError(f"payload holds {size} bytes, header declares {rows}x{cols} "
+                             f"float64 values, {8 * rows * cols} bytes")
+        data = np.fromfile(path, dtype="<f8").reshape((rows, cols), order="F")
     if transpose:
         data = data.T
     if mask is not None:

@@ -577,10 +577,10 @@ class TestSubtractMean:
 
 
 class TestModesFormedOnce:
-    """The amplitude problem is built from the modes' factors B W: sweep never
-    forms the p x r complex modes, and decompose forms them once, in their
-    final order. The SVD is computed up front, since its own factors are not
-    what these tests measure."""
+    """The amplitude problem is built from the modes' factors B W: sweep and
+    decompose never form the p x r complex modes, and a caller of the fitted
+    result forms them once, in their final order. The SVD is computed up
+    front, since its own factors are not what these tests measure."""
 
     P, M, RANK = 4000, 60, 20
 
@@ -1037,6 +1037,15 @@ class TestHeatmap:
         data = out.read_bytes()
         assert data == b"P6\n1 1\n255\n\x00\x00\x00"
 
+    def test_grid_as_out_is_refused(self, tmp_path):
+        """out is replaced as a whole, so naming the grid it reads exits 1
+        and leaves the grid as it was."""
+        grid = tmp_path / "g.csv"
+        grid.write_text("0,1\n1,0\n")
+        assert run("heatmap", grid, tmp_path / "." / "g.csv") == 1
+        assert grid.read_text() == "0,1\n1,0\n"
+        assert list(tmp_path.iterdir()) == [grid]
+
     def test_checkerboard_min_max(self, tmp_path):
         grid = tmp_path / "g.csv"
         grid.write_text("0,1\n1,0\n")
@@ -1281,11 +1290,16 @@ class TestBlasThreads:
                           (art / "modes_matrix.npy").read_bytes()])
         assert files[0] == files[1]
 
-    def test_decompose_agrees_across_thread_counts(self, tmp_path, run_at):
+    @pytest.mark.parametrize("flags, n_steps",
+                             [(("--rank", 50), 400), (("--method", "cdmd"), 100)],
+                             ids=["dmd", "cdmd"])
+    def test_decompose_agrees_across_thread_counts(self, tmp_path, run_at, flags, n_steps):
         """On this 200 x 400 input, one and two threads round the rank-50
         operator differently, and LAPACK returns one of its eigenvector pairs
         negated. Each eigenvector's phase is taken from the vector, so the
-        amplitudes and modes still agree to TOL of their largest entry."""
+        amplitudes and modes still agree to TOL of their largest entry. CDMD,
+        of order 99 on the first 100 columns, keeps the same |eigenvalue|
+        order and so the same index labels."""
         TOL = 1e-9
         rng = np.random.default_rng(0)  # its own seed: the sign LAPACK picks depends on the data
         t = np.arange(400)
@@ -1293,11 +1307,11 @@ class TestBlasThreads:
                           for w, phase in zip(rng.uniform(0.1, 3, 8), rng.uniform(0, 6, 8))])
         data = rng.standard_normal((200, 8)) @ waves + 0.1 * rng.standard_normal((200, 400))
         path = tmp_path / "data.csv"
-        save_matrix(SnapshotMatrix(data), path, "csv")
+        save_matrix(SnapshotMatrix(data[:, :n_steps]), path, "csv")
         fits = []
         for threads in (1, 2):
             art = tmp_path / f"art{threads}"
-            run_at(threads, "decompose", path, "--rank", 50, "--out", art)
+            run_at(threads, "decompose", path, *flags, "--out", art)
             rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
             fits.append((rows[:, 0], rows[:, 6] + 1j * rows[:, 7],
                          np.load(art / "modes_matrix.npy")))

@@ -18,7 +18,7 @@ from koopmode import (
     truncated_svd,
     vandermonde,
 )
-from koopmode.dmd import MODE_STYLES
+from koopmode.dmd import MODE_STYLES, eigen_decomposition
 from conftest import planted_matrix, real_exponentials
 
 
@@ -32,7 +32,7 @@ class TestTruncatedSvd:
         v = rng.standard_normal(4)
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
         f = truncated_svd(7.0 * np.outer(u, v))
-        assert f.rank == 1
+        assert f.U.shape == (6, 1) and f.S.shape == (1,) and f.V.shape == (4, 1)
         np.testing.assert_allclose(f.S, [7.0], atol=1e-10)
 
     @staticmethod
@@ -376,6 +376,20 @@ class TestRealSpectrum:
         want = want[:, np.argsort(-np.abs(evals), kind="stable")]
         got = exact_dmd(data, rank=r, mode_style=mode_style).modes
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+class TestEigenDecomposition:
+    def test_defective_operator_warns(self):
+        """A Jordan block has one eigenvector: eig returns two nearly parallel ones."""
+        with pytest.warns(UserWarning, match="near-defective eigenbasis"):
+            result = eigen_decomposition(np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2), "test")
+        assert result.method == "test" and result.amplitudes is None
+
+    def test_columns_sorted_by_eigenvalue_magnitude_ties_in_eig_order(self):
+        """Eigenvalues 0.5, -2, 2 and 1: |lambda| descending, the tie -2, 2 in eig's order."""
+        result = eigen_decomposition(np.diag([0.5, -2.0, 2.0, 1.0]), np.eye(4), "test")
+        np.testing.assert_array_equal(result.eigenvalues, [-2.0, 2.0, 1.0, 0.5])
+        np.testing.assert_array_equal(result.coefficients, np.eye(4)[:, [1, 2, 3, 0]])
 
 
 class TestCanonicalPhase:

@@ -48,6 +48,15 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match="header"):
             load_matrix(path, format="raw-float64")
 
+    def test_raw_payload_with_trailing_bytes_is_rejected(self, tmp_path):
+        """np.fromfile drops a partial last value, so the file's size is checked first."""
+        path = tmp_path / "raw.bin"
+        save_matrix(SnapshotMatrix(np.ones((2, 3))), path, "raw-float64")
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 3)
+        with pytest.raises(ValueError, match="payload holds 51 bytes"):
+            load_matrix(path, format="raw-float64")
+
     def test_header_with_raw_input_is_rejected(self, tmp_path):
         """A raw payload has no header line to skip: the flag is an error, not ignored."""
         path = tmp_path / "raw.bin"
@@ -80,6 +89,11 @@ class TestLoadMatrix:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             SnapshotMatrix(np.array([[1.0, np.nan]]))
+
+    def test_complex_rejected(self):
+        """Casting to float64 would drop the imaginary parts."""
+        with pytest.raises(ValueError, match="complex"):
+            SnapshotMatrix(np.ones((3, 4)) * (1 + 1j))
 
 
 class TestApplyMask:
