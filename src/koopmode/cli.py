@@ -57,6 +57,9 @@ FLOAT = "%.17g"  # lossless for float64
 ARTIFACT_NAMES = ("eigenvalues.csv", "modes_matrix.npy", "modes", "temporal.csv",
                   "summary.json", "sweep.csv", "pareto.csv", "recon_*.csv",
                   "forecast.csv", "recon_report.json", "mean.csv", "modes_matrix.csv")
+# eigenvalues.csv's columns, as decompose writes them and reconstruct reads them.
+EIGENVALUE_COLUMNS = ("index", "re", "im", "magnitude", "e_folding", "period",
+                      "amp_re", "amp_im", "amp_abs")
 # AdmmParams fields set by the solver flags; their defaults are AdmmParams'.
 ADMM_FLAGS = ("rho", "eps_abs", "eps_rel", "max_iter")
 
@@ -189,8 +192,7 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
                 b.real, b.imag, abs(b))
                for idx, lam, b in zip(result.original_indices, result.eigenvalues,
                                       result.amplitudes)),
-              "%d" + f",{FLOAT}" * 8,
-              "index,re,im,magnitude,e_folding,period,amp_re,amp_im,amp_abs")
+              "%d" + f",{FLOAT}" * 8, ",".join(EIGENVALUE_COLUMNS))
     shown = conjugate_representatives(result.eigenvalues)
     modes = real_matmul(result.basis, result.coefficients[:, shown])  # a partner is conjugate
     np.save(stage / "modes_matrix.npy", modes)
@@ -257,10 +259,39 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _summary_field(artifacts: Path, summary: dict, *keys: str):
+    """summary.json's value at the nested keys; a missing one is a ValueError."""
+    value = summary
+    for key in keys:
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"{artifacts / 'summary.json'} has no field {'.'.join(keys)}")
+        value = value[key]
+    return value
+
+
+def _read_eigenvalues(path: Path) -> dict[str, np.ndarray]:
+    """eigenvalues.csv's columns by name; its header must be EIGENVALUE_COLUMNS,
+    and the columns the model takes finite, before they are paired and cast."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != ",".join(EIGENVALUE_COLUMNS):
+            raise ValueError(f"{path} has the header {header!r}, "
+                             f"expected {','.join(EIGENVALUE_COLUMNS)!r}")
+        eig = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if eig.shape[1] != len(EIGENVALUE_COLUMNS):
+        raise ValueError(f"{path} has rows of {eig.shape[1]} values, "
+                         f"expected {len(EIGENVALUE_COLUMNS)}")
+    columns = dict(zip(EIGENVALUE_COLUMNS, eig.T))
+    if not all(np.isfinite(columns[name]).all()
+               for name in ("index", "re", "im", "amp_re", "amp_im")):
+        raise ValueError(f"{path} holds a non-finite value")
+    return columns
+
+
 def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
     summary = json.loads((artifacts / "summary.json").read_text())
-    eig = np.loadtxt(artifacts / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
-    lam = eig[:, 1] + 1j * eig[:, 2]  # %.17g round-trips, so the pairing is decompose's
+    eig = _read_eigenvalues(artifacts / "eigenvalues.csv")
+    lam = eig["re"] + 1j * eig["im"]  # %.17g round-trips, so the pairing is decompose's
     shown = conjugate_representatives(lam)
     modes = np.load(artifacts / "modes_matrix.npy", allow_pickle=False)
     if modes.dtype != np.complex128 or modes.ndim != 2 or modes.shape[1] != shown.size:
@@ -275,9 +306,9 @@ def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
         eigenvalues=lam,
         basis=np.ascontiguousarray(modes).view(np.float64),
         coefficients=coefficients.reshape(-1, lam.size),
-        amplitudes=eig[:, 6] + 1j * eig[:, 7],
-        method=summary["method"],
-        original_indices=eig[:, 0].astype(int),
+        amplitudes=eig["amp_re"] + 1j * eig["amp_im"],
+        method=_summary_field(artifacts, summary, "method"),
+        original_indices=eig["index"].astype(int),
     )
     return model, summary
 
@@ -295,12 +326,16 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         if not (art / needed).exists():
             raise FileNotFoundError(f"missing artifact {art / needed}")
     model, summary = _load_model(art)
-    n_train = int(summary["data_shape"][1]) - 1
+    n_train = int(_summary_field(art, summary, "data_shape")[1]) - 1
     p = model.basis.shape[0]
-    subtracted = summary["config"]["subtract_mean"]  # the model fits anomalies: add means back
+    # the model fits anomalies: add means back
+    subtracted = _summary_field(art, summary, "config", "subtract_mean")
     mean = np.loadtxt(art / "mean.csv", ndmin=1) if subtracted else np.zeros(p)
     if mean.shape != (p,):
         raise ValueError(f"mean.csv holds {mean.size} values, the model has p={p}")
+    for name, values in (("modes_matrix.npy", model.basis), ("mean.csv", mean)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{art / name} holds a non-finite value")
     reference = None
     if args.input is not None:
         reference, _ = _load_input(args)

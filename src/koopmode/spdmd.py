@@ -38,7 +38,7 @@ class QuadraticForm:
     b = T y: y_i = sqrt2 Re b_i and y_j = sqrt2 Im b_i for a pair i < j,
     y_k = b_k for an unpaired k. A form with pairs is real (paired_form).
     eigh = (lam, Q), P = Q diag(lam) Q*, is the one factorization: PSD check,
-    x-update, and the minimum-norm optimum y* of P y = q, with g = q - P y*.
+    x-update, and y*, P y = q's one (minimum-norm) solve, with g = q - P y*.
     objective splits at y*, floor + d*Pd - 2 Re(g*d) at d = y - y*, exact for
     every y and singular P. floor is the expansion's value at y*,
     s - Re((q + g)* y*), but quadratic_form sets it from the fit's residual,
@@ -77,7 +77,7 @@ class QuadraticForm:
         if lam[0] < -PSD_REL_TOL * max(lam[-1], 1.0):
             raise ValueError(f"P is not positive semidefinite (min eig {lam[0]:.3e})")
         object.__setattr__(self, "eigh", (lam, Q))
-        y = _min_norm(lam, Q, q, warn=False)
+        y = _min_norm(lam, Q, q)
         g = q - P @ y
         object.__setattr__(self, "optimum", y)
         object.__setattr__(self, "normal_residual", g)
@@ -284,7 +284,7 @@ def admm_solve(
     and the result holds them: form.from_basis(z) gives the amplitudes.
     The state (z, u, rho) starts at start's, else at zeros and params.rho;
     rho moves by residual balancing, and the result holds the final rho.
-    gamma = 0 short-circuits to the minimum-norm least-squares optimum.
+    gamma = 0 short-circuits to a copy of the least-squares form.optimum.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -293,7 +293,7 @@ def admm_solve(
     r = form.size
     rho = params.rho if start is None else start.rho
     if gamma == 0.0:
-        return AdmmResult(z=_min_norm(*form.eigh, form.q), iterations=0, converged=True,
+        return AdmmResult(z=form.optimum.copy(), iterations=0, converged=True,
                           rho=rho, u=np.zeros(r, dtype=form.q.dtype))
     A, c = form.x_update(rho)
     zero = np.zeros(r, dtype=c.dtype)  # no iterate is updated in place
@@ -337,12 +337,12 @@ def detect_support(v: np.ndarray, partner: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mag > ZERO_REL_TOL * mag.max(initial=0.0))
 
 
-def _min_norm(lam: np.ndarray, Q: np.ndarray, q: np.ndarray, warn: bool = True) -> np.ndarray:
+def _min_norm(lam: np.ndarray, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of Q diag(lam) Q* x = q (lam ascending), dropping
-    lam <= eps k lam_max, numpy's default least-squares cutoff; if warn, warns
-    when it drops one or lam_max / lam_min exceeds NORMAL_COND_LIMIT."""
+    lam <= eps k lam_max, numpy's default least-squares cutoff; warns when it
+    drops one or lam_max / lam_min exceeds NORMAL_COND_LIMIT."""
     keep = lam > np.finfo(float).eps * lam.size * lam[-1]
-    if warn and (not keep.all() or lam[-1] > NORMAL_COND_LIMIT * lam[0]):
+    if not keep.all() or lam[-1] > NORMAL_COND_LIMIT * lam[0]:
         warnings.warn("near-singular amplitude system, using minimum-norm solution")
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     return Q @ (inv * (Q.conj().T @ q))
@@ -350,10 +350,9 @@ def _min_norm(lam: np.ndarray, Q: np.ndarray, q: np.ndarray, warn: bool = True) 
 
 def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
     """Least-squares amplitudes minimizing the quadratic form (P, q, s), in the
-    form's column order: the minimum-norm solution of P b = q from the form's
-    eigendecomposition in its basis, as form.optimum holds it, with the
-    near-singular warning that the form's own solve leaves out."""
-    return form.from_basis(_min_norm(*form.eigh, form.q))
+    form's column order: those of form.optimum, the minimum-norm solution of
+    P y = q that the form solved, and warned of if near-singular, when built."""
+    return form.from_basis(form.optimum)
 
 
 def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:

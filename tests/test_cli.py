@@ -1028,6 +1028,99 @@ class TestReconstruct:
         assert not out.exists()
 
 
+def _edit_table(path, edit):
+    """Rewrite a CSV artifact as edit(header, rows) returns them, each row a
+    list of cells."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    header, rows = edit(header, rows)
+    path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+
+
+def _set_cell(column, value):
+    """damage for eigenvalues.csv: the first row's cell in column becomes value."""
+    def edit(header, rows):
+        rows[0][header.index(column)] = value
+        return header, rows
+    return lambda path: _edit_table(path, edit)
+
+
+def _damage_npy(path):
+    modes = np.load(path)
+    modes[0, 0] = complex(np.nan, 0.0)
+    np.save(path, modes)
+
+
+def _damage_mean(path):
+    mean = np.loadtxt(path, ndmin=1)
+    mean[3] = np.nan
+    np.savetxt(path, mean, fmt="%.17g")
+
+
+class TestReconstructArtifacts:
+    """reconstruct reads decompose's artifacts as data from outside the
+    program: a non-finite value, an eigenvalues.csv header other than the
+    one decompose writes, or a missing summary.json field exits 2 naming
+    the file, and writes nothing."""
+
+    @pytest.fixture
+    def art(self, tmp_path, planted_csv):
+        path, _ = planted_csv
+        art = tmp_path / "art"
+        assert run("decompose", path, "--rank", 3, "--subtract-mean", "--out", art) == 0
+        return art
+
+    def _fails(self, tmp_path, art, capsys, message):
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--horizon", 2,
+                   "--out", out) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, damage", [
+        ("mean.csv", _damage_mean),
+        ("modes_matrix.npy", _damage_npy),
+        ("eigenvalues.csv", _set_cell("amp_re", "inf")),
+        ("eigenvalues.csv", _set_cell("im", "nan")),
+    ], ids=["mean-nan", "modes-nan", "amplitude-inf", "eigenvalue-nan"])
+    def test_non_finite_artifact_exits_2(self, tmp_path, art, capsys, name, damage):
+        damage(art / name)
+        self._fails(tmp_path, art, capsys, re.escape(f"{name} holds a non-finite value"))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header, rows: ([header[i] for i in (0, 1, 2, 6, 7)],
+                               [[row[i] for i in (0, 1, 2, 6, 7)] for row in rows]),
+         r"eigenvalues\.csv has the header 'index,re,im,amp_re,amp_im', expected "
+         r"'index,re,im,magnitude,e_folding,period,amp_re,amp_im,amp_abs'"),
+        (lambda header, rows: (["b_re" if name == "amp_re" else name for name in header], rows),
+         r"eigenvalues\.csv has the header '[^']*,b_re,"),
+        (lambda header, rows: (header, [row[:5] for row in rows]),
+         r"eigenvalues\.csv has rows of 5 values, expected 9"),
+    ], ids=["five-columns", "renamed-column", "short-rows"])
+    def test_eigenvalue_table_of_another_layout_exits_2(self, tmp_path, art, capsys,
+                                                         edit, message):
+        _edit_table(art / "eigenvalues.csv", edit)
+        self._fails(tmp_path, art, capsys, message)
+
+    @pytest.mark.parametrize("keys", [("method",), ("data_shape",), ("config",),
+                                      ("config", "subtract_mean")],
+                             ids=lambda keys: ".".join(keys))
+    def test_summary_without_a_field_exits_2(self, tmp_path, art, capsys, keys):
+        summary = json.loads((art / "summary.json").read_text())
+        holder = summary["config"] if len(keys) == 2 else summary
+        del holder[keys[-1]]
+        (art / "summary.json").write_text(json.dumps(summary))
+        field = "config.subtract_mean" if keys[0] == "config" else keys[0]
+        self._fails(tmp_path, art, capsys,
+                    re.escape(f"summary.json has no field {field}"))
+
+    def test_intact_artifacts_reconstruct(self, tmp_path, art, planted_csv):
+        """The fixture's artifacts pass every check: the damage alone fails."""
+        path, _ = planted_csv
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--horizon", 2,
+                   "--input", path, "--out", tmp_path / "rec") == 0
+
+
 class TestHeatmap:
     def test_single_black_pixel(self, tmp_path):
         grid = tmp_path / "g.csv"

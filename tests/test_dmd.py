@@ -338,23 +338,39 @@ class TestNearSingularAmplitudes:
     @pytest.mark.parametrize("build", [duplicated_mode_form, weak_mode_form])
     def test_minimum_norm_solution_warns_and_matches_lstsq(self, rng, build):
         for _ in range(5):
-            form = build(rng)
+            with pytest.warns(UserWarning, match="near-singular amplitude system"):
+                form = build(rng)
             lam = np.linalg.eigvalsh(form.P)
             assert lam[-1] > 1e14 * lam[0]
             want = np.linalg.lstsq(form.P, form.q, rcond=None)[0]
-            with pytest.warns(UserWarning, match="near-singular amplitude system"):
-                b = optimal_amplitudes(form)
+            b = optimal_amplitudes(form)
             assert np.linalg.norm(b - want) <= 1e-12 * np.linalg.norm(want)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                z = admm_solve(form, 0.0).z  # coordinates, the amplitudes on a complex form
+            z = admm_solve(form, 0.0).z  # coordinates, the amplitudes on a complex form
             np.testing.assert_array_equal(form.from_basis(z), b)
 
     def test_duplicated_mode_shares_its_amplitude(self, rng):
-        form = duplicated_mode_form(rng)
         with pytest.warns(UserWarning, match="near-singular"):
-            b = optimal_amplitudes(form)
+            form = duplicated_mode_form(rng)
+        b = optimal_amplitudes(form)
         assert abs(b[1] - b[4]) <= 1e-12 * abs(b[1])
+
+    @pytest.mark.parametrize("build", [duplicated_mode_form, weak_mode_form])
+    def test_form_warns_once_when_built(self, rng, build):
+        """The form solves P y = q once, when it is built, and warns there;
+        the amplitudes and the gamma = 0 solve read its optimum, bitwise,
+        and warn nothing more."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            form = build(rng)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "near-singular amplitude system, using minimum-norm solution")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = optimal_amplitudes(form)
+            z = admm_solve(form, 0.0).z
+        np.testing.assert_array_equal(b, form.from_basis(form.optimum))
+        np.testing.assert_array_equal(z, form.optimum)
+        assert z is not form.optimum  # the solve's state is its own
 
 
 class TestRealSpectrum:

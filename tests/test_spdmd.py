@@ -686,7 +686,8 @@ class TestPolish:
 
     def test_singular_support_block_gives_minimum_norm(self):
         P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
-        form = QuadraticForm(P=P, q=np.array([1.0, 1.0, 1.0]), s=10.0)
+        with pytest.warns(UserWarning, match="near-singular amplitude system"):
+            form = QuadraticForm(P=P, q=np.array([1.0, 1.0, 1.0]), s=10.0)
         with pytest.warns(UserWarning, match="near-singular amplitude system"):
             b = polish(form, np.array([0, 1]))
         np.testing.assert_allclose(b, [0.5, 0.5, 0.0], atol=1e-12)
@@ -698,13 +699,15 @@ class TestPolish:
     ])
     def test_singular_block_matches_the_pseudoinverse(self, rng, block):
         """A rank-deficient support block falls back to the minimum-norm
-        solution, pinv(P_s) q_s, under the one near-singular warning."""
+        solution, pinv(P_s) q_s, and polish raises the near-singular warning
+        that the singular form raised when it was built."""
         P = np.zeros((5, 5), dtype=complex)
         support = np.array([0, 2, 4])
         P[np.ix_(support, support)] = block
         P[[1, 3], [1, 3]] = 5.0
         q = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        form = QuadraticForm(P=P, q=q, s=100.0)
+        with pytest.warns(UserWarning, match="near-singular amplitude system"):
+            form = QuadraticForm(P=P, q=q, s=100.0)
         with pytest.warns(UserWarning, match="near-singular amplitude system"):
             b = polish(form, support)
         want = np.linalg.pinv(P[np.ix_(support, support)]) @ q[support]
@@ -726,7 +729,8 @@ class TestPolish:
             except np.linalg.LinAlgError:
                 continue
             caught += 1
-            form = QuadraticForm(P=P, q=q, s=1.0)
+            with pytest.warns(UserWarning, match="near-singular amplitude system"):
+                form = QuadraticForm(P=P, q=q, s=1.0)
             with pytest.warns(UserWarning, match="near-singular amplitude system"):
                 b = polish(form, np.arange(6))
             assert_close(b, np.linalg.pinv(P) @ q, 1e-10)
@@ -814,7 +818,8 @@ class TestFitLoss:
         with pytest.warns(UserWarning, match="rank-deficient"):
             base = companion_dmd(X)
         Y = X[:, :-1]
-        form = quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
+        with pytest.warns(UserWarning, match="near-singular amplitude system"):
+            form = quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
         lam = form.eigh[0]
         assert lam[0] <= np.finfo(float).eps * lam.size * lam[-1]
         for gamma, cardinality in ((1.0, 2), (100.0, 0)):
