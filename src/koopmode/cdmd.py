@@ -5,9 +5,7 @@ import warnings
 
 import numpy as np
 
-from .dmd import eigen_decomposition
-
-LSTSQ_RCOND = 1e-10
+from .dmd import RANK_TOL, eigen_decomposition
 
 
 def companion_matrix(coefficients: np.ndarray) -> np.ndarray:
@@ -25,7 +23,7 @@ def fit_companion(data: np.ndarray) -> np.ndarray:
     if data.shape[1] < 3:
         raise ValueError(f"companion fit needs N >= 3, got N={data.shape[1]}")
     K = data[:, :-1]
-    c, _, rank, _ = np.linalg.lstsq(K, data[:, -1], rcond=LSTSQ_RCOND)
+    c, _, rank, _ = np.linalg.lstsq(K, data[:, -1], rcond=RANK_TOL)
     if rank < K.shape[1]:
         warnings.warn(
             f"rank-deficient Krylov sequence (rank {rank} of {K.shape[1]}), "

@@ -14,7 +14,6 @@ import os
 import shutil
 import sys
 import tempfile
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,9 +25,11 @@ from .dmd import (DecompositionResult, conjugate_pairs, conjugate_representative
                   exact_dmd, mode_stats, real_matmul)
 from .rom import reconstruct, temporal_dynamics
 from .snapshots import (
+    FLOAT,
     SnapshotMatrix,
     load_mask,
     load_matrix,
+    read_csv,
     stack_cycles,
     subtract_mean,
     write_csv,
@@ -50,7 +51,6 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 NAN_COLOR = (255, 0, 255)
-FLOAT = "%.17g"  # lossless for float64
 # Names the subcommands write into an output directory; an existing directory
 # holding anything else is not replaced. modes_matrix.csv is the name older
 # versions gave the modes matrix, so their output directories can be replaced.
@@ -108,11 +108,6 @@ def _staged_output(outdir: str | Path):
     with _published(outdir) as stage:
         stage.mkdir()
         yield stage
-
-
-def _float_csv(path: Path, rows: np.ndarray, header: str | None = None) -> None:
-    rows = np.atleast_2d(rows)
-    write_csv(path, rows, ",".join([FLOAT] * rows.shape[1]), header)
 
 
 def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | None]:
@@ -173,12 +168,12 @@ def _fit(args: argparse.Namespace,
         return (base.with_amplitudes(optimal_amplitudes(form)),
                 performance_loss(form.floor, form.s), None)
     solution = solve_at_gamma(form, args.gamma, _admm_params(args))
-    result = select_modes(base, solution)
-    if result.rank == 0:
+    if solution.cardinality == 0:  # checked first: select_modes warns on an empty support
         if not solution.admm.converged:
             raise ValueError(f"the splitting stopped at --max-iter {args.max_iter} without "
                              f"converging, with no amplitude left at gamma={args.gamma}")
         raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
+    result = select_modes(base, solution)
     return result, solution.loss_percent, {"iterations": int(solution.admm.iterations),
                                            "converged": bool(solution.admm.converged),
                                            "rho": float(solution.admm.rho)}
@@ -200,12 +195,12 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
     modes_dir.mkdir()
     for idx, col in zip(result.original_indices[shown[:args.top_modes]], modes.T):
         for tag, values in (("real", col.real), ("imag", col.imag), ("abs", np.abs(col))):
-            _float_csv(modes_dir / f"{int(idx)}_{tag}.csv", X.grids(values).mean(axis=0))
+            write_csv(modes_dir / f"{int(idx)}_{tag}.csv", X.grids(values).mean(axis=0))
 
     n_steps = X.n_steps - 1
     dyn = temporal_dynamics(result, n_steps, rows=shown)
-    _float_csv(stage / "temporal.csv", np.column_stack([np.arange(n_steps), dyn.T]),
-               ",".join(["t"] + [f"mode{i}" for i in result.original_indices[shown]]))
+    write_csv(stage / "temporal.csv", np.column_stack([np.arange(n_steps), dyn.T]),
+              header=",".join(["t"] + [f"mode{i}" for i in result.original_indices[shown]]))
 
     summary = {
         "toolkit_version": __version__,
@@ -231,7 +226,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     with _staged_output(args.out) as stage:
         _write_decomposition(stage, args, X, result, full_loss, admm)
         if mean is not None:
-            _float_csv(stage / "mean.csv", mean[:, None])
+            write_csv(stage / "mean.csv", mean[:, None])
     return EXIT_OK
 
 
@@ -274,10 +269,10 @@ def _read_eigenvalues(path: Path) -> dict[str, np.ndarray]:
     and the columns the model takes finite, before they are paired and cast."""
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != ",".join(EIGENVALUE_COLUMNS):
-            raise ValueError(f"{path} has the header {header!r}, "
-                             f"expected {','.join(EIGENVALUE_COLUMNS)!r}")
-        eig = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if header != ",".join(EIGENVALUE_COLUMNS):
+        raise ValueError(f"{path} has the header {header!r}, "
+                         f"expected {','.join(EIGENVALUE_COLUMNS)!r}")
+    eig = read_csv(path, 1)
     if eig.shape[1] != len(EIGENVALUE_COLUMNS):
         raise ValueError(f"{path} has rows of {eig.shape[1]} values, "
                          f"expected {len(EIGENVALUE_COLUMNS)}")
@@ -289,11 +284,19 @@ def _read_eigenvalues(path: Path) -> dict[str, np.ndarray]:
 
 
 def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
-    summary = json.loads((artifacts / "summary.json").read_text())
+    try:
+        summary = json.loads((artifacts / "summary.json").read_text())
+    except ValueError as exc:
+        raise ValueError(f"{artifacts / 'summary.json'} is not JSON: {exc}") from None
     eig = _read_eigenvalues(artifacts / "eigenvalues.csv")
     lam = eig["re"] + 1j * eig["im"]  # %.17g round-trips, so the pairing is decompose's
     shown = conjugate_representatives(lam)
-    modes = np.load(artifacts / "modes_matrix.npy", allow_pickle=False)
+    try:  # read_array, not np.load: a file of another kind is not taken for a pickle
+        with open(artifacts / "modes_matrix.npy", "rb") as fh:
+            modes = np.lib.format.read_array(fh, allow_pickle=False)
+    except ValueError as exc:
+        raise ValueError(f"{artifacts / 'modes_matrix.npy'} is not a .npy array "
+                         f"koopmode can read: {exc}") from None
     if modes.dtype != np.complex128 or modes.ndim != 2 or modes.shape[1] != shown.size:
         raise ValueError(f"modes_matrix.npy holds {modes.dtype} {modes.shape}, expected "
                          f"complex128 with {shown.size} columns, one per conjugate pair or "
@@ -330,9 +333,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     p = model.basis.shape[0]
     # the model fits anomalies: add means back
     subtracted = _summary_field(art, summary, "config", "subtract_mean")
-    mean = np.loadtxt(art / "mean.csv", ndmin=1) if subtracted else np.zeros(p)
-    if mean.shape != (p,):
-        raise ValueError(f"mean.csv holds {mean.size} values, the model has p={p}")
+    mean = read_csv(art / "mean.csv") if subtracted else np.zeros((p, 1))
+    if mean.shape != (p, 1):
+        raise ValueError(f"{art / 'mean.csv'} holds {mean.size} values, the model has p={p}")
+    mean = mean[:, 0]
     for name, values in (("modes_matrix.npy", model.basis), ("mean.csv", mean)):
         if not np.isfinite(values).all():
             raise ValueError(f"{art / name} holds a non-finite value")
@@ -347,7 +351,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         for k in args.at:
             snapshot, resid = reconstruct(model, k, 1)
             vec = snapshot[:, 0] + mean
-            _float_csv(stage / f"recon_{k}.csv", vec[:, None])
+            write_csv(stage / f"recon_{k}.csv", vec[:, None])
             report["imag_residuals"][str(k)] = float(resid[0])
             if reference is not None:  # null past the input's last column
                 err = None
@@ -357,25 +361,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                     err = float(np.linalg.norm(vec - col) / denom)
                 report["relative_errors"][str(k)] = err
         if args.horizon is not None:
-            _float_csv(stage / "forecast.csv",
-                       reconstruct(model, n_train, args.horizon)[0] + mean[:, None])
+            write_csv(stage / "forecast.csv",
+                      reconstruct(model, n_train, args.horizon)[0] + mean[:, None])
         (stage / "recon_report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
-
-
-def read_grid_csv(path: str | Path) -> np.ndarray:
-    """Rectangular numeric grid, NaN sentinel allowed; ragged rows are an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt's "input contained no data"
-        try:
-            grid = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"ragged rows or non-numeric cells in grid file {path}: "
-                             f"{exc}") from None
-    if grid.size == 0:
-        raise ValueError(f"empty grid file {path}")
-    return grid
 
 
 def _grey_levels(values: np.ndarray) -> np.ndarray:
@@ -415,8 +405,7 @@ def render_heatmap(grid: np.ndarray) -> bytes:
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     _check_out(args)
-    grid = read_grid_csv(args.grid)
-    data = render_heatmap(grid)
+    data = render_heatmap(read_csv(args.grid))
     with _published(Path(args.out)) as stage:
         stage.write_bytes(data)
     return EXIT_OK

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-RANK_TOL = 1e-10
+RANK_TOL = 1e-10  # a singular value at or below RANK_TOL·σ₁ counts as zero (DMD and CDMD)
 EIGENBASIS_COND_LIMIT = 1e12
 CONJUGATE_TOL = 1e-8
 MODE_STYLES = ("exact", "projected")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 FORMATS = ("csv", "raw-float64")
+FLOAT = "%.17g"  # lossless for float64; writes nan, inf and -inf in lowercase
 
 
 @dataclass(frozen=True)
@@ -93,20 +94,25 @@ def load_matrix(
     mask, one boolean per row read, only the rows it flags true are kept, so
     the rows it drops may hold NaN or inf."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     if header and format != "csv":
         raise ValueError(f"header applies to csv input only, not {format}")
     if format == "csv":
-        data = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+        data = read_csv(path, 1 if header else 0)
     else:
         sidecar = path.with_suffix(path.suffix + ".json")
         if not sidecar.exists():
             raise FileNotFoundError(f"missing sidecar header {sidecar}")
-        head = json.loads(sidecar.read_text())
-        rows, cols = int(head["rows"]), int(head["cols"])
+        try:
+            head = json.loads(sidecar.read_text())
+        except ValueError as exc:
+            raise ValueError(f"sidecar {sidecar} is not JSON: {exc}") from None
+        rows, cols = (head.get(key) if isinstance(head, dict) else None
+                      for key in ("rows", "cols"))
+        if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+            raise ValueError(f"sidecar {sidecar} must give rows and cols as "
+                             f"non-negative integers, got {head!r}")
         size = path.stat().st_size
         if size != 8 * rows * cols:
             raise ValueError(f"payload holds {size} bytes, header declares {rows}x{cols} "
@@ -128,7 +134,7 @@ def save_matrix(X: SnapshotMatrix, path: str | Path, format: str = "csv") -> Non
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     if format == "csv":
-        write_csv(path, X.data, ",".join(["%.17g"] * X.n_steps))
+        write_csv(path, X.data)
     else:
         sidecar = path.with_suffix(path.suffix + ".json")
         sidecar.write_text(
@@ -137,11 +143,14 @@ def save_matrix(X: SnapshotMatrix, path: str | Path, format: str = "csv") -> Non
         np.asfortranarray(X.data).astype("<f8").ravel(order="F").tofile(path)
 
 
-def write_csv(path: str | Path, rows, fmt: str, header: str | None = None) -> None:
+def write_csv(path: str | Path, rows, fmt: str | None = None,
+              header: str | None = None) -> None:
     """Write each row of a 2-D array or iterable of sequences as the line
-    `fmt % tuple(row)`, streaming, after an optional header line. "%.17g" is
-    lossless for float64 and writes nan, inf and -inf in lowercase."""
+    `fmt % tuple(row)`, streaming, after an optional header line; an array's
+    fmt defaults to FLOAT in every column."""
     if isinstance(rows, np.ndarray):
+        if fmt is None:
+            fmt = ",".join([FLOAT] * rows.shape[1])
         rows = map(np.ndarray.tolist, rows)  # Python floats format faster
     with open(path, "w") as fh:
         if header is not None:
@@ -150,9 +159,24 @@ def write_csv(path: str | Path, rows, fmt: str, header: str | None = None) -> No
             fh.write(fmt % tuple(row) + "\n")
 
 
+def read_csv(path: str | Path, skiprows: int = 0) -> np.ndarray:
+    """The values of a comma-separated file after skiprows lines, as a 2-D
+    float64 array; nan and inf parse. Ragged rows, a non-numeric cell or no
+    values at all raise ValueError naming the path."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"ragged rows or non-numeric cells in {path}: {exc}") from None
+    if data.size == 0:
+        raise ValueError(f"no values in {path}")
+    return data
+
+
 def load_mask(path: str | Path) -> np.ndarray:
     """Read a 0/1 CSV mask, row-major over (lat, lon); any other value is an error."""
-    values = np.loadtxt(path, delimiter=",").reshape(-1)
+    values = read_csv(path).reshape(-1)
     if not np.all((values == 0) | (values == 1)):
         raise ValueError(f"mask {path} holds a value other than 0 and 1")
     return values == 1

@@ -16,11 +16,11 @@ import pytest
 
 from koopmode import (AdmmParams, SnapshotMatrix, conjugate_pairs,
                       conjugate_representatives, exact_dmd, gamma_sweep, load_matrix,
-                      log_gamma_grid, quadratic_form, reconstruct, save_matrix, stack_cycles,
-                      truncated_svd, write_csv)
+                      log_gamma_grid, quadratic_form, read_csv, reconstruct, save_matrix,
+                      stack_cycles, truncated_svd, write_csv)
 from koopmode.dmd import real_matmul
 from koopmode import __main__ as entry, cli, dmd, spdmd
-from koopmode.cli import main, read_grid_csv, render_heatmap
+from koopmode.cli import main, render_heatmap
 from conftest import allocation_peak, planted_matrix, real_exponentials, smoke_matrix
 
 
@@ -292,7 +292,7 @@ class TestDecompose:
         assert run("decompose", path, "--grid-shape", 3, 4, "--cycles", 3, "--out", out) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["data_shape"] == [36, 10]
-        grid = read_grid_csv(out / "modes" / "0_abs.csv")
+        grid = read_csv(out / "modes" / "0_abs.csv")
         assert grid.shape == (3, 4) and np.all(np.isfinite(grid))
 
     def test_cycles_with_mask(self, tmp_path, rng):
@@ -304,7 +304,7 @@ class TestDecompose:
         assert run("decompose", path, "--mask", mask, "--grid-shape", 3, 4,
                    "--cycles", 3, "--out", out) == 0
         assert json.loads((out / "summary.json").read_text())["data_shape"] == [30, 10]
-        grid = read_grid_csv(out / "modes" / "0_abs.csv")
+        grid = read_csv(out / "modes" / "0_abs.csv")
         np.testing.assert_array_equal(np.isnan(grid).reshape(-1),
                                       [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1])
 
@@ -428,7 +428,7 @@ class TestGridLayout:
         save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path, "csv")
         assert run("decompose", path, "--rank", 2, "--grid-shape", 2, 3, "--out", out) == 0
         assert json.loads((out / "summary.json").read_text())["grid_shape"] == [2, 3]
-        assert read_grid_csv(out / "modes" / "0_abs.csv").shape == (2, 3)
+        assert read_csv(out / "modes" / "0_abs.csv").shape == (2, 3)
         assert run("decompose", path, "--rank", 2, "--cycles", 2, "--out", out) == 0
         assert json.loads((out / "summary.json").read_text())["grid_shape"] == [1, 6]
 
@@ -459,6 +459,23 @@ class TestRawInputHeader:
         assert "header applies to csv input only" in captured.err
         assert captured.out == "" and not out.exists()
         assert run(*args, *flags, "--format", "raw-float64") == 0  # the flag alone fails
+
+
+class TestRawSidecar:
+    """A raw-float64 sidecar must give rows and cols as non-negative JSON
+    integers; any other sidecar exits 2 naming it."""
+
+    @pytest.mark.parametrize("text", [
+        '{"rows": 4}', '{"rows": "x", "cols": 3}', '{"rows": -3, "cols": -4}',
+        '{"rows": true, "cols": 12}', '[4, 3]', '{rows: 4, cols: 3}',
+    ], ids=["no-cols", "string-rows", "negative", "boolean", "not-an-object", "not-json"])
+    def test_malformed_sidecar_exits_2_naming_it(self, tmp_path, capsys, text):
+        raw = tmp_path / "raw.bin"
+        save_matrix(SnapshotMatrix(np.ones((4, 3))), raw, "raw-float64")  # 96 bytes
+        raw.with_suffix(".bin.json").write_text(text)
+        capsys.readouterr()
+        assert run("ingest-info", raw, "--format", "raw-float64") == 2
+        assert f"error: sidecar {raw}.json " in capsys.readouterr().err
 
 
 class TestLandMask:
@@ -501,7 +518,7 @@ class TestLandMask:
         assert b"nan" in path.read_bytes() and b"-inf" in path.read_bytes()
         assert reports[0] == reports[1] and any(reports[0])
         if name == "decompose":
-            grid = read_grid_csv(out / "modes" / "0_abs.csv")
+            grid = read_csv(out / "modes" / "0_abs.csv")
             np.testing.assert_array_equal(np.isnan(grid), [[0, 0, 1], [0, 1, 0]])
 
     @pytest.mark.parametrize("mask, status", [("1,2,0\n1,1,1\n", 2), ("1,0.5,0\n1,1,1\n", 2),
@@ -790,6 +807,7 @@ class TestSpdmdSplittingReport:
             assert (admm["iterations"] < max_iter) is want_converged
             assert math.log2(admm["rho"]).is_integer()
 
+    @pytest.mark.filterwarnings("error")  # the error alone, no select_modes warning
     def test_converged_empty_support_names_gamma(self, tmp_path, five_mode_csv, capsys):
         out = tmp_path / "art"
         assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method", "spdmd",
@@ -798,6 +816,9 @@ class TestSpdmdSplittingReport:
         assert "gamma=1000000000.0 zeroed out every amplitude" in err and "--max-iter" not in err
         assert not out.exists()
 
+    # the error alone, no select_modes warning, beside the solver's own warning
+    @pytest.mark.filterwarnings("ignore:splitting did not converge")
+    @pytest.mark.filterwarnings("error")
     def test_unconverged_empty_support_names_max_iter(self, tmp_path, five_mode_csv, capsys):
         out = tmp_path / "art"
         assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method", "spdmd",
@@ -1056,18 +1077,20 @@ def _damage_mean(path):
     np.savetxt(path, mean, fmt="%.17g")
 
 
+@pytest.fixture
+def art(tmp_path, planted_csv):
+    """decompose --subtract-mean's artifacts of the planted input, mean.csv among them."""
+    path, _ = planted_csv
+    art = tmp_path / "art"
+    assert run("decompose", path, "--rank", 3, "--subtract-mean", "--out", art) == 0
+    return art
+
+
 class TestReconstructArtifacts:
     """reconstruct reads decompose's artifacts as data from outside the
     program: a non-finite value, an eigenvalues.csv header other than the
     one decompose writes, or a missing summary.json field exits 2 naming
     the file, and writes nothing."""
-
-    @pytest.fixture
-    def art(self, tmp_path, planted_csv):
-        path, _ = planted_csv
-        art = tmp_path / "art"
-        assert run("decompose", path, "--rank", 3, "--subtract-mean", "--out", art) == 0
-        return art
 
     def _fails(self, tmp_path, art, capsys, message):
         out = tmp_path / "rec"
@@ -1113,6 +1136,16 @@ class TestReconstructArtifacts:
         field = "config.subtract_mean" if keys[0] == "config" else keys[0]
         self._fails(tmp_path, art, capsys,
                     re.escape(f"summary.json has no field {field}"))
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("summary.json", "{method: dmd}\n", "is not JSON: Expecting property name"),
+        ("modes_matrix.npy", "index,re,im\n0,1,0\n",
+         "is not a .npy array koopmode can read: the magic string is not correct"),
+    ], ids=["summary-not-json", "modes-not-npy"])
+    def test_unreadable_artifact_exits_2_naming_it(self, tmp_path, art, capsys,
+                                                   name, text, message):
+        (art / name).write_text(text)
+        self._fails(tmp_path, art, capsys, re.escape(f"{art / name} {message}"))
 
     def test_intact_artifacts_reconstruct(self, tmp_path, art, planted_csv):
         """The fixture's artifacts pass every check: the damage alone fails."""
@@ -1202,15 +1235,15 @@ class TestHeatmap:
         grid.write_text("1,2\n3\n")
         assert run("heatmap", grid, tmp_path / "g.ppm") == 2
         with pytest.raises(ValueError, match="ragged"):
-            read_grid_csv(grid)
+            read_csv(grid)
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         grid = tmp_path / "g.csv"
         grid.write_text("1,2\n3,oops\n")
         assert run("heatmap", grid, tmp_path / "g.ppm") == 2
         assert not (tmp_path / "g.ppm").exists()
-        with pytest.raises(ValueError, match="non-numeric cells in grid file"):
-            read_grid_csv(grid)
+        with pytest.raises(ValueError, match="non-numeric cells in " + re.escape(str(grid))):
+            read_csv(grid)
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_empty_grid_rejected(self, tmp_path, text):
@@ -1218,8 +1251,8 @@ class TestHeatmap:
         grid.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="empty grid file"):
-                read_grid_csv(grid)
+            with pytest.raises(ValueError, match="no values in " + re.escape(str(grid))):
+                read_csv(grid)
 
     def test_other_writers_temp_file_untouched(self, tmp_path):
         grid = tmp_path / "g.csv"
@@ -1243,6 +1276,41 @@ class TestHeatmap:
     def test_render_deterministic(self, rng):
         grid = rng.standard_normal((4, 5))
         assert render_heatmap(grid) == render_heatmap(grid)
+
+
+class TestEveryCsvReader:
+    """Every CSV koopmode parses goes through read_csv: a ragged or an empty
+    file of any kind exits 2 naming the file, and numpy's empty-input warning
+    does not leak."""
+
+    CONTENT = {"ragged": ("1,2,3\n4,5\n", "ragged rows or non-numeric cells in "),
+               "empty": ("", "no values in ")}
+
+    @pytest.mark.parametrize("content", sorted(CONTENT))
+    @pytest.mark.parametrize("kind", ["input", "input-header", "mask", "grid",
+                                      "eigenvalues", "mean"])
+    def test_ragged_or_empty_file_exits_2_naming_it(self, tmp_path, smoke_csv, art, capsys,
+                                                    kind, content):
+        recon = ("reconstruct", "--artifacts", art, "--at", 0, "--out", tmp_path / "rec")
+        path, head, argv = {
+            "input": (tmp_path / "in.csv", "", ("ingest-info", tmp_path / "in.csv")),
+            "input-header": (tmp_path / "in.csv", "a,b,c\n",
+                             ("ingest-info", tmp_path / "in.csv", "--header")),
+            "mask": (tmp_path / "mask.csv", "", ("ingest-info", smoke_csv, "--grid-shape", 2, 3,
+                                                 "--mask", tmp_path / "mask.csv")),
+            "grid": (tmp_path / "g.csv", "", ("heatmap", tmp_path / "g.csv", tmp_path / "g.ppm")),
+            "eigenvalues": (art / "eigenvalues.csv",
+                            (art / "eigenvalues.csv").read_text().splitlines(True)[0], recon),
+            "mean": (art / "mean.csv", "", recon),
+        }[kind]
+        text, message = self.CONTENT[content]
+        path.write_text(head + text)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv) == 2
+        assert message + str(path) in capsys.readouterr().err
+        assert not caught
 
 
 class TestDeterminism:
