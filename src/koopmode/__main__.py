@@ -7,6 +7,7 @@ changes thread settings.
 """
 import os
 import sys
+import warnings
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -15,6 +16,8 @@ def main() -> int:
     # BLAS reads these once, when numpy loads it: set them before importing .cli
     if not any(os.environ.get(name) for name in THREAD_VARS):
         os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+    # a warning prints as one line, as an error does; in-process callers keep Python's format
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     from .cli import main as run
     return run()
 

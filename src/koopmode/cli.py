@@ -14,6 +14,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -167,12 +168,18 @@ def _fit(args: argparse.Namespace,
     if args.method != "spdmd":
         return (base.with_amplitudes(optimal_amplitudes(form)),
                 performance_loss(form.floor, form.s), None)
-    solution = solve_at_gamma(form, args.gamma, _admm_params(args))
-    if solution.cardinality == 0:  # checked first: select_modes warns on an empty support
+    with warnings.catch_warnings(record=True) as caught:  # held until the outcome is known
+        warnings.simplefilter("always", UserWarning)  # other categories keep the filters
+        solution = solve_at_gamma(form, args.gamma, _admm_params(args))
+    if solution.cardinality == 0:  # one error says it all: what was recorded is dropped
         if not solution.admm.converged:
             raise ValueError(f"the splitting stopped at --max-iter {args.max_iter} without "
                              f"converging, with no amplitude left at gamma={args.gamma}")
         raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
+    modules = {getattr(m, "__file__", None): name for name, m in sys.modules.copy().items()}
+    for w in caught:  # the caller's filters judge them now, by the module that warned
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               modules.get(w.filename))
     result = select_modes(base, solution)
     return result, solution.loss_percent, {"iterations": int(solution.admm.iterations),
                                            "converged": bool(solution.admm.converged),
@@ -345,8 +352,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         reference, _ = _load_input(args)
         if reference.p != p:
             raise ValueError(f"input has p={reference.p}, model expects {p}")
-    report: dict = {"indices": args.at, "horizon": args.horizon,
-                    "relative_errors": {}, "imag_residuals": {}}
+    report: dict = {"indices": args.at, "horizon": args.horizon, "relative_errors": {},
+                    "imag_residuals": {}, "forecast_imag_residual": None}
     with _staged_output(args.out) as stage:
         for k in args.at:
             snapshot, resid = reconstruct(model, k, 1)
@@ -361,8 +368,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                     err = float(np.linalg.norm(vec - col) / denom)
                 report["relative_errors"][str(k)] = err
         if args.horizon is not None:
-            write_csv(stage / "forecast.csv",
-                      reconstruct(model, n_train, args.horizon)[0] + mean[:, None])
+            forecast, resid = reconstruct(model, n_train, args.horizon)
+            write_csv(stage / "forecast.csv", forecast + mean[:, None])
+            report["forecast_imag_residual"] = float(resid.max())
         (stage / "recon_report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

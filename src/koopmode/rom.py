@@ -1,13 +1,9 @@
 """Reduced-order reconstruction and temporal dynamics of a fitted decomposition."""
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .dmd import DecompositionResult, real_matmul, vandermonde
-
-IMAG_RESIDUAL_TOL = 1e-6
 
 
 def _weighted_powers(result: DecompositionResult, start: int, n_steps: int,
@@ -27,9 +23,9 @@ def reconstruct(result: DecompositionResult, start: int,
     each, Re(modes @ (amplitudes * eigenvalues^k)) formed as basis @
     (coefficients @ weights) without the modes, and each column's relative
     imaginary residual: a diagnostic that should vanish for conjugate-complete
-    models, and warns when it does not. A snapshot whose 2-norm is not finite
-    raises ValueError naming its step: a growing mode far out, whose sum of
-    squares overflows float64 once entries pass about 1e154."""
+    models, returned for the caller to judge. A snapshot whose 2-norm is not
+    finite raises ValueError naming its step: a growing mode far out, whose
+    sum of squares overflows float64 once entries pass about 1e154."""
     if start < 0:
         raise ValueError("time index must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -40,12 +36,7 @@ def reconstruct(result: DecompositionResult, start: int,
     bad = np.flatnonzero(~np.isfinite(norms).all(axis=1))
     if bad.size:
         raise ValueError(f"the snapshot at step {start + bad[0]} overflows float64")
-    residuals = norms[:, 1] / np.maximum(norms[:, 0], np.finfo(float).tiny)
-    worst = int(np.argmax(residuals))
-    if residuals[worst] > IMAG_RESIDUAL_TOL:
-        warnings.warn(f"reconstruction imaginary residual {residuals[worst]:.3e} "
-                      f"at step {start + worst}")
-    return acc.real, residuals
+    return acc.real, norms[:, 1] / np.maximum(norms[:, 0], np.finfo(float).tiny)
 
 
 def temporal_dynamics(result: DecompositionResult, n_steps: int,

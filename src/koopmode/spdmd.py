@@ -461,11 +461,10 @@ def select_modes(result: DecompositionResult, solution: SparseSolution) -> Decom
     moving only the r-sized data and coefficient columns.
 
     The solution's support indexes the column order of `result` at the time the
-    quadratic form was built; `result` must not have been re-sorted since.
+    quadratic form was built; `result` must not have been re-sorted since. An
+    empty support gives a decomposition of rank 0.
     """
     support = solution.support
-    if support.size == 0:
-        warnings.warn("empty support, returning empty decomposition")
     restricted = replace(
         result,
         eigenvalues=result.eigenvalues[support],

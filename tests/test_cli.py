@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import koopmode
 from koopmode import (AdmmParams, SnapshotMatrix, conjugate_pairs,
                       conjugate_representatives, exact_dmd, gamma_sweep, load_matrix,
                       log_gamma_grid, quadratic_form, read_csv, reconstruct, save_matrix,
@@ -799,15 +800,27 @@ class TestSpdmdSplittingReport:
     def test_summary_records_the_splitting(self, tmp_path, five_mode_csv):
         out = tmp_path / "art"
         for max_iter, want_converged in ((20, False), (10000, True)):
-            assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method",
-                       "spdmd", "--gamma", 100, "--max-iter", max_iter, "--out", out) == 0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method",
+                           "spdmd", "--gamma", 100, "--max-iter", max_iter, "--out", out) == 0
+            # a fit the splitting stopped short of still warns, once
+            assert [str(w.message).split(" (")[0] for w in caught] == \
+                ([] if want_converged else ["splitting did not converge in 20 iterations"])
+            assert not caught or caught[0].filename == spdmd.__file__
             admm = json.loads((out / "summary.json").read_text())["admm"]
             assert sorted(admm) == ["converged", "iterations", "rho"]
             assert admm["converged"] is want_converged
             assert (admm["iterations"] < max_iter) is want_converged
             assert math.log2(admm["rho"]).is_integer()
+        with warnings.catch_warnings(record=True) as caught:  # a filter by module still holds
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", module=r"koopmode\.spdmd\Z")
+            assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method",
+                       "spdmd", "--gamma", 100, "--max-iter", 20, "--out", out) == 0
+        assert caught == []
 
-    @pytest.mark.filterwarnings("error")  # the error alone, no select_modes warning
+    @pytest.mark.filterwarnings("error")  # the error alone
     def test_converged_empty_support_names_gamma(self, tmp_path, five_mode_csv, capsys):
         out = tmp_path / "art"
         assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method", "spdmd",
@@ -816,9 +829,7 @@ class TestSpdmdSplittingReport:
         assert "gamma=1000000000.0 zeroed out every amplitude" in err and "--max-iter" not in err
         assert not out.exists()
 
-    # the error alone, no select_modes warning, beside the solver's own warning
-    @pytest.mark.filterwarnings("ignore:splitting did not converge")
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error")  # the error alone: the solver's warning is dropped
     def test_unconverged_empty_support_names_max_iter(self, tmp_path, five_mode_csv, capsys):
         out = tmp_path / "art"
         assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method", "spdmd",
@@ -873,6 +884,23 @@ class TestReconstruct:
         assert (out / "recon_7.csv").exists()
         fc = np.loadtxt(out / "forecast.csv", delimiter=",", ndmin=2)
         assert fc.shape == (12, 5)
+
+    def test_report_records_the_forecast_imag_residual(self, tmp_path, planted_csv):
+        """recon_report.json records the largest imaginary residual of the
+        forecast window, as rom.reconstruct returns it, and null without one."""
+        path, _ = planted_csv
+        art, out = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, "--method", "cdmd", "--out", art) == 0
+        model, summary = cli._load_model(art)
+        n_train = summary["data_shape"][1] - 1
+        for horizon in (1, 40):
+            assert run("reconstruct", "--artifacts", art, "--at", 3, "--horizon", horizon,
+                       "--out", out) == 0
+            report = json.loads((out / "recon_report.json").read_text())
+            worst = report["forecast_imag_residual"]
+            assert worst == np.max(reconstruct(model, n_train, horizon)[1]) and worst <= 1e-12
+        assert run("reconstruct", "--artifacts", art, "--at", 3, "--out", out) == 0
+        assert json.loads((out / "recon_report.json").read_text())["forecast_imag_residual"] is None
 
     @pytest.mark.parametrize("signal, flags", [
         ("smoke", ("--method", "spdmd", "--rank", 4, "--gamma", 1)),
@@ -935,6 +963,7 @@ class TestReconstruct:
         assert run("reconstruct", "--artifacts", art, "--at", 3, "--out", out) == 0
         report = json.loads((out / "recon_report.json").read_text())
         assert report["horizon"] is None and report["indices"] == [3]
+        assert report["forecast_imag_residual"] is None
         assert (out / "recon_3.csv").exists() and not (out / "forecast.csv").exists()
 
     def test_nothing_requested_is_usage_error(self, tmp_path, planted_csv, capsys):
@@ -1407,9 +1436,16 @@ class TestRuntimeImports:
             monkeypatch.delenv(name, raising=False)
         proc = _run_python("-c", "import json, os, sys, koopmode; print(json.dumps(["
                                  "'numpy' in sys.modules, sorted(n for n in os.environ "
-                                 "if n.endswith('_NUM_THREADS'))]))")
+                                 "if n.endswith('_NUM_THREADS')), "
+                                 "sorted(set(koopmode.__all__) - set(dir(koopmode)))]))")
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [False, []]
+        assert json.loads(proc.stdout) == [False, [], []]  # dir lists the unloaded exports
+
+    @pytest.mark.parametrize("name", ["read_csv", "reconstruct", "select_modes"])
+    def test_package_exports_load_on_first_use(self, name):
+        assert name in dir(koopmode) and getattr(koopmode, name).__name__ == name
+        with pytest.raises(AttributeError, match=f"module 'koopmode' has no attribute '{name}_'"):
+            getattr(koopmode, name + "_")
 
     @pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"},
                                         {"OMP_NUM_THREADS": "4"}])
@@ -1418,11 +1454,36 @@ class TestRuntimeImports:
             monkeypatch.delenv(name, raising=False)  # also restores them afterwards
         for name, value in preset.items():
             monkeypatch.setenv(name, value)
+        monkeypatch.setattr(warnings, "formatwarning", warnings.formatwarning)  # main sets it
         seen = {}
         monkeypatch.setattr(cli, "main", lambda: seen.update(
             (name, os.environ[name]) for name in entry.THREAD_VARS if name in os.environ) or 0)
         assert entry.main() == 0
         assert seen == (preset or dict.fromkeys(entry.THREAD_VARS, "1"))
+
+    def test_command_prints_each_warning_and_error_as_one_line(self, tmp_path, five_mode_csv):
+        """The command prints a warning as `warning: <message>`, without the
+        source location and line of Python's format, as it prints an error; in
+        process, cli.main leaves warnings to the caller. A splitting cut short
+        with no amplitude left prints its error alone."""
+        vs = np.random.default_rng(0).standard_normal((4, 6))
+        path = tmp_path / "periodic.csv"  # period 4: a rank-deficient Krylov sequence
+        save_matrix(SnapshotMatrix(np.column_stack([vs[k % 4] for k in range(9)])), path, "csv")
+        warned = _run_python("-m", "koopmode", "decompose", str(path), "--method", "cdmd",
+                             "--out", str(tmp_path / "art"))
+        assert warned.returncode == 0
+        lines = warned.stderr.splitlines()
+        assert "warning: rank-deficient Krylov sequence (rank 4 of 8), " \
+               "using minimum-norm coefficients" in lines
+        assert all(line.startswith("warning: ") and ".py:" not in line for line in lines)
+        failed = _run_python("-m", "koopmode", "decompose", str(five_mode_csv), "--rank",
+                             str(FIVE_MODE_RANK), "--method", "spdmd", "--gamma", "1000",
+                             "--max-iter", "20", "--out", str(tmp_path / "sp"))
+        assert failed.returncode == 2
+        assert [line[:37] for line in failed.stderr.splitlines()] == [
+            "error: the splitting stopped at --max"]
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            assert run("decompose", path, "--method", "cdmd", "--out", tmp_path / "art") == 0
 
 
 class TestBlasThreads:

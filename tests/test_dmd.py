@@ -532,3 +532,22 @@ def test_rank_is_derived_from_the_eigenvalues(rng):
                             rank=4, method="exact-dmd")
     with pytest.raises(ValueError, match="inconsistent"):
         replace(result, eigenvalues=result.eigenvalues[:3])
+
+
+def _two_mode_result() -> DecompositionResult:
+    return DecompositionResult(np.array([0.5, 0.25 + 0j]), np.eye(2), np.eye(2), None, "test")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: replace(_two_mode_result(), amplitudes=np.ones(3, complex)),
+     "amplitudes length inconsistent with rank"),
+    (lambda: _two_mode_result().with_amplitudes(np.ones(3)), "amplitude vector length mismatch"),
+    (lambda: truncated_svd(np.zeros((0, 3))), "empty matrix"),
+    (lambda: truncated_svd(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), rank=2),
+     "zero singular value inside requested rank 2"),
+    (lambda: truncated_svd(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), rank=2),
+     "zero singular value inside requested rank 2"),
+], ids=["amplitudes", "with-amplitudes", "empty", "zero-sigma-tall", "zero-sigma-wide"])
+def test_invalid_argument_names_its_fault(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -85,7 +85,6 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="no modes"):
             reconstruct(empty, 0, 2)
 
-    @pytest.mark.filterwarnings("ignore:reconstruction imaginary residual")
     def test_matches_vandermonde_product_on_random_models(self):
         # Re(Phi diag(b) lambda^k) for models without conjugate symmetry
         rng = np.random.default_rng(11)
@@ -128,12 +127,13 @@ class TestReconstruct:
                                        atol=1e-12 * np.linalg.norm(single))
             assert abs(residuals[j] - resid) <= 1e-12
 
-    def test_residual_warning_names_the_worst_step(self):
+    @pytest.mark.filterwarnings("error")  # the residual is returned, not warned of
+    def test_worst_residual_is_returned_for_its_step(self):
         # without its conjugate partner, Re(i^k v) vanishes at odd k
         model = single_mode_model(1j, np.ones(3), 1.0)
-        with pytest.warns(UserWarning, match="reconstruction imaginary residual .* at step 1$"):
-            _, residuals = reconstruct(model, 0, 4)
-        assert residuals[0] == residuals[2] == 0 and residuals[1] > 1e300
+        _, residuals = reconstruct(model, 0, 4)
+        assert np.argmax(residuals) == 1 and residuals[1] > 1e300
+        assert residuals[0] == residuals[2] == 0
 
 
 def conjugate_representatives_loop(eigenvalues: np.ndarray) -> list[int]:

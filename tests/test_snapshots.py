@@ -268,3 +268,21 @@ def test_write_csv_roundtrip_bit_exact(tmp_path, rng):
     write_csv(path, values, ",".join(["%.17g"] * 40))
     back = np.loadtxt(path, delimiter=",")
     assert back.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda tmp: SnapshotMatrix(np.ones(4)), ValueError, r"must be 2-D, got shape \(4,\)"),
+    (lambda tmp: SnapshotMatrix(np.ones((5, 3)), cycles=2), ValueError,
+     "p=5 does not split into 2 cycles"),
+    (lambda tmp: load_matrix(tmp / "x.csv", format="npy"), ValueError, "format must be one of"),
+    (lambda tmp: save_matrix(SnapshotMatrix(np.ones((2, 3))), tmp / "x.npy", format="npy"),
+     ValueError, "format must be one of"),
+    (lambda tmp: load_matrix(tmp / "x.bin", format="raw-float64"), FileNotFoundError,
+     "missing sidecar header .*x.bin.json"),
+    (lambda tmp: unstack_cycles(SnapshotMatrix(np.ones((5, 3))), 2), ValueError,
+     "p=5 not divisible by cycle length 2"),
+], ids=["not-2d", "cycles", "load-format", "save-format", "no-sidecar", "unstack"])
+def test_invalid_argument_names_its_fault(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+    assert list(tmp_path.iterdir()) == []  # nothing written

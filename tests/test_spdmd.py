@@ -941,6 +941,11 @@ class TestGammaSweep:
         with pytest.raises(ValueError):
             log_gamma_grid(0.0, 1.0, 5)
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_grid_needs_a_point(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            log_gamma_grid(1e-3, 1e3, count)
+
     def test_one_point_grid_needs_equal_endpoints(self):
         with pytest.raises(ValueError, match="gamma_min == gamma_max"):
             log_gamma_grid(0.5, 1e9, 1)
@@ -983,13 +988,13 @@ class TestSelectModes:
         assert selected.rank == result.rank
         assert sorted(selected.original_indices) == list(range(result.rank))
 
-    def test_empty_support_warns(self, rng):
+    @pytest.mark.filterwarnings("error")  # the empty selection is returned, not warned of
+    def test_empty_support_gives_rank_zero(self, rng):
         result, form, _ = self._result_and_form(rng)
         sol = solve_at_gamma(form, 2.0 * np.max(np.abs(form.q)) * 10)
         assert sol.cardinality == 0
-        with pytest.warns(UserWarning, match="empty support"):
-            selected = select_modes(result, sol)
-        assert selected.rank == 0
+        selected = select_modes(result, sol)
+        assert selected.rank == 0 and selected.original_indices.size == 0
 
 
 def test_detect_support_zero_vector():
