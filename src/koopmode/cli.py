@@ -38,6 +38,7 @@ from .snapshots import (
 from .spdmd import (
     AdmmParams,
     QuadraticForm,
+    data_energy,
     gamma_sweep,
     log_gamma_grid,
     optimal_amplitudes,
@@ -89,6 +90,12 @@ def _published(target: Path):
         os.replace(stage, target)
     finally:
         shutil.rmtree(holder, ignore_errors=True)
+
+
+def _json_text(obj) -> str:
+    """obj as indented JSON with sorted keys; a NaN or infinity, which JSON
+    cannot hold, raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _check_out(args: argparse.Namespace) -> None:
@@ -151,7 +158,14 @@ def _decompose(args: argparse.Namespace,
                X: SnapshotMatrix) -> tuple[DecompositionResult, QuadraticForm]:
     """The selected decomposition, amplitudes unset, and the quadratic form of
     its fit against the zero-lag snapshots, in the same column order, built
-    from the modes' factors without forming them."""
+    from the modes' factors without forming them. The snapshots' sum of squares
+    must be a finite positive float64: it is checked before any fit."""
+    with np.errstate(over="ignore"):
+        energy = data_energy(X.data[:, :-1])
+    if not np.finfo(float).tiny <= energy < np.inf:
+        raise ValueError(f"{args.input}: the sum of squares of the snapshots to fit is "
+                         f"{energy:.3g}, not a finite positive float64 (the data is all "
+                         "zero, or its magnitude is outside about 1e-154 to 1e154)")
     base = (companion_dmd(X.data) if args.method == "cdmd"
             else exact_dmd(X.data, rank=args.rank, mode_style=args.mode_style))
     return base, quadratic_form(X.data[:, :-1], base.basis, base.coefficients, base.eigenvalues)
@@ -168,18 +182,14 @@ def _fit(args: argparse.Namespace,
     if args.method != "spdmd":
         return (base.with_amplitudes(optimal_amplitudes(form)),
                 performance_loss(form.floor, form.s), None)
-    with warnings.catch_warnings(record=True) as caught:  # held until the outcome is known
-        warnings.simplefilter("always", UserWarning)  # other categories keep the filters
-        solution = solve_at_gamma(form, args.gamma, _admm_params(args))
-    if solution.cardinality == 0:  # one error says it all: what was recorded is dropped
+    solution = solve_at_gamma(form, args.gamma, _admm_params(args))
+    stopped = f"the splitting stopped at --max-iter {args.max_iter} without converging"
+    if solution.cardinality == 0:
         if not solution.admm.converged:
-            raise ValueError(f"the splitting stopped at --max-iter {args.max_iter} without "
-                             f"converging, with no amplitude left at gamma={args.gamma}")
+            raise ValueError(f"{stopped}, with no amplitude left at gamma={args.gamma}")
         raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
-    modules = {getattr(m, "__file__", None): name for name, m in sys.modules.copy().items()}
-    for w in caught:  # the caller's filters judge them now, by the module that warned
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
-                               modules.get(w.filename))
+    if not solution.admm.converged:
+        warnings.warn(f"{stopped} at gamma={args.gamma}")
     result = select_modes(base, solution)
     return result, solution.loss_percent, {"iterations": int(solution.admm.iterations),
                                            "converged": bool(solution.admm.converged),
@@ -222,7 +232,7 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
     }
     if admm is not None:
         summary["admm"] = admm
-    (stage / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (stage / "summary.json").write_text(_json_text(summary))
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -246,6 +256,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _, form = _decompose(args, _load_input(args)[0])
     solutions = gamma_sweep(form, gammas,
                             _admm_params(args, warm_start=not args.no_warm_start))
+    stalled = sum(not s.admm.converged for s in solutions)
+    if stalled:
+        warnings.warn(f"the splitting stopped at --max-iter {args.max_iter} without converging at "
+                      f"{stalled} of {gammas.size} gamma values (sweep.csv's converged column)")
     best: dict[int, int] = {}
     for i, s in enumerate(solutions):
         if s.cardinality not in best or s.loss_percent < solutions[best[s.cardinality]].loss_percent:
@@ -371,8 +385,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             forecast, resid = reconstruct(model, n_train, args.horizon)
             write_csv(stage / "forecast.csv", forecast + mean[:, None])
             report["forecast_imag_residual"] = float(resid.max())
-        (stage / "recon_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        (stage / "recon_report.json").write_text(_json_text(report))
     return EXIT_OK
 
 
@@ -431,7 +444,7 @@ def cmd_ingest_info(args: argparse.Namespace) -> int:
         "max": float(X.data.max()),
         "mean": float(X.data.mean()),
     }
-    print(json.dumps(info, indent=2, sort_keys=True))
+    sys.stdout.write(_json_text(info))
     return EXIT_OK
 
 

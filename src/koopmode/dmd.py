@@ -89,7 +89,8 @@ class ModeStats(NamedTuple):
 
 
 def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
-    """Rank-r SVD; default rank keeps singular values above 1e-10 * sigma_1.
+    """Rank-r SVD; the default rank, and the largest rank accepted, is the
+    numerical rank: the count of singular values above RANK_TOL * sigma_1.
 
     A wide Y (p < M) is factored through the p x p R of Y* = QR, the step
     LAPACK's SVD of Y* takes first once M >= 11p/6: U and S come from the SVD
@@ -111,10 +112,12 @@ def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
         V = Vh.conj().T
     if s[0] <= 0:
         raise ValueError("matrix has no positive singular values")
+    numerical_rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
     if rank is None:
-        rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    elif s[rank - 1] <= 0:
-        raise ValueError(f"zero singular value inside requested rank {rank}")
+        rank = numerical_rank
+    elif rank > numerical_rank:
+        raise ValueError(f"rank {rank} exceeds the numerical rank {numerical_rank}, "
+                         f"the count of singular values above {RANK_TOL:g} sigma_1")
     U, s = U[:, :rank], s[:rank]
     V = adjoint_matmul(Y, U / s) if wide else V[:, :rank]
     return SvdFactors(U=U, S=s, V=V)

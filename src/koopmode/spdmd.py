@@ -200,6 +200,12 @@ class SparseSolution:
         return self.support.size
 
 
+def data_energy(Y: np.ndarray) -> float:
+    """||Y||_F^2 as column sums, then a pairwise sum: as accurate as trace(Y* Y)
+    without forming the M x M Gram matrix."""
+    return float(np.einsum("ij,ij->j", Y.conj(), Y).sum().real)
+
+
 def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
                    eigenvalues: np.ndarray) -> QuadraticForm:
     """Reduce the Frobenius objective over amplitudes to (P, q, s), for the
@@ -229,9 +235,7 @@ def quadratic_form(Y: np.ndarray, basis: np.ndarray, coefficients: np.ndarray,
     q = q.conj()
     P = (W.conj().T @ real_matmul(adjoint_matmul(basis, basis), W)) * H.conj()
     P = 0.5 * (P + P.conj().T)
-    # ||Y||_F^2 as column sums, then a pairwise sum: as accurate as trace(Y* Y)
-    # without forming the M x M Gram matrix
-    s = float(np.einsum("ij,ij->j", Y.conj(), Y).sum().real)
+    s = data_energy(Y)
     form = (QuadraticForm(P=P, q=q, s=s) if np.iscomplexobj(Y)
             else paired_form(P, q, s, conjugate_pairs(lam)))
     # the floor, ||Y - B W diag(b*) xi||_F^2 at the optimum b* (a real model on
@@ -267,7 +271,9 @@ def soft_threshold(v: np.ndarray, kappa: float, partner: np.ndarray) -> np.ndarr
     pairing this is complex shrinkage of v itself."""
     mag = np.abs(v)
     mag = np.hypot(mag, mag[partner])  # sqrt2 |b_k|, for paired and unpaired k alike
-    return np.maximum(1.0 - (kappa / SQRT_HALF) / np.maximum(mag, _TINY), 0.0) * v
+    t = kappa / SQRT_HALF
+    # a magnitude below t shrinks to 0: dividing by t there gives 1, not an overflow
+    return np.maximum(1.0 - t / np.maximum(mag, max(t, _TINY)), 0.0) * v
 
 
 def admm_solve(
@@ -285,6 +291,7 @@ def admm_solve(
     The state (z, u, rho) starts at start's, else at zeros and params.rho;
     rho moves by residual balancing, and the result holds the final rho.
     gamma = 0 short-circuits to a copy of the least-squares form.optimum.
+    A solve cut off at params.max_iter returns converged=False and does not warn.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -300,7 +307,6 @@ def admm_solve(
     z, u = (zero, zero) if start is None else (start.z, start.u)
     kappa = gamma / rho
     sqrt_r = np.sqrt(r)
-    prim = dual = np.inf
     changes_left = RHO_MAX_CHANGES
     for it in range(1, params.max_iter + 1):
         x = c + A @ (z - u)
@@ -321,10 +327,6 @@ def admm_solve(
             kappa = gamma / rho
             A, c = form.x_update(rho)
             changes_left -= 1
-    warnings.warn(
-        f"splitting did not converge in {params.max_iter} iterations "
-        f"(primal {prim:.3e}, dual {dual:.3e})"
-    )
     return AdmmResult(z=z, iterations=params.max_iter, converged=False, rho=rho, u=u)
 
 

@@ -183,6 +183,18 @@ class TestDecompose:
         # the companion fit reproduces the training window
         assert summary["full_fit_loss_percent"] <= 1e-5
 
+    @pytest.mark.filterwarnings("error")  # the error alone
+    def test_rank_above_the_numerical_rank_exits_2(self, tmp_path, capsys):
+        """A constant input has numerical rank 1: --rank 3 once failed in the
+        eigensolver, after numpy's overflow warnings."""
+        path = tmp_path / "const.csv"
+        np.savetxt(path, np.full((6, 11), 3.0), fmt="%.17g", delimiter=",")
+        assert run("decompose", path, "--rank", 3, "--method", "dmd",
+                   "--out", tmp_path / "art") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: rank 3 exceeds the numerical rank 1, the count of singular values above "
+            "1e-10 sigma_1"]
+
     def test_cdmd_rejects_rank(self, tmp_path, planted_csv):
         path, _ = planted_csv
         out = tmp_path / "art"
@@ -594,6 +606,36 @@ class TestSubtractMean:
         assert not out.exists()
 
 
+class TestDataOutsideFloat64:
+    """Data whose fitted snapshots' sum of squares is not a finite positive
+    float64 exits 2 before any fit, with one error naming the input: once it
+    wrote NaN into summary.json and sweep.csv, or failed with warnings and an
+    error about an internal quantity."""
+
+    @pytest.mark.filterwarnings("error")  # the error alone
+    @pytest.mark.parametrize("shape, scale, flags, energy", [
+        ((1, 13), 1e200, ("decompose", "--method", "spdmd", "--gamma", 1, "--rho", 1e8), "inf"),
+        ((3, 11), 0.0, ("decompose", "--method", "cdmd"), "0"),
+        ((1, 13), 1e-300, ("decompose", "--method", "dmd"), "0"),
+        ((3, 11), 1e200, ("sweep", "--subtract-mean", "--gamma-count", 3), "inf"),
+    ], ids=["scaled-1e200", "all-zero", "scaled-1e-300", "sweep-scaled-1e200"])
+    def test_exits_2_naming_the_input(self, tmp_path, rng, capsys, shape, scale, flags,
+                                      energy):
+        path = tmp_path / "data.csv"
+        np.savetxt(path, scale * rng.standard_normal(shape), fmt="%.17g", delimiter=",")
+        out = tmp_path / "out"
+        assert run(flags[0], path, *flags[1:], "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: the sum of squares of the snapshots to fit is {energy}, not a "
+            "finite positive float64 (the data is all zero, or its magnitude is outside "
+            "about 1e-154 to 1e154)"]
+        assert not out.exists()
+
+    def test_json_artifacts_refuse_nan(self):
+        with pytest.raises(ValueError, match="JSON"):
+            cli._json_text({"full_fit_loss_percent": float("nan")})
+
+
 class TestModesFormedOnce:
     """The amplitude problem is built from the modes' factors B W: sweep and
     decompose never form the p x r complex modes, and a caller of the fitted
@@ -732,6 +774,17 @@ class TestSweep:
         assert run("sweep", path, *flags, "--out", out) == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # CI's development-mode setting
+    def test_zero_mode_is_thresholded_silently(self, tmp_path):
+        """This series' one eigenvalue, and so its exact mode, is exactly 0; the
+        threshold of its zero coordinate overflowed once kappa passed about 2.8."""
+        path = tmp_path / "zero_mode.csv"
+        np.savetxt(path, [[-1, -3, 1, 0, 2, 0, 2, 0, 0]], fmt="%.17g", delimiter=",")
+        out = tmp_path / "sw"
+        assert run("sweep", path, "--gamma-count", 5, "--out", out) == 0
+        assert [(row["cardinality"], float(row["loss_percent"]))
+                for row in read_rows(out / "sweep.csv")] == [("0", 100.0)] * 5
+
     def test_takes_no_method_flag(self, planted_csv, tmp_path):
         path, _ = planted_csv
         assert run("sweep", path, "--method", "spdmd", "--out", tmp_path / "sw") == 1
@@ -804,10 +857,10 @@ class TestSpdmdSplittingReport:
                 warnings.simplefilter("always")
                 assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method",
                            "spdmd", "--gamma", 100, "--max-iter", max_iter, "--out", out) == 0
-            # a fit the splitting stopped short of still warns, once
-            assert [str(w.message).split(" (")[0] for w in caught] == \
-                ([] if want_converged else ["splitting did not converge in 20 iterations"])
-            assert not caught or caught[0].filename == spdmd.__file__
+            # a fit the splitting stopped short of still warns, once, from the CLI
+            assert [str(w.message) for w in caught] == ([] if want_converged else [
+                "the splitting stopped at --max-iter 20 without converging at gamma=100.0"])
+            assert not caught or caught[0].filename == cli.__file__
             admm = json.loads((out / "summary.json").read_text())["admm"]
             assert sorted(admm) == ["converged", "iterations", "rho"]
             assert admm["converged"] is want_converged
@@ -815,10 +868,33 @@ class TestSpdmdSplittingReport:
             assert math.log2(admm["rho"]).is_integer()
         with warnings.catch_warnings(record=True) as caught:  # a filter by module still holds
             warnings.simplefilter("always")
-            warnings.filterwarnings("ignore", module=r"koopmode\.spdmd\Z")
+            warnings.filterwarnings("ignore", module=r"koopmode\.cli\Z")
             assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method",
                        "spdmd", "--gamma", 100, "--max-iter", 20, "--out", out) == 0
         assert caught == []
+
+    def test_unconverged_sweep_warns_once_counting_its_false_cells(self, tmp_path,
+                                                                   five_mode_csv):
+        out = tmp_path / "sw"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("sweep", five_mode_csv, "--rank", FIVE_MODE_RANK, "--gamma-min", 1e-2,
+                       "--gamma-max", 1e3, "--gamma-count", 8, "--max-iter", 20,
+                       "--out", out) == 0
+        stalled = [row["converged"] for row in read_rows(out / "sweep.csv")].count("false")
+        assert stalled > 1  # one line for all of them
+        assert [(str(w.message), w.filename) for w in caught] == [(
+            f"the splitting stopped at --max-iter 20 without converging at {stalled} of 8 "
+            "gamma values (sweep.csv's converged column)", cli.__file__)]
+
+    @pytest.mark.filterwarnings("error")  # the library returns convergence and warns of nothing
+    def test_library_sweep_reports_convergence_as_data(self, five_mode_csv):
+        data = load_matrix(five_mode_csv).data
+        result = exact_dmd(data, rank=FIVE_MODE_RANK)
+        form = quadratic_form(data[:, :-1], result.basis, result.coefficients,
+                              result.eigenvalues)
+        solutions = gamma_sweep(form, log_gamma_grid(1e-2, 1e3, 8), AdmmParams(max_iter=20))
+        assert not all(s.admm.converged for s in solutions)
 
     @pytest.mark.filterwarnings("error")  # the error alone
     def test_converged_empty_support_names_gamma(self, tmp_path, five_mode_csv, capsys):
@@ -1476,6 +1552,12 @@ class TestRuntimeImports:
         assert "warning: rank-deficient Krylov sequence (rank 4 of 8), " \
                "using minimum-norm coefficients" in lines
         assert all(line.startswith("warning: ") and ".py:" not in line for line in lines)
+        stalled = _run_python("-m", "koopmode", "decompose", str(five_mode_csv), "--rank",
+                              str(FIVE_MODE_RANK), "--method", "spdmd", "--gamma", "100",
+                              "--max-iter", "20", "--out", str(tmp_path / "st"))
+        assert stalled.returncode == 0
+        assert stalled.stderr.splitlines() == [
+            "warning: the splitting stopped at --max-iter 20 without converging at gamma=100.0"]
         failed = _run_python("-m", "koopmode", "decompose", str(five_mode_csv), "--rank",
                              str(FIVE_MODE_RANK), "--method", "spdmd", "--gamma", "1000",
                              "--max-iter", "20", "--out", str(tmp_path / "sp"))

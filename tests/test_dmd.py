@@ -51,6 +51,19 @@ class TestTruncatedSvd:
             assert np.max(np.abs(f.S - sigma[:5])) <= 1e-12 * sigma[0]
             assert abs(err - np.sqrt(np.sum(sigma[5:] ** 2))) <= 1e-8
 
+    def test_rank_above_the_numerical_rank_is_refused(self):
+        """Two oscillators span rank 2; sigma_3 / sigma_1 is about 2e-16. An
+        explicit rank 3 once fitted that roundoff direction and gave three
+        spurious eigenvalues; it is refused, naming the numerical rank."""
+        rng = np.random.default_rng(0)
+        t = np.arange(100)
+        a, b = rng.standard_normal(20), rng.standard_normal(20)
+        X = np.outer(a, np.cos(0.3 * t)) + np.outer(b, np.sin(0.3 * t))
+        lam = exact_dmd(X, rank=2).eigenvalues
+        np.testing.assert_allclose(np.sort_complex(lam), np.exp([-0.3j, 0.3j]), atol=1e-12)
+        with pytest.raises(ValueError, match="rank 3 exceeds the numerical rank 2"):
+            exact_dmd(X, rank=3)
+
     def test_orthonormal_factors(self, rng):
         for Y in self.tall_and_wide(rng, 15, 8):
             f = truncated_svd(Y, rank=4)
@@ -544,9 +557,9 @@ def _two_mode_result() -> DecompositionResult:
     (lambda: _two_mode_result().with_amplitudes(np.ones(3)), "amplitude vector length mismatch"),
     (lambda: truncated_svd(np.zeros((0, 3))), "empty matrix"),
     (lambda: truncated_svd(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), rank=2),
-     "zero singular value inside requested rank 2"),
+     "rank 2 exceeds the numerical rank 1"),
     (lambda: truncated_svd(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), rank=2),
-     "zero singular value inside requested rank 2"),
+     "rank 2 exceeds the numerical rank 1"),
 ], ids=["amplitudes", "with-amplitudes", "empty", "zero-sigma-tall", "zero-sigma-wide"])
 def test_invalid_argument_names_its_fault(call, match):
     with pytest.raises(ValueError, match=match):

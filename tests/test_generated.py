@@ -1,0 +1,158 @@
+"""Generated command-line runs: small p x N inputs of nine kinds, each run
+through cli.main as a random decompose, sweep or ingest-info with random
+flags. numpy's RNG alone draws them, from fixed seeds, so a failing case is
+rerun by its id.
+
+Every run must exit 0, 1 or 2 and raise no RuntimeWarning. A run that exits
+0 writes only strict JSON (no NaN or infinity) and a finite sweep table, and
+`reconstruct --at 0 --horizon 3 --input` of a decompose's own artifacts
+exits 0 too.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from koopmode.cli import main
+
+SEED = 20261020
+N_CASES = 240
+KINDS = ("normal", "two-oscillators", "constant", "zeros", "rank-1", "scaled-1e200",
+         "scaled-1e-300", "one-nan", "integers")
+
+
+def make_input(rng: np.random.Generator, kind: str, p: int, n: int) -> np.ndarray:
+    t = np.arange(n)
+    if kind == "two-oscillators":
+        return (np.outer(rng.standard_normal(p), np.cos(0.3 * t))
+                + np.outer(rng.standard_normal(p), np.sin(0.3 * t)))
+    if kind == "constant":
+        return np.full((p, n), 3.0)
+    if kind == "zeros":
+        return np.zeros((p, n))
+    if kind == "rank-1":
+        return np.outer(rng.standard_normal(p), rng.standard_normal(n))
+    if kind == "integers":
+        return rng.integers(-3, 4, (p, n)).astype(float)
+    X = rng.standard_normal((p, n))
+    if kind == "scaled-1e200":
+        X *= 1e200
+    elif kind == "scaled-1e-300":
+        X *= 1e-300
+    elif kind == "one-nan":
+        X[rng.integers(p), rng.integers(n)] = np.nan
+    return X
+
+
+def load_flags(rng: np.random.Generator) -> list[str]:
+    flags = []
+    if rng.random() < 0.2:
+        flags.append("--transpose")
+    if rng.random() < 0.3:
+        flags += ["--cycles", str(rng.integers(1, 4))]
+    return flags
+
+
+def log_uniform(rng: np.random.Generator, low: float, high: float) -> str:
+    return repr(float(10.0 ** rng.uniform(low, high)))
+
+
+def solver_flags(rng: np.random.Generator, p: int, n: int, admm: bool = True) -> list[str]:
+    """--rank up to max(p, N), so some exceed the data's rank or min(p, N - 1),
+    and with admm the splitting's flags, --max-iter small enough to stop some
+    solves."""
+    flags = []
+    if rng.random() < 0.5:
+        flags += ["--rank", str(rng.integers(1, max(p, n) + 1))]
+    if not admm:
+        return flags
+    if rng.random() < 0.3:
+        flags += ["--rho", log_uniform(rng, -3, 3)]
+    if rng.random() < 0.3:
+        flags += ["--max-iter", str(rng.integers(1, 50))]
+    return flags
+
+
+def random_command(rng: np.random.Generator, path: str, out: str, p: int,
+                   n: int) -> tuple[list[str], list[str]]:
+    """(argv, its load flags): a subcommand drawn at random, with random flags."""
+    load = load_flags(rng)
+    argv = [path, *load]
+    command = str(rng.choice(["decompose", "sweep", "ingest-info"], p=[0.5, 0.3, 0.2]))
+    if command == "ingest-info":
+        return ["ingest-info", *argv], load
+    if rng.random() < 0.3:
+        argv.append("--subtract-mean")
+    if command == "sweep":
+        count = int(rng.integers(1, 6))
+        low = log_uniform(rng, -3, 0)
+        argv += ["--gamma-min", low, "--gamma-max", low if count == 1 else log_uniform(rng, 0, 3),
+                 "--gamma-count", str(count), *solver_flags(rng, p, n)]
+        if rng.random() < 0.3:
+            argv.append("--no-warm-start")
+    else:
+        method = str(rng.choice(["dmd", "cdmd", "spdmd"]))
+        argv += ["--method", method]
+        if method != "cdmd":
+            argv += solver_flags(rng, p, n, admm=method == "spdmd")
+            if rng.random() < 0.3:
+                argv += ["--mode-style", "projected"]
+        if method == "spdmd":
+            argv += ["--gamma", "0" if rng.random() < 0.2 else log_uniform(rng, -3, 3)]
+        if rng.random() < 0.3:
+            argv += ["--top-modes", str(rng.integers(0, 4))]
+    return [command, *argv, "--out", out], load
+
+
+def _reject(constant: str):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+def strict_json(text: str):
+    return json.loads(text, parse_constant=_reject)
+
+
+def run(argv: list[str]) -> tuple[int, str, list[warnings.WarningMessage]]:
+    """cli.main's exit status, its stdout, and the warnings it raised, each
+    recorded whatever the caller's filters."""
+    stdout = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        status = main(argv)
+    return status, stdout.getvalue(), caught
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_generated_run_keeps_the_invariants(tmp_path, case):
+    rng = np.random.default_rng([SEED, case])
+    p, n = int(rng.integers(1, 9)), int(rng.integers(1, 14))
+    kind = KINDS[rng.integers(len(KINDS))]
+    path = tmp_path / "data.csv"
+    np.savetxt(path, make_input(rng, kind, p, n), fmt="%.17g", delimiter=",")
+    out = tmp_path / "out"
+    argv, load = random_command(rng, str(path), str(out), p, n)
+    status, stdout, caught = run(argv)
+    assert status in (0, 1, 2)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if status != 0:
+        return
+    if argv[0] == "ingest-info":
+        strict_json(stdout)
+    elif argv[0] == "sweep":
+        rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1, ndmin=2,
+                          usecols=(0, 1, 2, 3, 4, 6))
+        assert np.isfinite(rows).all()
+    else:
+        strict_json((out / "summary.json").read_text())
+        status, _, caught = run(["reconstruct", "--artifacts", str(out), "--at", "0",
+                                 "--horizon", "3", "--input", str(path), *load,
+                                 "--out", str(tmp_path / "rec")])
+        assert status == 0
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        strict_json((tmp_path / "rec" / "recon_report.json").read_text())

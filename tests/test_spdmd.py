@@ -330,6 +330,23 @@ class TestSoftThreshold:
             v = rng.standard_normal(4)
             assert_close(T @ soft_threshold(v, 0.5, partner), shrink(T @ v, 0.5), 1e-15)
 
+    def test_zero_magnitude_is_silent_and_the_rest_bitwise_unchanged(self, rng):
+        """An exact zero under kappa above about 2.8 divided kappa / sqrt(1/2)
+        by float64's smallest normal, which overflows; the threshold now
+        divides by kappa / sqrt(1/2) there, and keeps every other bit."""
+        partner = np.array([2, 1, 0, 3, 4])
+        for kappa in (1e-3, 0.5, 3.0, 1e6):
+            v = rng.standard_normal(5) * 10.0 ** rng.uniform(-3, 3, 5)
+            v[[1, 4]] = 0.0
+            mag = np.abs(v)
+            mag = np.hypot(mag, mag[partner])
+            with np.errstate(over="ignore"):  # the former formula, overflow and all
+                want = np.maximum(1.0 - (kappa / spdmd.SQRT_HALF)
+                                  / np.maximum(mag, np.finfo(float).tiny), 0.0) * v
+            with np.errstate(all="raise"):
+                got = soft_threshold(v, kappa, partner)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestAdmmSolve:
     def test_gamma_zero_matches_normal_equations(self, rng):
@@ -372,13 +389,13 @@ class TestAdmmSolve:
                 else:
                     assert abs(grad[i]) <= gamma + tol
 
+    @pytest.mark.filterwarnings("error")  # the result is the only report: no warning
     def test_non_convergence_is_flagged_not_raised(self, rng):
         Y, modes, lam = random_instance(rng)
         form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         params = AdmmParams(max_iter=2, eps_abs=1e-15, eps_rel=1e-15)
-        with pytest.warns(UserWarning, match="did not converge"):
-            res = admm_solve(form, 1.0, params)
-        assert not res.converged
+        res = admm_solve(form, 1.0, params)
+        assert res.converged is False
         assert res.iterations == 2
 
     def test_invalid_params(self, rng):
