@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cdmd import companion_dmd
-from .dmd import (DecompositionResult, conjugate_pairs, conjugate_representatives,
+from .dmd import (DecompositionResult, RankError, conjugate_pairs, conjugate_representatives,
                   exact_dmd, mode_stats, real_matmul)
 from .rom import reconstruct, temporal_dynamics
 from .snapshots import (
@@ -64,6 +64,7 @@ EIGENVALUE_COLUMNS = ("index", "re", "im", "magnitude", "e_folding", "period",
                       "amp_re", "amp_im", "amp_abs")
 # AdmmParams fields set by the solver flags; their defaults are AdmmParams'.
 ADMM_FLAGS = ("rho", "eps_abs", "eps_rel", "max_iter")
+EIGENBASIS_COND_LIMIT = 1e12  # a run warns of a near-defective eigenbasis above this cond(W)
 
 
 class UsageError(Exception):
@@ -106,9 +107,17 @@ def _check_out(args: argparse.Namespace) -> None:
             raise UsageError(f"refusing to replace {out}: the run reads {read}")
 
 
+def _report(findings: list[str]) -> None:
+    """Warn of each finding of a run once, after its last step that can fail and
+    before its output is published: a failed run prints only its error."""
+    for message in findings:
+        warnings.warn(message)
+
+
 @contextmanager
-def _staged_output(outdir: str | Path):
-    """Stage the artifacts in a directory that replaces outdir as a whole."""
+def _staged_output(outdir: str | Path, findings: list[str]):
+    """Stage the artifacts in a directory that replaces outdir as a whole, once
+    _report has warned of the run's findings."""
     outdir = Path(outdir).resolve()
     if outdir.exists() and not (outdir.is_dir() and all(
             any(child.match(name) for name in ARTIFACT_NAMES) for child in outdir.iterdir())):
@@ -116,21 +125,25 @@ def _staged_output(outdir: str | Path):
     with _published(outdir) as stage:
         stage.mkdir()
         yield stage
+        _report(findings)
 
 
-def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | None]:
-    """The input as the flags lay it out, and with --subtract-mean the row
-    means it subtracted, else None."""
+def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | None, list[str]]:
+    """The input as the flags lay it out, with --subtract-mean the row means
+    it subtracted, else None, and the run's findings: snapshots --cycles drops."""
     if args.mask is not None and args.grid_shape is None:
         raise UsageError("--mask requires --grid-shape")
     X = load_matrix(args.input, format=args.format, grid_shape=args.grid_shape,
                     header=args.header, transpose=args.transpose,
                     mask=None if args.mask is None else load_mask(args.mask))
+    dropped = X.n_steps % args.cycles
+    findings = [f"{args.input}: dropped {dropped} trailing snapshot(s) not filling a cycle of "
+                f"--cycles {args.cycles}"] if dropped else []
     if args.cycles > 1:
         X = stack_cycles(X, args.cycles)
     if getattr(args, "subtract_mean", False):  # reconstruct compares its --input raw
-        return subtract_mean(X)
-    return X, None
+        return (*subtract_mean(X), findings)
+    return X, None, findings
 
 
 def _admm_params(args: argparse.Namespace, **extra) -> AdmmParams:
@@ -154,31 +167,44 @@ def _reject_ignored_flags(args: argparse.Namespace) -> None:
         raise UsageError(f"method {args.method} does not read {', '.join(ignored)}")
 
 
-def _decompose(args: argparse.Namespace,
-               X: SnapshotMatrix) -> tuple[DecompositionResult, QuadraticForm]:
+def _decompose(args: argparse.Namespace, X: SnapshotMatrix,
+               findings: list[str]) -> tuple[DecompositionResult, QuadraticForm]:
     """The selected decomposition, amplitudes unset, and the quadratic form of
     its fit against the zero-lag snapshots, in the same column order, built
-    from the modes' factors without forming them. The snapshots' sum of squares
-    must be a finite positive float64: it is checked before any fit."""
+    from the modes' factors without forming them; a near-defective eigenbasis
+    and a near-singular form are findings. The snapshots' sum of squares must be
+    a finite positive float64, and --rank at most min(p, N - 1), before any fit."""
     with np.errstate(over="ignore"):
         energy = data_energy(X.data[:, :-1])
     if not np.finfo(float).tiny <= energy < np.inf:
         raise ValueError(f"{args.input}: the sum of squares of the snapshots to fit is "
                          f"{energy:.3g}, not a finite positive float64 (the data is all "
                          "zero, or its magnitude is outside about 1e-154 to 1e154)")
-    base = (companion_dmd(X.data) if args.method == "cdmd"
-            else exact_dmd(X.data, rank=args.rank, mode_style=args.mode_style))
-    return base, quadratic_form(X.data[:, :-1], base.basis, base.coefficients, base.eigenvalues)
+    if args.rank is not None and args.rank > min(X.p, X.n_steps - 1):
+        raise ValueError(f"{args.input}: --rank {args.rank} exceeds min(p, N - 1) = "
+                         f"{min(X.p, X.n_steps - 1)} of its p x N = {X.p} x {X.n_steps} snapshots")
+    try:
+        base = (companion_dmd(X.data) if args.method == "cdmd"
+                else exact_dmd(X.data, rank=args.rank, mode_style=args.mode_style))
+    except RankError as exc:  # "rank R exceeds the numerical rank K, ..."
+        raise ValueError(f"{args.input}: --{exc}") from None
+    cond = np.linalg.cond(base.coefficients)
+    if cond > EIGENBASIS_COND_LIMIT:
+        findings.append(f"near-defective eigenbasis, condition {cond:.3e}")
+    form = quadratic_form(X.data[:, :-1], base.basis, base.coefficients, base.eigenvalues)
+    if form.near_singular:
+        findings.append("near-singular amplitude system, using minimum-norm solution")
+    return base, form
 
 
-def _fit(args: argparse.Namespace,
-         X: SnapshotMatrix) -> tuple[DecompositionResult, float, dict | None]:
+def _fit(args: argparse.Namespace, X: SnapshotMatrix,
+         findings: list[str]) -> tuple[DecompositionResult, float, dict | None]:
     """Decompose and fit amplitudes; returns the result sorted by amplitude,
     the loss of the fit as a percentage of the data norm, as the form scores
     it, and for spdmd what the splitting did (iterations, convergence, final
-    rho). The result's modes are not formed: writing them takes one column per
-    conjugate pair from its factors."""
-    base, form = _decompose(args, X)
+    rho: an unconverged fit is a finding). The result's modes are not formed:
+    writing them takes one column per conjugate pair from its factors."""
+    base, form = _decompose(args, X, findings)
     if args.method != "spdmd":
         return (base.with_amplitudes(optimal_amplitudes(form)),
                 performance_loss(form.floor, form.s), None)
@@ -189,7 +215,7 @@ def _fit(args: argparse.Namespace,
             raise ValueError(f"{stopped}, with no amplitude left at gamma={args.gamma}")
         raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
     if not solution.admm.converged:
-        warnings.warn(f"{stopped} at gamma={args.gamma}")
+        findings.append(f"{stopped} at gamma={args.gamma}")
     result = select_modes(base, solution)
     return result, solution.loss_percent, {"iterations": int(solution.admm.iterations),
                                            "converged": bool(solution.admm.converged),
@@ -238,9 +264,9 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
 def cmd_decompose(args: argparse.Namespace) -> int:
     _reject_ignored_flags(args)
     _check_out(args)
-    X, mean = _load_input(args)
-    result, full_loss, admm = _fit(args, X)
-    with _staged_output(args.out) as stage:
+    X, mean, findings = _load_input(args)
+    result, full_loss, admm = _fit(args, X, findings)
+    with _staged_output(args.out, findings) as stage:
         _write_decomposition(stage, args, X, result, full_loss, admm)
         if mean is not None:
             write_csv(stage / "mean.csv", mean[:, None])
@@ -253,18 +279,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"gamma grid: {exc}") from None
     _check_out(args)
-    _, form = _decompose(args, _load_input(args)[0])
+    X, _, findings = _load_input(args)
+    _, form = _decompose(args, X, findings)
     solutions = gamma_sweep(form, gammas,
                             _admm_params(args, warm_start=not args.no_warm_start))
     stalled = sum(not s.admm.converged for s in solutions)
     if stalled:
-        warnings.warn(f"the splitting stopped at --max-iter {args.max_iter} without converging at "
-                      f"{stalled} of {gammas.size} gamma values (sweep.csv's converged column)")
+        findings.append(f"the splitting stopped at --max-iter {args.max_iter} without converging at"
+                        f" {stalled} of {gammas.size} gamma values (sweep.csv's converged column)")
     best: dict[int, int] = {}
     for i, s in enumerate(solutions):
         if s.cardinality not in best or s.loss_percent < solutions[best[s.cardinality]].loss_percent:
             best[s.cardinality] = i
-    with _staged_output(args.out) as stage:
+    with _staged_output(args.out, findings) as stage:
         for name, chosen in (("sweep.csv", solutions),
                              ("pareto.csv", [solutions[i] for i in sorted(best.values())])):
             write_csv(stage / name,
@@ -361,14 +388,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     for name, values in (("modes_matrix.npy", model.basis), ("mean.csv", mean)):
         if not np.isfinite(values).all():
             raise ValueError(f"{art / name} holds a non-finite value")
-    reference = None
+    reference, findings = None, []
     if args.input is not None:
-        reference, _ = _load_input(args)
+        reference, _, findings = _load_input(args)
         if reference.p != p:
             raise ValueError(f"input has p={reference.p}, model expects {p}")
     report: dict = {"indices": args.at, "horizon": args.horizon, "relative_errors": {},
                     "imag_residuals": {}, "forecast_imag_residual": None}
-    with _staged_output(args.out) as stage:
+    with _staged_output(args.out, findings) as stage:
         for k in args.at:
             snapshot, resid = reconstruct(model, k, 1)
             vec = snapshot[:, 0] + mean
@@ -433,7 +460,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest_info(args: argparse.Namespace) -> int:
-    X, _ = _load_input(args)
+    X, _, findings = _load_input(args)
     info = {
         "p": X.p,
         "n_steps": X.n_steps,
@@ -444,7 +471,9 @@ def cmd_ingest_info(args: argparse.Namespace) -> int:
         "max": float(X.data.max()),
         "mean": float(X.data.mean()),
     }
-    sys.stdout.write(_json_text(info))
+    text = _json_text(info)
+    _report(findings)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

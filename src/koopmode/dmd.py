@@ -1,7 +1,6 @@
 """Exact DMD: truncated SVD, compressed operator, modes, Vandermonde."""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -9,7 +8,6 @@ from typing import NamedTuple
 import numpy as np
 
 RANK_TOL = 1e-10  # a singular value at or below RANK_TOL·σ₁ counts as zero (DMD and CDMD)
-EIGENBASIS_COND_LIMIT = 1e12
 CONJUGATE_TOL = 1e-8
 MODE_STYLES = ("exact", "projected")
 
@@ -82,6 +80,10 @@ class DecompositionResult:
         )
 
 
+class RankError(ValueError):
+    """A rank above the numerical rank of the matrix to factor."""
+
+
 class ModeStats(NamedTuple):
     magnitude: float
     e_folding: float
@@ -90,7 +92,8 @@ class ModeStats(NamedTuple):
 
 def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
     """Rank-r SVD; the default rank, and the largest rank accepted, is the
-    numerical rank: the count of singular values above RANK_TOL * sigma_1.
+    numerical rank: the count of singular values above RANK_TOL * sigma_1
+    (a larger rank raises RankError, and one above min(p, M) ValueError).
 
     A wide Y (p < M) is factored through the p x p R of Y* = QR, the step
     LAPACK's SVD of Y* takes first once M >= 11p/6: U and S come from the SVD
@@ -116,8 +119,8 @@ def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
     if rank is None:
         rank = numerical_rank
     elif rank > numerical_rank:
-        raise ValueError(f"rank {rank} exceeds the numerical rank {numerical_rank}, "
-                         f"the count of singular values above {RANK_TOL:g} sigma_1")
+        raise RankError(f"rank {rank} exceeds the numerical rank {numerical_rank}, "
+                        f"the count of singular values above {RANK_TOL:g} sigma_1")
     U, s = U[:, :rank], s[:rank]
     V = adjoint_matmul(Y, U / s) if wide else V[:, :rank]
     return SvdFactors(U=U, S=s, V=V)
@@ -182,13 +185,11 @@ def eigen_decomposition(operator: np.ndarray, basis: np.ndarray,
     """The decomposition whose modes are basis @ W, W the eigenvectors of the
     square operator: columns normalized to unit 2-norm, rotated by
     canonical_phase and sorted by |eigenvalue| descending, ties in eig's
-    order. Warns when W is near-defective. Amplitudes are left unset."""
+    order. W is the result's coefficients, so a caller judges cond(W), how
+    near-defective the eigenbasis is, from them. Amplitudes are left unset."""
     evals, W = np.linalg.eig(operator)
     W /= np.linalg.norm(W, axis=0)
     W = canonical_phase(W)
-    cond = np.linalg.cond(W)
-    if cond > EIGENBASIS_COND_LIMIT:
-        warnings.warn(f"near-defective eigenbasis, condition {cond:.3e}")
     order = np.argsort(-np.abs(evals), kind="stable")
     return DecompositionResult(eigenvalues=evals[order], basis=basis,
                                coefficients=W[:, order], amplitudes=None, method=method)

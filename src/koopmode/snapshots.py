@@ -183,7 +183,8 @@ def load_mask(path: str | Path) -> np.ndarray:
 
 
 def stack_cycles(X: SnapshotMatrix, c: int) -> SnapshotMatrix:
-    """Stack c consecutive snapshots into one tall column (seasonal c=3, annual c=12)."""
+    """Stack c consecutive snapshots into one tall column (seasonal c=3, annual c=12);
+    the N mod c trailing snapshots that fill no cycle are dropped."""
     if c < 1:
         raise ValueError(f"cycle length must be >= 1, got {c}")
     if c > X.n_steps:
@@ -191,9 +192,6 @@ def stack_cycles(X: SnapshotMatrix, c: int) -> SnapshotMatrix:
     if c == 1:
         return X
     n_out = X.n_steps // c
-    dropped = X.n_steps - n_out * c
-    if dropped:
-        warnings.warn(f"dropping {dropped} trailing snapshot(s) not filling a cycle of {c}")
     stacked = X.data[:, : n_out * c].reshape(X.p, n_out, c)
     stacked = np.ascontiguousarray(stacked.transpose(2, 0, 1)).reshape(X.p * c, n_out)
     return SnapshotMatrix(stacked, grid_shape=X.grid_shape, mask=X.mask, cycles=X.cycles * c)

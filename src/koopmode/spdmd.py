@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +37,8 @@ class QuadraticForm:
     b = T y: y_i = sqrt2 Re b_i and y_j = sqrt2 Im b_i for a pair i < j,
     y_k = b_k for an unpaired k. A form with pairs is real (paired_form).
     eigh = (lam, Q), P = Q diag(lam) Q*, is the one factorization: PSD check,
-    x-update, and y*, P y = q's one (minimum-norm) solve, with g = q - P y*.
+    x-update, and y*, P y = q's one (minimum-norm) solve, with g = q - P y*
+    (near_singular if _min_norm finds it so).
     objective splits at y*, floor + d*Pd - 2 Re(g*d) at d = y - y*, exact for
     every y and singular P. floor is the expansion's value at y*,
     s - Re((q + g)* y*), but quadratic_form sets it from the fit's residual,
@@ -53,6 +53,7 @@ class QuadraticForm:
     optimum: np.ndarray = field(init=False, repr=False, compare=False)
     normal_residual: np.ndarray = field(init=False, repr=False, compare=False)
     floor: float = field(init=False, repr=False, compare=False)
+    near_singular: bool = field(init=False, repr=False, compare=False)
     _x_update: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -77,9 +78,10 @@ class QuadraticForm:
         if lam[0] < -PSD_REL_TOL * max(lam[-1], 1.0):
             raise ValueError(f"P is not positive semidefinite (min eig {lam[0]:.3e})")
         object.__setattr__(self, "eigh", (lam, Q))
-        y = _min_norm(lam, Q, q)
+        y, near_singular = _min_norm(lam, Q, q)
         g = q - P @ y
         object.__setattr__(self, "optimum", y)
+        object.__setattr__(self, "near_singular", near_singular)
         object.__setattr__(self, "normal_residual", g)
         object.__setattr__(self, "floor", self.s - float(np.vdot(q + g, y).real))
 
@@ -268,10 +270,13 @@ def soft_threshold(v: np.ndarray, kappa: float, partner: np.ndarray) -> np.ndarr
     """Shrinkage of the amplitudes T v by kappa in modulus, phase kept, for
     coordinates v in the pair basis of partner: a pair's two coordinates
     shrink together, by sqrt2 kappa in their 2-norm. Under the identity
-    pairing this is complex shrinkage of v itself."""
+    pairing this is complex shrinkage of v itself. A threshold past float64's
+    range shrinks every amplitude to 0, its limit."""
+    t = float(kappa) / SQRT_HALF  # a float: past float64's range it is inf, silently
+    if t == math.inf:
+        return np.zeros_like(v)
     mag = np.abs(v)
     mag = np.hypot(mag, mag[partner])  # sqrt2 |b_k|, for paired and unpaired k alike
-    t = kappa / SQRT_HALF
     # a magnitude below t shrinks to 0: dividing by t there gives 1, not an overflow
     return np.maximum(1.0 - t / np.maximum(mag, max(t, _TINY)), 0.0) * v
 
@@ -298,7 +303,8 @@ def admm_solve(
     if params.rho <= 0:
         raise ValueError("rho must be positive")
     r = form.size
-    rho = params.rho if start is None else start.rho
+    # as floats, kappa = gamma / rho past float64's range is inf, silently
+    gamma, rho = float(gamma), float(params.rho if start is None else start.rho)
     if gamma == 0.0:
         return AdmmResult(z=form.optimum.copy(), iterations=0, converged=True,
                           rho=rho, u=np.zeros(r, dtype=form.q.dtype))
@@ -339,21 +345,20 @@ def detect_support(v: np.ndarray, partner: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mag > ZERO_REL_TOL * mag.max(initial=0.0))
 
 
-def _min_norm(lam: np.ndarray, Q: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _min_norm(lam: np.ndarray, Q: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, bool]:
     """Minimum-norm solution of Q diag(lam) Q* x = q (lam ascending), dropping
-    lam <= eps k lam_max, numpy's default least-squares cutoff; warns when it
-    drops one or lam_max / lam_min exceeds NORMAL_COND_LIMIT."""
+    lam <= eps k lam_max, numpy's default least-squares cutoff, and whether
+    it is near-singular: it drops one or lam_max / lam_min > NORMAL_COND_LIMIT."""
     keep = lam > np.finfo(float).eps * lam.size * lam[-1]
-    if not keep.all() or lam[-1] > NORMAL_COND_LIMIT * lam[0]:
-        warnings.warn("near-singular amplitude system, using minimum-norm solution")
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-    return Q @ (inv * (Q.conj().T @ q))
+    near_singular = not keep.all() or lam[-1] > NORMAL_COND_LIMIT * lam[0]
+    return Q @ (inv * (Q.conj().T @ q)), bool(near_singular)
 
 
 def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
     """Least-squares amplitudes minimizing the quadratic form (P, q, s), in the
     form's column order: those of form.optimum, the minimum-norm solution of
-    P y = q that the form solved, and warned of if near-singular, when built."""
+    P y = q that the form solved when built (see form.near_singular)."""
     return form.from_basis(form.optimum)
 
 
@@ -373,7 +378,8 @@ def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     P_s, q_s = form.P[np.ix_(support, support)], form.q[support]
     x = np.zeros(r, dtype=form.P.dtype)
     # Cholesky pivots |L_ii|^2 lie between P_s's extreme eigenvalues: one at or
-    # below _min_norm's cutoff, eps k max |L_ii|^2, marks a block it calls singular
+    # below _min_norm's cutoff, eps k max |L_ii|^2, marks a block it calls singular,
+    # and by interlacing a form it calls near-singular, so the fallback needs no note
     try:
         pivots = np.abs(np.linalg.cholesky(P_s).diagonal()) ** 2
         definite = pivots.min() > np.finfo(float).eps * pivots.size * pivots.max()
@@ -382,7 +388,7 @@ def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     if definite:  # one solve beats two triangular ones on L, L*
         x[support] = np.linalg.solve(P_s, q_s)
     else:
-        x[support] = _min_norm(*np.linalg.eigh(P_s), q_s)
+        x[support] = _min_norm(*np.linalg.eigh(P_s), q_s)[0]
     return form.from_basis(x)
 
 

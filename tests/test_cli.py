@@ -121,8 +121,8 @@ class TestDecompose:
         fitted = []
         fit = cli._fit
 
-        def fit_and_keep(args, X):
-            fitted.append(fit(args, X))
+        def fit_and_keep(args, X, findings):
+            fitted.append(fit(args, X, findings))
             return fitted[-1]
 
         monkeypatch.setattr(cli, "_fit", fit_and_keep)
@@ -186,14 +186,28 @@ class TestDecompose:
     @pytest.mark.filterwarnings("error")  # the error alone
     def test_rank_above_the_numerical_rank_exits_2(self, tmp_path, capsys):
         """A constant input has numerical rank 1: --rank 3 once failed in the
-        eigensolver, after numpy's overflow warnings."""
+        eigensolver, after numpy's overflow warnings. The error names the
+        flag and the input."""
         path = tmp_path / "const.csv"
         np.savetxt(path, np.full((6, 11), 3.0), fmt="%.17g", delimiter=",")
         assert run("decompose", path, "--rank", 3, "--method", "dmd",
                    "--out", tmp_path / "art") == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: rank 3 exceeds the numerical rank 1, the count of singular values above "
-            "1e-10 sigma_1"]
+            f"error: {path}: --rank 3 exceeds the numerical rank 1, the count of singular "
+            "values above 1e-10 sigma_1"]
+
+    @pytest.mark.filterwarnings("error")  # the error alone
+    @pytest.mark.parametrize("command", ["decompose", "sweep"])
+    def test_rank_above_min_p_n_exits_2_naming_flag_and_input(self, tmp_path, rng, capsys,
+                                                              command):
+        """An 8 x 2 input has one snapshot pair: the error once named the
+        library's M, min(p, M)=1, not the flag and the file."""
+        path, out = tmp_path / "short.csv", tmp_path / "art"
+        np.savetxt(path, rng.standard_normal((8, 2)), fmt="%.17g", delimiter=",")
+        assert run(command, path, "--rank", 8, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: --rank 8 exceeds min(p, N - 1) = 1 of its p x N = 8 x 2 snapshots"]
+        assert not out.exists()
 
     def test_cdmd_rejects_rank(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -654,7 +668,7 @@ class TestModesFormedOnce:
     def test_sweep_allocates_no_complex_modes(self, tall):
         X, modes_bytes = tall
         args = cli.build_parser().parse_args(["sweep", "in.csv", "--rank", str(self.RANK)])
-        _, peak = allocation_peak(cli._decompose, args, X)
+        _, peak = allocation_peak(cli._decompose, args, X, [])
         assert peak < modes_bytes
 
     @pytest.mark.parametrize("flags", [(), ("--method", "spdmd", "--gamma", "1")])
@@ -664,7 +678,7 @@ class TestModesFormedOnce:
             ["decompose", "in.csv", "--rank", str(self.RANK), *flags])
 
         def fit_and_form():
-            result, _, _ = cli._fit(args, X)
+            result, _, _ = cli._fit(args, X, [])
             return result, result.modes
 
         (result, modes), peak = allocation_peak(fit_and_form)
@@ -679,7 +693,7 @@ class TestModesFormedOnce:
         line per latitude, as a map does, not one p-wide line."""
         X = SnapshotMatrix(tall[0].data, grid_shape=(40, self.P // 40))
         args = cli.build_parser().parse_args(["decompose", "in.csv", "--rank", str(self.RANK)])
-        result, loss, admm = cli._fit(args, X)
+        result, loss, admm = cli._fit(args, X, [])
         art = tmp_path / "art"
         art.mkdir()
         _, peak = allocation_peak(cli._write_decomposition, art, args, X, result, loss, admm)
@@ -1623,3 +1637,126 @@ class TestBlasThreads:
         np.testing.assert_array_equal(index2, index)
         assert np.abs(b2 - b).max() <= TOL * np.abs(b).max()
         assert np.abs(modes2 - modes).max() <= TOL * np.abs(modes).max()
+
+
+def jordan_chain(n_steps: int = 20) -> np.ndarray:
+    """Snapshots of the 6 x 6 Jordan chain 0.9 I + N from ones: its operator
+    is defective, so the eigenbasis is near-defective (cond(W) about 2e13)
+    and the amplitude system near-singular."""
+    A = 0.9 * np.eye(6) + np.eye(6, k=1)
+    cols = [np.ones(6)]
+    for _ in range(n_steps - 1):
+        cols.append(A @ cols[-1])
+    return np.column_stack(cols)
+
+
+@pytest.fixture
+def jordan_csv(tmp_path):
+    path = tmp_path / "jordan.csv"
+    save_matrix(SnapshotMatrix(jordan_chain()), path, "csv")
+    return path
+
+
+def recorded(*args) -> tuple[int, list[str]]:
+    """run(*args)'s exit status and the messages of the warnings it raised,
+    each from cli, whatever the caller's filters."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = run(*args)
+    assert all(w.filename == cli.__file__ for w in caught)
+    return status, [str(w.message) for w in caught]
+
+
+NEAR_SINGULAR = "near-singular amplitude system, using minimum-norm solution"
+
+
+class TestFindings:
+    """The library returns what it finds and the command warns: each finding
+    once, from cli, after the run's last step that can fail and before its
+    output is published. A failed run prints only its error."""
+
+    def test_each_finding_prints_one_line(self, tmp_path, jordan_csv):
+        proc = _run_python("-m", "koopmode", "decompose", str(jordan_csv),
+                           "--out", str(tmp_path / "art"))
+        assert proc.returncode == 0
+        defective, singular = proc.stderr.splitlines()
+        assert re.fullmatch(r"warning: near-defective eigenbasis, condition 2\.1\d\de\+13",
+                            defective)
+        assert singular == f"warning: {NEAR_SINGULAR}"
+
+    @pytest.mark.parametrize("count", [1, 4, 16])
+    def test_sweep_warns_of_the_form_once_whatever_its_grid(self, tmp_path, jordan_csv, count):
+        """At the parent polish warned again for each singular support block."""
+        status, messages = recorded("sweep", jordan_csv, "--gamma-min", 1e-3,
+                                    "--gamma-max", 1e-3 if count == 1 else 1e3,
+                                    "--gamma-count", count, "--max-iter", 300,
+                                    "--out", tmp_path / "sw")
+        assert status == 0
+        assert messages.count(NEAR_SINGULAR) == 1
+        assert len(messages) == len(set(messages))
+
+    def test_dropped_snapshots_are_a_finding(self, tmp_path, jordan_csv, capsys):
+        dropped = f"{jordan_csv}: dropped 2 trailing snapshot(s) not filling a cycle of --cycles 3"
+        assert recorded("ingest-info", jordan_csv, "--cycles", 3) == (0, [dropped])
+        assert json.loads(capsys.readouterr().out)["n_steps"] == 6
+        status, messages = recorded("decompose", jordan_csv, "--cycles", 3, "--rank", 2,
+                                    "--out", tmp_path / "art")
+        assert status == 0 and messages[0] == dropped
+        assert recorded("ingest-info", jordan_csv, "--cycles", 4) == (0, [])
+
+    @pytest.mark.parametrize("flags, error", [
+        (("decompose", "--method", "spdmd", "--gamma", 1e9), "zeroed out every amplitude"),
+        (("decompose", "--cycles", 3, "--rank", 6), "--rank 6 exceeds min(p, N - 1) = 5"),
+        (("sweep", "--cycles", 3, "--rank", 6), "--rank 6 exceeds min(p, N - 1) = 5"),
+    ], ids=["empty-support", "decompose-rank", "sweep-rank"])
+    def test_a_failed_run_prints_only_its_error(self, tmp_path, jordan_csv, capsys, flags,
+                                                error):
+        """Each of these runs finds something (dropped snapshots, a
+        near-defective eigenbasis, a near-singular form) before it fails."""
+        out = tmp_path / "out"
+        assert recorded(flags[0], jordan_csv, *flags[1:], "--out", out) == (2, [])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and error in line
+        assert not out.exists()
+
+    def test_a_finding_made_an_error_publishes_nothing(self, tmp_path, jordan_csv):
+        out = tmp_path / "D"
+        proc = _run_python("-W", "error::UserWarning", "-m", "koopmode", "decompose",
+                           str(jordan_csv), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: near-defective eigenbasis, condition ")
+        assert not out.exists()
+
+
+class TestThresholdPastFloat64:
+    """gamma / rho past float64's range is an infinite threshold: every
+    amplitude is 0, its limit, where every iterate was once NaN."""
+
+    @pytest.fixture
+    def normal_csv(self, tmp_path):
+        path = tmp_path / "normal.csv"
+        np.savetxt(path, np.random.default_rng(0).standard_normal((4, 12)), fmt="%.17g",
+                   delimiter=",")
+        return path
+
+    @pytest.mark.filterwarnings("error")  # the error alone
+    def test_decompose_prints_only_its_error(self, tmp_path, normal_csv, capsys):
+        assert run("decompose", normal_csv, "--method", "spdmd", "--gamma", 1e300,
+                   "--rho", 1e-300, "--max-iter", 300, "--out", tmp_path / "art") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the splitting stopped at --max-iter 300 without converging, with no "
+            "amplitude left at gamma=1e+300"]
+
+    def test_sweep_rows_stay_finite_with_no_mode(self, tmp_path, normal_csv):
+        """Its one warning is the command's (recorded checks each is from cli):
+        numpy's overflow and invalid-value warnings are gone."""
+        out = tmp_path / "sw"
+        assert recorded("sweep", normal_csv, "--gamma-min", 1e300, "--gamma-max", 1e308,
+                        "--gamma-count", 3, "--rho", 1e-300, "--max-iter", 300,
+                        "--out", out) == (0, [
+            "the splitting stopped at --max-iter 300 without converging at 3 of 3 gamma "
+            "values (sweep.csv's converged column)"])
+        rows = read_rows(out / "sweep.csv")
+        assert [row["cardinality"] for row in rows] == ["0"] * 3
+        assert all(math.isfinite(float(row[key])) for row in rows
+                   for key in ("gamma", "cost", "loss_percent", "rho"))

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -348,11 +347,15 @@ def weak_mode_form(rng, weak=5e-8):
 
 
 class TestNearSingularAmplitudes:
+    """The form records a near-singular solve in near_singular and warns of
+    nothing: the command decides what to say."""
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("build", [duplicated_mode_form, weak_mode_form])
     def test_minimum_norm_solution_warns_and_matches_lstsq(self, rng, build):
         for _ in range(5):
-            with pytest.warns(UserWarning, match="near-singular amplitude system"):
-                form = build(rng)
+            form = build(rng)
+            assert form.near_singular is True
             lam = np.linalg.eigvalsh(form.P)
             assert lam[-1] > 1e14 * lam[0]
             want = np.linalg.lstsq(form.P, form.q, rcond=None)[0]
@@ -361,26 +364,29 @@ class TestNearSingularAmplitudes:
             z = admm_solve(form, 0.0).z  # coordinates, the amplitudes on a complex form
             np.testing.assert_array_equal(form.from_basis(z), b)
 
+    def test_distinct_modes_are_not_flagged(self, rng):
+        modes = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        lam = 0.95 * np.exp(2j * np.pi * rng.random(4))
+        form = quadratic_form(rng.standard_normal((8, 20)), modes, np.eye(4), lam)
+        assert form.near_singular is False
+
+    @pytest.mark.filterwarnings("error")
     def test_duplicated_mode_shares_its_amplitude(self, rng):
-        with pytest.warns(UserWarning, match="near-singular"):
-            form = duplicated_mode_form(rng)
+        form = duplicated_mode_form(rng)
+        assert form.near_singular is True
         b = optimal_amplitudes(form)
         assert abs(b[1] - b[4]) <= 1e-12 * abs(b[1])
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("build", [duplicated_mode_form, weak_mode_form])
     def test_form_warns_once_when_built(self, rng, build):
-        """The form solves P y = q once, when it is built, and warns there;
-        the amplitudes and the gamma = 0 solve read its optimum, bitwise,
-        and warn nothing more."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            form = build(rng)
-        assert [(w.category, str(w.message)) for w in caught] == [
-            (UserWarning, "near-singular amplitude system, using minimum-norm solution")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            b = optimal_amplitudes(form)
-            z = admm_solve(form, 0.0).z
+        """The form solves P y = q once, when it is built, and records there
+        that the solve is near-singular; the amplitudes and the gamma = 0
+        solve read its optimum, bitwise."""
+        form = build(rng)
+        assert form.near_singular is True
+        b = optimal_amplitudes(form)
+        z = admm_solve(form, 0.0).z
         np.testing.assert_array_equal(b, form.from_basis(form.optimum))
         np.testing.assert_array_equal(z, form.optimum)
         assert z is not form.optimum  # the solve's state is its own
@@ -408,10 +414,12 @@ class TestRealSpectrum:
 
 
 class TestEigenDecomposition:
-    def test_defective_operator_warns(self):
-        """A Jordan block has one eigenvector: eig returns two nearly parallel ones."""
-        with pytest.warns(UserWarning, match="near-defective eigenbasis"):
-            result = eigen_decomposition(np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2), "test")
+    @pytest.mark.filterwarnings("error")  # cond(W) is the caller's to judge
+    def test_defective_operator_gives_a_near_defective_basis(self):
+        """A Jordan block has one eigenvector: eig returns two nearly parallel
+        ones, which the result's coefficients hold."""
+        result = eigen_decomposition(np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(2), "test")
+        assert np.linalg.cond(result.coefficients) > 1e12
         assert result.method == "test" and result.amplitudes is None
 
     def test_columns_sorted_by_eigenvalue_magnitude_ties_in_eig_order(self):

@@ -347,6 +347,17 @@ class TestSoftThreshold:
                 got = soft_threshold(v, kappa, partner)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa", [math.inf, np.float64(1.5e308)])
+    def test_threshold_past_float64_gives_zeros_silently(self, rng, kappa):
+        """An infinite threshold, or one whose sqrt2 multiple passes float64's
+        range, is the limit of ever larger ones: every amplitude is 0. It once
+        divided inf by inf, and every iterate was NaN."""
+        for v, partner in ((rng.standard_normal(4), np.array([2, 1, 0, 3])),
+                           (rng.standard_normal(3) + 1j * rng.standard_normal(3), np.arange(3))):
+            out = soft_threshold(v, kappa, partner)
+            assert out.dtype == v.dtype and np.all(out == 0.0)
+
 
 class TestAdmmSolve:
     def test_gamma_zero_matches_normal_equations(self, rng):
@@ -397,6 +408,16 @@ class TestAdmmSolve:
         res = admm_solve(form, 1.0, params)
         assert res.converged is False
         assert res.iterations == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_gamma_over_rho_past_float64_gives_zeros_silently(self, rng):
+        """gamma / rho past float64's range is an infinite threshold: every z
+        is 0, also after residual balancing raises rho, and no iterate is NaN."""
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
+        res = admm_solve(form, np.float64(1e300), AdmmParams(rho=1e-300, max_iter=300))
+        assert np.all(res.z == 0.0) and np.isfinite(res.u).all()
+        assert res.rho == 1e-300 * 2.0 ** spdmd.RHO_MAX_CHANGES
 
     def test_invalid_params(self, rng):
         Y, modes, lam = random_instance(rng)
@@ -701,12 +722,12 @@ class TestPolish:
             want = cholesky_solver(P_s)(form.q[support])
             assert_close(polish(form, support)[support], want, 1e-12)
 
+    @pytest.mark.filterwarnings("error")
     def test_singular_support_block_gives_minimum_norm(self):
         P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
-        with pytest.warns(UserWarning, match="near-singular amplitude system"):
-            form = QuadraticForm(P=P, q=np.array([1.0, 1.0, 1.0]), s=10.0)
-        with pytest.warns(UserWarning, match="near-singular amplitude system"):
-            b = polish(form, np.array([0, 1]))
+        form = QuadraticForm(P=P, q=np.array([1.0, 1.0, 1.0]), s=10.0)
+        assert form.near_singular is True
+        b = polish(form, np.array([0, 1]))
         np.testing.assert_allclose(b, [0.5, 0.5, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("block", [
@@ -714,27 +735,29 @@ class TestPolish:
         [[1, 1j, 0], [-1j, 1, 0], [0, 0, 2]],  # complex Hermitian, rank 2
         [[2, 1, 0], [1, 2, 0], [0, 0, 0]],  # a mode that meets nothing
     ])
+    @pytest.mark.filterwarnings("error")
     def test_singular_block_matches_the_pseudoinverse(self, rng, block):
         """A rank-deficient support block falls back to the minimum-norm
-        solution, pinv(P_s) q_s, and polish raises the near-singular warning
-        that the singular form raised when it was built."""
+        solution, pinv(P_s) q_s, without a note of its own: the form it
+        belongs to is near-singular, by interlacing, and records that."""
         P = np.zeros((5, 5), dtype=complex)
         support = np.array([0, 2, 4])
         P[np.ix_(support, support)] = block
         P[[1, 3], [1, 3]] = 5.0
         q = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        with pytest.warns(UserWarning, match="near-singular amplitude system"):
-            form = QuadraticForm(P=P, q=q, s=100.0)
-        with pytest.warns(UserWarning, match="near-singular amplitude system"):
-            b = polish(form, support)
+        form = QuadraticForm(P=P, q=q, s=100.0)
+        assert form.near_singular is True
+        b = polish(form, support)
         want = np.linalg.pinv(P[np.ix_(support, support)]) @ q[support]
         assert_close(b[support], want, 1e-12)
         assert np.all(b[[1, 3]] == 0.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_roundoff_sized_cholesky_pivots_give_minimum_norm(self):
         """Rank-3 6x6 Hermitian P = G G* on which Cholesky succeeds by roundoff:
         its trailing pivots are ~eps of the largest, so polish takes the
-        minimum-norm solution, not a solve with the near-null block."""
+        minimum-norm solution, not a solve with the near-null block; the form
+        records that it is near-singular."""
         rng = np.random.default_rng(0)
         caught = 0
         for _ in range(200):
@@ -746,10 +769,9 @@ class TestPolish:
             except np.linalg.LinAlgError:
                 continue
             caught += 1
-            with pytest.warns(UserWarning, match="near-singular amplitude system"):
-                form = QuadraticForm(P=P, q=q, s=1.0)
-            with pytest.warns(UserWarning, match="near-singular amplitude system"):
-                b = polish(form, np.arange(6))
+            form = QuadraticForm(P=P, q=q, s=1.0)
+            assert form.near_singular is True
+            b = polish(form, np.arange(6))
             assert_close(b, np.linalg.pinv(P) @ q, 1e-10)
         assert caught > 0
 
@@ -835,8 +857,8 @@ class TestFitLoss:
         with pytest.warns(UserWarning, match="rank-deficient"):
             base = companion_dmd(X)
         Y = X[:, :-1]
-        with pytest.warns(UserWarning, match="near-singular amplitude system"):
-            form = quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
+        form = quadratic_form(Y, base.basis, base.coefficients, base.eigenvalues)
+        assert form.near_singular is True
         lam = form.eigh[0]
         assert lam[0] <= np.finfo(float).eps * lam.size * lam[-1]
         for gamma, cardinality in ((1.0, 2), (100.0, 0)):
