@@ -133,6 +133,8 @@ def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | 
     it subtracted, else None, and the run's findings: snapshots --cycles drops."""
     if args.mask is not None and args.grid_shape is None:
         raise UsageError("--mask requires --grid-shape")
+    if args.header and args.format != "csv":
+        raise UsageError(f"--header applies to --format csv only, not {args.format}")
     X = load_matrix(args.input, format=args.format, grid_shape=args.grid_shape,
                     header=args.header, transpose=args.transpose,
                     mask=None if args.mask is None else load_mask(args.mask))
@@ -140,7 +142,10 @@ def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | 
     findings = [f"{args.input}: dropped {dropped} trailing snapshot(s) not filling a cycle of "
                 f"--cycles {args.cycles}"] if dropped else []
     if args.cycles > 1:
-        X = stack_cycles(X, args.cycles)
+        try:
+            X = stack_cycles(X, args.cycles)
+        except ValueError as exc:  # too few snapshots to stack
+            raise ValueError(f"{args.input}: --cycles {args.cycles}: {exc}") from None
     if getattr(args, "subtract_mean", False):  # reconstruct compares its --input raw
         return (*subtract_mean(X), findings)
     return X, None, findings
@@ -188,6 +193,8 @@ def _decompose(args: argparse.Namespace, X: SnapshotMatrix,
                 else exact_dmd(X.data, rank=args.rank, mode_style=args.mode_style))
     except RankError as exc:  # "rank R exceeds the numerical rank K, ..."
         raise ValueError(f"{args.input}: --{exc}") from None
+    except ValueError as exc:  # "companion fit needs N >= 3, got N=2"
+        raise ValueError(f"{args.input}: --method {args.method}: {exc}") from None
     cond = np.linalg.cond(base.coefficients)
     if cond > EIGENBASIS_COND_LIMIT:
         findings.append(f"near-defective eigenbasis, condition {cond:.3e}")
@@ -213,7 +220,7 @@ def _fit(args: argparse.Namespace, X: SnapshotMatrix,
     if solution.cardinality == 0:
         if not solution.admm.converged:
             raise ValueError(f"{stopped}, with no amplitude left at gamma={args.gamma}")
-        raise ValueError(f"gamma={args.gamma} zeroed out every amplitude")
+        raise ValueError(f"--gamma {args.gamma} zeroed out every amplitude")
     if not solution.admm.converged:
         findings.append(f"{stopped} at gamma={args.gamma}")
     result = select_modes(base, solution)
@@ -277,7 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         gammas = log_gamma_grid(args.gamma_min, args.gamma_max, args.gamma_count)
     except ValueError as exc:
-        raise UsageError(f"gamma grid: {exc}") from None
+        raise UsageError(f"--gamma-min/--gamma-max/--gamma-count: {exc}") from None
     _check_out(args)
     X, _, findings = _load_input(args)
     _, form = _decompose(args, X, findings)
@@ -392,7 +399,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.input is not None:
         reference, _, findings = _load_input(args)
         if reference.p != p:
-            raise ValueError(f"input has p={reference.p}, model expects {p}")
+            raise ValueError(f"--input {args.input} has p={reference.p} rows, model expects {p}")
     report: dict = {"indices": args.at, "horizon": args.horizon, "relative_errors": {},
                     "imag_residuals": {}, "forecast_imag_residual": None}
     with _staged_output(args.out, findings) as stage:

@@ -92,7 +92,8 @@ def load_matrix(
     """Load a snapshot matrix from CSV or raw little-endian float64 + JSON sidecar.
     header skips one CSV line; raw input has no header line to skip. With a
     mask, one boolean per row read, only the rows it flags true are kept, so
-    the rows it drops may hold NaN or inf."""
+    the rows it drops may hold NaN or inf. An error about what the file holds
+    names its path."""
     path = Path(path)
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
@@ -123,9 +124,12 @@ def load_matrix(
     if mask is not None:
         mask = np.asarray(mask, dtype=bool).reshape(-1)
         if mask.size != data.shape[0]:
-            raise ValueError(f"mask has {mask.size} entries, data has {data.shape[0]} rows")
+            raise ValueError(f"{path}: mask has {mask.size} entries, data has {data.shape[0]} rows")
         data = data[mask]
-    return SnapshotMatrix(data, grid_shape=grid_shape, mask=mask)
+    try:
+        return SnapshotMatrix(data, grid_shape=grid_shape, mask=mask)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_matrix(X: SnapshotMatrix, path: str | Path, format: str = "csv") -> None:

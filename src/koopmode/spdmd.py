@@ -295,7 +295,9 @@ def admm_solve(
     and the result holds them: form.from_basis(z) gives the amplitudes.
     The state (z, u, rho) starts at start's, else at zeros and params.rho;
     rho moves by residual balancing, and the result holds the final rho.
-    gamma = 0 short-circuits to a copy of the least-squares form.optimum.
+    gamma = 0 short-circuits to a copy of the least-squares form.optimum, and a
+    gamma at which z = 0 is optimal, 2|q_g| <= gamma w_g on every group g of
+    coordinates (a pair, w = sqrt2, or one unpaired, w = 1), to z = u = 0.
     A solve cut off at params.max_iter returns converged=False and does not warn.
     """
     if gamma < 0:
@@ -305,11 +307,13 @@ def admm_solve(
     r = form.size
     # as floats, kappa = gamma / rho past float64's range is inf, silently
     gamma, rho = float(gamma), float(params.rho if start is None else start.rho)
+    zero = np.zeros(r, dtype=form.q.dtype)  # no iterate is updated in place
     if gamma == 0.0:
-        return AdmmResult(z=form.optimum.copy(), iterations=0, converged=True,
-                          rho=rho, u=np.zeros(r, dtype=form.q.dtype))
+        return AdmmResult(z=form.optimum.copy(), iterations=0, converged=True, rho=rho, u=zero)
+    two_q = 2.0 * np.abs(form.q)  # the smooth part's gradient at z = 0 is -2q
+    if np.all(np.hypot(two_q, two_q[form.partner]) <= gamma / SQRT_HALF):
+        return AdmmResult(z=zero, iterations=0, converged=True, rho=rho, u=zero)
     A, c = form.x_update(rho)
-    zero = np.zeros(r, dtype=c.dtype)  # no iterate is updated in place
     z, u = (zero, zero) if start is None else (start.z, start.u)
     kappa = gamma / rho
     sqrt_r = np.sqrt(r)
@@ -364,9 +368,9 @@ def optimal_amplitudes(form: QuadraticForm) -> np.ndarray:
 
 def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
     """Re-optimize amplitudes with the sparsity pattern fixed: b is zero off the
-    support and solves P[S,S] b_S = q_S on it, in the form's basis (a solve
-    when P[S,S] is safely positive definite, else minimum norm). The support
-    must take or leave each conjugate pair whole, as the soft-threshold does."""
+    support and solves P[S,S] b_S = q_S on it, in the form's basis: one solve,
+    or on a near-singular form the minimum-norm solution. The support must take
+    or leave each conjugate pair whole, as the soft-threshold does."""
     r = form.size
     support = np.asarray(support, dtype=int)
     if support.size and (support.min() < 0 or support.max() >= r):
@@ -377,18 +381,10 @@ def polish(form: QuadraticForm, support: np.ndarray) -> np.ndarray:
         return np.zeros(r, dtype=complex)
     P_s, q_s = form.P[np.ix_(support, support)], form.q[support]
     x = np.zeros(r, dtype=form.P.dtype)
-    # Cholesky pivots |L_ii|^2 lie between P_s's extreme eigenvalues: one at or
-    # below _min_norm's cutoff, eps k max |L_ii|^2, marks a block it calls singular,
-    # and by interlacing a form it calls near-singular, so the fallback needs no note
-    try:
-        pivots = np.abs(np.linalg.cholesky(P_s).diagonal()) ** 2
-        definite = pivots.min() > np.finfo(float).eps * pivots.size * pivots.max()
-    except np.linalg.LinAlgError:
-        definite = False
-    if definite:  # one solve beats two triangular ones on L, L*
-        x[support] = np.linalg.solve(P_s, q_s)
-    else:
-        x[support] = _min_norm(*np.linalg.eigh(P_s), q_s)[0]
+    # by Cauchy interlacing P_s's eigenvalues lie within P's: on a form that is
+    # not near_singular, no block has one _min_norm would drop
+    x[support] = (_min_norm(*np.linalg.eigh(P_s), q_s)[0] if form.near_singular
+                  else np.linalg.solve(P_s, q_s))
     return form.from_basis(x)
 
 
@@ -406,15 +402,11 @@ def solve_at_gamma(
     gamma: float,
     params: AdmmParams = AdmmParams(),
     start: AdmmResult | None = None,
-    previous: SparseSolution | None = None,
 ) -> SparseSolution:
     """One sweep entry: split (from start, as admm_solve), detect support,
-    polish, score. A support equal to that of previous, a solve of the same
-    form, takes previous's polish and score, which depend on the support alone."""
+    polish, score."""
     admm = admm_solve(form, gamma, params, start)
     support = detect_support(admm.z, form.partner)
-    if previous is not None and np.array_equal(support, previous.support):
-        return replace(previous, gamma=float(gamma), admm=admm)
     b_pol = polish(form, support)
     cost = form.objective(b_pol)
     return SparseSolution(
@@ -449,18 +441,14 @@ def gamma_sweep(
 ) -> list[SparseSolution]:
     """Solve ascending in gamma, warm-starting each solve from the previous one's
     state: z, u and final rho (disable via params.warm_start for independent
-    evaluation, every solve then starting from zeros at params.rho). A solve
-    that detects the previous one's support reuses its polished optimum."""
+    evaluation, every solve then starting from zeros at params.rho)."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if gammas.size == 0:
         raise ValueError("gamma grid is empty")
-    if np.any(gammas < 0):
-        raise ValueError("gammas must be nonnegative")
     solutions: list[SparseSolution] = []
     for gamma in np.sort(gammas, kind="stable"):
-        previous = solutions[-1] if solutions else None
-        start = previous.admm if previous is not None and params.warm_start else None
-        solutions.append(solve_at_gamma(form, gamma, params, start, previous))
+        start = solutions[-1].admm if solutions and params.warm_start else None
+        solutions.append(solve_at_gamma(form, gamma, params, start))
     return solutions
 
 

@@ -462,13 +462,14 @@ class TestGridLayout:
 
 class TestRawInputHeader:
     """--header skips one CSV line. Raw input has none, so with raw-float64
-    the flag exits 2 in every subcommand that loads input, publishing nothing."""
+    the flag is a usage error, exit 1, in every subcommand that loads input,
+    publishing nothing."""
 
     @pytest.mark.parametrize("command", [
         ("decompose", "--rank", 2), ("sweep", "--rank", 2, "--gamma-count", 2),
         ("ingest-info",), ("reconstruct", "--at", 0),
     ], ids=lambda command: command[0])
-    def test_exits_2_and_publishes_nothing(self, tmp_path, rng, capsys, command):
+    def test_is_a_usage_error_and_publishes_nothing(self, tmp_path, rng, capsys, command):
         X = SnapshotMatrix(rng.standard_normal((6, 30)))
         raw, art, out = tmp_path / "six.bin", tmp_path / "art", tmp_path / "out"
         save_matrix(X, raw, "raw-float64")
@@ -481,9 +482,10 @@ class TestRawInputHeader:
         if name != "ingest-info":
             flags += ["--out", out]
         capsys.readouterr()
-        assert run(*args, *flags, "--format", "raw-float64", "--header") == 2
+        assert run(*args, *flags, "--format", "raw-float64", "--header") == 1
         captured = capsys.readouterr()
-        assert "header applies to csv input only" in captured.err
+        assert captured.err.splitlines() == [
+            "error: --header applies to --format csv only, not raw-float64"]
         assert captured.out == "" and not out.exists()
         assert run(*args, *flags, "--format", "raw-float64") == 0  # the flag alone fails
 
@@ -916,7 +918,7 @@ class TestSpdmdSplittingReport:
         assert run("decompose", five_mode_csv, "--rank", FIVE_MODE_RANK, "--method", "spdmd",
                    "--gamma", 1e9, "--out", out) == 2
         err = capsys.readouterr().err
-        assert "gamma=1000000000.0 zeroed out every amplitude" in err and "--max-iter" not in err
+        assert "--gamma 1000000000.0 zeroed out every amplitude" in err and "--max-iter" not in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")  # the error alone: the solver's warning is dropped
@@ -1075,7 +1077,8 @@ class TestReconstruct:
         capsys.readouterr()
         assert run("reconstruct", "--artifacts", art, "--at", 0, "--input", short,
                    "--out", out) == 2
-        assert "input has p=5, model expects 6" in capsys.readouterr().err
+        assert (f"--input {short} has p=5 rows, model expects 6"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_zero_horizon_rejected(self, tmp_path, planted_csv):
@@ -1729,8 +1732,10 @@ class TestFindings:
 
 
 class TestThresholdPastFloat64:
-    """gamma / rho past float64's range is an infinite threshold: every
-    amplitude is 0, its limit, where every iterate was once NaN."""
+    """A gamma at which zero amplitudes are optimal, 2|q_g| <= sqrt2 gamma on
+    every pair and |2q_k| <= gamma on every unpaired mode, ends the splitting
+    before its first iteration, however small --rho is and even where
+    gamma / rho passes float64's range: converged, at the starting rho."""
 
     @pytest.fixture
     def normal_csv(self, tmp_path):
@@ -1742,21 +1747,52 @@ class TestThresholdPastFloat64:
     @pytest.mark.filterwarnings("error")  # the error alone
     def test_decompose_prints_only_its_error(self, tmp_path, normal_csv, capsys):
         assert run("decompose", normal_csv, "--method", "spdmd", "--gamma", 1e300,
-                   "--rho", 1e-300, "--max-iter", 300, "--out", tmp_path / "art") == 2
+                   "--rho", 1e-300, "--out", tmp_path / "art") == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: the splitting stopped at --max-iter 300 without converging, with no "
-            "amplitude left at gamma=1e+300"]
+            "error: --gamma 1e+300 zeroed out every amplitude"]
 
     def test_sweep_rows_stay_finite_with_no_mode(self, tmp_path, normal_csv):
-        """Its one warning is the command's (recorded checks each is from cli):
-        numpy's overflow and invalid-value warnings are gone."""
+        """No row runs an iteration, so none stops at --max-iter, and the run
+        warns of nothing."""
         out = tmp_path / "sw"
         assert recorded("sweep", normal_csv, "--gamma-min", 1e300, "--gamma-max", 1e308,
-                        "--gamma-count", 3, "--rho", 1e-300, "--max-iter", 300,
-                        "--out", out) == (0, [
-            "the splitting stopped at --max-iter 300 without converging at 3 of 3 gamma "
-            "values (sweep.csv's converged column)"])
+                        "--gamma-count", 3, "--rho", 1e-300, "--out", out) == (0, [])
         rows = read_rows(out / "sweep.csv")
-        assert [row["cardinality"] for row in rows] == ["0"] * 3
+        assert [(row["cardinality"], row["iterations"], row["converged"], row["rho"])
+                for row in rows] == [("0", "0", "true", "1e-300")] * 3
         assert all(math.isfinite(float(row[key])) for row in rows
-                   for key in ("gamma", "cost", "loss_percent", "rho"))
+                   for key in ("gamma", "cost", "loss_percent"))
+
+
+class TestErrorsNameAFlagOrAFile:
+    """An error names the flag or the file it is about, not only an internal
+    quantity."""
+
+    @pytest.mark.parametrize("data, flags, error", [
+        (np.ones((4, 1)), ("ingest-info",), "{input}: need at least 2 snapshots, got N=1"),
+        (np.full((4, 3), np.nan), ("ingest-info",),
+         "{input}: snapshot data contains NaN/Inf after masking"),
+        (np.ones((4, 12)), ("ingest-info", "--grid-shape", 3, 3),
+         "{input}: grid 3x3 holds 9 points, not the 4 rows per cycle"),
+        (np.ones((4, 12)), ("ingest-info", "--cycles", 20),
+         "{input}: --cycles 20: cycle length 20 exceeds N=12"),
+        (np.ones((4, 12)), ("ingest-info", "--cycles", 7),
+         "{input}: --cycles 7: need at least 2 snapshots, got N=1"),
+        (np.eye(4, 2), ("decompose", "--method", "cdmd"),
+         "{input}: --method cdmd: companion fit needs N >= 3, got N=2"),
+    ], ids=["one-snapshot", "nan", "grid-shape", "cycles-past-n", "cycles-to-one", "cdmd-n2"])
+    @pytest.mark.filterwarnings("error")
+    def test_input_errors_name_the_input(self, tmp_path, capsys, data, flags, error):
+        path = tmp_path / "in.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",")
+        command, *rest = flags
+        out = () if command == "ingest-info" else ("--out", tmp_path / "out")
+        assert run(command, path, *rest, *out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + error.format(input=path)]
+
+    def test_gamma_grid_error_names_its_flags(self, tmp_path, smoke_csv, capsys):
+        assert run("sweep", smoke_csv, "--gamma-min", 2, "--gamma-max", 1,
+                   "--out", tmp_path / "sw") == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: --gamma-min/--gamma-max/--gamma-count: gamma_min must not exceed gamma_max")

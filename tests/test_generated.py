@@ -3,12 +3,17 @@ through cli.main as a random decompose, sweep or ingest-info with random
 flags. numpy's RNG alone draws them, from fixed seeds, so a failing case is
 rerun by its id.
 
+A share of the runs draws --rho down to 1e-300 and --gamma or --gamma-max
+up to 1e308, so some reach a gamma whose optimum has no amplitude, at a
+gamma / rho that may pass float64's range.
+
 Every run must exit 0, 1 or 2 and raise no RuntimeWarning. A run that
-exits 1 or 2 prints only its error: it raises no UserWarning but the
-companion fit's rank-deficient Krylov warning, which the library raises as it
-fits. A run that exits 0 writes only strict JSON (no NaN or infinity) and a
-finite sweep table, and `reconstruct --at 0 --horizon 3 --input` of a
-decompose's own artifacts exits 0 too.
+exits 1 or 2 prints only its error, one line that names a flag (`--`) or the
+input file: it raises no UserWarning but the companion fit's rank-deficient
+Krylov warning, which the library raises as it fits. A run that exits 0
+writes only strict JSON (no NaN or infinity) and a finite sweep table, and
+`reconstruct --at 0 --horizon 3 --input` of a decompose's own artifacts
+exits 0 too.
 """
 from __future__ import annotations
 
@@ -64,6 +69,11 @@ def log_uniform(rng: np.random.Generator, low: float, high: float) -> str:
     return repr(float(10.0 ** rng.uniform(low, high)))
 
 
+def extreme(rng: np.random.Generator, usual: float, far: float) -> float:
+    """An exponent bound: far in a quarter of the draws, else usual."""
+    return far if rng.random() < 0.25 else usual
+
+
 def solver_flags(rng: np.random.Generator, p: int, n: int, admm: bool = True) -> list[str]:
     """--rank up to max(p, N), so some exceed the data's rank or min(p, N - 1),
     and with admm the splitting's flags, --max-iter small enough to stop some
@@ -74,7 +84,7 @@ def solver_flags(rng: np.random.Generator, p: int, n: int, admm: bool = True) ->
     if not admm:
         return flags
     if rng.random() < 0.3:
-        flags += ["--rho", log_uniform(rng, -3, 3)]
+        flags += ["--rho", log_uniform(rng, extreme(rng, -3, -300), 3)]
     if rng.random() < 0.3:
         flags += ["--max-iter", str(rng.integers(1, 50))]
     return flags
@@ -93,7 +103,8 @@ def random_command(rng: np.random.Generator, path: str, out: str, p: int,
     if command == "sweep":
         count = int(rng.integers(1, 6))
         low = log_uniform(rng, -3, 0)
-        argv += ["--gamma-min", low, "--gamma-max", low if count == 1 else log_uniform(rng, 0, 3),
+        high = log_uniform(rng, 0, extreme(rng, 3, 308))
+        argv += ["--gamma-min", low, "--gamma-max", low if count == 1 else high,
                  "--gamma-count", str(count), *solver_flags(rng, p, n)]
         if rng.random() < 0.3:
             argv.append("--no-warm-start")
@@ -105,7 +116,8 @@ def random_command(rng: np.random.Generator, path: str, out: str, p: int,
             if rng.random() < 0.3:
                 argv += ["--mode-style", "projected"]
         if method == "spdmd":
-            argv += ["--gamma", "0" if rng.random() < 0.2 else log_uniform(rng, -3, 3)]
+            argv += ["--gamma", "0" if rng.random() < 0.2
+                     else log_uniform(rng, -3, extreme(rng, 3, 308))]
         if rng.random() < 0.3:
             argv += ["--top-modes", str(rng.integers(0, 4))]
     return [command, *argv, "--out", out], load
@@ -119,15 +131,15 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=_reject)
 
 
-def run(argv: list[str]) -> tuple[int, str, list[warnings.WarningMessage]]:
-    """cli.main's exit status, its stdout, and the warnings it raised, each
-    recorded whatever the caller's filters."""
-    stdout = io.StringIO()
+def run(argv: list[str]) -> tuple[int, str, str, list[warnings.WarningMessage]]:
+    """cli.main's exit status, its stdout and stderr, and the warnings it
+    raised, each recorded whatever the caller's filters."""
+    stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
         status = main(argv)
-    return status, stdout.getvalue(), caught
+    return status, stdout.getvalue(), stderr.getvalue(), caught
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -139,12 +151,14 @@ def test_generated_run_keeps_the_invariants(tmp_path, case):
     np.savetxt(path, make_input(rng, kind, p, n), fmt="%.17g", delimiter=",")
     out = tmp_path / "out"
     argv, load = random_command(rng, str(path), str(out), p, n)
-    status, stdout, caught = run(argv)
+    status, stdout, stderr, caught = run(argv)
     assert status in (0, 1, 2)
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     if status != 0:
         assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)
                 and not str(w.message).startswith("rank-deficient Krylov")] == []
+        (error,) = [line for line in stderr.splitlines() if line.startswith("error: ")]
+        assert "--" in error or str(path) in error
         return
     if argv[0] == "ingest-info":
         strict_json(stdout)
@@ -154,7 +168,7 @@ def test_generated_run_keeps_the_invariants(tmp_path, case):
         assert np.isfinite(rows).all()
     else:
         strict_json((out / "summary.json").read_text())
-        status, _, caught = run(["reconstruct", "--artifacts", str(out), "--at", "0",
+        status, _, _, caught = run(["reconstruct", "--artifacts", str(out), "--at", "0",
                                  "--horizon", "3", "--input", str(path), *load,
                                  "--out", str(tmp_path / "rec")])
         assert status == 0

@@ -170,6 +170,55 @@ def assert_close(a, b, rtol):
     assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
 
 
+def pair_groups(partner):
+    """The groups of coordinates soft_threshold shrinks together: each pair,
+    and each unpaired coordinate alone."""
+    return [np.unique([i, j]) for i, j in enumerate(partner) if i <= j]
+
+
+def pair_closed_support(rng, partner):
+    """A random nonempty support that takes or leaves each pair whole."""
+    groups = pair_groups(partner)
+    taken = rng.choice(len(groups), size=rng.integers(1, len(groups) + 1), replace=False)
+    return np.sort(np.concatenate([groups[k] for k in taken]))
+
+
+def zero_certificate(form):
+    """The least gamma at which z = 0 minimizes the regularized objective: the
+    largest 2 ||q_g|| / w_g over the groups g of coordinates, w = sqrt2 for a
+    conjugate pair and 1 for an unpaired coordinate."""
+    return max(2.0 * np.linalg.norm(form.q[g]) / np.sqrt(g.size)
+               for g in pair_groups(form.partner))
+
+
+def pivot_test(P_s):
+    """The test polish once made before its solve: the Cholesky factorization
+    of the block succeeds and every pivot |L_ii|^2 is above eps k max |L_ii|^2."""
+    try:
+        pivots = np.abs(np.linalg.cholesky(P_s).diagonal()) ** 2
+    except np.linalg.LinAlgError:
+        return False
+    return pivots.min() > np.finfo(float).eps * pivots.size * pivots.max()
+
+
+def conditioned_form(rng, r, cond, paired):
+    """A form whose P has eigenvalues log-spaced from 1 to cond: real, with
+    random conjugate pairs, when paired, else complex."""
+    if paired:
+        Q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        q = rng.standard_normal(r)
+        order = rng.permutation(r)
+        partner = np.arange(r)
+        for i, j in order[:2 * int(rng.integers(0, r // 2 + 1))].reshape(-1, 2):
+            partner[i], partner[j] = j, i
+    else:
+        Q = random_unitary(r, rng)
+        q = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        partner = None
+    P = (Q * np.geomspace(1.0, cond, r)) @ Q.conj().T
+    return QuadraticForm(P=0.5 * (P + P.conj().T), q=q, s=1.0, partner=partner)
+
+
 class TestQuadraticForm:
     def test_zero_amplitudes_give_data_energy(self, rng):
         Y, modes, lam = random_instance(rng)
@@ -411,13 +460,57 @@ class TestAdmmSolve:
 
     @pytest.mark.filterwarnings("error")
     def test_gamma_over_rho_past_float64_gives_zeros_silently(self, rng):
-        """gamma / rho past float64's range is an infinite threshold: every z
-        is 0, also after residual balancing raises rho, and no iterate is NaN."""
+        """A gamma past the zero certificate returns z = u = 0 before the first
+        iteration, converged at the starting rho, however small rho is."""
         Y, modes, lam = random_instance(rng)
         form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
         res = admm_solve(form, np.float64(1e300), AdmmParams(rho=1e-300, max_iter=300))
-        assert np.all(res.z == 0.0) and np.isfinite(res.u).all()
-        assert res.rho == 1e-300 * 2.0 ** spdmd.RHO_MAX_CHANGES
+        assert not res.z.any() and not res.u.any()
+        assert (res.iterations, res.converged, res.rho) == (0, True, 1e-300)
+
+    @pytest.mark.parametrize("paired", [True, False], ids=["paired", "complex"])
+    def test_zero_certificate_holds_from_its_least_gamma(self, rng, paired):
+        """From the least gamma whose optimum is z = 0, grouped as
+        soft_threshold groups pairs, a solve, warm-started or not, returns
+        z = u = 0 with no iteration at its starting rho; just below it the
+        splitting iterates. The reference loop's limit there is z = 0 too."""
+        inputs = real_dmd_instance(rng)
+        form = quadratic_form(*inputs) if paired else amplitude_form(*inputs)
+        assert np.isrealobj(form.P) == paired
+        least = zero_certificate(form)
+        start = spdmd.AdmmResult(z=np.ones(form.size), iterations=7, converged=True, rho=8.0,
+                                 u=np.ones(form.size))
+        for gamma, begin, rho in ((least * (1 + 1e-12), None, 0.5), (1e300, None, 0.5),
+                                  (least * (1 + 1e-12), start, 8.0)):
+            res = admm_solve(form, gamma, AdmmParams(rho=0.5), begin)
+            assert (res.iterations, res.converged, res.rho) == (0, True, rho)
+            assert not res.z.any() and not res.u.any()
+            assert res.z.dtype == res.u.dtype == form.q.dtype
+        assert admm_solve(form, least * (1 - 1e-6)).iterations > 0
+        if not paired:
+            z, _, iterations, _ = cholesky_admm(form, least * 1.01)
+            assert iterations > 1 and not z.any()
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_threshold_inside_the_loop_is_silent(self, rng, monkeypatch):
+        """Below the zero certificate, a rho small enough that gamma / rho
+        passes float64's range thresholds at infinity inside the loop: z stays
+        0, no iterate is NaN, and nothing warns."""
+        Y, modes, lam = random_instance(rng)
+        form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
+        gamma, rho = 1e-12, 5e-324
+        assert gamma < zero_certificate(form) and gamma / rho == math.inf
+        kappas = []
+
+        def spy(v, kappa, partner):
+            kappas.append(kappa)
+            return soft_threshold(v, kappa, partner)
+
+        monkeypatch.setattr(spdmd, "soft_threshold", spy)
+        res = admm_solve(form, gamma, AdmmParams(rho=rho, max_iter=9))
+        assert kappas == [math.inf] * 9
+        assert (res.iterations, res.converged, res.rho) == (9, False, rho)
+        assert not res.z.any() and np.isfinite(res.u).all()
 
     def test_invalid_params(self, rng):
         Y, modes, lam = random_instance(rng)
@@ -483,12 +576,8 @@ class TestAdmmMatchesCholeskyReference:
             inputs = real_dmd_instance(rng)
             form, reference = quadratic_form(*inputs), amplitude_form(*inputs)
             assert_close(optimal_amplitudes(form), optimal_amplitudes(reference), 1e-10)
-            # a pair-closed support takes or leaves each pair whole
-            groups = [np.unique([i, j]) for i, j in enumerate(form.partner) if i <= j]
             for _ in range(10):
-                taken = rng.choice(len(groups), size=rng.integers(1, len(groups) + 1),
-                                   replace=False)
-                support = np.sort(np.concatenate([groups[k] for k in taken]))
+                support = pair_closed_support(rng, form.partner)
                 assert_close(polish(form, support), polish(reference, support), 1e-10)
             split = np.flatnonzero(form.partner > np.arange(form.size))[:1]
             with pytest.raises(ValueError, match="support splits a conjugate pair"):
@@ -722,6 +811,42 @@ class TestPolish:
             want = cholesky_solver(P_s)(form.q[support])
             assert_close(polish(form, support)[support], want, 1e-12)
 
+    def test_a_form_that_is_not_near_singular_passes_the_pivot_test_on_every_block(self,
+                                                                                  rng):
+        """On real forms with random pairs and complex forms, up to condition
+        1e13.5 and not near_singular, every block of a pair-closed support
+        passes the pivot test polish once made, so polish is one solve there."""
+        for trial in range(60):
+            r = int(rng.integers(1, 13))
+            form = conditioned_form(rng, r, 10.0 ** rng.uniform(0, 13.5), trial % 2 == 0)
+            assert form.near_singular is False
+            for _ in range(10):
+                support = pair_closed_support(rng, form.partner)
+                P_s = form.P[np.ix_(support, support)]
+                assert pivot_test(P_s)
+                x = np.zeros(r, dtype=form.P.dtype)
+                x[support] = np.linalg.solve(P_s, form.q[support])
+                assert np.array_equal(polish(form, support), form.from_basis(x))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_near_singular_form_takes_the_minimum_norm_on_every_block(self, rng):
+        """On a near-singular form, polish takes the minimum-norm solution also
+        on a block that is well conditioned by itself, bit for bit, so the run's
+        near-singular note is true of it."""
+        G = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        P = np.zeros((7, 7), dtype=complex)
+        P[:5, :5] = G @ G.conj().T + 5.0 * np.eye(5)
+        P[5:, 5:] = 1.0  # rank 1
+        q = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        form = QuadraticForm(P=P, q=q, s=100.0)
+        assert form.near_singular is True
+        support = np.arange(5)
+        P_s = P[np.ix_(support, support)]
+        assert pivot_test(P_s) and np.linalg.cond(P_s) < 1e3
+        x = np.zeros(7, dtype=complex)
+        x[support] = spdmd._min_norm(*np.linalg.eigh(P_s), q[support])[0]
+        assert np.array_equal(polish(form, support), x)
+
     @pytest.mark.filterwarnings("error")
     def test_singular_support_block_gives_minimum_norm(self):
         P = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]], dtype=complex)
@@ -882,9 +1007,9 @@ class TestGammaSweep:
         np.testing.assert_array_equal(sol.support, detect_support(sol.admm.z, form.partner))
 
     @pytest.mark.parametrize("warm_start", [True, False])
-    def test_repeated_support_reuses_the_polish(self, rng, monkeypatch, warm_start):
-        """One polish per run of equal consecutive supports; a row that reuses
-        it is bitwise the row a fresh polish and objective would give."""
+    def test_each_row_polishes_its_own_support(self, rng, monkeypatch, warm_start):
+        """One polish per gamma, also where consecutive supports repeat, and
+        each row is bitwise the polish and objective of its support."""
         form, _, _ = planted_form(rng, r=10, n_active=3, M=200)
         calls = []
 
@@ -895,19 +1020,13 @@ class TestGammaSweep:
         monkeypatch.setattr(spdmd, "polish", spy)
         solutions = gamma_sweep(form, log_gamma_grid(1e-2, 1e5, 30),
                                 AdmmParams(warm_start=warm_start))
-        runs = 1 + sum(not np.array_equal(a.support, b.support)
-                       for a, b in zip(solutions, solutions[1:]))
-        assert len(calls) == runs < len(solutions)
+        assert len(calls) == len(solutions)
+        assert any(np.array_equal(a.support, b.support) for a, b in zip(solutions, solutions[1:]))
         for s in solutions:
             fresh = polish(form, s.support)
             assert np.array_equal(s.b_polished, fresh)
             assert s.cost == form.objective(fresh)
             assert s.loss_percent == performance_loss(s.cost, form.s)
-        # a previous solve on another support of the same size lends nothing
-        s = next(s for s in solutions if s.cardinality)
-        stranger = dataclasses.replace(s, support=s.support + 1, b_polished=0 * s.b_polished)
-        again = solve_at_gamma(form, s.gamma, start=s.admm, previous=stranger)
-        assert np.array_equal(again.b_polished, polish(form, again.support))
 
     def test_monotone_tradeoff_on_planted_data(self, rng):
         form, b_true, active = planted_form(
