@@ -78,14 +78,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _published(target: Path):
-    """Yield a staging path next to target, a file's or a directory's; on
-    success it replaces target as a whole, so no file of an earlier run survives."""
+def _published(target: Path, findings=()):
+    """Yield a staging path next to target, for the file or directory the run
+    makes there; on success _report warns of the run's findings and the stage
+    replaces target as a whole, so no file of an earlier run survives."""
     target.parent.mkdir(parents=True, exist_ok=True)
     holder = Path(tempfile.mkdtemp(prefix=".stage-", dir=target.parent))
     try:
         stage = holder / "new"
         yield stage
+        _report(findings)
         if stage.is_dir() and target.exists():  # os.replace fails onto a non-empty directory
             os.replace(target, holder / "old")
         os.replace(stage, target)
@@ -99,12 +101,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _check_out(args: argparse.Namespace) -> None:
-    """--out is replaced as a whole: it must not be or hold a path the run reads."""
+def _check_out(args: argparse.Namespace) -> Path:
+    """--out resolved, checked before the run reads anything: it is replaced as a
+    whole, so it must not be or hold a path the run reads, and an existing one
+    must be heatmap's file or another command's directory of ARTIFACT_NAMES."""
     out = Path(args.out).resolve()
+    image = args.command == "heatmap"
+    refusing = f"refusing to replace {'' if image else '--out '}{out}"
     for read in (getattr(args, name, None) for name in ("artifacts", "input", "mask", "grid")):
         if read is not None and Path(read).resolve().is_relative_to(out):
-            raise UsageError(f"refusing to replace {out}: the run reads {read}")
+            raise UsageError(f"{refusing}: the run reads {read}")
+    if out.exists() and not (out.is_file() if image else out.is_dir() and all(
+            any(child.match(name) for name in ARTIFACT_NAMES) for child in out.iterdir())):
+        raise UsageError(f"{refusing}: not {'a file' if image else 'a koopmode output directory'}")
+    return out
 
 
 def _report(findings: list[str]) -> None:
@@ -112,20 +122,6 @@ def _report(findings: list[str]) -> None:
     before its output is published: a failed run prints only its error."""
     for message in findings:
         warnings.warn(message)
-
-
-@contextmanager
-def _staged_output(outdir: str | Path, findings: list[str]):
-    """Stage the artifacts in a directory that replaces outdir as a whole, once
-    _report has warned of the run's findings."""
-    outdir = Path(outdir).resolve()
-    if outdir.exists() and not (outdir.is_dir() and all(
-            any(child.match(name) for name in ARTIFACT_NAMES) for child in outdir.iterdir())):
-        raise UsageError(f"refusing to replace {outdir}: not a koopmode output directory")
-    with _published(outdir) as stage:
-        stage.mkdir()
-        yield stage
-        _report(findings)
 
 
 def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | None, list[str]]:
@@ -270,10 +266,11 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     _reject_ignored_flags(args)
-    _check_out(args)
+    out = _check_out(args)
     X, mean, findings = _load_input(args)
     result, full_loss, admm = _fit(args, X, findings)
-    with _staged_output(args.out, findings) as stage:
+    with _published(out, findings) as stage:
+        stage.mkdir()
         _write_decomposition(stage, args, X, result, full_loss, admm)
         if mean is not None:
             write_csv(stage / "mean.csv", mean[:, None])
@@ -285,7 +282,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gammas = log_gamma_grid(args.gamma_min, args.gamma_max, args.gamma_count)
     except ValueError as exc:
         raise UsageError(f"--gamma-min/--gamma-max/--gamma-count: {exc}") from None
-    _check_out(args)
+    out = _check_out(args)
     X, _, findings = _load_input(args)
     _, form = _decompose(args, X, findings)
     solutions = gamma_sweep(form, gammas,
@@ -298,7 +295,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for i, s in enumerate(solutions):
         if s.cardinality not in best or s.loss_percent < solutions[best[s.cardinality]].loss_percent:
             best[s.cardinality] = i
-    with _staged_output(args.out, findings) as stage:
+    with _published(out, findings) as stage:
+        stage.mkdir()
         for name, chosen in (("sweep.csv", solutions),
                              ("pareto.csv", [solutions[i] for i in sorted(best.values())])):
             write_csv(stage / name,
@@ -378,7 +376,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     given = ["--" + k.replace("_", "-") for k, v in defaults.items() if getattr(args, k) != v]
     if given and args.input is None:
         raise UsageError(f"{', '.join(given)} without --input: load flags lay out only --input")
-    _check_out(args)
+    out = _check_out(args)
     art = Path(args.artifacts)
     for needed in ("summary.json", "eigenvalues.csv", "modes_matrix.npy"):
         if not (art / needed).exists():
@@ -402,7 +400,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             raise ValueError(f"--input {args.input} has p={reference.p} rows, model expects {p}")
     report: dict = {"indices": args.at, "horizon": args.horizon, "relative_errors": {},
                     "imag_residuals": {}, "forecast_imag_residual": None}
-    with _staged_output(args.out, findings) as stage:
+    with _published(out, findings) as stage:
+        stage.mkdir()
         for k in args.at:
             snapshot, resid = reconstruct(model, k, 1)
             vec = snapshot[:, 0] + mean
@@ -459,9 +458,9 @@ def render_heatmap(grid: np.ndarray) -> bytes:
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
-    _check_out(args)
+    out = _check_out(args)
     data = render_heatmap(read_csv(args.grid))
-    with _published(Path(args.out)) as stage:
+    with _published(out) as stage:
         stage.write_bytes(data)
     return EXIT_OK
 
@@ -501,7 +500,7 @@ def _add_load_args(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
     sub.add_argument("--header", action="store_true", help="skip one CSV header line (csv only)")
     sub.add_argument("--transpose", action="store_true",
                      help="input is time x space instead of space x time")
-    sub.add_argument("--grid-shape", nargs=2, type=int, metavar=("NLAT", "NLON"))
+    sub.add_argument("--grid-shape", nargs=2, type=_bounded(int, 1), metavar=("NLAT", "NLON"))
     sub.add_argument("--mask", help="0/1 CSV mask over the full grid")
     sub.add_argument("--cycles", type=_bounded(int, 1), default=1,
                      help="stack this many consecutive snapshots per column")

@@ -45,6 +45,8 @@ class SnapshotMatrix:
                                  f"{rows} rows per cycle")
         if self.grid_shape is not None:  # the grid holds exactly one cycle's points
             n_lat, n_lon = self.grid_shape
+            if min(n_lat, n_lon) < 1:
+                raise ValueError(f"grid {n_lat}x{n_lon} has a dimension below 1")
             points, what = ((rows, "rows per cycle") if self.mask is None
                             else (self.mask.size, "mask entries"))
             if n_lat * n_lon != points:

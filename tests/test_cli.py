@@ -416,6 +416,76 @@ class TestDecompose:
         assert config["input"] == str(path) and config["rho"] == 1.0
 
 
+def unread(*args, **kwargs):
+    raise AssertionError("read before the flags were checked")
+
+
+class TestForeignOut:
+    """An existing --out that is not what the command writes there, a
+    directory of koopmode's artifacts or heatmap's image file, is refused
+    before the run reads anything: exit 1, one error that names it, the
+    directory as it was and no stage left next to it."""
+
+    @pytest.fixture
+    def foreign(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n")
+        return out
+
+    @pytest.mark.parametrize("command", [
+        ("decompose", "--rank", 3), ("sweep", "--rank", 3, "--gamma-count", 2),
+        ("reconstruct", "--at", 0),
+    ], ids=lambda command: command[0])
+    @pytest.mark.filterwarnings("error")
+    def test_is_refused_before_the_input_is_read(self, tmp_path, planted_csv, monkeypatch,
+                                                 capsys, foreign, command):
+        path, _ = planted_csv
+        art = tmp_path / "art"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        monkeypatch.setattr(cli, "load_matrix", unread)
+        monkeypatch.setattr(cli, "_load_model", unread)
+        name, *flags = command
+        args = ((name, "--artifacts", art, "--input", path) if name == "reconstruct"
+                else (name, path))
+        capsys.readouterr()
+        assert run(*args, *flags, "--out", foreign) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: refusing to replace --out {foreign.resolve()}: "
+            "not a koopmode output directory"]
+        assert read_tree(foreign) == {"notes.txt": b"mine\n"}
+        assert not list(tmp_path.glob(".stage-*"))
+
+    def test_cdmd_prints_only_its_error(self, tmp_path, foreign):
+        """Nothing is fitted, so the companion fit's rank-deficient Krylov
+        warning that criterion 7's period-4 input raises is not printed."""
+        vs = np.random.default_rng(707).standard_normal((4, 6))
+        path = tmp_path / "periodic.csv"
+        save_matrix(SnapshotMatrix(np.column_stack([vs[k % 4] for k in range(9)])), path, "csv")
+        proc = _run_python("-m", "koopmode", "decompose", str(path), "--method", "cdmd",
+                           "--out", str(foreign))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: refusing to replace --out {foreign.resolve()}: "
+            "not a koopmode output directory"]
+
+    @pytest.mark.parametrize("holding", [True, False], ids=["holding-a-file", "empty"])
+    def test_heatmap_onto_a_directory_is_refused(self, tmp_path, capsys, foreign, holding):
+        if not holding:
+            (foreign / "notes.txt").unlink()
+        grid, image = tmp_path / "g.csv", tmp_path / "g.ppm"
+        grid.write_text("0,1\n")
+        before = read_tree(foreign)
+        assert run("heatmap", grid, foreign) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: refusing to replace {foreign.resolve()}: not a file"]
+        assert read_tree(foreign) == before and foreign.is_dir()
+        assert not list(tmp_path.glob(".stage-*"))
+        assert run("heatmap", grid, image) == 0
+        assert run("heatmap", grid, image) == 0  # its own image is replaced
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "g.ppm", "out"]
+
+
 class TestGridLayout:
     """The grid holds exactly one cycle's rows, or the mask's points: a
     mismatch is an error when the input loads, before any fit."""
@@ -449,6 +519,31 @@ class TestGridLayout:
                 f"{'rows per cycle' if mask is None else 'mask entries'}"
                 ) in capsys.readouterr().err
         assert fits == [] and not out.exists()
+
+    @pytest.mark.parametrize("command, grid", [
+        (("ingest-info",), (-2, -3)), (("decompose", "--rank", 2), (-1, -6)),
+        (("sweep", "--rank", 2, "--gamma-count", 2), (-6, -1)),
+        (("reconstruct", "--at", 0), (0, 6)),
+    ], ids=["ingest-info", "decompose", "sweep", "reconstruct"])
+    def test_dimension_below_1_is_a_usage_error(self, tmp_path, rng, monkeypatch, capsys,
+                                                command, grid):
+        """Each of these grids but 0x6 holds the 6 rows by its product."""
+        path, art, out = tmp_path / "six.csv", tmp_path / "art", tmp_path / "out"
+        save_matrix(SnapshotMatrix(rng.standard_normal((6, 20))), path, "csv")
+        assert run("decompose", path, "--rank", 2, "--out", art) == 0
+        monkeypatch.setattr(cli, "load_matrix", unread)
+        name, *flags = command
+        args = ((name, "--artifacts", art, "--input", path) if name == "reconstruct"
+                else (name, path))
+        if name != "ingest-info":
+            flags += ["--out", out]
+        capsys.readouterr()
+        assert run(*args, *flags, "--grid-shape", *grid) == 1
+        (error,) = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("error: ")]
+        assert error == (f"error: argument --grid-shape: must be finite and >= 1, "
+                         f"got {next(d for d in grid if d < 1)}")
+        assert not out.exists()
 
     def test_matching_grid_is_summarized(self, tmp_path, rng):
         path, out = tmp_path / "six.csv", tmp_path / "art"

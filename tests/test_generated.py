@@ -5,12 +5,17 @@ rerun by its id.
 
 A share of the runs draws --rho down to 1e-300 and --gamma or --gamma-max
 up to 1e308, so some reach a gamma whose optimum has no amplitude, at a
-gamma / rho that may pass float64's range.
+gamma / rho that may pass float64's range. A share draws --grid-shape with
+dimensions from -1 up, some a factorization of the rows per snapshot, some
+not, and a share of the decompose and sweep runs writes into an --out that
+already holds a file koopmode does not write.
 
-Every run must exit 0, 1 or 2 and raise no RuntimeWarning. A run that
-exits 1 or 2 prints only its error, one line that names a flag (`--`) or the
-input file: it raises no UserWarning but the companion fit's rank-deficient
-Krylov warning, which the library raises as it fits. A run that exits 0
+Every run must exit 0, 1 or 2, raise no RuntimeWarning and leave no staging
+directory. A run that exits 1 or 2 prints only its error, one line that names
+a flag (`--`) or the input file: it raises no UserWarning but the companion
+fit's rank-deficient Krylov warning, which the library raises as it fits. A
+refused --out exits 1 before anything is read, so with no warning at all,
+and leaves the directory as it was. A run that exits 0
 writes only strict JSON (no NaN or infinity) and a finite sweep table, and
 `reconstruct --at 0 --horizon 3 --input` of a decompose's own artifacts
 exits 0 too.
@@ -56,12 +61,20 @@ def make_input(rng: np.random.Generator, kind: str, p: int, n: int) -> np.ndarra
     return X
 
 
-def load_flags(rng: np.random.Generator) -> list[str]:
-    flags = []
+def load_flags(rng: np.random.Generator, p: int, n: int) -> list[str]:
+    flags, rows = [], p
     if rng.random() < 0.2:
         flags.append("--transpose")
+        rows = n
     if rng.random() < 0.3:
         flags += ["--cycles", str(rng.integers(1, 4))]
+    if rng.random() < 0.3:
+        if rng.random() < 0.5:  # a grid that holds the rows per snapshot
+            n_lat = int(rng.choice([d for d in range(1, rows + 1) if rows % d == 0]))
+            shape = [n_lat, rows // n_lat]
+        else:
+            shape = rng.integers(-1, rows + 2, 2)
+        flags += ["--grid-shape", *map(str, shape)]
     return flags
 
 
@@ -93,7 +106,7 @@ def solver_flags(rng: np.random.Generator, p: int, n: int, admm: bool = True) ->
 def random_command(rng: np.random.Generator, path: str, out: str, p: int,
                    n: int) -> tuple[list[str], list[str]]:
     """(argv, its load flags): a subcommand drawn at random, with random flags."""
-    load = load_flags(rng)
+    load = load_flags(rng, p, n)
     argv = [path, *load]
     command = str(rng.choice(["decompose", "sweep", "ingest-info"], p=[0.5, 0.3, 0.2]))
     if command == "ingest-info":
@@ -151,9 +164,18 @@ def test_generated_run_keeps_the_invariants(tmp_path, case):
     np.savetxt(path, make_input(rng, kind, p, n), fmt="%.17g", delimiter=",")
     out = tmp_path / "out"
     argv, load = random_command(rng, str(path), str(out), p, n)
+    foreign = argv[0] != "ingest-info" and rng.random() < 0.15
+    if foreign:
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n")
     status, stdout, stderr, caught = run(argv)
     assert status in (0, 1, 2)
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not list(tmp_path.glob(".stage-*"))
+    if foreign:
+        assert status == 1 and [str(w.message) for w in caught] == []
+        assert [entry.name for entry in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "mine\n"
     if status != 0:
         assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)
                 and not str(w.message).startswith("rank-deficient Krylov")] == []

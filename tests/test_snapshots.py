@@ -90,6 +90,19 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match="NaN"):
             SnapshotMatrix(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("grid", [(-2, -3), (-1, -6), (0, 6), (6, 0)])
+    def test_grid_dimension_below_1_rejected(self, tmp_path, grid):
+        """(-2, -3) and (-1, -6) hold 6 points, the rows per snapshot, by
+        their product alone."""
+        name = f"grid {grid[0]}x{grid[1]}"
+        with pytest.raises(ValueError, match=f"{name} has a dimension below 1"):
+            SnapshotMatrix(np.ones((6, 3)), grid_shape=grid)
+        path = tmp_path / "six.csv"
+        save_matrix(SnapshotMatrix(np.ones((6, 3))), path, "csv")
+        with pytest.raises(ValueError) as error:
+            load_matrix(path, grid_shape=grid)
+        assert str(error.value).startswith(f"{path}: {name} has a dimension below 1")
+
     def test_complex_rejected(self):
         """Casting to float64 would drop the imaginary parts."""
         with pytest.raises(ValueError, match="complex"):
