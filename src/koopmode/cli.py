@@ -22,11 +22,12 @@ import numpy as np
 
 from . import __version__
 from .cdmd import companion_dmd
-from .dmd import (DecompositionResult, RankError, conjugate_pairs, conjugate_representatives,
-                  exact_dmd, mode_stats, real_matmul)
+from .dmd import (MODE_STYLES, DecompositionResult, RankError, conjugate_pairs,
+                  conjugate_representatives, exact_dmd, mode_stats, real_matmul)
 from .rom import reconstruct, temporal_dynamics
 from .snapshots import (
     FLOAT,
+    FORMATS,
     SnapshotMatrix,
     load_mask,
     load_matrix,
@@ -72,8 +73,7 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # exit 1 on usage errors, not argparse's 2
-        self.print_usage(sys.stderr)
+    def error(self, message: str) -> None:  # one error line and exit 1, not usage and exit 2
         raise UsageError(message)
 
 
@@ -378,9 +378,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         raise UsageError(f"{', '.join(given)} without --input: load flags lay out only --input")
     out = _check_out(args)
     art = Path(args.artifacts)
-    for needed in ("summary.json", "eigenvalues.csv", "modes_matrix.npy"):
+    for needed in ("summary.json", "eigenvalues.csv", "modes_matrix.npy"):  # a stat, not a read
         if not (art / needed).exists():
             raise FileNotFoundError(f"missing artifact {art / needed}")
+    # --input before the model: its layout flags are usage errors, refused before any read
+    reference, _, findings = (None, None, []) if args.input is None else _load_input(args)
     model, summary = _load_model(art)
     n_train = int(_summary_field(art, summary, "data_shape")[1]) - 1
     p = model.basis.shape[0]
@@ -393,11 +395,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     for name, values in (("modes_matrix.npy", model.basis), ("mean.csv", mean)):
         if not np.isfinite(values).all():
             raise ValueError(f"{art / name} holds a non-finite value")
-    reference, findings = None, []
-    if args.input is not None:
-        reference, _, findings = _load_input(args)
-        if reference.p != p:
-            raise ValueError(f"--input {args.input} has p={reference.p} rows, model expects {p}")
+    if reference is not None and reference.p != p:
+        raise ValueError(f"--input {args.input} has p={reference.p} rows, model expects {p}")
     report: dict = {"indices": args.at, "horizon": args.horizon, "relative_errors": {},
                     "imag_residuals": {}, "forecast_imag_residual": None}
     with _published(out, findings) as stage:
@@ -496,7 +495,7 @@ def _bounded(cast: type, low: float, strict: bool = False):
 
 
 def _add_load_args(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    sub.add_argument("--format", choices=("csv", "raw-float64"), default="csv")
+    sub.add_argument("--format", choices=FORMATS, default="csv")
     sub.add_argument("--header", action="store_true", help="skip one CSV header line (csv only)")
     sub.add_argument("--transpose", action="store_true",
                      help="input is time x space instead of space x time")
@@ -515,7 +514,7 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_dmd_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rank", type=_bounded(int, 1), default=None)
-    sub.add_argument("--mode-style", choices=("exact", "projected"), default="exact")
+    sub.add_argument("--mode-style", choices=MODE_STYLES, default="exact")
     sub.add_argument("--rho", type=_bounded(float, 0, strict=True), default=AdmmParams.rho)
     sub.add_argument("--eps-abs", type=_bounded(float, 0), default=AdmmParams.eps_abs)
     sub.add_argument("--eps-rel", type=_bounded(float, 0), default=AdmmParams.eps_rel)
@@ -591,7 +590,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

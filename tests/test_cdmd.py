@@ -14,6 +14,9 @@ from koopmode import (
 from koopmode.cdmd import companion_matrix
 from conftest import allocation_peak, planted_matrix, real_exponentials
 
+# a warning that the companion fit or the command raises is asserted where it is raised
+pytestmark = pytest.mark.filterwarnings(r"error::UserWarning:koopmode\.(cdmd|cli)\Z")
+
 
 def periodic_matrix(period: int, n_steps: int, p: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -65,7 +68,8 @@ class TestFitCompanion:
 class TestCompanionDmd:
     def test_eigenvalue_count_is_companion_dimension(self, rng):
         data = rng.standard_normal((7, 12))
-        result = companion_dmd(data)
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            result = companion_dmd(data)
         assert result.rank == 11
         assert result.method == "cdmd"
         assert result.amplitudes is None  # fitted by the caller, as for exact_dmd
@@ -81,7 +85,8 @@ class TestCompanionDmd:
 
     def test_sorted_by_amplitude(self, rng):
         X = rng.standard_normal((6, 10))
-        result = companion_dmd(X)
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            result = companion_dmd(X)
         K = X[:, :-1]
         form = quadratic_form(K, result.basis, result.coefficients, result.eigenvalues)
         mags = np.abs(result.with_amplitudes(optimal_amplitudes(form)).amplitudes)
@@ -125,7 +130,8 @@ class TestUnitCircleDeviation:
         rng = np.random.default_rng(99)
         noisy = X.data + 1e-8 * rng.standard_normal(X.data.shape)
         dmd_result = exact_dmd(noisy, rank=6)
-        cdmd_result = companion_dmd(noisy)
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            cdmd_result = companion_dmd(noisy)
         dev_dmd = unit_circle_deviation(dmd_result.eigenvalues).mean()
         dev_cdmd = unit_circle_deviation(cdmd_result.eigenvalues).mean()
         assert dev_cdmd <= dev_dmd

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -24,6 +25,9 @@ from koopmode import __main__ as entry, cli, dmd, spdmd
 from koopmode.cli import main, render_heatmap
 from conftest import allocation_peak, planted_matrix, real_exponentials, smoke_matrix
 
+# a warning that the companion fit or the command raises is asserted where it is raised
+pytestmark = pytest.mark.filterwarnings(r"error::UserWarning:koopmode\.(cdmd|cli)\Z")
+
 
 @pytest.fixture
 def planted_csv(tmp_path):
@@ -43,6 +47,18 @@ def smoke_csv(tmp_path):
 
 def run(*args) -> int:
     return main([str(a) for a in args])
+
+
+KRYLOV = "rank-deficient Krylov sequence"  # the companion fit's warning
+NEAR_SINGULAR = "near-singular amplitude system"  # the command's finding
+
+
+def warns_of(*messages):
+    """A context that fails unless each message is found in a UserWarning raised in it."""
+    stack = contextlib.ExitStack()
+    for message in messages:
+        stack.enter_context(pytest.warns(UserWarning, match=message))
+    return stack
 
 
 def read_tree(root):
@@ -176,7 +192,8 @@ class TestDecompose:
     def test_cdmd_method(self, tmp_path, planted_csv):
         path, _ = planted_csv
         out = tmp_path / "art"
-        assert run("decompose", path, "--method", "cdmd", "--out", out) == 0
+        with warns_of(KRYLOV, NEAR_SINGULAR):
+            assert run("decompose", path, "--method", "cdmd", "--out", out) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["method"] == "cdmd"
         assert summary["rank"] == 49
@@ -252,7 +269,8 @@ class TestDecompose:
         X[:, 0] = 0.0
         path, art, rec = tmp_path / "zero.csv", tmp_path / "art", tmp_path / "rec"
         save_matrix(SnapshotMatrix(X), path, "csv")
-        assert run("decompose", path, "--method", "cdmd", "--out", art) == 0
+        with warns_of(KRYLOV):
+            assert run("decompose", path, "--method", "cdmd", "--out", art) == 0
         rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
         assert np.any((rows[:, 1] == 0) & (rows[:, 2] == 0))
         assert run("reconstruct", "--artifacts", art, "--input", path, "--at", 3,
@@ -313,14 +331,27 @@ class TestDecompose:
         assert not (tmp_path / "summary.json").exists()
 
     def test_cycles_with_grid_shape(self, tmp_path, rng):
+        """A stacked run's mode grids are means over the cycle's slots: of the
+        mode's real part, its imaginary part and its modulus, so the abs grid
+        is the mean of |phi|, which exceeds |mean phi| where the slots differ."""
         path = tmp_path / "small.csv"
         save_matrix(SnapshotMatrix(rng.standard_normal((12, 30))), path, "csv")
         out = tmp_path / "art"
         assert run("decompose", path, "--grid-shape", 3, 4, "--cycles", 3, "--out", out) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["data_shape"] == [36, 10]
-        grid = read_csv(out / "modes" / "0_abs.csv")
-        assert grid.shape == (3, 4) and np.all(np.isfinite(grid))
+        rows = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
+        shown = conjugate_representatives(rows[:, 1] + 1j * rows[:, 2])
+        modes = np.load(out / "modes_matrix.npy", allow_pickle=False)
+        assert len(list((out / "modes").iterdir())) == 3 * shown.size
+        gaps = []
+        for index, col in zip(rows[shown, 0].astype(int), modes.T):
+            for tag, values in (("real", col.real), ("imag", col.imag), ("abs", np.abs(col))):
+                grid = read_csv(out / "modes" / f"{index}_{tag}.csv")
+                np.testing.assert_array_equal(grid, values.reshape(3, 12).mean(axis=0)
+                                              .reshape(3, 4))
+            gaps.append(np.max(grid - np.abs(col.reshape(3, 12).mean(axis=0)).reshape(3, 4)))
+        assert max(gaps) > 0.1  # 0.17 on this input
 
     def test_cycles_with_mask(self, tmp_path, rng):
         path = tmp_path / "small.csv"
@@ -348,7 +379,8 @@ class TestDecompose:
                 return _f(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
         path, _ = planted_csv
-        assert run("decompose", path, *flags, "--out", tmp_path / "art") == 0
+        with warns_of(*((KRYLOV, NEAR_SINGULAR) if "cdmd" in flags else ())):
+            assert run("decompose", path, *flags, "--out", tmp_path / "art") == 0
         if "cdmd" in flags:  # the companion fit's own least squares, not on P
             calls = [c for c in calls if c[0] != "lstsq"]
         (name, shape), = calls
@@ -539,10 +571,9 @@ class TestGridLayout:
             flags += ["--out", out]
         capsys.readouterr()
         assert run(*args, *flags, "--grid-shape", *grid) == 1
-        (error,) = [line for line in capsys.readouterr().err.splitlines()
-                    if line.startswith("error: ")]
-        assert error == (f"error: argument --grid-shape: must be finite and >= 1, "
-                         f"got {next(d for d in grid if d < 1)}")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: argument --grid-shape: must be finite and >= 1, "
+            f"got {next(d for d in grid if d < 1)}"]
         assert not out.exists()
 
     def test_matching_grid_is_summarized(self, tmp_path, rng):
@@ -636,8 +667,9 @@ class TestLandMask:
             write_csv(path, data, ",".join(["%.17g"] * data.shape[1]))
             args = (("reconstruct", "--artifacts", art, "--input", path) if name == "reconstruct"
                     else (name, path))
-            assert run(*args, *flags, *([out] if flags[-1:] == ["--out"] else []),
-                       *load) == 0
+            with warns_of(*((KRYLOV, NEAR_SINGULAR) if "cdmd" in flags else ())):
+                assert run(*args, *flags, *([out] if flags[-1:] == ["--out"] else []),
+                           *load) == 0
             reports.append((capsys.readouterr().out, read_tree(out) if out.exists() else {}))
         assert b"nan" in path.read_bytes() and b"-inf" in path.read_bytes()
         assert reports[0] == reports[1] and any(reports[0])
@@ -892,7 +924,8 @@ class TestSweep:
         path = tmp_path / "zero_mode.csv"
         np.savetxt(path, [[-1, -3, 1, 0, 2, 0, 2, 0, 0]], fmt="%.17g", delimiter=",")
         out = tmp_path / "sw"
-        assert run("sweep", path, "--gamma-count", 5, "--out", out) == 0
+        with warns_of(NEAR_SINGULAR):
+            assert run("sweep", path, "--gamma-count", 5, "--out", out) == 0
         assert [(row["cardinality"], float(row["loss_percent"]))
                 for row in read_rows(out / "sweep.csv")] == [("0", 100.0)] * 5
 
@@ -1077,7 +1110,8 @@ class TestReconstruct:
         forecast window, as rom.reconstruct returns it, and null without one."""
         path, _ = planted_csv
         art, out = tmp_path / "art", tmp_path / "rec"
-        assert run("decompose", path, "--method", "cdmd", "--out", art) == 0
+        with warns_of(KRYLOV, NEAR_SINGULAR):
+            assert run("decompose", path, "--method", "cdmd", "--out", art) == 0
         model, summary = cli._load_model(art)
         n_train = summary["data_shape"][1] - 1
         for horizon in (1, 40):
@@ -1103,7 +1137,8 @@ class TestReconstruct:
         data = smoke_matrix() if signal == "smoke" else real_exponentials(rng, 6, [0.9, 0.5], 40)
         path, art, out = tmp_path / "data.csv", tmp_path / "art", tmp_path / "rec"
         save_matrix(SnapshotMatrix(data), path, "csv")
-        assert run("decompose", path, *flags, "--out", art) == 0
+        with warns_of(*((KRYLOV,) if "cdmd" in flags else ())):
+            assert run("decompose", path, *flags, "--out", art) == 0
         assert run("reconstruct", "--artifacts", art, "--input", path, "--at", 0, "--at", 38,
                    "--out", out) == 0
         errors = json.loads((out / "recon_report.json").read_text())["relative_errors"]
@@ -1225,6 +1260,26 @@ class TestReconstruct:
         capsys.readouterr()
         assert run("reconstruct", "--artifacts", art, "--at", 0, *flags, "--out", out) == 1
         assert f"{flags[0]} without --input" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, error", [
+        (("--mask", "mask.csv"), "--mask requires --grid-shape"),
+        (("--format", "raw-float64", "--header"),
+         "--header applies to --format csv only, not raw-float64"),
+    ], ids=["mask", "header"])
+    def test_input_layout_error_reads_no_file(self, tmp_path, monkeypatch, capsys, flags,
+                                              error):
+        """--input's layout rules are usage errors, found before the run reads
+        the artifacts or the input: the artifacts here are empty files."""
+        art, out = tmp_path / "art", tmp_path / "rec"
+        art.mkdir()
+        for name in ("summary.json", "eigenvalues.csv", "modes_matrix.npy"):
+            (art / name).touch()
+        monkeypatch.setattr(cli, "_load_model", unread)
+        monkeypatch.setattr(cli, "load_matrix", unread)
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--input",
+                   tmp_path / "in.csv", *flags, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
         assert not out.exists()
 
     def test_takes_no_subtract_mean_flag(self, tmp_path, planted_csv):
@@ -1618,6 +1673,8 @@ class TestRuntimeImports:
     def test_module_version_exits_zero(self):
         proc = _run_python("-m", "koopmode", "--version")
         assert proc.returncode == 0, proc.stderr
+        library = _run_python("-m", "koopmode.cli", "--version")  # the package is the one entry
+        assert (library.returncode, library.stdout, library.stderr) == (0, "", "")
 
     def test_package_import_loads_no_numpy_and_sets_no_thread_count(self, monkeypatch):
         for name in entry.THREAD_VARS:
@@ -1653,7 +1710,8 @@ class TestRuntimeImports:
         """The command prints a warning as `warning: <message>`, without the
         source location and line of Python's format, as it prints an error; in
         process, cli.main leaves warnings to the caller. A splitting cut short
-        with no amplitude left prints its error alone."""
+        with no amplitude left prints its error alone, and so does a usage error
+        that argparse finds, without the usage; --help prints the usage."""
         vs = np.random.default_rng(0).standard_normal((4, 6))
         path = tmp_path / "periodic.csv"  # period 4: a rank-deficient Krylov sequence
         save_matrix(SnapshotMatrix(np.column_stack([vs[k % 4] for k in range(9)])), path, "csv")
@@ -1676,8 +1734,16 @@ class TestRuntimeImports:
         assert failed.returncode == 2
         assert [line[:37] for line in failed.stderr.splitlines()] == [
             "error: the splitting stopped at --max"]
-        with pytest.warns(UserWarning, match="rank-deficient"):
+        with warns_of(KRYLOV, NEAR_SINGULAR):
             assert run("decompose", path, "--method", "cdmd", "--out", tmp_path / "art") == 0
+        for argv in (("decompose", path, "--rank", "x"), ("sweep", path, "--gamma-count", 0),
+                     ("reconstruct", "--at", 0), ("bogus",)):
+            usage = _run_python("-m", "koopmode", *map(str, argv))
+            assert usage.returncode == 1
+            (line,) = usage.stderr.splitlines()
+            assert line.startswith("error: ")
+        helped = _run_python("-m", "koopmode", "decompose", "--help")
+        assert helped.returncode == 0 and helped.stdout.startswith("usage: koopmode decompose")
 
 
 class TestBlasThreads:

@@ -179,8 +179,8 @@ def test_generated_run_keeps_the_invariants(tmp_path, case):
     if status != 0:
         assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)
                 and not str(w.message).startswith("rank-deficient Krylov")] == []
-        (error,) = [line for line in stderr.splitlines() if line.startswith("error: ")]
-        assert "--" in error or str(path) in error
+        (error,) = stderr.splitlines()
+        assert error.startswith("error: ") and ("--" in error or str(path) in error)
         return
     if argv[0] == "ingest-info":
         strict_json(stdout)
