@@ -1,9 +1,9 @@
 """Command-line pipelines: ingest-info, decompose, sweep, reconstruct, heatmap.
 
-Artifacts are CSV/JSON with 17-significant-digit floats, except the modes
-matrix, a NumPy .npy file; all are byte-stable across runs. Each run publishes
-its output directory as a whole: a failed run leaves no partial files, and a
-rerun leaves no file of the last.
+decompose writes its model to model.npz, the one file reconstruct reads; its
+other artifacts are reports for people, CSV/JSON with 17-significant-digit
+floats. All are byte-stable across runs. Each run publishes its output directory
+as a whole: a failed run leaves no partial files, and a rerun leaves no file of the last.
 """
 from __future__ import annotations
 
@@ -12,13 +12,16 @@ import json
 import math
 import os
 import shutil
+import struct
 import sys
 import tempfile
 import warnings
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 from . import __version__
 from .cdmd import companion_dmd
@@ -54,15 +57,15 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 NAN_COLOR = (255, 0, 255)
-# Names the subcommands write into an output directory; an existing directory
-# holding anything else is not replaced. modes_matrix.csv is the name older
-# versions gave the modes matrix, so their output directories can be replaced.
-ARTIFACT_NAMES = ("eigenvalues.csv", "modes_matrix.npy", "modes", "temporal.csv",
-                  "summary.json", "sweep.csv", "pareto.csv", "recon_*.csv",
-                  "forecast.csv", "recon_report.json", "mean.csv", "modes_matrix.csv")
-# eigenvalues.csv's columns, as decompose writes them and reconstruct reads them.
-EIGENVALUE_COLUMNS = ("index", "re", "im", "magnitude", "e_folding", "period",
-                      "amp_re", "amp_im", "amp_abs")
+# Names the subcommands write into an output directory, older versions' modes_matrix.npy
+# and modes_matrix.csv among them: an existing directory holding anything else is not replaced.
+ARTIFACT_NAMES = ("model.npz", "eigenvalues.csv", "modes", "temporal.csv", "summary.json",
+                  "sweep.csv", "pareto.csv", "recon_*.csv", "forecast.csv",
+                  "recon_report.json", "mean.csv", "modes_matrix.npy", "modes_matrix.csv")
+# model.npz's fields, the one file reconstruct reads: each one's type and number of dimensions
+MODEL_FIELDS = {"method": (np.str_, 0), "eigenvalues": (np.complex128, 1),
+                "amplitudes": (np.complex128, 1), "original_indices": (np.integer, 1),
+                "modes": (np.complex128, 2), "mean": (np.float64, 1), "n_train": (np.integer, 0)}
 # AdmmParams fields set by the solver flags; their defaults are AdmmParams'.
 ADMM_FLAGS = ("rho", "eps_abs", "eps_rel", "max_iter")
 EIGENBASIS_COND_LIMIT = 1e12  # a run warns of a near-defective eigenbasis above this cond(W)
@@ -124,9 +127,9 @@ def _report(findings: list[str]) -> None:
         warnings.warn(message)
 
 
-def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | None, list[str]]:
+def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray, list[str]]:
     """The input as the flags lay it out, with --subtract-mean the row means
-    it subtracted, else None, and the run's findings: snapshots --cycles drops."""
+    it subtracted, else zeros, and the run's findings: snapshots --cycles drops."""
     if args.mask is not None and args.grid_shape is None:
         raise UsageError("--mask requires --grid-shape")
     if args.header and args.format != "csv":
@@ -144,7 +147,7 @@ def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray | 
             raise ValueError(f"{args.input}: --cycles {args.cycles}: {exc}") from None
     if getattr(args, "subtract_mean", False):  # reconstruct compares its --input raw
         return (*subtract_mean(X), findings)
-    return X, None, findings
+    return X, np.zeros(X.p), findings
 
 
 def _admm_params(args: argparse.Namespace, **extra) -> AdmmParams:
@@ -226,17 +229,27 @@ def _fit(args: argparse.Namespace, X: SnapshotMatrix,
 
 
 def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatrix,
-                         result: DecompositionResult, full_loss: float,
-                         admm: dict | None) -> None:
+                         mean: np.ndarray, result: DecompositionResult,
+                         full_loss: float, admm: dict | None) -> None:
+    shown = conjugate_representatives(result.eigenvalues)
+    modes = real_matmul(result.basis, result.coefficients[:, shown])  # a partner is conjugate
+    model = {"method": np.str_(result.method), "eigenvalues": result.eigenvalues.astype(complex),
+             "amplitudes": result.amplitudes.astype(complex), "modes": modes, "mean": mean,
+             "original_indices": result.original_indices, "n_train": np.int64(X.n_steps - 1)}
+    with zipfile.ZipFile(stage / "model.npz", "w") as zf:  # the bytes np.savez writes, without
+        for name, value in model.items():  # its copy of each array, a whole p x k for the modes
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                npy.write_array_header_1_0(fh, npy.header_data_from_array_1_0(value))
+                fh.write(value.data)  # each value is C-contiguous: its memory is its .npy data
     write_csv(stage / "eigenvalues.csv",
               ((int(idx), lam.real, lam.imag, *mode_stats(lam),
                 b.real, b.imag, abs(b))
                for idx, lam, b in zip(result.original_indices, result.eigenvalues,
                                       result.amplitudes)),
-              "%d" + f",{FLOAT}" * 8, ",".join(EIGENVALUE_COLUMNS))
-    shown = conjugate_representatives(result.eigenvalues)
-    modes = real_matmul(result.basis, result.coefficients[:, shown])  # a partner is conjugate
-    np.save(stage / "modes_matrix.npy", modes)
+              "%d" + f",{FLOAT}" * 8,
+              "index,re,im,magnitude,e_folding,period,amp_re,amp_im,amp_abs")
+    if args.subtract_mean:
+        write_csv(stage / "mean.csv", mean[:, None])
     modes_dir = stage / "modes"
     modes_dir.mkdir()
     for idx, col in zip(result.original_indices[shown[:args.top_modes]], modes.T):
@@ -271,9 +284,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     result, full_loss, admm = _fit(args, X, findings)
     with _published(out, findings) as stage:
         stage.mkdir()
-        _write_decomposition(stage, args, X, result, full_loss, admm)
-        if mean is not None:
-            write_csv(stage / "mean.csv", mean[:, None])
+        _write_decomposition(stage, args, X, mean, result, full_loss, admm)
     return EXIT_OK
 
 
@@ -307,66 +318,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _summary_field(artifacts: Path, summary: dict, *keys: str):
-    """summary.json's value at the nested keys; a missing one is a ValueError."""
-    value = summary
-    for key in keys:
-        if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"{artifacts / 'summary.json'} has no field {'.'.join(keys)}")
-        value = value[key]
-    return value
-
-
-def _read_eigenvalues(path: Path) -> dict[str, np.ndarray]:
-    """eigenvalues.csv's columns by name; its header must be EIGENVALUE_COLUMNS,
-    and the columns the model takes finite, before they are paired and cast."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-    if header != ",".join(EIGENVALUE_COLUMNS):
-        raise ValueError(f"{path} has the header {header!r}, "
-                         f"expected {','.join(EIGENVALUE_COLUMNS)!r}")
-    eig = read_csv(path, 1)
-    if eig.shape[1] != len(EIGENVALUE_COLUMNS):
-        raise ValueError(f"{path} has rows of {eig.shape[1]} values, "
-                         f"expected {len(EIGENVALUE_COLUMNS)}")
-    columns = dict(zip(EIGENVALUE_COLUMNS, eig.T))
-    if not all(np.isfinite(columns[name]).all()
-               for name in ("index", "re", "im", "amp_re", "amp_im")):
-        raise ValueError(f"{path} holds a non-finite value")
-    return columns
-
-
-def _load_model(artifacts: Path) -> tuple[DecompositionResult, dict]:
-    try:
-        summary = json.loads((artifacts / "summary.json").read_text())
-    except ValueError as exc:
-        raise ValueError(f"{artifacts / 'summary.json'} is not JSON: {exc}") from None
-    eig = _read_eigenvalues(artifacts / "eigenvalues.csv")
-    lam = eig["re"] + 1j * eig["im"]  # %.17g round-trips, so the pairing is decompose's
-    shown = conjugate_representatives(lam)
-    try:  # read_array, not np.load: a file of another kind is not taken for a pickle
-        with open(artifacts / "modes_matrix.npy", "rb") as fh:
-            modes = np.lib.format.read_array(fh, allow_pickle=False)
-    except ValueError as exc:
-        raise ValueError(f"{artifacts / 'modes_matrix.npy'} is not a .npy array "
-                         f"koopmode can read: {exc}") from None
-    if modes.dtype != np.complex128 or modes.ndim != 2 or modes.shape[1] != shown.size:
-        raise ValueError(f"modes_matrix.npy holds {modes.dtype} {modes.shape}, expected "
-                         f"complex128 with {shown.size} columns, one per conjugate pair or "
-                         "unpaired mode (an older layout: decompose again)")
+def _load_model(artifacts: Path) -> tuple[DecompositionResult, np.ndarray, int]:
+    """artifacts/model.npz's model, row means (zeros without --subtract-mean) and n_train,
+    the first forecast step: each field typed as MODEL_FIELDS says, of fitting shape, finite."""
+    path, fields = artifacts / "model.npz", {}
+    try:  # each entry read straight from the file: np.load reads one in 256 KiB copies
+        with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
+            for name, (kind, ndim) in MODEL_FIELDS.items():
+                fh.seek(zf.getinfo(f"{name}.npy").header_offset + 26)  # past the local header,
+                fh.seek(sum(struct.unpack("<2H", fh.read(4))), os.SEEK_CUR)  # name and extra
+                value = fields[name] = npy.read_array(fh, allow_pickle=False)  # no unpickling
+                if value.ndim != ndim or not np.issubdtype(value.dtype, kind):
+                    raise ValueError(f"{name} is not {kind.__name__} of {ndim} dimensions")
+                if value.dtype.kind in "cf" and not np.isfinite(value).all():
+                    raise ValueError(f"{name} holds a non-finite value")
+        lam, modes = fields["eigenvalues"], fields["modes"]
+        shown = conjugate_representatives(lam)  # exact binary eigenvalues: decompose's pairing
+        for name, shape in (("amplitudes", lam.shape), ("original_indices", lam.shape),
+                            ("modes", (modes.shape[0], shown.size)), ("mean", modes.shape[:1])):
+            if fields[name].shape != shape:
+                raise ValueError(f"{name} has shape {fields[name].shape}, expected {shape}")
+    except (OSError, KeyError, ValueError, struct.error, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a koopmode model (decompose again): {exc}") from None
     # the fitted form: stored column c is real basis columns 2c (re) and 2c + 1 (im)
     coefficients = np.zeros((shown.size, 2, lam.size), dtype=complex)
     coefficients[np.arange(shown.size), :, conjugate_pairs(lam)[shown]] = (1, -1j)  # re - i im
     coefficients[np.arange(shown.size), :, shown] = (1, 1j)  # last: unpaired is its own partner
     model = DecompositionResult(
-        eigenvalues=lam,
-        basis=np.ascontiguousarray(modes).view(np.float64),
-        coefficients=coefficients.reshape(-1, lam.size),
-        amplitudes=eig["amp_re"] + 1j * eig["amp_im"],
-        method=_summary_field(artifacts, summary, "method"),
-        original_indices=eig["index"].astype(int),
-    )
-    return model, summary
+        eigenvalues=lam, basis=np.ascontiguousarray(modes, dtype=complex).view(np.float64),
+        coefficients=coefficients.reshape(-1, lam.size), amplitudes=fields["amplitudes"],
+        method=str(fields["method"]), original_indices=fields["original_indices"])
+    return model, fields["mean"], int(fields["n_train"])
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
@@ -377,26 +359,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if given and args.input is None:
         raise UsageError(f"{', '.join(given)} without --input: load flags lay out only --input")
     out = _check_out(args)
-    art = Path(args.artifacts)
-    for needed in ("summary.json", "eigenvalues.csv", "modes_matrix.npy"):  # a stat, not a read
-        if not (art / needed).exists():
-            raise FileNotFoundError(f"missing artifact {art / needed}")
     # --input before the model: its layout flags are usage errors, refused before any read
     reference, _, findings = (None, None, []) if args.input is None else _load_input(args)
-    model, summary = _load_model(art)
-    n_train = int(_summary_field(art, summary, "data_shape")[1]) - 1
-    p = model.basis.shape[0]
-    # the model fits anomalies: add means back
-    subtracted = _summary_field(art, summary, "config", "subtract_mean")
-    mean = read_csv(art / "mean.csv") if subtracted else np.zeros((p, 1))
-    if mean.shape != (p, 1):
-        raise ValueError(f"{art / 'mean.csv'} holds {mean.size} values, the model has p={p}")
-    mean = mean[:, 0]
-    for name, values in (("modes_matrix.npy", model.basis), ("mean.csv", mean)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{art / name} holds a non-finite value")
-    if reference is not None and reference.p != p:
-        raise ValueError(f"--input {args.input} has p={reference.p} rows, model expects {p}")
+    model, mean, n_train = _load_model(Path(args.artifacts))  # the mean is added back
+    if reference is not None and reference.p != mean.size:
+        raise ValueError(f"--input {args.input} has p={reference.p} rows, "
+                         f"model expects {mean.size}")
     report: dict = {"indices": args.at, "horizon": args.horizon, "relative_errors": {},
                     "imag_residuals": {}, "forecast_imag_residual": None}
     with _published(out, findings) as stage:

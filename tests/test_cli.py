@@ -6,9 +6,11 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
+import zipfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,21 +71,38 @@ def read_tree(root):
     return out
 
 
-def make_pre_npy(art):
-    """Rewrite a decompose output directory in the layout of versions before
-    modes_matrix.npy: the modes as interleaved re/im %.17g CSV columns."""
-    modes = np.load(art / "modes_matrix.npy")
-    np.savetxt(art / "modes_matrix.csv", modes.view(float), fmt="%.17g", delimiter=",")
-    (art / "modes_matrix.npy").unlink()
+def read_model(art):
+    """The fields of a decompose output directory's model.npz, by name."""
+    with np.load(art / "model.npz", allow_pickle=False) as npz:
+        return dict(npz)
+
+
+def rewrite_model(art, **fields):
+    """Rewrite art/model.npz with the given fields replaced, one given as None
+    left out; np.savez pickles an object array, as another writer might."""
+    model = {**read_model(art), **fields}
+    np.savez(art / "model.npz", **{name: v for name, v in model.items() if v is not None})
+
+
+def make_older_layout(art, modes_file):
+    """Rewrite a decompose output directory in an older layout, without
+    model.npz: the modes in modes_matrix.npy, as versions before model.npz wrote
+    them, or in modes_matrix.csv, as interleaved re/im %.17g columns, as
+    versions before that did."""
+    modes = read_model(art)["modes"]
+    (art / "model.npz").unlink()
+    if modes_file == "modes_matrix.npy":
+        np.save(art / modes_file, modes)
+    else:
+        np.savetxt(art / modes_file, modes.view(float), fmt="%.17g", delimiter=",")
 
 
 def every_mode(art):
     """The p x r modes of a decompose output directory, each conjugate partner
     rebuilt as the conjugate of its pair's one stored column."""
-    rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
-    lam = rows[:, 1] + 1j * rows[:, 2]
+    model = read_model(art)
+    lam, stored = model["eigenvalues"], model["modes"]
     shown = conjugate_representatives(lam)
-    stored = np.load(art / "modes_matrix.npy", allow_pickle=False)
     assert stored.shape[1] == shown.size  # one column per pair or unpaired mode
     modes = np.empty((stored.shape[0], lam.size), dtype=complex)
     modes[:, conjugate_pairs(lam)[shown]] = stored.conj()
@@ -116,10 +135,9 @@ class TestDecompose:
         path, _ = planted_csv
         out = tmp_path / "art"
         assert run("decompose", path, "--rank", 3, "--out", out) == 0
-        for name in ("eigenvalues.csv", "modes_matrix.npy", "temporal.csv",
-                     "summary.json"):
+        for name in ("model.npz", "eigenvalues.csv", "temporal.csv", "summary.json"):
             assert (out / name).exists()
-        assert not (out / "modes_matrix.csv").exists()
+        assert not (out / "modes_matrix.npy").exists() and not (out / "modes_matrix.csv").exists()
         assert (out / "modes").is_dir()
         summary = json.loads((out / "summary.json").read_text())
         for key in ("toolkit_version", "method", "rank", "data_shape",
@@ -129,9 +147,10 @@ class TestDecompose:
         assert summary["rank"] == 3
         assert summary["data_shape"] == [12, 50]
         assert summary["full_fit_loss_percent"] <= 1e-5
-        modes = np.load(out / "modes_matrix.npy", allow_pickle=False)
+        model = read_model(out)
+        assert sorted(model) == sorted(cli.MODEL_FIELDS)
         # one column for the planted pair, one for the real mode
-        assert modes.dtype == np.complex128 and modes.shape == (12, 2)
+        assert model["modes"].dtype == np.complex128 and model["modes"].shape == (12, 2)
 
     def test_modes_matrix_round_trips_bit_exact(self, tmp_path, planted_csv, monkeypatch):
         fitted = []
@@ -148,28 +167,76 @@ class TestDecompose:
         result = fitted[0][0]
         shown = conjugate_representatives(result.eigenvalues)
         want = real_matmul(result.basis, result.coefficients[:, shown])
-        assert np.load(art / "modes_matrix.npy").tobytes() == want.tobytes()
+        assert read_model(art)["modes"].tobytes() == want.tobytes()
 
-        # the loaded basis holds the stored bits, NaN payloads, infinities and -0 included
-        specials = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf,
-                             5e-324, -2.5e-310, 1.0 / 3.0, -1e308])
+        # the loaded basis holds the stored bits, -0 and subnormals included
+        specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1.0 / 3.0, -1e308])
         rng = np.random.default_rng(5)
         modes = np.empty(want.shape, dtype=complex)
         modes.real = rng.choice(specials, modes.shape)
         modes.imag = rng.choice(specials, modes.shape)
-        np.save(art / "modes_matrix.npy", modes)
-        model, _ = cli._load_model(art)
+        rewrite_model(art, modes=modes)
+        model, _, _ = cli._load_model(art)
         assert np.isrealobj(model.basis)
         assert model.basis.view(complex).view(np.uint64).tolist() == modes.view(np.uint64).tolist()
+        # and a NaN, whatever its payload, or an infinity is refused
+        for bad in (np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf):
+            modes.imag[1, 0] = bad
+            rewrite_model(art, modes=modes)
+            with pytest.raises(ValueError, match="modes holds a non-finite value"):
+                cli._load_model(art)
+
+    @pytest.mark.parametrize("flags", [("--rank", 6), ("--method", "cdmd", "--subtract-mean"),
+                                       ("--method", "spdmd", "--rank", 6, "--gamma", 1e-3,
+                                        "--subtract-mean")], ids=["dmd", "cdmd", "spdmd"])
+    def test_model_round_trips_bit_exact(self, tmp_path, rng, monkeypatch, flags):
+        """_load_model returns the fit's eigenvalues (complex128, as model.npz
+        stores them), amplitudes, original indices, row means (zeros without
+        --subtract-mean) and n_train bit for bit."""
+        seen = []
+
+        def keep(function):
+            def kept(*args):
+                seen.append(function(*args))
+                return seen[-1]
+            return kept
+
+        monkeypatch.setattr(cli, "_load_input", keep(cli._load_input))
+        monkeypatch.setattr(cli, "_fit", keep(cli._fit))
+        path, art = tmp_path / "data.csv", tmp_path / "art"
+        save_matrix(SnapshotMatrix(rng.standard_normal((40, 20)) + 3.0), path, "csv")
+        assert run("decompose", path, *flags, "--out", art) == 0
+        (X, mean, _), (result, _, _) = seen
+        model, loaded_mean, n_train = cli._load_model(art)
+        for got, want in ((model.eigenvalues, result.eigenvalues.astype(complex)),
+                          (model.amplitudes, result.amplitudes),
+                          (model.original_indices, result.original_indices),
+                          (loaded_mean, mean)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert n_train == X.n_steps - 1 and model.method == result.method
+        # the bytes np.savez writes of the same fields
+        np.savez(tmp_path / "savez.npz", **read_model(art))
+        assert (tmp_path / "savez.npz").read_bytes() == (art / "model.npz").read_bytes()
 
     def test_rerun_replaces_a_pre_npy_directory(self, tmp_path, planted_csv):
         path, _ = planted_csv
         art = tmp_path / "art"
         assert run("decompose", path, "--rank", 3, "--out", art) == 0
-        make_pre_npy(art)
+        make_older_layout(art, "modes_matrix.csv")
         assert run("decompose", path, "--rank", 3, "--out", art) == 0
-        assert (art / "modes_matrix.npy").exists()
+        assert (art / "model.npz").exists()
         assert not (art / "modes_matrix.csv").exists()
+
+    def test_rerun_replaces_a_pre_model_directory(self, tmp_path, planted_csv):
+        """A directory in the layout before model.npz, with modes_matrix.npy, is
+        decompose's own: a rerun replaces it."""
+        path, _ = planted_csv
+        art = tmp_path / "art"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        make_older_layout(art, "modes_matrix.npy")
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        assert (art / "model.npz").exists()
+        assert not (art / "modes_matrix.npy").exists()
 
     def test_spdmd_method_selects_sparse_modes(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -243,7 +310,7 @@ class TestDecompose:
         assert len(shown) == 2  # the planted pair and the real mode
         assert sorted(p.name for p in (art / "modes").iterdir()) == sorted(
             f"{index[j]}_{tag}.csv" for j in shown for tag in ("real", "imag", "abs"))
-        assert np.load(art / "modes_matrix.npy").shape[1] == len(shown)
+        assert read_model(art)["modes"].shape[1] == len(shown)
         # the stored columns and their conjugates are the fitted modes, partners included;
         # index names each column's place in the fit before the amplitude sort
         fit = exact_dmd(load_matrix(path).data, rank=3).modes[:, index]
@@ -342,7 +409,7 @@ class TestDecompose:
         assert summary["data_shape"] == [36, 10]
         rows = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
         shown = conjugate_representatives(rows[:, 1] + 1j * rows[:, 2])
-        modes = np.load(out / "modes_matrix.npy", allow_pickle=False)
+        modes = read_model(out)["modes"]
         assert len(list((out / "modes").iterdir())) == 3 * shown.size
         gaps = []
         for index, col in zip(rows[shown, 0].astype(int), modes.T):
@@ -728,25 +795,16 @@ class TestSubtractMean:
         # the raw input, not its anomalies: without the mean each error would be about 1
         errors = json.loads((out / "recon_report.json").read_text())["relative_errors"]
         assert sorted(errors) == ["0", "10", "18"] and max(errors.values()) <= 1e-8
-        mean = np.loadtxt(art / "mean.csv", ndmin=1)
-        model, summary = cli._load_model(art)
-        anomaly = reconstruct(model, summary["data_shape"][1] - 1, 4)[0]
+        model, mean, n_train = cli._load_model(art)
+        assert mean.tobytes() == np.loadtxt(art / "mean.csv", ndmin=1).tobytes()  # the report's
+        anomaly = reconstruct(model, n_train, 4)[0]
         written = np.loadtxt(out / "forecast.csv", delimiter=",", ndmin=2)
         assert written.tobytes() == (anomaly + mean[:, None]).tobytes()
 
-    @pytest.mark.parametrize("damage, message", [
-        (lambda mean_csv: mean_csv.unlink(), r"mean\.csv not found"),
-        (lambda mean_csv: np.savetxt(mean_csv, np.loadtxt(mean_csv)[:-1], fmt="%.17g"),
-         r"mean\.csv holds 29 values, the model has p=30"),
-    ], ids=["missing", "wrong-length"])
-    def test_unusable_mean_exits_2(self, tmp_path, anomaly_model, capsys, damage, message):
-        _, _, art = anomaly_model
-        damage(art / "mean.csv")
-        out = tmp_path / "rec"
-        capsys.readouterr()
-        assert run("reconstruct", "--artifacts", art, "--horizon", 2, "--out", out) == 2
-        assert re.search(message, capsys.readouterr().err)
-        assert not out.exists()
+    @pytest.mark.parametrize("case", ["missing", "wrong-length"])
+    def test_unusable_mean_exits_2(self, tmp_path, art, capsys, case):
+        """model.npz's mean: left out, or not one per row of the modes."""
+        model_fails(tmp_path, art, capsys, case)
 
 
 class TestDataOutsideFloat64:
@@ -825,13 +883,14 @@ class TestModesFormedOnce:
         result, loss, admm = cli._fit(args, X, [])
         art = tmp_path / "art"
         art.mkdir()
-        _, peak = allocation_peak(cli._write_decomposition, art, args, X, result, loss, admm)
+        _, peak = allocation_peak(cli._write_decomposition, art, args, X, np.zeros(X.p), result,
+                                  loss, admm)
         return result, art, peak
 
     def test_write_allocates_no_complex_modes(self, tall, written):
         _, modes_bytes = tall
         result, art, peak = written
-        stored = np.load(art / "modes_matrix.npy")
+        stored = read_model(art)["modes"]
         assert stored.shape == (self.P, conjugate_representatives(result.eigenvalues).size)
         assert peak < modes_bytes
         assert "modes" not in vars(result)  # the cached p x r product was never formed
@@ -839,7 +898,7 @@ class TestModesFormedOnce:
     def test_load_allocates_no_complex_modes(self, tall, written):
         _, modes_bytes = tall
         _, art, _ = written
-        (model, _), peak = allocation_peak(cli._load_model, art)
+        (model, _, _), peak = allocation_peak(cli._load_model, art)
         assert peak < modes_bytes
         assert np.isrealobj(model.basis) and model.basis.shape[1] < 2 * self.RANK
 
@@ -1112,8 +1171,8 @@ class TestReconstruct:
         art, out = tmp_path / "art", tmp_path / "rec"
         with warns_of(KRYLOV, NEAR_SINGULAR):
             assert run("decompose", path, "--method", "cdmd", "--out", art) == 0
-        model, summary = cli._load_model(art)
-        n_train = summary["data_shape"][1] - 1
+        model, _, n_train = cli._load_model(art)
+        assert n_train == json.loads((art / "summary.json").read_text())["data_shape"][1] - 1
         for horizon in (1, 40):
             assert run("reconstruct", "--artifacts", art, "--at", 3, "--horizon", horizon,
                        "--out", out) == 0
@@ -1270,11 +1329,10 @@ class TestReconstruct:
     def test_input_layout_error_reads_no_file(self, tmp_path, monkeypatch, capsys, flags,
                                               error):
         """--input's layout rules are usage errors, found before the run reads
-        the artifacts or the input: the artifacts here are empty files."""
+        the model or the input: the model here is an empty file."""
         art, out = tmp_path / "art", tmp_path / "rec"
         art.mkdir()
-        for name in ("summary.json", "eigenvalues.csv", "modes_matrix.npy"):
-            (art / name).touch()
+        (art / "model.npz").touch()
         monkeypatch.setattr(cli, "_load_model", unread)
         monkeypatch.setattr(cli, "load_matrix", unread)
         assert run("reconstruct", "--artifacts", art, "--at", 0, "--input",
@@ -1294,59 +1352,124 @@ class TestReconstruct:
         assert run("reconstruct", "--artifacts", tmp_path / "ghost",
                    "--horizon", 2, "--out", tmp_path / "rec") == 2
 
+    @staticmethod
+    def _older_layout_fails(tmp_path, planted_csv, capsys, modes_file):
+        path, _ = planted_csv
+        art, out = tmp_path / "art", tmp_path / "rec"
+        assert run("decompose", path, "--rank", 3, "--out", art) == 0
+        make_older_layout(art, modes_file)
+        capsys.readouterr()
+        assert run("reconstruct", "--artifacts", art, "--at", 0, "--out", out) == 2
+        path = art / "model.npz"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path} is not a koopmode model (decompose again): [Errno 2] No such file "
+            f"or directory: '{path}'"]
+        assert not out.exists()
+
     def test_pre_npy_artifacts_are_missing_the_modes(self, tmp_path, planted_csv, capsys):
-        path, _ = planted_csv
-        art, out = tmp_path / "art", tmp_path / "rec"
-        assert run("decompose", path, "--rank", 3, "--out", art) == 0
-        make_pre_npy(art)
-        capsys.readouterr()
-        assert run("reconstruct", "--artifacts", art, "--at", 0, "--out", out) == 2
-        assert re.search(r"missing artifact \S*modes_matrix\.npy", capsys.readouterr().err)
-        assert not out.exists()
+        self._older_layout_fails(tmp_path, planted_csv, capsys, "modes_matrix.csv")
 
-    @pytest.mark.parametrize("bad, message", [
-        (np.array([1, "a"], dtype=object), "Object arrays cannot be loaded"),
-        (np.arange(12.0), r"holds float64 \(12,\)"),
-        # the layout before one column per conjugate pair: a column per eigenvalue
-        (np.ones((12, 3), dtype=complex), r"holds complex128 \(12, 3\).* 2 columns"),
-    ], ids=["object-dtype", "real-1d", "rank-mismatch"])
-    def test_malformed_modes_matrix_rejected(self, tmp_path, planted_csv, capsys, bad, message):
-        path, _ = planted_csv
-        art, out = tmp_path / "art", tmp_path / "rec"
-        assert run("decompose", path, "--rank", 3, "--out", art) == 0
-        np.save(art / "modes_matrix.npy", bad, allow_pickle=True)
-        capsys.readouterr()
-        assert run("reconstruct", "--artifacts", art, "--at", 0, "--out", out) == 2
-        assert re.search(message, capsys.readouterr().err)
-        assert not out.exists()
+    def test_pre_model_artifacts_are_missing_the_model(self, tmp_path, planted_csv, capsys):
+        """The layout before model.npz, modes_matrix.npy with the reports, is
+        not read: reconstruct takes the model from model.npz alone."""
+        self._older_layout_fails(tmp_path, planted_csv, capsys, "modes_matrix.npy")
+
+    @pytest.mark.parametrize("case", ["object-dtype", "real-1d", "rank-mismatch"])
+    def test_malformed_modes_matrix_rejected(self, tmp_path, art, capsys, case):
+        """model.npz's modes: an object array, which is not unpickled, a real
+        vector, or a column per eigenvalue, the layout before one column per
+        conjugate pair."""
+        model_fails(tmp_path, art, capsys, case)
 
 
-def _edit_table(path, edit):
-    """Rewrite a CSV artifact as edit(header, rows) returns them, each row a
-    list of cells."""
-    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
-    header, rows = edit(header, rows)
-    path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+def _with_first(value):
+    """A copy of a field with its first entry set to value."""
+    def change(field):
+        field = field.copy()
+        field.flat[0] = value
+        return field
+    return change
 
 
-def _set_cell(column, value):
-    """damage for eigenvalues.csv: the first row's cell in column becomes value."""
-    def edit(header, rows):
-        rows[0][header.index(column)] = value
-        return header, rows
-    return lambda path: _edit_table(path, edit)
+def _set_field(name, change):
+    """Damage to model.npz: field name becomes change(its value), None leaving it out."""
+    return lambda art: rewrite_model(art, **{name: change(read_model(art)[name])})
 
 
-def _damage_npy(path):
-    modes = np.load(path)
-    modes[0, 0] = complex(np.nan, 0.0)
-    np.save(path, modes)
+def _member_not_npy(art):
+    """Damage to model.npz: its modes member holds CSV text, not an .npy array."""
+    model = read_model(art)
+    del model["modes"]
+    np.savez(art / "model.npz", **model)
+    with zipfile.ZipFile(art / "model.npz", "a") as zf:
+        zf.writestr("modes.npy", "index,re,im\n0,1,0\n")
 
 
-def _damage_mean(path):
-    mean = np.loadtxt(path, ndmin=1)
-    mean[3] = np.nan
-    np.savetxt(path, mean, fmt="%.17g")
+def _npy_not_npz(art):
+    """Damage to model.npz: it holds the modes as one .npy array, not an archive."""
+    modes = read_model(art)["modes"]
+    with open(art / "model.npz", "wb") as fh:
+        np.save(fh, modes)
+
+
+# Damage to the model.npz of the art fixture (p = 12, three eigenvalues, two
+# of them a pair), and what reconstruct's one error line says after
+# "error: <art>/model.npz is not a koopmode model (decompose again): ".
+MODEL_DAMAGE = {
+    "not-a-zip": (lambda art: (art / "model.npz").write_text("index,re,im\n0,1,0\n"),
+                  "File is not a zip file"),
+    "npy-not-npz": (_npy_not_npz, "File is not a zip file"),
+    "modes-not-npy": (_member_not_npy,
+                      r"the magic string is not correct; expected b'\x93NUMPY', got b'index,'"),
+    "object-dtype": (_set_field("modes", lambda _: np.array([1, "a"], dtype=object)),
+                     "Object arrays cannot be loaded when allow_pickle=False"),
+    "missing": (_set_field("mean", lambda _: None),
+                "\"There is no item named 'mean.npy' in the archive\""),
+    "n_train-missing": (_set_field("n_train", lambda _: None),
+                        "\"There is no item named 'n_train.npy' in the archive\""),
+    "real-1d": (_set_field("modes", lambda modes: modes.real[:, 0]),
+                "modes is not complex128 of 2 dimensions"),
+    "real-eigenvalues": (_set_field("eigenvalues", np.real),
+                         "eigenvalues is not complex128 of 1 dimensions"),
+    "complex64-amplitudes": (_set_field("amplitudes", lambda b: b.astype(np.complex64)),
+                             "amplitudes is not complex128 of 1 dimensions"),
+    "float-indices": (_set_field("original_indices", lambda index: index.astype(float)),
+                      "original_indices is not integer of 1 dimensions"),
+    "n_train-vector": (_set_field("n_train", np.atleast_1d),
+                       "n_train is not integer of 0 dimensions"),
+    "method-number": (_set_field("method", lambda _: np.float64(1.0)),
+                      "method is not str_ of 0 dimensions"),
+    "mean-nan": (_set_field("mean", _with_first(np.nan)), "mean holds a non-finite value"),
+    "modes-nan": (_set_field("modes", _with_first(complex(np.nan, 0.0))),
+                  "modes holds a non-finite value"),
+    "amplitude-inf": (_set_field("amplitudes", _with_first(complex(np.inf, 0.0))),
+                      "amplitudes holds a non-finite value"),
+    "eigenvalue-nan": (_set_field("eigenvalues", _with_first(complex(0.0, np.nan))),
+                       "eigenvalues holds a non-finite value"),
+    # the layout before one column per conjugate pair: a column per eigenvalue
+    "rank-mismatch": (_set_field("modes", lambda modes: np.ones((12, 3), dtype=complex)),
+                      "modes has shape (12, 3), expected (12, 2)"),
+    "amplitudes-short": (_set_field("amplitudes", lambda b: b[:-1]),
+                         "amplitudes has shape (2,), expected (3,)"),
+    "indices-long": (_set_field("original_indices", lambda index: np.arange(4)),
+                     "original_indices has shape (4,), expected (3,)"),
+    "wrong-length": (_set_field("mean", lambda mean: mean[:-1]),
+                     "mean has shape (11,), expected (12,)"),
+}
+
+
+def model_fails(tmp_path, art, capsys, case):
+    """Damage art/model.npz as MODEL_DAMAGE[case] does: reconstruct exits 2
+    with one error line naming model.npz, and publishes nothing."""
+    damage, message = MODEL_DAMAGE[case]
+    damage(art)
+    out = tmp_path / "rec"
+    capsys.readouterr()
+    assert run("reconstruct", "--artifacts", art, "--at", 0, "--horizon", 2, "--out", out) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    prefix = f"error: {art / 'model.npz'} is not a koopmode model (decompose again): "
+    assert line == prefix + message
+    assert not out.exists() and not list(tmp_path.glob(".stage-*"))
 
 
 @pytest.fixture
@@ -1359,71 +1482,42 @@ def art(tmp_path, planted_csv):
 
 
 class TestReconstructArtifacts:
-    """reconstruct reads decompose's artifacts as data from outside the
-    program: a non-finite value, an eigenvalues.csv header other than the
-    one decompose writes, or a missing summary.json field exits 2 naming
-    the file, and writes nothing."""
+    """reconstruct reads decompose's model.npz, and no other artifact, as data
+    from outside the program: a model.npz of another kind, without a field, or
+    with a field of another type, shape or a non-finite value exits 2 naming
+    it, and writes nothing. TestReconstruct and TestSubtractMean take the
+    cases of the modes and the mean from MODEL_DAMAGE too."""
 
-    def _fails(self, tmp_path, art, capsys, message):
-        out = tmp_path / "rec"
-        capsys.readouterr()
-        assert run("reconstruct", "--artifacts", art, "--at", 0, "--horizon", 2,
-                   "--out", out) == 2
-        assert re.search(message, capsys.readouterr().err)
-        assert not out.exists()
+    @pytest.mark.parametrize("case", ["mean-nan", "modes-nan", "amplitude-inf",
+                                      "eigenvalue-nan"])
+    def test_non_finite_artifact_exits_2(self, tmp_path, art, capsys, case):
+        model_fails(tmp_path, art, capsys, case)
 
-    @pytest.mark.parametrize("name, damage", [
-        ("mean.csv", _damage_mean),
-        ("modes_matrix.npy", _damage_npy),
-        ("eigenvalues.csv", _set_cell("amp_re", "inf")),
-        ("eigenvalues.csv", _set_cell("im", "nan")),
-    ], ids=["mean-nan", "modes-nan", "amplitude-inf", "eigenvalue-nan"])
-    def test_non_finite_artifact_exits_2(self, tmp_path, art, capsys, name, damage):
-        damage(art / name)
-        self._fails(tmp_path, art, capsys, re.escape(f"{name} holds a non-finite value"))
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda header, rows: ([header[i] for i in (0, 1, 2, 6, 7)],
-                               [[row[i] for i in (0, 1, 2, 6, 7)] for row in rows]),
-         r"eigenvalues\.csv has the header 'index,re,im,amp_re,amp_im', expected "
-         r"'index,re,im,magnitude,e_folding,period,amp_re,amp_im,amp_abs'"),
-        (lambda header, rows: (["b_re" if name == "amp_re" else name for name in header], rows),
-         r"eigenvalues\.csv has the header '[^']*,b_re,"),
-        (lambda header, rows: (header, [row[:5] for row in rows]),
-         r"eigenvalues\.csv has rows of 5 values, expected 9"),
-    ], ids=["five-columns", "renamed-column", "short-rows"])
-    def test_eigenvalue_table_of_another_layout_exits_2(self, tmp_path, art, capsys,
-                                                         edit, message):
-        _edit_table(art / "eigenvalues.csv", edit)
-        self._fails(tmp_path, art, capsys, message)
-
-    @pytest.mark.parametrize("keys", [("method",), ("data_shape",), ("config",),
-                                      ("config", "subtract_mean")],
-                             ids=lambda keys: ".".join(keys))
-    def test_summary_without_a_field_exits_2(self, tmp_path, art, capsys, keys):
-        summary = json.loads((art / "summary.json").read_text())
-        holder = summary["config"] if len(keys) == 2 else summary
-        del holder[keys[-1]]
-        (art / "summary.json").write_text(json.dumps(summary))
-        field = "config.subtract_mean" if keys[0] == "config" else keys[0]
-        self._fails(tmp_path, art, capsys,
-                    re.escape(f"summary.json has no field {field}"))
-
-    @pytest.mark.parametrize("name, text, message", [
-        ("summary.json", "{method: dmd}\n", "is not JSON: Expecting property name"),
-        ("modes_matrix.npy", "index,re,im\n0,1,0\n",
-         "is not a .npy array koopmode can read: the magic string is not correct"),
-    ], ids=["summary-not-json", "modes-not-npy"])
-    def test_unreadable_artifact_exits_2_naming_it(self, tmp_path, art, capsys,
-                                                   name, text, message):
-        (art / name).write_text(text)
-        self._fails(tmp_path, art, capsys, re.escape(f"{art / name} {message}"))
+    @pytest.mark.parametrize("case", [
+        "not-a-zip", "npy-not-npz", "modes-not-npy", "n_train-missing", "real-eigenvalues",
+        "complex64-amplitudes", "float-indices", "n_train-vector", "method-number",
+        "amplitudes-short", "indices-long"])
+    def test_unreadable_artifact_exits_2_naming_it(self, tmp_path, art, capsys, case):
+        model_fails(tmp_path, art, capsys, case)
 
     def test_intact_artifacts_reconstruct(self, tmp_path, art, planted_csv):
         """The fixture's artifacts pass every check: the damage alone fails."""
         path, _ = planted_csv
         assert run("reconstruct", "--artifacts", art, "--at", 0, "--horizon", 2,
                    "--input", path, "--out", tmp_path / "rec") == 0
+
+    def test_reads_the_model_alone(self, tmp_path, art, planted_csv):
+        """With every other artifact deleted, the reports eigenvalues.csv,
+        summary.json and mean.csv among them, reconstruct writes the same bytes."""
+        path, _ = planted_csv
+        flags = ("--at", 0, "--at", 7, "--horizon", 5, "--input", path)
+        assert run("reconstruct", "--artifacts", art, *flags, "--out", tmp_path / "rec1") == 0
+        assert (art / "mean.csv").exists()
+        for child in art.iterdir():
+            if child.name != "model.npz":
+                shutil.rmtree(child) if child.is_dir() else child.unlink()
+        assert run("reconstruct", "--artifacts", art, *flags, "--out", tmp_path / "rec2") == 0
+        assert read_tree(tmp_path / "rec2") == read_tree(tmp_path / "rec1")
 
 
 class TestHeatmap:
@@ -1559,11 +1653,9 @@ class TestEveryCsvReader:
                "empty": ("", "no values in ")}
 
     @pytest.mark.parametrize("content", sorted(CONTENT))
-    @pytest.mark.parametrize("kind", ["input", "input-header", "mask", "grid",
-                                      "eigenvalues", "mean"])
-    def test_ragged_or_empty_file_exits_2_naming_it(self, tmp_path, smoke_csv, art, capsys,
-                                                    kind, content):
-        recon = ("reconstruct", "--artifacts", art, "--at", 0, "--out", tmp_path / "rec")
+    @pytest.mark.parametrize("kind", ["input", "input-header", "mask", "grid"])
+    def test_ragged_or_empty_file_exits_2_naming_it(self, tmp_path, smoke_csv, capsys, kind,
+                                                    content):
         path, head, argv = {
             "input": (tmp_path / "in.csv", "", ("ingest-info", tmp_path / "in.csv")),
             "input-header": (tmp_path / "in.csv", "a,b,c\n",
@@ -1571,9 +1663,6 @@ class TestEveryCsvReader:
             "mask": (tmp_path / "mask.csv", "", ("ingest-info", smoke_csv, "--grid-shape", 2, 3,
                                                  "--mask", tmp_path / "mask.csv")),
             "grid": (tmp_path / "g.csv", "", ("heatmap", tmp_path / "g.csv", tmp_path / "g.ppm")),
-            "eigenvalues": (art / "eigenvalues.csv",
-                            (art / "eigenvalues.csv").read_text().splitlines(True)[0], recon),
-            "mean": (art / "mean.csv", "", recon),
         }[kind]
         text, message = self.CONTENT[content]
         path.write_text(head + text)
@@ -1769,7 +1858,7 @@ class TestBlasThreads:
             run_at(threads, "sweep", smoke_csv, "--rank", 4, "--gamma-count", 5, "--out", sw)
             run_at(threads, "decompose", smoke_csv, "--rank", 4, "--method", "dmd", "--out", art)
             files.append([(sw / "sweep.csv").read_bytes(), (art / "eigenvalues.csv").read_bytes(),
-                          (art / "modes_matrix.npy").read_bytes()])
+                          (art / "model.npz").read_bytes()])
         assert files[0] == files[1]
 
     @pytest.mark.parametrize("flags, n_steps",
@@ -1795,8 +1884,7 @@ class TestBlasThreads:
             art = tmp_path / f"art{threads}"
             run_at(threads, "decompose", path, *flags, "--out", art)
             rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
-            fits.append((rows[:, 0], rows[:, 6] + 1j * rows[:, 7],
-                         np.load(art / "modes_matrix.npy")))
+            fits.append((rows[:, 0], rows[:, 6] + 1j * rows[:, 7], read_model(art)["modes"]))
         (index, b, modes), (index2, b2, modes2) = fits
         np.testing.assert_array_equal(index2, index)
         assert np.abs(b2 - b).max() <= TOL * np.abs(b).max()
