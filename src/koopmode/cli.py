@@ -1,9 +1,9 @@
 """Command-line pipelines: ingest-info, decompose, sweep, reconstruct, heatmap.
 
-decompose writes its model to model.npz, the one file reconstruct reads; its
-other artifacts are reports for people, CSV/JSON with 17-significant-digit
-floats. All are byte-stable across runs. Each run publishes its output directory
-as a whole: a failed run leaves no partial files, and a rerun leaves no file of the last.
+decompose writes its model to model/, one .npy file per field: the one thing reconstruct
+reads. Its other artifacts are reports for people, CSV/JSON with 17-significant-digit floats.
+All are byte-stable across runs. Each run publishes its output directory as a whole: a
+failed run leaves no partial files, and a rerun leaves no file of the last.
 """
 from __future__ import annotations
 
@@ -12,11 +12,9 @@ import json
 import math
 import os
 import shutil
-import struct
 import sys
 import tempfile
 import warnings
-import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -57,12 +55,12 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 NAN_COLOR = (255, 0, 255)
-# Names the subcommands write into an output directory, older versions' modes_matrix.npy
+# Names the subcommands write into an output directory, older versions' model.npz, modes_matrix.npy
 # and modes_matrix.csv among them: an existing directory holding anything else is not replaced.
-ARTIFACT_NAMES = ("model.npz", "eigenvalues.csv", "modes", "temporal.csv", "summary.json",
-                  "sweep.csv", "pareto.csv", "recon_*.csv", "forecast.csv",
+ARTIFACT_NAMES = ("model", "model.npz", "eigenvalues.csv", "modes", "temporal.csv",
+                  "summary.json", "sweep.csv", "pareto.csv", "recon_*.csv", "forecast.csv",
                   "recon_report.json", "mean.csv", "modes_matrix.npy", "modes_matrix.csv")
-# model.npz's fields, the one file reconstruct reads: each one's type and number of dimensions
+# the model's fields, each in model/<field>.npy: each one's type and number of dimensions
 MODEL_FIELDS = {"method": (np.str_, 0), "eigenvalues": (np.complex128, 1),
                 "amplitudes": (np.complex128, 1), "original_indices": (np.integer, 1),
                 "modes": (np.complex128, 2), "mean": (np.float64, 1), "n_train": (np.integer, 0)}
@@ -236,11 +234,9 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
     model = {"method": np.str_(result.method), "eigenvalues": result.eigenvalues.astype(complex),
              "amplitudes": result.amplitudes.astype(complex), "modes": modes, "mean": mean,
              "original_indices": result.original_indices, "n_train": np.int64(X.n_steps - 1)}
-    with zipfile.ZipFile(stage / "model.npz", "w") as zf:  # the bytes np.savez writes, without
-        for name, value in model.items():  # its copy of each array, a whole p x k for the modes
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                npy.write_array_header_1_0(fh, npy.header_data_from_array_1_0(value))
-                fh.write(value.data)  # each value is C-contiguous: its memory is its .npy data
+    (stage / "model").mkdir()
+    for name, value in model.items():  # each C-contiguous: np.save writes it without a copy
+        np.save(stage / "model" / f"{name}.npy", value)
     write_csv(stage / "eigenvalues.csv",
               ((int(idx), lam.real, lam.imag, *mode_stats(lam),
                 b.real, b.imag, abs(b))
@@ -319,26 +315,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _load_model(artifacts: Path) -> tuple[DecompositionResult, np.ndarray, int]:
-    """artifacts/model.npz's model, row means (zeros without --subtract-mean) and n_train,
-    the first forecast step: each field typed as MODEL_FIELDS says, of fitting shape, finite."""
-    path, fields = artifacts / "model.npz", {}
-    try:  # each entry read straight from the file: np.load reads one in 256 KiB copies
-        with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
-            for name, (kind, ndim) in MODEL_FIELDS.items():
-                fh.seek(zf.getinfo(f"{name}.npy").header_offset + 26)  # past the local header,
-                fh.seek(sum(struct.unpack("<2H", fh.read(4))), os.SEEK_CUR)  # name and extra
+    """artifacts/model's model, row means (zeros without --subtract-mean) and n_train, the
+    first forecast step: each field typed as MODEL_FIELDS says, of fitting shape, finite;
+    at least one eigenvalue, and n_train >= 0."""
+    path, fields = artifacts / "model", {}
+    try:
+        for name, (kind, ndim) in MODEL_FIELDS.items():
+            with open(path / f"{name}.npy", "rb") as fh:  # not np.load, which opens an .npz
                 value = fields[name] = npy.read_array(fh, allow_pickle=False)  # no unpickling
-                if value.ndim != ndim or not np.issubdtype(value.dtype, kind):
-                    raise ValueError(f"{name} is not {kind.__name__} of {ndim} dimensions")
-                if value.dtype.kind in "cf" and not np.isfinite(value).all():
-                    raise ValueError(f"{name} holds a non-finite value")
+            if value.ndim != ndim or not np.issubdtype(value.dtype, kind):
+                raise ValueError(f"{name} is not {kind.__name__} of {ndim} dimensions")
+            if value.dtype.kind in "cf" and not np.isfinite(value).all():
+                raise ValueError(f"{name} holds a non-finite value")
         lam, modes = fields["eigenvalues"], fields["modes"]
         shown = conjugate_representatives(lam)  # exact binary eigenvalues: decompose's pairing
         for name, shape in (("amplitudes", lam.shape), ("original_indices", lam.shape),
                             ("modes", (modes.shape[0], shown.size)), ("mean", modes.shape[:1])):
             if fields[name].shape != shape:
                 raise ValueError(f"{name} has shape {fields[name].shape}, expected {shape}")
-    except (OSError, KeyError, ValueError, struct.error, zipfile.BadZipFile) as exc:
+        if not lam.size:
+            raise ValueError("eigenvalues is empty")
+        if fields["n_train"] < 0:
+            raise ValueError(f"n_train is {fields['n_train']}, not >= 0")
+    except (OSError, ValueError) as exc:
         raise ValueError(f"{path} is not a koopmode model (decompose again): {exc}") from None
     # the fitted form: stored column c is real basis columns 2c (re) and 2c + 1 (im)
     coefficients = np.zeros((shown.size, 2, lam.size), dtype=complex)

@@ -28,7 +28,7 @@ class DecompositionResult:
 
     The modes are held as factors, modes = basis @ coefficients: a p x k
     basis and a k x r coefficient matrix, each real or complex (a model loaded from
-    model.npz holds one stored mode per conjugate pair as re/im basis columns, W = 1 and ±i).
+    model/ holds one stored mode per conjugate pair as re/im basis columns, W = 1 and ±i).
     Re-sorting and selecting columns moves coefficient columns only; `modes`
     forms the p x r product on first use.
 

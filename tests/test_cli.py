@@ -72,29 +72,32 @@ def read_tree(root):
 
 
 def read_model(art):
-    """The fields of a decompose output directory's model.npz, by name."""
-    with np.load(art / "model.npz", allow_pickle=False) as npz:
-        return dict(npz)
+    """The fields of a decompose output directory's model/, by name."""
+    return {path.stem: np.load(path, allow_pickle=False)
+            for path in sorted((art / "model").glob("*.npy"))}
 
 
 def rewrite_model(art, **fields):
-    """Rewrite art/model.npz with the given fields replaced, one given as None
-    left out; np.savez pickles an object array, as another writer might."""
-    model = {**read_model(art), **fields}
-    np.savez(art / "model.npz", **{name: v for name, v in model.items() if v is not None})
+    """Rewrite the given fields' files in art/model/, one given as None deleted;
+    np.save pickles an object array, as another writer might."""
+    for name, value in fields.items():
+        path = art / "model" / f"{name}.npy"
+        path.unlink() if value is None else np.save(path, value)
 
 
-def make_older_layout(art, modes_file):
+def make_older_layout(art, layout):
     """Rewrite a decompose output directory in an older layout, without
-    model.npz: the modes in modes_matrix.npy, as versions before model.npz wrote
-    them, or in modes_matrix.csv, as interleaved re/im %.17g columns, as
-    versions before that did."""
-    modes = read_model(art)["modes"]
-    (art / "model.npz").unlink()
-    if modes_file == "modes_matrix.npy":
-        np.save(art / modes_file, modes)
+    model/: every field in model.npz, as versions before model/ wrote them,
+    the modes alone in modes_matrix.npy, as versions before that did, or in
+    modes_matrix.csv, as interleaved re/im %.17g columns, as the first did."""
+    model = read_model(art)
+    shutil.rmtree(art / "model")
+    if layout == "model.npz":
+        np.savez(art / layout, **model)
+    elif layout == "modes_matrix.npy":
+        np.save(art / layout, model["modes"])
     else:
-        np.savetxt(art / modes_file, modes.view(float), fmt="%.17g", delimiter=",")
+        np.savetxt(art / layout, model["modes"].view(float), fmt="%.17g", delimiter=",")
 
 
 def every_mode(art):
@@ -135,9 +138,12 @@ class TestDecompose:
         path, _ = planted_csv
         out = tmp_path / "art"
         assert run("decompose", path, "--rank", 3, "--out", out) == 0
-        for name in ("model.npz", "eigenvalues.csv", "temporal.csv", "summary.json"):
+        for name in ("model", "eigenvalues.csv", "temporal.csv", "summary.json"):
             assert (out / name).exists()
-        assert not (out / "modes_matrix.npy").exists() and not (out / "modes_matrix.csv").exists()
+        for name in ("model.npz", "modes_matrix.npy", "modes_matrix.csv"):
+            assert not (out / name).exists()
+        assert sorted(path.name for path in (out / "model").iterdir()) == sorted(
+            f"{name}.npy" for name in cli.MODEL_FIELDS)
         assert (out / "modes").is_dir()
         summary = json.loads((out / "summary.json").read_text())
         for key in ("toolkit_version", "method", "rank", "data_shape",
@@ -190,7 +196,7 @@ class TestDecompose:
                                        ("--method", "spdmd", "--rank", 6, "--gamma", 1e-3,
                                         "--subtract-mean")], ids=["dmd", "cdmd", "spdmd"])
     def test_model_round_trips_bit_exact(self, tmp_path, rng, monkeypatch, flags):
-        """_load_model returns the fit's eigenvalues (complex128, as model.npz
+        """_load_model returns the fit's eigenvalues (complex128, as model/
         stores them), amplitudes, original indices, row means (zeros without
         --subtract-mean) and n_train bit for bit."""
         seen = []
@@ -214,9 +220,11 @@ class TestDecompose:
                           (loaded_mean, mean)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert n_train == X.n_steps - 1 and model.method == result.method
-        # the bytes np.savez writes of the same fields
+        # each file holds the bytes of np.savez's member of that name
         np.savez(tmp_path / "savez.npz", **read_model(art))
-        assert (tmp_path / "savez.npz").read_bytes() == (art / "model.npz").read_bytes()
+        with zipfile.ZipFile(tmp_path / "savez.npz") as zf:
+            assert {name: zf.read(name) for name in zf.namelist()} == {
+                path.name: path.read_bytes() for path in (art / "model").iterdir()}
 
     def test_rerun_replaces_a_pre_npy_directory(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -224,19 +232,20 @@ class TestDecompose:
         assert run("decompose", path, "--rank", 3, "--out", art) == 0
         make_older_layout(art, "modes_matrix.csv")
         assert run("decompose", path, "--rank", 3, "--out", art) == 0
-        assert (art / "model.npz").exists()
+        assert (art / "model").is_dir()
         assert not (art / "modes_matrix.csv").exists()
 
     def test_rerun_replaces_a_pre_model_directory(self, tmp_path, planted_csv):
-        """A directory in the layout before model.npz, with modes_matrix.npy, is
-        decompose's own: a rerun replaces it."""
+        """A directory in a layout before model/, with modes_matrix.npy or with
+        model.npz, is decompose's own: a rerun replaces it."""
         path, _ = planted_csv
         art = tmp_path / "art"
-        assert run("decompose", path, "--rank", 3, "--out", art) == 0
-        make_older_layout(art, "modes_matrix.npy")
-        assert run("decompose", path, "--rank", 3, "--out", art) == 0
-        assert (art / "model.npz").exists()
-        assert not (art / "modes_matrix.npy").exists()
+        for layout in ("modes_matrix.npy", "model.npz"):
+            assert run("decompose", path, "--rank", 3, "--out", art) == 0
+            make_older_layout(art, layout)
+            assert run("decompose", path, "--rank", 3, "--out", art) == 0
+            assert (art / "model").is_dir()
+            assert not (art / layout).exists()
 
     def test_spdmd_method_selects_sparse_modes(self, tmp_path, planted_csv):
         path, _ = planted_csv
@@ -803,7 +812,7 @@ class TestSubtractMean:
 
     @pytest.mark.parametrize("case", ["missing", "wrong-length"])
     def test_unusable_mean_exits_2(self, tmp_path, art, capsys, case):
-        """model.npz's mean: left out, or not one per row of the modes."""
+        """The model's mean: its file missing, or not one per row of the modes."""
         model_fails(tmp_path, art, capsys, case)
 
 
@@ -1329,10 +1338,9 @@ class TestReconstruct:
     def test_input_layout_error_reads_no_file(self, tmp_path, monkeypatch, capsys, flags,
                                               error):
         """--input's layout rules are usage errors, found before the run reads
-        the model or the input: the model here is an empty file."""
+        the model or the input: the model here is an empty directory."""
         art, out = tmp_path / "art", tmp_path / "rec"
-        art.mkdir()
-        (art / "model.npz").touch()
+        (art / "model").mkdir(parents=True)
         monkeypatch.setattr(cli, "_load_model", unread)
         monkeypatch.setattr(cli, "load_matrix", unread)
         assert run("reconstruct", "--artifacts", art, "--at", 0, "--input",
@@ -1353,30 +1361,30 @@ class TestReconstruct:
                    "--horizon", 2, "--out", tmp_path / "rec") == 2
 
     @staticmethod
-    def _older_layout_fails(tmp_path, planted_csv, capsys, modes_file):
+    def _older_layout_fails(tmp_path, planted_csv, capsys, layout):
         path, _ = planted_csv
         art, out = tmp_path / "art", tmp_path / "rec"
         assert run("decompose", path, "--rank", 3, "--out", art) == 0
-        make_older_layout(art, modes_file)
+        make_older_layout(art, layout)
         capsys.readouterr()
         assert run("reconstruct", "--artifacts", art, "--at", 0, "--out", out) == 2
-        path = art / "model.npz"
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {path} is not a koopmode model (decompose again): [Errno 2] No such file "
-            f"or directory: '{path}'"]
+            f"error: {art / 'model'} is not a koopmode model (decompose again): [Errno 2] No "
+            f"such file or directory: '{art / 'model' / 'method.npy'}'"]
         assert not out.exists()
 
     def test_pre_npy_artifacts_are_missing_the_modes(self, tmp_path, planted_csv, capsys):
         self._older_layout_fails(tmp_path, planted_csv, capsys, "modes_matrix.csv")
 
     def test_pre_model_artifacts_are_missing_the_model(self, tmp_path, planted_csv, capsys):
-        """The layout before model.npz, modes_matrix.npy with the reports, is
-        not read: reconstruct takes the model from model.npz alone."""
-        self._older_layout_fails(tmp_path, planted_csv, capsys, "modes_matrix.npy")
+        """The layouts before model/, modes_matrix.npy or model.npz with the
+        reports, are not read: reconstruct takes the model from model/ alone."""
+        for layout in ("modes_matrix.npy", "model.npz"):
+            self._older_layout_fails(tmp_path, planted_csv, capsys, layout)
 
     @pytest.mark.parametrize("case", ["object-dtype", "real-1d", "rank-mismatch"])
     def test_malformed_modes_matrix_rejected(self, tmp_path, art, capsys, case):
-        """model.npz's modes: an object array, which is not unpickled, a real
+        """The model's modes: an object array, which is not unpickled, a real
         vector, or a column per eigenvalue, the layout before one column per
         conjugate pair."""
         model_fails(tmp_path, art, capsys, case)
@@ -1392,41 +1400,47 @@ def _with_first(value):
 
 
 def _set_field(name, change):
-    """Damage to model.npz: field name becomes change(its value), None leaving it out."""
+    """Damage to the model: field name becomes change(its value), None deleting its file."""
     return lambda art: rewrite_model(art, **{name: change(read_model(art)[name])})
 
 
-def _member_not_npy(art):
-    """Damage to model.npz: its modes member holds CSV text, not an .npy array."""
-    model = read_model(art)
-    del model["modes"]
-    np.savez(art / "model.npz", **model)
-    with zipfile.ZipFile(art / "model.npz", "a") as zf:
-        zf.writestr("modes.npy", "index,re,im\n0,1,0\n")
+def _model_a_file(art):
+    """Damage to the model: model is a plain file of CSV text, not a directory."""
+    shutil.rmtree(art / "model")
+    (art / "model").write_text("index,re,im\n0,1,0\n")
 
 
-def _npy_not_npz(art):
-    """Damage to model.npz: it holds the modes as one .npy array, not an archive."""
+def _modes_npz(art):
+    """Damage to the model: modes.npy is an .npz archive holding the modes."""
     modes = read_model(art)["modes"]
-    with open(art / "model.npz", "wb") as fh:
-        np.save(fh, modes)
+    with open(art / "model" / "modes.npy", "wb") as fh:
+        np.savez(fh, modes=modes)
 
 
-# Damage to the model.npz of the art fixture (p = 12, three eigenvalues, two
-# of them a pair), and what reconstruct's one error line says after
-# "error: <art>/model.npz is not a koopmode model (decompose again): ".
+def _no_eigenvalues(art):
+    """Damage to the model: every eigenvalue dropped, with its amplitude, index and mode."""
+    model = read_model(art)
+    rewrite_model(art, eigenvalues=model["eigenvalues"][:0], amplitudes=model["amplitudes"][:0],
+                  original_indices=model["original_indices"][:0], modes=model["modes"][:, :0])
+
+
+# Damage to the model/ of the art fixture (p = 12, three eigenvalues, two of
+# them a pair), and what reconstruct's one error line says after
+# "error: <art>/model is not a koopmode model (decompose again): ", with
+# "<model>" standing for <art>/model. A field file that is missing is the
+# "missing" and "n_train-missing" cases.
 MODEL_DAMAGE = {
-    "not-a-zip": (lambda art: (art / "model.npz").write_text("index,re,im\n0,1,0\n"),
-                  "File is not a zip file"),
-    "npy-not-npz": (_npy_not_npz, "File is not a zip file"),
-    "modes-not-npy": (_member_not_npy,
+    "model-a-file": (_model_a_file, "[Errno 20] Not a directory: '<model>/method.npy'"),
+    "modes-npz": (_modes_npz, r"the magic string is not correct; expected b'\x93NUMPY', "
+                              r"got b'PK\x03\x04-\x00'"),  # a zip64 member's local header
+    "modes-not-npy": (lambda art: (art / "model" / "modes.npy").write_text("index,re,im\n0,1,0\n"),
                       r"the magic string is not correct; expected b'\x93NUMPY', got b'index,'"),
     "object-dtype": (_set_field("modes", lambda _: np.array([1, "a"], dtype=object)),
                      "Object arrays cannot be loaded when allow_pickle=False"),
     "missing": (_set_field("mean", lambda _: None),
-                "\"There is no item named 'mean.npy' in the archive\""),
+                "[Errno 2] No such file or directory: '<model>/mean.npy'"),
     "n_train-missing": (_set_field("n_train", lambda _: None),
-                        "\"There is no item named 'n_train.npy' in the archive\""),
+                        "[Errno 2] No such file or directory: '<model>/n_train.npy'"),
     "real-1d": (_set_field("modes", lambda modes: modes.real[:, 0]),
                 "modes is not complex128 of 2 dimensions"),
     "real-eigenvalues": (_set_field("eigenvalues", np.real),
@@ -1455,20 +1469,23 @@ MODEL_DAMAGE = {
                      "original_indices has shape (4,), expected (3,)"),
     "wrong-length": (_set_field("mean", lambda mean: mean[:-1]),
                      "mean has shape (11,), expected (12,)"),
+    "n_train-negative": (_set_field("n_train", lambda _: np.int64(-5)), "n_train is -5, not >= 0"),
+    "no-eigenvalues": (_no_eigenvalues, "eigenvalues is empty"),
 }
 
 
 def model_fails(tmp_path, art, capsys, case):
-    """Damage art/model.npz as MODEL_DAMAGE[case] does: reconstruct exits 2
-    with one error line naming model.npz, and publishes nothing."""
+    """Damage art/model as MODEL_DAMAGE[case] does: reconstruct exits 2
+    with one error line naming the model, and publishes nothing."""
     damage, message = MODEL_DAMAGE[case]
     damage(art)
     out = tmp_path / "rec"
     capsys.readouterr()
     assert run("reconstruct", "--artifacts", art, "--at", 0, "--horizon", 2, "--out", out) == 2
     [line] = capsys.readouterr().err.splitlines()
-    prefix = f"error: {art / 'model.npz'} is not a koopmode model (decompose again): "
-    assert line == prefix + message
+    model = art / "model"
+    prefix = f"error: {model} is not a koopmode model (decompose again): "
+    assert line == prefix + message.replace("<model>", str(model))
     assert not out.exists() and not list(tmp_path.glob(".stage-*"))
 
 
@@ -1482,8 +1499,8 @@ def art(tmp_path, planted_csv):
 
 
 class TestReconstructArtifacts:
-    """reconstruct reads decompose's model.npz, and no other artifact, as data
-    from outside the program: a model.npz of another kind, without a field, or
+    """reconstruct reads decompose's model/, and no other artifact, as data
+    from outside the program: a model of another kind, without a field, or
     with a field of another type, shape or a non-finite value exits 2 naming
     it, and writes nothing. TestReconstruct and TestSubtractMean take the
     cases of the modes and the mean from MODEL_DAMAGE too."""
@@ -1494,9 +1511,9 @@ class TestReconstructArtifacts:
         model_fails(tmp_path, art, capsys, case)
 
     @pytest.mark.parametrize("case", [
-        "not-a-zip", "npy-not-npz", "modes-not-npy", "n_train-missing", "real-eigenvalues",
+        "model-a-file", "modes-npz", "modes-not-npy", "n_train-missing", "real-eigenvalues",
         "complex64-amplitudes", "float-indices", "n_train-vector", "method-number",
-        "amplitudes-short", "indices-long"])
+        "amplitudes-short", "indices-long", "n_train-negative", "no-eigenvalues"])
     def test_unreadable_artifact_exits_2_naming_it(self, tmp_path, art, capsys, case):
         model_fails(tmp_path, art, capsys, case)
 
@@ -1514,7 +1531,7 @@ class TestReconstructArtifacts:
         assert run("reconstruct", "--artifacts", art, *flags, "--out", tmp_path / "rec1") == 0
         assert (art / "mean.csv").exists()
         for child in art.iterdir():
-            if child.name != "model.npz":
+            if child.name != "model":
                 shutil.rmtree(child) if child.is_dir() else child.unlink()
         assert run("reconstruct", "--artifacts", art, *flags, "--out", tmp_path / "rec2") == 0
         assert read_tree(tmp_path / "rec2") == read_tree(tmp_path / "rec1")
@@ -1858,7 +1875,7 @@ class TestBlasThreads:
             run_at(threads, "sweep", smoke_csv, "--rank", 4, "--gamma-count", 5, "--out", sw)
             run_at(threads, "decompose", smoke_csv, "--rank", 4, "--method", "dmd", "--out", art)
             files.append([(sw / "sweep.csv").read_bytes(), (art / "eigenvalues.csv").read_bytes(),
-                          (art / "model.npz").read_bytes()])
+                          read_tree(art / "model")])
         assert files[0] == files[1]
 
     @pytest.mark.parametrize("flags, n_steps",
