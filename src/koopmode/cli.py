@@ -4,6 +4,7 @@ decompose writes its model to model/, one .npy file per field: the one thing rec
 reads. Its other artifacts are reports for people, CSV/JSON with 17-significant-digit floats.
 All are byte-stable across runs. Each run publishes its output directory as a whole: a
 failed run leaves no partial files, and a rerun leaves no file of the last.
+The one write outside --out is the parse cache of the CSV input (snapshots._parse_cached).
 """
 from __future__ import annotations
 

@@ -1,15 +1,23 @@
 """Snapshot ingestion: loading, masking, and cycle stacking."""
 from __future__ import annotations
 
+import io
 import json
+import os
+import time
 import warnings
+from _blake2 import blake2b  # hashlib's import loads OpenSSL, 3.6 MB of memory
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 FORMATS = ("csv", "raw-float64")
 FLOAT = "%.17g"  # lossless for float64; writes nan, inf and -inf in lowercase
+CACHE_ENTRIES = 8  # parsed CSV inputs the cache keeps, the most recently used
+COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")  # suffixes np.loadtxt decompresses
 
 
 @dataclass(frozen=True)
@@ -92,17 +100,17 @@ def load_matrix(
     mask: np.ndarray | None = None,
 ) -> SnapshotMatrix:
     """Load a snapshot matrix from CSV or raw little-endian float64 + JSON sidecar.
-    header skips one CSV line; raw input has no header line to skip. With a
-    mask, one boolean per row read, only the rows it flags true are kept, so
-    the rows it drops may hold NaN or inf. An error about what the file holds
-    names its path."""
+    header skips one CSV line; raw input has no header line to skip. A CSV's
+    parse is cached (_parse_cached). With a mask, one boolean per row read, only
+    the rows it flags true are kept, so the rows it drops may hold NaN or inf.
+    An error about what the file holds names its path."""
     path = Path(path)
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     if header and format != "csv":
         raise ValueError(f"header applies to csv input only, not {format}")
     if format == "csv":
-        data = read_csv(path, 1 if header else 0)
+        data = _parse_cached(path, 1 if header else 0)
     else:
         sidecar = path.with_suffix(path.suffix + ".json")
         if not sidecar.exists():
@@ -165,19 +173,93 @@ def write_csv(path: str | Path, rows, fmt: str | None = None,
             fh.write(fmt % tuple(row) + "\n")
 
 
-def read_csv(path: str | Path, skiprows: int = 0) -> np.ndarray:
+def read_csv(path: str | Path, skiprows: int = 0, *,
+             text: io.TextIOBase | None = None) -> np.ndarray:
     """The values of a comma-separated file after skiprows lines, as a 2-D
-    float64 array; nan and inf parse. Ragged rows, a non-numeric cell or no
-    values at all raise ValueError naming the path."""
+    float64 array; nan and inf parse. text, the file open for reading, is read
+    in path's place. Ragged rows, a non-numeric cell or no values at all raise
+    ValueError naming the path."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+            data = np.loadtxt(path if text is None else text, delimiter=",",
+                              skiprows=skiprows, ndmin=2)
         except ValueError as exc:
             raise ValueError(f"ragged rows or non-numeric cells in {path}: {exc}") from None
     if data.size == 0:
         raise ValueError(f"no values in {path}")
     return data
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary file's bytes, hashed as they are read."""
+
+    def __init__(self, raw: io.RawIOBase) -> None:
+        self.raw, self.hash = raw, blake2b(digest_size=32)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(buffer)
+        self.hash.update(memoryview(buffer)[:n])
+        return n
+
+
+def _parse_cached(path: Path, skiprows: int) -> np.ndarray:
+    """read_csv(path, skiprows), kept as <digest>-<skiprows>.npy in the cache,
+    $XDG_CACHE_HOME/koopmode (or ~/.cache/koopmode), digest the BLAKE2b of the
+    file's bytes: a later call on the same bytes reads the .npy, and no entry
+    can go stale. A miss hashes the bytes as they are parsed, so an entry holds
+    the parse of the bytes its name hashes. A damaged or missing entry is a
+    miss, and a failed write is silent. Without a cache directory, and for a
+    compressed file, this is read_csv."""
+    if path.suffix in COMPRESSED:
+        return read_csv(path, skiprows)
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        cache = Path(root if os.path.isabs(root) else Path.home() / ".cache") / "koopmode"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        with open(path, "rb", buffering=0) as raw:
+            reader, chunk = _HashingReader(raw), bytearray(1 << 20)
+            while reader.readinto(chunk):
+                pass
+    except (OSError, RuntimeError):  # no cache directory (or home), or an unreadable file:
+        return read_csv(path, skiprows)  # parse as without a cache, raising its error
+    entry = cache / f"{reader.hash.hexdigest()}-{skiprows}.npy"
+    try:
+        with open(entry, "rb") as fh:
+            data = npy.read_array(fh, allow_pickle=False)
+        if data.dtype == np.float64 and data.ndim == 2:
+            with suppress(OSError):
+                os.utime(entry, ns=(time.time_ns(),) * 2)
+            return data
+    except (OSError, ValueError):
+        pass
+    with open(path, "rb", buffering=0) as raw:
+        reader = _HashingReader(raw)
+        with io.TextIOWrapper(io.BufferedReader(reader)) as text:
+            data = read_csv(path, skiprows, text=text)
+    _store(cache / f"{reader.hash.hexdigest()}-{skiprows}.npy", data)
+    return data
+
+
+def _store(entry: Path, data: np.ndarray) -> None:
+    """Write data as the cache entry, through a temporary file, and delete all
+    but the CACHE_ENTRIES most recently used files of the cache; a failure is
+    silent and leaves no temporary file."""
+    temp = entry.with_name(f".{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            npy.write_array(fh, data, allow_pickle=False)
+        os.utime(temp, ns=(time.time_ns(),) * 2)  # finer than the file system's clock
+        os.replace(temp, entry)
+        by_use = sorted(entry.parent.iterdir(), key=lambda item: item.stat().st_mtime_ns)
+        for item in by_use[:-CACHE_ENTRIES]:
+            item.unlink()
+    except OSError:
+        with suppress(OSError):
+            temp.unlink()
 
 
 def load_mask(path: str | Path) -> np.ndarray:

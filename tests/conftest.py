@@ -66,6 +66,17 @@ def allocation_peak(fn, *args):
         tracemalloc.stop()
 
 
+@pytest.fixture(autouse=True, scope="session")
+def cache_home(tmp_path_factory):
+    """XDG_CACHE_HOME for the whole session, the command's subprocesses too: the
+    parse cache is written under the session's temporary directory, never under
+    the home directory's ~/.cache."""
+    cache = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(cache))
+        yield cache
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1768,6 +1768,19 @@ class TestRuntimeImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_csv_load_loads_no_hashlib(self, tmp_path):
+        """The parse cache hashes with _blake2: hashlib would load OpenSSL, 3.6 MB
+        of memory in every run."""
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+        check = ("import sys, koopmode.cli; from koopmode import load_matrix; "
+                 "load_matrix(sys.argv[1]); "
+                 "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+        for _ in ("miss", "hit"):
+            proc = _run_python("-c", check, str(path))
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]"
+
     def test_decompositions_load_no_snapshot_layer(self):
         """The decompositions and the model take arrays: importing them loads
         no koopmode.snapshots, which owns only the input's layout."""

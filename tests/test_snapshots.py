@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import gzip
+import os
+import stat
+import warnings
+
 import numpy as np
 import pytest
 
 from koopmode import (
     SnapshotMatrix,
+    cli,
     load_mask,
     load_matrix,
+    read_csv,
     save_matrix,
+    snapshots,
     stack_cycles,
     subtract_mean,
     unstack_cycles,
@@ -107,6 +115,141 @@ class TestLoadMatrix:
         """Casting to float64 would drop the imaginary parts."""
         with pytest.raises(ValueError, match="complex"):
             SnapshotMatrix(np.ones((3, 4)) * (1 + 1j))
+
+
+class TestParseCache:
+    """load_matrix keeps each CSV's parse under $XDG_CACHE_HOME/koopmode, named
+    by the digest of the file's bytes and the lines skipped."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "koopmode"
+
+    @staticmethod
+    def entries(cache):
+        return sorted(path.name for path in cache.iterdir()) if cache.exists() else []
+
+    def test_hit_is_bitwise_loadtxt(self, tmp_path, cache, monkeypatch):
+        path = tmp_path / "special.csv"
+        path.write_text("nan,inf,-inf,-0.0\n5e-324,2.2250738585072009e-308,"
+                        "0.10000000000000001,-1.7976931348623157e+308\n")
+        expected = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert snapshots._parse_cached(path, 0).tobytes() == expected.tobytes()  # a miss
+        assert len(self.entries(cache)) == 1
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        monkeypatch.setattr(snapshots, "read_csv", None)  # a hit parses nothing
+        hit = snapshots._parse_cached(path, 0)
+        assert (hit.dtype, hit.shape, hit.tobytes()) == (np.float64, (2, 4), expected.tobytes())
+
+    def test_key_is_the_content_not_the_file_stamp(self, tmp_path, cache):
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+        np.testing.assert_array_equal(load_matrix(path).data, [[1, 2, 3], [4, 5, 6]])
+        stamp = path.stat()
+        path.write_text("1,2,3\n4,5,7\n")  # the same size
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stamp.st_size,
+                                                                   stamp.st_mtime_ns)
+        np.testing.assert_array_equal(load_matrix(path).data, [[1, 2, 3], [4, 5, 7]])
+        assert len(self.entries(cache)) == 2
+
+    def test_header_gets_its_own_entry(self, tmp_path, cache):
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5,6\n7,8,9\n")
+        np.testing.assert_array_equal(load_matrix(path).data[0], [1, 2, 3])
+        np.testing.assert_array_equal(load_matrix(path, header=True).data[0], [4, 5, 6])
+        names = self.entries(cache)
+        assert [name[-6:] for name in names] == ["-0.npy", "-1.npy"]
+        assert names[0][:-6] == names[1][:-6]
+        np.testing.assert_array_equal(load_matrix(path, header=True).data[0], [4, 5, 6])
+
+    @pytest.mark.parametrize("damage", [
+        lambda entry: entry.write_bytes(entry.read_bytes()[:-8]),  # data cut short
+        lambda entry: entry.write_bytes(entry.read_bytes()[:20]),  # header cut short
+        lambda entry: entry.write_bytes(b"not an npy file"),
+        lambda entry: entry.write_bytes(b""),
+        lambda entry: np.save(entry, np.arange(6).reshape(2, 3)),  # not float64
+    ], ids=["data-truncated", "header-truncated", "garbage", "empty", "int-array"])
+    def test_damaged_entry_is_parsed_again_and_replaced(self, tmp_path, cache, damage):
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+        load_matrix(path)
+        [name] = self.entries(cache)
+        good = (cache / name).read_bytes()
+        damage(cache / name)
+        np.testing.assert_array_equal(load_matrix(path).data, [[1, 2, 3], [4, 5, 6]])
+        assert self.entries(cache) == [name]
+        assert (cache / name).read_bytes() == good
+
+    def test_cache_home_a_file_parses_as_without_a_cache(self, tmp_path, monkeypatch):
+        home = tmp_path / "home-is-a-file"
+        home.write_text("x")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(load_matrix(path).data, [[1, 2, 3], [4, 5, 6]])
+        assert home.read_text() == "x"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["home-is-a-file", "x.csv"]
+
+    @pytest.mark.parametrize("xdg", [None, "", "relative/cache"])
+    def test_cache_home_unset_or_relative_is_home_dot_cache(self, tmp_path, monkeypatch, xdg):
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.chdir(tmp_path)
+        if xdg is None:
+            monkeypatch.delenv("XDG_CACHE_HOME")
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+        load_matrix(path)
+        assert len(self.entries(tmp_path / "home" / ".cache" / "koopmode")) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["home", "x.csv"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2,3\n4,5\n6\n", "ragged rows or non-numeric cells in "),
+        ("1,2\n3,oops\n", "ragged rows or non-numeric cells in "),
+        ("", "no values in "),
+    ], ids=["ragged", "non-numeric", "empty"])
+    def test_failed_parse_leaves_no_entry(self, tmp_path, cache, text, message):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        for header in (False, True):
+            with pytest.raises(ValueError) as caught:
+                load_matrix(path, header=header)
+            assert str(caught.value).startswith(message + str(path))
+        assert self.entries(cache) == []
+
+    def test_keeps_the_most_recently_used_entries(self, tmp_path, cache):
+        paths = [tmp_path / f"{k}.csv" for k in range(snapshots.CACHE_ENTRIES + 1)]
+        for k, path in enumerate(paths):
+            path.write_text(f"{k},1\n2,3\n")
+        for path in paths[:-1]:
+            load_matrix(path)
+        assert len(self.entries(cache)) == snapshots.CACHE_ENTRIES
+        before = set(self.entries(cache))
+        load_matrix(paths[0])  # a hit: paths[1] is now the least recently used
+        load_matrix(paths[-1])
+        after = set(self.entries(cache))
+        assert len(after) == snapshots.CACHE_ENTRIES
+        [gone] = before - after
+        load_matrix(paths[1])  # parsed again, so it was the one evicted
+        assert gone not in after and gone in self.entries(cache)
+
+    def test_masks_grids_and_compressed_input_leave_no_entry(self, tmp_path, cache):
+        mask, grid = tmp_path / "mask.csv", tmp_path / "g.csv"
+        mask.write_text("1,0,1\n")
+        grid.write_text("0,1\n2,3\n")
+        np.testing.assert_array_equal(load_mask(mask), [True, False, True])
+        read_csv(grid)
+        assert cli.main(["heatmap", str(grid), str(tmp_path / "g.ppm")]) == 0
+        with gzip.open(tmp_path / "x.csv.gz", "wt") as fh:  # np.loadtxt decompresses it
+            fh.write("1,2,3\n4,5,6\n")
+        np.testing.assert_array_equal(load_matrix(tmp_path / "x.csv.gz").data,
+                                      [[1, 2, 3], [4, 5, 6]])
+        assert self.entries(cache) == []
 
 
 class TestApplyMask:
