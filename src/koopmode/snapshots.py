@@ -4,9 +4,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import tempfile
 import time
 import warnings
-from _blake2 import blake2b  # hashlib's import loads OpenSSL, 3.6 MB of memory
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,6 +17,7 @@ from numpy.lib import format as npy
 FORMATS = ("csv", "raw-float64")
 FLOAT = "%.17g"  # lossless for float64; writes nan, inf and -inf in lowercase
 CACHE_ENTRIES = 8  # parsed CSV inputs the cache keeps, the most recently used
+CACHE_BYTES = 1 << 28  # and the most their .npy files take up in all, 256 MiB
 COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")  # suffixes np.loadtxt decompresses
 
 
@@ -192,10 +193,10 @@ def read_csv(path: str | Path, skiprows: int = 0, *,
 
 
 class _HashingReader(io.RawIOBase):
-    """A binary file's bytes, hashed as they are read."""
+    """A binary file's bytes, hashed and counted as they are read."""
 
-    def __init__(self, raw: io.RawIOBase) -> None:
-        self.raw, self.hash = raw, blake2b(digest_size=32)
+    def __init__(self, raw: io.RawIOBase, hash) -> None:
+        self.raw, self.hash, self.size = raw, hash, 0
 
     def readable(self) -> bool:
         return True
@@ -203,63 +204,77 @@ class _HashingReader(io.RawIOBase):
     def readinto(self, buffer) -> int:
         n = self.raw.readinto(buffer)
         self.hash.update(memoryview(buffer)[:n])
+        self.size += n
         return n
 
 
 def _parse_cached(path: Path, skiprows: int) -> np.ndarray:
-    """read_csv(path, skiprows), kept as <digest>-<skiprows>.npy in the cache,
-    $XDG_CACHE_HOME/koopmode (or ~/.cache/koopmode), digest the BLAKE2b of the
-    file's bytes: a later call on the same bytes reads the .npy, and no entry
-    can go stale. A miss hashes the bytes as they are parsed, so an entry holds
-    the parse of the bytes its name hashes. A damaged or missing entry is a
-    miss, and a failed write is silent. Without a cache directory, and for a
-    compressed file, this is read_csv."""
+    """read_csv(path, skiprows), kept as <size>-<digest>-<skiprows>.npy in the
+    cache, $XDG_CACHE_HOME/koopmode (or ~/.cache/koopmode), size and digest the
+    byte count and BLAKE2b of the file: a later call on the same bytes reads the
+    .npy, and no entry can go stale. The file is hashed before the parse only
+    when an entry has its size; the parse hashes the bytes it reads, so an
+    entry holds the parse of the bytes its name hashes. A damaged or missing
+    entry is a miss, and a failed write is silent. Without a cache directory or
+    blake2b, and for a compressed file, this is read_csv."""
     if path.suffix in COMPRESSED:
         return read_csv(path, skiprows)
     root = os.environ.get("XDG_CACHE_HOME", "")
     try:
+        from _blake2 import blake2b  # hashlib's import loads OpenSSL, 3.6 MB of memory
         cache = Path(root if os.path.isabs(root) else Path.home() / ".cache") / "koopmode"
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        with open(path, "rb", buffering=0) as raw:
-            reader, chunk = _HashingReader(raw), bytearray(1 << 20)
+        size = f"{path.stat().st_size}-"
+        names = os.listdir(cache)
+        raw = open(path, "rb", buffering=0)
+    except (ImportError, OSError, RuntimeError):  # no blake2b, cache directory (or home)
+        return read_csv(path, skiprows)  # or file: parse as without a cache, raising its error
+    with raw:
+        if any(name.startswith(size) for name in names):  # an entry may hold the parse
+            reader, chunk = _HashingReader(raw, blake2b(digest_size=32)), bytearray(1 << 20)
             while reader.readinto(chunk):
                 pass
-    except (OSError, RuntimeError):  # no cache directory (or home), or an unreadable file:
-        return read_csv(path, skiprows)  # parse as without a cache, raising its error
-    entry = cache / f"{reader.hash.hexdigest()}-{skiprows}.npy"
-    try:
-        with open(entry, "rb") as fh:
-            data = npy.read_array(fh, allow_pickle=False)
-        if data.dtype == np.float64 and data.ndim == 2:
-            with suppress(OSError):
-                os.utime(entry, ns=(time.time_ns(),) * 2)
-            return data
-    except (OSError, ValueError):
-        pass
-    with open(path, "rb", buffering=0) as raw:
-        reader = _HashingReader(raw)
+            entry = cache / f"{reader.size}-{reader.hash.hexdigest()}-{skiprows}.npy"
+            with suppress(OSError, ValueError):  # none, or a damaged one: a miss
+                with open(entry, "rb") as fh:
+                    data = npy.read_array(fh, allow_pickle=False)
+                if data.dtype == np.float64 and data.ndim == 2:
+                    with suppress(OSError):
+                        os.utime(entry, ns=(time.time_ns(),) * 2)
+                    return data
+            raw.seek(0)
+        reader = _HashingReader(raw, blake2b(digest_size=32))
         with io.TextIOWrapper(io.BufferedReader(reader)) as text:
             data = read_csv(path, skiprows, text=text)
-    _store(cache / f"{reader.hash.hexdigest()}-{skiprows}.npy", data)
+    _store(cache / f"{reader.size}-{reader.hash.hexdigest()}-{skiprows}.npy", data)
     return data
 
 
 def _store(entry: Path, data: np.ndarray) -> None:
-    """Write data as the cache entry, through a temporary file, and delete all
-    but the CACHE_ENTRIES most recently used files of the cache; a failure is
+    """Write data as the cache entry, through a temporary file of its own, and
+    keep the most recently used files of the cache, at most CACHE_ENTRIES of
+    CACHE_BYTES in all; data larger than that is not stored. A failure is
     silent and leaves no temporary file."""
-    temp = entry.with_name(f".{os.getpid()}.tmp")
+    if data.nbytes > CACHE_BYTES:
+        return
     try:
-        with open(temp, "wb") as fh:
+        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=".", dir=entry.parent)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
             npy.write_array(fh, data, allow_pickle=False)
         os.utime(temp, ns=(time.time_ns(),) * 2)  # finer than the file system's clock
         os.replace(temp, entry)
-        by_use = sorted(entry.parent.iterdir(), key=lambda item: item.stat().st_mtime_ns)
-        for item in by_use[:-CACHE_ENTRIES]:
-            item.unlink()
+        by_use = sorted(entry.parent.iterdir(), key=lambda item: -item.stat().st_mtime_ns)
+        size = 0
+        for count, item in enumerate(by_use, 1):
+            size += item.stat().st_size
+            if count > CACHE_ENTRIES or size > CACHE_BYTES:
+                item.unlink()
     except OSError:
         with suppress(OSError):
-            temp.unlink()
+            os.unlink(temp)
 
 
 def load_mask(path: str | Path) -> np.ndarray:

@@ -3,7 +3,10 @@ from __future__ import annotations
 import gzip
 import os
 import stat
+import sys
+import threading
 import warnings
+from hashlib import blake2b
 
 import numpy as np
 import pytest
@@ -119,7 +122,7 @@ class TestLoadMatrix:
 
 class TestParseCache:
     """load_matrix keeps each CSV's parse under $XDG_CACHE_HOME/koopmode, named
-    by the digest of the file's bytes and the lines skipped."""
+    by the size and digest of the file's bytes and the lines skipped."""
 
     @pytest.fixture
     def cache(self, tmp_path, monkeypatch):
@@ -250,6 +253,107 @@ class TestParseCache:
         np.testing.assert_array_equal(load_matrix(tmp_path / "x.csv.gz").data,
                                       [[1, 2, 3], [4, 5, 6]])
         assert self.entries(cache) == []
+
+    def test_hashed_before_the_parse_only_when_an_entry_has_its_size(
+            self, tmp_path, cache, monkeypatch):
+        readers = []
+
+        class Recorded(snapshots._HashingReader):
+            def __init__(self, *args):
+                super().__init__(*args)
+                readers.append(self)
+
+        monkeypatch.setattr(snapshots, "_HashingReader", Recorded)
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+        size = path.stat().st_size
+        for passes, text in [(1, None),  # a miss, no entry of its size: the parse
+                             (1, None),  # a hit: the hash
+                             (2, "1,2,3\n4,5,7\n")]:  # a miss of the same size: both
+            if text is not None:
+                path.write_text(text)
+            readers.clear()
+            load_matrix(path)
+            assert [reader.size for reader in readers] == [size] * passes
+        assert [name.split("-")[0] for name in self.entries(cache)] == [str(size)] * 2
+
+    def test_without_blake2b_parses_as_without_a_cache(self, tmp_path, cache, monkeypatch):
+        monkeypatch.setitem(sys.modules, "_blake2", None)  # its import raises ImportError
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+        np.testing.assert_array_equal(load_matrix(path).data, [[1, 2, 3], [4, 5, 6]])
+        assert self.entries(cache) == []
+
+    def test_interleaved_stores_keep_each_entry_its_own_array(self, cache, monkeypatch):
+        """A store that runs while another writes its temporary file writes a
+        file of its own, so each entry holds its own array."""
+        cache.mkdir(parents=True)
+        x, y = np.full((2, 3), 1.0), np.full((3, 2), 2.0)
+        write = snapshots.npy.write_array
+
+        def write_storing_y_meanwhile(fh, array, **kwargs):
+            if array is x:
+                snapshots._store(cache / "y.npy", y)
+            write(fh, array, **kwargs)
+
+        monkeypatch.setattr(snapshots.npy, "write_array", write_storing_y_meanwhile)
+        snapshots._store(cache / "x.npy", x)
+        for name, array in [("y.npy", y), ("x.npy", x)]:
+            np.testing.assert_array_equal(np.load(cache / name), array)
+        assert self.entries(cache) == ["x.npy", "y.npy"]
+
+    def test_threads_sharing_the_cache_each_read_their_own_file(self, tmp_path, cache):
+        """Six threads load twelve files, more than the cache keeps, so stores,
+        hits and evictions interleave; every load returns its own file's
+        values, and every entry left holds the parse of the bytes it names."""
+        paths = [tmp_path / f"{k}.csv" for k in range(12)]
+        for k, path in enumerate(paths):
+            path.write_text(f"{k},{k}.5\n-{k},1e{k}\n")
+        failures = []
+
+        def load(offset):
+            try:
+                for k in range(offset, offset + 24):
+                    path = paths[k % len(paths)]
+                    np.testing.assert_array_equal(load_matrix(path).data,
+                                                  np.loadtxt(path, delimiter=",", ndmin=2))
+            except Exception as exc:  # reported by the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load, args=(offset,)) for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        named = {f"{len(raw)}-{blake2b(raw, digest_size=32).hexdigest()}-0.npy": path
+                 for path in paths for raw in [path.read_bytes()]}
+        names = self.entries(cache)
+        assert 1 <= len(names) <= snapshots.CACHE_ENTRIES
+        for name in names:
+            np.testing.assert_array_equal(np.load(cache / name),
+                                          np.loadtxt(named[name], delimiter=",", ndmin=2))
+
+    def test_keeps_to_cache_bytes(self, tmp_path, cache, monkeypatch):
+        paths = [tmp_path / f"{k}.csv" for k in range(4)]
+        for k, path in enumerate(paths):
+            path.write_text(f"{k},1\n2,3\n")
+        load_matrix(paths[0])
+        [first] = self.entries(cache)
+        monkeypatch.setattr(snapshots, "CACHE_BYTES", 2 * (cache / first).stat().st_size)
+        for path in paths[1:3]:
+            load_matrix(path)
+        kept = self.entries(cache)
+        assert len(kept) == 2 and first not in kept
+        monkeypatch.setattr(snapshots, "CACHE_BYTES", 31)  # below a 2x2 array's 32 bytes
+        np.testing.assert_array_equal(load_matrix(paths[3]).data, [[3, 1], [2, 3]])
+        assert self.entries(cache) == kept
 
 
 class TestApplyMask:
