@@ -3,7 +3,8 @@
 decompose writes its model to model/, one .npy file per field: the one thing reconstruct
 reads. Its other artifacts are reports for people, CSV/JSON with 17-significant-digit floats.
 All are byte-stable across runs. Each run publishes its output directory as a whole: a
-failed run leaves no partial files, and a rerun leaves no file of the last.
+failed run leaves no partial files, and a rerun leaves no file of the last. main holds back
+a run's warnings, the library's too, and warns of each once, from cli, only if it succeeds.
 The one write outside --out is the parse cache of the CSV input (snapshots._parse_cached).
 """
 from __future__ import annotations
@@ -80,16 +81,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _published(target: Path, findings=()):
-    """Yield a staging path next to target, for the file or directory the run
-    makes there; on success _report warns of the run's findings and the stage
-    replaces target as a whole, so no file of an earlier run survives."""
+def _published(target: Path):
+    """Yield a staging path next to target, for what the run makes there; on success
+    the stage replaces target as a whole, so no file of an earlier run survives."""
     target.parent.mkdir(parents=True, exist_ok=True)
     holder = Path(tempfile.mkdtemp(prefix=".stage-", dir=target.parent))
     try:
         stage = holder / "new"
         yield stage
-        _report(findings)
         if stage.is_dir() and target.exists():  # os.replace fails onto a non-empty directory
             os.replace(target, holder / "old")
         os.replace(stage, target)
@@ -106,10 +105,14 @@ def _json_text(obj) -> str:
 def _check_out(args: argparse.Namespace) -> Path:
     """--out resolved, checked before the run reads anything: it is replaced as a
     whole, so it must not be or hold a path the run reads, and an existing one
-    must be heatmap's file or another command's directory of ARTIFACT_NAMES."""
+    must be heatmap's file or another command's directory of ARTIFACT_NAMES, and
+    its nearest existing ancestor a directory."""
     out = Path(args.out).resolve()
     image = args.command == "heatmap"
     refusing = f"refusing to replace {'' if image else '--out '}{out}"
+    ancestor = next((path for path in out.parents if path.exists()), out)  # out may be /
+    if not ancestor.is_dir():
+        raise UsageError(f"{refusing}: {ancestor} is not a directory")
     for read in (getattr(args, name, None) for name in ("artifacts", "input", "mask", "grid")):
         if read is not None and Path(read).resolve().is_relative_to(out):
             raise UsageError(f"{refusing}: the run reads {read}")
@@ -119,16 +122,9 @@ def _check_out(args: argparse.Namespace) -> Path:
     return out
 
 
-def _report(findings: list[str]) -> None:
-    """Warn of each finding of a run once, after its last step that can fail and
-    before its output is published: a failed run prints only its error."""
-    for message in findings:
-        warnings.warn(message)
-
-
-def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray, list[str]]:
-    """The input as the flags lay it out, with --subtract-mean the row means
-    it subtracted, else zeros, and the run's findings: snapshots --cycles drops."""
+def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray]:
+    """The input as the flags lay it out, and with --subtract-mean the row means
+    it subtracted, else zeros; snapshots --cycles drops are a finding."""
     if args.mask is not None and args.grid_shape is None:
         raise UsageError("--mask requires --grid-shape")
     if args.header and args.format != "csv":
@@ -137,16 +133,17 @@ def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray, l
                     header=args.header, transpose=args.transpose,
                     mask=None if args.mask is None else load_mask(args.mask))
     dropped = X.n_steps % args.cycles
-    findings = [f"{args.input}: dropped {dropped} trailing snapshot(s) not filling a cycle of "
-                f"--cycles {args.cycles}"] if dropped else []
     if args.cycles > 1:
         try:
             X = stack_cycles(X, args.cycles)
         except ValueError as exc:  # too few snapshots to stack
             raise ValueError(f"{args.input}: --cycles {args.cycles}: {exc}") from None
+    if dropped:
+        warnings.warn(f"{args.input}: dropped {dropped} trailing snapshot(s) not filling a "
+                      f"cycle of --cycles {args.cycles}")
     if getattr(args, "subtract_mean", False):  # reconstruct compares its --input raw
-        return (*subtract_mean(X), findings)
-    return X, np.zeros(X.p), findings
+        return subtract_mean(X)
+    return X, np.zeros(X.p)
 
 
 def _admm_params(args: argparse.Namespace, **extra) -> AdmmParams:
@@ -170,13 +167,14 @@ def _reject_ignored_flags(args: argparse.Namespace) -> None:
         raise UsageError(f"method {args.method} does not read {', '.join(ignored)}")
 
 
-def _decompose(args: argparse.Namespace, X: SnapshotMatrix,
-               findings: list[str]) -> tuple[DecompositionResult, QuadraticForm]:
+def _decompose(args: argparse.Namespace,
+               X: SnapshotMatrix) -> tuple[DecompositionResult, QuadraticForm]:
     """The selected decomposition, amplitudes unset, and the quadratic form of
     its fit against the zero-lag snapshots, in the same column order, built
     from the modes' factors without forming them; a near-defective eigenbasis
-    and a near-singular form are findings. The snapshots' sum of squares must be
-    a finite positive float64, and --rank at most min(p, N - 1), before any fit."""
+    and a near-singular form are each a finding. The snapshots' sum of squares
+    must be a finite positive float64, and --rank at most min(p, N - 1), before
+    any fit."""
     with np.errstate(over="ignore"):
         energy = data_energy(X.data[:, :-1])
     if not np.finfo(float).tiny <= energy < np.inf:
@@ -195,21 +193,21 @@ def _decompose(args: argparse.Namespace, X: SnapshotMatrix,
         raise ValueError(f"{args.input}: --method {args.method}: {exc}") from None
     cond = np.linalg.cond(base.coefficients)
     if cond > EIGENBASIS_COND_LIMIT:
-        findings.append(f"near-defective eigenbasis, condition {cond:.3e}")
+        warnings.warn(f"near-defective eigenbasis, condition {cond:.3e}")
     form = quadratic_form(X.data[:, :-1], base.basis, base.coefficients, base.eigenvalues)
     if form.near_singular:
-        findings.append("near-singular amplitude system, using minimum-norm solution")
+        warnings.warn("near-singular amplitude system, using minimum-norm solution")
     return base, form
 
 
-def _fit(args: argparse.Namespace, X: SnapshotMatrix,
-         findings: list[str]) -> tuple[DecompositionResult, float, dict | None]:
+def _fit(args: argparse.Namespace,
+         X: SnapshotMatrix) -> tuple[DecompositionResult, float, dict | None]:
     """Decompose and fit amplitudes; returns the result sorted by amplitude,
     the loss of the fit as a percentage of the data norm, as the form scores
     it, and for spdmd what the splitting did (iterations, convergence, final
     rho: an unconverged fit is a finding). The result's modes are not formed:
     writing them takes one column per conjugate pair from its factors."""
-    base, form = _decompose(args, X, findings)
+    base, form = _decompose(args, X)
     if args.method != "spdmd":
         return (base.with_amplitudes(optimal_amplitudes(form)),
                 performance_loss(form.floor, form.s), None)
@@ -220,7 +218,7 @@ def _fit(args: argparse.Namespace, X: SnapshotMatrix,
             raise ValueError(f"{stopped}, with no amplitude left at gamma={args.gamma}")
         raise ValueError(f"--gamma {args.gamma} zeroed out every amplitude")
     if not solution.admm.converged:
-        findings.append(f"{stopped} at gamma={args.gamma}")
+        warnings.warn(f"{stopped} at gamma={args.gamma}")
     result = select_modes(base, solution)
     return result, solution.loss_percent, {"iterations": int(solution.admm.iterations),
                                            "converged": bool(solution.admm.converged),
@@ -277,9 +275,9 @@ def _write_decomposition(stage: Path, args: argparse.Namespace, X: SnapshotMatri
 def cmd_decompose(args: argparse.Namespace) -> int:
     _reject_ignored_flags(args)
     out = _check_out(args)
-    X, mean, findings = _load_input(args)
-    result, full_loss, admm = _fit(args, X, findings)
-    with _published(out, findings) as stage:
+    X, mean = _load_input(args)
+    result, full_loss, admm = _fit(args, X)
+    with _published(out) as stage:
         stage.mkdir()
         _write_decomposition(stage, args, X, mean, result, full_loss, admm)
     return EXIT_OK
@@ -291,19 +289,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"--gamma-min/--gamma-max/--gamma-count: {exc}") from None
     out = _check_out(args)
-    X, _, findings = _load_input(args)
-    _, form = _decompose(args, X, findings)
+    X, _ = _load_input(args)
+    _, form = _decompose(args, X)
     solutions = gamma_sweep(form, gammas,
                             _admm_params(args, warm_start=not args.no_warm_start))
     stalled = sum(not s.admm.converged for s in solutions)
     if stalled:
-        findings.append(f"the splitting stopped at --max-iter {args.max_iter} without converging at"
-                        f" {stalled} of {gammas.size} gamma values (sweep.csv's converged column)")
+        warnings.warn(f"the splitting stopped at --max-iter {args.max_iter} without converging at"
+                      f" {stalled} of {gammas.size} gamma values (sweep.csv's converged column)")
     best: dict[int, int] = {}
     for i, s in enumerate(solutions):
         if s.cardinality not in best or s.loss_percent < solutions[best[s.cardinality]].loss_percent:
             best[s.cardinality] = i
-    with _published(out, findings) as stage:
+    with _published(out) as stage:
         stage.mkdir()
         for name, chosen in (("sweep.csv", solutions),
                              ("pareto.csv", [solutions[i] for i in sorted(best.values())])):
@@ -360,14 +358,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         raise UsageError(f"{', '.join(given)} without --input: load flags lay out only --input")
     out = _check_out(args)
     # --input before the model: its layout flags are usage errors, refused before any read
-    reference, _, findings = (None, None, []) if args.input is None else _load_input(args)
+    reference, _ = (None, None) if args.input is None else _load_input(args)
     model, mean, n_train = _load_model(Path(args.artifacts))  # the mean is added back
     if reference is not None and reference.p != mean.size:
         raise ValueError(f"--input {args.input} has p={reference.p} rows, "
                          f"model expects {mean.size}")
     report: dict = {"indices": args.at, "horizon": args.horizon, "relative_errors": {},
                     "imag_residuals": {}, "forecast_imag_residual": None}
-    with _published(out, findings) as stage:
+    with _published(out) as stage:
         stage.mkdir()
         for k in args.at:
             snapshot, resid = reconstruct(model, k, 1)
@@ -433,7 +431,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest_info(args: argparse.Namespace) -> int:
-    X, _, findings = _load_input(args)
+    X, _ = _load_input(args)
     info = {
         "p": X.p,
         "n_steps": X.n_steps,
@@ -444,9 +442,7 @@ def cmd_ingest_info(args: argparse.Namespace) -> int:
         "max": float(X.data.max()),
         "mean": float(X.data.mean()),
     }
-    text = _json_text(info)
-    _report(findings)
-    sys.stdout.write(text)
+    sys.stdout.write(_json_text(info))
     return EXIT_OK
 
 
@@ -548,13 +544,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        with warnings.catch_warnings(record=True) as caught:  # caller's filters act
+            status = args.run(args)
+        for message, category in dict.fromkeys((str(w.message), w.category) for w in caught):
+            warnings.warn(message, category)  # a filter on cli alone can make it the error
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help / --version
-        code = exc.code if isinstance(exc.code, int) else 0
-        return code
+        return exc.code if isinstance(exc.code, int) else 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

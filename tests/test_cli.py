@@ -162,8 +162,8 @@ class TestDecompose:
         fitted = []
         fit = cli._fit
 
-        def fit_and_keep(args, X, findings):
-            fitted.append(fit(args, X, findings))
+        def fit_and_keep(args, X):
+            fitted.append(fit(args, X))
             return fitted[-1]
 
         monkeypatch.setattr(cli, "_fit", fit_and_keep)
@@ -212,7 +212,7 @@ class TestDecompose:
         path, art = tmp_path / "data.csv", tmp_path / "art"
         save_matrix(SnapshotMatrix(rng.standard_normal((40, 20)) + 3.0), path, "csv")
         assert run("decompose", path, *flags, "--out", art) == 0
-        (X, mean, _), (result, _, _) = seen
+        (X, mean), (result, _, _) = seen
         model, loaded_mean, n_train = cli._load_model(art)
         for got, want in ((model.eigenvalues, result.eigenvalues.astype(complex)),
                           (model.amplitudes, result.amplitudes),
@@ -593,6 +593,26 @@ class TestForeignOut:
         assert run("heatmap", grid, image) == 0  # its own image is replaced
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "g.ppm", "out"]
 
+    @pytest.mark.parametrize("command", [
+        ("decompose", "{missing}", "--out"), ("sweep", "{missing}", "--out"),
+        ("reconstruct", "--artifacts", "{missing}", "--at", 0, "--out"),
+        ("heatmap", "{missing}"),
+    ], ids=lambda command: command[0])
+    def test_out_under_a_file_is_refused_before_any_read(self, tmp_path, capsys, command):
+        """The nearest existing ancestor of the output must be a directory: under
+        a file the run is refused before it reads its input, which here does not
+        exist, rather than failing when it writes."""
+        afile = tmp_path / "afile"
+        afile.write_text("mine\n")
+        out = afile / "sub" / "out"
+        assert run(*(str(a).format(missing=tmp_path / "missing") for a in command), out) == 1
+        flag = "--out " if command[-1] == "--out" else ""
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: refusing to replace {flag}{out.resolve()}: "
+            f"{afile.resolve()} is not a directory"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert afile.read_text() == "mine\n"
+
 
 class TestGridLayout:
     """The grid holds exactly one cycle's rows, or the mask's points: a
@@ -864,7 +884,7 @@ class TestModesFormedOnce:
     def test_sweep_allocates_no_complex_modes(self, tall):
         X, modes_bytes = tall
         args = cli.build_parser().parse_args(["sweep", "in.csv", "--rank", str(self.RANK)])
-        _, peak = allocation_peak(cli._decompose, args, X, [])
+        _, peak = allocation_peak(cli._decompose, args, X)
         assert peak < modes_bytes
 
     @pytest.mark.parametrize("flags", [(), ("--method", "spdmd", "--gamma", "1")])
@@ -874,7 +894,7 @@ class TestModesFormedOnce:
             ["decompose", "in.csv", "--rank", str(self.RANK), *flags])
 
         def fit_and_form():
-            result, _, _ = cli._fit(args, X, [])
+            result, _, _ = cli._fit(args, X)
             return result, result.modes
 
         (result, modes), peak = allocation_peak(fit_and_form)
@@ -889,7 +909,7 @@ class TestModesFormedOnce:
         line per latitude, as a map does, not one p-wide line."""
         X = SnapshotMatrix(tall[0].data, grid_shape=(40, self.P // 40))
         args = cli.build_parser().parse_args(["decompose", "in.csv", "--rank", str(self.RANK)])
-        result, loss, admm = cli._fit(args, X, [])
+        result, loss, admm = cli._fit(args, X)
         art = tmp_path / "art"
         art.mkdir()
         _, peak = allocation_peak(cli._write_decomposition, art, args, X, np.zeros(X.p), result,
@@ -1953,9 +1973,19 @@ NEAR_SINGULAR = "near-singular amplitude system, using minimum-norm solution"
 
 
 class TestFindings:
-    """The library returns what it finds and the command warns: each finding
-    once, from cli, after the run's last step that can fail and before its
-    output is published. A failed run prints only its error."""
+    """The library returns what it finds and the command warns of each
+    finding where it is found, after the step it describes. cli.main holds
+    back every warning of a run, the library's too, and warns of each once,
+    from cli, only once the run has succeeded. A failed run prints only its
+    error."""
+
+    @pytest.fixture
+    def periodic_csv(self, tmp_path):
+        """Period 4: a rank-deficient Krylov sequence and a near-singular form for cdmd."""
+        vs = np.random.default_rng(0).standard_normal((4, 6))
+        path = tmp_path / "periodic.csv"
+        save_matrix(SnapshotMatrix(np.column_stack([vs[k % 4] for k in range(9)])), path, "csv")
+        return path
 
     def test_each_finding_prints_one_line(self, tmp_path, jordan_csv):
         proc = _run_python("-m", "koopmode", "decompose", str(jordan_csv),
@@ -2008,6 +2038,45 @@ class TestFindings:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: near-defective eigenbasis, condition ")
         assert not out.exists()
+
+    def test_a_finding_made_an_error_prints_no_library_warning(self, tmp_path, periodic_csv):
+        """The companion fit's Krylov warning is raised before the command's
+        near-singular finding, which the filter makes an error: only that error
+        prints."""
+        out = tmp_path / "art"
+        proc = _run_python("-W", "error::UserWarning:koopmode.cli", "-m", "koopmode",
+                           "decompose", str(periodic_csv), "--method", "cdmd",
+                           "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {NEAR_SINGULAR}"]
+        assert not out.exists()
+
+    def test_a_failed_write_drops_the_library_warning(self, tmp_path, periodic_csv,
+                                                      monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", refuse)
+        out = tmp_path / "art"
+        assert recorded("decompose", periodic_csv, "--method", "cdmd", "--out", out) == (2, [])
+        assert capsys.readouterr().err.splitlines() == ["error: no space left on device"]
+        assert not out.exists()
+
+    def test_a_filter_on_cli_alone_makes_a_held_back_warning_the_error(
+            self, tmp_path, smoke_csv, monkeypatch, capsys):
+        """A warning raised outside cli is recorded, and the filter acts when
+        main warns of it again from cli: exit 2 with its one error line."""
+        fit = cli.exact_dmd
+
+        def warning_fit(*args, **kwargs):
+            warnings.warn("raised outside cli")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "exact_dmd", warning_fit)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", module=r"koopmode\.cli\Z")
+            assert run("decompose", smoke_csv, "--rank", 4, "--out", tmp_path / "art") == 2
+        assert capsys.readouterr().err.splitlines() == ["error: raised outside cli"]
 
 
 class TestThresholdPastFloat64:
