@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-from numpy.lib import format as npy
 
 from . import __version__
 from .cdmd import companion_dmd
@@ -30,11 +29,11 @@ from .dmd import (MODE_STYLES, DecompositionResult, RankError, conjugate_pairs,
 from .rom import reconstruct, temporal_dynamics
 from .snapshots import (
     FLOAT,
-    FORMATS,
     SnapshotMatrix,
     load_mask,
     load_matrix,
     read_csv,
+    read_npy,
     stack_cycles,
     subtract_mean,
     write_csv,
@@ -127,9 +126,9 @@ def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray]:
     it subtracted, else zeros; snapshots --cycles drops are a finding."""
     if args.mask is not None and args.grid_shape is None:
         raise UsageError("--mask requires --grid-shape")
-    if args.header and args.format != "csv":
-        raise UsageError(f"--header applies to --format csv only, not {args.format}")
-    X = load_matrix(args.input, format=args.format, grid_shape=args.grid_shape,
+    if args.header and Path(args.input).suffix == ".npy":
+        raise UsageError(f"--header applies to CSV input only, not the .npy file {args.input}")
+    X = load_matrix(args.input, grid_shape=args.grid_shape,
                     header=args.header, transpose=args.transpose,
                     mask=None if args.mask is None else load_mask(args.mask))
     dropped = X.n_steps % args.cycles
@@ -320,8 +319,7 @@ def _load_model(artifacts: Path) -> tuple[DecompositionResult, np.ndarray, int]:
     path, fields = artifacts / "model", {}
     try:
         for name, (kind, ndim) in MODEL_FIELDS.items():
-            with open(path / f"{name}.npy", "rb") as fh:  # not np.load, which opens an .npz
-                value = fields[name] = npy.read_array(fh, allow_pickle=False)  # no unpickling
+            value = fields[name] = read_npy(path / f"{name}.npy")
             if value.ndim != ndim or not np.issubdtype(value.dtype, kind):
                 raise ValueError(f"{name} is not {kind.__name__} of {ndim} dimensions")
             if value.dtype.kind in "cf" and not np.isfinite(value).all():
@@ -459,8 +457,7 @@ def _bounded(cast: type, low: float, strict: bool = False):
 
 
 def _add_load_args(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    sub.add_argument("--format", choices=FORMATS, default="csv")
-    sub.add_argument("--header", action="store_true", help="skip one CSV header line (csv only)")
+    sub.add_argument("--header", action="store_true", help="skip one CSV header line")
     sub.add_argument("--transpose", action="store_true",
                      help="input is time x space instead of space x time")
     sub.add_argument("--grid-shape", nargs=2, type=_bounded(int, 1), metavar=("NLAT", "NLON"))
@@ -471,7 +468,7 @@ def _add_load_args(sub: argparse.ArgumentParser) -> argparse.ArgumentParser:
 
 
 def _add_input_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("input", help="snapshot matrix file")
+    sub.add_argument("input", help="snapshot matrix file: .npy, else CSV")
     _add_load_args(sub)
     sub.add_argument("--subtract-mean", action="store_true")
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import io
-import json
 import os
 import tempfile
 import time
@@ -14,7 +13,6 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy
 
-FORMATS = ("csv", "raw-float64")
 FLOAT = "%.17g"  # lossless for float64; writes nan, inf and -inf in lowercase
 CACHE_ENTRIES = 8  # parsed CSV inputs the cache keeps, the most recently used
 CACHE_BYTES = 1 << 28  # and the most their .npy files take up in all, 256 MiB
@@ -93,43 +91,28 @@ class SnapshotMatrix:
 
 def load_matrix(
     path: str | Path,
-    format: str = "csv",
     grid_shape: tuple[int, int] | None = None,
     *,
     header: bool = False,
     transpose: bool = False,
     mask: np.ndarray | None = None,
 ) -> SnapshotMatrix:
-    """Load a snapshot matrix from CSV or raw little-endian float64 + JSON sidecar.
-    header skips one CSV line; raw input has no header line to skip. A CSV's
-    parse is cached (_parse_cached). With a mask, one boolean per row read, only
-    the rows it flags true are kept, so the rows it drops may hold NaN or inf.
-    An error about what the file holds names its path."""
+    """Load a snapshot matrix: a path ending in .npy holds a 2-D bool, int or
+    float array (read_npy), any other a CSV, whose parse is cached
+    (_parse_cached). header skips one CSV line; a .npy file has none to skip.
+    With a mask, one boolean per row read, only the rows it flags true are
+    kept, so the rows it drops may hold NaN or inf. An error about what the
+    file holds names its path."""
     path = Path(path)
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    if header and format != "csv":
-        raise ValueError(f"header applies to csv input only, not {format}")
-    if format == "csv":
+    if path.suffix != ".npy":
         data = _parse_cached(path, 1 if header else 0)
+    elif header:
+        raise ValueError(f"header applies to CSV input only, not the .npy file {path}")
     else:
-        sidecar = path.with_suffix(path.suffix + ".json")
-        if not sidecar.exists():
-            raise FileNotFoundError(f"missing sidecar header {sidecar}")
-        try:
-            head = json.loads(sidecar.read_text())
-        except ValueError as exc:
-            raise ValueError(f"sidecar {sidecar} is not JSON: {exc}") from None
-        rows, cols = (head.get(key) if isinstance(head, dict) else None
-                      for key in ("rows", "cols"))
-        if not all(type(n) is int and n >= 0 for n in (rows, cols)):
-            raise ValueError(f"sidecar {sidecar} must give rows and cols as "
-                             f"non-negative integers, got {head!r}")
-        size = path.stat().st_size
-        if size != 8 * rows * cols:
-            raise ValueError(f"payload holds {size} bytes, header declares {rows}x{cols} "
-                             f"float64 values, {8 * rows * cols} bytes")
-        data = np.fromfile(path, dtype="<f8").reshape((rows, cols), order="F")
+        data = read_npy(path)
+        if data.ndim != 2 or data.dtype.kind not in "biuf":
+            raise ValueError(f"{path} holds a {data.dtype} array of shape {data.shape}, "
+                             "not a 2-D array of bool, int or float")
     if transpose:
         data = data.T
     if mask is not None:
@@ -143,19 +126,32 @@ def load_matrix(
         raise ValueError(f"{path}: {exc}") from None
 
 
-def save_matrix(X: SnapshotMatrix, path: str | Path, format: str = "csv") -> None:
-    """Write a snapshot matrix; inverse of load_matrix for both formats."""
+def save_matrix(X: SnapshotMatrix, path: str | Path) -> None:
+    """Write a snapshot matrix as load_matrix reads it: .npy if path ends in
+    .npy, else CSV; a compressed suffix, which load_matrix would decompress,
+    raises ValueError."""
     path = Path(path)
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    if format == "csv":
-        write_csv(path, X.data)
+    if path.suffix in COMPRESSED:
+        raise ValueError(f"{path}: save_matrix writes .npy or plain CSV, not a compressed file")
+    if path.suffix == ".npy":
+        np.save(path, X.data, allow_pickle=False)
     else:
-        sidecar = path.with_suffix(path.suffix + ".json")
-        sidecar.write_text(
-            json.dumps({"rows": X.p, "cols": X.n_steps}, sort_keys=True) + "\n"
-        )
-        np.asfortranarray(X.data).astype("<f8").ravel(order="F").tofile(path)
+        write_csv(path, X.data)
+
+
+def read_npy(path: str | Path) -> np.ndarray:
+    """The one array of the .npy file at path, read without unpickling (not
+    np.load, which also opens an .npz and may unpickle). A file that is not
+    exactly one such array, bytes after it included, raises ValueError naming
+    it."""
+    with open(path, "rb") as fh:
+        try:
+            data = npy.read_array(fh, allow_pickle=False)
+        except (TypeError, ValueError) as exc:  # TypeError: a bool in the header's shape
+            raise ValueError(f"{path}: {exc}") from None
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the array")
+    return data
 
 
 def write_csv(path: str | Path, rows, fmt: str | None = None,
@@ -236,8 +232,7 @@ def _parse_cached(path: Path, skiprows: int) -> np.ndarray:
                 pass
             entry = cache / f"{reader.size}-{reader.hash.hexdigest()}-{skiprows}.npy"
             with suppress(OSError, ValueError):  # none, or a damaged one: a miss
-                with open(entry, "rb") as fh:
-                    data = npy.read_array(fh, allow_pickle=False)
+                data = read_npy(entry)
                 if data.dtype == np.float64 and data.ndim == 2:
                     with suppress(OSError):
                         os.utime(entry, ns=(time.time_ns(),) * 2)

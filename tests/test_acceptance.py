@@ -210,7 +210,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
     rng = np.random.default_rng(909)
     Y, _ = planted_snapshots(12, 50, [0.95 * np.exp(0.4j), 0.9], [2.0, 1.0], rng)
     path = tmp_path / "data.csv"
-    save_matrix(SnapshotMatrix(Y), path, "csv")
+    save_matrix(SnapshotMatrix(Y), path)
     art, sw = tmp_path / "art", tmp_path / "sw"
     snapshots = []
     for _ in range(2):

@@ -36,14 +36,14 @@ def planted_csv(tmp_path):
     lams = [0.95 * np.exp(0.4j), 0.9]
     X, full = planted_matrix(12, 50, lams, [2.0, 1.0], seed=13)
     path = tmp_path / "data.csv"
-    save_matrix(X, path, "csv")
+    save_matrix(X, path)
     return path, full
 
 
 @pytest.fixture
 def smoke_csv(tmp_path):
     path = tmp_path / "smoke.csv"
-    save_matrix(SnapshotMatrix(smoke_matrix()), path, "csv")
+    save_matrix(SnapshotMatrix(smoke_matrix()), path)
     return path
 
 
@@ -210,7 +210,7 @@ class TestDecompose:
         monkeypatch.setattr(cli, "_load_input", keep(cli._load_input))
         monkeypatch.setattr(cli, "_fit", keep(cli._fit))
         path, art = tmp_path / "data.csv", tmp_path / "art"
-        save_matrix(SnapshotMatrix(rng.standard_normal((40, 20)) + 3.0), path, "csv")
+        save_matrix(SnapshotMatrix(rng.standard_normal((40, 20)) + 3.0), path)
         assert run("decompose", path, *flags, "--out", art) == 0
         (X, mean), (result, _, _) = seen
         model, loaded_mean, n_train = cli._load_model(art)
@@ -344,7 +344,7 @@ class TestDecompose:
         X = rng.standard_normal((12, 10))
         X[:, 0] = 0.0
         path, art, rec = tmp_path / "zero.csv", tmp_path / "art", tmp_path / "rec"
-        save_matrix(SnapshotMatrix(X), path, "csv")
+        save_matrix(SnapshotMatrix(X), path)
         with warns_of(KRYLOV):
             assert run("decompose", path, "--method", "cdmd", "--out", art) == 0
         rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -411,7 +411,7 @@ class TestDecompose:
         mode's real part, its imaginary part and its modulus, so the abs grid
         is the mean of |phi|, which exceeds |mean phi| where the slots differ."""
         path = tmp_path / "small.csv"
-        save_matrix(SnapshotMatrix(rng.standard_normal((12, 30))), path, "csv")
+        save_matrix(SnapshotMatrix(rng.standard_normal((12, 30))), path)
         out = tmp_path / "art"
         assert run("decompose", path, "--grid-shape", 3, 4, "--cycles", 3, "--out", out) == 0
         summary = json.loads((out / "summary.json").read_text())
@@ -431,7 +431,7 @@ class TestDecompose:
 
     def test_cycles_with_mask(self, tmp_path, rng):
         path = tmp_path / "small.csv"
-        save_matrix(SnapshotMatrix(rng.standard_normal((12, 30))), path, "csv")
+        save_matrix(SnapshotMatrix(rng.standard_normal((12, 30))), path)
         mask = tmp_path / "mask.csv"
         mask.write_text("1,1,1,1\n1,0,1,1\n1,1,1,0\n")
         out = tmp_path / "art"
@@ -512,12 +512,12 @@ class TestDecompose:
 
     def test_config_block_holds_the_parsed_flags(self, tmp_path, rng):
         path = tmp_path / "small.csv"
-        save_matrix(SnapshotMatrix(rng.standard_normal((12, 30))), path, "csv")
+        save_matrix(SnapshotMatrix(rng.standard_normal((12, 30))), path)
         out = tmp_path / "art"
         assert run("decompose", path, "--grid-shape", 3, 4, "--rank", 2, "--out", out) == 0
         config = json.loads((out / "summary.json").read_text())["config"]
         assert sorted(config) == [
-            "cycles", "dt_label", "eps_abs", "eps_rel", "format", "gamma", "grid_shape",
+            "cycles", "dt_label", "eps_abs", "eps_rel", "gamma", "grid_shape",
             "header", "input", "mask", "max_iter", "method", "mode_style", "out",
             "rank", "rho", "subtract_mean", "top_modes", "transpose"]
         assert config["grid_shape"] == [3, 4] and config["rank"] == 2
@@ -569,7 +569,7 @@ class TestForeignOut:
         warning that criterion 7's period-4 input raises is not printed."""
         vs = np.random.default_rng(707).standard_normal((4, 6))
         path = tmp_path / "periodic.csv"
-        save_matrix(SnapshotMatrix(np.column_stack([vs[k % 4] for k in range(9)])), path, "csv")
+        save_matrix(SnapshotMatrix(np.column_stack([vs[k % 4] for k in range(9)])), path)
         proc = _run_python("-m", "koopmode", "decompose", str(path), "--method", "cdmd",
                            "--out", str(foreign))
         assert proc.returncode == 1
@@ -628,7 +628,7 @@ class TestGridLayout:
     def test_mismatch_exits_2_at_load(self, tmp_path, rng, monkeypatch, capsys, command,
                                       grid, mask):
         path, art, out = tmp_path / "six.csv", tmp_path / "art", tmp_path / "out"
-        save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path, "csv")
+        save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path)
         load = ()
         if mask is not None:  # the grid must hold the mask's 6 entries
             (tmp_path / "mask.csv").write_text(mask)
@@ -657,7 +657,7 @@ class TestGridLayout:
                                                 command, grid):
         """Each of these grids but 0x6 holds the 6 rows by its product."""
         path, art, out = tmp_path / "six.csv", tmp_path / "art", tmp_path / "out"
-        save_matrix(SnapshotMatrix(rng.standard_normal((6, 20))), path, "csv")
+        save_matrix(SnapshotMatrix(rng.standard_normal((6, 20))), path)
         assert run("decompose", path, "--rank", 2, "--out", art) == 0
         monkeypatch.setattr(cli, "load_matrix", unread)
         name, *flags = command
@@ -674,7 +674,7 @@ class TestGridLayout:
 
     def test_matching_grid_is_summarized(self, tmp_path, rng):
         path, out = tmp_path / "six.csv", tmp_path / "art"
-        save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path, "csv")
+        save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path)
         assert run("decompose", path, "--rank", 2, "--grid-shape", 2, 3, "--out", out) == 0
         assert json.loads((out / "summary.json").read_text())["grid_shape"] == [2, 3]
         assert read_csv(out / "modes" / "0_abs.csv").shape == (2, 3)
@@ -683,50 +683,119 @@ class TestGridLayout:
 
 
 class TestRawInputHeader:
-    """--header skips one CSV line. Raw input has none, so with raw-float64
-    the flag is a usage error, exit 1, in every subcommand that loads input,
-    publishing nothing."""
+    """--header skips one CSV line. A .npy input holds raw binary values with
+    no line to skip, so with one the flag is a usage error, exit 1, in every
+    subcommand that loads input: found from the suffix before any file is
+    read, publishing nothing."""
 
     @pytest.mark.parametrize("command", [
         ("decompose", "--rank", 2), ("sweep", "--rank", 2, "--gamma-count", 2),
         ("ingest-info",), ("reconstruct", "--at", 0),
     ], ids=lambda command: command[0])
-    def test_is_a_usage_error_and_publishes_nothing(self, tmp_path, rng, capsys, command):
+    def test_is_a_usage_error_and_publishes_nothing(self, tmp_path, rng, monkeypatch, capsys,
+                                                    command):
         X = SnapshotMatrix(rng.standard_normal((6, 30)))
-        raw, art, out = tmp_path / "six.bin", tmp_path / "art", tmp_path / "out"
-        save_matrix(X, raw, "raw-float64")
+        raw, art, out = tmp_path / "six.npy", tmp_path / "art", tmp_path / "out"
+        save_matrix(X, raw)
         name, *flags = command
         args = (name, raw)
         if name == "reconstruct":
-            save_matrix(X, tmp_path / "six.csv", "csv")
-            assert run("decompose", tmp_path / "six.csv", "--rank", 2, "--out", art) == 0
+            assert run("decompose", raw, "--rank", 2, "--out", art) == 0
             args = (name, "--artifacts", art, "--input", raw)
         if name != "ingest-info":
             flags += ["--out", out]
+        monkeypatch.setattr(cli, "load_matrix", unread)
+        monkeypatch.setattr(cli, "_load_model", unread)
         capsys.readouterr()
-        assert run(*args, *flags, "--format", "raw-float64", "--header") == 1
+        assert run(*args, *flags, "--header") == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "error: --header applies to --format csv only, not raw-float64"]
+            f"error: --header applies to CSV input only, not the .npy file {raw}"]
         assert captured.out == "" and not out.exists()
-        assert run(*args, *flags, "--format", "raw-float64") == 0  # the flag alone fails
+        monkeypatch.undo()
+        assert run(*args, *flags) == 0  # the flag alone fails
+
+
+def npy_with_header(path, header, payload):
+    """Write path as a version 1.0 .npy file: header, the text of its
+    dictionary, padded as numpy pads it, then the payload bytes."""
+    text = header.encode("latin1")
+    text += b" " * (63 - (10 + len(text)) % 64) + b"\n"
+    path.write_bytes(b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text + payload)
 
 
 class TestRawSidecar:
-    """A raw-float64 sidecar must give rows and cols as non-negative JSON
-    integers; any other sidecar exits 2 naming it."""
+    """A .npy file's header gives its rows and cols, as the JSON sidecar of
+    the raw-float64 input that .npy replaced did, and keeps that format's
+    cases: a header that does not give them as non-negative integers of a 2-D
+    array exits 2 naming the file."""
 
-    @pytest.mark.parametrize("text", [
-        '{"rows": 4}', '{"rows": "x", "cols": 3}', '{"rows": -3, "cols": -4}',
-        '{"rows": true, "cols": 12}', '[4, 3]', '{rows: 4, cols: 3}',
+    @pytest.mark.parametrize("shape", [
+        "(12,)", "('4', 3)", "(-4, 3)", "(True, 12)", "[4, 3]", "{rows: 4, cols: 3}",
     ], ids=["no-cols", "string-rows", "negative", "boolean", "not-an-object", "not-json"])
-    def test_malformed_sidecar_exits_2_naming_it(self, tmp_path, capsys, text):
-        raw = tmp_path / "raw.bin"
-        save_matrix(SnapshotMatrix(np.ones((4, 3))), raw, "raw-float64")  # 96 bytes
-        raw.with_suffix(".bin.json").write_text(text)
+    def test_malformed_sidecar_exits_2_naming_it(self, tmp_path, capsys, shape):
+        raw = tmp_path / "raw.npy"
+        header = (shape if shape[0] in "[{" else
+                  f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape}, }}")
+        npy_with_header(raw, header, np.ones(12).tobytes())  # 96 bytes
         capsys.readouterr()
-        assert run("ingest-info", raw, "--format", "raw-float64") == 2
-        assert f"error: sidecar {raw}.json " in capsys.readouterr().err
+        assert run("ingest-info", raw) == 2
+        assert capsys.readouterr().err.startswith(f"error: {raw}")
+
+
+class TestNpyInput:
+    """A path ending in .npy is read as one 2-D bool, int or float array,
+    never unpickled, and gives the run the CSV of the same values gives."""
+
+    @staticmethod
+    def fitted(art):
+        """The artifacts a .npy input and its CSV must write alike: summary.json
+        names the input, and so differs."""
+        tree = read_tree(art)
+        del tree["summary.json"]
+        return tree
+
+    def test_same_artifacts_as_its_csv_and_no_cache_entry(self, tmp_path, cache_home):
+        csv, c_order, f_order = (tmp_path / name for name in ("x.csv", "c.npy", "f.npy"))
+        np.savetxt(csv, smoke_matrix(), fmt="%.17g", delimiter=",")
+        data = np.loadtxt(csv, delimiter=",")
+        np.save(c_order, data)
+        np.save(f_order, np.asfortranarray(data))
+        assert np.load(f_order).flags.f_contiguous
+        flags = ("--rank", 4, "--top-modes", 2, "--subtract-mean")
+        assert run("decompose", csv, *flags, "--out", tmp_path / "csv-art") == 0
+        entries = sorted(cache_home.rglob("*.npy"))
+        for path in (c_order, f_order):
+            out = tmp_path / f"{path.stem}-art"
+            assert run("decompose", path, *flags, "--out", out) == 0
+            assert self.fitted(out) == self.fitted(tmp_path / "csv-art")
+        assert sorted(cache_home.rglob("*.npy")) == entries
+
+    @pytest.mark.parametrize("write, held", [
+        (lambda path: np.save(path, np.array([[1, "a"], [2, "b"]], dtype=object)),
+         ": Object arrays cannot be loaded when allow_pickle=False"),
+        (lambda path: np.save(path, np.ones((6, 5), dtype=complex)),
+         " holds a complex128 array of shape (6, 5), not a 2-D array of bool, int or float"),
+        (lambda path: np.save(path, np.ones(30)),
+         " holds a float64 array of shape (30,), not a 2-D array of bool, int or float"),
+        (lambda path: np.save(path, np.ones((2, 3, 5))),
+         " holds a float64 array of shape (2, 3, 5), not a 2-D array of bool, int or float"),
+        (lambda path: (np.save(path, np.ones((6, 5))),
+                       path.write_bytes(path.read_bytes()[:-1])),
+         ": Failed to read all data for array. Expected (6, 5) = 30 elements, could only "
+         "read 29 elements. (file seems not fully written?)"),
+        (lambda path: (np.save(path, np.ones((6, 5))), path.write_bytes(path.read_bytes() * 2)),
+         ": bytes after the array"),
+    ], ids=["pickled", "complex", "1-d", "3-d", "truncated", "trailing-bytes"])
+    def test_not_one_real_2d_array_exits_2_naming_it(self, tmp_path, capsys, monkeypatch,
+                                                     write, held):
+        path, out = tmp_path / "x.npy", tmp_path / "art"
+        write(path)
+        monkeypatch.setattr("pickle.load", None)  # an unpickling would fail otherwise
+        capsys.readouterr()
+        assert run("decompose", path, "--out", out) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}{held}"]
+        assert not out.exists()
 
 
 class TestLandMask:
@@ -756,7 +825,7 @@ class TestLandMask:
         load = ("--mask", tmp_path / "mask.csv", "--grid-shape", 2, 3)
         name, *flags = command
         if name == "reconstruct":
-            save_matrix(SnapshotMatrix(inputs[0]), path, "csv")
+            save_matrix(SnapshotMatrix(inputs[0]), path)
             assert run("decompose", path, *load, "--rank", 3, "--out", art) == 0
         reports = []
         for data in inputs:  # the same path and --out, so the bytes can be compared
@@ -777,7 +846,7 @@ class TestLandMask:
                                               ("1,nan,0\n1,1,1\n", 2), (None, 1)])
     def test_bad_mask_leaves_no_output(self, tmp_path, inputs, mask, status):
         path, out = tmp_path / "data.csv", tmp_path / "out"
-        save_matrix(SnapshotMatrix(inputs[0]), path, "csv")
+        save_matrix(SnapshotMatrix(inputs[0]), path)
         if mask is None:  # --mask without --grid-shape is a usage error
             (tmp_path / "mask.csv").write_text("1,1,1\n1,1,1\n")
             load = ("--mask", tmp_path / "mask.csv")
@@ -791,7 +860,7 @@ class TestLandMask:
 class TestSubtractMean:
     def test_mean_csv_holds_the_subtracted_row_means(self, tmp_path, rng):
         path, out = tmp_path / "small.csv", tmp_path / "art"
-        save_matrix(SnapshotMatrix(rng.standard_normal((4, 30)) + 5.0), path, "csv")
+        save_matrix(SnapshotMatrix(rng.standard_normal((4, 30)) + 5.0), path)
         flags = ("--cycles", 3, "--rank", 2, "--out", out)
         assert run("decompose", path, *flags, "--subtract-mean") == 0
         mean = np.loadtxt(out / "mean.csv", ndmin=1)
@@ -810,7 +879,7 @@ class TestSubtractMean:
         lams = [np.exp(2j * np.pi / 10), np.exp(2j * np.pi / 20)]
         X, _ = planted_matrix(12, 60, lams, [2.0, 1.0], seed=13)
         path, mask, art = tmp_path / "data.csv", tmp_path / "mask.csv", tmp_path / "art"
-        save_matrix(SnapshotMatrix(X.data + rng.uniform(5.0, 10.0, (12, 1))), path, "csv")
+        save_matrix(SnapshotMatrix(X.data + rng.uniform(5.0, 10.0, (12, 1))), path)
         mask.write_text("1,1,1,1\n1,0,1,1\n1,1,1,0\n")
         load = ("--mask", mask, "--grid-shape", 3, 4, "--cycles", 3)
         assert run("decompose", path, *load, "--rank", 4, "--subtract-mean", "--out", art) == 0
@@ -945,7 +1014,7 @@ class TestFullFitLoss:
         X, _ = planted_matrix(20, 60, lams, [5.0, 2.0, 1.0, 0.5, 0.3], seed=13)
         data = X.data + 1e-9 * rng.standard_normal(X.data.shape)
         path, art = tmp_path / "data.csv", tmp_path / "art"
-        save_matrix(SnapshotMatrix(data), path, "csv")
+        save_matrix(SnapshotMatrix(data), path)
         assert run("decompose", path, *flags, "--out", art) == 0
         loss = json.loads((art / "summary.json").read_text())["full_fit_loss_percent"]
         rows = np.loadtxt(art / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
@@ -1056,7 +1125,7 @@ def five_mode_csv(tmp_path):
             0.6 * np.exp(2.5j)]
     X, _ = planted_matrix(20, 60, lams, [5.0, 2.0, 1.0, 0.5, 0.3], seed=13)
     path = tmp_path / "five.csv"
-    save_matrix(X, path, "csv")
+    save_matrix(X, path)
     return path
 
 
@@ -1224,7 +1293,7 @@ class TestReconstruct:
         the float64 eigenvectors of an all-real spectrum."""
         data = smoke_matrix() if signal == "smoke" else real_exponentials(rng, 6, [0.9, 0.5], 40)
         path, art, out = tmp_path / "data.csv", tmp_path / "art", tmp_path / "rec"
-        save_matrix(SnapshotMatrix(data), path, "csv")
+        save_matrix(SnapshotMatrix(data), path)
         with warns_of(*((KRYLOV,) if "cdmd" in flags else ())):
             assert run("decompose", path, *flags, "--out", art) == 0
         assert run("reconstruct", "--artifacts", art, "--input", path, "--at", 0, "--at", 38,
@@ -1235,7 +1304,7 @@ class TestReconstruct:
     def test_input_with_cycles_mask_and_grid_shape(self, tmp_path):
         X, _ = planted_matrix(12, 60, [0.95 * np.exp(0.4j), 0.9], [2.0, 1.0], seed=13)
         path, mask = tmp_path / "data.csv", tmp_path / "mask.csv"
-        save_matrix(X, path, "csv")
+        save_matrix(X, path)
         mask.write_text("1,1,1,1\n1,0,1,1\n1,1,1,0\n")
         load = ("--mask", mask, "--grid-shape", 3, 4, "--cycles", 3)
         art, out = tmp_path / "art", tmp_path / "rec"
@@ -1250,7 +1319,7 @@ class TestReconstruct:
     def test_index_past_the_input_has_a_null_error(self, tmp_path):
         X, _ = planted_matrix(12, 40, [0.95 * np.exp(0.4j), 0.9], [2.0, 1.0], seed=13)
         path, art, out = tmp_path / "data.csv", tmp_path / "art", tmp_path / "rec"
-        save_matrix(X, path, "csv")
+        save_matrix(X, path)
         assert run("decompose", path, "--rank", 3, "--out", art) == 0
         assert run("reconstruct", "--artifacts", art, "--at", 0, "--at", 60,
                    "--input", path, "--out", out) == 0
@@ -1289,8 +1358,8 @@ class TestReconstruct:
         path, short = tmp_path / "six.csv", tmp_path / "five.csv"
         art, out = tmp_path / "art", tmp_path / "rec"
         data = rng.standard_normal((6, 30))
-        save_matrix(SnapshotMatrix(data), path, "csv")
-        save_matrix(SnapshotMatrix(data[:5]), short, "csv")
+        save_matrix(SnapshotMatrix(data), path)
+        save_matrix(SnapshotMatrix(data[:5]), short)
         assert run("decompose", path, "--rank", 2, "--out", art) == 0
         capsys.readouterr()
         assert run("reconstruct", "--artifacts", art, "--at", 0, "--input", short,
@@ -1310,7 +1379,7 @@ class TestReconstruct:
         v = rng.standard_normal(5) + 2.0
         X = SnapshotMatrix(np.column_stack([v] * 12))
         path = tmp_path / "const.csv"
-        save_matrix(X, path, "csv")
+        save_matrix(X, path)
         art = tmp_path / "art"
         assert run("decompose", path, "--rank", 1, "--out", art) == 0
         out = tmp_path / "rec"
@@ -1327,7 +1396,7 @@ class TestReconstruct:
         # step 7,000, so neither request can be written
         X, _ = planted_matrix(8, 40, [1.05, 0.9 * np.exp(0.5j)], [1.0, 1.0], seed=5)
         path, art, out = tmp_path / "data.csv", tmp_path / "art", tmp_path / "rec"
-        save_matrix(X, path, "csv")
+        save_matrix(X, path)
         assert run("decompose", path, "--rank", 3, "--out", art) == 0
         capsys.readouterr()
         assert run("reconstruct", "--artifacts", art, "--at", 0, *request_flags,
@@ -1337,8 +1406,8 @@ class TestReconstruct:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [("--cycles", 3), ("--grid-shape", 3, 4),
-                                       ("--mask", "mask.csv"), ("--format", "raw-float64"),
-                                       ("--header",), ("--transpose",)],
+                                       ("--mask", "mask.csv"), ("--header",),
+                                       ("--transpose",)],
                              ids=lambda flags: flags[0])
     def test_load_flag_without_input_is_usage_error(self, tmp_path, planted_csv, capsys,
                                                     flags):
@@ -1350,12 +1419,11 @@ class TestReconstruct:
         assert f"{flags[0]} without --input" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, error", [
-        (("--mask", "mask.csv"), "--mask requires --grid-shape"),
-        (("--format", "raw-float64", "--header"),
-         "--header applies to --format csv only, not raw-float64"),
+    @pytest.mark.parametrize("name, flags, error", [
+        ("in.csv", ("--mask", "mask.csv"), "--mask requires --grid-shape"),
+        ("in.npy", ("--header",), "--header applies to CSV input only, not the .npy file {}"),
     ], ids=["mask", "header"])
-    def test_input_layout_error_reads_no_file(self, tmp_path, monkeypatch, capsys, flags,
+    def test_input_layout_error_reads_no_file(self, tmp_path, monkeypatch, capsys, name, flags,
                                               error):
         """--input's layout rules are usage errors, found before the run reads
         the model or the input: the model here is an empty directory."""
@@ -1364,8 +1432,8 @@ class TestReconstruct:
         monkeypatch.setattr(cli, "_load_model", unread)
         monkeypatch.setattr(cli, "load_matrix", unread)
         assert run("reconstruct", "--artifacts", art, "--at", 0, "--input",
-                   tmp_path / "in.csv", *flags, "--out", out) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+                   tmp_path / name, *flags, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error.format(tmp_path / name)}"]
         assert not out.exists()
 
     def test_takes_no_subtract_mean_flag(self, tmp_path, planted_csv):
@@ -1437,6 +1505,12 @@ def _modes_npz(art):
         np.savez(fh, modes=modes)
 
 
+def _trailing_byte(art):
+    """Damage to the model: a byte after the array in modes.npy."""
+    path = art / "model" / "modes.npy"
+    path.write_bytes(path.read_bytes() + b"\x00")
+
+
 def _no_eigenvalues(art):
     """Damage to the model: every eigenvalue dropped, with its amplitude, index and mode."""
     model = read_model(art)
@@ -1451,12 +1525,14 @@ def _no_eigenvalues(art):
 # "missing" and "n_train-missing" cases.
 MODEL_DAMAGE = {
     "model-a-file": (_model_a_file, "[Errno 20] Not a directory: '<model>/method.npy'"),
-    "modes-npz": (_modes_npz, r"the magic string is not correct; expected b'\x93NUMPY', "
-                              r"got b'PK\x03\x04-\x00'"),  # a zip64 member's local header
+    "modes-npz": (_modes_npz, r"<model>/modes.npy: the magic string is not correct; expected "
+                              r"b'\x93NUMPY', got b'PK\x03\x04-\x00'"),  # a zip64 local header
     "modes-not-npy": (lambda art: (art / "model" / "modes.npy").write_text("index,re,im\n0,1,0\n"),
-                      r"the magic string is not correct; expected b'\x93NUMPY', got b'index,'"),
+                      r"<model>/modes.npy: the magic string is not correct; expected "
+                      r"b'\x93NUMPY', got b'index,'"),
+    "modes-trailing-bytes": (_trailing_byte, "<model>/modes.npy: bytes after the array"),
     "object-dtype": (_set_field("modes", lambda _: np.array([1, "a"], dtype=object)),
-                     "Object arrays cannot be loaded when allow_pickle=False"),
+                     "<model>/modes.npy: Object arrays cannot be loaded when allow_pickle=False"),
     "missing": (_set_field("mean", lambda _: None),
                 "[Errno 2] No such file or directory: '<model>/mean.npy'"),
     "n_train-missing": (_set_field("n_train", lambda _: None),
@@ -1531,7 +1607,8 @@ class TestReconstructArtifacts:
         model_fails(tmp_path, art, capsys, case)
 
     @pytest.mark.parametrize("case", [
-        "model-a-file", "modes-npz", "modes-not-npy", "n_train-missing", "real-eigenvalues",
+        "model-a-file", "modes-npz", "modes-not-npy", "modes-trailing-bytes",
+        "n_train-missing", "real-eigenvalues",
         "complex64-amplitudes", "float-indices", "n_train-vector", "method-number",
         "amplitudes-short", "indices-long", "n_train-negative", "no-eigenvalues"])
     def test_unreadable_artifact_exits_2_naming_it(self, tmp_path, art, capsys, case):
@@ -1759,7 +1836,7 @@ class TestIngestInfo:
                                        ("--grid-shape", 2, 3, "--cycles", 2)])
     def test_grid_shape_is_the_one_decompose_reports(self, tmp_path, rng, capsys, flags):
         path, out = tmp_path / "six.csv", tmp_path / "art"
-        save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path, "csv")
+        save_matrix(SnapshotMatrix(rng.standard_normal((6, 30))), path)
         assert run("ingest-info", path, *flags) == 0
         info = json.loads(capsys.readouterr().out)
         assert run("decompose", path, "--rank", 2, *flags, "--out", out) == 0
@@ -1853,7 +1930,7 @@ class TestRuntimeImports:
         that argparse finds, without the usage; --help prints the usage."""
         vs = np.random.default_rng(0).standard_normal((4, 6))
         path = tmp_path / "periodic.csv"  # period 4: a rank-deficient Krylov sequence
-        save_matrix(SnapshotMatrix(np.column_stack([vs[k % 4] for k in range(9)])), path, "csv")
+        save_matrix(SnapshotMatrix(np.column_stack([vs[k % 4] for k in range(9)])), path)
         warned = _run_python("-m", "koopmode", "decompose", str(path), "--method", "cdmd",
                              "--out", str(tmp_path / "art"))
         assert warned.returncode == 0
@@ -1928,7 +2005,7 @@ class TestBlasThreads:
                           for w, phase in zip(rng.uniform(0.1, 3, 8), rng.uniform(0, 6, 8))])
         data = rng.standard_normal((200, 8)) @ waves + 0.1 * rng.standard_normal((200, 400))
         path = tmp_path / "data.csv"
-        save_matrix(SnapshotMatrix(data[:, :n_steps]), path, "csv")
+        save_matrix(SnapshotMatrix(data[:, :n_steps]), path)
         fits = []
         for threads in (1, 2):
             art = tmp_path / f"art{threads}"
@@ -1955,7 +2032,7 @@ def jordan_chain(n_steps: int = 20) -> np.ndarray:
 @pytest.fixture
 def jordan_csv(tmp_path):
     path = tmp_path / "jordan.csv"
-    save_matrix(SnapshotMatrix(jordan_chain()), path, "csv")
+    save_matrix(SnapshotMatrix(jordan_chain()), path)
     return path
 
 
@@ -1984,7 +2061,7 @@ class TestFindings:
         """Period 4: a rank-deficient Krylov sequence and a near-singular form for cdmd."""
         vs = np.random.default_rng(0).standard_normal((4, 6))
         path = tmp_path / "periodic.csv"
-        save_matrix(SnapshotMatrix(np.column_stack([vs[k % 4] for k in range(9)])), path, "csv")
+        save_matrix(SnapshotMatrix(np.column_stack([vs[k % 4] for k in range(9)])), path)
         return path
 
     def test_each_finding_prints_one_line(self, tmp_path, jordan_csv):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import re
 import stat
 import sys
 import threading
@@ -38,42 +39,60 @@ class TestLoadMatrix:
         rng = np.random.default_rng(0)
         data = rng.standard_normal((600, 1548))
         path = tmp_path / "monthly.csv"
-        save_matrix(SnapshotMatrix(data), path, "csv")
+        save_matrix(SnapshotMatrix(data), path)
         X = load_matrix(path)
         assert X.p == 600 and X.n_steps == 1548
         assert np.max(np.abs(X.data - data)) <= 1e-12 * np.max(np.abs(data))
 
     def test_raw_float64_roundtrip_bit_exact(self, tmp_path):
+        """A .npy input holds the raw float64 bytes: it loads bit for bit."""
         rng = np.random.default_rng(1)
         data = rng.standard_normal((4, 5))
-        path = tmp_path / "raw.bin"
-        save_matrix(SnapshotMatrix(data), path, "raw-float64")
-        X = load_matrix(path, format="raw-float64")
+        path = tmp_path / "raw.npy"
+        save_matrix(SnapshotMatrix(data), path)
+        assert np.array_equal(np.load(path), data)
+        X = load_matrix(path)
         assert X.data.shape == (4, 5)
         assert np.array_equal(X.data, data)  # bit-identical
 
     def test_raw_header_payload_mismatch(self, tmp_path):
-        path = tmp_path / "raw.bin"
-        save_matrix(SnapshotMatrix(np.ones((4, 5))), path, "raw-float64")
-        path.with_suffix(".bin.json").write_text('{"rows": 4, "cols": 6}')
-        with pytest.raises(ValueError, match="header"):
-            load_matrix(path, format="raw-float64")
+        """A .npy file shorter than its header declares is refused, naming it."""
+        path = tmp_path / "raw.npy"
+        save_matrix(SnapshotMatrix(np.ones((4, 5))), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*Expected \\(4, 5\\) = 20 elements"):
+            load_matrix(path)
 
     def test_raw_payload_with_trailing_bytes_is_rejected(self, tmp_path):
-        """np.fromfile drops a partial last value, so the file's size is checked first."""
-        path = tmp_path / "raw.bin"
-        save_matrix(SnapshotMatrix(np.ones((2, 3))), path, "raw-float64")
+        """np.fromfile stops at the values the header declares, so what
+        follows them is checked for."""
+        path = tmp_path / "raw.npy"
+        save_matrix(SnapshotMatrix(np.ones((2, 3))), path)
         with open(path, "ab") as fh:
             fh.write(b"\x00" * 3)
-        with pytest.raises(ValueError, match="payload holds 51 bytes"):
-            load_matrix(path, format="raw-float64")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bytes after the array$"):
+            load_matrix(path)
 
     def test_header_with_raw_input_is_rejected(self, tmp_path):
-        """A raw payload has no header line to skip: the flag is an error, not ignored."""
-        path = tmp_path / "raw.bin"
-        save_matrix(SnapshotMatrix(np.ones((4, 5))), path, "raw-float64")
-        with pytest.raises(ValueError, match="header applies to csv input only"):
-            load_matrix(path, format="raw-float64", header=True)
+        """A .npy file has no header line to skip: the flag is an error, not
+        ignored, raised before the file is read."""
+        path = tmp_path / "raw.npy"
+        with pytest.raises(ValueError, match="header applies to CSV input only, not the "
+                                             f".npy file {re.escape(str(path))}"):
+            load_matrix(path, header=True)
+
+    @pytest.mark.parametrize("array", [
+        np.arange(12.0).reshape(3, 4), np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(12).reshape(3, 4), np.arange(12, dtype=np.uint8).reshape(3, 4),
+        np.arange(12, dtype=np.float32).reshape(3, 4), np.eye(3, 4, dtype=bool),
+        np.arange(12.0).reshape(3, 4).astype(">f8"),
+    ], ids=["float64", "fortran", "int64", "uint8", "float32", "bool", "big-endian"])
+    def test_npy_of_any_real_kind_loads_as_float64(self, tmp_path, array):
+        path = tmp_path / "x.npy"
+        np.save(path, array)
+        X = load_matrix(path)
+        assert X.data.dtype == np.float64 and X.data.flags.c_contiguous
+        np.testing.assert_array_equal(X.data, array)
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -109,7 +128,7 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match=f"{name} has a dimension below 1"):
             SnapshotMatrix(np.ones((6, 3)), grid_shape=grid)
         path = tmp_path / "six.csv"
-        save_matrix(SnapshotMatrix(np.ones((6, 3))), path, "csv")
+        save_matrix(SnapshotMatrix(np.ones((6, 3))), path)
         with pytest.raises(ValueError) as error:
             load_matrix(path, grid_shape=grid)
         assert str(error.value).startswith(f"{path}: {name} has a dimension below 1")
@@ -173,7 +192,11 @@ class TestParseCache:
         lambda entry: entry.write_bytes(b"not an npy file"),
         lambda entry: entry.write_bytes(b""),
         lambda entry: np.save(entry, np.arange(6).reshape(2, 3)),  # not float64
-    ], ids=["data-truncated", "header-truncated", "garbage", "empty", "int-array"])
+        lambda entry: entry.write_bytes(entry.read_bytes() + b"\x00"),
+        lambda entry: entry.write_bytes(  # read_array raises TypeError on a bool dimension
+            entry.read_bytes().replace(b"(2, 3), }", b"(True, 3), }").replace(b"   \n", b"\n", 1)),
+    ], ids=["data-truncated", "header-truncated", "garbage", "empty", "int-array",
+            "trailing-bytes", "bool-shape"])
     def test_damaged_entry_is_parsed_again_and_replaced(self, tmp_path, cache, damage):
         path = tmp_path / "x.csv"
         path.write_text("1,2,3\n4,5,6\n")
@@ -252,6 +275,14 @@ class TestParseCache:
             fh.write("1,2,3\n4,5,6\n")
         np.testing.assert_array_equal(load_matrix(tmp_path / "x.csv.gz").data,
                                       [[1, 2, 3], [4, 5, 6]])
+        assert self.entries(cache) == []
+
+    def test_npy_input_is_neither_parsed_nor_hashed_nor_stored(self, tmp_path, cache,
+                                                                monkeypatch):
+        path = tmp_path / "x.npy"
+        np.save(path, np.arange(6.0).reshape(2, 3))
+        monkeypatch.setattr(snapshots, "_parse_cached", None)
+        np.testing.assert_array_equal(load_matrix(path).data, [[0, 1, 2], [3, 4, 5]])
         assert self.entries(cache) == []
 
     def test_hashed_before_the_parse_only_when_an_entry_has_its_size(
@@ -503,7 +534,7 @@ class TestSubtractMean:
 def test_csv_roundtrip_tolerance(tmp_path, rng):
     data = rng.standard_normal((7, 9)) * 1e3
     path = tmp_path / "rt.csv"
-    save_matrix(SnapshotMatrix(data), path, "csv")
+    save_matrix(SnapshotMatrix(data), path)
     back = load_matrix(path)
     assert np.max(np.abs(back.data - data)) <= 1e-12 * np.max(np.abs(data))
 
@@ -532,14 +563,14 @@ def test_write_csv_roundtrip_bit_exact(tmp_path, rng):
     (lambda tmp: SnapshotMatrix(np.ones(4)), ValueError, r"must be 2-D, got shape \(4,\)"),
     (lambda tmp: SnapshotMatrix(np.ones((5, 3)), cycles=2), ValueError,
      "p=5 does not split into 2 cycles"),
-    (lambda tmp: load_matrix(tmp / "x.csv", format="npy"), ValueError, "format must be one of"),
-    (lambda tmp: save_matrix(SnapshotMatrix(np.ones((2, 3))), tmp / "x.npy", format="npy"),
-     ValueError, "format must be one of"),
-    (lambda tmp: load_matrix(tmp / "x.bin", format="raw-float64"), FileNotFoundError,
-     "missing sidecar header .*x.bin.json"),
+    (lambda tmp: load_matrix(tmp / "x.npy", header=True), ValueError,
+     "header applies to CSV input only"),
+    (lambda tmp: save_matrix(SnapshotMatrix(np.ones((2, 3))), tmp / "x.csv.gz"),
+     ValueError, "save_matrix writes .npy or plain CSV, not a compressed file"),
+    (lambda tmp: load_matrix(tmp / "x.npy"), FileNotFoundError, "No such file.*x.npy"),
     (lambda tmp: unstack_cycles(SnapshotMatrix(np.ones((5, 3))), 2), ValueError,
      "p=5 not divisible by cycle length 2"),
-], ids=["not-2d", "cycles", "load-format", "save-format", "no-sidecar", "unstack"])
+], ids=["not-2d", "cycles", "load-format", "save-format", "no-file", "unstack"])
 def test_invalid_argument_names_its_fault(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
