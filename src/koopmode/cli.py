@@ -145,8 +145,8 @@ def _load_input(args: argparse.Namespace) -> tuple[SnapshotMatrix, np.ndarray]:
     return X, np.zeros(X.p)
 
 
-def _admm_params(args: argparse.Namespace, **extra) -> AdmmParams:
-    return AdmmParams(**{name: getattr(args, name) for name in ADMM_FLAGS}, **extra)
+def _admm_params(args: argparse.Namespace) -> AdmmParams:
+    return AdmmParams(**{name: getattr(args, name) for name in ADMM_FLAGS})
 
 
 def _reject_ignored_flags(args: argparse.Namespace) -> None:
@@ -290,8 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _check_out(args)
     X, _ = _load_input(args)
     _, form = _decompose(args, X)
-    solutions = gamma_sweep(form, gammas,
-                            _admm_params(args, warm_start=not args.no_warm_start))
+    solutions = gamma_sweep(form, gammas, _admm_params(args))
     stalled = sum(not s.admm.converged for s in solutions)
     if stalled:
         warnings.warn(f"the splitting stopped at --max-iter {args.max_iter} without converging at"
@@ -507,8 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--gamma-min", type=_bounded(float, 0), default=1e-3)
     sweep.add_argument("--gamma-max", type=_bounded(float, 0), default=1e3)
     sweep.add_argument("--gamma-count", type=_bounded(int, 1), default=50)
-    sweep.add_argument("--no-warm-start", action="store_true",
-                       help="start each gamma's solve from zero")
     for p in (decompose, sweep):
         _add_dmd_args(p)
     for p in (info, decompose):  # the two that report it: sweep has no summary to label

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import math
 import os
 import tempfile
 import time
@@ -142,16 +143,24 @@ def save_matrix(X: SnapshotMatrix, path: str | Path) -> None:
 def read_npy(path: str | Path) -> np.ndarray:
     """The one array of the .npy file at path, read without unpickling (not
     np.load, which also opens an .npz and may unpickle). A file that is not
-    exactly one such array, bytes after it included, raises ValueError naming
-    it."""
+    exactly one such array raises ValueError naming it, and one whose bytes
+    after the header are not the prod(shape) * itemsize it declares does so
+    before anything the header sizes is allocated."""
     with open(path, "rb") as fh:
         try:
-            data = npy.read_array(fh, allow_pickle=False)
+            # any header read_array takes fits, and no read past head's end allocates
+            head = io.BytesIO(fh.read(1 << 16))
+            version = npy.read_magic(head)
+            shape, _, dtype = (npy.read_array_header_1_0 if version == (1, 0)
+                               else npy.read_array_header_2_0)(head)
+            declared = math.prod(shape) * dtype.itemsize
+            held = os.fstat(fh.fileno()).st_size - head.tell()
+            if declared != held and not dtype.hasobject:  # read_array refuses an object array
+                raise ValueError(f"header declares {declared} bytes, file holds {held}")
+            fh.seek(0)
+            return npy.read_array(fh, allow_pickle=False)
         except (TypeError, ValueError) as exc:  # TypeError: a bool in the header's shape
             raise ValueError(f"{path}: {exc}") from None
-        if fh.read(1):
-            raise ValueError(f"{path}: bytes after the array")
-    return data
 
 
 def write_csv(path: str | Path, rows, fmt: str | None = None,

@@ -170,7 +170,6 @@ class AdmmParams:
     eps_abs: float = 1e-6
     eps_rel: float = 1e-4
     max_iter: int = 10000
-    warm_start: bool = True
 
 
 @dataclass
@@ -439,15 +438,15 @@ def gamma_sweep(
     gammas: np.ndarray,
     params: AdmmParams = AdmmParams(),
 ) -> list[SparseSolution]:
-    """Solve ascending in gamma, warm-starting each solve from the previous one's
-    state: z, u and final rho (disable via params.warm_start for independent
-    evaluation, every solve then starting from zeros at params.rho)."""
+    """Solve ascending in gamma, each solve starting from the previous one's
+    state: z, u and final rho. The first starts from zeros at params.rho, as
+    solve_at_gamma without a start does at any one gamma."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if gammas.size == 0:
         raise ValueError("gamma grid is empty")
     solutions: list[SparseSolution] = []
     for gamma in np.sort(gammas, kind="stable"):
-        start = solutions[-1].admm if solutions and params.warm_start else None
+        start = solutions[-1].admm if solutions else None
         solutions.append(solve_at_gamma(form, gamma, params, start))
     return solutions
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +65,27 @@ def allocation_peak(fn, *args):
         return out, tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def npy_with_header(path, header, payload):
+    """Write path as a version 1.0 .npy file: header, the text of its
+    dictionary, padded as numpy pads it, then the payload bytes."""
+    text = header.encode("latin1")
+    text += b" " * (63 - (10 + len(text)) % 64) + b"\n"
+    path.write_bytes(b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text + payload)
+
+
+def fail_read_array_on(monkeypatch, path) -> None:
+    """Make numpy.lib.format.read_array, which allocates the array a .npy
+    header declares, fail if it is called on the file at path."""
+    read_array = np.lib.format.read_array
+
+    def checked(fh, *args, **kwargs):
+        if Path(fh.name).resolve() == Path(path).resolve():
+            raise AssertionError(f"read_array was called on {path}")
+        return read_array(fh, *args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "read_array", checked)
 
 
 @pytest.fixture(autouse=True, scope="session")

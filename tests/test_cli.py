@@ -25,7 +25,8 @@ from koopmode import (AdmmParams, SnapshotMatrix, conjugate_pairs,
 from koopmode.dmd import real_matmul
 from koopmode import __main__ as entry, cli, dmd, spdmd
 from koopmode.cli import main, render_heatmap
-from conftest import allocation_peak, planted_matrix, real_exponentials, smoke_matrix
+from conftest import (allocation_peak, fail_read_array_on, npy_with_header, planted_matrix,
+                      real_exponentials, smoke_matrix)
 
 # a warning that the companion fit or the command raises is asserted where it is raised
 pytestmark = pytest.mark.filterwarnings(r"error::UserWarning:koopmode\.(cdmd|cli)\Z")
@@ -682,11 +683,11 @@ class TestGridLayout:
         assert json.loads((out / "summary.json").read_text())["grid_shape"] == [1, 6]
 
 
-class TestRawInputHeader:
-    """--header skips one CSV line. A .npy input holds raw binary values with
-    no line to skip, so with one the flag is a usage error, exit 1, in every
-    subcommand that loads input: found from the suffix before any file is
-    read, publishing nothing."""
+class TestNpyInputHeader:
+    """--header skips one CSV line. A .npy input opens with numpy's binary
+    header, which read_npy reads, not a line of text to skip, so with one the
+    flag is a usage error, exit 1, in every subcommand that loads input: found
+    from the suffix before any file is read, publishing nothing."""
 
     @pytest.mark.parametrize("command", [
         ("decompose", "--rank", 2), ("sweep", "--rank", 2, "--gamma-count", 2),
@@ -716,24 +717,21 @@ class TestRawInputHeader:
         assert run(*args, *flags) == 0  # the flag alone fails
 
 
-def npy_with_header(path, header, payload):
-    """Write path as a version 1.0 .npy file: header, the text of its
-    dictionary, padded as numpy pads it, then the payload bytes."""
-    text = header.encode("latin1")
-    text += b" " * (63 - (10 + len(text)) % 64) + b"\n"
-    path.write_bytes(b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text + payload)
+# a version 1.0 header declaring 10^6 x 10^6 float64, 8e12 bytes: a 176-byte file
+# with npy_with_header's padding and 48 bytes of payload
+HUGE_HEADER = "{'descr': '<f8', 'fortran_order': False, 'shape': (1000000, 1000000), }"
 
 
-class TestRawSidecar:
-    """A .npy file's header gives its rows and cols, as the JSON sidecar of
-    the raw-float64 input that .npy replaced did, and keeps that format's
-    cases: a header that does not give them as non-negative integers of a 2-D
-    array exits 2 naming the file."""
+class TestNpyHeader:
+    """A .npy file's header, a Python dictionary literal, gives the array's
+    dtype and shape: one that is not a dictionary, or whose shape is not a
+    tuple of non-negative integers of two dimensions, exits 2 naming the
+    file."""
 
     @pytest.mark.parametrize("shape", [
         "(12,)", "('4', 3)", "(-4, 3)", "(True, 12)", "[4, 3]", "{rows: 4, cols: 3}",
     ], ids=["no-cols", "string-rows", "negative", "boolean", "not-an-object", "not-json"])
-    def test_malformed_sidecar_exits_2_naming_it(self, tmp_path, capsys, shape):
+    def test_malformed_header_exits_2_naming_it(self, tmp_path, capsys, shape):
         raw = tmp_path / "raw.npy"
         header = (shape if shape[0] in "[{" else
                   f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape}, }}")
@@ -782,10 +780,9 @@ class TestNpyInput:
          " holds a float64 array of shape (2, 3, 5), not a 2-D array of bool, int or float"),
         (lambda path: (np.save(path, np.ones((6, 5))),
                        path.write_bytes(path.read_bytes()[:-1])),
-         ": Failed to read all data for array. Expected (6, 5) = 30 elements, could only "
-         "read 29 elements. (file seems not fully written?)"),
+         ": header declares 240 bytes, file holds 239"),
         (lambda path: (np.save(path, np.ones((6, 5))), path.write_bytes(path.read_bytes() * 2)),
-         ": bytes after the array"),
+         ": header declares 240 bytes, file holds 608"),  # 128 header bytes, 240 data bytes
     ], ids=["pickled", "complex", "1-d", "3-d", "truncated", "trailing-bytes"])
     def test_not_one_real_2d_array_exits_2_naming_it(self, tmp_path, capsys, monkeypatch,
                                                      write, held):
@@ -796,6 +793,18 @@ class TestNpyInput:
         assert run("decompose", path, "--out", out) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {path}{held}"]
         assert not out.exists()
+
+    def test_oversized_header_exits_2_allocating_nothing(self, tmp_path, capsys, monkeypatch):
+        """A header that declares more bytes than the file holds is refused from
+        the header, naming the file, before read_array allocates 7.28 TiB."""
+        path = tmp_path / "huge.npy"
+        npy_with_header(path, HUGE_HEADER, bytes(48))
+        assert path.stat().st_size == 176
+        fail_read_array_on(monkeypatch, path)
+        capsys.readouterr()
+        assert run("ingest-info", path) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: header declares 8000000000000 bytes, file holds 48"]
 
 
 class TestLandMask:
@@ -1105,6 +1114,19 @@ class TestSweep:
                 row["converged"] == "true", int(row["cardinality"])) == (
             summary["full_fit_loss_percent"], admm["iterations"], admm["rho"],
             admm["converged"], summary["rank"])
+
+    def test_takes_no_warm_start_flag(self, planted_csv, tmp_path, capsys):
+        """A sweep has one solve order, each gamma started from the last one's
+        solve; the solve at one gamma from zeros is decompose --method spdmd
+        --gamma (test_one_gamma_row_is_the_decompose_fit)."""
+        path, _ = planted_csv
+        out = tmp_path / "sw"
+        capsys.readouterr()
+        assert run("sweep", path, "--rank", 3, "--gamma-count", 3, "--no-warm-start",
+                   "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unrecognized arguments: --no-warm-start"]
+        assert not out.exists()
 
     def test_takes_no_dt_label_flag(self, planted_csv, tmp_path, capsys):
         """sweep writes no summary.json, so it has no time unit to record."""
@@ -1511,6 +1533,15 @@ def _trailing_byte(art):
     path.write_bytes(path.read_bytes() + b"\x00")
 
 
+def _oversized_modes(art):
+    """Damage to the model: modes.npy's header declares 10^6 x 10^6 values,
+    its version 1.0 header replaced and its values kept, read as bytes."""
+    path = art / "model" / "modes.npy"
+    raw = path.read_bytes()
+    payload = raw[10 + int.from_bytes(raw[8:10], "little"):]
+    npy_with_header(path, HUGE_HEADER.replace("<f8", "<c16"), payload)
+
+
 def _no_eigenvalues(art):
     """Damage to the model: every eigenvalue dropped, with its amplitude, index and mode."""
     model = read_model(art)
@@ -1530,7 +1561,10 @@ MODEL_DAMAGE = {
     "modes-not-npy": (lambda art: (art / "model" / "modes.npy").write_text("index,re,im\n0,1,0\n"),
                       r"<model>/modes.npy: the magic string is not correct; expected "
                       r"b'\x93NUMPY', got b'index,'"),
-    "modes-trailing-bytes": (_trailing_byte, "<model>/modes.npy: bytes after the array"),
+    "modes-oversized-header": (_oversized_modes, "<model>/modes.npy: header declares "
+                                                 "16000000000000 bytes, file holds 384"),
+    "modes-trailing-bytes": (_trailing_byte,
+                             "<model>/modes.npy: header declares 384 bytes, file holds 385"),
     "object-dtype": (_set_field("modes", lambda _: np.array([1, "a"], dtype=object)),
                      "<model>/modes.npy: Object arrays cannot be loaded when allow_pickle=False"),
     "missing": (_set_field("mean", lambda _: None),
@@ -1613,6 +1647,13 @@ class TestReconstructArtifacts:
         "amplitudes-short", "indices-long", "n_train-negative", "no-eigenvalues"])
     def test_unreadable_artifact_exits_2_naming_it(self, tmp_path, art, capsys, case):
         model_fails(tmp_path, art, capsys, case)
+
+    def test_oversized_header_is_refused_before_read_array(self, tmp_path, art, capsys,
+                                                           monkeypatch):
+        """A field whose header declares more bytes than its file holds is
+        refused from the header: nothing is allocated for it."""
+        fail_read_array_on(monkeypatch, art / "model" / "modes.npy")
+        model_fails(tmp_path, art, capsys, "modes-oversized-header")
 
     def test_intact_artifacts_reconstruct(self, tmp_path, art, planted_csv):
         """The fixture's artifacts pass every check: the damage alone fails."""

@@ -18,18 +18,31 @@ back every warning, the library's too, until the run succeeds. A refused
 run that exits 0 writes only strict JSON (no NaN or infinity) and a finite
 sweep table, and `reconstruct --at 0 --horizon 3 --input` of a decompose's
 own artifacts exits 0 too.
+
+The damage cases feed the one .npy reader damaged files, drawn from seeds of
+their own: an input, a parse-cache entry or a field of decompose's model/,
+truncated, with bytes appended, with the header's shape, dtype or
+fortran_order edited, or with its magic string or version corrupted. Each
+damage leaves a file no reader can take for the array it held: a damaged
+input or model field exits 2 with one error line naming the file, and a
+damaged cache entry is a miss, parsed again to np.loadtxt's array.
 """
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
-from koopmode.cli import main
+from koopmode import load_matrix
+from koopmode.cli import MODEL_FIELDS, main
+from conftest import npy_with_header
 
 SEED = 20261020
 N_CASES = 240
@@ -118,8 +131,7 @@ def random_command(rng: np.random.Generator, path: str, out: str, p: int,
         high = log_uniform(rng, 0, extreme(rng, 3, 308))
         argv += ["--gamma-min", low, "--gamma-max", low if count == 1 else high,
                  "--gamma-count", str(count), *solver_flags(rng, p, n)]
-        if rng.random() < 0.3:
-            argv.append("--no-warm-start")
+        rng.random()  # a spent draw, which keeps each later draw of a case as it was
     else:
         method = str(rng.choice(["dmd", "cdmd", "spdmd"]))
         argv += ["--method", method]
@@ -194,3 +206,88 @@ def test_generated_run_keeps_the_invariants(tmp_path, case):
         assert status == 0
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         strict_json((tmp_path / "rec" / "recon_report.json").read_text())
+
+
+DAMAGE_SEED = 20261022
+DAMAGE_TARGETS = ("input", "cache", "model")
+DAMAGE_KINDS = ("truncate", "append", "shape", "dtype", "fortran_order", "magic", "version")
+DAMAGE_DRAWS = 3  # cases of each target and kind
+DESCRS = ("<f2", "<f4", "<f8", "<c16", "|u1", "<i2", "<U3")
+
+
+def damage(rng: np.random.Generator, kind: str, path) -> None:
+    """Damage the version 1.0 .npy file of at least one value at path as kind
+    says. An edited shape or dtype declares another number of bytes, or no
+    valid dtype, and an edited fortran_order is no bool: fortran_order True,
+    a shape of the same size or a dtype of the same itemsize would be another
+    array, not a damaged one."""
+    raw = path.read_bytes()
+    if kind in ("magic", "version"):  # bytes 0-5 are the magic string, 6-7 the version
+        at = int(rng.integers(6) if kind == "magic" else rng.integers(6, 8))
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ int(rng.integers(1, 256))]) + raw[at + 1:])
+        return
+    if kind in ("truncate", "append"):
+        path.write_bytes(raw[:rng.integers(len(raw))] if kind == "truncate"
+                         else raw + rng.bytes(int(rng.integers(1, 65))))
+        return
+    head = io.BytesIO(raw)
+    npy.read_magic(head)
+    shape, fortran_order, dtype = npy.read_array_header_1_0(head)
+    texts = {"descr": repr(npy.dtype_to_descr(dtype)), "fortran_order": repr(fortran_order),
+             "shape": repr(shape)}
+    if kind == "shape":
+        new = shape
+        while math.prod(new) == math.prod(shape):
+            new = ((10**6, 10**6) if rng.random() < 0.25
+                   else tuple(int(d) for d in rng.integers(0, 9, rng.integers(0, 4))))
+        texts["shape"] = repr(new)
+    elif kind == "dtype":
+        texts["descr"] = str(rng.choice([repr(descr) for descr in DESCRS
+                                         if np.dtype(descr).itemsize != dtype.itemsize]
+                                        + ["'|O'", "'<x9'", "3"]))
+    else:
+        texts["fortran_order"] = str(rng.choice(["0", "1", "None", "'False'", "()"]))
+    header = "{" + "".join(f"'{key}': {text}, " for key, text in texts.items()) + "}"
+    npy_with_header(path, header, raw[head.tell():])
+
+
+@pytest.mark.parametrize("target, kind, draw",
+                         itertools.product(DAMAGE_TARGETS, DAMAGE_KINDS, range(DAMAGE_DRAWS)),
+                         ids=lambda value: str(value))
+def test_damaged_npy_is_refused_naming_it(tmp_path, monkeypatch, target, kind, draw):
+    rng = np.random.default_rng([DAMAGE_SEED, DAMAGE_TARGETS.index(target),
+                                 DAMAGE_KINDS.index(kind), draw])
+    X = rng.standard_normal((int(rng.integers(2, 9)), int(rng.integers(4, 14))))
+    if target == "cache":
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        path = tmp_path / "data.csv"
+        np.savetxt(path, X, fmt="%.17g", delimiter=",")
+        expected = np.loadtxt(path, delimiter=",", ndmin=2)
+        load_matrix(path)
+        [entry] = (tmp_path / "xdg" / "koopmode").iterdir()
+        good = entry.read_bytes()
+        damage(rng, kind, entry)
+        assert load_matrix(path).data.tobytes() == expected.tobytes()
+        assert entry.read_bytes() == good  # the miss replaced it
+        return
+    if target == "input":
+        path = tmp_path / "data.npy"
+        np.save(path, X.astype(str(rng.choice(["<f8", "<f4", "<i8", "|b1"]))))
+        argv = (["ingest-info", str(path)] if rng.random() < 0.5
+                else ["decompose", str(path), "--rank", "1", "--out", str(tmp_path / "out")])
+        named = f"error: {path}: "
+    else:
+        csv = tmp_path / "data.csv"
+        np.savetxt(csv, X, fmt="%.17g", delimiter=",")
+        art = tmp_path / "art"
+        assert run(["decompose", str(csv), "--rank", "1", "--out", str(art)])[0] == 0
+        path = art / "model" / f"{rng.choice(list(MODEL_FIELDS))}.npy"
+        argv = ["reconstruct", "--artifacts", str(art), "--at", "0", "--out",
+                str(tmp_path / "out")]
+        named = f"error: {art / 'model'} is not a koopmode model (decompose again): {path}: "
+    damage(rng, kind, path)
+    status, stdout, stderr, caught = run(argv)
+    assert (status, stdout, [str(w.message) for w in caught]) == (2, "", [])
+    (error,) = stderr.splitlines()
+    assert error.startswith(named)
+    assert not (tmp_path / "out").exists() and not list(tmp_path.glob(".stage-*"))

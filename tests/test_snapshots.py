@@ -25,6 +25,7 @@ from koopmode import (
     unstack_cycles,
     write_csv,
 )
+from conftest import fail_read_array_on
 
 
 class TestLoadMatrix:
@@ -60,17 +61,19 @@ class TestLoadMatrix:
         path = tmp_path / "raw.npy"
         save_matrix(SnapshotMatrix(np.ones((4, 5))), path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*Expected \\(4, 5\\) = 20 elements"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header declares 160 "
+                                             "bytes, file holds 152$"):
             load_matrix(path)
 
     def test_raw_payload_with_trailing_bytes_is_rejected(self, tmp_path):
-        """np.fromfile stops at the values the header declares, so what
-        follows them is checked for."""
+        """np.fromfile stops at the values the header declares, so the bytes
+        the file holds are checked against them."""
         path = tmp_path / "raw.npy"
         save_matrix(SnapshotMatrix(np.ones((2, 3))), path)
         with open(path, "ab") as fh:
             fh.write(b"\x00" * 3)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bytes after the array$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header declares 48 "
+                                             "bytes, file holds 51$"):
             load_matrix(path)
 
     def test_header_with_raw_input_is_rejected(self, tmp_path):
@@ -207,6 +210,25 @@ class TestParseCache:
         np.testing.assert_array_equal(load_matrix(path).data, [[1, 2, 3], [4, 5, 6]])
         assert self.entries(cache) == [name]
         assert (cache / name).read_bytes() == good
+
+    def test_oversized_entry_is_a_miss_found_from_its_header(self, tmp_path, cache,
+                                                             monkeypatch):
+        """An entry whose header declares 10^6 x 10^6 float64 is a miss, found
+        from the header: read_array, which would allocate 7.28 TiB, is not
+        called on it, and the parse replaces it."""
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+        load_matrix(path)
+        [name] = self.entries(cache)
+        entry = cache / name
+        good = entry.read_bytes()
+        entry.write_bytes(good.replace(b"(2, 3), }", b"(1000000, 1000000), }")
+                          .replace(b" " * 12 + b"\n", b"\n", 1))
+        assert entry.stat().st_size == len(good)
+        fail_read_array_on(monkeypatch, entry)
+        assert (load_matrix(path).data.tobytes()
+                == np.loadtxt(path, delimiter=",", ndmin=2).tobytes())
+        assert entry.read_bytes() == good
 
     def test_cache_home_a_file_parses_as_without_a_cache(self, tmp_path, monkeypatch):
         home = tmp_path / "home-is-a-file"

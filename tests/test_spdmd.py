@@ -695,16 +695,19 @@ class TestResidualBalancing:
         assert max(len(v) - 1 for v in visits) <= spdmd.RHO_MAX_CHANGES
 
     def test_warm_sweep_carries_rho_and_cold_sweep_restarts(self, rng, monkeypatch):
+        """The sweep starts each gamma at the last one's final rho; the cold
+        sweep, one solve_at_gamma per gamma with no start, at params.rho."""
         visits = self.record_rhos(monkeypatch)
         form, _, _ = planted_form(rng, r=10, n_active=3)
         gammas = log_gamma_grid(1e-1, 1e4, 12)
-        warm = gamma_sweep(form, gammas, AdmmParams(rho=0.5))
+        params = AdmmParams(rho=0.5)
+        warm = gamma_sweep(form, gammas, params)
         assert visits[0][0] == 0.5
         assert len({rho for v in visits for rho in v}) > 2
         for k in range(1, len(gammas)):
             assert visits[k][0] == visits[k - 1][-1] == warm[k - 1].admm.rho
         del visits[:]
-        cold = gamma_sweep(form, gammas, AdmmParams(rho=0.5, warm_start=False))
+        cold = [solve_at_gamma(form, gamma, params) for gamma in gammas]
         assert [v[0] for v in visits] == [0.5] * len(gammas)
         assert [s.admm.rho for s in cold] == [v[-1] for v in visits]
 
@@ -1006,8 +1009,7 @@ class TestGammaSweep:
         assert sol.cardinality == sol.support.size
         np.testing.assert_array_equal(sol.support, detect_support(sol.admm.z, form.partner))
 
-    @pytest.mark.parametrize("warm_start", [True, False])
-    def test_each_row_polishes_its_own_support(self, rng, monkeypatch, warm_start):
+    def test_each_row_polishes_its_own_support(self, rng, monkeypatch):
         """One polish per gamma, also where consecutive supports repeat, and
         each row is bitwise the polish and objective of its support."""
         form, _, _ = planted_form(rng, r=10, n_active=3, M=200)
@@ -1018,8 +1020,7 @@ class TestGammaSweep:
             return polish(form, support)
 
         monkeypatch.setattr(spdmd, "polish", spy)
-        solutions = gamma_sweep(form, log_gamma_grid(1e-2, 1e5, 30),
-                                AdmmParams(warm_start=warm_start))
+        solutions = gamma_sweep(form, log_gamma_grid(1e-2, 1e5, 30))
         assert len(calls) == len(solutions)
         assert any(np.array_equal(a.support, b.support) for a, b in zip(solutions, solutions[1:]))
         for s in solutions:
@@ -1055,15 +1056,20 @@ class TestGammaSweep:
         for s in hits:
             np.testing.assert_array_equal(np.sort(s.support), active)
 
-    def test_warm_start_off_matches_sequential(self, rng):
+    def test_sweep_matches_independent_solves(self, rng):
+        """Each row of the sweep has the support of a solve started from zeros
+        at its gamma alone, and so, bit for bit, its polish and loss."""
         form, _, _ = planted_form(rng, r=6, n_active=3, M=100, p=20,
                                   amp_scale=[50, 20, 8])
         gammas = log_gamma_grid(1e-1, 1e4, 12)
-        warm_pts = gamma_sweep(form, gammas, AdmmParams(warm_start=True))
-        cold_pts = gamma_sweep(form, gammas, AdmmParams(warm_start=False))
+        warm_pts = gamma_sweep(form, gammas)
+        cold_pts = [solve_at_gamma(form, gamma) for gamma in gammas]
+        assert len({c.cardinality for c in cold_pts}) > 2
         for w, c in zip(warm_pts, cold_pts):
-            assert w.cardinality == c.cardinality
-            assert abs(w.loss_percent - c.loss_percent) <= 1e-4
+            np.testing.assert_array_equal(w.support, c.support)
+            assert np.array_equal(c.b_polished, polish(form, c.support))
+            assert np.array_equal(w.b_polished, c.b_polished)
+            assert w.loss_percent == c.loss_percent
 
     def test_polishing_never_hurts(self, rng):
         Y, modes, lam = random_instance(rng, p=8, r=5, M=16)
