@@ -66,7 +66,7 @@ MODEL_FIELDS = {"method": (np.str_, 0), "eigenvalues": (np.complex128, 1),
                 "amplitudes": (np.complex128, 1), "original_indices": (np.integer, 1),
                 "modes": (np.complex128, 2), "mean": (np.float64, 1), "n_train": (np.integer, 0)}
 # AdmmParams fields set by the solver flags; their defaults are AdmmParams'.
-ADMM_FLAGS = ("rho", "eps_abs", "eps_rel", "max_iter")
+ADMM_FLAGS = ("eps_abs", "eps_rel", "max_iter")
 EIGENBASIS_COND_LIMIT = 1e12  # a run warns of a near-defective eigenbasis above this cond(W)
 
 
@@ -443,13 +443,12 @@ def cmd_ingest_info(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bounded(cast: type, low: float, strict: bool = False):
-    """argparse type: cast(text), rejected if not finite or below low (and at low if strict)."""
+def _bounded(cast: type, low: float):
+    """argparse type: cast(text), rejected if not finite or below low."""
     def parse(text: str):
         value = cast(text)
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
-            raise argparse.ArgumentTypeError(
-                f"must be finite and {'>' if strict else '>='} {low}, got {text}")
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be finite and >= {low}, got {text}")
         return value
     parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
     return parse
@@ -475,7 +474,6 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
 def _add_dmd_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rank", type=_bounded(int, 1), default=None)
     sub.add_argument("--mode-style", choices=MODE_STYLES, default="exact")
-    sub.add_argument("--rho", type=_bounded(float, 0, strict=True), default=AdmmParams.rho)
     sub.add_argument("--eps-abs", type=_bounded(float, 0), default=AdmmParams.eps_abs)
     sub.add_argument("--eps-rel", type=_bounded(float, 0), default=AdmmParams.eps_rel)
     sub.add_argument("--max-iter", type=_bounded(int, 1), default=AdmmParams.max_iter)

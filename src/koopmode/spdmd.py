@@ -20,7 +20,9 @@ SQRT_HALF = math.sqrt(0.5)
 # every RHO_CHECK_EVERY iterations, scale rho by RHO_TAU towards the larger
 # residual when it exceeds RHO_MU times the other, at most RHO_MAX_CHANGES
 # times per solve, after which rho stays fixed and fixed-rho convergence holds
-# (RHO_MAX_CHANGES = 0 keeps rho fixed throughout).
+# (RHO_MAX_CHANGES = 0 keeps rho fixed throughout). A solve with no start begins
+# at RHO_START: data and gamma scaled by c leave P, and so every rho, as it was.
+RHO_START = 1.0
 RHO_MU = 10.0
 RHO_TAU = 2.0
 RHO_CHECK_EVERY = 10
@@ -166,7 +168,6 @@ def paired_form(P: np.ndarray, q: np.ndarray, s: float, partner: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class AdmmParams:
-    rho: float = 1.0  # the starting rho; residual balancing moves it
     eps_abs: float = 1e-6
     eps_rel: float = 1e-4
     max_iter: int = 10000
@@ -292,7 +293,7 @@ def admm_solve(
     form's cached x_update operator; z-update soft-thresholds at gamma/rho.
     Both run in the form's coordinates, in real arithmetic on a real form,
     and the result holds them: form.from_basis(z) gives the amplitudes.
-    The state (z, u, rho) starts at start's, else at zeros and params.rho;
+    The state (z, u, rho) starts at start's, else at zeros and RHO_START;
     rho moves by residual balancing, and the result holds the final rho.
     gamma = 0 short-circuits to a copy of the least-squares form.optimum, and a
     gamma at which z = 0 is optimal, 2|q_g| <= gamma w_g on every group g of
@@ -301,11 +302,11 @@ def admm_solve(
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if params.rho <= 0:
+    # as floats, kappa = gamma / rho past float64's range is inf, silently
+    gamma, rho = float(gamma), float(RHO_START if start is None else start.rho)
+    if rho <= 0:
         raise ValueError("rho must be positive")
     r = form.size
-    # as floats, kappa = gamma / rho past float64's range is inf, silently
-    gamma, rho = float(gamma), float(params.rho if start is None else start.rho)
     zero = np.zeros(r, dtype=form.q.dtype)  # no iterate is updated in place
     if gamma == 0.0:
         return AdmmResult(z=form.optimum.copy(), iterations=0, converged=True, rho=rho, u=zero)
@@ -439,7 +440,7 @@ def gamma_sweep(
     params: AdmmParams = AdmmParams(),
 ) -> list[SparseSolution]:
     """Solve ascending in gamma, each solve starting from the previous one's
-    state: z, u and final rho. The first starts from zeros at params.rho, as
+    state: z, u and final rho. The first starts from zeros at RHO_START, as
     solve_at_gamma without a start does at any one gamma."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     if gammas.size == 0:

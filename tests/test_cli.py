@@ -480,9 +480,9 @@ class TestDecompose:
 
     @pytest.mark.parametrize("flags", [
         ("--rank", 0), ("--rank", -1), ("--top-modes", -1), ("--cycles", 0),
-        ("--method", "spdmd", "--rho", 0), ("--method", "spdmd", "--max-iter", 0),
-        ("--method", "spdmd", "--gamma", -1), ("--method", "spdmd", "--rho", "nan"),
-        ("--method", "spdmd", "--gamma", "inf"), ("--method", "spdmd", "--rho", "inf"),
+        ("--method", "spdmd", "--eps-rel", -1), ("--method", "spdmd", "--max-iter", 0),
+        ("--method", "spdmd", "--gamma", -1), ("--method", "spdmd", "--eps-rel", "nan"),
+        ("--method", "spdmd", "--gamma", "inf"), ("--method", "spdmd", "--eps-abs", "nan"),
         ("--method", "spdmd", "--eps-abs", "inf"),
     ])
     def test_out_of_range_value_is_usage_error(self, tmp_path, planted_csv, capsys, flags):
@@ -495,8 +495,8 @@ class TestDecompose:
     @pytest.mark.parametrize("flags", [
         ("--gamma", 5), ("--method", "cdmd", "--gamma", 5),
         ("--method", "cdmd", "--mode-style", "projected"),
-        ("--rho", 2), ("--eps-abs", 1e-8), ("--eps-rel", 1e-3), ("--max-iter", 50),
-        ("--method", "cdmd", "--rho", 2), ("--no-warm-start",),
+        ("--method", "cdmd", "--rank", 3), ("--eps-abs", 1e-8), ("--eps-rel", 1e-3),
+        ("--max-iter", 50), ("--method", "cdmd", "--max-iter", 50), ("--no-warm-start",),
     ])
     def test_flag_the_method_ignores_is_rejected(self, tmp_path, planted_csv, flags):
         path, _ = planted_csv
@@ -506,10 +506,23 @@ class TestDecompose:
 
     def test_method_flags_accepted_where_read(self, tmp_path, planted_csv):
         path, _ = planted_csv
-        assert run("decompose", path, "--method", "spdmd", "--gamma", 0.5, "--rho", 2,
+        assert run("decompose", path, "--method", "spdmd", "--gamma", 0.5,
                    "--eps-abs", 1e-8, "--max-iter", 500, "--out", tmp_path / "a") == 0
-        assert run("decompose", path, "--mode-style", "projected", "--rho", 1.0,
+        assert run("decompose", path, "--mode-style", "projected",
                    "--gamma", 0, "--out", tmp_path / "b") == 0
+
+    @pytest.mark.parametrize("command", [("decompose", "--method", "spdmd"), ("sweep",)],
+                             ids=["decompose", "sweep"])
+    def test_takes_no_rho_flag(self, tmp_path, planted_csv, capsys, command):
+        """A solve starts at spdmd.RHO_START, or at its start's rho, and
+        residual balancing moves it: no flag sets it."""
+        path, _ = planted_csv
+        out = tmp_path / "art"
+        capsys.readouterr()
+        assert run(command[0], path, *command[1:], "--rho", 1, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unrecognized arguments: --rho 1"]
+        assert not out.exists()
 
     def test_config_block_holds_the_parsed_flags(self, tmp_path, rng):
         path = tmp_path / "small.csv"
@@ -520,9 +533,9 @@ class TestDecompose:
         assert sorted(config) == [
             "cycles", "dt_label", "eps_abs", "eps_rel", "gamma", "grid_shape",
             "header", "input", "mask", "max_iter", "method", "mode_style", "out",
-            "rank", "rho", "subtract_mean", "top_modes", "transpose"]
+            "rank", "subtract_mean", "top_modes", "transpose"]
         assert config["grid_shape"] == [3, 4] and config["rank"] == 2
-        assert config["input"] == str(path) and config["rho"] == 1.0
+        assert config["input"] == str(path)
 
 
 def unread(*args, **kwargs):
@@ -922,7 +935,7 @@ class TestDataOutsideFloat64:
 
     @pytest.mark.filterwarnings("error")  # the error alone
     @pytest.mark.parametrize("shape, scale, flags, energy", [
-        ((1, 13), 1e200, ("decompose", "--method", "spdmd", "--gamma", 1, "--rho", 1e8), "inf"),
+        ((1, 13), 1e200, ("decompose", "--method", "spdmd", "--gamma", 1), "inf"),
         ((3, 11), 0.0, ("decompose", "--method", "cdmd"), "0"),
         ((1, 13), 1e-300, ("decompose", "--method", "dmd"), "0"),
         ((3, 11), 1e200, ("sweep", "--subtract-mean", "--gamma-count", 3), "inf"),
@@ -1071,7 +1084,7 @@ class TestSweep:
                    "--out", tmp_path / "sw") == 1
 
     @pytest.mark.parametrize("flags", [
-        ("--gamma-count", 0), ("--rho", 0), ("--rho", -1), ("--max-iter", 0),
+        ("--gamma-count", 0), ("--eps-rel", -1), ("--max-iter", -1), ("--max-iter", 0),
         ("--eps-abs", -0.001), ("--gamma-min", -1, "--gamma-count", 1), ("--rank", 0),
         ("--gamma-min", 10, "--gamma-max", 1),
         ("--gamma-min", 0.5, "--gamma-max", 1e9, "--gamma-count", 1),
@@ -1254,7 +1267,7 @@ class TestBalancedSplitting:
         assert [int(row["cardinality"]) for row in sweep] == [s.cardinality for s in reference]
         assert list(sweep[0]) == ["gamma", "cardinality", "cost", "loss_percent",
                                   "iterations", "converged", "rho"]
-        # rho starts at --rho 1 and stays on its powers of two
+        # rho starts at RHO_START = 1 and stays on its powers of two
         assert all(math.log2(float(row["rho"])).is_integer() for row in sweep + pareto)
 
     def test_decompose_amplitudes_match_the_fixed_rho_optimum(self, tmp_path, five_mode_csv):
@@ -2200,8 +2213,8 @@ class TestFindings:
 class TestThresholdPastFloat64:
     """A gamma at which zero amplitudes are optimal, 2|q_g| <= sqrt2 gamma on
     every pair and |2q_k| <= gamma on every unpaired mode, ends the splitting
-    before its first iteration, however small --rho is and even where
-    gamma / rho passes float64's range: converged, at the starting rho."""
+    before its first iteration, even where gamma / rho passes float64's range:
+    converged, at the starting rho, 1."""
 
     @pytest.fixture
     def normal_csv(self, tmp_path):
@@ -2213,7 +2226,7 @@ class TestThresholdPastFloat64:
     @pytest.mark.filterwarnings("error")  # the error alone
     def test_decompose_prints_only_its_error(self, tmp_path, normal_csv, capsys):
         assert run("decompose", normal_csv, "--method", "spdmd", "--gamma", 1e300,
-                   "--rho", 1e-300, "--out", tmp_path / "art") == 2
+                   "--out", tmp_path / "art") == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: --gamma 1e+300 zeroed out every amplitude"]
 
@@ -2222,10 +2235,10 @@ class TestThresholdPastFloat64:
         warns of nothing."""
         out = tmp_path / "sw"
         assert recorded("sweep", normal_csv, "--gamma-min", 1e300, "--gamma-max", 1e308,
-                        "--gamma-count", 3, "--rho", 1e-300, "--out", out) == (0, [])
+                        "--gamma-count", 3, "--out", out) == (0, [])
         rows = read_rows(out / "sweep.csv")
         assert [(row["cardinality"], row["iterations"], row["converged"], row["rho"])
-                for row in rows] == [("0", "0", "true", "1e-300")] * 3
+                for row in rows] == [("0", "0", "true", "1")] * 3
         assert all(math.isfinite(float(row[key])) for row in rows
                    for key in ("gamma", "cost", "loss_percent"))
 

@@ -3,12 +3,12 @@ through cli.main as a random decompose, sweep or ingest-info with random
 flags. numpy's RNG alone draws them, from fixed seeds, so a failing case is
 rerun by its id.
 
-A share of the runs draws --rho down to 1e-300 and --gamma or --gamma-max
-up to 1e308, so some reach a gamma whose optimum has no amplitude, at a
-gamma / rho that may pass float64's range. A share draws --grid-shape with
-dimensions from -1 up, some a factorization of the rows per snapshot, some
-not, and a share of the decompose and sweep runs writes into an --out that
-already holds a file koopmode does not write.
+A share of the runs draws --gamma or --gamma-max up to 1e308, so some reach a
+gamma whose optimum has no amplitude, at a threshold gamma / rho that may
+pass float64's range. A share draws --grid-shape with dimensions from -1 up,
+some a factorization of the rows per snapshot, some not, and a share of the
+decompose and sweep runs writes into an --out that already holds a file
+koopmode does not write.
 
 Every run must exit 0, 1 or 2, raise no RuntimeWarning and leave no staging
 directory. A run that exits 1 or 2 prints only its error, one line that names
@@ -108,8 +108,8 @@ def solver_flags(rng: np.random.Generator, p: int, n: int, admm: bool = True) ->
         flags += ["--rank", str(rng.integers(1, max(p, n) + 1))]
     if not admm:
         return flags
-    if rng.random() < 0.3:
-        flags += ["--rho", log_uniform(rng, extreme(rng, -3, -300), 3)]
+    if rng.random() < 0.3:  # spent draws, which keep each later draw of a case as it was
+        log_uniform(rng, extreme(rng, -3, -300), 3)
     if rng.random() < 0.3:
         flags += ["--max-iter", str(rng.integers(1, 50))]
     return flags

@@ -24,7 +24,7 @@ from koopmode import (
     vandermonde,
 )
 from koopmode import spdmd
-from koopmode.dmd import DecompositionResult
+from koopmode.dmd import MODE_STYLES, DecompositionResult
 from koopmode.spdmd import detect_support, paired_form, soft_threshold
 from conftest import (allocation_peak, planted_matrix, planted_snapshots, random_unitary,
                       smoke_matrix)
@@ -109,13 +109,13 @@ def cholesky_admm(form, gamma, params=AdmmParams(), start=None):
     """Reference splitting loop on a complex form: one Cholesky factorization
     of 2P + rho I per rho and its two triangular solves per x-update, and complex
     shrinkage of the amplitudes. It starts from start = (z, u, rho), else
-    from zeros at params.rho. Every 10 iterations rho doubles
+    from zeros at spdmd.RHO_START. Every 10 iterations rho doubles
     (halves) when the primal (dual) residual exceeds 10 times the other, at
     most spdmd.RHO_MAX_CHANGES times, so patching that to 0 gives the fixed-rho
     loop. Returns (z, u, iterations, rho), rho the final one."""
     r = form.size
     zero = np.zeros(r, dtype=complex)
-    z, u, rho = (zero, zero, params.rho) if start is None else start
+    z, u, rho = (zero, zero, spdmd.RHO_START) if start is None else start
     z, u = z.astype(complex), u.astype(complex)
     changes = 0
     solve = cholesky_solver(2.0 * form.P + rho * np.eye(r))
@@ -141,6 +141,13 @@ def cholesky_admm(form, gamma, params=AdmmParams(), start=None):
             rho, u, changes = rho * scale, u / scale, changes + 1
             solve = cholesky_solver(2.0 * form.P + rho * np.eye(r))
     return z, u, it, rho
+
+
+def zero_start(form, rho):
+    """A start at z = u = 0 and the given rho: where a solve with no start
+    begins, but at rho in place of spdmd.RHO_START."""
+    zero = np.zeros(form.size, dtype=form.q.dtype)
+    return spdmd.AdmmResult(z=zero, iterations=0, converged=False, rho=rho, u=zero)
 
 
 def kkt_polish(form, support):
@@ -464,7 +471,8 @@ class TestAdmmSolve:
         iteration, converged at the starting rho, however small rho is."""
         Y, modes, lam = random_instance(rng)
         form = quadratic_form(Y, modes, np.eye(modes.shape[1]), lam)
-        res = admm_solve(form, np.float64(1e300), AdmmParams(rho=1e-300, max_iter=300))
+        res = admm_solve(form, np.float64(1e300), AdmmParams(max_iter=300),
+                         zero_start(form, 1e-300))
         assert not res.z.any() and not res.u.any()
         assert (res.iterations, res.converged, res.rho) == (0, True, 1e-300)
 
@@ -480,9 +488,10 @@ class TestAdmmSolve:
         least = zero_certificate(form)
         start = spdmd.AdmmResult(z=np.ones(form.size), iterations=7, converged=True, rho=8.0,
                                  u=np.ones(form.size))
-        for gamma, begin, rho in ((least * (1 + 1e-12), None, 0.5), (1e300, None, 0.5),
+        for gamma, begin, rho in ((least * (1 + 1e-12), None, spdmd.RHO_START),
+                                  (1e300, zero_start(form, 0.5), 0.5),
                                   (least * (1 + 1e-12), start, 8.0)):
-            res = admm_solve(form, gamma, AdmmParams(rho=0.5), begin)
+            res = admm_solve(form, gamma, start=begin)
             assert (res.iterations, res.converged, res.rho) == (0, True, rho)
             assert not res.z.any() and not res.u.any()
             assert res.z.dtype == res.u.dtype == form.q.dtype
@@ -507,7 +516,7 @@ class TestAdmmSolve:
             return soft_threshold(v, kappa, partner)
 
         monkeypatch.setattr(spdmd, "soft_threshold", spy)
-        res = admm_solve(form, gamma, AdmmParams(rho=rho, max_iter=9))
+        res = admm_solve(form, gamma, AdmmParams(max_iter=9), zero_start(form, rho))
         assert kappas == [math.inf] * 9
         assert (res.iterations, res.converged, res.rho) == (9, False, rho)
         assert not res.z.any() and np.isfinite(res.u).all()
@@ -518,7 +527,7 @@ class TestAdmmSolve:
         with pytest.raises(ValueError):
             admm_solve(form, -1.0)
         with pytest.raises(ValueError):
-            admm_solve(form, 1.0, AdmmParams(rho=0.0))
+            admm_solve(form, 1.0, start=zero_start(form, 0.0))
 
 
 class TestAdmmMatchesCholeskyReference:
@@ -558,13 +567,14 @@ class TestAdmmMatchesCholeskyReference:
             assert form.eigh[1].dtype == np.float64
             first = np.flatnonzero(form.partner > np.arange(form.size))
             assert first.size == 4
-            for params in (AdmmParams(), AdmmParams(rho=1e3)):
+            for rho_start in (1.0, 1e3):
+                monkeypatch.setattr(spdmd, "RHO_START", rho_start)
                 ref = res = None
                 for frac in (0.05, 0.3):  # the second warm-started from the first
                     gamma = frac * 2.0 * np.max(np.abs(reference.q))
-                    z, u, iterations, rho = cholesky_admm(reference, gamma, params, ref)
+                    z, u, iterations, rho = cholesky_admm(reference, gamma, start=ref)
                     ref = (z, u, rho)
-                    res = admm_solve(form, gamma, params, start=res)
+                    res = admm_solve(form, gamma, start=res)
                     assert res.iterations == iterations and res.rho == rho
                     b = form.from_basis(res.z)  # the iterates are coordinates
                     assert_close(b, z, 1e-10)
@@ -652,10 +662,11 @@ class TestResidualBalancing:
         forms = [random_psd_form(rng, 12) for _ in range(3)]
         forms += [planted_form(rng, r=10, n_active=n)[0] for n in (3, 5)]
         for form in forms:
-            for params in (AdmmParams(), AdmmParams(rho=1e4)):
+            for rho_start in (1.0, 1e4):
+                monkeypatch.setattr(spdmd, "RHO_START", rho_start)
                 gamma = 0.3 * 2.0 * np.max(np.abs(form.q))
-                z, u, iterations, _ = cholesky_admm(form, gamma, params)
-                res = admm_solve(form, gamma, params)
+                z, u, iterations, _ = cholesky_admm(form, gamma)
+                res = admm_solve(form, gamma)
                 assert res.iterations == iterations
                 assert_close(res.z, z, 1e-10)
                 assert_close(res.u, u, 1e-10)
@@ -670,11 +681,11 @@ class TestResidualBalancing:
         fixed = [solve_at_gamma(form, gamma, TIGHT) for form, gamma in cases]
         for got, want in zip(balanced, fixed):
             assert got.admm.converged and want.admm.converged
-            assert want.admm.rho == TIGHT.rho
+            assert want.admm.rho == spdmd.RHO_START
             np.testing.assert_array_equal(got.support, want.support)
             assert_close(got.b_polished, want.b_polished, 1e-10)
             assert_close(got.admm.z, want.admm.z, 1e-9)
-        assert sum(got.admm.rho != TIGHT.rho for got in balanced) >= 5
+        assert sum(got.admm.rho != spdmd.RHO_START for got in balanced) >= 5
 
     def test_rho_stays_on_the_doubling_grid_and_changes_at_most_the_cap(self, rng,
                                                                         monkeypatch):
@@ -683,10 +694,10 @@ class TestResidualBalancing:
         gamma = 0.3 * 2.0 * np.max(np.abs(form.q))
         # the first settles at 192; the others start 2^26 and 2^34 away from it
         for rho in (3.0, 3e12, 3e-6):
-            params = AdmmParams(rho=rho, max_iter=1000)
             with warnings.catch_warnings():  # far starts may stop at max_iter
                 warnings.simplefilter("ignore")
-                res = spdmd.admm_solve(form, gamma, params)
+                res = spdmd.admm_solve(form, gamma, AdmmParams(max_iter=1000),
+                                       zero_start(form, rho))
             assert res.rho == visits[-1][-1]
             assert all(math.log2(v / rho).is_integer() for v in visits[-1])
         changes = [len(v) - 1 for v in visits]
@@ -696,18 +707,18 @@ class TestResidualBalancing:
 
     def test_warm_sweep_carries_rho_and_cold_sweep_restarts(self, rng, monkeypatch):
         """The sweep starts each gamma at the last one's final rho; the cold
-        sweep, one solve_at_gamma per gamma with no start, at params.rho."""
+        sweep, one solve_at_gamma per gamma with no start, at RHO_START."""
         visits = self.record_rhos(monkeypatch)
+        monkeypatch.setattr(spdmd, "RHO_START", 0.5)
         form, _, _ = planted_form(rng, r=10, n_active=3)
         gammas = log_gamma_grid(1e-1, 1e4, 12)
-        params = AdmmParams(rho=0.5)
-        warm = gamma_sweep(form, gammas, params)
+        warm = gamma_sweep(form, gammas)
         assert visits[0][0] == 0.5
         assert len({rho for v in visits for rho in v}) > 2
         for k in range(1, len(gammas)):
             assert visits[k][0] == visits[k - 1][-1] == warm[k - 1].admm.rho
         del visits[:]
-        cold = [solve_at_gamma(form, gamma, params) for gamma in gammas]
+        cold = [solve_at_gamma(form, gamma) for gamma in gammas]
         assert [v[0] for v in visits] == [0.5] * len(gammas)
         assert [s.admm.rho for s in cold] == [v[-1] for v in visits]
 
@@ -744,26 +755,52 @@ class TestResidualBalancing:
 
     def test_gamma_zero_keeps_the_starting_rho(self, rng):
         form = random_psd_form(rng, 8)
-        assert admm_solve(form, 0.0, AdmmParams(rho=4.0)).rho == 4.0
-        start = admm_solve(form, 0.3 * 2.0 * np.max(np.abs(form.q)), AdmmParams(rho=1e4))
-        assert start.rho != 4.0
-        assert admm_solve(form, 0.0, AdmmParams(rho=4.0), start=start).rho == start.rho
+        assert admm_solve(form, 0.0).rho == spdmd.RHO_START
+        assert admm_solve(form, 0.0, start=zero_start(form, 4.0)).rho == 4.0
+        start = admm_solve(form, 0.3 * 2.0 * np.max(np.abs(form.q)), start=zero_start(form, 1e4))
+        assert start.rho not in (4.0, spdmd.RHO_START)
+        assert admm_solve(form, 0.0, start=start).rho == start.rho
 
-    def test_start_resumes_the_sweep_state(self, rng):
+    def test_start_resumes_the_sweep_state(self, rng, monkeypatch):
         """A solve started from the last one's result is the sweep's next
         entry, bit for bit: it resumes at that result's z, u and rho."""
+        monkeypatch.setattr(spdmd, "RHO_START", 1e3)
         form = quadratic_form(*real_dmd_instance(rng))
         gammas = 2.0 * np.max(np.abs(form.q)) * np.array([0.05, 0.3])
-        params = AdmmParams(rho=1e3)
-        first = solve_at_gamma(form, gammas[0], params).admm
-        assert first.rho != params.rho  # balancing moved rho, so the start must carry it
-        got = solve_at_gamma(form, gammas[1], params, start=first)
-        want = gamma_sweep(form, gammas, params)[1]
+        first = solve_at_gamma(form, gammas[0]).admm
+        assert first.rho != spdmd.RHO_START  # balancing moved rho, so the start must carry it
+        got = solve_at_gamma(form, gammas[1], start=first)
+        want = gamma_sweep(form, gammas)[1]
         for name in ("support", "b_polished", "cost", "loss_percent"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
         for name in ("z", "u", "iterations", "rho"):
             np.testing.assert_array_equal(getattr(got.admm, name), getattr(want.admm, name),
                                           name)
+
+    @pytest.mark.parametrize("mode_style", MODE_STYLES)
+    def test_data_units_move_neither_p_nor_the_sweep(self, rng, mode_style):
+        """Why no caller sets the starting rho: data and gamma scaled by 2^k
+        leave P bitwise as it was, and with no absolute stop term (eps_abs = 0)
+        every sweep row's cardinality, iterations, final rho and loss too."""
+        lams = [0.97 * np.exp(1j * w) for w in (0.3, 0.7, 1.3, 2.1)] + [0.9]
+        Y, _ = planted_snapshots(30, 81, lams, [5.0, 3.0, 2.0, 1.0, 4.0], rng)
+        data = Y + 1e-3 * rng.standard_normal(Y.shape)
+
+        def sweep(scale):
+            result = exact_dmd(scale * data, rank=9, mode_style=mode_style)
+            form = quadratic_form(scale * data[:, :-1], result.basis, result.coefficients,
+                                  result.eigenvalues)
+            solutions = gamma_sweep(form, scale * log_gamma_grid(1.0, 1e3, 12),
+                                    AdmmParams(eps_abs=0.0))
+            return form.P, [(s.cardinality, s.admm.iterations, s.admm.rho, s.loss_percent)
+                            for s in solutions]
+
+        P, rows = sweep(1.0)
+        assert len({row[0] for row in rows}) > 2 and len({row[2] for row in rows}) > 1
+        for k in (-20, 10):
+            P_k, rows_k = sweep(2.0 ** k)
+            np.testing.assert_array_equal(P_k, P)
+            assert rows_k == rows
 
 
 class TestPolish:
@@ -1006,6 +1043,9 @@ class TestGammaSweep:
             "gamma", "admm", "support", "b_polished", "cost", "loss_percent"]
         assert [f.name for f in dataclasses.fields(sol.admm)] == [
             "z", "iterations", "converged", "rho", "u"]
+        # the starting rho is the start's, else RHO_START: no parameter holds it
+        assert [f.name for f in dataclasses.fields(AdmmParams)] == [
+            "eps_abs", "eps_rel", "max_iter"]
         assert sol.cardinality == sol.support.size
         np.testing.assert_array_equal(sol.support, detect_support(sol.admm.z, form.partner))
 
