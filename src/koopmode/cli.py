@@ -34,6 +34,7 @@ from .snapshots import (
     load_matrix,
     read_csv,
     read_npy,
+    scaled_mean,
     stack_cycles,
     subtract_mean,
     write_csv,
@@ -437,7 +438,7 @@ def cmd_ingest_info(args: argparse.Namespace) -> int:
         "masked_points": int(X.mask.size - X.mask.sum()) if X.mask is not None else None,
         "min": float(X.data.min()),
         "max": float(X.data.max()),
-        "mean": float(X.data.mean()),
+        "mean": float(scaled_mean(X.data)),
     }
     sys.stdout.write(_json_text(info))
     return EXIT_OK

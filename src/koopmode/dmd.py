@@ -95,10 +95,11 @@ def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
     numerical rank: the count of singular values above RANK_TOL * sigma_1
     (a larger rank raises RankError, and one above min(p, M) ValueError).
 
-    A wide Y (p < M) is factored through the p x p R of Y* = QR, the step
-    LAPACK's SVD of Y* takes first once M >= 11p/6: U and S come from the SVD
-    of R, and only the kept columns V = Y* U / S are formed, each to about
-    eps sigma_1 / sigma_k. A tall or square Y takes one SVD."""
+    Y is factored through the R of its long side, Y* = QR when wide (p < M)
+    and Y = QR when tall or square, the step LAPACK's SVD takes first once the
+    long side is 11/6 of the short: S and the short side's singular vectors
+    come from the SVD of R, and only the long side's kept columns, V = Y* U / S
+    or U = Y V / S, are formed, each to about eps sigma_1 / sigma_k."""
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     Y = np.asarray(Y)
@@ -107,12 +108,8 @@ def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
     if rank is not None and rank > min(Y.shape):
         raise ValueError(f"rank {rank} exceeds min(p, M)={min(Y.shape)}")
     wide = Y.shape[0] < Y.shape[1]
-    if wide:  # R = Z diag(s) U*, so Y = U diag(s) (Q Z)*
-        _, s, Uh = np.linalg.svd(np.linalg.qr(Y.conj().T, mode="r"))
-        U = Uh.conj().T
-    else:
-        U, s, Vh = np.linalg.svd(Y, full_matrices=False)
-        V = Vh.conj().T
+    # R = Z diag(s) W*, so W holds the short side's singular vectors
+    _, s, Wh = np.linalg.svd(np.linalg.qr(Y.conj().T if wide else Y, mode="r"))
     if s[0] <= 0:
         raise ValueError("matrix has no positive singular values")
     numerical_rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
@@ -121,9 +118,10 @@ def truncated_svd(Y: np.ndarray, rank: int | None = None) -> SvdFactors:
     elif rank > numerical_rank:
         raise RankError(f"rank {rank} exceeds the numerical rank {numerical_rank}, "
                         f"the count of singular values above {RANK_TOL:g} sigma_1")
-    U, s = U[:, :rank], s[:rank]
-    V = adjoint_matmul(Y, U / s) if wide else V[:, :rank]
-    return SvdFactors(U=U, S=s, V=V)
+    W, s = Wh.conj().T[:, :rank], s[:rank]
+    if wide:
+        return SvdFactors(U=W, S=s, V=adjoint_matmul(Y, W / s))
+    return SvdFactors(U=Y @ (W / s), S=s, V=W)
 
 
 def conjugate_pairs(eigenvalues: np.ndarray) -> np.ndarray:

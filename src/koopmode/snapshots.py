@@ -182,14 +182,15 @@ def write_csv(path: str | Path, rows, fmt: str | None = None,
 def read_csv(path: str | Path, skiprows: int = 0, *,
              text: io.TextIOBase | None = None) -> np.ndarray:
     """The values of a comma-separated file after skiprows lines, as a 2-D
-    float64 array; nan and inf parse. text, the file open for reading, is read
+    float64 array; nan and inf parse. The file is decoded as utf-8-sig, so a
+    leading byte-order mark is skipped. text, the file open for reading, is read
     in path's place. Ragged rows, a non-numeric cell or no values at all raise
     ValueError naming the path."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             data = np.loadtxt(path if text is None else text, delimiter=",",
-                              skiprows=skiprows, ndmin=2)
+                              skiprows=skiprows, ndmin=2, encoding="utf-8-sig")
         except ValueError as exc:
             raise ValueError(f"ragged rows or non-numeric cells in {path}: {exc}") from None
     if data.size == 0:
@@ -248,7 +249,7 @@ def _parse_cached(path: Path, skiprows: int) -> np.ndarray:
                     return data
             raw.seek(0)
         reader = _HashingReader(raw, blake2b(digest_size=32))
-        with io.TextIOWrapper(io.BufferedReader(reader)) as text:
+        with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8-sig") as text:
             data = read_csv(path, skiprows, text=text)
     _store(cache / f"{reader.size}-{reader.hash.hexdigest()}-{skiprows}.npy", data)
     return data
@@ -313,9 +314,19 @@ def unstack_cycles(X: SnapshotMatrix, c: int) -> np.ndarray:
     return np.ascontiguousarray(cols).reshape(base, X.n_steps * c)
 
 
+def scaled_mean(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """values.mean(axis), taken from the values scaled by a power of two to
+    magnitudes below 1, so that the mean of finite values is finite. The
+    scaling is exact: the bits are values.mean(axis)'s wherever its sums
+    neither overflow nor underflow."""
+    exponent = np.frexp(np.abs(values).max(axis=axis, keepdims=True))[1]
+    mean = np.ldexp(np.ldexp(values, -exponent).mean(axis=axis, keepdims=True), exponent)
+    return mean.squeeze(axis)
+
+
 def subtract_mean(X: SnapshotMatrix) -> tuple[SnapshotMatrix, np.ndarray]:
-    """Remove the temporal mean of each row; returns (centered, mean) so the
-    original data is recoverable by addition."""
-    mean = X.data.mean(axis=1)
+    """Remove the temporal mean of each row (scaled_mean); returns (centered,
+    mean) so the original data is recoverable by addition."""
+    mean = scaled_mean(X.data, axis=1)
     centered = X.data - mean[:, None]
     return replace(X, data=centered), mean

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
+import gzip
 import json
 import math
 import os
@@ -19,11 +21,11 @@ import pytest
 
 import koopmode
 from koopmode import (AdmmParams, SnapshotMatrix, conjugate_pairs,
-                      conjugate_representatives, exact_dmd, gamma_sweep, load_matrix,
-                      log_gamma_grid, quadratic_form, read_csv, reconstruct, save_matrix,
-                      stack_cycles, truncated_svd, write_csv)
+                      conjugate_representatives, exact_dmd, gamma_sweep, load_mask,
+                      load_matrix, log_gamma_grid, quadratic_form, read_csv, reconstruct,
+                      save_matrix, stack_cycles, truncated_svd, write_csv)
 from koopmode.dmd import real_matmul
-from koopmode import __main__ as entry, cli, dmd, spdmd
+from koopmode import __main__ as entry, cli, dmd, snapshots, spdmd
 from koopmode.cli import main, render_heatmap
 from conftest import (allocation_peak, fail_read_array_on, npy_with_header, planted_matrix,
                       real_exponentials, smoke_matrix)
@@ -952,6 +954,19 @@ class TestDataOutsideFloat64:
             "about 1e-154 to 1e154)"]
         assert not out.exists()
 
+    def test_mean_of_finite_data_is_finite(self, tmp_path, capsys):
+        """The mean of 1e308s is 1e308: it once overflowed to inf, so
+        ingest-info exited 2 on its JSON and --subtract-mean on NaN/Inf data.
+        decompose still refuses the data, for its energy."""
+        path = tmp_path / "big.csv"
+        path.write_text("1e308,1e308,1e308\n1e308,1e308,1e308\n")
+        for flags, mean in (((), 1e308), (("--subtract-mean",), 0.0)):
+            assert run("ingest-info", path, *flags) == 0
+            assert json.loads(capsys.readouterr().out)["mean"] == mean
+        assert run("decompose", path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: the sum of squares of the snapshots to fit is inf, ")
+
     def test_json_artifacts_refuse_nan(self):
         with pytest.raises(ValueError, match="JSON"):
             cli._json_text({"full_fit_loss_percent": float("nan")})
@@ -1841,6 +1856,38 @@ class TestEveryCsvReader:
         assert message + str(path) in capsys.readouterr().err
         assert not caught
 
+    def test_utf8_byte_order_mark_is_read_past(self, tmp_path, smoke_csv, monkeypatch):
+        """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark. Each
+        CSV is decoded as utf-8-sig, so a copy with the mark reads as the file:
+        an input parsed (a cache miss), read from the cache, or decompressed,
+        a mask, and a heatmap grid."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+        def marked(path, text):
+            path.write_text(text)
+            copy = path.with_name("bom-" + path.name)
+            copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+            return path, copy
+
+        plain, bom = marked(tmp_path / "in.csv", smoke_csv.read_text())
+        gz = tmp_path / "bom-in.csv.gz"
+        gz.write_bytes(gzip.compress(bom.read_bytes()))
+        want = load_matrix(plain).data
+        np.testing.assert_array_equal(load_matrix(bom).data, want)
+        with monkeypatch.context() as patch:  # the second load of the copy is a hit
+            patch.setattr(snapshots, "read_csv", None)
+            np.testing.assert_array_equal(load_matrix(bom).data, want)
+        np.testing.assert_array_equal(load_matrix(gz).data, want)
+        masks = marked(tmp_path / "mask.csv", "1,1,0\n1,1,1\n")
+        np.testing.assert_array_equal(*map(load_mask, masks))
+        assert load_mask(masks[1]).tolist() == [True, True, False, True, True, True]
+        grids = marked(tmp_path / "g.csv", "1,2,3\n4,5,nan\n")
+        images = []
+        for grid in grids:
+            assert run("heatmap", grid, grid.with_suffix(".ppm")) == 0
+            images.append(grid.with_suffix(".ppm").read_bytes())
+        assert images[0] == images[1]
+
 
 class TestDeterminism:
     def test_decompose_and_sweep_byte_identical(self, tmp_path, planted_csv):
@@ -2043,14 +2090,16 @@ class TestBlasThreads:
         assert files[0] == files[1]
 
     @pytest.mark.parametrize("flags, n_steps",
-                             [(("--rank", 50), 400), (("--method", "cdmd"), 100)],
-                             ids=["dmd", "cdmd"])
+                             [(("--rank", 50), 400), (("--rank", 50), 100),
+                              (("--method", "cdmd"), 100)],
+                             ids=["dmd", "dmd-tall", "cdmd"])
     def test_decompose_agrees_across_thread_counts(self, tmp_path, run_at, flags, n_steps):
         """On this 200 x 400 input, one and two threads round the rank-50
         operator differently, and LAPACK returns one of its eigenvector pairs
         negated. Each eigenvector's phase is taken from the vector, so the
-        amplitudes and modes still agree to TOL of their largest entry. CDMD,
-        of order 99 on the first 100 columns, keeps the same |eigenvalue|
+        amplitudes and modes still agree to TOL of their largest entry. The
+        first 100 columns give a tall Y, 200 x 99, whose U is the formed side.
+        CDMD, of order 99 on the first 100 columns, keeps the same |eigenvalue|
         order and so the same index labels."""
         TOL = 1e-9
         rng = np.random.default_rng(0)  # its own seed: the sign LAPACK picks depends on the data

@@ -36,8 +36,7 @@ class TestTruncatedSvd:
 
     @staticmethod
     def tall_and_wide(rng, p, M):
-        """Real and complex matrices, tall and wide: a wide one is factored
-        through the R factor of Y*."""
+        """Real and complex matrices, tall and wide."""
         return [rng.standard_normal(shape) + z * rng.standard_normal(shape)
                 for shape in ((p, M), (M, p)) for z in (0, 1j)]
 
@@ -90,46 +89,47 @@ class TestTruncatedSvd:
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_wide_route_matches_the_svd_of_the_adjoint(self, rng, complex_):
-        """At M >= 11p/6 LAPACK's SVD of Y* takes the same QR step first. A
-        formed column V_k is off by about eps sigma_1 / sigma_k, so the singular
-        values fall only to 1e-5 (V's orthonormality is then near 2e-11; at
-        1e-6 it reaches 3e-10)."""
-        p, M = 8, 30
-        U, V = (np.linalg.qr(rng.standard_normal(shape)
-                             + 1j * complex_ * rng.standard_normal(shape))[0]
-                for shape in ((p, p), (M, p)))
-        Y = (U * np.geomspace(1.0, 1e-5, p)) @ V.conj().T
-        _, s, Uh = np.linalg.svd(Y.conj().T, full_matrices=False)
-        for rank in (3, p):
-            f = truncated_svd(Y, rank=rank)
-            assert np.max(np.abs(f.S - s[:rank])) <= 1e-13 * s[0]
-            # U up to each column's sign, or unit phase when complex
-            ref = Uh[:rank].conj().T
-            phase = np.sum(ref.conj() * f.U, axis=0)
-            assert np.max(np.abs(f.U - ref * phase)) <= 1e-13
-            assert np.max(np.abs(f.V.conj().T @ f.V - np.eye(rank))) <= 1e-10
-        assert np.max(np.abs(Y - f.U @ (f.S[:, None] * f.V.conj().T))) <= 1e-12
-
-    def test_tall_route_is_one_svd(self, rng):
-        for Y in self.tall_and_wide(rng, 12, 5)[:2]:
-            U, s, Vh = np.linalg.svd(Y, full_matrices=False)
-            f = truncated_svd(Y, rank=3)
-            for got, want in ((f.U, U[:, :3]), (f.S, s[:3]), (f.V, Vh.conj().T[:, :3])):
-                assert np.array_equal(got, want)
+        """A tall (p > M), a square and a wide Y each match LAPACK's SVD of
+        their long side (Y*, when wide): S, and the short side's singular
+        vectors up to phase. A formed column of the long side is off by about
+        eps sigma_1 / sigma_k, so the singular values fall only to 1e-5 (its
+        orthonormality is then near 2e-11; at 1e-6 it reaches 3e-10)."""
+        for p, M in ((30, 8), (8, 8), (8, 30)):
+            k = min(p, M)
+            U, V = (np.linalg.qr(rng.standard_normal(shape)
+                                 + 1j * complex_ * rng.standard_normal(shape))[0]
+                    for shape in ((p, k), (M, k)))
+            Y = (U * np.geomspace(1.0, 1e-5, k)) @ V.conj().T
+            _, s, Uh = np.linalg.svd(Y.conj().T if p < M else Y, full_matrices=False)
+            for rank in (3, k):
+                f = truncated_svd(Y, rank=rank)
+                short, formed = (f.U, f.V) if p < M else (f.V, f.U)
+                assert np.max(np.abs(f.S - s[:rank])) <= 1e-13 * s[0]
+                # the short side up to each column's sign, or unit phase when complex
+                ref = Uh[:rank].conj().T
+                phase = np.sum(ref.conj() * short, axis=0)
+                assert np.max(np.abs(short - ref * phase)) <= 1e-13
+                assert np.max(np.abs(formed.conj().T @ formed - np.eye(rank))) <= 1e-10
+            assert np.max(np.abs(Y - f.U @ (f.S[:, None] * f.V.conj().T))) <= 1e-12
 
     def test_wide_route_factors_at_most_p_rows(self, rng, monkeypatch):
-        """The M-side factor is never formed whole: the SVD sees a p x p matrix."""
-        svd, shapes = np.linalg.svd, []
+        """Whatever the shape, the long side is never factored whole: one QR
+        of it, mode "r", and one SVD, of its min(p, M)-square R."""
+        qr, svd, calls = np.linalg.qr, np.linalg.svd, []
 
-        def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+        def spy(name, fn):
+            def call(a, *args, **kwargs):
+                calls.append((name, np.shape(a), kwargs.get("mode")))
+                return fn(a, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        for Y in self.tall_and_wide(rng, 40, 7)[2:]:
+        monkeypatch.setattr(np.linalg, "qr", spy("qr", qr))
+        monkeypatch.setattr(np.linalg, "svd", spy("svd", svd))
+        for Y in [*self.tall_and_wide(rng, 40, 7), rng.standard_normal((7, 7))]:
+            calls.clear()
             f = truncated_svd(Y, rank=4)
-            assert f.V.shape == (40, 4)
-        assert shapes and all(rows <= 7 for rows, _ in shapes)
+            assert f.U.shape == (Y.shape[0], 4) and f.V.shape == (Y.shape[1], 4)
+            assert calls == [("qr", (max(Y.shape), 7), "r"), ("svd", (7, 7), None)]
 
     @pytest.mark.parametrize("rank", [0, -1])
     def test_rank_below_one(self, rng, rank):

@@ -270,6 +270,24 @@ class TestParseCache:
             assert str(caught.value).startswith(message + str(path))
         assert self.entries(cache) == []
 
+    def test_failed_store_returns_the_parse_and_leaves_no_file(self, tmp_path, cache,
+                                                                monkeypatch):
+        """A store whose temporary file cannot be made is silent (the cache's
+        mode is no test: root ignores it). The next load stores the entry."""
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5,6\n")
+
+        def refuse(*args, **kwargs):
+            raise OSError("no temporary file")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshots.tempfile, "mkstemp", refuse)
+            np.testing.assert_array_equal(load_matrix(path).data, [[1, 2, 3], [4, 5, 6]])
+        assert os.listdir(cache) == []
+        load_matrix(path)
+        [name] = self.entries(cache)
+        assert name.endswith("-0.npy")
+
     def test_keeps_the_most_recently_used_entries(self, tmp_path, cache):
         paths = [tmp_path / f"{k}.csv" for k in range(snapshots.CACHE_ENTRIES + 1)]
         for k, path in enumerate(paths):
@@ -545,6 +563,18 @@ class TestSubtractMean:
         centered, mean = subtract_mean(SnapshotMatrix(np.array([[1.0, 2.0, 3.0]])))
         np.testing.assert_array_equal(centered.data, [[-1.0, 0.0, 1.0]])
         assert mean[0] == 2.0
+
+    def test_mean_of_finite_rows_is_finite(self, rng):
+        """Each row's mean is taken from the row scaled by a power of two: the
+        mean of 1e308s is 1e308, not inf, and elsewhere its bits are numpy's,
+        row by row and over the whole array."""
+        centered, mean = subtract_mean(SnapshotMatrix(np.full((2, 3), 1e308)))
+        np.testing.assert_array_equal(mean, [1e308, 1e308])
+        np.testing.assert_array_equal(centered.data, np.zeros((2, 3)))
+        for scale in (1e-300, 1.0, 1e300):
+            data = scale * rng.standard_normal((5, 301))
+            assert subtract_mean(SnapshotMatrix(data))[1].tobytes() == data.mean(axis=1).tobytes()
+            assert snapshots.scaled_mean(data).tobytes() == data.mean().tobytes()
 
     def test_reconstruction_oracle(self, rng):
         data = rng.standard_normal((6, 11)) * 3 + 2
